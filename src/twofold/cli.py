@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import cycles, invariants, returns, stability
 from .errors import NoReturnError, TwofoldError
 from .sigma import RegionKind, classify_point
 from .system import SystemParams, build_system, resonant_system
-from .flow import flow_X, flow_Y, z_closed_form
+from .flow import flow_X, flow_Y
 
 
 def _fmt(value) -> str:
@@ -153,6 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(handler=cmd_scan)
 
+    # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
@@ -183,15 +187,10 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     idx = 0
     on_sigma = abs(s[2]) <= ztol
     while t0 < t_max:
-        zf, dzf = z_closed_form(p, s, field)
-        sign = 1.0 if field == "X" else -1.0
-        g = lambda t: sign * zf(t)
-        dg = lambda t: sign * dzf(t)
         remaining = t_max - t0
         try:
-            tc, _ = returns.first_crossing(
-                g, dg, remaining, returns.DEFAULT_SCAN_STEP,
-                float(np.max(np.abs(s))), skip_zero_start=on_sigma)
+            tc, _ = returns.first_crossing(p, s, field, remaining, float(np.max(np.abs(s))),
+                                           skip_zero_start=on_sigma)
         except NoReturnError:
             tc = None  # orbit stays in its half-space for the rest of the run
         seg_end = t_max if tc is None else t0 + tc

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DivergenceError, NoConvergenceError, NotACycleError
 from .invariants import branch_min_y, gamma1_branch_x, gamma1_conic
-from .returns import (DEFAULT_SCAN_STEP, DEFAULT_T_MAX, half_return_X,
-                      half_return_Y, series_coeffs)
+from .returns import DEFAULT_T_MAX, half_return_X, half_return_Y, series_coeffs
 from .system import SystemParams
 
 __all__ = [
@@ -50,26 +49,24 @@ class SymmetricCycle:
     residual: float
 
 
-def closure_residual(p: SystemParams, y0: float, *, step: float = DEFAULT_SCAN_STEP,
+def closure_residual(p: SystemParams, y0: float, *,
                      t_max: float = DEFAULT_T_MAX) -> np.ndarray:
     """(x1 + y0, y1 + x0) for the upper half-orbit from the branch point at y0.
 
     Vanishes exactly at a symmetric cycle.
     """
-    x0 = gamma1_branch_x(p, y0)
-    hrx = half_return_X(p, (x0, y0), step=step, t_max=t_max)
-    return np.array([hrx.end[0] + y0, hrx.end[1] + x0])
+    r, hrx, x0 = _scalar_residual(p, y0, t_max)
+    return np.array([r, hrx.end[1] + x0])
 
 
-def _scalar_residual(p, y0, step, t_max):
+def _scalar_residual(p, y0, t_max):
     x0 = gamma1_branch_x(p, y0)
-    hrx = half_return_X(p, (x0, y0), step=step, t_max=t_max)
+    hrx = half_return_X(p, (x0, y0), t_max=t_max)
     return float(hrx.end[0] + y0), hrx, x0
 
 
 def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = None,
-                      max_iter: int = 50, step: float = DEFAULT_SCAN_STEP,
-                      t_max: float = DEFAULT_T_MAX) -> SymmetricCycle:
+                      max_iter: int = 50, t_max: float = DEFAULT_T_MAX) -> SymmetricCycle:
     """Newton iteration on the scalar closure residual in the branch coordinate.
 
     The derivative is taken by central differences; steps that fall off the
@@ -88,15 +85,14 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
     y0 = float(y0_init)
     if y0 < y_floor:
         y0 = y_floor
-    solver = {"step": step, "t_max": t_max}
-    r, hrx, x0 = _scalar_residual(p, y0, step, t_max)
+    r, hrx, x0 = _scalar_residual(p, y0, t_max)
     for _ in range(max_iter):
         if abs(r) <= 1e-13 * (1.0 + abs(y0)):
             break
         h = 1e-6 * (1.0 + abs(y0))
         y_minus = max(y0 - h, y_floor)
-        rp = _scalar_residual(p, y0 + h, step, t_max)[0]
-        rm = _scalar_residual(p, y_minus, step, t_max)[0]
+        rp = _scalar_residual(p, y0 + h, t_max)[0]
+        rm = _scalar_residual(p, y_minus, t_max)[0]
         slope = (rp - rm) / (y0 + h - y_minus)
         if slope == 0.0:
             raise NoConvergenceError("flat closure residual; cannot take a Newton step")
@@ -110,14 +106,14 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
         if trial <= y_floor:
             raise NoConvergenceError("Newton step pinned at the branch-domain floor")
         y0 = trial
-        r, hrx, x0 = _scalar_residual(p, y0, step, t_max)
+        r, hrx, x0 = _scalar_residual(p, y0, t_max)
     accept = tol if tol is not None else 1e-10 * (1.0 + abs(y0))
     if abs(r) > accept:
         raise NoConvergenceError(
             f"closure residual {r:.3g} above tolerance {accept:.3g} after {max_iter} iterations"
         )
     r2 = float(hrx.end[1] + x0)
-    hry = half_return_Y(p, (x0, y0), **solver)
+    hry = half_return_Y(p, (x0, y0), t_max=t_max)
     t_x, t_y = hrx.t, hry.t
     T = t_x + t_y
     p0 = np.array([x0, y0])
@@ -139,8 +135,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
     return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y, residual=resid_norm)
 
 
-def return_map(p: SystemParams, q, *, step: float = DEFAULT_SCAN_STEP,
-               t_max: float = DEFAULT_T_MAX) -> np.ndarray:
+def return_map(p: SystemParams, q, *, t_max: float = DEFAULT_T_MAX) -> np.ndarray:
     """Full crossing return map from a first-quadrant point of the plane.
 
     Composes the forward upper half-orbit with the forward lower half-orbit;
@@ -149,13 +144,12 @@ def return_map(p: SystemParams, q, *, step: float = DEFAULT_SCAN_STEP,
     q = np.asarray(q, dtype=float)
     if q[0] <= 0 or q[1] <= 0:
         raise ValueError(f"return map orientation expects a first-quadrant point, got {q!r}")
-    hrx = half_return_X(p, q, step=step, t_max=t_max)
-    hry = half_return_Y(p, hrx.end, step=step, t_max=t_max)
+    hrx = half_return_X(p, q, t_max=t_max)
+    hry = half_return_Y(p, hrx.end, t_max=t_max)
     return hry.end
 
 
 def iterate_reduced_map(p: SystemParams, y0_init: float, n: int, *,
-                        step: float = DEFAULT_SCAN_STEP,
                         t_max: float = DEFAULT_T_MAX) -> list[np.ndarray]:
     """Orbit of the return map seeded on the conic branch.
 
@@ -172,7 +166,7 @@ def iterate_reduced_map(p: SystemParams, y0_init: float, n: int, *,
     q = np.array([gamma1_branch_x(p, y0), y0])
     orbit = [q.copy()]
     for k in range(n):
-        q = return_map(p, q, step=step, t_max=t_max)
+        q = return_map(p, q, t_max=t_max)
         if not np.all(np.isfinite(q)) or q[0] <= 0 or q[1] <= 0 or np.max(np.abs(q)) > 1e12:
             raise DivergenceError(
                 f"iterate {k + 1} left the branch domain at {q!r}"
@@ -203,8 +197,8 @@ class ScanEntry:
     error: str | None
 
 
-def scan_cycles(p_base: SystemParams, H_grid, *, step: float = DEFAULT_SCAN_STEP,
-                t_max: float = DEFAULT_T_MAX, threads: int = 1) -> list[ScanEntry]:
+def scan_cycles(p_base: SystemParams, H_grid, *, t_max: float = DEFAULT_T_MAX,
+                threads: int = 1) -> list[ScanEntry]:
     """Cycle catalogue over an H grid at fixed (C, Lambda).
 
     Each H is attempted independently: the Newton solve is seeded from the
@@ -221,8 +215,8 @@ def scan_cycles(p_base: SystemParams, H_grid, *, step: float = DEFAULT_SCAN_STEP
             p = resonant_system(p_base.C, H, p_base.Lambda)
             seed = asymptotic_seed(p)
             if seed is None:
-                seed = _bracket_seed(p, step, t_max)
-            cycle = find_cycle_newton(p, seed, step=step, t_max=t_max)
+                seed = _bracket_seed(p, t_max)
+            cycle = find_cycle_newton(p, seed, t_max=t_max)
             report = monodromy(p, cycle)
             return ScanEntry(H=H, cycle=cycle, monodromy=report, error=None)
         except Exception as exc:  # per-entry failure, scan continues
@@ -237,14 +231,14 @@ def scan_cycles(p_base: SystemParams, H_grid, *, step: float = DEFAULT_SCAN_STEP
     return [entry(H) for H in hs]
 
 
-def _bracket_seed(p: SystemParams, step: float, t_max: float) -> float:
+def _bracket_seed(p: SystemParams, t_max: float) -> float:
     """Coarse log-grid scan of the scalar closure residual for a sign change."""
     lo = branch_min_y(p) * (1.0 + 1e-6) + 1e-9
     ys = np.geomspace(max(lo, 1e-6), 1e6, 60)
     prev_y, prev_r = None, None
     for y in ys:
         try:
-            r = _scalar_residual(p, float(y), step, t_max)[0]
+            r = _scalar_residual(p, float(y), t_max)[0]
         except Exception:
             prev_y, prev_r = None, None
             continue

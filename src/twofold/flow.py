@@ -13,6 +13,8 @@ resonant family A = -2C != 0 this always holds.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .system import SystemParams
@@ -24,7 +26,6 @@ __all__ = [
     "fundamental_Y",
     "stationary_X",
     "stationary_Y",
-    "FundamentalMatrix",
     "z_closed_form",
 ]
 
@@ -62,38 +63,14 @@ def _stationary_canonical(A: float, C: float, H: float, L: float) -> np.ndarray:
     return np.array([H * L * (A - 2.0 * C) / (1.0 + C * C), -2.0 * C * zs, zs])
 
 
-class FundamentalMatrix:
-    """A fundamental matrix value Phi(t) tagged with its time."""
-
-    __slots__ = ("t", "matrix")
-
-    def __init__(self, t: float, matrix: np.ndarray):
-        self.t = float(t)
-        self.matrix = matrix
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.matrix
-        return self.matrix.astype(dtype)
-
-    def __matmul__(self, other):
-        return self.matrix @ np.asarray(other)
-
-    def __rmatmul__(self, other):
-        return np.asarray(other) @ self.matrix
-
-    def __repr__(self):  # pragma: no cover
-        return f"FundamentalMatrix(t={self.t!r},\n{self.matrix!r})"
-
-
-def fundamental_X(p: SystemParams, t: float) -> FundamentalMatrix:
+def fundamental_X(p: SystemParams, t: float) -> np.ndarray:
     """exp(DX t) in closed form."""
-    return FundamentalMatrix(t, _phi_canonical(p.A, p.C, p.H, t))
+    return _phi_canonical(p.A, p.C, p.H, t)
 
 
-def fundamental_Y(p: SystemParams, t: float) -> FundamentalMatrix:
+def fundamental_Y(p: SystemParams, t: float) -> np.ndarray:
     """exp(DY t); DY is the swap-conjugate of DX, so Phi_Y = P Phi_X P."""
-    return FundamentalMatrix(t, _SWAP @ _phi_canonical(p.a, p.c, p.h, t) @ _SWAP)
+    return _SWAP @ _phi_canonical(p.a, p.c, p.h, t) @ _SWAP
 
 
 def stationary_X(p: SystemParams) -> np.ndarray:
@@ -126,9 +103,8 @@ def z_closed_form(p: SystemParams, s0, field: str = "X"):
     The z component of either piece decouples into a driven 2D rotation, so
     it admits the scalar closed form
     z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz).
-    Both returned callables accept scalar or array t.
+    Both returned callables take a scalar t.
     """
-    s0 = np.asarray(s0, dtype=float)
     C = p.C
     if field == "X":
         L_eff, ylike = p.Lambda, s0[1]
@@ -137,16 +113,16 @@ def z_closed_form(p: SystemParams, s0, field: str = "X"):
     else:
         raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
     zs = L_eff / (1.0 + C * C)
-    wy = ylike + 2.0 * C * zs
-    wz = s0[2] - zs
+    wy = float(ylike) + 2.0 * C * zs
+    wz = float(s0[2]) - zs
 
     def z(t):
-        e = np.exp(C * t)
-        return zs + e * (wy * np.sin(t) + (np.cos(t) + C * np.sin(t)) * wz)
+        e = math.exp(C * t)
+        return zs + e * (wy * math.sin(t) + (math.cos(t) + C * math.sin(t)) * wz)
 
     def dz(t):
-        e = np.exp(C * t)
-        st, ct = np.sin(t), np.cos(t)
+        e = math.exp(C * t)
+        st, ct = math.sin(t), math.cos(t)
         return e * (wy * (C * st + ct) + wz * ((C * C - 1.0) * st + 2.0 * C * ct))
 
     return z, dz

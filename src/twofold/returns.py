@@ -1,13 +1,14 @@
 """Half-return flight times through either half-space, their large-amplitude
 expansions, and the time-matching function whose zeros are symmetric cycles.
 
-Solver contract: the first crossing of z(t) is bracketed by scanning the
-closed-form z along a fixed grid (default step pi/64) and the bracket is
-closed with Brent's method; entry and exit transversality are enforced.  The
-z component of each piece is e^{Ct} times a frequency-1 oscillation plus a
-constant, so it has O(1) sign changes per pi and the default step cannot
-skip the first crossing in the crossing regime.  The step is configurable
-for exotic parameter ranges.
+Solver contract: along either piece dz/dt = e^{Ct} (alpha sin t + beta cos t),
+so the critical points of z lie exactly at t0 + k pi and z is strictly
+monotone between them.  The first crossing is bracketed by evaluating the
+closed-form z at those points (then at the window end t_max) until it first
+reaches the plane; the bracket holds exactly one root, which Newton steps on
+the closed-form dz/dt close, falling back to bisection.  A sign change of z
+is never skipped, however shallow; entry and exit transversality are
+enforced.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -20,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import flow
-from .errors import NoReturnError, TangentialGrazeError
+from .errors import NoConvergenceError, NoReturnError, TangentialGrazeError
 from .invariants import gamma1_branch_x, gamma1_discriminant
 from .system import SystemParams
 
@@ -36,11 +36,9 @@ __all__ = [
     "time_matching",
     "time_matching_table",
     "gamma2_at_critical",
-    "DEFAULT_SCAN_STEP",
     "DEFAULT_T_MAX",
 ]
 
-DEFAULT_SCAN_STEP = math.pi / 64
 DEFAULT_T_MAX = 8 * math.pi
 
 
@@ -62,42 +60,78 @@ class HalfReturn:
     residual: float
 
 
-def first_crossing(zfun, dzfun, t_max: float, step: float, scale: float,
-                   skip_zero_start: bool = True):
-    """First positive root of zfun, where zfun > 0 during the flight.
+def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, *,
+                   forward: bool = True, skip_zero_start: bool = True):
+    """First time in (0, t_max] at which the ``field`` orbit from s0 meets z = 0.
 
-    Returns (t, iterations).  Raises NoReturnError if no sign change occurs
-    in (0, t_max], TangentialGrazeError if the exit slope is below the
-    scale-aware tangency tolerance.
+    The orbit runs backward in time unless ``forward``; with
+    ``skip_zero_start`` s0 lies on the plane.  Returns (t, iterations).
+    Raises NoReturnError if no crossing occurs in (0, t_max],
+    TangentialGrazeError if the flight does not enter the half-space or the
+    exit slope is below 1e-10 (1 + scale).
     """
     if t_max <= 0:
         raise NoReturnError("empty search window")
-    ts = np.arange(step, t_max + 0.5 * step, step)
-    if ts.size == 0:
-        ts = np.array([t_max])
-    zs = zfun(ts)
-    neg = np.flatnonzero(zs <= 0.0)
-    if neg.size == 0:
+    z, dz = flow.z_closed_form(p, s0, field)
+    side = 1.0 if field == "X" else -1.0
+    tsign = 1.0 if forward else -1.0
+    # g is positive during the flight.  dz/dt = e^{Ct} (alpha sin t + beta cos t)
+    # with beta = dz(0) and alpha = e^{-C pi/2} dz(pi/2), so the critical points
+    # of g are exactly phase + k pi and g is monotone between them.
+    g = lambda t: side * z(tsign * t)
+    dg = lambda t: side * tsign * dz(tsign * t)
+    alpha = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0)
+    phase = (tsign * math.atan2(-dz(0.0), alpha)) % math.pi
+    lo, glo = 0.0, None if skip_zero_start else g(0.0)
+    k = 0
+    while glo is None or glo > 0.0:  # walk while the left end is in the half-space
+        hi = min(phase + k * math.pi, t_max)
+        ghi = g(hi)
+        if ghi <= 0.0:
+            break
+        if hi == t_max:
+            raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
+        lo, glo, k = hi, ghi, k + 1
+    if glo is None and hi == t_max and dg(0.0) > 0.0:
+        # the window closes before the first critical point of a rising flight
         raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-    i = int(neg[0])
-    lo = ts[i - 1] if i > 0 else (step * 1e-6 if skip_zero_start else 0.0)
-    hi = ts[i]
-    if zfun(lo) <= 0.0:
+    if glo is None or glo <= 0.0:
         raise TangentialGrazeError("entry into the half-space is not transversal")
-    if zs[i] == 0.0:
-        root, iterations = float(hi), 0
-    else:
-        root, info = brentq(zfun, lo, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
-        iterations = info.iterations
-    if abs(dzfun(root)) < 1e-10 * (1.0 + scale):
-        raise TangentialGrazeError(
-            f"exit transversality |dz/dt| = {abs(dzfun(root)):.3g} below tolerance"
-        )
-    return float(root), iterations
+    root, iterations = _bracketed_root(g, dg, lo, hi, glo, ghi)
+    slope = abs(dg(root))
+    if slope < 1e-10 * (1.0 + scale):
+        raise TangentialGrazeError(f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
+    return root, iterations
 
 
-def _half_return(p: SystemParams, start, field: str, lie: float,
-                 step: float, t_max: float) -> HalfReturn:
+def _bracketed_root(g, dg, lo, hi, glo, ghi):
+    """(t, iterations) for the root of g, monotone on [lo, hi] from glo > 0 to ghi <= 0.
+
+    Newton steps start from the root of the half cosine through the end
+    values (exact for C = 0 between critical points); a step that would not
+    land inside the shrinking bracket is replaced by bisection.
+    """
+    t = lo + (hi - lo) / math.pi * math.acos((glo + ghi) / (ghi - glo))
+    for iterations in range(1, 101):
+        gt = g(t)
+        if gt == 0.0:
+            return t, iterations
+        if gt > 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = dg(t)
+        step = gt / slope if slope != 0.0 else math.inf
+        tol = 1e-15 + 8.9e-16 * abs(t)
+        if abs(step) <= tol:
+            return t - step, iterations
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return t, iterations
+    raise NoConvergenceError(f"crossing root not resolved in [{lo!r}, {hi!r}]")
+
+
+def _half_return(p: SystemParams, start, field: str, lie: float, t_max: float) -> HalfReturn:
     q = np.asarray(start, dtype=float)[:2]
     scale = float(np.hypot(q[0], q[1]))
     if abs(lie) < 1e-10 * (1.0 + scale):
@@ -105,19 +139,10 @@ def _half_return(p: SystemParams, start, field: str, lie: float,
             f"start {q!r} is tangential for the {field} field"
         )
     s0 = np.array([q[0], q[1], 0.0])
-    z, dz = flow.z_closed_form(p, s0, field)
-    # orient so the solved function is positive during the flight
-    if field == "X":
-        forward = lie > 0  # ascending starts open the upper half-orbit
-        zsign = 1.0
-    else:
-        forward = lie < 0  # descending starts open the lower half-orbit
-        zsign = -1.0
-    tsign = 1.0 if forward else -1.0
-    g = lambda t: zsign * z(tsign * t)
-    dg = lambda t: zsign * tsign * dz(tsign * t)
-    t, iterations = first_crossing(g, dg, t_max, step, scale)
-    t_signed = tsign * t
+    # ascending starts open the upper half-orbit, descending ones the lower
+    forward = lie > 0 if field == "X" else lie < 0
+    t, iterations = first_crossing(p, s0, field, t_max, scale, forward=forward)
+    t_signed = t if forward else -t
     end3 = flow.flow_X(p, s0, t_signed) if field == "X" else flow.flow_Y(p, s0, t_signed)
     return HalfReturn(
         t=t,
@@ -130,8 +155,7 @@ def _half_return(p: SystemParams, start, field: str, lie: float,
     )
 
 
-def half_return_X(p: SystemParams, start, *, step: float = DEFAULT_SCAN_STEP,
-                  t_max: float = DEFAULT_T_MAX) -> HalfReturn:
+def half_return_X(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> HalfReturn:
     """Flight of the upper half-orbit attached to ``start`` = (x, y).
 
     For y > 0 the orbit leaves ``start`` forward in time; for y < 0 it
@@ -139,11 +163,10 @@ def half_return_X(p: SystemParams, start, *, step: float = DEFAULT_SCAN_STEP,
     the positive flight duration and ``end`` the other crossing point.
     """
     q = np.asarray(start, dtype=float)
-    return _half_return(p, q, "X", float(q[1]), step, t_max)
+    return _half_return(p, q, "X", float(q[1]), t_max)
 
 
-def half_return_Y(p: SystemParams, start, *, step: float = DEFAULT_SCAN_STEP,
-                  t_max: float = DEFAULT_T_MAX) -> HalfReturn:
+def half_return_Y(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> HalfReturn:
     """Flight of the lower half-orbit attached to ``start`` = (x, y).
 
     For x < 0 the orbit leaves ``start`` forward in time; for x > 0 it
@@ -151,7 +174,7 @@ def half_return_Y(p: SystemParams, start, *, step: float = DEFAULT_SCAN_STEP,
     cycle from a first-quadrant point) and the solve runs backward.
     """
     q = np.asarray(start, dtype=float)
-    return _half_return(p, q, "Y", float(q[0]), step, t_max)
+    return _half_return(p, q, "Y", float(q[0]), t_max)
 
 
 @dataclass(frozen=True)
@@ -207,8 +230,7 @@ def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     return SeriesCoeffs(g1x, g2x, g1y, g2y)
 
 
-def time_matching(p: SystemParams, v0: float, *, step: float = DEFAULT_SCAN_STEP,
-                  t_max: float = DEFAULT_T_MAX) -> float:
+def time_matching(p: SystemParams, v0: float, *, t_max: float = DEFAULT_T_MAX) -> float:
     """tau(v0): difference of the shifted flight times from the branch point.
 
     tau(v0) = (t^X - pi) - (u^Y - pi) where both half-returns are taken from
@@ -218,12 +240,12 @@ def time_matching(p: SystemParams, v0: float, *, step: float = DEFAULT_SCAN_STEP
         raise ValueError("v0 must be positive")
     y0 = 1.0 / v0
     x0 = gamma1_branch_x(p, y0)
-    hrx = half_return_X(p, (x0, y0), step=step, t_max=t_max)
-    hry = half_return_Y(p, (x0, y0), step=step, t_max=t_max)
+    hrx = half_return_X(p, (x0, y0), t_max=t_max)
+    hry = half_return_Y(p, (x0, y0), t_max=t_max)
     return hrx.t - hry.t
 
 
-def time_matching_table(p: SystemParams, v0_values, *, step: float = DEFAULT_SCAN_STEP,
+def time_matching_table(p: SystemParams, v0_values, *,
                         t_max: float = DEFAULT_T_MAX) -> list[dict]:
     """Numeric vs series flight-time shifts for each v0 (CSV-friendly rows)."""
     coeffs = series_coeffs(p)
@@ -231,8 +253,8 @@ def time_matching_table(p: SystemParams, v0_values, *, step: float = DEFAULT_SCA
     for v0 in v0_values:
         y0 = 1.0 / float(v0)
         x0 = gamma1_branch_x(p, y0)
-        hrx = half_return_X(p, (x0, y0), step=step, t_max=t_max)
-        hry = half_return_Y(p, (x0, y0), step=step, t_max=t_max)
+        hrx = half_return_X(p, (x0, y0), t_max=t_max)
+        hry = half_return_Y(p, (x0, y0), t_max=t_max)
         tau_x = hrx.t - math.pi
         tau_y = hry.t - math.pi
         rows.append({

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import EmptyBandError, GrazingCrossingError
 from .flow import fundamental_X, fundamental_Y
@@ -123,8 +122,8 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     p0, p1 = cycle.p0, cycle.p1
     s_in = saltation(p, p0, "YtoX")
     s_out = saltation(p, p1, "XtoY")
-    M = s_in @ fundamental_Y(p, cycle.t_y).matrix @ s_out @ fundamental_X(p, cycle.t_x).matrix
-    half = fundamental_X(p, cycle.T / 2.0).matrix
+    M = s_in @ fundamental_Y(p, cycle.t_y) @ s_out @ fundamental_X(p, cycle.t_x)
+    half = fundamental_X(p, cycle.T / 2.0)
     M_red = s_in @ INVOLUTION @ half @ INVOLUTION @ s_out @ half
     scale = float(np.max(np.abs(M)))
     reduction_residual = float(np.max(np.abs(M - M_red))) / scale
@@ -204,11 +203,17 @@ def _lower_margin(C: float, H: float) -> float:
 
 def h_min(C: float) -> float:
     """Lower stability boundary in H at fixed C > 0, located by bisection."""
-    hc = float(critical_h(C))
+    hi = float(critical_h(C))
     lo = 1e-9
-    if _lower_margin(C, lo) >= 0.0 or _lower_margin(C, hc) <= 0.0:
+    if _lower_margin(C, lo) >= 0.0 or _lower_margin(C, hi) <= 0.0:
         raise EmptyBandError(f"no lower boundary bracket in (0, H_crit) at C={C}")
-    return float(brentq(lambda h: _lower_margin(C, h), lo, hc, xtol=1e-14))
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if _lower_margin(C, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def band_width(C: float) -> float:

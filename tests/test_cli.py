@@ -186,9 +186,51 @@ def test_simulate_closes_a_cycle(tmp_path):
 
 def test_simulate_terminal_at_sliding_point(tmp_path):
     out = tmp_path / "slide.csv"
+    # a start on the sliding region, then one whose orbit dips to z ~ -1e-7
+    # near t = 0.945 and meets the plane on the sliding region
+    starts = (("--C", "1", "--H", "0.04", "--x0", "1", "--y0", "-1", "--z0", "0"),
+              ("--C", "-0.3", "--H", "0.2", "--x0", "0", "--y0", "-0.7760452247418252",
+               "--z0", "0.5", "--t-max", "3", "--dt", "0.001"))
+    for start in starts:
+        proc = run_cli("simulate", *start, "--Lambda", "1", "-o", str(out))
+        assert proc.returncode == 0
+        rows = read_csv(out)
+        assert rows[-1]["event"] == "terminal"
+        assert rows[-1]["region"] == "sliding"
+        for r in rows[:-1]:
+            assert r["field"] == "X"
+            assert float(r["z"]) >= -1e-9 * (1 + abs(float(r["x"])) + abs(float(r["y"])))
+    assert float(rows[-1]["t"]) == pytest.approx(0.94445, abs=1e-5)
+
+
+def test_simulate_readme_example(tmp_path):
+    # the return crossing lies 4e-4 before t-max
+    out = tmp_path / "trajectory.csv"
     proc = run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
-                   "--x0", "1", "--y0", "-1", "--z0", "0", "-o", str(out))
-    assert proc.returncode == 0
+                   "--x0", "219.892", "--y0", "8.431", "--z0", "0",
+                   "--t-max", "6.4", "--dt", "0.01", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
     rows = read_csv(out)
-    assert rows[0]["event"] == "terminal"
-    assert rows[0]["region"] == "sliding"
+    crossings = [float(r["t"]) for r in rows if r["event"] == "crossing"]
+    assert crossings[-1] == pytest.approx(6.39960, abs=1e-5)
+    last = rows[-1]
+    assert float(last["t"]) == pytest.approx(6.4)
+    assert (last["event"], last["field"]) == ("", "X")
+    assert float(last["z"]) > 0
+
+
+def test_negative_values_in_exponent_form(tmp_path):
+    out = tmp_path / "neg.csv"
+    proc = run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
+                   "--x0", "-1.5e-05", "--y0", "-2E+3", "--z0", "-.5",
+                   "--t-max", "0.02", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    first = read_csv(out)[0]
+    assert float(first["y"]) == -2000.0 and float(first["z"]) == -0.5
+    assert float(first["x"]) == pytest.approx(-1.5e-05, rel=1e-9)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, twofold, twofold.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -22,16 +22,20 @@ def test_closure_residual_single_sign_change(desk_params, desk_cycle):
 
 
 def test_cycle_invariants(desk_params, desk_cycle):
-    c = desk_cycle
-    scale = 1.0 + np.abs(c.p0).max()
-    assert np.allclose(c.p1, [-c.p0[1], -c.p0[0]], atol=1e-8 * scale)
-    assert abs(c.t_x - c.t_y) <= 1e-9 * c.T
-    conic = gamma1_conic(desk_params)
-    assert abs(conic.evaluate(*c.p0)) <= 1e-8 * scale * scale
-    assert abs(conic.evaluate(*c.p1)) <= 1e-8 * scale * scale
-    pa = eval_P_X(desk_params, [c.p0[0], c.p0[1], 0.0])
-    pb = eval_P_X(desk_params, [c.p1[0], c.p1[1], 0.0])
-    assert abs(pa - pb) <= 1e-8 * abs(pa)
+    # the second cycle meets the plane next to a fold line (|x1| ~ 5e-4),
+    # where z dips past the plane only briefly
+    p = resonant_system(0.3635611966321479, 0.036818603210992715, 1.0427654887320235)
+    for params, c in ((desk_params, desk_cycle),
+                      (p, find_cycle_newton(p, asymptotic_seed(p)))):
+        scale = 1.0 + np.abs(c.p0).max()
+        assert np.allclose(c.p1, [-c.p0[1], -c.p0[0]], atol=1e-8 * scale)
+        assert abs(c.t_x - c.t_y) <= 1e-9 * c.T
+        conic = gamma1_conic(params)
+        assert abs(conic.evaluate(*c.p0)) <= 1e-8 * scale * scale
+        assert abs(conic.evaluate(*c.p1)) <= 1e-8 * scale * scale
+        pa = eval_P_X(params, [c.p0[0], c.p0[1], 0.0])
+        pb = eval_P_X(params, [c.p1[0], c.p1[1], 0.0])
+        assert abs(pa - pb) <= 1e-8 * abs(pa)
 
 
 def test_symmetry_cross_check(desk_params, desk_cycle):

@@ -62,32 +62,32 @@ def test_stationary_points_are_equilibria(params):
 
 
 def test_fundamental_identity_at_zero(params):
-    assert np.allclose(fundamental_X(params, 0.0).matrix, np.eye(3), atol=1e-15)
-    assert np.allclose(fundamental_Y(params, 0.0).matrix, np.eye(3), atol=1e-15)
+    assert np.allclose(fundamental_X(params, 0.0), np.eye(3), atol=1e-15)
+    assert np.allclose(fundamental_Y(params, 0.0), np.eye(3), atol=1e-15)
 
 
 def test_fundamental_determinant():
     p = build_system(-1.3, 0.6, 0.2, 1.0)
     for t in (-1.0, 0.5, 2.4):
-        det = np.linalg.det(fundamental_X(p, t).matrix)
+        det = np.linalg.det(fundamental_X(p, t))
         assert np.isclose(det, np.exp((p.A + 2.0 * p.C) * t), rtol=1e-10)
     q = resonant_system(0.6, 0.2, 1.0)
     for t in (-2.0, 0.9, 3.1):
-        assert np.isclose(np.linalg.det(fundamental_X(q, t).matrix), 1.0, rtol=1e-10)
+        assert np.isclose(np.linalg.det(fundamental_X(q, t)), 1.0, rtol=1e-10)
 
 
 def test_fundamental_matches_fd_jacobian(params):
     s0 = np.array([0.4, -1.2, 0.8])
     for t in (0.3, 1.7):
         fd = fd_jacobian(lambda s: flow_X(params, s, t), s0, 1e-6)
-        assert np.max(np.abs(fundamental_X(params, t).matrix - fd)) <= 1e-6
+        assert np.max(np.abs(fundamental_X(params, t) - fd)) <= 1e-6
 
 
 def test_fundamental_y_matches_expm(params):
     dy = jacobian_Y(params)
     for t in (0.25, 1.1, 2.9):
         reference = expm(dy * t)
-        got = fundamental_Y(params, t).matrix
+        got = fundamental_Y(params, t)
         assert np.max(np.abs(got - reference)) <= 1e-12 * (1.0 + np.max(np.abs(reference)))
 
 
@@ -96,10 +96,10 @@ def test_mapping_property(params):
     for _ in range(25):
         s0 = rng.uniform(-2, 2, 3)
         t = rng.uniform(-np.pi, np.pi)
-        lhs = fundamental_X(params, t).matrix @ eval_X(params, s0)
+        lhs = fundamental_X(params, t) @ eval_X(params, s0)
         rhs = eval_X(params, flow_X(params, s0, t))
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
-        lhs_y = fundamental_Y(params, t).matrix @ eval_Y(params, s0)
+        lhs_y = fundamental_Y(params, t) @ eval_Y(params, s0)
         rhs_y = eval_Y(params, flow_Y(params, s0, t))
         assert np.max(np.abs(lhs_y - rhs_y)) <= 1e-9 * (1.0 + np.max(np.abs(rhs_y)))
 
@@ -108,8 +108,8 @@ def test_fundamental_group_property(params):
     rng = np.random.default_rng(4)
     for _ in range(10):
         t1, t2 = rng.uniform(-2, 2, 2)
-        lhs = fundamental_X(params, t1 + t2).matrix
-        rhs = fundamental_X(params, t2).matrix @ fundamental_X(params, t1).matrix
+        lhs = fundamental_X(params, t1 + t2)
+        rhs = fundamental_X(params, t2) @ fundamental_X(params, t1)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(lhs)))
 
 

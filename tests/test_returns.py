@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from twofold import (apply_involution, build_system, critical_h, flow_Y,
-                     gamma1_branch_x, gamma2_at_critical, half_return_X,
+from twofold import (apply_involution, build_system, critical_h, eval_X, eval_Y,
+                     flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
                      half_return_Y, resonant_system, series_coeffs,
                      time_matching, time_matching_table)
 from twofold.errors import NoReturnError, TangentialGrazeError
+from twofold.flow import z_closed_form
 from twofold.returns import first_crossing
-from oracles import fit_time_series
+from oracles import fit_time_series, rk4
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +182,81 @@ def test_entry_graze_rejected(params):
 
 
 def test_exit_graze_detected():
-    # synthetic profile: crosses at pi with slope 1e-12, below tolerance
-    z = lambda t: 1e-12 * np.sin(t)
-    dz = lambda t: 1e-12 * np.cos(t)
+    # Lambda and the start scaled down to 1e-12 scale the whole orbit: it
+    # crosses the plane with slope ~4e-11, below the 1e-10 (1 + scale) tolerance
+    p = build_system(-2.0, 1.0, 0.5, 1e-12)
     with pytest.raises(TangentialGrazeError):
-        first_crossing(z, dz, 8.0, math.pi / 64, 1.0)
+        first_crossing(p, (0.0, 0.0, 2e-12), "X", 8.0, 2e-12, skip_zero_start=False)
+
+
+def _rk4_first_crossing(field, s0, side, direction, t_max, h=2e-3):
+    """Oracle: first time side * z <= 0 along the RK4 orbit, or None.
+
+    Marches fixed RK4 steps of length h (backward when direction < 0) and
+    refines the first step that reaches the plane by bisection on the length
+    of a single RK4 step from its start.
+    """
+    s, t = np.asarray(s0, dtype=float), 0.0
+    while t < t_max:
+        nxt = rk4(field, s, direction * h, 1)
+        if side * nxt[2] <= 0.0:
+            lo, hi = 0.0, h
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                if side * rk4(field, s, direction * mid, 1)[2] > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return t + lo
+        s, t = nxt, t + h
+    return None
+
+
+_magnitude = st.floats(0.2, 6.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.1, 1.5), c_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(0.02, 0.9), Lambda=st.floats(0.5, 2.0),
+       x=_magnitude, y=_magnitude, z=st.floats(0.05, 3.0),
+       signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 2),
+       field=st.sampled_from("XY"), on_plane=st.booleans())
+def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
+                                           field, on_plane):
+    # the kernel's first root against an RK4 event oracle on the raw fields:
+    # on-plane starts through half_return_* (forward and backward solves),
+    # off-plane starts through the forward solve the simulator makes
+    p = resonant_system(c_sign * C, H, Lambda)
+    t_max = 2.0 * math.pi
+    side = 1.0 if field == "X" else -1.0
+    x, y = signs[0] * x, signs[1] * y
+    if on_plane:
+        s0 = np.array([x, y, 0.0])
+        solve = half_return_X if field == "X" else half_return_Y
+        try:
+            hr = solve(p, s0[:2], t_max=t_max)
+            t, direction = hr.t, 1.0 if hr.forward else -1.0
+        except NoReturnError:
+            t, direction = None, (1.0 if (y if field == "X" else -x) > 0 else -1.0)
+    else:
+        s0 = np.array([x, y, side * z])
+        direction = 1.0
+        try:
+            t = first_crossing(p, s0, field, t_max, float(np.max(np.abs(s0))),
+                               skip_zero_start=False)[0]
+        except NoReturnError:
+            t = None
+    rhs = (lambda s: eval_X(p, s)) if field == "X" else (lambda s: eval_Y(p, s))
+    oracle = _rk4_first_crossing(rhs, s0, side, direction, t_max)
+    if t is None:
+        assert oracle is None or oracle > t_max - 1e-6
+        return
+    # the oracle's grid resolves only crossings that stay below the plane
+    # for more than a step: keep to clearly transversal exits
+    zf, dzf = z_closed_form(p, s0, field)
+    assume(abs(dzf(direction * t)) > 1e-2 * (1.0 + np.max(np.abs(s0))))
+    assert oracle is not None
+    assert abs(oracle - t) <= 1e-7 * (1.0 + t)
 
 
 def test_time_matching_table_schema(params):
