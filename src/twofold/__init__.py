@@ -25,7 +25,7 @@ from .cycles import (SymmetricCycle, closure_residual, find_cycle_newton,
 from .stability import (saltation, MonodromyReport, monodromy, schur_conditions,
                         schur_verdict, sigma_restriction, m_gamma1, tau_gamma1,
                         asymptotic_invariants, critical_h, h_min, band_width,
-                        BandPoint, BandResult, stability_band)
+                        BandResult, stability_band)
 from . import errors
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import cycles, invariants, returns, stability
-from .errors import NoReturnError, TwofoldError
+from .errors import DivergenceError, NoReturnError, TwofoldError
 from .sigma import RegionKind, classify_point
 from .system import SystemParams, build_system, resonant_system
 from .flow import flow_X, flow_Y
@@ -28,24 +28,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: str, chunks):
+    """Write the str chunks in order to path ('-' = stdout)."""
+    if path == "-":
+        sys.stdout.writelines(chunks)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 def _write_json(path: str, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_text(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -96,6 +95,9 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
 
 
+_THREADS_HELP = "accepted and ignored; outputs are bit-for-bit reproducible"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twofold",
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hmin", type=float, default=None)
     sp.add_argument("--hmax", type=float, default=None)
     sp.add_argument("--grid", type=int, default=None, help="grid count per axis (default 400)")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sp.add_argument("--boundaries", default=None,
                     help="output path for boundary polylines CSV")
     sp.set_defaults(handler=cmd_stability_band)
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hmin", type=float, default=None)
     sp.add_argument("--hmax", type=float, default=None)
     sp.add_argument("--count", type=int, default=None, help="number of H values (default 20)")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sp.set_defaults(handler=cmd_scan)
 
     # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
@@ -195,11 +197,17 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             tc = None  # orbit stays in its half-space for the rest of the run
         seg_end = t_max if tc is None else t0 + tc
         flow = flow_X if field == "X" else flow_Y
-        while idx < len(sample_ts) and sample_ts[idx] <= seg_end + 1e-15:
-            ts = sample_ts[idx]
-            st = flow(p, s, ts - t0)
-            rows.append([ts, st[0], st[1], st[2], field, "", "", ""])
-            idx += 1
+        seg_start = idx
+        with np.errstate(over="ignore", invalid="ignore"):
+            while idx < len(sample_ts) and sample_ts[idx] <= seg_end + 1e-15:
+                ts = sample_ts[idx]
+                st = flow(p, s, ts - t0)
+                rows.append([ts, st[0], st[1], st[2], field, "", "", ""])
+                idx += 1
+        # only a growing exponential of the flow can overflow, and it is
+        # largest at the segment's last sample, so that sample covers the segment
+        if idx > seg_start and not np.isfinite(st).all():
+            raise DivergenceError(f"the {field} flow overflows floating point by t={ts!r}")
         if tc is None:
             break
         hit = flow(p, s, tc)
@@ -283,19 +291,37 @@ def cmd_classify_conic(merged: dict) -> int:
     return 0
 
 
+_BAND_FLAG_CELLS = [",".join(str(code >> bit & 1) for bit in (3, 2, 1, 0)) + "\n"
+                    for code in range(16)]
+
+
+def _band_csv(result):
+    """The stability-band grid CSV: the header, then one chunk per C holding
+    its rows [C, H, m2, tau_inf, ineq_det, ineq_upper, ineq_lower, inside].
+
+    The text is byte for byte what _write_csv writes for those rows, but
+    repr runs once per H for (H, m2), once per C and once per tau, and the
+    four flags pick one of 16 fixed cells by their bits.
+    """
+    yield "C,H,m2,tau_inf,ineq_det,ineq_upper,ineq_lower,inside\n"
+    h_cells = [f"{h!r},{m2!r}," for h, m2 in zip(result.hs.tolist(), result.m2.tolist())]
+    codes = (8 * result.ineq_det + 4 * result.ineq_upper
+             + 2 * result.ineq_lower + result.inside)
+    for c, taus, row_codes in zip(result.cs.tolist(), result.tau_inf, codes):
+        c_cell = f"{c!r},"
+        yield "".join([c_cell + h_cell + repr(tau) + "," + _BAND_FLAG_CELLS[code]
+                       for h_cell, tau, code in zip(h_cells, taus.tolist(),
+                                                    row_codes.tolist())])
+
+
 def cmd_stability_band(merged: dict) -> int:
     c_lo = float(merged["cmin"]) if merged.get("cmin") is not None else 0.01
     c_hi = float(merged["cmax"]) if merged.get("cmax") is not None else 3.0
     h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else 0.001
     h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else 0.999
     grid = int(merged["grid"]) if merged.get("grid") is not None else 400
-    threads = int(merged["threads"]) if merged.get("threads") is not None else 1
-    result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid, threads=threads)
-    header = ["C", "H", "m2", "tau_inf", "ineq_det", "ineq_upper", "ineq_lower", "inside"]
-    rows = [[pt.C, pt.H, pt.m2, pt.tau_inf,
-             int(pt.inequalities[0]), int(pt.inequalities[1]), int(pt.inequalities[2]),
-             int(pt.inside)] for pt in result.points]
-    _write_csv(merged["output"], header, rows)
+    result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
+    _write_text(merged["output"], _band_csv(result))
     boundary_path = merged.get("boundaries") or "band_boundaries.csv"
     brows = [["upper", c, h] for c, h in result.upper]
     brows += [["lower", c, h] for c, h in result.lower]
@@ -317,9 +343,8 @@ def cmd_scan(merged: dict) -> int:
         h_lo = h_lo if h_lo is not None else 0.5 * hc
         h_hi = h_hi if h_hi is not None else 0.995 * hc
     count = int(merged["count"]) if merged.get("count") is not None else 20
-    threads = int(merged["threads"]) if merged.get("threads") is not None else 1
     grid = np.linspace(h_lo, h_hi, count)
-    entries = cycles.scan_cycles(p_base, grid, threads=threads)
+    entries = cycles.scan_cycles(p_base, grid)
     header = ["H", "y0", "T", "mu2_re", "mu2_im", "mu3_re", "mu3_im", "stable"]
     rows = []
     for e in entries:

@@ -197,15 +197,14 @@ class ScanEntry:
     error: str | None
 
 
-def scan_cycles(p_base: SystemParams, H_grid, *, t_max: float = DEFAULT_T_MAX,
-                threads: int = 1) -> list[ScanEntry]:
+def scan_cycles(p_base: SystemParams, H_grid, *,
+                t_max: float = DEFAULT_T_MAX) -> list[ScanEntry]:
     """Cycle catalogue over an H grid at fixed (C, Lambda).
 
     Each H is attempted independently: the Newton solve is seeded from the
     series head when it predicts a positive zero, otherwise from a coarse
     bracket scan of the closure residual.  Failures are recorded per entry
-    and the scan continues.  Entries are independent, so with threads > 1
-    they run on a worker pool; the returned order always follows H_grid.
+    and the scan continues.  The returned order follows H_grid.
     """
     from .stability import monodromy  # deferred: stability depends on cycle objects
     from .system import resonant_system
@@ -223,12 +222,7 @@ def scan_cycles(p_base: SystemParams, H_grid, *, t_max: float = DEFAULT_T_MAX,
             return ScanEntry(H=H, cycle=None, monodromy=None,
                              error=f"{type(exc).__name__}: {exc}")
 
-    hs = [float(H) for H in H_grid]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(entry, hs))
-    return [entry(H) for H in hs]
+    return [entry(float(H)) for H in H_grid]
 
 
 def _bracket_seed(p: SystemParams, t_max: float) -> float:

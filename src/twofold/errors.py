@@ -26,7 +26,8 @@ class NotACycleError(TwofoldError):
 
 
 class DivergenceError(TwofoldError):
-    """Return-map iteration left the admissible branch domain."""
+    """Return-map iteration left the admissible branch domain, or a
+    trajectory left the range of floating point."""
 
 
 class EmptyBandError(TwofoldError):

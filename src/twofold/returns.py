@@ -80,8 +80,12 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
     # of g are exactly phase + k pi and g is monotone between them.
     g = lambda t: side * z(tsign * t)
     dg = lambda t: side * tsign * dz(tsign * t)
-    alpha = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0)
-    phase = (tsign * math.atan2(-dz(0.0), alpha)) % math.pi
+    alpha, beta = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
+    if alpha == 0.0 and beta == 0.0:
+        # (alpha, beta) is an invertible image of the oscillating part of z,
+        # so z is constant: no crossing, however long the window
+        raise NoReturnError("z is stationary along the orbit")
+    phase = (tsign * math.atan2(-beta, alpha)) % math.pi
     lo, glo = 0.0, None if skip_zero_start else g(0.0)
     k = 0
     while glo is None or glo > 0.0:  # walk while the left end is in the half-space

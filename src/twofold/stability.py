@@ -40,7 +40,6 @@ __all__ = [
     "critical_h",
     "h_min",
     "band_width",
-    "BandPoint",
     "BandResult",
     "stability_band",
 ]
@@ -225,24 +224,21 @@ def band_width(C: float) -> float:
 
 
 @dataclass(frozen=True)
-class BandPoint:
-    C: float
-    H: float
-    m2: float
-    tau_inf: float
-    inequalities: tuple  # (1 - m^2 > 0, 2 + m^2 - tau > 0, tau + m^2 > 0)
-    inside: bool
-
-
-@dataclass(frozen=True)
 class BandResult:
-    points: list
+    cs: np.ndarray          # (n_c,) grid C values
+    hs: np.ndarray          # (n_h,) grid H values
+    m2: np.ndarray          # (n_h,) m^2(H), the limit of det M
+    tau_inf: np.ndarray     # (n_c, n_h) tau_inf(C, H), the limit of tr M
+    ineq_det: np.ndarray    # (n_c, n_h) 1 - m^2 > 0
+    ineq_upper: np.ndarray  # (n_c, n_h) 2 + m^2 - tau > 0
+    ineq_lower: np.ndarray  # (n_c, n_h) tau + m^2 > 0
+    inside: np.ndarray      # (n_c, n_h) all three inequalities
     upper: np.ndarray   # (n, 2) polyline (C, H) of 2 + m^2 - tau = 0
     lower: np.ndarray   # (n, 2) polyline (C, H) of tau + m^2 = 0
     hcrit: np.ndarray   # (n, 2) closed-form curve H_crit(C)
 
 
-def stability_band(c_range, h_range, grid, threads: int = 1) -> BandResult:
+def stability_band(c_range, h_range, grid) -> BandResult:
     """Evaluate the asymptotic stability inequalities on a (C, H) grid.
 
     Parameters
@@ -251,17 +247,14 @@ def stability_band(c_range, h_range, grid, threads: int = 1) -> BandResult:
         Inclusive axis ranges; requires C > 0 and 0 < H < 1.
     grid : int or (int, int)
         Point count per axis, or separate (n_c, n_h) counts.
-    threads : int
-        Columns are independent; with threads > 1 they are distributed over
-        a worker pool and merged back in grid order, so the output is
-        identical to the serial run.
 
     Returns
     -------
     BandResult
-        All grid points with their inequality flags, plus the two boundary
-        polylines (sign-change interpolation of the margins along each C
-        column) and the closed-form critical curve.
+        The grid axes, tau_inf and the inequality flags as (n_c, n_h)
+        arrays, plus the two boundary polylines (sign-change interpolation
+        of the margins along each fixed-C row) and the closed-form critical
+        curve.
     """
     if np.isscalar(grid):
         n_c = n_h = int(grid)
@@ -277,52 +270,29 @@ def stability_band(c_range, h_range, grid, threads: int = 1) -> BandResult:
         raise ValueError("H range must satisfy 0 < hmin < hmax < 1")
     cs = np.linspace(c_lo, c_hi, n_c)
     hs = np.linspace(h_lo, h_hi, n_h)
-    m2s = m_gamma1(hs) ** 2
-
-    def column(C: float):
-        taus = tau_gamma1(C, hs)
-        upper_margin = 2.0 + m2s - taus
-        lower_margin = taus + m2s
-        pts = []
-        for j, H in enumerate(hs):
-            conds = (bool(1.0 - m2s[j] > 0.0),
-                     bool(upper_margin[j] > 0.0),
-                     bool(lower_margin[j] > 0.0))
-            pts.append(BandPoint(float(C), float(H), float(m2s[j]),
-                                 float(taus[j]), conds, all(conds)))
-        return (pts,
-                _interpolate_zero(hs, upper_margin),
-                _interpolate_zero(hs, lower_margin))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, cs))
-    else:
-        columns = [column(C) for C in cs]
-
-    points: list = []
-    upper_pts, lower_pts = [], []
-    for C, (pts, up, low) in zip(cs, columns):
-        points.extend(pts)
-        if up is not None:
-            upper_pts.append((float(C), up))
-        if low is not None:
-            lower_pts.append((float(C), low))
-    hcrit = np.column_stack([cs, critical_h(cs)])
+    m2 = m_gamma1(hs) ** 2
+    taus = tau_gamma1(cs[:, None], hs[None, :])
+    upper_margin = 2.0 + m2 - taus
+    lower_margin = taus + m2
+    ineq_det = np.broadcast_to(1.0 - m2 > 0.0, taus.shape)
+    ineq_upper = upper_margin > 0.0
+    ineq_lower = lower_margin > 0.0
     return BandResult(
-        points=points,
-        upper=np.array(upper_pts).reshape(-1, 2),
-        lower=np.array(lower_pts).reshape(-1, 2),
-        hcrit=hcrit,
+        cs=cs, hs=hs, m2=m2, tau_inf=taus,
+        ineq_det=ineq_det, ineq_upper=ineq_upper, ineq_lower=ineq_lower,
+        inside=ineq_det & ineq_upper & ineq_lower,
+        upper=_first_zeros(cs, hs, upper_margin),
+        lower=_first_zeros(cs, hs, lower_margin),
+        hcrit=np.column_stack([cs, critical_h(cs)]),
     )
 
 
-def _interpolate_zero(hs: np.ndarray, margin: np.ndarray):
-    """H of the first sign change of margin along the column, linearly interpolated."""
-    sign_change = np.flatnonzero(margin[:-1] * margin[1:] < 0.0)
-    if sign_change.size == 0:
-        return None
-    i = int(sign_change[0])
-    m0, m1 = margin[i], margin[i + 1]
-    return float(hs[i] + m0 * (hs[i + 1] - hs[i]) / (m0 - m1))
+def _first_zeros(cs: np.ndarray, hs: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """(C, H) of the first sign change of margin along each C row, linearly
+    interpolated in H; rows without a sign change are left out."""
+    change = margin[:, :-1] * margin[:, 1:] < 0.0
+    rows = np.flatnonzero(change.any(axis=1))
+    i = change[rows].argmax(axis=1)
+    m0, m1 = margin[rows, i], margin[rows, i + 1]
+    h = hs[i] + m0 * (hs[i + 1] - hs[i]) / (m0 - m1)
+    return np.column_stack([cs[rows], h])

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from twofold import critical_h
+from twofold import critical_h, errors, m_gamma1, stability_band, tau_gamma1
+from twofold.cli import _band_csv
 
 
 def run_cli(*args, cwd=None):
@@ -121,6 +122,66 @@ def test_stability_band_outputs(tmp_path):
     assert grid_path.read_bytes() == first
 
 
+def _band_csv_oracle(c_range, h_range, n_c, n_h):
+    """(grid CSV, boundaries CSV) of the band, built one cell at a time from
+    the scalar closed forms, each boundary point by a scan along its C row."""
+    grid = ["C,H,m2,tau_inf,ineq_det,ineq_upper,ineq_lower,inside"]
+    curves = {"upper": [], "lower": [], "hcrit": []}
+    hs = np.linspace(*h_range, n_h).tolist()
+    for C in np.linspace(*c_range, n_c).tolist():
+        margins = {"upper": [], "lower": []}
+        for H in hs:
+            m2 = float(m_gamma1(H) ** 2)
+            tau = float(tau_gamma1(C, H))
+            margins["upper"].append(2.0 + m2 - tau)
+            margins["lower"].append(tau + m2)
+            flags = (1.0 - m2 > 0.0, 2.0 + m2 - tau > 0.0, tau + m2 > 0.0)
+            cells = [repr(C), repr(H), repr(m2), repr(tau)]
+            cells += [str(int(bool(f))) for f in flags + (all(flags),)]
+            grid.append(",".join(cells))
+        for curve, margin in margins.items():
+            for j in range(n_h - 1):
+                m0, m1 = margin[j], margin[j + 1]
+                if m0 * m1 < 0.0:
+                    curves[curve].append(f"{curve},{C!r},"
+                                         f"{hs[j] + m0 * (hs[j + 1] - hs[j]) / (m0 - m1)!r}")
+                    break
+        curves["hcrit"].append(f"hcrit,{C!r},{float(critical_h(C))!r}")
+    bounds = ["curve,C,H"] + curves["upper"] + curves["lower"] + curves["hcrit"]
+    return "\n".join(grid) + "\n", "\n".join(bounds) + "\n"
+
+
+def test_stability_band_csv_matches_scalar_oracle(tmp_path):
+    # the box holds points inside, above and below the band, and both boundaries
+    c_range, h_range = (0.2, 1.2), (0.001, 0.2)
+    grid, bounds = _band_csv_oracle(c_range, h_range, 7, 5)
+    assert {row[-8:] for row in grid.splitlines()[1:]} == {
+        ",1,1,1,1", ",1,1,0,0", ",1,0,1,0"}
+    assert {row.split(",")[0] for row in bounds.splitlines()[1:]} == {
+        "upper", "lower", "hcrit"}
+    assert "".join(_band_csv(stability_band(c_range, h_range, (7, 5)))) == grid
+    grid_path, bounds_path = tmp_path / "band.csv", tmp_path / "bounds.csv"
+    proc = run_cli("stability-band", "--cmin", "0.2", "--cmax", "1.2",
+                   "--hmin", "0.001", "--hmax", "0.2", "--grid", "6",
+                   "-o", str(grid_path), "--boundaries", str(bounds_path))
+    assert proc.returncode == 0, proc.stderr
+    grid, bounds = _band_csv_oracle(c_range, h_range, 6, 6)
+    assert grid_path.read_bytes() == grid.encode()
+    assert bounds_path.read_bytes() == bounds.encode()
+
+
+def test_stability_band_threads_flag_is_ignored(tmp_path):
+    args = ("stability-band", "--cmin", "0.5", "--cmax", "1.5",
+            "--hmin", "0.002", "--hmax", "0.3", "--grid", "40")
+    outputs = set()
+    for extra in ((), ("--threads", "1"), ("--threads", "4")):
+        grid_path, bounds_path = tmp_path / "band.csv", tmp_path / "bounds.csv"
+        proc = run_cli(*args, *extra, "-o", str(grid_path), "--boundaries", str(bounds_path))
+        assert proc.returncode == 0, proc.stderr
+        outputs.add((grid_path.read_bytes(), bounds_path.read_bytes()))
+    assert len(outputs) == 1
+
+
 def test_stability_band_default_grid_runtime(tmp_path):
     import time
     grid_path = tmp_path / "band_default.csv"
@@ -158,6 +219,17 @@ def test_scan_is_deterministic(tmp_path):
     assert run_cli(*base, "-o", str(out1)).returncode == 0
     assert run_cli(*base, "--threads", "3", "-o", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_threads_flag_is_ignored(tmp_path):
+    base = ("scan", "--C", "1", "--Lambda", "1", "--count", "3")
+    outputs = set()
+    for extra in (("--threads", "1"), ("--threads", "4")):
+        out = tmp_path / "scan.csv"
+        proc = run_cli(*base, *extra, "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_simulate_closes_a_cycle(tmp_path):
@@ -234,3 +306,21 @@ def test_import_does_not_load_scipy():
     code = "import sys, twofold, twofold.cli; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_simulate_stationary_z(tmp_path):
+    # z stays at its stationary value 0.5 along this X orbit; e^{Ct} leaves
+    # floating point past t = 709
+    out = tmp_path / "still.csv"
+    start = ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
+             "--x0", "0.76", "--y0", "-1", "--z0", "0.5", "--dt", "100", "-o", str(out))
+    proc = run_cli(*start, "--t-max", "600")
+    assert proc.returncode == 0, proc.stderr
+    rows = read_csv(out)
+    assert [float(r["t"]) for r in rows] == [100.0 * k for k in range(7)]
+    assert all(r["field"] == "X" and float(r["z"]) == 0.5 for r in rows)
+    proc = run_cli(*start, "--t-max", "800")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    kind = proc.stderr[len("error: "):].split(":")[0]
+    assert issubclass(getattr(errors, kind), errors.TwofoldError)

@@ -137,17 +137,6 @@ def test_scan_records_failures_and_continues():
     assert entries[1].error is not None and entries[1].cycle is None
 
 
-def test_scan_threads_match_serial():
-    base = resonant_system(1.0, 0.5, 1.0)
-    hc = float(critical_h(1.0))
-    grid = np.linspace(0.7 * hc, 0.95 * hc, 4)
-    serial = scan_cycles(base, grid)
-    threaded = scan_cycles(base, grid, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a.cycle.p0[1] == b.cycle.p0[1]
-        assert a.monodromy.trace == b.monodromy.trace
-
-
 def test_seed_prediction_accuracy():
     # the series-head seed lands within a few percent of the converged cycle
     p = resonant_system(1.0, 0.97 * float(critical_h(1.0)), 1.0)

@@ -172,6 +172,13 @@ def test_gamma2_at_critical_nonzero_everywhere():
 def test_no_return_within_window(params):
     with pytest.raises(NoReturnError):
         half_return_X(params, _branch_point(params, 8.0), t_max=0.5)
+    # z constant along the orbit: no window is long enough, and e^{Ct} would
+    # overflow before t reaches 1e4
+    zs = params.Lambda / (1.0 + params.C ** 2)
+    for forward in (True, False):
+        with pytest.raises(NoReturnError):
+            first_crossing(params, (0.76, -2.0 * params.C * zs, zs), "X", 1e4, 1.0,
+                           forward=forward, skip_zero_start=False)
 
 
 def test_entry_graze_rejected(params):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twofold import (BandPoint, asymptotic_invariants, band_width, build_system,
-                     critical_h, eval_X, eval_Y, find_cycle_newton, h_min,
-                     m_gamma1, monodromy, resonant_system, return_map,
-                     saltation, schur_conditions, schur_verdict,
-                     sigma_restriction, stability_band, tau_gamma1)
+from twofold import (asymptotic_invariants, band_width, build_system, critical_h,
+                     eval_X, eval_Y, find_cycle_newton, h_min, m_gamma1,
+                     monodromy, resonant_system, return_map, saltation,
+                     schur_conditions, schur_verdict, sigma_restriction,
+                     stability_band, tau_gamma1)
 from twofold.cycles import asymptotic_seed
 from twofold.errors import GrazingCrossingError
 from oracles import fd_jacobian
@@ -150,18 +151,37 @@ def test_upper_boundary_is_critical_curve():
 
 def test_band_grid_and_boundaries():
     result = stability_band((0.5, 1.5), (0.002, 0.3), (40, 200))
-    assert len(result.points) == 40 * 200
-    assert isinstance(result.points[0], BandPoint)
+    assert (result.cs.shape, result.hs.shape, result.m2.shape) == ((40,), (200,), (200,))
+    for flags in (result.tau_inf, result.ineq_det, result.ineq_upper,
+                  result.ineq_lower, result.inside):
+        assert flags.shape == (40, 200)
     cell = (0.3 - 0.002) / 199
     for c, h_up in result.upper:
         assert abs(h_up - float(critical_h(c))) <= cell
     for c, h_low in result.lower:
         assert abs(h_low - h_min(c)) <= cell
     # membership flags agree with the closed-form interval
-    inside_pts = [pt for pt in result.points if pt.inside]
-    assert inside_pts
-    for pt in inside_pts[:50]:
-        assert h_min(pt.C) < pt.H < float(critical_h(pt.C))
+    inside_cells = np.argwhere(result.inside)
+    assert inside_cells.size
+    for i, j in inside_cells[:50]:
+        assert h_min(result.cs[i]) < result.hs[j] < float(critical_h(result.cs[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c_lo=st.floats(0.05, 2.9), c_width=st.floats(0.01, 1.0),
+       h_lo=st.floats(0.001, 0.95), h_width=st.floats(0.001, 1.0),
+       n_c=st.integers(2, 30), n_h=st.integers(2, 80))
+def test_band_boundaries_and_flags_on_random_boxes(c_lo, c_width, h_lo, h_width, n_c, n_h):
+    c_hi = min(c_lo + c_width, 3.0)
+    h_hi = min(h_lo + h_width, 0.999)
+    result = stability_band((c_lo, c_hi), (h_lo, h_hi), (n_c, n_h))
+    cell = (h_hi - h_lo) / (n_h - 1)
+    for c, h_up in result.upper:
+        assert abs(h_up - float(critical_h(c))) <= cell
+    for c, h_low in result.lower:
+        assert abs(h_low - h_min(c)) <= cell
+    assert np.array_equal(result.inside,
+                          result.ineq_det & result.ineq_upper & result.ineq_lower)
 
 
 def test_band_point_flags(desk_params):
@@ -170,14 +190,6 @@ def test_band_point_flags(desk_params):
     assert all(conds)  # H = 0.04 sits inside the band at C = 1
     outside = asymptotic_invariants(resonant_system(1.0, 0.05, 1.0))
     assert not (2.0 + outside[0] - outside[1] > 0)  # above the upper boundary
-
-
-def test_band_threads_match_serial():
-    serial = stability_band((0.5, 1.5), (0.01, 0.2), 30)
-    threaded = stability_band((0.5, 1.5), (0.01, 0.2), 30, threads=4)
-    for a, b in zip(serial.points, threaded.points):
-        assert (a.C, a.H, a.m2, a.tau_inf, a.inside) == (b.C, b.H, b.m2, b.tau_inf, b.inside)
-    assert np.array_equal(serial.upper, threaded.upper)
 
 
 def test_band_input_validation():
