@@ -322,11 +322,10 @@ def cmd_stability_band(merged: dict) -> int:
     grid = int(merged["grid"]) if merged.get("grid") is not None else 400
     result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
     _write_text(merged["output"], _band_csv(result))
-    boundary_path = merged.get("boundaries") or "band_boundaries.csv"
-    brows = [["upper", c, h] for c, h in result.upper]
-    brows += [["lower", c, h] for c, h in result.lower]
-    brows += [["hcrit", c, h] for c, h in result.hcrit]
-    _write_csv(boundary_path, ["curve", "C", "H"], brows)
+    if merged.get("boundaries"):
+        curves = {"upper": result.upper, "lower": result.lower, "hcrit": result.hcrit}
+        _write_csv(merged["boundaries"], ["curve", "C", "H"],
+                   [[name, c, h] for name, xy in curves.items() for c, h in xy])
     return 0
 
 

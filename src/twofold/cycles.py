@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NoConvergenceError, NotACycleError
+from .flow import fundamental_X
 from .invariants import branch_min_y, gamma1_branch_x, gamma1_conic
 from .returns import DEFAULT_T_MAX, half_return_X, half_return_Y, series_coeffs
-from .system import SystemParams
+from .system import SystemParams, eval_X
 
 __all__ = [
     "SymmetricCycle",
@@ -55,70 +56,71 @@ def closure_residual(p: SystemParams, y0: float, *,
 
     Vanishes exactly at a symmetric cycle.
     """
-    r, hrx, x0 = _scalar_residual(p, y0, t_max)
-    return np.array([r, hrx.end[1] + x0])
+    r, _, hrx = _closure(p, y0, t_max)
+    return np.array([r, hrx.end[1] + hrx.start[0]])
 
 
-def _scalar_residual(p, y0, t_max):
+def _closure(p, y0, t_max):
+    """(r, dr/dy0, hrx): r = x1 + y0 and its exact slope (see find_cycle_newton)
+    for the X half-return hrx from the branch point at y0."""
     x0 = gamma1_branch_x(p, y0)
     hrx = half_return_X(p, (x0, y0), t_max=t_max)
-    return float(hrx.end[0] + y0), hrx, x0
+    axx, axy, ayy, bx, by, _ = gamma1_conic(p).coefficients
+    dx0 = -(axy * x0 + 2.0 * ayy * y0 + by) / (2.0 * axx * x0 + axy * y0 + bx)
+    w = fundamental_X(p, hrx.t if hrx.forward else -hrx.t) @ np.array([dx0, 1.0, 0.0])
+    x_end = eval_X(p, np.array([hrx.end[0], hrx.end[1], 0.0]))
+    slope = float(w[0] - x_end[0] * w[2] / x_end[2]) + 1.0
+    return float(hrx.end[0] + y0), slope, hrx
 
 
 def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = None,
                       max_iter: int = 50, t_max: float = DEFAULT_T_MAX) -> SymmetricCycle:
     """Newton iteration on the scalar closure residual in the branch coordinate.
 
-    The derivative is taken by central differences; steps that fall off the
-    branch domain are halved (at most 8 times).  Acceptance requires
-    |r| <= tol with tol defaulting to 1e-10 (1 + y0), after which the full
-    symmetric-cycle invariants are checked.
+    The slope is exact, d(x1 + y0)/dy0 = e1^T (I - X(end) e3^T / X_z(end))
+    Phi_X(t) (dx0/dy0, 1, 0)^T + 1 with dx0/dy0 = -F_y / F_x on the conic, so
+    each step costs one X half-return; steps that fall off the branch domain
+    are halved (at most 8 times).  Acceptance requires |r| <= tol with tol
+    defaulting to 1e-10 (1 + y0), after which the full symmetric-cycle
+    invariants are checked.
 
     Raises
     ------
     NoConvergenceError
-        If the residual is still above tolerance after ``max_iter`` steps.
+        If the residual is still above tolerance after ``max_iter`` steps, or
+        a step stays pinned at the branch-domain floor.
     NotACycleError
         If the converged point violates a cycle invariant.
     """
     y_floor = branch_min_y(p)
-    y0 = float(y0_init)
-    if y0 < y_floor:
-        y0 = y_floor
-    r, hrx, x0 = _scalar_residual(p, y0, t_max)
+    y0 = max(float(y0_init), y_floor)
+    r, slope, hrx = _closure(p, y0, t_max)
     for _ in range(max_iter):
         if abs(r) <= 1e-13 * (1.0 + abs(y0)):
             break
-        h = 1e-6 * (1.0 + abs(y0))
-        y_minus = max(y0 - h, y_floor)
-        rp = _scalar_residual(p, y0 + h, t_max)[0]
-        rm = _scalar_residual(p, y_minus, t_max)[0]
-        slope = (rp - rm) / (y0 + h - y_minus)
         if slope == 0.0:
             raise NoConvergenceError("flat closure residual; cannot take a Newton step")
         delta = -r / slope
-        trial = y0 + delta
-        halvings = 0
-        while trial <= y_floor and halvings < 8:
+        for _ in range(8):
+            if y0 + delta > y_floor:
+                break
             delta *= 0.5
-            trial = y0 + delta
-            halvings += 1
-        if trial <= y_floor:
-            raise NoConvergenceError("Newton step pinned at the branch-domain floor")
-        y0 = trial
-        r, hrx, x0 = _scalar_residual(p, y0, t_max)
+        if y0 + delta <= y_floor:
+            raise NoConvergenceError(
+                f"Newton step pinned at the branch-domain floor y = {y_floor:.6g}: last "
+                f"iterate y0 = {y0!r} has closure residual {r:+.3g}, slope {slope:+.3g}")
+        y0 += delta
+        r, slope, hrx = _closure(p, y0, t_max)
     accept = tol if tol is not None else 1e-10 * (1.0 + abs(y0))
     if abs(r) > accept:
         raise NoConvergenceError(
             f"closure residual {r:.3g} above tolerance {accept:.3g} after {max_iter} iterations"
         )
-    r2 = float(hrx.end[1] + x0)
-    hry = half_return_Y(p, (x0, y0), t_max=t_max)
-    t_x, t_y = hrx.t, hry.t
+    p0, p1 = hrx.start, hrx.end
+    x0 = float(p0[0])
+    r2 = float(p1[1] + x0)
+    t_x, t_y = hrx.t, half_return_Y(p, p0, t_max=t_max).t
     T = t_x + t_y
-    p0 = np.array([x0, y0])
-    p1 = hrx.end.copy()
-    resid_norm = math.hypot(r, r2)
     scale = 1.0 + float(np.max(np.abs(p0)))
     problems = []
     if abs(r2) > 100.0 * accept:
@@ -127,12 +129,12 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
         problems.append("p1 is not the involution image of p0")
     if abs(t_x - t_y) > 1e-9 * T:
         problems.append(f"half times differ: |t_x - t_y| = {abs(t_x - t_y):.3g}")
-    conic = gamma1_conic(p)
-    if abs(conic.evaluate(*p1)) > 1e-8 * scale * scale:
+    if abs(gamma1_conic(p).evaluate(*p1)) > 1e-8 * scale * scale:
         problems.append("p1 left the reduced conic")
     if problems:
         raise NotACycleError("; ".join(problems))
-    return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y, residual=resid_norm)
+    return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y,
+                          residual=math.hypot(r, r2))
 
 
 def return_map(p: SystemParams, q, *, t_max: float = DEFAULT_T_MAX) -> np.ndarray:
@@ -232,7 +234,7 @@ def _bracket_seed(p: SystemParams, t_max: float) -> float:
     prev_y, prev_r = None, None
     for y in ys:
         try:
-            r = _scalar_residual(p, float(y), t_max)[0]
+            r = _closure(p, float(y), t_max)[0]
         except Exception:
             prev_y, prev_r = None, None
             continue

@@ -166,8 +166,7 @@ def half_return_X(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> Ha
     arrives at ``start`` and the solve runs backward.  The returned time is
     the positive flight duration and ``end`` the other crossing point.
     """
-    q = np.asarray(start, dtype=float)
-    return _half_return(p, q, "X", float(q[1]), t_max)
+    return _half_return(p, start, "X", float(start[1]), t_max)
 
 
 def half_return_Y(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> HalfReturn:
@@ -177,8 +176,7 @@ def half_return_Y(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> Ha
     arrives at ``start`` (this is the orientation that closes a symmetric
     cycle from a first-quadrant point) and the solve runs backward.
     """
-    q = np.asarray(start, dtype=float)
-    return _half_return(p, q, "Y", float(q[0]), t_max)
+    return _half_return(p, start, "Y", float(start[0]), t_max)
 
 
 @dataclass(frozen=True)
@@ -234,6 +232,12 @@ def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     return SeriesCoeffs(g1x, g2x, g1y, g2y)
 
 
+def _branch_returns(p: SystemParams, y0: float, t_max: float):
+    """(hrx, hry): both half-returns attached to the branch point at y0."""
+    q = (gamma1_branch_x(p, y0), y0)
+    return half_return_X(p, q, t_max=t_max), half_return_Y(p, q, t_max=t_max)
+
+
 def time_matching(p: SystemParams, v0: float, *, t_max: float = DEFAULT_T_MAX) -> float:
     """tau(v0): difference of the shifted flight times from the branch point.
 
@@ -242,10 +246,7 @@ def time_matching(p: SystemParams, v0: float, *, t_max: float = DEFAULT_T_MAX) -
     """
     if v0 <= 0:
         raise ValueError("v0 must be positive")
-    y0 = 1.0 / v0
-    x0 = gamma1_branch_x(p, y0)
-    hrx = half_return_X(p, (x0, y0), t_max=t_max)
-    hry = half_return_Y(p, (x0, y0), t_max=t_max)
+    hrx, hry = _branch_returns(p, 1.0 / v0, t_max)
     return hrx.t - hry.t
 
 
@@ -255,10 +256,7 @@ def time_matching_table(p: SystemParams, v0_values, *,
     coeffs = series_coeffs(p)
     rows = []
     for v0 in v0_values:
-        y0 = 1.0 / float(v0)
-        x0 = gamma1_branch_x(p, y0)
-        hrx = half_return_X(p, (x0, y0), t_max=t_max)
-        hry = half_return_Y(p, (x0, y0), t_max=t_max)
+        hrx, hry = _branch_returns(p, 1.0 / float(v0), t_max)
         tau_x = hrx.t - math.pi
         tau_y = hry.t - math.pi
         rows.append({

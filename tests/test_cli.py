@@ -1,18 +1,26 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twofold
 from twofold import critical_h, errors, m_gamma1, stability_band, tau_gamma1
 from twofold.cli import _band_csv
+
+# the package's own source root, so the CLI imports from any working directory
+_PYTHONPATH = os.pathsep.join(filter(None, [str(Path(twofold.__file__).parents[1]),
+                                            os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "twofold", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
 
 
 def read_csv(path):
@@ -180,6 +188,13 @@ def test_stability_band_threads_flag_is_ignored(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.add((grid_path.read_bytes(), bounds_path.read_bytes()))
     assert len(outputs) == 1
+
+
+def test_stability_band_writes_no_boundaries_unasked(tmp_path):
+    proc = run_cli("stability-band", "--grid", "3", "-o", "-", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("C,H,m2,tau_inf,")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stability_band_default_grid_runtime(tmp_path):

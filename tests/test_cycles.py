@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from twofold import (asymptotic_seed, closure_residual, critical_h, eval_P_X,
-                     find_cycle_newton, gamma1_branch_x, gamma1_conic,
-                     half_return_Y, iterate_reduced_map, resonant_system,
-                     return_map, scan_cycles, series_coeffs, time_matching)
-from twofold.errors import DivergenceError
-from oracles import measure_contraction
+from twofold import (asymptotic_seed, branch_min_y, closure_residual, critical_h,
+                     eval_P_X, find_cycle_newton, gamma1_branch_x, gamma1_conic,
+                     half_return_Y, iterate_reduced_map, resonant_system, return_map,
+                     returns, scan_cycles, series_coeffs, time_matching)
+from twofold.cycles import _closure
+from twofold.errors import DivergenceError, NoConvergenceError, TwofoldError
+from oracles import fd_jacobian, measure_contraction
 
 
 def test_closure_residual_vanishes_at_cycle(desk_params, desk_cycle):
@@ -106,9 +108,50 @@ def test_return_map_orientation_guard(desk_params):
 
 
 def test_newton_reports_nonconvergence(desk_params):
-    from twofold.errors import NoConvergenceError
     with pytest.raises(NoConvergenceError):
         find_cycle_newton(desk_params, 1e6, max_iter=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0),
+       log_gap=st.floats(-6.0, 4.0))
+def test_exact_slope_matches_fd_oracle(C, h_frac, Lambda, log_gap):
+    # y0 sits 1e-6 .. 1e4 above the branch floor; near the floor x0(y0) has a
+    # square-root singularity, so the stencil width scales with that gap
+    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
+    gap = 10.0 ** log_gap
+    y0 = branch_min_y(p) + gap
+    try:
+        fd = fd_jacobian(lambda v: [closure_residual(p, float(v[0]))[0]], [y0],
+                         1e-3 * gap)[0, 0]
+    except (TwofoldError, ValueError, ArithmeticError):
+        assume(False)
+    slope = _closure(p, y0, returns.DEFAULT_T_MAX)[1]
+    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(slope))
+
+
+def test_desk_newton_half_return_count(desk_params, monkeypatch):
+    # one X half-return per Newton iterate (three here) plus the closing Y one
+    calls = []
+    original = returns._half_return
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(returns, "_half_return", counting)
+    find_cycle_newton(desk_params, asymptotic_seed(desk_params))
+    assert len(calls) <= 4
+    assert calls.count("Y") == 1
+
+
+def test_floor_pinning_reports_last_iterate():
+    # far below H_crit the closure residual keeps one sign on the whole branch,
+    # so Newton walks down to the floor; the message says where it stopped
+    p = resonant_system(0.4821269240890028, 0.014054134847196956, 1.3221941688154804)
+    with pytest.raises(NoConvergenceError, match=r"floor .* last iterate y0 = .* residual \+"):
+        find_cycle_newton(p, asymptotic_seed(p))
+    assert all(closure_residual(p, float(y))[0] > 0.0 for y in np.geomspace(1e-6, 1e6, 60))
 
 
 def test_scan_catalogue():
