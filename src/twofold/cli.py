@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -37,10 +38,12 @@ def _write_text(path: str, chunks):
             fh.writelines(chunks)
 
 
+def _csv_line(cells) -> str:
+    return ",".join(_fmt(v) for v in cells) + "\n"
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, ["\n".join(lines) + "\n"])
+    _write_text(path, ["".join(map(_csv_line, [header, *rows]))])
 
 
 def _write_json(path: str, obj):
@@ -166,11 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
-    header = ["t", "x", "y", "z", "field", "event", "region", "saltation_det"]
-    rows: list[list] = []
-    sample_ts = [k * dt for k in range(int(np.floor(t_max / dt)) + 1)]
+    """The simulate CSV: the header, then one chunk per flight segment holding
+    its samples and the crossing or terminal row that ends it.
+
+    The text is byte for byte what _write_csv writes for those rows; each
+    segment's samples come from one flow call on its array of times.
+    """
+    yield "t,x,y,z,field,event,region,saltation_det\n"
+    sample_ts = np.arange(int(np.floor(t_max / dt)) + 1) * dt
     if sample_ts[-1] < t_max - 1e-15:
-        sample_ts.append(t_max)
+        sample_ts = np.append(sample_ts, t_max)
 
     s = np.asarray(s0, dtype=float).copy()
     ztol = 1e-12 * (1.0 + float(np.max(np.abs(s))))
@@ -181,8 +189,8 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     else:
         cls = classify_point(p, s[:2])
         if cls.kind is not RegionKind.CROSSING:
-            rows.append([0.0, s[0], s[1], s[2], "", "terminal", cls.kind.value, ""])
-            return header, rows
+            yield _csv_line([0.0, s[0], s[1], s[2], "", "terminal", cls.kind.value, ""])
+            return
         field = "X" if cls.lie_x > 0 else "Y"
 
     t0 = 0.0
@@ -197,17 +205,17 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             tc = None  # orbit stays in its half-space for the rest of the run
         seg_end = t_max if tc is None else t0 + tc
         flow = flow_X if field == "X" else flow_Y
-        seg_start = idx
+        end = int(np.searchsorted(sample_ts, seg_end + 1e-15, side="right"))
+        ts = sample_ts[idx:end]
         with np.errstate(over="ignore", invalid="ignore"):
-            while idx < len(sample_ts) and sample_ts[idx] <= seg_end + 1e-15:
-                ts = sample_ts[idx]
-                st = flow(p, s, ts - t0)
-                rows.append([ts, st[0], st[1], st[2], field, "", "", ""])
-                idx += 1
-        # only a growing exponential of the flow can overflow, and it is
-        # largest at the segment's last sample, so that sample covers the segment
-        if idx > seg_start and not np.isfinite(st).all():
-            raise DivergenceError(f"the {field} flow overflows floating point by t={ts!r}")
+            states = flow(p, s, ts - t0)
+        if not np.isfinite(states).all():
+            raise DivergenceError(
+                f"the {field} flow overflows floating point by t={float(ts[-1])!r}")
+        tail = f",{field},,,\n"
+        yield "".join([f"{t!r},{x!r},{y!r},{z!r}{tail}"
+                       for t, (x, y, z) in zip(ts.tolist(), states.tolist())])
+        idx = end
         if tc is None:
             break
         hit = flow(p, s, tc)
@@ -218,15 +226,14 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
         else:
             det = cls.lie_x / cls.lie_y if cls.lie_y != 0 else float("nan")
         if cls.kind is RegionKind.CROSSING:
-            rows.append([t0 + tc, q[0], q[1], 0.0, field, "crossing", cls.kind.value, det])
+            yield _csv_line([t0 + tc, q[0], q[1], 0.0, field, "crossing", cls.kind.value, det])
             field = "Y" if field == "X" else "X"
             s = np.array([q[0], q[1], 0.0])
             t0 = t0 + tc
             on_sigma = True
         else:
-            rows.append([t0 + tc, q[0], q[1], 0.0, field, "terminal", cls.kind.value, ""])
+            yield _csv_line([t0 + tc, q[0], q[1], 0.0, field, "terminal", cls.kind.value, ""])
             break
-    return header, rows
 
 
 def cmd_simulate(merged: dict) -> int:
@@ -235,12 +242,15 @@ def cmd_simulate(merged: dict) -> int:
         if merged.get(key) is None:
             raise UsageError(f"missing required initial condition --{key}")
     s0 = [float(merged["x0"]), float(merged["y0"]), float(merged["z0"])]
+    if not all(map(math.isfinite, s0)):
+        raise UsageError(f"the initial condition must be finite, got {s0!r}")
     t_max = float(merged["t_max"]) if merged.get("t_max") is not None else 20.0
     dt = float(merged["dt"]) if merged.get("dt") is not None else 0.01
-    if t_max <= 0 or dt <= 0:
-        raise UsageError("t-max and dt must be positive")
-    header, rows = _simulate_rows(p, s0, t_max, dt)
-    _write_csv(merged["output"], header, rows)
+    if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
+        raise UsageError("t-max and dt must be positive and finite")
+    # the whole text is built before the output opens, so a run that fails
+    # part way leaves no partial file
+    _write_text(merged["output"], list(_simulate_rows(p, s0, t_max, dt)))
     return 0
 
 

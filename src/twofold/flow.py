@@ -36,8 +36,13 @@ _SWAP = np.array([
 ])
 
 
-def _phi_canonical(A: float, C: float, H: float, t: float) -> np.ndarray:
-    """exp(D t) for the canonical arrangement (x driven by z, (y,z) rotation)."""
+def _phi_canonical(A: float, C: float, H: float, t):
+    """exp(D t) for the canonical arrangement (x driven by z, (y,z) rotation).
+
+    For an ndarray t the result is the C-contiguous stack of shape
+    t.shape + (3, 3); each matrix of it equals the one for its scalar time bit
+    for bit.
+    """
     b = -H * ((A - C) ** 2 + 1.0)
     beta = C - A
     e_at = np.exp(A * t)
@@ -47,6 +52,15 @@ def _phi_canonical(A: float, C: float, H: float, t: float) -> np.ndarray:
     # int_0^t e^{A(t-s)} e^{Cs} sin s ds and the cosine analogue
     int_sin = (e_ct * (beta * st - ct) + e_at) / den
     int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
+    if isinstance(t, np.ndarray):
+        zero = np.zeros_like(e_at)
+        # stacking along the last axis keeps each 3x3 matrix contiguous, so
+        # stack @ vector runs the scalar call's matmul kernel per time
+        return np.stack([
+            e_at, b * int_sin, b * (int_cos + C * int_sin),
+            zero, e_ct * (ct - C * st), -(1.0 + C * C) * e_ct * st,
+            zero, e_ct * st, e_ct * (ct + C * st),
+        ], axis=-1).reshape(t.shape + (3, 3))
     out = np.zeros((3, 3))
     out[0, 0] = e_at
     out[0, 1] = b * int_sin
@@ -63,13 +77,14 @@ def _stationary_canonical(A: float, C: float, H: float, L: float) -> np.ndarray:
     return np.array([H * L * (A - 2.0 * C) / (1.0 + C * C), -2.0 * C * zs, zs])
 
 
-def fundamental_X(p: SystemParams, t: float) -> np.ndarray:
-    """exp(DX t) in closed form."""
+def fundamental_X(p: SystemParams, t) -> np.ndarray:
+    """exp(DX t) in closed form; an ndarray t gives the stack t.shape + (3, 3)."""
     return _phi_canonical(p.A, p.C, p.H, t)
 
 
-def fundamental_Y(p: SystemParams, t: float) -> np.ndarray:
-    """exp(DY t); DY is the swap-conjugate of DX, so Phi_Y = P Phi_X P."""
+def fundamental_Y(p: SystemParams, t) -> np.ndarray:
+    """exp(DY t); DY is the swap-conjugate of DX, so Phi_Y = P Phi_X P.  An
+    ndarray t gives the stack t.shape + (3, 3)."""
     return _SWAP @ _phi_canonical(p.a, p.c, p.h, t) @ _SWAP
 
 
@@ -83,18 +98,20 @@ def stationary_Y(p: SystemParams) -> np.ndarray:
     return _SWAP @ _stationary_canonical(p.a, p.c, p.h, p.lam)
 
 
-def flow_X(p: SystemParams, s0, t: float) -> np.ndarray:
-    """Exact solution of sdot = X(s) at time t from s0."""
+def flow_X(p: SystemParams, s0, t) -> np.ndarray:
+    """Exact solution of sdot = X(s) at time t from s0; an ndarray t gives
+    the states as rows of shape t.shape + (3,)."""
     ss = stationary_X(p)
     return ss + _phi_canonical(p.A, p.C, p.H, t) @ (np.asarray(s0, dtype=float) - ss)
 
 
-def flow_Y(p: SystemParams, s0, t: float) -> np.ndarray:
-    """Exact solution of sdot = Y(s) at time t from s0."""
+def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
+    """Exact solution of sdot = Y(s) at time t from s0; an ndarray t gives
+    the states as rows of shape t.shape + (3,)."""
     s0 = np.asarray(s0, dtype=float)
     ss = _stationary_canonical(p.a, p.c, p.h, p.lam)
     inner = ss + _phi_canonical(p.a, p.c, p.h, t) @ (_SWAP @ s0 - ss)
-    return _SWAP @ inner
+    return inner @ _SWAP  # _SWAP is symmetric: the rows of inner, swapped
 
 
 def z_closed_form(p: SystemParams, s0, field: str = "X"):

@@ -244,7 +244,7 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     Parameters
     ----------
     c_range, h_range : (float, float)
-        Inclusive axis ranges; requires C > 0 and 0 < H < 1.
+        Inclusive axis ranges; requires finite C > 0 and 0 < H < 1.
     grid : int or (int, int)
         Point count per axis, or separate (n_c, n_h) counts.
 
@@ -264,8 +264,9 @@ def stability_band(c_range, h_range, grid) -> BandResult:
         raise ValueError("grid counts must be at least 2")
     c_lo, c_hi = float(c_range[0]), float(c_range[1])
     h_lo, h_hi = float(h_range[0]), float(h_range[1])
-    if c_lo <= 0.0:
-        raise ValueError("the asymptotic band is established for C > 0")
+    if not (0.0 < c_lo < math.inf and 0.0 < c_hi < math.inf):
+        raise ValueError("C range must be finite and positive: the asymptotic band is "
+                         "established for C > 0")
     if not (0.0 < h_lo < h_hi < 1.0):
         raise ValueError("H range must satisfy 0 < hmin < hmax < 1")
     cs = np.linspace(c_lo, c_hi, n_c)

@@ -12,6 +12,7 @@ forces the mirror parameters (a, c, h, lambda) = (A, C, H, -Lambda).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +83,13 @@ def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
     Raises
     ------
     ValueError
-        If C == 0 (no rotation) or Lambda == 0 (degenerate tangency).
+        If a parameter is NaN or infinite, C == 0 (no rotation) or
+        Lambda == 0 (degenerate tangency).
     """
     A, C, H, Lambda = float(A), float(C), float(H), float(Lambda)
+    if not all(map(math.isfinite, (A, C, H, Lambda))):
+        raise ValueError(f"parameters must be finite, got A={A!r}, C={C!r}, H={H!r}, "
+                         f"Lambda={Lambda!r}")
     if C == 0.0:
         raise ValueError("C must be nonzero: the dynamics needs a rotation block")
     if Lambda == 0.0:

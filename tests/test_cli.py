@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import twofold
-from twofold import critical_h, errors, m_gamma1, stability_band, tau_gamma1
-from twofold.cli import _band_csv
+from twofold import (RegionKind, classify_point, critical_h, errors, flow_X, flow_Y,
+                     m_gamma1, resonant_system, stability_band, tau_gamma1)
+from twofold.cli import _band_csv, _fmt
+from twofold.returns import first_crossing
 
 # the package's own source root, so the CLI imports from any working directory
 _PYTHONPATH = os.pathsep.join(filter(None, [str(Path(twofold.__file__).parents[1]),
@@ -41,6 +43,19 @@ def test_usage_error_exit_code():
     assert run_cli("no-such-command").returncode == 2     # argparse rejection
     assert run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
                    "--y0", "5", "--z0", "0").returncode == 2  # missing --x0
+
+
+def test_non_finite_inputs_are_usage_errors():
+    sim = ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1")
+    start = ("--x0", "1", "--y0", "1", "--z0", "0")
+    for args in ((*sim, *start, "--t-max=inf"), (*sim, *start, "--t-max=nan"),
+                 (*sim, *start, "--dt=nan"), (*sim, "--x0=nan", "--y0", "1", "--z0", "0"),
+                 ("find-cycle", "--C=nan", "--H", "0.04", "--Lambda", "1")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
+    proc = run_cli("stability-band", "--cmin=nan", "--grid", "3", "-o", "-")
+    assert proc.returncode == 1 and "ValueError" in proc.stderr and proc.stdout == ""
 
 
 def test_malformed_config_is_usage_error(tmp_path):
@@ -304,6 +319,64 @@ def test_simulate_readme_example(tmp_path):
     assert float(last["t"]) == pytest.approx(6.4)
     assert (last["event"], last["field"]) == ("", "X")
     assert float(last["z"]) > 0
+
+
+def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
+    """The simulate CSV built one sample at a time from scalar flow calls,
+    for a start that is off the plane or on its crossing region."""
+    p = resonant_system(C, H, Lambda)
+    rows = [["t", "x", "y", "z", "field", "event", "region", "saltation_det"]]
+    sample_ts = [k * dt for k in range(int(np.floor(t_max / dt)) + 1)]
+    if sample_ts[-1] < t_max - 1e-15:
+        sample_ts.append(t_max)
+    s = np.array([x0, y0, z0])
+    on_sigma = z0 == 0.0
+    field = ("X" if classify_point(p, s[:2]).lie_x > 0 else "Y") if on_sigma else (
+        "X" if z0 > 0 else "Y")
+    t0, k = 0.0, 0
+    while t0 < t_max:
+        try:
+            tc, _ = first_crossing(p, s, field, t_max - t0, float(np.max(np.abs(s))),
+                                   skip_zero_start=on_sigma)
+        except errors.NoReturnError:
+            tc = None
+        seg_end = t_max if tc is None else t0 + tc
+        flow = flow_X if field == "X" else flow_Y
+        while k < len(sample_ts) and sample_ts[k] <= seg_end + 1e-15:
+            st = flow(p, s, sample_ts[k] - t0)
+            rows.append([sample_ts[k], st[0], st[1], st[2], field, "", "", ""])
+            k += 1
+        if tc is None:
+            break
+        q = flow(p, s, tc)[:2]
+        cls = classify_point(p, q)
+        lie_in, lie_out = (cls.lie_x, cls.lie_y) if field == "X" else (cls.lie_y, cls.lie_x)
+        if cls.kind is not RegionKind.CROSSING:
+            rows.append([t0 + tc, q[0], q[1], 0.0, field, "terminal", cls.kind.value, ""])
+            break
+        rows.append([t0 + tc, q[0], q[1], 0.0, field, "crossing", cls.kind.value,
+                     lie_out / lie_in])
+        field = "Y" if field == "X" else "X"
+        s, t0, on_sigma = np.array([q[0], q[1], 0.0]), t0 + tc, True
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("start", [
+    (1.0, 0.04, 1.0, 219.892, 8.431, 0.0, 6.4, 0.01),       # README: crossing 4e-4 before t-max
+    (-0.3, 0.2, 1.0, 0.0, -0.7760452247418252, 0.5, 3.0, 0.001),  # graze, then sliding
+    (-0.28, 0.47, 1.0, 1.4, 6.3, 0.0, 8.0, 0.05),           # on the plane, C < 0
+    (-0.4, 0.22, 1.15, -7.8, 7.4, 16.5, 8.0, 0.05),         # off the plane, C < 0
+    (1.0, 0.04, 1.0, 219.892, 8.431, 0.0, 12.75, 0.125),    # 4 segments, 102 * dt == t-max
+])
+def test_simulate_csv_matches_scalar_oracle(tmp_path, start):
+    expected = _simulate_csv_oracle(*start)
+    assert expected.count(",crossing,") >= 1 or ",terminal," in expected
+    out = tmp_path / "traj.csv"
+    flags = ("--C", "--H", "--Lambda", "--x0", "--y0", "--z0", "--t-max", "--dt")
+    proc = run_cli("simulate", *[f"{flag}={v!r}" for flag, v in zip(flags, start)],
+                   "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected.encode()
 
 
 def test_negative_values_in_exponent_form(tmp_path):

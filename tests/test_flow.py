@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from twofold import (apply_involution, build_system, eval_X, eval_Y, flow_X,
@@ -146,3 +147,22 @@ def test_z_closed_form_consistency(params):
             assert np.isclose(z(t), flow(params, s0, t)[2], atol=1e-12)
             h = 1e-6
             assert np.isclose(dz(t), (z(t + h) - z(t - h)) / (2 * h), atol=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=st.floats(-3.0, 3.0), C=st.floats(0.05, 1.5), c_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(-1.0, 1.0), Lambda=st.floats(0.2, 2.0),
+       s0=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+       ts=st.one_of(st.lists(st.floats(-20.0, 20.0), max_size=40).map(np.array),
+                    st.floats(-20.0, 20.0).map(np.array)))
+def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0, ts):
+    # an ndarray of times (0-d and empty included) gives C-contiguous stacks
+    # whose entries are the scalar calls' results bit for bit
+    p = build_system(A, c_sign * C, H, Lambda)
+    for fn, args, tail in ((flow_X, (p, s0), (3,)), (flow_Y, (p, s0), (3,)),
+                           (fundamental_X, (p,), (3, 3)), (fundamental_Y, (p,), (3, 3))):
+        stack = fn(*args, ts)
+        assert stack.shape == ts.shape + tail
+        assert stack.flags.c_contiguous
+        scalars = [fn(*args, float(t)) for t in ts.reshape(-1)]
+        assert stack.reshape((-1,) + tail).tobytes() == b"".join(m.tobytes() for m in scalars)

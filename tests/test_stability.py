@@ -201,6 +201,15 @@ def test_band_input_validation():
         stability_band((0.5, 1.0), (0.01, 0.2), 1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_band_rejects_non_finite_endpoints(bad):
+    # a NaN C endpoint used to give a grid of nan rows flagged ineq_det = 1
+    for c_range, h_range in (((bad, 1.0), (0.01, 0.2)), ((0.5, bad), (0.01, 0.2)),
+                             ((0.5, 1.0), (bad, 0.2)), ((0.5, 1.0), (0.01, bad))):
+        with pytest.raises(ValueError):
+            stability_band(c_range, h_range, 3)
+
+
 def test_band_width_behaviour():
     widths = {c: band_width(c) for c in (0.25, 0.5, 1.0, 2.0)}
     assert all(w > 0 for w in widths.values())

@@ -23,6 +23,16 @@ def test_build_rejects_zero_lambda():
         build_system(-2.0, 1.0, 0.04, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_build_rejects_non_finite_parameters(bad):
+    base = [-2.0, 1.0, 0.04, 1.0]
+    for i in range(4):
+        with pytest.raises(ValueError, match="finite"):
+            build_system(*base[:i], bad, *base[i + 1:])
+    with pytest.raises(ValueError, match="finite"):
+        resonant_system(bad, 0.04, 1.0)
+
+
 def test_resonant_constructor_is_exact():
     for c in (0.3, 0.7775, 1.0, 1.9182736455):
         p = resonant_system(c, 0.1, 1.0)
