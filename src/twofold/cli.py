@@ -73,16 +73,21 @@ def _params_from(merged: dict) -> SystemParams:
     if missing:
         raise UsageError(f"missing required parameter(s): {', '.join(missing)}")
     C, H, L = float(merged["C"]), float(merged["H"]), float(merged["Lambda"])
-    try:
-        if merged.get("A") is None:
-            return resonant_system(C, H, L)
-        return build_system(float(merged["A"]), C, H, L)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if merged.get("A") is None:
+        return _guarded(resonant_system, C, H, L)
+    return _guarded(build_system, float(merged["A"]), C, H, L)
 
 
 class UsageError(Exception):
     pass
+
+
+def _guarded(fn, *args):
+    """fn(*args), with the ValueError of a parameter guard reported as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _add_param_flags(sp: argparse.ArgumentParser):
@@ -330,7 +335,7 @@ def cmd_stability_band(merged: dict) -> int:
     h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else 0.001
     h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else 0.999
     grid = int(merged["grid"]) if merged.get("grid") is not None else 400
-    result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
+    result = _guarded(stability.stability_band, (c_lo, c_hi), (h_lo, h_hi), grid)
     _write_text(merged["output"], _band_csv(result))
     if merged.get("boundaries"):
         curves = {"upper": result.upper, "lower": result.lower, "hcrit": result.hcrit}
@@ -344,7 +349,7 @@ def cmd_scan(merged: dict) -> int:
         raise UsageError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
     base_h = float(merged["H"]) if merged.get("H") is not None else 0.5
-    p_base = resonant_system(float(merged["C"]), base_h, float(merged["Lambda"]))
+    p_base = _guarded(resonant_system, float(merged["C"]), base_h, float(merged["Lambda"]))
     h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else None
     h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else None
     if h_lo is None or h_hi is None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NoConvergenceError, NotACycleError
-from .flow import fundamental_X
-from .invariants import branch_min_y, gamma1_branch_x, gamma1_conic
+from .invariants import _branch_x, branch_min_y, gamma1_branch_x, gamma1_conic
 from .returns import DEFAULT_T_MAX, half_return_X, half_return_Y, series_coeffs
-from .system import SystemParams, eval_X
+from .system import SystemParams
 
 __all__ = [
     "SymmetricCycle",
@@ -60,17 +59,21 @@ def closure_residual(p: SystemParams, y0: float, *,
     return np.array([r, hrx.end[1] + hrx.start[0]])
 
 
-def _closure(p, y0, t_max):
+def _closure(p, y0, t_max, conic=None):
     """(r, dr/dy0, hrx): r = x1 + y0 and its exact slope (see find_cycle_newton)
-    for the X half-return hrx from the branch point at y0."""
-    x0 = gamma1_branch_x(p, y0)
+    for the X half-return hrx from the branch point at y0.  ``conic`` is
+    gamma1_conic(p); the solvers build it once per solve and pass it in."""
+    if conic is None:
+        conic = gamma1_conic(p)
+    x0 = _branch_x(p, y0, conic)
     hrx = half_return_X(p, (x0, y0), t_max=t_max)
-    axx, axy, ayy, bx, by, _ = gamma1_conic(p).coefficients
+    axx, axy, ayy, bx, by, _ = conic.coefficients
     dx0 = -(axy * x0 + 2.0 * ayy * y0 + by) / (2.0 * axx * x0 + axy * y0 + bx)
-    w = fundamental_X(p, hrx.t if hrx.forward else -hrx.t) @ np.array([dx0, 1.0, 0.0])
-    x_end = eval_X(p, np.array([hrx.end[0], hrx.end[1], 0.0]))
-    slope = float(w[0] - x_end[0] * w[2] / x_end[2]) + 1.0
-    return float(hrx.end[0] + y0), slope, hrx
+    x1, y1 = hrx.end.tolist()
+    phi0, phi1 = hrx.phi
+    # Phi_X (dx0, 1, 0) projected along the field X(x1, y1, 0) = (A x1 + H Lambda, ., y1)
+    slope = dx0 * phi0[0] + phi1[0] - (p.A * x1 + p.H * p.Lambda) * phi1[2] / y1 + 1.0
+    return x1 + y0, slope, hrx
 
 
 def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = None,
@@ -92,9 +95,10 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
     NotACycleError
         If the converged point violates a cycle invariant.
     """
+    conic = gamma1_conic(p)
     y_floor = branch_min_y(p)
     y0 = max(float(y0_init), y_floor)
-    r, slope, hrx = _closure(p, y0, t_max)
+    r, slope, hrx = _closure(p, y0, t_max, conic)
     for _ in range(max_iter):
         if abs(r) <= 1e-13 * (1.0 + abs(y0)):
             break
@@ -110,7 +114,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
                 f"Newton step pinned at the branch-domain floor y = {y_floor:.6g}: last "
                 f"iterate y0 = {y0!r} has closure residual {r:+.3g}, slope {slope:+.3g}")
         y0 += delta
-        r, slope, hrx = _closure(p, y0, t_max)
+        r, slope, hrx = _closure(p, y0, t_max, conic)
     accept = tol if tol is not None else 1e-10 * (1.0 + abs(y0))
     if abs(r) > accept:
         raise NoConvergenceError(
@@ -129,7 +133,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = No
         problems.append("p1 is not the involution image of p0")
     if abs(t_x - t_y) > 1e-9 * T:
         problems.append(f"half times differ: |t_x - t_y| = {abs(t_x - t_y):.3g}")
-    if abs(gamma1_conic(p).evaluate(*p1)) > 1e-8 * scale * scale:
+    if abs(conic.evaluate(*p1)) > 1e-8 * scale * scale:
         problems.append("p1 left the reduced conic")
     if problems:
         raise NotACycleError("; ".join(problems))
@@ -229,12 +233,13 @@ def scan_cycles(p_base: SystemParams, H_grid, *,
 
 def _bracket_seed(p: SystemParams, t_max: float) -> float:
     """Coarse log-grid scan of the scalar closure residual for a sign change."""
+    conic = gamma1_conic(p)
     lo = branch_min_y(p) * (1.0 + 1e-6) + 1e-9
     ys = np.geomspace(max(lo, 1e-6), 1e6, 60)
     prev_y, prev_r = None, None
     for y in ys:
         try:
-            r = _closure(p, float(y), t_max)[0]
+            r = _closure(p, float(y), t_max, conic)[0]
         except Exception:
             prev_y, prev_r = None, None
             continue

@@ -32,3 +32,8 @@ class DivergenceError(TwofoldError):
 
 class EmptyBandError(TwofoldError):
     """No stable H-interval exists for the requested C."""
+
+
+class SymmetryDefectError(TwofoldError):
+    """The direct and involution-reduced monodromy compositions of a cycle
+    disagree: its two half flights are not symmetric to the check's bound."""

@@ -24,6 +24,7 @@ __all__ = [
     "flow_Y",
     "fundamental_X",
     "fundamental_Y",
+    "plane_flight",
     "stationary_X",
     "stationary_Y",
     "z_closed_form",
@@ -112,6 +113,45 @@ def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     ss = _stationary_canonical(p.a, p.c, p.h, p.lam)
     inner = ss + _phi_canonical(p.a, p.c, p.h, t) @ (_SWAP @ s0 - ss)
     return inner @ _SWAP  # _SWAP is symmetric: the rows of inner, swapped
+
+
+def plane_flight(p: SystemParams, q, t: float, field: str = "X"):
+    """State at time t of the ``field`` orbit from the plane point q = (x, y, 0),
+    with the first two columns of that field's fundamental matrix at t.
+
+    Returns ((x, y, z), Phi[:, 0], Phi[:, 1]) as tuples of floats for one
+    scalar t: the closed form of flow_X/flow_Y and fundamental_X/Y written
+    with ``math``, equal to them up to round-off, with no 3x3 temporaries.
+    """
+    if field == "X":
+        A, C, H, L = p.A, p.C, p.H, p.Lambda
+        u, v = float(q[0]), float(q[1])
+    elif field == "Y":  # the swap-conjugate of the canonical arrangement
+        A, C, H, L = p.a, p.c, p.h, p.lam
+        u, v = float(q[1]), float(q[0])
+    else:
+        raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
+    c2 = 1.0 + C * C
+    beta = C - A
+    den = beta * beta + 1.0
+    b = -H * den
+    e_at, e_ct = math.exp(A * t), math.exp(C * t)
+    st, ct = math.sin(t), math.cos(t)
+    int_sin = (e_ct * (beta * st - ct) + e_at) / den
+    int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
+    # the canonical Phi of _phi_canonical, entry by entry
+    p01, p02 = b * int_sin, b * (int_cos + C * int_sin)
+    p11, p12 = e_ct * (ct - C * st), -c2 * e_ct * st
+    p21, p22 = e_ct * st, e_ct * (ct + C * st)
+    zs = L / c2
+    xs, ys = H * L * (A - 2.0 * C) / c2, -2.0 * C * zs
+    du, dv = u - xs, v - ys
+    x = xs + e_at * du + p01 * dv - p02 * zs
+    y = ys + p11 * dv - p12 * zs
+    z = zs + p21 * dv - p22 * zs
+    if field == "X":
+        return (x, y, z), (e_at, 0.0, 0.0), (p01, p11, p21)
+    return (y, x, z), (p11, p01, p21), (0.0, e_at, 0.0)
 
 
 def z_closed_form(p: SystemParams, s0, field: str = "X"):

@@ -13,6 +13,7 @@ symmetric-cycle crossing at large amplitude.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,6 +260,11 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
     -1e-12 of zero are clamped to protect the intercept endpoints.  The
     result is checked by substitution into the conic.
     """
+    return _branch_x(p, y, gamma1_conic(p))
+
+
+def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
+    """gamma1_branch_x with the caller's gamma1_conic(p), for loops over y."""
     if not p.resonant:
         raise ValueError("branch parametrization requires the resonant family")
     if not 0.0 < p.H < 1.0:
@@ -269,8 +275,8 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
             raise ValueError(f"y={y!r} is outside the branch domain (radicand {rad!r})")
         rad = 0.0
     C, H, L = p.C, p.H, p.Lambda
-    x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + np.sqrt(rad)
-    resid = gamma1_conic(p).evaluate(x, y)
+    x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + math.sqrt(rad)
+    resid = conic.evaluate(x, y)
     if abs(resid) > 1e-9 * (1.0 + y * y):
         raise ArithmeticError(f"branch point failed conic residual check: {resid!r}")
     return float(x)

@@ -5,10 +5,13 @@ Solver contract: along either piece dz/dt = e^{Ct} (alpha sin t + beta cos t),
 so the critical points of z lie exactly at t0 + k pi and z is strictly
 monotone between them.  The first crossing is bracketed by evaluating the
 closed-form z at those points (then at the window end t_max) until it first
-reaches the plane; the bracket holds exactly one root, which Newton steps on
-the closed-form dz/dt close, falling back to bisection.  A sign change of z
-is never skipped, however shallow; entry and exit transversality are
-enforced.
+reaches the plane; the bracket holds exactly one root.  Newton closes it on
+the envelope-free residual e^{-Ct} z(t) = zs e^{-Ct} + a sin t + b cos t,
+which has the sign of z everywhere but lacks the e^{Ct} bend that makes
+Newton on z itself overshoot; it starts at the zero of the sinusoid
+a sin t + b cos t inside the bracket (the bracket's midpoint if there is
+none) and falls back to bisection.  A sign change of z is never skipped,
+however shallow; entry and exit transversality are enforced.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -48,7 +51,9 @@ class HalfReturn:
 
     ``t`` is the positive flight duration.  ``forward`` records the time
     direction of the solve from ``start``: when False, the half-orbit runs
-    from ``end`` to ``start`` in forward time.
+    from ``end`` to ``start`` in forward time.  ``phi`` holds the first two
+    columns of the field's fundamental matrix at the signed flight time, the
+    derivative of the 3D end state with respect to ``start`` at fixed time.
     """
 
     t: float
@@ -58,6 +63,7 @@ class HalfReturn:
     forward: bool
     iterations: int
     residual: float
+    phi: tuple
 
 
 def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, *,
@@ -73,59 +79,74 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
     if t_max <= 0:
         raise NoReturnError("empty search window")
     z, dz = flow.z_closed_form(p, s0, field)
+    C = p.C
     side = 1.0 if field == "X" else -1.0
     tsign = 1.0 if forward else -1.0
-    # g is positive during the flight.  dz/dt = e^{Ct} (alpha sin t + beta cos t)
-    # with beta = dz(0) and alpha = e^{-C pi/2} dz(pi/2), so the critical points
-    # of g are exactly phase + k pi and g is monotone between them.
-    g = lambda t: side * z(tsign * t)
-    dg = lambda t: side * tsign * dz(tsign * t)
-    alpha, beta = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
+    # side * z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
+    # (alpha sin t + beta cos t) with beta = dz(0) and alpha = e^{-C pi/2}
+    # dz(pi/2), so the critical points of z are exactly phase + k pi and z
+    # is monotone between them.
+    alpha, beta = math.exp(-C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
     if alpha == 0.0 and beta == 0.0:
         # (alpha, beta) is an invertible image of the oscillating part of z,
         # so z is constant: no crossing, however long the window
         raise NoReturnError("z is stationary along the orbit")
     phase = (tsign * math.atan2(-beta, alpha)) % math.pi
-    lo, glo = 0.0, None if skip_zero_start else g(0.0)
+    lo, zlo = 0.0, None if skip_zero_start else side * z(0.0)
     k = 0
-    while glo is None or glo > 0.0:  # walk while the left end is in the half-space
+    while zlo is None or zlo > 0.0:  # walk while the left end is in the half-space
         hi = min(phase + k * math.pi, t_max)
-        ghi = g(hi)
-        if ghi <= 0.0:
+        zhi = side * z(tsign * hi)
+        if zhi <= 0.0:
             break
         if hi == t_max:
             raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-        lo, glo, k = hi, ghi, k + 1
-    if glo is None and hi == t_max and dg(0.0) > 0.0:
+        lo, zlo, k = hi, zhi, k + 1
+    if zlo is None and hi == t_max and side * tsign * beta > 0.0:
         # the window closes before the first critical point of a rising flight
         raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-    if glo is None or glo <= 0.0:
+    if zlo is None or zlo <= 0.0:
         raise TangentialGrazeError("entry into the half-space is not transversal")
-    root, iterations = _bracketed_root(g, dg, lo, hi, glo, ghi)
-    slope = abs(dg(root))
+    # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
+    # (C alpha + beta, C beta - alpha): start at the zero of the sinusoid
+    # inside the bracket, else at its midpoint
+    start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
+    if not lo < start < hi:
+        start = 0.5 * (lo + hi)
+    u_lo = tsign * lo
+
+    def envelope_free(t):
+        # side e^{-C(u - u_lo)} z(u) at u = tsign t and its t-derivative: the
+        # sign of z without the e^{Cu} bend; the constant e^{C u_lo} keeps the
+        # weight within e^{|C| pi} on the bracket, however long the window
+        u = tsign * t
+        w = side * math.exp(-C * (u - u_lo))
+        zu = z(u)
+        return w * zu, w * tsign * (dz(u) - C * zu)
+
+    root, iterations = _bracketed_root(envelope_free, start, lo, hi)
+    slope = abs(dz(tsign * root))
     if slope < 1e-10 * (1.0 + scale):
         raise TangentialGrazeError(f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
     return root, iterations
 
 
-def _bracketed_root(g, dg, lo, hi, glo, ghi):
-    """(t, iterations) for the root of g, monotone on [lo, hi] from glo > 0 to ghi <= 0.
+def _bracketed_root(fdf, t, lo, hi):
+    """(t, iterations) for the one root of f in [lo, hi], where
+    fdf(t) = (f(t), f'(t)) and f > 0 left of the root, f <= 0 right of it.
 
-    Newton steps start from the root of the half cosine through the end
-    values (exact for C = 0 between critical points); a step that would not
-    land inside the shrinking bracket is replaced by bisection.
+    Newton steps from t; a step that would not land inside the shrinking
+    bracket is replaced by bisection.
     """
-    t = lo + (hi - lo) / math.pi * math.acos((glo + ghi) / (ghi - glo))
     for iterations in range(1, 101):
-        gt = g(t)
-        if gt == 0.0:
+        ft, slope = fdf(t)
+        if ft == 0.0:
             return t, iterations
-        if gt > 0.0:
+        if ft > 0.0:
             lo = t
         else:
             hi = t
-        slope = dg(t)
-        step = gt / slope if slope != 0.0 else math.inf
+        step = ft / slope if slope != 0.0 else math.inf
         tol = 1e-15 + 8.9e-16 * abs(t)
         if abs(step) <= tol:
             return t - step, iterations
@@ -136,26 +157,25 @@ def _bracketed_root(g, dg, lo, hi, glo, ghi):
 
 
 def _half_return(p: SystemParams, start, field: str, lie: float, t_max: float) -> HalfReturn:
-    q = np.asarray(start, dtype=float)[:2]
-    scale = float(np.hypot(q[0], q[1]))
+    x0, y0 = float(start[0]), float(start[1])
+    scale = math.hypot(x0, y0)
     if abs(lie) < 1e-10 * (1.0 + scale):
         raise TangentialGrazeError(
-            f"start {q!r} is tangential for the {field} field"
+            f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
-    s0 = np.array([q[0], q[1], 0.0])
     # ascending starts open the upper half-orbit, descending ones the lower
     forward = lie > 0 if field == "X" else lie < 0
-    t, iterations = first_crossing(p, s0, field, t_max, scale, forward=forward)
-    t_signed = t if forward else -t
-    end3 = flow.flow_X(p, s0, t_signed) if field == "X" else flow.flow_Y(p, s0, t_signed)
+    t, iterations = first_crossing(p, (x0, y0, 0.0), field, t_max, scale, forward=forward)
+    (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (x0, y0), t if forward else -t, field)
     return HalfReturn(
         t=t,
-        start=q.copy(),
-        end=end3[:2].copy(),
+        start=np.array([x0, y0]),
+        end=np.array([x1, y1]),
         field=field,
         forward=forward,
         iterations=iterations,
-        residual=abs(float(end3[2])),
+        residual=abs(z1),
+        phi=(phi0, phi1),
     )
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyBandError, GrazingCrossingError
+from .errors import EmptyBandError, GrazingCrossingError, SymmetryDefectError
 from .flow import fundamental_X, fundamental_Y
 from .invariants import gamma1_discriminant
 from .system import INVOLUTION, SystemParams, eval_X, eval_Y
@@ -127,8 +127,12 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     scale = float(np.max(np.abs(M)))
     reduction_residual = float(np.max(np.abs(M - M_red))) / scale
     if reduction_residual > 1e-9:
-        raise ArithmeticError(
-            f"direct and involution-reduced compositions disagree: {reduction_residual:.3g}"
+        # the reduced form takes t_x = t_y = T/2; near the X fold (small y0)
+        # the flight time is ill-conditioned and the converged halves differ
+        raise SymmetryDefectError(
+            f"direct and involution-reduced compositions disagree: "
+            f"{reduction_residual:.3g} (bound 1e-9) at y0 = {float(p0[1]):.3g}, "
+            f"t_x - t_y = {cycle.t_x - cycle.t_y:.3g}"
         )
     z0 = eval_X(p, np.array([p0[0], p0[1], 0.0]))
     trivial_residual = float(np.linalg.norm(M @ z0 - z0) / np.linalg.norm(z0))

@@ -54,8 +54,21 @@ def test_non_finite_inputs_are_usage_errors():
         proc = run_cli(*args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
-    proc = run_cli("stability-band", "--cmin=nan", "--grid", "3", "-o", "-")
-    assert proc.returncode == 1 and "ValueError" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("scan", "--C", "nan", "--Lambda", "1"),
+    ("scan", "--C", "0", "--Lambda", "1"),
+    ("stability-band", "--cmin=nan", "--grid", "3", "-o", "-"),
+    ("stability-band", "--hmin", "0.5", "--hmax", "0.2", "--grid", "3", "-o", "-"),
+    ("stability-band", "--grid", "1", "-o", "-"),
+])
+def test_domain_errors_exit_2(args):
+    # parameter guards raised by scan's and stability-band's own builders
+    # are usage errors, like those of the other subcommands
+    proc = run_cli(*args)
+    assert proc.returncode == 2, (args, proc.stderr)
+    assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
 
 
 def test_malformed_config_is_usage_error(tmp_path):

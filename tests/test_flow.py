@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from twofold import (apply_involution, build_system, eval_X, eval_Y, flow_X,
                      flow_Y, fundamental_X, fundamental_Y, jacobian_Y,
                      resonant_system, stationary_X, stationary_Y)
-from twofold.flow import z_closed_form
+from twofold.flow import plane_flight, z_closed_form
 from oracles import fd_jacobian, rk4
 
 
@@ -166,3 +166,26 @@ def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0,
         assert stack.flags.c_contiguous
         scalars = [fn(*args, float(t)) for t in ts.reshape(-1)]
         assert stack.reshape((-1,) + tail).tobytes() == b"".join(m.tobytes() for m in scalars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=st.floats(-3.0, 3.0), C=st.floats(0.05, 1.5), c_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(-1.0, 1.0), Lambda=st.floats(0.2, 2.0),
+       q=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2),
+       t=st.floats(0.0, 2.0 * np.pi), forward=st.booleans(), field=st.sampled_from("XY"))
+def test_plane_flight_matches_array_kernels(A, C, c_sign, H, Lambda, q, t, forward, field):
+    # the scalar kernel of the half-return against flow_X/Y and
+    # fundamental_X/Y at the same time, for both fields and time directions
+    p = build_system(A, c_sign * C, H, Lambda)
+    t = t if forward else -t
+    state, phi0, phi1 = plane_flight(p, q, t, field)
+    flow, fundamental, stationary = ((flow_X, fundamental_X, stationary_X) if field == "X"
+                                     else (flow_Y, fundamental_Y, stationary_Y))
+    s0, ss, phi = np.array([q[0], q[1], 0.0]), stationary(p), fundamental(p, t)
+    ref = flow(p, s0, t)
+    # the state is the sum ss + Phi (s0 - ss), which can cancel far below
+    # its terms: both kernels round on the scale of the terms
+    terms = np.max(np.abs(ss)) + np.max(np.abs(phi)) * np.max(np.abs(s0 - ss))
+    assert np.max(np.abs(np.array(state) - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)) + terms)
+    for col, ref_col in ((phi0, phi[:, 0]), (phi1, phi[:, 1])):
+        assert np.max(np.abs(np.array(col) - ref_col)) <= 1e-13 * (1.0 + np.max(np.abs(ref_col)))

@@ -266,6 +266,108 @@ def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
     assert abs(oracle - t) <= 1e-7 * (1.0 + t)
 
 
+def _mp_first_crossing(p, s0, field, t_max, direction):
+    """Oracle: the first crossing of the closed-form z in (0, t_max] at 40 digits.
+
+    Returns (root or None, condition, margin): the root by 140 bisections of
+    the first bracket between the critical points of z, which it locates on
+    its own (dz/dt vanishes where tan t = -(wy + 2C wz) / (C wy + (C^2 - 1) wz)).
+    A kernel in doubles can only be held to well-conditioned cases: condition
+    is the double round-off of z over |dz/dt| t at the root, the relative
+    error a root in doubles can reach; margin is the smallest flight-side
+    value of z at the points walked before it, relative to its round-off scale.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        C = mpmath.mpf(p.C)
+        lam, ylike = (p.Lambda, s0[1]) if field == "X" else (p.lam, s0[0])
+        zs = mpmath.mpf(lam) / (1 + C * C)
+        wy = mpmath.mpf(ylike) + 2 * C * zs
+        wz = mpmath.mpf(s0[2]) - zs
+        side = 1 if field == "X" else -1
+
+        def g(t):  # side z(direction t): positive during the flight
+            u = direction * t
+            return side * (zs + mpmath.exp(C * u) * (wy * mpmath.sin(u)
+                                                      + (mpmath.cos(u) + C * mpmath.sin(u)) * wz))
+
+        def size(t):  # the magnitude of the terms z is summed from
+            return abs(zs) + mpmath.exp(C * direction * t) * (abs(wy) + (1 + abs(C)) * abs(wz))
+
+        crit = mpmath.atan2(-(wy + 2 * C * wz), C * wy + (C * C - 1) * wz) * direction
+        crit = crit % mpmath.pi
+        lo, smallest = mpmath.mpf(0), mpmath.inf
+        k = 0
+        while True:
+            hi = min(crit + k * mpmath.pi, mpmath.mpf(t_max))
+            if hi > lo:
+                ghi = g(hi)
+                if ghi <= 0:
+                    break
+                smallest = min(smallest, ghi / size(hi))
+                lo = hi
+            if hi == t_max:
+                return None, 0.0, float(smallest)
+            k += 1
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            if g(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        root = (lo + hi) / 2
+        u = direction * root
+        dz = mpmath.exp(C * u) * (wy * (C * mpmath.sin(u) + mpmath.cos(u))
+                                  + wz * ((C * C - 1) * mpmath.sin(u) + 2 * C * mpmath.cos(u)))
+        return float(root), 2.2e-16 * float(size(root) / (abs(dz) * root)), float(smallest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=st.floats(0.2, 2.0), c_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(0.02, 0.9), Lambda=st.floats(0.5, 2.0),
+       x=_magnitude, y=_magnitude, z=st.floats(0.05, 3.0),
+       x_sign=st.sampled_from([1.0, -1.0]), log_amp=st.floats(-3.0, 6.0),
+       field=st.sampled_from("XY"), forward=st.booleans(), on_plane=st.booleans(),
+       long_window=st.booleans())
+def test_first_crossing_matches_mpmath_root(C, c_sign, H, Lambda, x, y, z, x_sign,
+                                            log_amp, field, forward, on_plane, long_window):
+    # the kernel's root against a 40-digit root of the same closed form, for
+    # starts of amplitude 1e-3..1e6 on and off the plane, solved forward and
+    # backward; a long window with C < 0 runs past t = 709/|C|, where e^{-Ct}
+    # alone overflows a double
+    p = resonant_system(c_sign * C, H, Lambda)
+    amp = 10.0 ** log_amp
+    side = 1.0 if field == "X" else -1.0
+    direction = 1.0 if forward else -1.0
+    # an on-plane start enters its half-space: d(side z)/d(direction t) > 0
+    # at t = 0, where dz/dt is y for X and x for Y
+    lie = side * direction * amp
+    if field == "X":
+        s0 = (x_sign * x * amp, y * lie, 0.0 if on_plane else side * z * amp)
+    else:
+        s0 = (x * lie, x_sign * y * amp, 0.0 if on_plane else side * z * amp)
+    t_max = 1.2 * 709.0 / C if long_window and c_sign < 0 else 3.0 * math.pi
+    oracle, condition, margin = _mp_first_crossing(p, s0, field, t_max, direction)
+    assume(condition <= 1e-14 and margin >= 1e-9)
+    try:
+        t, _ = first_crossing(p, s0, field, t_max, max(map(abs, s0)), forward=forward,
+                              skip_zero_start=on_plane)
+    except NoReturnError:
+        t = None
+    if oracle is None:
+        assert t is None
+        return
+    assert t is not None
+    assert abs(t - oracle) <= 1e-13 * oracle
+
+
+def test_desk_half_returns_take_few_root_steps(desk_params, desk_cycle):
+    # the envelope-free residual started at its sinusoid's zero resolves the
+    # desk cycle's flights in at most four Newton steps each
+    assert half_return_X(desk_params, desk_cycle.p0).iterations <= 4
+    assert half_return_Y(desk_params, desk_cycle.p0).iterations <= 4
+
+
 def test_time_matching_table_schema(params):
     rows = time_matching_table(params, [1e-3, 1e-4])
     assert [r["v0"] for r in rows] == [1e-3, 1e-4]

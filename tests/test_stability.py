@@ -8,7 +8,7 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
                      schur_conditions, schur_verdict, sigma_restriction,
                      stability_band, tau_gamma1)
 from twofold.cycles import asymptotic_seed
-from twofold.errors import GrazingCrossingError
+from twofold.errors import GrazingCrossingError, SymmetryDefectError, TwofoldError
 from oracles import fd_jacobian
 
 
@@ -71,6 +71,17 @@ def test_determinant_identity(desk_params, desk_cycle, desk_monodromy):
 
 def test_reduction_agreement(desk_monodromy):
     assert desk_monodromy.reduction_residual <= 1e-9
+
+
+def test_symmetry_defect_is_typed():
+    # a converged cycle next to the X fold (y0 ~ 3.2e-5) whose half flights
+    # differ by ~3.1e-9: the reduced composition misses the 1e-9 bound, and
+    # the failure is a TwofoldError that names y0 and t_x - t_y
+    p = resonant_system(0.6408946369496937, 0.004598737459894268, 0.6130039364647102)
+    cycle = find_cycle_newton(p, asymptotic_seed(p))
+    with pytest.raises(SymmetryDefectError, match=r"y0 = 3\.2e-05, t_x - t_y = 3\.1\de-09"):
+        monodromy(p, cycle)
+    assert issubclass(SymmetryDefectError, TwofoldError)
 
 
 def test_monodromy_matches_return_map_jacobian(desk_params, desk_cycle, desk_monodromy):
