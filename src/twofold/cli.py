@@ -4,7 +4,7 @@ Subcommands: simulate, find-cycle, verify-series, classify-conic,
 stability-band, scan.  Single-object results are emitted as JSON, grids and
 series as CSV (UTF-8, LF, '.' decimal separator).  A JSON config file can
 supply any flag value; explicit flags win.  Exit codes: 0 success, 1
-numerical failure, 2 usage error.
+numerical failure, 2 usage error (a DomainError, raised here or by the library).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import cycles, invariants, returns, stability
-from .errors import DivergenceError, NoReturnError, TwofoldError
+from .errors import DivergenceError, DomainError, NoReturnError, TwofoldError
 from .sigma import RegionKind, classify_point
 from .system import SystemParams, build_system, resonant_system
 from .flow import flow_X, flow_Y
@@ -58,9 +58,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             with open(cfg_path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {cfg_path!r}: {exc}") from exc
+            raise DomainError(f"cannot read config {cfg_path!r}: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise UsageError(f"config {cfg_path!r} must hold a JSON object")
+            raise DomainError(f"config {cfg_path!r} must hold a JSON object")
         for key, value in cfg.items():
             key = key.replace("-", "_")
             if merged.get(key) is None:
@@ -71,28 +71,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _params_from(merged: dict) -> SystemParams:
     missing = [k for k in ("C", "H", "Lambda") if merged.get(k) is None]
     if missing:
-        raise UsageError(f"missing required parameter(s): {', '.join(missing)}")
+        raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
     C, H, L = float(merged["C"]), float(merged["H"]), float(merged["Lambda"])
     if merged.get("A") is None:
-        return _guarded(resonant_system, C, H, L)
-    return _guarded(build_system, float(merged["A"]), C, H, L)
-
-
-class UsageError(Exception):
-    pass
-
-
-def _guarded(fn, *args):
-    """fn(*args), with the ValueError of a parameter guard reported as a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return resonant_system(C, H, L)
+    return build_system(float(merged["A"]), C, H, L)
 
 
 def _add_param_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--A", type=float, default=None,
-                    help="real eigenvalue (default: -2C, the resonant family)")
+                    help="real eigenvalue (default: -2C; only simulate accepts another)")
     sp.add_argument("--C", type=float, default=None, help="real part of the complex pair")
     sp.add_argument("--H", type=float, default=None, help="focal-line slope parameter")
     sp.add_argument("--Lambda", type=float, default=None, help="fold-visibility parameter")
@@ -128,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     _add_common(sp)
     sp.add_argument("--seed", type=float, default=None,
-                    help="initial branch coordinate y0 (default: series-head prediction)")
+                    help="initial y0 (default: series-head prediction, else a log-grid scan)")
     sp.set_defaults(handler=cmd_find_cycle)
 
     sp = sub.add_parser("verify-series", help="flight-time expansions vs numeric times")
@@ -245,14 +233,14 @@ def cmd_simulate(merged: dict) -> int:
     p = _params_from(merged)
     for key in ("x0", "y0", "z0"):
         if merged.get(key) is None:
-            raise UsageError(f"missing required initial condition --{key}")
+            raise DomainError(f"missing required initial condition --{key}")
     s0 = [float(merged["x0"]), float(merged["y0"]), float(merged["z0"])]
     if not all(map(math.isfinite, s0)):
-        raise UsageError(f"the initial condition must be finite, got {s0!r}")
+        raise DomainError(f"the initial condition must be finite, got {s0!r}")
     t_max = float(merged["t_max"]) if merged.get("t_max") is not None else 20.0
     dt = float(merged["dt"]) if merged.get("dt") is not None else 0.01
     if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
-        raise UsageError("t-max and dt must be positive and finite")
+        raise DomainError("t-max and dt must be positive and finite")
     # the whole text is built before the output opens, so a run that fails
     # part way leaves no partial file
     _write_text(merged["output"], list(_simulate_rows(p, s0, t_max, dt)))
@@ -262,11 +250,7 @@ def cmd_simulate(merged: dict) -> int:
 def cmd_find_cycle(merged: dict) -> int:
     p = _params_from(merged)
     seed = merged.get("seed")
-    if seed is None:
-        seed = cycles.asymptotic_seed(p)
-    if seed is None:
-        raise TwofoldError("series head predicts no cycle; pass --seed explicitly")
-    cycle = cycles.find_cycle_newton(p, float(seed))
+    cycle = cycles.find_cycle_newton(p, cycles.asymptotic_seed(p) if seed is None else seed)
     report = stability.monodromy(p, cycle)
     _write_json(merged["output"], {
         "p0": [cycle.p0[0], cycle.p0[1]],
@@ -291,7 +275,7 @@ def cmd_verify_series(merged: dict) -> int:
     else:
         v0s = [float(v) for v in raw]
     if not v0s or any(v <= 0 for v in v0s):
-        raise UsageError("--v0 needs a comma-separated list of positive values")
+        raise DomainError("--v0 needs a comma-separated list of positive values")
     table = returns.time_matching_table(p, v0s)
     header = ["v0", "tau_x_numeric", "tau_x_series", "tau_y_numeric", "tau_y_series", "tau"]
     rows = [[row[k] for k in header] for row in table]
@@ -335,7 +319,7 @@ def cmd_stability_band(merged: dict) -> int:
     h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else 0.001
     h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else 0.999
     grid = int(merged["grid"]) if merged.get("grid") is not None else 400
-    result = _guarded(stability.stability_band, (c_lo, c_hi), (h_lo, h_hi), grid)
+    result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
     _write_text(merged["output"], _band_csv(result))
     if merged.get("boundaries"):
         curves = {"upper": result.upper, "lower": result.lower, "hcrit": result.hcrit}
@@ -346,17 +330,17 @@ def cmd_stability_band(merged: dict) -> int:
 
 def cmd_scan(merged: dict) -> int:
     if merged.get("C") is None or merged.get("Lambda") is None:
-        raise UsageError("scan requires --C and --Lambda")
+        raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
     base_h = float(merged["H"]) if merged.get("H") is not None else 0.5
-    p_base = _guarded(resonant_system, float(merged["C"]), base_h, float(merged["Lambda"]))
-    h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else None
-    h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else None
-    if h_lo is None or h_hi is None:
-        hc = float(stability.critical_h(p_base.C))
-        h_lo = h_lo if h_lo is not None else 0.5 * hc
-        h_hi = h_hi if h_hi is not None else 0.995 * hc
+    p_base = resonant_system(float(merged["C"]), base_h, float(merged["Lambda"]))
+    hc = float(stability.critical_h(p_base.C))
+    h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else 0.5 * hc
+    h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else 0.995 * hc
     count = int(merged["count"]) if merged.get("count") is not None else 20
+    if not (0.0 < h_lo < 1.0 and 0.0 < h_hi < 1.0 and count >= 1):
+        raise DomainError(f"scan needs hmin and hmax in (0, 1) and count >= 1, got "
+                         f"{h_lo!r}, {h_hi!r} and {count}")
     grid = np.linspace(h_lo, h_hi, count)
     entries = cycles.scan_cycles(p_base, grid)
     header = ["H", "y0", "T", "mu2_re", "mu2_im", "mu3_re", "mu3_im", "stable"]
@@ -378,7 +362,7 @@ def main(argv=None) -> int:
     try:
         merged = _merge_config(args)
         return args.handler(merged)
-    except UsageError as exc:
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (TwofoldError, ValueError, ArithmeticError, OSError) as exc:

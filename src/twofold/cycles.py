@@ -4,7 +4,7 @@ A crossing orbit through a first-quadrant point p0 = (x0, y0, 0) closes into
 a symmetric cycle exactly when the upper half-orbit lands on the involution
 image (-y0, -x0, 0).  With p0 constrained to the conic branch, conservation
 of the first integral reduces the two closure equations to one scalar
-residual in y0, which a damped Newton iteration drives to zero.  The full
+residual r(y0) = x1 + y0, whose bracketed sign change is the cycle.  The full
 return map (upper half-orbit followed by the lower one) is exposed for
 iteration and for finite-difference checks of the monodromy.
 """
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NoConvergenceError, NotACycleError
+from .errors import (DivergenceError, NoConvergenceError, NoCycleError, NoReturnError,
+                     NotACycleError, TangentialGrazeError)
 from .invariants import _branch_x, branch_min_y, gamma1_branch_x, gamma1_conic
-from .returns import DEFAULT_T_MAX, half_return_X, half_return_Y, series_coeffs
+from .returns import DEFAULT_T_MAX, _bracketed_root, half_return_X, half_return_Y, series_coeffs
 from .system import SystemParams
 
 __all__ = [
@@ -76,50 +77,78 @@ def _closure(p, y0, t_max, conic=None):
     return x1 + y0, slope, hrx
 
 
-def find_cycle_newton(p: SystemParams, y0_init: float, *, tol: float | None = None,
-                      max_iter: int = 50, t_max: float = DEFAULT_T_MAX) -> SymmetricCycle:
-    """Newton iteration on the scalar closure residual in the branch coordinate.
+def find_cycle_newton(p: SystemParams, y0_init: float | None = None, *,
+                      t_max: float = DEFAULT_T_MAX) -> SymmetricCycle:
+    """Symmetric cycle at a sign change of r(y0) = x1 + y0 along the branch.
 
     The slope is exact, d(x1 + y0)/dy0 = e1^T (I - X(end) e3^T / X_z(end))
     Phi_X(t) (dx0/dy0, 1, 0)^T + 1 with dx0/dy0 = -F_y / F_x on the conic, so
-    each step costs one X half-return; steps that fall off the branch domain
-    are halved (at most 8 times).  Acceptance requires |r| <= tol with tol
-    defaulting to 1e-10 (1 + y0), after which the full symmetric-cycle
-    invariants are checked.
+    each evaluation costs one X half-return.  Newton steps from y0_init walk to
+    |r| <= 1e-13 (1 + y0) or a straddled root, ending on a step out of
+    (branch_min_y(p), 1e6) or a failed flight; else the first sign change on a
+    24-point log grid of that range is the bracket, which _bracketed_root
+    closes.  |r| <= 1e-10 (1 + y0) and the cycle invariants are then checked.
 
     Raises
     ------
+    NoCycleError
+        If r keeps one sign on the grid: sampled evidence, not proof.
     NoConvergenceError
-        If the residual is still above tolerance after ``max_iter`` steps, or
-        a step stays pinned at the branch-domain floor.
+        If the closed bracket leaves a residual above tolerance.
     NotACycleError
         If the converged point violates a cycle invariant.
     """
     conic = gamma1_conic(p)
     y_floor = branch_min_y(p)
-    y0 = max(float(y0_init), y_floor)
-    r, slope, hrx = _closure(p, y0, t_max, conic)
-    for _ in range(max_iter):
-        if abs(r) <= 1e-13 * (1.0 + abs(y0)):
-            break
-        if slope == 0.0:
-            raise NoConvergenceError("flat closure residual; cannot take a Newton step")
-        delta = -r / slope
-        for _ in range(8):
-            if y0 + delta > y_floor:
-                break
-            delta *= 0.5
-        if y0 + delta <= y_floor:
-            raise NoConvergenceError(
-                f"Newton step pinned at the branch-domain floor y = {y_floor:.6g}: last "
-                f"iterate y0 = {y0!r} has closure residual {r:+.3g}, slope {slope:+.3g}")
-        y0 += delta
+    sign, last = 1.0, None  # sign orients r for _bracketed_root; last = (y0, r, hrx)
+
+    def closure(y0):
+        nonlocal last
         r, slope, hrx = _closure(p, y0, t_max, conic)
-    accept = tol if tol is not None else 1e-10 * (1.0 + abs(y0))
+        last = y0, r, hrx
+        return sign * r, sign * slope
+
+    bracket, done = None, False
+    raises = (NoReturnError, TangentialGrazeError, NoConvergenceError, ArithmeticError)
+    if y0_init is not None:
+        y0, prev_y, prev_r = max(float(y0_init), y_floor), None, 0.0
+        for _ in range(50):
+            try:
+                r, slope = closure(y0)
+            except raises:
+                break
+            done = abs(r) <= 1e-13 * (1.0 + y0)
+            newton = y0 - r / slope if slope != 0.0 else math.nan
+            if done or prev_r * r < 0.0:
+                bracket = (prev_y, prev_r, y0, newton)
+                break
+            if not y_floor < newton < 1e6:
+                break
+            prev_y, prev_r, y0 = y0, r, newton
+    if bracket is None:
+        n, prev_y, prev_r = 0, None, 0.0
+        for y0 in np.geomspace(y_floor, 1e6, 24).tolist():
+            try:
+                r, _ = closure(y0)
+            except raises:
+                continue
+            if prev_r * r < 0.0:
+                bracket = (prev_y, prev_r, y0, 0.5 * (prev_y + y0))
+                break
+            n, prev_y, prev_r = n + 1, y0, r
+        else:
+            found = f"; x1 + y0 is {'positive' if prev_r > 0.0 else 'negative'} on each"
+            raise NoCycleError(f"no sign change on {n} points of the branch y0 in "
+                               f"[{y_floor:.6g}, 1e+06] ({24 - n} raised){found if n else ''}")
+    if not done:
+        y_a, r_a, y_b, start = bracket
+        lo, hi = min(y_a, y_b), max(y_a, y_b)
+        sign = math.copysign(1.0, r_a * (y_b - y_a))  # sign * r > 0 at lo
+        _bracketed_root(closure, start if lo < start < hi else 0.5 * (lo + hi), lo, hi, 1e-13)
+    y0, r, hrx = last  # the last point evaluated, within 1e-15 (1 + y0) of the root
+    accept = 1e-10 * (1.0 + y0)
     if abs(r) > accept:
-        raise NoConvergenceError(
-            f"closure residual {r:.3g} above tolerance {accept:.3g} after {max_iter} iterations"
-        )
+        raise NoConvergenceError(f"closure residual {r:.3g} above {accept:.3g} at y0 = {y0!r}")
     p0, p1 = hrx.start, hrx.end
     x0 = float(p0[0])
     r2 = float(p1[1] + x0)
@@ -187,12 +216,8 @@ def asymptotic_seed(p: SystemParams) -> float | None:
     None when the head has no positive zero (gamma1/gamma2 >= 0).
     """
     coeffs = series_coeffs(p)
-    if coeffs.gamma2 == 0.0:
-        return None
-    v0 = -coeffs.gamma1 / coeffs.gamma2
-    if v0 <= 0.0:
-        return None
-    return 1.0 / v0
+    v0 = -coeffs.gamma1 / coeffs.gamma2 if coeffs.gamma2 != 0.0 else 0.0
+    return 1.0 / v0 if v0 > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -207,10 +232,9 @@ def scan_cycles(p_base: SystemParams, H_grid, *,
                 t_max: float = DEFAULT_T_MAX) -> list[ScanEntry]:
     """Cycle catalogue over an H grid at fixed (C, Lambda).
 
-    Each H is attempted independently: the Newton solve is seeded from the
-    series head when it predicts a positive zero, otherwise from a coarse
-    bracket scan of the closure residual.  Failures are recorded per entry
-    and the scan continues.  The returned order follows H_grid.
+    Each H is attempted independently from the series-head seed, which may be
+    None.  Failures are recorded per entry and the scan continues.  The
+    returned order follows H_grid.
     """
     from .stability import monodromy  # deferred: stability depends on cycle objects
     from .system import resonant_system
@@ -218,10 +242,7 @@ def scan_cycles(p_base: SystemParams, H_grid, *,
     def entry(H: float) -> ScanEntry:
         try:
             p = resonant_system(p_base.C, H, p_base.Lambda)
-            seed = asymptotic_seed(p)
-            if seed is None:
-                seed = _bracket_seed(p, t_max)
-            cycle = find_cycle_newton(p, seed, t_max=t_max)
+            cycle = find_cycle_newton(p, asymptotic_seed(p), t_max=t_max)
             report = monodromy(p, cycle)
             return ScanEntry(H=H, cycle=cycle, monodromy=report, error=None)
         except Exception as exc:  # per-entry failure, scan continues
@@ -229,21 +250,3 @@ def scan_cycles(p_base: SystemParams, H_grid, *,
                              error=f"{type(exc).__name__}: {exc}")
 
     return [entry(float(H)) for H in H_grid]
-
-
-def _bracket_seed(p: SystemParams, t_max: float) -> float:
-    """Coarse log-grid scan of the scalar closure residual for a sign change."""
-    conic = gamma1_conic(p)
-    lo = branch_min_y(p) * (1.0 + 1e-6) + 1e-9
-    ys = np.geomspace(max(lo, 1e-6), 1e6, 60)
-    prev_y, prev_r = None, None
-    for y in ys:
-        try:
-            r = _closure(p, float(y), t_max, conic)[0]
-        except Exception:
-            prev_y, prev_r = None, None
-            continue
-        if prev_r is not None and prev_r * r < 0:
-            return 0.5 * (prev_y + float(y))
-        prev_y, prev_r = float(y), r
-    raise NoConvergenceError("no sign change of the closure residual on the scan grid")

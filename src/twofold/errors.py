@@ -5,6 +5,10 @@ class TwofoldError(Exception):
     """Base class for numerical failures raised by this library."""
 
 
+class DomainError(TwofoldError, ValueError):
+    """An input lies outside the range a routine or command supports."""
+
+
 class NoReturnError(TwofoldError):
     """No switching-plane crossing was found within the search window."""
 
@@ -19,6 +23,10 @@ class GrazingCrossingError(TwofoldError):
 
 class NoConvergenceError(TwofoldError):
     """An iterative solver exhausted its iteration budget."""
+
+
+class NoCycleError(TwofoldError):
+    """The closure residual keeps one sign on the sampled branch: no cycle is bracketed."""
 
 
 class NotACycleError(TwofoldError):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .system import REL_TOL, SystemParams, eval_X, eval_Y
 
 __all__ = [
@@ -230,7 +231,7 @@ def _conic_kind(H: float) -> ConicKind:
 def gamma1_conic(p: SystemParams) -> ConicGamma1:
     """Conic containing the symmetric-cycle crossings (resonant family only)."""
     if not p.resonant:
-        raise ValueError("the reduced conic requires the resonant family A = -2C")
+        raise DomainError("the reduced conic requires the resonant family A = -2C")
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
     coeffs = (
@@ -266,9 +267,9 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
 def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
     """gamma1_branch_x with the caller's gamma1_conic(p), for loops over y."""
     if not p.resonant:
-        raise ValueError("branch parametrization requires the resonant family")
+        raise DomainError("branch parametrization requires the resonant family")
     if not 0.0 < p.H < 1.0:
-        raise ValueError(f"branch parametrization requires 0 < H < 1, got H={p.H}")
+        raise DomainError(f"branch parametrization requires 0 < H < 1, got H={p.H}")
     rad = _branch_radicand(p, y)
     if rad < 0.0:
         if rad < -1e-12:

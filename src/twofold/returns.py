@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .errors import NoConvergenceError, NoReturnError, TangentialGrazeError
+from .errors import DomainError, NoConvergenceError, NoReturnError, TangentialGrazeError
 from .invariants import gamma1_branch_x, gamma1_discriminant
 from .system import SystemParams
 
@@ -124,36 +124,37 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
         zu = z(u)
         return w * zu, w * tsign * (dz(u) - C * zu)
 
-    root, iterations = _bracketed_root(envelope_free, start, lo, hi)
+    root, iterations = _bracketed_root(envelope_free, start, lo, hi, 0.0)
     slope = abs(dz(tsign * root))
     if slope < 1e-10 * (1.0 + scale):
         raise TangentialGrazeError(f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
     return root, iterations
 
 
-def _bracketed_root(fdf, t, lo, hi):
+def _bracketed_root(fdf, t, lo, hi, rtol):
     """(t, iterations) for the one root of f in [lo, hi], where
     fdf(t) = (f(t), f'(t)) and f > 0 left of the root, f <= 0 right of it.
 
     Newton steps from t; a step that would not land inside the shrinking
-    bracket is replaced by bisection.
+    bracket is replaced by bisection.  Stops once |f| <= rtol (1 + |t|).
     """
     for iterations in range(1, 101):
         ft, slope = fdf(t)
-        if ft == 0.0:
+        at = abs(t)
+        if abs(ft) <= rtol * (1.0 + at):
             return t, iterations
         if ft > 0.0:
             lo = t
         else:
             hi = t
         step = ft / slope if slope != 0.0 else math.inf
-        tol = 1e-15 + 8.9e-16 * abs(t)
+        tol = 1e-15 + 8.9e-16 * at
         if abs(step) <= tol:
             return t - step, iterations
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
         if hi - lo <= tol:
             return t, iterations
-    raise NoConvergenceError(f"crossing root not resolved in [{lo!r}, {hi!r}]")
+    raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")
 
 
 def _half_return(p: SystemParams, start, field: str, lie: float, t_max: float) -> HalfReturn:
@@ -234,11 +235,11 @@ class SeriesCoeffs:
 def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     """Closed-form expansion coefficients (resonant hyperbola range only)."""
     if not p.resonant:
-        raise ValueError("series coefficients require the resonant family A = -2C")
+        raise DomainError("series coefficients require the resonant family A = -2C")
     if not (-1.0 / 3.0 < p.H < 1.0):
-        raise ValueError("series coefficients require the hyperbola range -1/3 < H < 1")
+        raise DomainError("series coefficients require the hyperbola range -1/3 < H < 1")
     if p.H == 0.0:
-        raise ValueError("series coefficients are singular at H = 0")
+        raise DomainError("series coefficients are singular at H = 0")
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
     E = math.exp(math.pi * C)
@@ -265,7 +266,7 @@ def time_matching(p: SystemParams, v0: float, *, t_max: float = DEFAULT_T_MAX) -
     the branch point with y0 = 1/v0; its zeros are the symmetric cycles.
     """
     if v0 <= 0:
-        raise ValueError("v0 must be positive")
+        raise DomainError("v0 must be positive")
     hrx, hry = _branch_returns(p, 1.0 / v0, t_max)
     return hrx.t - hry.t
 
@@ -297,7 +298,7 @@ def gamma2_at_critical(C: float, Lambda: float) -> float:
     which makes the zero of the matching function isolated.
     """
     if C == 0.0:
-        raise ValueError("C must be nonzero")
+        raise DomainError("C must be nonzero")
     c2 = C * C + 1.0
     if C > 0:
         return (-2.0 * Lambda * Lambda * C

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyBandError, GrazingCrossingError, SymmetryDefectError
+from .errors import DomainError, EmptyBandError, GrazingCrossingError, SymmetryDefectError
 from .flow import fundamental_X, fundamental_Y
 from .invariants import gamma1_discriminant
 from .system import INVOLUTION, SystemParams, eval_X, eval_Y
@@ -189,9 +189,9 @@ def tau_gamma1(C, H):
 def asymptotic_invariants(p: SystemParams):
     """(m^2, tau_inf): large-amplitude limits of det M and tr M."""
     if not p.resonant:
-        raise ValueError("asymptotic invariants require the resonant family")
+        raise DomainError("asymptotic invariants require the resonant family")
     if not 0.0 < p.H < 1.0:
-        raise ValueError(f"asymptotic invariants require 0 < H < 1, got H={p.H}")
+        raise DomainError(f"asymptotic invariants require 0 < H < 1, got H={p.H}")
     return float(m_gamma1(p.H) ** 2), float(tau_gamma1(p.C, p.H))
 
 
@@ -265,14 +265,14 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     else:
         n_c, n_h = int(grid[0]), int(grid[1])
     if n_c < 2 or n_h < 2:
-        raise ValueError("grid counts must be at least 2")
+        raise DomainError("grid counts must be at least 2")
     c_lo, c_hi = float(c_range[0]), float(c_range[1])
     h_lo, h_hi = float(h_range[0]), float(h_range[1])
     if not (0.0 < c_lo < math.inf and 0.0 < c_hi < math.inf):
-        raise ValueError("C range must be finite and positive: the asymptotic band is "
+        raise DomainError("C range must be finite and positive: the asymptotic band is "
                          "established for C > 0")
     if not (0.0 < h_lo < h_hi < 1.0):
-        raise ValueError("H range must satisfy 0 < hmin < hmax < 1")
+        raise DomainError("H range must satisfy 0 < hmin < hmax < 1")
     cs = np.linspace(c_lo, c_hi, n_c)
     hs = np.linspace(h_lo, h_hi, n_h)
     m2 = m_gamma1(hs) ** 2

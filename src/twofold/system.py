@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "SystemParams",
     "build_system",
@@ -82,18 +84,18 @@ def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
 
     Raises
     ------
-    ValueError
+    DomainError
         If a parameter is NaN or infinite, C == 0 (no rotation) or
         Lambda == 0 (degenerate tangency).
     """
     A, C, H, Lambda = float(A), float(C), float(H), float(Lambda)
     if not all(map(math.isfinite, (A, C, H, Lambda))):
-        raise ValueError(f"parameters must be finite, got A={A!r}, C={C!r}, H={H!r}, "
+        raise DomainError(f"parameters must be finite, got A={A!r}, C={C!r}, H={H!r}, "
                          f"Lambda={Lambda!r}")
     if C == 0.0:
-        raise ValueError("C must be nonzero: the dynamics needs a rotation block")
+        raise DomainError("C must be nonzero: the dynamics needs a rotation block")
     if Lambda == 0.0:
-        raise ValueError("Lambda must be nonzero: folds degenerate to cusps")
+        raise DomainError("Lambda must be nonzero: folds degenerate to cusps")
     return SystemParams(A, C, H, Lambda, resonant=(A + 2.0 * C == 0.0))
 
 

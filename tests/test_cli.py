@@ -62,10 +62,18 @@ def test_non_finite_inputs_are_usage_errors():
     ("stability-band", "--cmin=nan", "--grid", "3", "-o", "-"),
     ("stability-band", "--hmin", "0.5", "--hmax", "0.2", "--grid", "3", "-o", "-"),
     ("stability-band", "--grid", "1", "-o", "-"),
+    ("find-cycle", "--A", "-1", "--C", "1", "--H", "0.04", "--Lambda", "1"),
+    ("find-cycle", "--C", "1", "--H", "1.5", "--Lambda", "1"),
+    ("verify-series", "--A", "-1", "--C", "1", "--H", "0.5", "--Lambda", "1"),
+    ("classify-conic", "--A", "-1", "--C", "1", "--H", "0.5", "--Lambda", "1"),
+    ("scan", "--C", "1", "--Lambda", "1", "--hmin=nan", "--count", "3"),
+    ("scan", "--C", "1", "--Lambda", "1", "--hmin", "1.5", "--hmax", "2"),
+    ("scan", "--C", "1", "--Lambda", "1", "--count", "0"),
+    ("scan", "--C", "1", "--Lambda", "1", "--count", "-2"),
 ])
 def test_domain_errors_exit_2(args):
-    # parameter guards raised by scan's and stability-band's own builders
-    # are usage errors, like those of the other subcommands
+    # a DomainError, from a library parameter guard or from the CLI's own
+    # checks such as scan's H range and count, is a usage error
     proc = run_cli(*args)
     assert proc.returncode == 2, (args, proc.stderr)
     assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
@@ -79,10 +87,12 @@ def test_malformed_config_is_usage_error(tmp_path):
 
 
 def test_numerical_failure_exit_code():
-    # H = 2 is outside the hyperbola range: cycle machinery must fail cleanly
-    proc = run_cli("find-cycle", "--C", "1", "--H", "2.0", "--Lambda", "1")
+    # above H_crit the closure residual keeps one sign on the whole branch:
+    # no cycle is bracketed, a numerical outcome rather than a usage error
+    proc = run_cli("find-cycle", "--C", "1", "--H", "0.2", "--Lambda", "1")
     assert proc.returncode == 1
     assert "error" in proc.stderr
+    assert proc.stderr.startswith("error: NoCycleError: no sign change on ")
 
 
 def test_find_cycle_json(tmp_path):

@@ -7,7 +7,7 @@ from twofold import (asymptotic_seed, branch_min_y, closure_residual, critical_h
                      half_return_Y, iterate_reduced_map, resonant_system, return_map,
                      returns, scan_cycles, series_coeffs, time_matching)
 from twofold.cycles import _closure
-from twofold.errors import DivergenceError, NoConvergenceError, TwofoldError
+from twofold.errors import DivergenceError, NoCycleError, TwofoldError
 from oracles import fd_jacobian, measure_contraction
 
 
@@ -107,11 +107,6 @@ def test_return_map_orientation_guard(desk_params):
         return_map(desk_params, (-3.0, -2.0))
 
 
-def test_newton_reports_nonconvergence(desk_params):
-    with pytest.raises(NoConvergenceError):
-        find_cycle_newton(desk_params, 1e6, max_iter=1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0),
        log_gap=st.floats(-6.0, 4.0))
@@ -145,13 +140,45 @@ def test_desk_newton_half_return_count(desk_params, monkeypatch):
     assert calls.count("Y") == 1
 
 
-def test_floor_pinning_reports_last_iterate():
-    # far below H_crit the closure residual keeps one sign on the whole branch,
-    # so Newton walks down to the floor; the message says where it stopped
+def test_grid_brackets_the_cycle_without_a_seed(desk_params, desk_cycle):
+    # with no seed the log grid brackets the same cycle, closed to round-off
+    cycle = find_cycle_newton(desk_params)
+    assert cycle.p0 == pytest.approx(desk_cycle.p0, rel=1e-12)
+    assert cycle.residual <= 1e-10 * (1.0 + cycle.p0[1])
+
+
+def test_no_sign_change_raises_no_cycle_error():
+    # far below H_crit the closure residual keeps one sign on the whole branch:
+    # the series seed walks off the floor and the grid finds no bracket
     p = resonant_system(0.4821269240890028, 0.014054134847196956, 1.3221941688154804)
-    with pytest.raises(NoConvergenceError, match=r"floor .* last iterate y0 = .* residual \+"):
+    with pytest.raises(NoCycleError, match=r"^no sign change on \d+ points .* is positive on each"):
         find_cycle_newton(p, asymptotic_seed(p))
     assert all(closure_residual(p, float(y))[0] > 0.0 for y in np.geomspace(1e-6, 1e6, 60))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 1.3), Lambda=st.floats(0.5, 2.0),
+       seeded=st.booleans())
+def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda, seeded):
+    # NoCycleError is sampled evidence: a dense oracle scan of the branch must
+    # agree that the closure residual never changes sign; unseeded solves
+    # check the grid bracket on its own
+    H = float(critical_h(C)) * h_frac
+    assume(0.0 < H < 1.0)
+    p = resonant_system(C, H, Lambda)
+    try:
+        cycle = find_cycle_newton(p, asymptotic_seed(p) if seeded else None)
+    except NoCycleError:
+        rs = []
+        for y in np.geomspace(branch_min_y(p), 1e6, 400):
+            try:
+                rs.append(closure_residual(p, float(y))[0])
+            except (TwofoldError, ValueError, ArithmeticError):
+                continue
+        assert all(r > 0.0 for r in rs) or all(r < 0.0 for r in rs)
+        return
+    y0 = cycle.p0[1]
+    assert abs(closure_residual(p, y0)[0]) <= 1e-10 * (1.0 + y0)
 
 
 def test_scan_catalogue():

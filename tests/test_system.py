@@ -1,16 +1,42 @@
 import numpy as np
 import pytest
 
+import twofold as tf
 from twofold import (INVOLUTION, apply_involution, build_system, eval_X, eval_Y,
                      jacobian_X, jacobian_Y, params_from_json, params_to_json,
                      resonant_system)
+from twofold.errors import DomainError
 from oracles import fd_jacobian
+
+_OFF_RESONANCE = build_system(-1.0, 1.0, 0.5, 1.0)
+_ELLIPSE = resonant_system(1.0, 1.5, 1.0)
 
 
 def test_build_valid_resonant():
     p = build_system(-2.0, 1.0, 0.04, 1.0)
     assert p.resonant
     assert (p.a, p.c, p.h, p.lam) == (-2.0, 1.0, 0.04, -1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_system(-2.0, 0.0, 0.04, 1.0),
+    lambda: resonant_system(1.0, float("nan"), 1.0),
+    lambda: tf.series_coeffs(_OFF_RESONANCE),
+    lambda: tf.series_coeffs(_ELLIPSE),
+    lambda: tf.gamma1_conic(_OFF_RESONANCE),
+    lambda: tf.gamma1_branch_x(_ELLIPSE, 1.0),
+    lambda: tf.asymptotic_invariants(_ELLIPSE),
+    lambda: tf.stability_band((0.5, 1.0), (0.1, 0.5), 1),
+    lambda: tf.time_matching(resonant_system(1.0, 0.5, 1.0), -1.0),
+    lambda: tf.find_cycle_newton(_ELLIPSE, 5.0),
+], ids=["build_system", "resonant_system", "series_off_resonance", "series_ellipse",
+        "conic", "branch_x", "asymptotic_invariants", "stability_band",
+        "time_matching", "find_cycle_newton"])
+def test_parameter_guards_raise_domain_error(call):
+    # one contract: a parameter outside a routine's range is a DomainError,
+    # which is also a ValueError for callers that catch that
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_build_rejects_zero_c():
