@@ -68,14 +68,28 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _number(merged: dict, key: str, default=None, kind=float):
+    """merged[key] (a flag or config value) as a kind, or default when unset.
+
+    A value that is not a number is a usage error.
+    """
+    value = merged.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{key} must be a number, got {value!r}") from None
+
+
 def _params_from(merged: dict) -> SystemParams:
     missing = [k for k in ("C", "H", "Lambda") if merged.get(k) is None]
     if missing:
         raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
-    C, H, L = float(merged["C"]), float(merged["H"]), float(merged["Lambda"])
+    C, H, L = (_number(merged, k) for k in ("C", "H", "Lambda"))
     if merged.get("A") is None:
         return resonant_system(C, H, L)
-    return build_system(float(merged["A"]), C, H, L)
+    return build_system(_number(merged, "A"), C, H, L)
 
 
 def _add_param_flags(sp: argparse.ArgumentParser):
@@ -234,11 +248,11 @@ def cmd_simulate(merged: dict) -> int:
     for key in ("x0", "y0", "z0"):
         if merged.get(key) is None:
             raise DomainError(f"missing required initial condition --{key}")
-    s0 = [float(merged["x0"]), float(merged["y0"]), float(merged["z0"])]
+    s0 = [_number(merged, key) for key in ("x0", "y0", "z0")]
     if not all(map(math.isfinite, s0)):
         raise DomainError(f"the initial condition must be finite, got {s0!r}")
-    t_max = float(merged["t_max"]) if merged.get("t_max") is not None else 20.0
-    dt = float(merged["dt"]) if merged.get("dt") is not None else 0.01
+    t_max = _number(merged, "t_max", 20.0)
+    dt = _number(merged, "dt", 0.01)
     if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
         raise DomainError("t-max and dt must be positive and finite")
     # the whole text is built before the output opens, so a run that fails
@@ -249,7 +263,7 @@ def cmd_simulate(merged: dict) -> int:
 
 def cmd_find_cycle(merged: dict) -> int:
     p = _params_from(merged)
-    seed = merged.get("seed")
+    seed = _number(merged, "seed")
     cycle = cycles.find_cycle_newton(p, cycles.asymptotic_seed(p) if seed is None else seed)
     report = stability.monodromy(p, cycle)
     _write_json(merged["output"], {
@@ -270,10 +284,11 @@ def cmd_find_cycle(merged: dict) -> int:
 def cmd_verify_series(merged: dict) -> int:
     p = _params_from(merged)
     raw = merged.get("v0") or "1e-3,1e-4,1e-5"
-    if isinstance(raw, str):
-        v0s = [float(tok) for tok in raw.split(",") if tok.strip()]
-    else:
-        v0s = [float(v) for v in raw]
+    items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
+    try:
+        v0s = [float(v) for v in items]
+    except (TypeError, ValueError):
+        v0s = []
     if not v0s or any(v <= 0 for v in v0s):
         raise DomainError("--v0 needs a comma-separated list of positive values")
     table = returns.time_matching_table(p, v0s)
@@ -314,11 +329,9 @@ def _band_csv(result):
 
 
 def cmd_stability_band(merged: dict) -> int:
-    c_lo = float(merged["cmin"]) if merged.get("cmin") is not None else 0.01
-    c_hi = float(merged["cmax"]) if merged.get("cmax") is not None else 3.0
-    h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else 0.001
-    h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else 0.999
-    grid = int(merged["grid"]) if merged.get("grid") is not None else 400
+    c_lo, c_hi = _number(merged, "cmin", 0.01), _number(merged, "cmax", 3.0)
+    h_lo, h_hi = _number(merged, "hmin", 0.001), _number(merged, "hmax", 0.999)
+    grid = _number(merged, "grid", 400, int)
     result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
     _write_text(merged["output"], _band_csv(result))
     if merged.get("boundaries"):
@@ -332,12 +345,11 @@ def cmd_scan(merged: dict) -> int:
     if merged.get("C") is None or merged.get("Lambda") is None:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
-    base_h = float(merged["H"]) if merged.get("H") is not None else 0.5
-    p_base = resonant_system(float(merged["C"]), base_h, float(merged["Lambda"]))
+    p_base = resonant_system(_number(merged, "C"), _number(merged, "H", 0.5),
+                             _number(merged, "Lambda"))
     hc = float(stability.critical_h(p_base.C))
-    h_lo = float(merged["hmin"]) if merged.get("hmin") is not None else 0.5 * hc
-    h_hi = float(merged["hmax"]) if merged.get("hmax") is not None else 0.995 * hc
-    count = int(merged["count"]) if merged.get("count") is not None else 20
+    h_lo, h_hi = _number(merged, "hmin", 0.5 * hc), _number(merged, "hmax", 0.995 * hc)
+    count = _number(merged, "count", 20, int)
     if not (0.0 < h_lo < 1.0 and 0.0 < h_hi < 1.0 and count >= 1):
         raise DomainError(f"scan needs hmin and hmax in (0, 1) and count >= 1, got "
                          f"{h_lo!r}, {h_hi!r} and {count}")

@@ -3,9 +3,10 @@
 Both linear parts have spectrum {A, C + i, C - i}, so their exponentials are
 assembled from that eigenstructure rather than a generic matrix exponential:
 the (y, z) block of the upper field is a frequency-1 rotation scaled by
-exp(Ct), and the x row is a rate-A filter driven by z.  The lower field has
-the same structure with the roles of x and y swapped, so its matrices are the
-swap-conjugates of the upper ones.
+exp(Ct), and the x row is a rate-A filter driven by z.  The lower field is
+the S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary
+point and fundamental matrices are the S-conjugates of the upper kernels:
+phi_Y(t, s) = S phi_X(t, S s) and Phi_Y = S Phi_X S.
 
 Each affine piece is integrated as phi(t, s) = s* + exp(Dt)(s - s*) around
 its stationary point s*, which exists whenever A(C^2 + 1) != 0; in the
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .system import SystemParams
+from .system import INVOLUTION, SystemParams
 
 __all__ = [
     "flow_X",
@@ -29,13 +30,6 @@ __all__ = [
     "stationary_Y",
     "z_closed_form",
 ]
-
-_SWAP = np.array([
-    [0.0, 1.0, 0.0],
-    [1.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0],
-])
-
 
 def _phi_canonical(A: float, C: float, H: float, t):
     """exp(D t) for the canonical arrangement (x driven by z, (y,z) rotation).
@@ -84,9 +78,8 @@ def fundamental_X(p: SystemParams, t) -> np.ndarray:
 
 
 def fundamental_Y(p: SystemParams, t) -> np.ndarray:
-    """exp(DY t); DY is the swap-conjugate of DX, so Phi_Y = P Phi_X P.  An
-    ndarray t gives the stack t.shape + (3, 3)."""
-    return _SWAP @ _phi_canonical(p.a, p.c, p.h, t) @ _SWAP
+    """exp(DY t) = S exp(DX t) S; an ndarray t gives the stack t.shape + (3, 3)."""
+    return INVOLUTION @ _phi_canonical(p.A, p.C, p.H, t) @ INVOLUTION
 
 
 def stationary_X(p: SystemParams) -> np.ndarray:
@@ -95,42 +88,36 @@ def stationary_X(p: SystemParams) -> np.ndarray:
 
 
 def stationary_Y(p: SystemParams) -> np.ndarray:
-    """Stationary point of the lower affine field."""
-    return _SWAP @ _stationary_canonical(p.a, p.c, p.h, p.lam)
+    """Stationary point of the lower affine field, the S-image of the upper one."""
+    return INVOLUTION @ _stationary_canonical(p.A, p.C, p.H, p.Lambda)
 
 
 def flow_X(p: SystemParams, s0, t) -> np.ndarray:
     """Exact solution of sdot = X(s) at time t from s0; an ndarray t gives
     the states as rows of shape t.shape + (3,)."""
-    ss = stationary_X(p)
+    ss = _stationary_canonical(p.A, p.C, p.H, p.Lambda)
     return ss + _phi_canonical(p.A, p.C, p.H, t) @ (np.asarray(s0, dtype=float) - ss)
 
 
 def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     """Exact solution of sdot = Y(s) at time t from s0; an ndarray t gives
     the states as rows of shape t.shape + (3,)."""
-    s0 = np.asarray(s0, dtype=float)
-    ss = _stationary_canonical(p.a, p.c, p.h, p.lam)
-    inner = ss + _phi_canonical(p.a, p.c, p.h, t) @ (_SWAP @ s0 - ss)
-    return inner @ _SWAP  # _SWAP is symmetric: the rows of inner, swapped
+    ss = _stationary_canonical(p.A, p.C, p.H, p.Lambda)
+    mirrored = INVOLUTION @ np.asarray(s0, dtype=float)
+    inner = ss + _phi_canonical(p.A, p.C, p.H, t) @ (mirrored - ss)
+    return inner @ INVOLUTION  # S is symmetric: S applied to each row of inner
 
 
-def plane_flight(p: SystemParams, q, t: float, field: str = "X"):
-    """State at time t of the ``field`` orbit from the plane point q = (x, y, 0),
-    with the first two columns of that field's fundamental matrix at t.
+def plane_flight(p: SystemParams, q, t: float):
+    """State at time t of the upper-field orbit from the plane point
+    q = (x, y, 0), with the first two columns of the fundamental matrix at t.
 
     Returns ((x, y, z), Phi[:, 0], Phi[:, 1]) as tuples of floats for one
-    scalar t: the closed form of flow_X/flow_Y and fundamental_X/Y written
-    with ``math``, equal to them up to round-off, with no 3x3 temporaries.
+    scalar t: the closed form of flow_X and fundamental_X written with
+    ``math``, equal to them up to round-off, with no 3x3 temporaries.
     """
-    if field == "X":
-        A, C, H, L = p.A, p.C, p.H, p.Lambda
-        u, v = float(q[0]), float(q[1])
-    elif field == "Y":  # the swap-conjugate of the canonical arrangement
-        A, C, H, L = p.a, p.c, p.h, p.lam
-        u, v = float(q[1]), float(q[0])
-    else:
-        raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
+    A, C, H, L = p.A, p.C, p.H, p.Lambda
+    u, v = float(q[0]), float(q[1])
     c2 = 1.0 + C * C
     beta = C - A
     den = beta * beta + 1.0
@@ -149,28 +136,19 @@ def plane_flight(p: SystemParams, q, t: float, field: str = "X"):
     x = xs + e_at * du + p01 * dv - p02 * zs
     y = ys + p11 * dv - p12 * zs
     z = zs + p21 * dv - p22 * zs
-    if field == "X":
-        return (x, y, z), (e_at, 0.0, 0.0), (p01, p11, p21)
-    return (y, x, z), (p11, p01, p21), (0.0, e_at, 0.0)
+    return (x, y, z), (e_at, 0.0, 0.0), (p01, p11, p21)
 
 
-def z_closed_form(p: SystemParams, s0, field: str = "X"):
-    """Closed-form z(t) and dz/dt(t) along one field's orbit from s0.
+def z_closed_form(p: SystemParams, s0):
+    """Closed-form z(t) and dz/dt(t) along the upper-field orbit from s0.
 
-    The z component of either piece decouples into a driven 2D rotation, so
-    it admits the scalar closed form
-    z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz).
+    The z component decouples into a driven 2D rotation, so it admits the
+    scalar closed form z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz).
     Both returned callables take a scalar t.
     """
     C = p.C
-    if field == "X":
-        L_eff, ylike = p.Lambda, s0[1]
-    elif field == "Y":
-        L_eff, ylike = p.lam, s0[0]
-    else:
-        raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
-    zs = L_eff / (1.0 + C * C)
-    wy = float(ylike) + 2.0 * C * zs
+    zs = p.Lambda / (1.0 + C * C)
+    wy = float(s0[1]) + 2.0 * C * zs
     wz = float(s0[2]) - zs
 
     def z(t):

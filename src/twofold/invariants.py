@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .system import REL_TOL, SystemParams, eval_X, eval_Y
+from .system import INVOLUTION, REL_TOL, SystemParams, eval_X, eval_Y
 
 __all__ = [
     "DarbouxPair",
@@ -54,18 +54,16 @@ class DarbouxPair:
         x, y, z = np.asarray(s, dtype=float)
         return x - self.params.H * (self.params.A * z + y)
 
-    # lower field: Y(F1) = 2c F1, Y(F2) = a F2
+    # lower field, Y(s) = S X(S s): F1 = f1 o S and F2 = -f2 o S, with
+    # Y(F1) = 2C F1 and Y(F2) = A F2
     def F1(self, s) -> float:
         x, y, z = np.asarray(s, dtype=float)
-        c, lam = self.params.c, self.params.lam
-        c2 = c * c + 1.0
-        return (x * x + 2.0 * c * (z + lam / c2) * x + c2 * z * z
-                + 2.0 * lam * (c * c - 1.0) * z / c2 + lam * lam / c2)
+        return self.f1((-y, -x, -z))
 
     def F2(self, s) -> float:
-        # z = 0 trace is the focal line y = h x
+        # z = 0 trace is the focal line y = H x
         x, y, z = np.asarray(s, dtype=float)
-        return y - self.params.h * (self.params.a * z + x)
+        return -self.f2((-y, -x, -z))
 
     @property
     def cofactor_f1(self) -> float:
@@ -75,13 +73,8 @@ class DarbouxPair:
     def cofactor_f2(self) -> float:
         return self.params.A
 
-    @property
-    def cofactor_F1(self) -> float:
-        return 2.0 * self.params.c
-
-    @property
-    def cofactor_F2(self) -> float:
-        return self.params.a
+    cofactor_F1 = cofactor_f1
+    cofactor_F2 = cofactor_f2
 
     def gradient_f1(self, s) -> np.ndarray:
         x, y, z = np.asarray(s, dtype=float)
@@ -97,19 +90,14 @@ class DarbouxPair:
         H, A = self.params.H, self.params.A
         return np.array([1.0, -H, -H * A])
 
+    # S is symmetric, so the gradient of g o S at s is S grad g(S s)
     def gradient_F1(self, s) -> np.ndarray:
         x, y, z = np.asarray(s, dtype=float)
-        c, lam = self.params.c, self.params.lam
-        c2 = c * c + 1.0
-        return np.array([
-            2.0 * x + 2.0 * c * (z + lam / c2),
-            0.0,
-            2.0 * c * x + 2.0 * c2 * z + 2.0 * lam * (c * c - 1.0) / c2,
-        ])
+        return INVOLUTION @ self.gradient_f1((-y, -x, -z))
 
     def gradient_F2(self, s) -> np.ndarray:
-        h, a = self.params.h, self.params.a
-        return np.array([-h, 1.0, -h * a])
+        x, y, z = np.asarray(s, dtype=float)
+        return -(INVOLUTION @ self.gradient_f2((-y, -x, -z)))
 
 
 def _power_exponent(p: SystemParams) -> float:
@@ -141,7 +129,7 @@ def eval_P_X(p: SystemParams, s) -> float:
 
 
 def eval_P_Y(p: SystemParams, s) -> float:
-    """First integral of the lower field, F1 * F2^(-2c/a)."""
+    """First integral of the lower field, F1 * F2^(-2C/A)."""
     pair = DarbouxPair(p)
     if p.resonant:
         return pair.F1(s) * pair.F2(s)
@@ -264,12 +252,16 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
     return _branch_x(p, y, gamma1_conic(p))
 
 
-def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
-    """gamma1_branch_x with the caller's gamma1_conic(p), for loops over y."""
+def _check_branch_domain(p: SystemParams):
     if not p.resonant:
         raise DomainError("branch parametrization requires the resonant family")
     if not 0.0 < p.H < 1.0:
         raise DomainError(f"branch parametrization requires 0 < H < 1, got H={p.H}")
+
+
+def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
+    """gamma1_branch_x with the caller's gamma1_conic(p), for loops over y."""
+    _check_branch_domain(p)
     rad = _branch_radicand(p, y)
     if rad < 0.0:
         if rad < -1e-12:
@@ -284,14 +276,12 @@ def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
 
 
 def branch_min_y(p: SystemParams) -> float:
-    """Smallest y admissible on the branch (radicand root, clipped positive)."""
-    C, H, L = p.C, p.H, p.Lambda
-    c2 = C * C + 1.0
-    a = gamma1_discriminant(H) / (4.0 * H * H)
-    b = L * C * (1.0 - H) / (H * c2)
-    c = L * L * (c2 - H) / (H * c2 * c2)
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return 1e-9
-    root = (-b + np.sqrt(disc)) / (2.0 * a)
-    return float(max(root, 0.0) + 1e-9)
+    """Smallest y the branch is sampled at: the positive floor 1e-9.
+
+    For 0 < H < 1 the radicand of gamma1_branch_x is positive for every y:
+    its discriminant in y is L^2 (1 - H) / (H^2 c2^2) times
+    C^2 (1 - H) - (3H + 1)(c2 - H) / H < 0, with c2 = C^2 + 1.  So the
+    branch reaches down to y = 0 and the floor only keeps y positive.
+    """
+    _check_branch_domain(p)
+    return 1e-9

@@ -17,6 +17,11 @@ Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
 arrives at is solved backward.  Either way the flight time is positive and
 the orbit stays in the correct half-space during the flight.
+
+Both kernels work in the upper chart only.  The lower orbit from s is the
+S-image of the upper orbit from S s, with S(x, y, z) = (-y, -x, -z), so a
+lower-field solve mirrors its start, runs the upper kernel and mirrors the
+result back.
 """
 from __future__ import annotations
 
@@ -76,13 +81,16 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
     TangentialGrazeError if the flight does not enter the half-space or the
     exit slope is below 1e-10 (1 + scale).
     """
+    if field == "Y":  # the Y orbit from s0 is the S-image of the X orbit from S s0
+        s0 = (-s0[1], -s0[0], -s0[2])
+    elif field != "X":
+        raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
     if t_max <= 0:
         raise NoReturnError("empty search window")
-    z, dz = flow.z_closed_form(p, s0, field)
+    z, dz = flow.z_closed_form(p, s0)
     C = p.C
-    side = 1.0 if field == "X" else -1.0
     tsign = 1.0 if forward else -1.0
-    # side * z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
+    # z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
     # (alpha sin t + beta cos t) with beta = dz(0) and alpha = e^{-C pi/2}
     # dz(pi/2), so the critical points of z are exactly phase + k pi and z
     # is monotone between them.
@@ -92,17 +100,17 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
         # so z is constant: no crossing, however long the window
         raise NoReturnError("z is stationary along the orbit")
     phase = (tsign * math.atan2(-beta, alpha)) % math.pi
-    lo, zlo = 0.0, None if skip_zero_start else side * z(0.0)
+    lo, zlo = 0.0, None if skip_zero_start else z(0.0)
     k = 0
     while zlo is None or zlo > 0.0:  # walk while the left end is in the half-space
         hi = min(phase + k * math.pi, t_max)
-        zhi = side * z(tsign * hi)
+        zhi = z(tsign * hi)
         if zhi <= 0.0:
             break
         if hi == t_max:
             raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
         lo, zlo, k = hi, zhi, k + 1
-    if zlo is None and hi == t_max and side * tsign * beta > 0.0:
+    if zlo is None and hi == t_max and tsign * beta > 0.0:
         # the window closes before the first critical point of a rising flight
         raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
     if zlo is None or zlo <= 0.0:
@@ -116,11 +124,11 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
     u_lo = tsign * lo
 
     def envelope_free(t):
-        # side e^{-C(u - u_lo)} z(u) at u = tsign t and its t-derivative: the
-        # sign of z without the e^{Cu} bend; the constant e^{C u_lo} keeps the
+        # e^{-C(u - u_lo)} z(u) at u = tsign t and its t-derivative: the sign
+        # of z without the e^{Cu} bend; the constant e^{C u_lo} keeps the
         # weight within e^{|C| pi} on the bracket, however long the window
         u = tsign * t
-        w = side * math.exp(-C * (u - u_lo))
+        w = math.exp(-C * (u - u_lo))
         zu = z(u)
         return w * zu, w * tsign * (dz(u) - C * zu)
 
@@ -157,17 +165,21 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
     raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")
 
 
-def _half_return(p: SystemParams, start, field: str, lie: float, t_max: float) -> HalfReturn:
+def _half_return(p: SystemParams, start, field: str, t_max: float) -> HalfReturn:
     x0, y0 = float(start[0]), float(start[1])
+    # the Y half-orbit from q is the S-image of the X half-orbit from S q
+    u, v = (x0, y0) if field == "X" else (-y0, -x0)
     scale = math.hypot(x0, y0)
-    if abs(lie) < 1e-10 * (1.0 + scale):
+    if abs(v) < 1e-10 * (1.0 + scale):  # v is the X Lie derivative at (u, v)
         raise TangentialGrazeError(
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
-    # ascending starts open the upper half-orbit, descending ones the lower
-    forward = lie > 0 if field == "X" else lie < 0
-    t, iterations = first_crossing(p, (x0, y0, 0.0), field, t_max, scale, forward=forward)
-    (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (x0, y0), t if forward else -t, field)
+    forward = v > 0  # an ascending start opens the upper half-orbit
+    t, iterations = first_crossing(p, (u, v, 0.0), "X", t_max, scale, forward=forward)
+    (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
+    if field == "Y":  # end and Phi_Y = S Phi_X S back in the lower chart
+        (x1, y1), phi0, phi1 = ((-y1, -x1), (phi1[1], phi1[0], phi1[2]),
+                                (phi0[1], phi0[0], phi0[2]))
     return HalfReturn(
         t=t,
         start=np.array([x0, y0]),
@@ -187,7 +199,7 @@ def half_return_X(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> Ha
     arrives at ``start`` and the solve runs backward.  The returned time is
     the positive flight duration and ``end`` the other crossing point.
     """
-    return _half_return(p, start, "X", float(start[1]), t_max)
+    return _half_return(p, start, "X", t_max)
 
 
 def half_return_Y(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> HalfReturn:
@@ -197,7 +209,7 @@ def half_return_Y(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> Ha
     arrives at ``start`` (this is the orientation that closes a symmetric
     cycle from a first-quadrant point) and the solve runs backward.
     """
-    return _half_return(p, start, "Y", float(start[0]), t_max)
+    return _half_return(p, start, "Y", t_max)
 
 
 @dataclass(frozen=True)

@@ -100,38 +100,35 @@ def tangency_lines(p: SystemParams):
 def fold_info(p: SystemParams, q) -> FoldInfo:
     """Fold classification at a tangency point.
 
-    The second Lie derivatives are affine on the plane: X(Xf) = 2C Xf + X_2
-    and Y(Yf) = 2c Yf + Y_1, which on the respective tangency lines reduce to
-    the constants Lambda and -Lambda.  Visibility conventions differ between
-    the two fields because they act on opposite half-spaces: an X fold is
-    visible when X(Xf) > 0, a Y fold when Y(Yf) < 0.
+    The second Lie derivative of X is affine on the plane, X(Xf) = 2C Xf + X_2,
+    and reduces to the constant Lambda on L_X.  Visibility conventions differ
+    between the two fields because they act on opposite half-spaces: an X
+    fold is visible when X(Xf) > 0, a Y fold when Y(Yf) < 0.  Since
+    Y = S X S and Yf = -Xf o S, a Y fold at q is the X fold at S q with both
+    Lie derivatives negated and the same kind.
     """
     x, y = float(q[0]), float(q[1])
     tol = tangency_tolerance(q)
-    s3 = np.array([x, y, 0.0])
     if abs(y) < tol:  # on L_X
-        vx = eval_X(p, s3)
-        second = 2.0 * p.C * vx[2] + vx[1]
-        third = (3.0 * p.C ** 2 - 1.0) * y + 2.0 * p.C * p.Lambda
-        if abs(second) < tol:
-            kind = FoldKind.CUSP
-        elif second > 0:
-            kind = FoldKind.VISIBLE
-        else:
-            kind = FoldKind.INVISIBLE
-        return FoldInfo("X", kind, second, third)
-    if abs(x) < tol:  # on L_Y
-        vy = eval_Y(p, s3)
-        second = 2.0 * p.c * vy[2] + vy[0]
-        third = (3.0 * p.c ** 2 - 1.0) * x + 2.0 * p.c * p.lam
-        if abs(second) < tol:
-            kind = FoldKind.CUSP
-        elif second < 0:
-            kind = FoldKind.VISIBLE
-        else:
-            kind = FoldKind.INVISIBLE
-        return FoldInfo("Y", kind, second, third)
+        return FoldInfo("X", *_fold_X(p, x, y, tol))
+    if abs(x) < tol:  # on L_Y, where S q = (-y, -x) lies on L_X
+        kind, second, third = _fold_X(p, -y, -x, tol)
+        return FoldInfo("Y", kind, -second, -third)
     raise ValueError(f"point {q!r} lies on neither tangency line")
+
+
+def _fold_X(p: SystemParams, x: float, y: float, tol: float):
+    """(kind, X(Xf), X(X(Xf))) at the point (x, y, 0) of L_X."""
+    vx = eval_X(p, np.array([x, y, 0.0]))
+    second = 2.0 * p.C * vx[2] + vx[1]
+    third = (3.0 * p.C ** 2 - 1.0) * y + 2.0 * p.C * p.Lambda
+    if abs(second) < tol:
+        kind = FoldKind.CUSP
+    elif second > 0:
+        kind = FoldKind.VISIBLE
+    else:
+        kind = FoldKind.INVISIBLE
+    return kind, second, third
 
 
 def sliding_field(p: SystemParams, q) -> np.ndarray:

@@ -6,8 +6,9 @@ four reals: A is the real eigenvalue of DX, C the real part of its complex
 eigenvalue pair C ± i (frequency normalized to 1), H the slope parameter of
 the focal line x = H y on the switching plane, and Lambda the second Lie
 derivative at the fold line of X (fold visibility).  The lower field is the
-image of the upper one under the involution S(x, y, z) = (-y, -x, -z), which
-forces the mirror parameters (a, c, h, lambda) = (A, C, H, -Lambda).
+image of the upper one under the involution S(x, y, z) = (-y, -x, -z),
+Y(s) = S X(S s), so the library keeps one chart, the upper one: every Y
+quantity is the S-conjugate of an X-chart kernel.
 """
 from __future__ import annotations
 
@@ -49,11 +50,11 @@ INVOLUTION = np.array([
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Parameters of one member of the family, upper-field chart.
+    """Parameters of one member of the family, in the upper-field chart.
 
-    The mirror parameters of the lower field are exposed as read-only
-    properties.  ``resonant`` is True iff A + 2C == 0 exactly, the regime in
-    which the two fields share a polynomial first integral.
+    They fix both fields: the lower field's quantities are the S-conjugates
+    of the upper ones.  ``resonant`` is True iff A + 2C == 0 exactly, the
+    regime in which the two fields share a polynomial first integral.
     """
 
     A: float
@@ -61,22 +62,6 @@ class SystemParams:
     H: float
     Lambda: float
     resonant: bool = False
-
-    @property
-    def a(self) -> float:
-        return self.A
-
-    @property
-    def c(self) -> float:
-        return self.C
-
-    @property
-    def h(self) -> float:
-        return self.H
-
-    @property
-    def lam(self) -> float:
-        return -self.Lambda
 
 
 def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
@@ -104,25 +89,24 @@ def resonant_system(C: float, H: float, Lambda: float) -> SystemParams:
     return build_system(-2.0 * float(C), C, H, Lambda)
 
 
+def _field(p: SystemParams, x, y, z) -> tuple:
+    """The upper field's components at (x, y, z), the kernel of eval_X and eval_Y."""
+    return (p.A * x - p.H * (((p.A - p.C) ** 2 + 1.0) * z - p.Lambda),
+            p.Lambda - (1.0 + p.C ** 2) * z,
+            2.0 * p.C * z + y)
+
+
 def eval_X(p: SystemParams, s) -> np.ndarray:
     """Upper vector field at a point s = (x, y, z)."""
     x, y, z = np.asarray(s, dtype=float)
-    return np.array([
-        p.A * x - p.H * (((p.A - p.C) ** 2 + 1.0) * z - p.Lambda),
-        p.Lambda - (1.0 + p.C ** 2) * z,
-        2.0 * p.C * z + y,
-    ])
+    return np.array(_field(p, x, y, z))
 
 
 def eval_Y(p: SystemParams, s) -> np.ndarray:
-    """Lower vector field at a point s = (x, y, z), in mirror parameters."""
+    """Lower vector field at a point s = (x, y, z): Y(s) = S X(S s)."""
     x, y, z = np.asarray(s, dtype=float)
-    a, c, h, lam = p.a, p.c, p.h, p.lam
-    return np.array([
-        lam - (1.0 + c ** 2) * z,
-        a * y - h * (((a - c) ** 2 + 1.0) * z - lam),
-        2.0 * c * z + x,
-    ])
+    u, v, w = _field(p, -y, -x, -z)
+    return np.array([-v, -u, -w])
 
 
 def apply_involution(s) -> np.ndarray:
@@ -131,8 +115,7 @@ def apply_involution(s) -> np.ndarray:
     return np.array([-y, -x, -z])
 
 
-def jacobian_X(p: SystemParams) -> np.ndarray:
-    """Linear part DX of the upper field."""
+def _jacobian(p: SystemParams) -> np.ndarray:
     return np.array([
         [p.A, 0.0, -p.H * ((p.A - p.C) ** 2 + 1.0)],
         [0.0, 0.0, -(1.0 + p.C ** 2)],
@@ -140,14 +123,14 @@ def jacobian_X(p: SystemParams) -> np.ndarray:
     ])
 
 
+def jacobian_X(p: SystemParams) -> np.ndarray:
+    """Linear part DX of the upper field."""
+    return _jacobian(p)
+
+
 def jacobian_Y(p: SystemParams) -> np.ndarray:
-    """Linear part DY of the lower field."""
-    a, c, h = p.a, p.c, p.h
-    return np.array([
-        [0.0, 0.0, -(1.0 + c ** 2)],
-        [0.0, a, -h * ((a - c) ** 2 + 1.0)],
-        [1.0, 0.0, 2.0 * c],
-    ])
+    """Linear part DY = S DX S of the lower field."""
+    return INVOLUTION @ _jacobian(p) @ INVOLUTION
 
 
 def params_to_dict(p: SystemParams) -> dict:

@@ -84,6 +84,11 @@ def test_malformed_config_is_usage_error(tmp_path):
     bad.write_text("{not json")
     proc = run_cli("find-cycle", "--config", str(bad))
     assert proc.returncode == 2
+    # a value that is not a number is a usage error too
+    bad.write_text(json.dumps({"C": "abc", "H": 0.5, "Lambda": 1}))
+    proc = run_cli("classify-conic", "--config", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: C must be a number, got 'abc'")
 
 
 def test_numerical_failure_exit_code():

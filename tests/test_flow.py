@@ -142,9 +142,12 @@ def test_z_closed_form_consistency(params):
     for field in ("X", "Y"):
         flow = flow_X if field == "X" else flow_Y
         s0 = rng.uniform(-2, 2, 3)
-        z, dz = z_closed_form(params, s0, field)
+        # the kernel is the upper field's: the lower orbit's z is -z along
+        # the upper orbit from S s0
+        sign, start = (1.0, s0) if field == "X" else (-1.0, apply_involution(s0))
+        z, dz = z_closed_form(params, start)
         for t in (-1.3, 0.2, 2.5):
-            assert np.isclose(z(t), flow(params, s0, t)[2], atol=1e-12)
+            assert np.isclose(sign * z(t), flow(params, s0, t)[2], atol=1e-12)
             h = 1e-6
             assert np.isclose(dz(t), (z(t + h) - z(t - h)) / (2 * h), atol=1e-7)
 
@@ -175,10 +178,15 @@ def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0,
        t=st.floats(0.0, 2.0 * np.pi), forward=st.booleans(), field=st.sampled_from("XY"))
 def test_plane_flight_matches_array_kernels(A, C, c_sign, H, Lambda, q, t, forward, field):
     # the scalar kernel of the half-return against flow_X/Y and
-    # fundamental_X/Y at the same time, for both fields and time directions
+    # fundamental_X/Y at the same time, for both fields and time directions;
+    # the Y flight from q is the S-image of the kernel's X flight from S q
     p = build_system(A, c_sign * C, H, Lambda)
     t = t if forward else -t
-    state, phi0, phi1 = plane_flight(p, q, t, field)
+    if field == "X":
+        state, phi0, phi1 = plane_flight(p, q, t)
+    else:
+        (x, y, z), col0, col1 = plane_flight(p, (-q[1], -q[0]), t)
+        state, phi0, phi1 = (-y, -x, -z), (col1[1], col1[0], col1[2]), (col0[1], col0[0], col0[2])
     flow, fundamental, stationary = ((flow_X, fundamental_X, stationary_X) if field == "X"
                                      else (flow_Y, fundamental_Y, stationary_Y))
     s0, ss, phi = np.array([q[0], q[1], 0.0]), stationary(p), fundamental(p, t)

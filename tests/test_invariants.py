@@ -42,7 +42,7 @@ def test_focal_plane_traces(params):
     for y in (-2.0, 0.7, 5.0):
         assert pair.f2((params.H * y, y, 0.0)) == 0.0  # x = H y
     for x in (-1.0, 0.4, 3.0):
-        assert pair.F2((x, params.h * x, 0.0)) == 0.0  # y = h x
+        assert pair.F2((x, params.H * x, 0.0)) == 0.0  # y = H x
 
 
 def test_p_y_of_involution_image(params):

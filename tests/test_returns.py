@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from twofold import (apply_involution, build_system, critical_h, eval_X, eval_Y,
-                     flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
+from twofold import (HalfReturn, apply_involution, build_system, critical_h, eval_X,
+                     eval_Y, flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
                      half_return_Y, resonant_system, series_coeffs,
                      time_matching, time_matching_table)
 from twofold.errors import NoReturnError, TangentialGrazeError
@@ -54,15 +54,39 @@ def test_flight_time_approaches_pi(params):
     assert abs(u - math.pi) <= 1e-6
 
 
-def test_half_return_conjugacy(params):
-    q = np.array([3.0, 2.0])
-    hrx = half_return_X(params, q)
-    mirror = apply_involution([q[0], q[1], 0.0])[:2]
-    hry = half_return_Y(params, mirror)
-    assert hry.forward
-    assert np.isclose(hry.t, hrx.t, rtol=1e-12)
-    expected_end = apply_involution([hrx.end[0], hrx.end[1], 0.0])[:2]
-    assert np.allclose(hry.end, expected_end, atol=1e-9 * (1 + np.abs(hrx.end).max()))
+def _mirror(q):
+    return apply_involution([q[0], q[1], 0.0])[:2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(C=st.floats(0.01, 2.0), c_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(1e-3, 0.999), Lambda=st.floats(0.2, 2.0),
+       l_sign=st.sampled_from([1.0, -1.0]),
+       q=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+def test_half_return_conjugacy(C, c_sign, H, Lambda, l_sign, q):
+    # the lower half-orbit from q is the S-image of the upper one from S q,
+    # for C of either sign and Lambda of either sign (visible or invisible folds)
+    p = resonant_system(c_sign * C, H, l_sign * Lambda)
+    outcomes = []
+    for solve, start in ((half_return_Y, q), (half_return_X, _mirror(q))):
+        try:
+            outcomes.append(solve(p, start))
+        except (NoReturnError, TangentialGrazeError) as exc:
+            outcomes.append(type(exc))
+    hry, hrx = outcomes
+    if not isinstance(hrx, HalfReturn):
+        assert hry is hrx
+        return
+    assert isinstance(hry, HalfReturn) and hry.field == "Y"
+    assert hry.forward == hrx.forward
+    assert abs(hry.t - hrx.t) <= 1e-12 * hrx.t
+    scale = 1e-12 * (1.0 + np.abs(hrx.end).max())
+    assert np.max(np.abs(hry.end - _mirror(hrx.end))) <= scale
+    # Phi_Y = S Phi_X S: its first two columns are the X columns in reverse
+    # order, each with its x and y entries swapped
+    phi_x, phi_y = np.array(hrx.phi).T, np.array(hry.phi).T
+    assert np.allclose(phi_y, phi_x[[1, 0, 2], ::-1], rtol=1e-12,
+                       atol=1e-12 * np.abs(phi_x).max())
 
 
 def test_backward_x_recovers_forward_flight(params):
@@ -196,6 +220,30 @@ def test_exit_graze_detected():
         first_crossing(p, (0.0, 0.0, 2e-12), "X", 8.0, 2e-12, skip_zero_start=False)
 
 
+# the desk-case upper orbit through the visible fold point (-3, 0, 0), flowed
+# back by 1.5: forward from here it touches the plane at its critical point
+# t = 1.5, where z rounds to +5.6e-17
+_TOUCH = (-60.326445232667744, -0.9842163968634337, 0.3808225903776076)
+
+
+def test_rounded_tangency_is_passed_over(desk_params):
+    # documented behaviour: a touch whose z at the critical point rounds to a
+    # tiny positive value is not a crossing; the walk goes on past it.  The
+    # S-mirrored start of the lower field has the same outcome.
+    p = desk_params
+    z, dz = z_closed_form(p, _TOUCH)
+    alpha, beta = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
+    touch = math.atan2(-beta, alpha) % math.pi  # the first critical point of z
+    assert abs(touch - 1.5) <= 1e-12 and 0.0 < z(touch) <= 1e-16
+    scale = max(map(abs, _TOUCH))
+    for field, s0 in (("X", _TOUCH), ("Y", tuple(apply_involution(_TOUCH)))):
+        with pytest.raises(NoReturnError):
+            first_crossing(p, s0, field, 2.0, scale, skip_zero_start=False)
+        # a longer window finds the next crossing, about pi later
+        t, _ = first_crossing(p, s0, field, 8.0 * math.pi, scale, skip_zero_start=False)
+        assert t == pytest.approx(5.4407331356929145, rel=1e-13)
+
+
 def _rk4_first_crossing(field, s0, side, direction, t_max, h=2e-3):
     """Oracle: first time side * z <= 0 along the RK4 orbit, or None.
 
@@ -260,7 +308,7 @@ def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
         return
     # the oracle's grid resolves only crossings that stay below the plane
     # for more than a step: keep to clearly transversal exits
-    zf, dzf = z_closed_form(p, s0, field)
+    zf, dzf = z_closed_form(p, s0 if field == "X" else apply_involution(s0))
     assume(abs(dzf(direction * t)) > 1e-2 * (1.0 + np.max(np.abs(s0))))
     assert oracle is not None
     assert abs(oracle - t) <= 1e-7 * (1.0 + t)
@@ -280,7 +328,7 @@ def _mp_first_crossing(p, s0, field, t_max, direction):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         C = mpmath.mpf(p.C)
-        lam, ylike = (p.Lambda, s0[1]) if field == "X" else (p.lam, s0[0])
+        lam, ylike = (p.Lambda, s0[1]) if field == "X" else (-p.Lambda, s0[0])
         zs = mpmath.mpf(lam) / (1 + C * C)
         wy = mpmath.mpf(ylike) + 2 * C * zs
         wz = mpmath.mpf(s0[2]) - zs

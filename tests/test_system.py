@@ -15,7 +15,6 @@ _ELLIPSE = resonant_system(1.0, 1.5, 1.0)
 def test_build_valid_resonant():
     p = build_system(-2.0, 1.0, 0.04, 1.0)
     assert p.resonant
-    assert (p.a, p.c, p.h, p.lam) == (-2.0, 1.0, 0.04, -1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -29,9 +28,10 @@ def test_build_valid_resonant():
     lambda: tf.stability_band((0.5, 1.0), (0.1, 0.5), 1),
     lambda: tf.time_matching(resonant_system(1.0, 0.5, 1.0), -1.0),
     lambda: tf.find_cycle_newton(_ELLIPSE, 5.0),
+    lambda: tf.branch_min_y(_ELLIPSE),
 ], ids=["build_system", "resonant_system", "series_off_resonance", "series_ellipse",
         "conic", "branch_x", "asymptotic_invariants", "stability_band",
-        "time_matching", "find_cycle_newton"])
+        "time_matching", "find_cycle_newton", "branch_min_y"])
 def test_parameter_guards_raise_domain_error(call):
     # one contract: a parameter outside a routine's range is a DomainError,
     # which is also a ValueError for callers that catch that
