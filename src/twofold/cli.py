@@ -105,9 +105,6 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
 
 
-_THREADS_HELP = "accepted and ignored; outputs are bit-for-bit reproducible"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twofold",
@@ -152,18 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hmin", type=float, default=None)
     sp.add_argument("--hmax", type=float, default=None)
     sp.add_argument("--grid", type=int, default=None, help="grid count per axis (default 400)")
-    sp.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sp.add_argument("--boundaries", default=None,
                     help="output path for boundary polylines CSV")
     sp.set_defaults(handler=cmd_stability_band)
 
     sp = sub.add_parser("scan", help="cycle catalogue over an H grid")
-    _add_param_flags(sp)
+    # A = -2C, and scan sets H itself
+    sp.add_argument("--C", type=float, default=None, help="real part of the complex pair")
+    sp.add_argument("--Lambda", type=float, default=None, help="fold-visibility parameter")
     _add_common(sp)
     sp.add_argument("--hmin", type=float, default=None)
     sp.add_argument("--hmax", type=float, default=None)
     sp.add_argument("--count", type=int, default=None, help="number of H values (default 20)")
-    sp.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sp.set_defaults(handler=cmd_scan)
 
     # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
@@ -255,6 +252,8 @@ def cmd_simulate(merged: dict) -> int:
     dt = _number(merged, "dt", 0.01)
     if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
         raise DomainError("t-max and dt must be positive and finite")
+    if not math.isfinite(t_max / dt):
+        raise DomainError(f"t-max / dt must be finite, got {t_max!r} / {dt!r}")
     # the whole text is built before the output opens, so a run that fails
     # part way leaves no partial file
     _write_text(merged["output"], list(_simulate_rows(p, s0, t_max, dt)))
@@ -345,8 +344,7 @@ def cmd_scan(merged: dict) -> int:
     if merged.get("C") is None or merged.get("Lambda") is None:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
-    p_base = resonant_system(_number(merged, "C"), _number(merged, "H", 0.5),
-                             _number(merged, "Lambda"))
+    p_base = resonant_system(_number(merged, "C"), 0.5, _number(merged, "Lambda"))
     hc = float(stability.critical_h(p_base.C))
     h_lo, h_hi = _number(merged, "hmin", 0.5 * hc), _number(merged, "hmax", 0.995 * hc)
     count = _number(merged, "count", 20, int)
@@ -377,7 +375,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TwofoldError, ValueError, ArithmeticError, OSError) as exc:
+    except (TwofoldError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergenceError, NoConvergenceError, NoCycleError, NoReturnError,
-                     NotACycleError, TangentialGrazeError)
+from .errors import (BranchPointError, DivergenceError, NoConvergenceError, NoCycleError,
+                     NoReturnError, NotACycleError, TangentialGrazeError, TwofoldError)
 from .invariants import _branch_x, branch_min_y, gamma1_branch_x, gamma1_conic
-from .returns import DEFAULT_T_MAX, _bracketed_root, half_return_X, half_return_Y, series_coeffs
+from .returns import _bracketed_root, half_return_X, half_return_Y, series_coeffs
 from .system import SystemParams
 
 __all__ = [
@@ -50,24 +50,21 @@ class SymmetricCycle:
     residual: float
 
 
-def closure_residual(p: SystemParams, y0: float, *,
-                     t_max: float = DEFAULT_T_MAX) -> np.ndarray:
+def closure_residual(p: SystemParams, y0: float) -> np.ndarray:
     """(x1 + y0, y1 + x0) for the upper half-orbit from the branch point at y0.
 
     Vanishes exactly at a symmetric cycle.
     """
-    r, _, hrx = _closure(p, y0, t_max)
+    r, _, hrx = _closure(p, y0, gamma1_conic(p))
     return np.array([r, hrx.end[1] + hrx.start[0]])
 
 
-def _closure(p, y0, t_max, conic=None):
+def _closure(p, y0, conic):
     """(r, dr/dy0, hrx): r = x1 + y0 and its exact slope (see find_cycle_newton)
     for the X half-return hrx from the branch point at y0.  ``conic`` is
     gamma1_conic(p); the solvers build it once per solve and pass it in."""
-    if conic is None:
-        conic = gamma1_conic(p)
     x0 = _branch_x(p, y0, conic)
-    hrx = half_return_X(p, (x0, y0), t_max=t_max)
+    hrx = half_return_X(p, (x0, y0))
     axx, axy, ayy, bx, by, _ = conic.coefficients
     dx0 = -(axy * x0 + 2.0 * ayy * y0 + by) / (2.0 * axx * x0 + axy * y0 + bx)
     x1, y1 = hrx.end.tolist()
@@ -77,8 +74,7 @@ def _closure(p, y0, t_max, conic=None):
     return x1 + y0, slope, hrx
 
 
-def find_cycle_newton(p: SystemParams, y0_init: float | None = None, *,
-                      t_max: float = DEFAULT_T_MAX) -> SymmetricCycle:
+def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> SymmetricCycle:
     """Symmetric cycle at a sign change of r(y0) = x1 + y0 along the branch.
 
     The slope is exact, d(x1 + y0)/dy0 = e1^T (I - X(end) e3^T / X_z(end))
@@ -91,6 +87,8 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None, *,
 
     Raises
     ------
+    DomainError
+        If y0_init is NaN or +inf, or p is outside the resonant 0 < H < 1 range.
     NoCycleError
         If r keeps one sign on the grid: sampled evidence, not proof.
     NoConvergenceError
@@ -104,12 +102,13 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None, *,
 
     def closure(y0):
         nonlocal last
-        r, slope, hrx = _closure(p, y0, t_max, conic)
+        r, slope, hrx = _closure(p, y0, conic)
         last = y0, r, hrx
         return sign * r, sign * slope
 
     bracket, done = None, False
-    raises = (NoReturnError, TangentialGrazeError, NoConvergenceError, ArithmeticError)
+    raises = (NoReturnError, TangentialGrazeError, NoConvergenceError, DivergenceError,
+              BranchPointError)
     if y0_init is not None:
         y0, prev_y, prev_r = max(float(y0_init), y_floor), None, 0.0
         for _ in range(50):
@@ -152,7 +151,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None, *,
     p0, p1 = hrx.start, hrx.end
     x0 = float(p0[0])
     r2 = float(p1[1] + x0)
-    t_x, t_y = hrx.t, half_return_Y(p, p0, t_max=t_max).t
+    t_x, t_y = hrx.t, half_return_Y(p, p0).t
     T = t_x + t_y
     scale = 1.0 + float(np.max(np.abs(p0)))
     problems = []
@@ -170,7 +169,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None, *,
                           residual=math.hypot(r, r2))
 
 
-def return_map(p: SystemParams, q, *, t_max: float = DEFAULT_T_MAX) -> np.ndarray:
+def return_map(p: SystemParams, q) -> np.ndarray:
     """Full crossing return map from a first-quadrant point of the plane.
 
     Composes the forward upper half-orbit with the forward lower half-orbit;
@@ -179,13 +178,12 @@ def return_map(p: SystemParams, q, *, t_max: float = DEFAULT_T_MAX) -> np.ndarra
     q = np.asarray(q, dtype=float)
     if q[0] <= 0 or q[1] <= 0:
         raise ValueError(f"return map orientation expects a first-quadrant point, got {q!r}")
-    hrx = half_return_X(p, q, t_max=t_max)
-    hry = half_return_Y(p, hrx.end, t_max=t_max)
+    hrx = half_return_X(p, q)
+    hry = half_return_Y(p, hrx.end)
     return hry.end
 
 
-def iterate_reduced_map(p: SystemParams, y0_init: float, n: int, *,
-                        t_max: float = DEFAULT_T_MAX) -> list[np.ndarray]:
+def iterate_reduced_map(p: SystemParams, y0_init: float, n: int) -> list[np.ndarray]:
     """Orbit of the return map seeded on the conic branch.
 
     Returns the n+1 successive crossing points starting from the branch point
@@ -201,7 +199,7 @@ def iterate_reduced_map(p: SystemParams, y0_init: float, n: int, *,
     q = np.array([gamma1_branch_x(p, y0), y0])
     orbit = [q.copy()]
     for k in range(n):
-        q = return_map(p, q, t_max=t_max)
+        q = return_map(p, q)
         if not np.all(np.isfinite(q)) or q[0] <= 0 or q[1] <= 0 or np.max(np.abs(q)) > 1e12:
             raise DivergenceError(
                 f"iterate {k + 1} left the branch domain at {q!r}"
@@ -228,12 +226,11 @@ class ScanEntry:
     error: str | None
 
 
-def scan_cycles(p_base: SystemParams, H_grid, *,
-                t_max: float = DEFAULT_T_MAX) -> list[ScanEntry]:
+def scan_cycles(p_base: SystemParams, H_grid) -> list[ScanEntry]:
     """Cycle catalogue over an H grid at fixed (C, Lambda).
 
     Each H is attempted independently from the series-head seed, which may be
-    None.  Failures are recorded per entry and the scan continues.  The
+    None.  A TwofoldError is recorded in its entry and the scan continues.  The
     returned order follows H_grid.
     """
     from .stability import monodromy  # deferred: stability depends on cycle objects
@@ -242,10 +239,10 @@ def scan_cycles(p_base: SystemParams, H_grid, *,
     def entry(H: float) -> ScanEntry:
         try:
             p = resonant_system(p_base.C, H, p_base.Lambda)
-            cycle = find_cycle_newton(p, asymptotic_seed(p), t_max=t_max)
+            cycle = find_cycle_newton(p, asymptotic_seed(p))
             report = monodromy(p, cycle)
             return ScanEntry(H=H, cycle=cycle, monodromy=report, error=None)
-        except Exception as exc:  # per-entry failure, scan continues
+        except TwofoldError as exc:  # per-entry failure, scan continues
             return ScanEntry(H=H, cycle=None, monodromy=None,
                              error=f"{type(exc).__name__}: {exc}")
 

@@ -29,6 +29,10 @@ class NoCycleError(TwofoldError):
     """The closure residual keeps one sign on the sampled branch: no cycle is bracketed."""
 
 
+class BranchPointError(TwofoldError):
+    """A branch point of the reduced conic failed its substitution check."""
+
+
 class NotACycleError(TwofoldError):
     """A candidate fixed point failed the symmetric-cycle invariants."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BranchPointError, DomainError
 from .system import INVOLUTION, REL_TOL, SystemParams, eval_X, eval_Y
 
 __all__ = [
@@ -245,9 +245,9 @@ def _branch_radicand(p: SystemParams, y):
 def gamma1_branch_x(p: SystemParams, y: float) -> float:
     """x(y) on the first-quadrant branch of the conic (0 < H < 1).
 
-    The mirror branch is obtained via the involution.  Radicands within
-    -1e-12 of zero are clamped to protect the intercept endpoints.  The
-    result is checked by substitution into the conic.
+    The mirror branch is obtained via the involution.  A non-finite y is a
+    DomainError.  The result is checked by substitution into the conic and
+    a failure raises BranchPointError.
     """
     return _branch_x(p, y, gamma1_conic(p))
 
@@ -255,23 +255,21 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
 def _check_branch_domain(p: SystemParams):
     if not p.resonant:
         raise DomainError("branch parametrization requires the resonant family")
-    if not 0.0 < p.H < 1.0:
+    if not (0.0 < p.H < 1.0 and p.H * p.H > 0.0):  # H^2 divides the radicand
         raise DomainError(f"branch parametrization requires 0 < H < 1, got H={p.H}")
 
 
 def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
     """gamma1_branch_x with the caller's gamma1_conic(p), for loops over y."""
     _check_branch_domain(p)
-    rad = _branch_radicand(p, y)
-    if rad < 0.0:
-        if rad < -1e-12:
-            raise ValueError(f"y={y!r} is outside the branch domain (radicand {rad!r})")
-        rad = 0.0
+    if not math.isfinite(y):
+        raise DomainError(f"the branch point needs a finite y, got {y!r}")
     C, H, L = p.C, p.H, p.Lambda
-    x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + math.sqrt(rad)
+    # the radicand is positive for 0 < H < 1 (see branch_min_y)
+    x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + math.sqrt(_branch_radicand(p, y))
     resid = conic.evaluate(x, y)
-    if abs(resid) > 1e-9 * (1.0 + y * y):
-        raise ArithmeticError(f"branch point failed conic residual check: {resid!r}")
+    if not abs(resid) <= 1e-9 * (1.0 + y * y):  # a NaN residual fails too
+        raise BranchPointError(f"branch point failed conic residual check: {resid!r}")
     return float(x)
 
 

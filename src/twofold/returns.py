@@ -11,7 +11,9 @@ which has the sign of z everywhere but lacks the e^{Ct} bend that makes
 Newton on z itself overshoot; it starts at the zero of the sinusoid
 a sin t + b cos t inside the bracket (the bracket's midpoint if there is
 none) and falls back to bisection.  A sign change of z is never skipped,
-however shallow; entry and exit transversality are enforced.
+however shallow; entry and exit transversality are enforced.  A half-return
+searches the fixed window (0, 8 pi]: on the hyperbola every flight takes
+about pi.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .errors import DomainError, NoConvergenceError, NoReturnError, TangentialGrazeError
+from .errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnError,
+                     TangentialGrazeError)
 from .invariants import gamma1_branch_x, gamma1_discriminant
 from .system import SystemParams
 
@@ -44,10 +47,9 @@ __all__ = [
     "time_matching",
     "time_matching_table",
     "gamma2_at_critical",
-    "DEFAULT_T_MAX",
 ]
 
-DEFAULT_T_MAX = 8 * math.pi
+_WINDOW = 8 * math.pi  # the half-return search window (0, _WINDOW]
 
 
 @dataclass(frozen=True)
@@ -79,64 +81,68 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
     ``skip_zero_start`` s0 lies on the plane.  Returns (t, iterations).
     Raises NoReturnError if no crossing occurs in (0, t_max],
     TangentialGrazeError if the flight does not enter the half-space or the
-    exit slope is below 1e-10 (1 + scale).
+    exit slope is below 1e-10 (1 + scale), and DivergenceError if the closed
+    form leaves the range of floating point before the crossing is resolved.
     """
     if field == "Y":  # the Y orbit from s0 is the S-image of the X orbit from S s0
         s0 = (-s0[1], -s0[0], -s0[2])
     elif field != "X":
         raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
-    if t_max <= 0:
-        raise NoReturnError("empty search window")
-    z, dz = flow.z_closed_form(p, s0)
-    C = p.C
-    tsign = 1.0 if forward else -1.0
-    # z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
-    # (alpha sin t + beta cos t) with beta = dz(0) and alpha = e^{-C pi/2}
-    # dz(pi/2), so the critical points of z are exactly phase + k pi and z
-    # is monotone between them.
-    alpha, beta = math.exp(-C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
-    if alpha == 0.0 and beta == 0.0:
-        # (alpha, beta) is an invertible image of the oscillating part of z,
-        # so z is constant: no crossing, however long the window
-        raise NoReturnError("z is stationary along the orbit")
-    phase = (tsign * math.atan2(-beta, alpha)) % math.pi
-    lo, zlo = 0.0, None if skip_zero_start else z(0.0)
-    k = 0
-    while zlo is None or zlo > 0.0:  # walk while the left end is in the half-space
-        hi = min(phase + k * math.pi, t_max)
-        zhi = z(tsign * hi)
-        if zhi <= 0.0:
-            break
-        if hi == t_max:
+    try:  # e^{Ct} in the closed form may overflow
+        z, dz = flow.z_closed_form(p, s0)
+        C = p.C
+        tsign = 1.0 if forward else -1.0
+        # z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
+        # (alpha sin t + beta cos t) with beta = dz(0) and alpha = e^{-C pi/2}
+        # dz(pi/2), so the critical points of z are exactly phase + k pi and z
+        # is monotone between them.
+        alpha, beta = math.exp(-C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
+        if alpha == 0.0 and beta == 0.0:
+            # (alpha, beta) is an invertible image of the oscillating part of z,
+            # so z is constant: no crossing, however long the window
+            raise NoReturnError("z is stationary along the orbit")
+        phase = (tsign * math.atan2(-beta, alpha)) % math.pi
+        lo, zlo = 0.0, None if skip_zero_start else z(0.0)
+        k = 0
+        while zlo is None or zlo > 0.0:  # walk while the left end is in the half-space
+            hi = min(phase + k * math.pi, t_max)
+            zhi = z(tsign * hi)
+            if zhi <= 0.0:
+                break
+            if hi == t_max:
+                raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
+            lo, zlo, k = hi, zhi, k + 1
+        if zlo is None and hi == t_max and tsign * beta > 0.0:
+            # the window closes before the first critical point of a rising flight
             raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-        lo, zlo, k = hi, zhi, k + 1
-    if zlo is None and hi == t_max and tsign * beta > 0.0:
-        # the window closes before the first critical point of a rising flight
-        raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-    if zlo is None or zlo <= 0.0:
-        raise TangentialGrazeError("entry into the half-space is not transversal")
-    # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
-    # (C alpha + beta, C beta - alpha): start at the zero of the sinusoid
-    # inside the bracket, else at its midpoint
-    start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
-    if not lo < start < hi:
-        start = 0.5 * (lo + hi)
-    u_lo = tsign * lo
+        if zlo is None or zlo <= 0.0:
+            raise TangentialGrazeError("entry into the half-space is not transversal")
+        # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
+        # (C alpha + beta, C beta - alpha): start at the zero of the sinusoid
+        # inside the bracket, else at its midpoint
+        start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
+        if not lo < start < hi:
+            start = 0.5 * (lo + hi)
+        u_lo = tsign * lo
 
-    def envelope_free(t):
-        # e^{-C(u - u_lo)} z(u) at u = tsign t and its t-derivative: the sign
-        # of z without the e^{Cu} bend; the constant e^{C u_lo} keeps the
-        # weight within e^{|C| pi} on the bracket, however long the window
-        u = tsign * t
-        w = math.exp(-C * (u - u_lo))
-        zu = z(u)
-        return w * zu, w * tsign * (dz(u) - C * zu)
+        def envelope_free(t):
+            # e^{-C(u - u_lo)} z(u) at u = tsign t and its t-derivative: the sign
+            # of z without the e^{Cu} bend; the constant e^{C u_lo} keeps the
+            # weight within e^{|C| pi} on the bracket, however long the window
+            u = tsign * t
+            w = math.exp(-C * (u - u_lo))
+            zu = z(u)
+            return w * zu, w * tsign * (dz(u) - C * zu)
 
-    root, iterations = _bracketed_root(envelope_free, start, lo, hi, 0.0)
-    slope = abs(dz(tsign * root))
-    if slope < 1e-10 * (1.0 + scale):
-        raise TangentialGrazeError(f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
-    return root, iterations
+        root, iterations = _bracketed_root(envelope_free, start, lo, hi, 0.0)
+        slope = abs(dz(tsign * root))
+        if slope < 1e-10 * (1.0 + scale):
+            raise TangentialGrazeError(
+                f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
+        return root, iterations
+    except OverflowError:
+        raise DivergenceError(f"the {field} orbit leaves the range of floating point "
+                              "before it meets z = 0") from None
 
 
 def _bracketed_root(fdf, t, lo, hi, rtol):
@@ -165,7 +171,7 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
     raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")
 
 
-def _half_return(p: SystemParams, start, field: str, t_max: float) -> HalfReturn:
+def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
     x0, y0 = float(start[0]), float(start[1])
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
@@ -175,7 +181,7 @@ def _half_return(p: SystemParams, start, field: str, t_max: float) -> HalfReturn
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
     forward = v > 0  # an ascending start opens the upper half-orbit
-    t, iterations = first_crossing(p, (u, v, 0.0), "X", t_max, scale, forward=forward)
+    t, iterations = first_crossing(p, (u, v, 0.0), "X", _WINDOW, scale, forward=forward)
     (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
     if field == "Y":  # end and Phi_Y = S Phi_X S back in the lower chart
         (x1, y1), phi0, phi1 = ((-y1, -x1), (phi1[1], phi1[0], phi1[2]),
@@ -192,24 +198,26 @@ def _half_return(p: SystemParams, start, field: str, t_max: float) -> HalfReturn
     )
 
 
-def half_return_X(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> HalfReturn:
+def half_return_X(p: SystemParams, start) -> HalfReturn:
     """Flight of the upper half-orbit attached to ``start`` = (x, y).
 
     For y > 0 the orbit leaves ``start`` forward in time; for y < 0 it
     arrives at ``start`` and the solve runs backward.  The returned time is
     the positive flight duration and ``end`` the other crossing point.
+    Raises NoReturnError if the flight is longer than 8 pi.
     """
-    return _half_return(p, start, "X", t_max)
+    return _half_return(p, start, "X")
 
 
-def half_return_Y(p: SystemParams, start, *, t_max: float = DEFAULT_T_MAX) -> HalfReturn:
+def half_return_Y(p: SystemParams, start) -> HalfReturn:
     """Flight of the lower half-orbit attached to ``start`` = (x, y).
 
     For x < 0 the orbit leaves ``start`` forward in time; for x > 0 it
     arrives at ``start`` (this is the orientation that closes a symmetric
     cycle from a first-quadrant point) and the solve runs backward.
+    Raises NoReturnError if the flight is longer than 8 pi.
     """
-    return _half_return(p, start, "Y", t_max)
+    return _half_return(p, start, "Y")
 
 
 @dataclass(frozen=True)
@@ -240,18 +248,18 @@ class SeriesCoeffs:
     def tau_y_head(self, v0):
         return self.gamma1_y * v0 + self.gamma2_y * v0 * v0
 
-    def tau_head(self, v0):
-        return self.gamma1 * v0 + self.gamma2 * v0 * v0
-
 
 def series_coeffs(p: SystemParams) -> SeriesCoeffs:
-    """Closed-form expansion coefficients (resonant hyperbola range only)."""
+    """Closed-form expansion coefficients (resonant hyperbola range, and
+    |C| pi <= 709 so that e^{pi C} and its inverse stay finite)."""
     if not p.resonant:
         raise DomainError("series coefficients require the resonant family A = -2C")
     if not (-1.0 / 3.0 < p.H < 1.0):
         raise DomainError("series coefficients require the hyperbola range -1/3 < H < 1")
-    if p.H == 0.0:
-        raise DomainError("series coefficients are singular at H = 0")
+    if p.H * p.H == 0.0:  # H^2 divides the discriminant below
+        raise DomainError(f"series coefficients are singular at H = 0, got H={p.H!r}")
+    if abs(p.C) * math.pi > 709.0:
+        raise DomainError(f"series coefficients need |C| pi <= 709, got C={p.C!r}")
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
     E = math.exp(math.pi * C)
@@ -265,13 +273,13 @@ def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     return SeriesCoeffs(g1x, g2x, g1y, g2y)
 
 
-def _branch_returns(p: SystemParams, y0: float, t_max: float):
+def _branch_returns(p: SystemParams, y0: float):
     """(hrx, hry): both half-returns attached to the branch point at y0."""
     q = (gamma1_branch_x(p, y0), y0)
-    return half_return_X(p, q, t_max=t_max), half_return_Y(p, q, t_max=t_max)
+    return half_return_X(p, q), half_return_Y(p, q)
 
 
-def time_matching(p: SystemParams, v0: float, *, t_max: float = DEFAULT_T_MAX) -> float:
+def time_matching(p: SystemParams, v0: float) -> float:
     """tau(v0): difference of the shifted flight times from the branch point.
 
     tau(v0) = (t^X - pi) - (u^Y - pi) where both half-returns are taken from
@@ -279,17 +287,16 @@ def time_matching(p: SystemParams, v0: float, *, t_max: float = DEFAULT_T_MAX) -
     """
     if v0 <= 0:
         raise DomainError("v0 must be positive")
-    hrx, hry = _branch_returns(p, 1.0 / v0, t_max)
+    hrx, hry = _branch_returns(p, 1.0 / v0)
     return hrx.t - hry.t
 
 
-def time_matching_table(p: SystemParams, v0_values, *,
-                        t_max: float = DEFAULT_T_MAX) -> list[dict]:
+def time_matching_table(p: SystemParams, v0_values) -> list[dict]:
     """Numeric vs series flight-time shifts for each v0 (CSV-friendly rows)."""
     coeffs = series_coeffs(p)
     rows = []
     for v0 in v0_values:
-        hrx, hry = _branch_returns(p, 1.0 / float(v0), t_max)
+        hrx, hry = _branch_returns(p, 1.0 / float(v0))
         tau_x = hrx.t - math.pi
         tau_y = hry.t - math.pi
         rows.append({

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +72,7 @@ def test_non_finite_inputs_are_usage_errors():
     ("scan", "--C", "1", "--Lambda", "1", "--hmin", "1.5", "--hmax", "2"),
     ("scan", "--C", "1", "--Lambda", "1", "--count", "0"),
     ("scan", "--C", "1", "--Lambda", "1", "--count", "-2"),
+    ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1", "--seed", "nan"),
 ])
 def test_domain_errors_exit_2(args):
     # a DomainError, from a library parameter guard or from the CLI's own
@@ -163,12 +166,9 @@ def test_stability_band_outputs(tmp_path):
     for r in uppers:
         assert abs(float(r["H"]) - float(critical_h(float(r["C"])))) <= cell
     assert {r["curve"] for r in bounds} == {"upper", "lower", "hcrit"}
-    # determinism: identical bytes on a rerun, with and without threads
+    # determinism: identical bytes on a rerun
     first = grid_path.read_bytes()
     proc = run_cli(*args)
-    assert proc.returncode == 0
-    assert grid_path.read_bytes() == first
-    proc = run_cli(*args, "--threads", "3")
     assert proc.returncode == 0
     assert grid_path.read_bytes() == first
 
@@ -221,18 +221,6 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
     assert bounds_path.read_bytes() == bounds.encode()
 
 
-def test_stability_band_threads_flag_is_ignored(tmp_path):
-    args = ("stability-band", "--cmin", "0.5", "--cmax", "1.5",
-            "--hmin", "0.002", "--hmax", "0.3", "--grid", "40")
-    outputs = set()
-    for extra in ((), ("--threads", "1"), ("--threads", "4")):
-        grid_path, bounds_path = tmp_path / "band.csv", tmp_path / "bounds.csv"
-        proc = run_cli(*args, *extra, "-o", str(grid_path), "--boundaries", str(bounds_path))
-        assert proc.returncode == 0, proc.stderr
-        outputs.add((grid_path.read_bytes(), bounds_path.read_bytes()))
-    assert len(outputs) == 1
-
-
 def test_stability_band_writes_no_boundaries_unasked(tmp_path):
     proc = run_cli("stability-band", "--grid", "3", "-o", "-", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -256,8 +244,7 @@ def test_stability_band_default_grid_runtime(tmp_path):
 
 def test_scan_catalogue_csv(tmp_path):
     out = tmp_path / "catalogue.csv"
-    proc = run_cli("scan", "--C", "1", "--Lambda", "1", "--count", "20",
-                   "--threads", "2", "-o", str(out))
+    proc = run_cli("scan", "--C", "1", "--Lambda", "1", "--count", "20", "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     rows = read_csv(out)
     assert set(rows[0]) == {"H", "y0", "T", "mu2_re", "mu2_im", "mu3_re",
@@ -275,19 +262,55 @@ def test_scan_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ("scan", "--C", "1", "--Lambda", "1", "--count", "4")
     assert run_cli(*base, "-o", str(out1)).returncode == 0
-    assert run_cli(*base, "--threads", "3", "-o", str(out2)).returncode == 0
+    assert run_cli(*base, "-o", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_scan_threads_flag_is_ignored(tmp_path):
-    base = ("scan", "--C", "1", "--Lambda", "1", "--count", "3")
-    outputs = set()
-    for extra in (("--threads", "1"), ("--threads", "4")):
-        out = tmp_path / "scan.csv"
-        proc = run_cli(*base, *extra, "-o", str(out))
-        assert proc.returncode == 0, proc.stderr
-        outputs.add(out.read_bytes())
-    assert len(outputs) == 1
+@pytest.mark.parametrize("args", [
+    ("stability-band", "--grid", "3", "--threads", "2", "-o", "-"),
+    ("scan", "--C", "1", "--Lambda", "1", "--count", "3", "--threads", "2"),
+    ("scan", "--C", "1", "--Lambda", "1", "--count", "3", "--A=5"),
+    ("scan", "--C", "1", "--Lambda", "1", "--count", "3", "--H", "0.1"),
+])
+def test_unknown_flags_are_argparse_errors(args):
+    # scan takes only --C and --Lambda of the parameters, and neither
+    # subcommand has a --threads option
+    proc = run_cli(*args)
+    assert proc.returncode == 2, (args, proc.stderr)
+    assert "unrecognized arguments: " in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    # e^{pi C} in the series head leaves the float range
+    (("find-cycle", "--C", "300", "--H", "0.5", "--Lambda", "1"), 2, "usage error: "),
+    (("find-cycle", "--C", "-300", "--H", "0.5", "--Lambda", "1"), 2, "usage error: "),
+    # e^{Ct} in the crossing walk leaves the float range
+    (("simulate", "--C", "300", "--H", "0.5", "--Lambda", "1", "--x0", "1", "--y0", "1",
+      "--z0", "1", "--t-max", "10", "--dt", "1"), 1, "error: DivergenceError: "),
+    # the sample count t-max / dt is not finite
+    (("simulate", "--C", "300", "--H", "0.5", "--Lambda", "1", "--x0", "1", "--y0", "1",
+      "--z0", "1", "--t-max", "1e300", "--dt", "1e-300"), 2, "usage error: "),
+])
+def test_float_range_failures_are_typed(args, code, prefix):
+    proc = run_cli(*args)
+    assert proc.returncode == code, (args, proc.stderr)
+    assert proc.stderr.startswith(prefix) and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("twofold ")]
+
+
+def test_readme_cli_commands_run(tmp_path):
+    commands = _readme_cli_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_simulate_closes_a_cycle(tmp_path):

@@ -119,9 +119,9 @@ def test_exact_slope_matches_fd_oracle(C, h_frac, Lambda, log_gap):
     try:
         fd = fd_jacobian(lambda v: [closure_residual(p, float(v[0]))[0]], [y0],
                          1e-3 * gap)[0, 0]
-    except (TwofoldError, ValueError, ArithmeticError):
+    except TwofoldError:
         assume(False)
-    slope = _closure(p, y0, returns.DEFAULT_T_MAX)[1]
+    slope = _closure(p, y0, gamma1_conic(p))[1]
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(slope))
 
 
@@ -173,7 +173,7 @@ def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda, seeded):
         for y in np.geomspace(branch_min_y(p), 1e6, 400):
             try:
                 rs.append(closure_residual(p, float(y))[0])
-            except (TwofoldError, ValueError, ArithmeticError):
+            except TwofoldError:
                 continue
         assert all(r > 0.0 for r in rs) or all(r < 0.0 for r in rs)
         return

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from twofold import (ConicKind, DarbouxPair, apply_involution, branch_min_y,
                      build_system, eval_P_X, eval_P_Y, eval_X, eval_Y, flow_X,
                      flow_Y, gamma1_branch_x, gamma1_conic, gamma1_discriminant,
                      m_gamma1, resonant_system, verify_darboux)
+from twofold.errors import BranchPointError, DomainError
+from twofold.invariants import _branch_x
 from oracles import fd_lie_derivative
 
 
@@ -193,3 +197,16 @@ def test_branch_requires_resonance_and_range():
         gamma1_branch_x(build_system(-1.9, 1.0, 0.5, 1.0), 10.0)
     with pytest.raises(ValueError):
         gamma1_branch_x(resonant_system(1.0, -0.2, 1.0), 10.0)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_branch_rejects_non_finite_y(params, y):
+    with pytest.raises(DomainError):
+        gamma1_branch_x(params, y)
+
+
+def test_branch_point_of_another_conic_is_typed(params):
+    # x(y) is this system's branch; another system's conic misses it
+    other = gamma1_conic(resonant_system(2.0, 0.3, 1.5))
+    with pytest.raises(BranchPointError):
+        _branch_x(params, 10.0, other)

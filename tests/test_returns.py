@@ -194,8 +194,9 @@ def test_gamma2_at_critical_nonzero_everywhere():
 
 
 def test_no_return_within_window(params):
+    x0, y0 = _branch_point(params, 8.0)
     with pytest.raises(NoReturnError):
-        half_return_X(params, _branch_point(params, 8.0), t_max=0.5)
+        first_crossing(params, (x0, y0, 0.0), "X", 0.5, float(np.hypot(x0, y0)))
     # z constant along the orbit: no window is long enough, and e^{Ct} would
     # overflow before t reaches 1e4
     zs = params.Lambda / (1.0 + params.C ** 2)
@@ -203,6 +204,14 @@ def test_no_return_within_window(params):
         with pytest.raises(NoReturnError):
             first_crossing(params, (0.76, -2.0 * params.C * zs, zs), "X", 1e4, 1.0,
                            forward=forward, skip_zero_start=False)
+
+
+def test_window_before_first_critical_point(desk_params):
+    # the README start rises off the plane; a window that closes before the
+    # first critical point of z holds no crossing, and no graze either
+    s0 = (219.892, 8.431, 0.0)
+    with pytest.raises(NoReturnError):
+        first_crossing(desk_params, s0, "X", 1e-300, max(map(abs, s0)))
 
 
 def test_entry_graze_rejected(params):
@@ -279,8 +288,9 @@ _magnitude = st.floats(0.2, 6.0)
 def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
                                            field, on_plane):
     # the kernel's first root against an RK4 event oracle on the raw fields:
-    # on-plane starts through half_return_* (forward and backward solves),
-    # off-plane starts through the forward solve the simulator makes
+    # on-plane starts through half_return_* (forward and backward solves,
+    # a flight past the oracle's window counts as none), off-plane starts
+    # through the forward solve the simulator makes
     p = resonant_system(c_sign * C, H, Lambda)
     t_max = 2.0 * math.pi
     side = 1.0 if field == "X" else -1.0
@@ -289,8 +299,8 @@ def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
         s0 = np.array([x, y, 0.0])
         solve = half_return_X if field == "X" else half_return_Y
         try:
-            hr = solve(p, s0[:2], t_max=t_max)
-            t, direction = hr.t, 1.0 if hr.forward else -1.0
+            hr = solve(p, s0[:2])
+            t, direction = (hr.t if hr.t <= t_max else None), 1.0 if hr.forward else -1.0
         except NoReturnError:
             t, direction = None, (1.0 if (y if field == "X" else -x) > 0 else -1.0)
     else:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twofold import (asymptotic_invariants, band_width, build_system, critical_h,
                      eval_X, eval_Y, find_cycle_newton, h_min, m_gamma1,
@@ -9,6 +9,7 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
                      stability_band, tau_gamma1)
 from twofold.cycles import asymptotic_seed
 from twofold.errors import GrazingCrossingError, SymmetryDefectError, TwofoldError
+from twofold.stability import _deflated_quadratic_roots
 from oracles import fd_jacobian
 
 
@@ -99,6 +100,26 @@ def test_characteristic_polynomial_factorization(desk_monodromy):
     quad = np.convolve([1.0, -1.0],
                        [1.0, -(desk_monodromy.trace - 1.0), desk_monodromy.det])
     assert np.max(np.abs(char - quad)) <= 1e-8 * (1.0 + np.max(np.abs(char)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tr=st.floats(-10.0, 10.0), det=st.floats(-10.0, 10.0))
+def test_deflated_quadratic_roots_match_np_roots(tr, det):
+    # both signs of the discriminant (tr - 1)^2 - 4 det: a real pair or a
+    # complex-conjugate pair
+    b = tr - 1.0
+    assume(abs(b * b - 4.0 * det) > 1e-6)
+    r1, r2 = _deflated_quadratic_roots(tr, det)
+    scale = 1.0 + abs(tr) + abs(det)
+    expected = sorted(np.roots([1.0, -b, det]), key=lambda r: (r.real, r.imag))
+    got = sorted([r1, r2], key=lambda r: (r.real, r.imag))
+    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9 * scale)
+    assert abs((r1 + r2) - b) <= 1e-12 * scale
+    assert abs(r1 * r2 - det) <= 1e-12 * scale * scale
+    if b * b - 4.0 * det < 0.0:
+        assert r1.imag != 0.0 and r1 == r2.conjugate()
+    else:
+        assert r1.imag == 0.0 and r2.imag == 0.0
 
 
 def test_schur_examples():
