@@ -61,10 +61,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise DomainError(f"cannot read config {cfg_path!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError(f"config {cfg_path!r} must hold a JSON object")
+        flags = merged.keys() - {"command", "handler"}
         for key, value in cfg.items():
-            key = key.replace("-", "_")
-            if merged.get(key) is None:
-                merged[key] = value
+            dest = key.replace("-", "_")
+            if dest not in flags:
+                raise DomainError(f"config key {key!r} is not a flag of {merged['command']}")
+            if merged.get(dest) is None:
+                merged[dest] = value
     return merged
 
 

@@ -39,7 +39,11 @@ class SymmetricCycle:
 
     p1 is the second crossing, equal to (-y0, -x0) up to the stated residual;
     t_x and t_y are the two half-flight times (equal for a symmetric cycle)
-    and T = t_x + t_y the period.
+    and T = t_x + t_y the period.  dg is the 2x2 derivative at p0 of the
+    half map g = S h_X on the plane, row-major (g00, g01, g10, g11), taken
+    from the accepted X half-return.  The return map is g o g, so its
+    derivative at the cycle is Dg^2, whose eigenvalues are the transverse
+    Floquet multipliers.
     """
 
     p0: np.ndarray
@@ -48,6 +52,7 @@ class SymmetricCycle:
     t_x: float
     t_y: float
     residual: float
+    dg: tuple
 
 
 def closure_residual(p: SystemParams, y0: float) -> np.ndarray:
@@ -59,6 +64,19 @@ def closure_residual(p: SystemParams, y0: float) -> np.ndarray:
     return np.array([r, hrx.end[1] + hrx.start[0]])
 
 
+def _half_map_jacobian(p, hrx):
+    """Dh, the 2x2 derivative of the X half-return end with respect to its
+    start, as rows ((h00, h01), (h10, h11)): rows 0 and 1 of
+    (I - X(end) e3^T / X_z(end)) [phi0 phi1], the fixed-time Phi_X columns
+    projected along the field X(x1, y1, 0) = (A x1 + H Lambda, Lambda, y1)
+    at the end crossing."""
+    x1, y1 = hrx.end.tolist()
+    phi0, phi1 = hrx.phi
+    fx, fy = p.A * x1 + p.H * p.Lambda, p.Lambda
+    return ((phi0[0] - fx * phi0[2] / y1, phi1[0] - fx * phi1[2] / y1),
+            (phi0[1] - fy * phi0[2] / y1, phi1[1] - fy * phi1[2] / y1))
+
+
 def _closure(p, y0, conic):
     """(r, dr/dy0, hrx): r = x1 + y0 and its exact slope (see find_cycle_newton)
     for the X half-return hrx from the branch point at y0.  ``conic`` is
@@ -67,11 +85,8 @@ def _closure(p, y0, conic):
     hrx = half_return_X(p, (x0, y0))
     axx, axy, ayy, bx, by, _ = conic.coefficients
     dx0 = -(axy * x0 + 2.0 * ayy * y0 + by) / (2.0 * axx * x0 + axy * y0 + bx)
-    x1, y1 = hrx.end.tolist()
-    phi0, phi1 = hrx.phi
-    # Phi_X (dx0, 1, 0) projected along the field X(x1, y1, 0) = (A x1 + H Lambda, ., y1)
-    slope = dx0 * phi0[0] + phi1[0] - (p.A * x1 + p.H * p.Lambda) * phi1[2] / y1 + 1.0
-    return x1 + y0, slope, hrx
+    (h00, h01), _ = _half_map_jacobian(p, hrx)
+    return float(hrx.end[0]) + y0, dx0 * h00 + h01 + 1.0, hrx
 
 
 def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> SymmetricCycle:
@@ -165,8 +180,9 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         problems.append("p1 left the reduced conic")
     if problems:
         raise NotACycleError("; ".join(problems))
+    (h00, h01), (h10, h11) = _half_map_jacobian(p, hrx)
     return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y,
-                          residual=math.hypot(r, r2))
+                          residual=math.hypot(r, r2), dg=(-h10, -h11, -h00, -h01))
 
 
 def return_map(p: SystemParams, q) -> np.ndarray:

@@ -108,6 +108,23 @@ def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     return inner @ INVOLUTION  # S is symmetric: S applied to each row of inner
 
 
+def _phi_rows(p: SystemParams, t: float):
+    """exp(DX t) for one scalar t as three row tuples of floats: the entries
+    of _phi_canonical written with ``math``, equal to fundamental_X up to
+    round-off, with no ndarray."""
+    A, C, H = p.A, p.C, p.H
+    beta = C - A
+    den = beta * beta + 1.0
+    b = -H * den
+    e_at, e_ct = math.exp(A * t), math.exp(C * t)
+    st, ct = math.sin(t), math.cos(t)
+    int_sin = (e_ct * (beta * st - ct) + e_at) / den
+    int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
+    return ((e_at, b * int_sin, b * (int_cos + C * int_sin)),
+            (0.0, e_ct * (ct - C * st), -(1.0 + C * C) * e_ct * st),
+            (0.0, e_ct * st, e_ct * (ct + C * st)))
+
+
 def plane_flight(p: SystemParams, q, t: float):
     """State at time t of the upper-field orbit from the plane point
     q = (x, y, 0), with the first two columns of the fundamental matrix at t.
@@ -118,18 +135,8 @@ def plane_flight(p: SystemParams, q, t: float):
     """
     A, C, H, L = p.A, p.C, p.H, p.Lambda
     u, v = float(q[0]), float(q[1])
+    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = _phi_rows(p, t)
     c2 = 1.0 + C * C
-    beta = C - A
-    den = beta * beta + 1.0
-    b = -H * den
-    e_at, e_ct = math.exp(A * t), math.exp(C * t)
-    st, ct = math.sin(t), math.cos(t)
-    int_sin = (e_ct * (beta * st - ct) + e_at) / den
-    int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
-    # the canonical Phi of _phi_canonical, entry by entry
-    p01, p02 = b * int_sin, b * (int_cos + C * int_sin)
-    p11, p12 = e_ct * (ct - C * st), -c2 * e_ct * st
-    p21, p22 = e_ct * st, e_ct * (ct + C * st)
     zs = L / c2
     xs, ys = H * L * (A - 2.0 * C) / c2, -2.0 * C * zs
     du, dv = u - xs, v - ys

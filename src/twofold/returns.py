@@ -149,9 +149,13 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
     """(t, iterations) for the one root of f in [lo, hi], where
     fdf(t) = (f(t), f'(t)) and f > 0 left of the root, f <= 0 right of it.
 
-    Newton steps from t; a step that would not land inside the shrinking
-    bracket is replaced by bisection.  Stops once |f| <= rtol (1 + |t|).
+    Newton steps from t; a step is replaced by bisection unless it lands
+    inside the shrinking bracket and is at most half the previous step (the
+    bracket width at first), as in Numerical Recipes' rtsafe, so a run of
+    equal steps, as on a steep exponential, cannot outlast the step budget.
+    Stops once |f| <= rtol (1 + |t|).
     """
+    prev = hi - lo
     for iterations in range(1, 101):
         ft, slope = fdf(t)
         at = abs(t)
@@ -165,7 +169,11 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
         tol = 1e-15 + 8.9e-16 * at
         if abs(step) <= tol:
             return t - step, iterations
-        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        if lo < t - step < hi and abs(2.0 * step) <= abs(prev):
+            t, prev = t - step, step
+        else:
+            mid = 0.5 * (lo + hi)
+            t, prev = mid, t - mid
         if hi - lo <= tol:
             return t, iterations
     raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")

@@ -7,6 +7,8 @@ rank-one saltation corrections at the two crossings.  Its spectrum always
 contains the trivial multiplier 1 along the orbit direction; deflating it
 leaves a quadratic whose coefficients are (tr M - 1, det M), so orbital
 stability reduces to three sign conditions on the trace and determinant.
+At a symmetric cycle the plane return map is g o g with g = S h_X, so those
+two invariants follow from the 2x2 derivative Dg the cycle solver holds.
 Along the conic branch at large amplitude both invariants have closed-form
 limits, which carve the stability band out of the (C, H) plane.
 """
@@ -20,9 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, EmptyBandError, GrazingCrossingError, SymmetryDefectError
-from .flow import fundamental_X, fundamental_Y
+from .flow import _phi_rows
 from .invariants import gamma1_discriminant
-from .system import INVOLUTION, SystemParams, eval_X, eval_Y
+from .system import SystemParams, _field, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cycles import SymmetricCycle
@@ -47,6 +49,22 @@ __all__ = [
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
+def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tuple:
+    """Third column of saltation(p, (x, y), direction) minus e3, as floats."""
+    tol = 1e-10 * (1.0 + math.hypot(x, y))
+    if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
+        raise GrazingCrossingError(f"{np.array([x, y])!r} is not a transversal crossing point")
+    if direction == "XtoY":
+        div = y
+    elif direction == "YtoX":
+        div = -x
+    else:
+        raise ValueError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
+    fx = _field(p, x, y, 0.0)
+    u, v, w = _field(p, -y, -x, -0.0)  # Y(x, y, 0) = S X(-y, -x, -0)
+    return (-v - fx[0]) / div, (-u - fx[1]) / div, (-w - fx[2]) / div
+
+
 def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     """Jump correction of the linearized flow at a transversal crossing.
 
@@ -54,20 +72,8 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     divisor, "YtoX" the lower one's.  Both are identity plus a rank-one
     update of the third column.
     """
-    q = np.asarray(q, dtype=float)
-    s3 = np.array([q[0], q[1], 0.0])
-    lie_x, lie_y = float(q[1]), float(q[0])
-    tol = 1e-10 * (1.0 + float(np.hypot(q[0], q[1])))
-    if abs(lie_x) < tol or abs(lie_y) < tol or lie_x * lie_y < 0:
-        raise GrazingCrossingError(f"{q!r} is not a transversal crossing point")
-    jump = eval_Y(p, s3) - eval_X(p, s3)
     out = np.eye(3)
-    if direction == "XtoY":
-        out[:, 2] += jump / lie_x
-    elif direction == "YtoX":
-        out[:, 2] -= jump / lie_y
-    else:
-        raise ValueError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
+    out[:, 2] += _saltation_column(p, float(q[0]), float(q[1]), direction)
     return out
 
 
@@ -110,38 +116,77 @@ def schur_verdict(report: "MonodromyReport") -> tuple:
     return conds + (all(conds),)
 
 
+def _salted(c: tuple, m: tuple) -> tuple:
+    """(I + c e3^T) m for a 3x3 m given as row tuples: row i gains c_i times row 2."""
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = m
+    c0, c1, c2 = c
+    return ((a0 + c0 * d0, a1 + c0 * d1, a2 + c0 * d2),
+            (b0 + c1 * d0, b1 + c1 * d1, b2 + c1 * d2),
+            (d0 + c2 * d0, d1 + c2 * d1, d2 + c2 * d2))
+
+
+def _mul3(a: tuple, b: tuple) -> tuple:
+    """Product of two 3x3 matrices given as row tuples."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return ((a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+             a00 * b02 + a01 * b12 + a02 * b22),
+            (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+             a10 * b02 + a11 * b12 + a12 * b22),
+            (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+             a20 * b02 + a21 * b12 + a22 * b22))
+
+
 def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     """Saltation-corrected monodromy of a converged symmetric cycle.
 
-    Composes S_{Y->X}(p0) Phi_Y(t_y) S_{X->Y}(p1) Phi_X(t_x) and checks the
-    equivalent single-flow composition obtained by conjugating the lower
-    fundamental matrix with the involution at t = T/2; the two must agree to
-    1e-9 relative.
+    ``trace``, ``det``, ``multipliers``, ``schur`` and ``stable`` come from
+    the half-map derivative Dg = cycle.dg: the plane return map is g o g, so
+    tr M = 1 + tr(Dg)^2 - 2 det Dg and det M = (det Dg)^2.  ``matrix`` is the
+    direct composition S_{Y->X}(p0) Phi_Y(t_y) S_{X->Y}(p1) Phi_X(t_x), and
+    ``reduction_residual`` the larger of its trace and det disagreements
+    with the half-map invariants, relative to the largest of |tr M|, |det M|
+    and 1; ``trivial_residual`` is |M X(p0) - X(p0)| / |X(p0)|.
+
+    Raises
+    ------
+    SymmetryDefectError
+        If reduction_residual exceeds 1e-9: Dg^2 assumes t_x = t_y, and near
+        the X fold (small y0) the flight time is ill-conditioned and the
+        converged halves differ.
+    GrazingCrossingError
+        If a crossing of the cycle is not transversal.
     """
-    p0, p1 = cycle.p0, cycle.p1
-    s_in = saltation(p, p0, "YtoX")
-    s_out = saltation(p, p1, "XtoY")
-    M = s_in @ fundamental_Y(p, cycle.t_y) @ s_out @ fundamental_X(p, cycle.t_x)
-    half = fundamental_X(p, cycle.T / 2.0)
-    M_red = s_in @ INVOLUTION @ half @ INVOLUTION @ s_out @ half
-    scale = float(np.max(np.abs(M)))
-    reduction_residual = float(np.max(np.abs(M - M_red))) / scale
+    g00, g01, g10, g11 = cycle.dg
+    tr_g, det_g = g00 + g11, g00 * g11 - g01 * g10
+    trace = 1.0 + tr_g * tr_g - 2.0 * det_g
+    det = det_g * det_g
+    (x0, y0), (x1, y1) = cycle.p0.tolist(), cycle.p1.tolist()
+    # Phi_Y = S Phi_X S swaps rows and columns 0 and 1 of Phi_X
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = _phi_rows(p, cycle.t_y)
+    phi_y = ((f11, f10, f12), (f01, f00, f02), (f21, f20, f22))
+    M = _salted(_saltation_column(p, x0, y0, "YtoX"),
+                _mul3(phi_y, _salted(_saltation_column(p, x1, y1, "XtoY"),
+                                     _phi_rows(p, cycle.t_x))))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    trace_m = m00 + m11 + m22
+    det_m = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+             + m02 * (m10 * m21 - m11 * m20))
+    reduction_residual = (max(abs(trace_m - trace), abs(det_m - det))
+                          / max(abs(trace), abs(det), 1.0))
     if reduction_residual > 1e-9:
-        # the reduced form takes t_x = t_y = T/2; near the X fold (small y0)
-        # the flight time is ill-conditioned and the converged halves differ
         raise SymmetryDefectError(
-            f"direct and involution-reduced compositions disagree: "
-            f"{reduction_residual:.3g} (bound 1e-9) at y0 = {float(p0[1]):.3g}, "
+            f"direct monodromy and half-map invariants disagree: "
+            f"{reduction_residual:.3g} (bound 1e-9) at y0 = {y0:.3g}, "
             f"t_x - t_y = {cycle.t_x - cycle.t_y:.3g}"
         )
-    z0 = eval_X(p, np.array([p0[0], p0[1], 0.0]))
-    trivial_residual = float(np.linalg.norm(M @ z0 - z0) / np.linalg.norm(z0))
-    trace = float(np.trace(M))
-    det = float(np.linalg.det(M))
+    z = _field(p, x0, y0, 0.0)
+    trivial_residual = math.hypot(*(row[0] * z[0] + row[1] * z[1] + row[2] * z[2] - zi
+                                    for row, zi in zip(M, z))) / math.hypot(*z)
     mu2, mu3 = _deflated_quadratic_roots(trace, det)
     conds = schur_conditions(trace, det)
     return MonodromyReport(
-        matrix=M,
+        matrix=np.array(M),
         trace=trace,
         det=det,
         multipliers=(complex(1.0), mu2, mu3),

@@ -50,6 +50,22 @@ def rk4_batch(A, C, H, L, s0, ts, n):
     return s
 
 
+def bisect_root(f, lo, hi, xtol):
+    """Root of a scalar function with a sign change on [lo, hi], by plain
+    bisection until the bracket is narrower than xtol."""
+    f_lo = f(lo)
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        f_mid = f(mid)
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def fd_jacobian(fun, x, h):
     """Central-difference Jacobian of a vector function."""
     x = np.asarray(x, dtype=float)

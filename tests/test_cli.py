@@ -94,6 +94,18 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert proc.stderr.startswith("usage error: C must be a number, got 'abc'")
 
 
+@pytest.mark.parametrize("key, value", [("A", 5), ("H", 0.3), ("colour", "red")])
+def test_config_key_that_is_not_a_flag_is_usage_error(tmp_path, key, value):
+    # the config file holds flag defaults: scan has no --A or --H flag, so a
+    # config naming them would otherwise be ignored without a word
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"C": 1, "Lambda": 1, key: value}))
+    proc = run_cli("scan", "--config", str(cfg), "--count", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"usage error: config key {key!r} is not a flag of scan\n"
+    assert proc.stdout == ""
+
+
 def test_numerical_failure_exit_code():
     # above H_crit the closure residual keeps one sign on the whole branch:
     # no cycle is bracketed, a numerical outcome rather than a usage error

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twofold import (asymptotic_seed, branch_min_y, closure_residual, critical_h,
                      eval_P_X, find_cycle_newton, gamma1_branch_x, gamma1_conic,
-                     half_return_Y, iterate_reduced_map, resonant_system, return_map,
-                     returns, scan_cycles, series_coeffs, time_matching)
+                     half_return_Y, iterate_reduced_map, monodromy, resonant_system,
+                     return_map, returns, scan_cycles, schur_conditions, series_coeffs,
+                     time_matching)
 from twofold.cycles import _closure
 from twofold.errors import DivergenceError, NoCycleError, TwofoldError
 from oracles import fd_jacobian, measure_contraction
@@ -123,6 +124,33 @@ def test_exact_slope_matches_fd_oracle(C, h_frac, Lambda, log_gap):
         assume(False)
     slope = _closure(p, y0, gamma1_conic(p))[1]
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(slope))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.05, 0.99), Lambda=st.floats(0.5, 2.0))
+def test_half_map_invariants_match_direct_monodromy_and_fd(C, h_frac, Lambda):
+    # the return map is g o g with g = S h_X, so Dg^2 carries the transverse
+    # multipliers: its invariants must match the direct 3x3 composition, and
+    # its eigenvalues a finite-difference Jacobian of the return map
+    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
+    try:
+        cycle = find_cycle_newton(p, asymptotic_seed(p))
+    except TwofoldError:
+        assume(False)
+    report = monodromy(p, cycle)
+    dg = np.reshape(cycle.dg, (2, 2))
+    tr_g, det_g = np.trace(dg), np.linalg.det(dg)
+    trace, det = 1.0 + tr_g * tr_g - 2.0 * det_g, det_g * det_g
+    direct_trace, direct_det = np.trace(report.matrix), np.linalg.det(report.matrix)
+    scale = max(abs(trace), abs(det), 1.0)
+    assert abs(direct_trace - trace) <= 1e-9 * scale
+    assert abs(direct_det - det) <= 1e-9 * scale
+    h = 1e-6 * (1.0 + np.linalg.norm(cycle.p0))
+    fd = fd_jacobian(lambda q: return_map(p, q), cycle.p0, h)
+    fd_eigs = np.sort_complex(np.linalg.eigvals(fd))
+    half_map_eigs = np.sort_complex(np.linalg.eigvals(dg @ dg))
+    assert np.max(np.abs(fd_eigs - half_map_eigs)) <= 1e-5
+    assert schur_conditions(trace, det) == schur_conditions(direct_trace, direct_det)
 
 
 def test_desk_newton_half_return_count(desk_params, monkeypatch):

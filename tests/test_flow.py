@@ -1,7 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from twofold import (apply_involution, build_system, eval_X, eval_Y, flow_X,
                      flow_Y, fundamental_X, fundamental_Y, jacobian_Y,
@@ -87,7 +87,8 @@ def test_fundamental_matches_fd_jacobian(params):
 def test_fundamental_y_matches_expm(params):
     dy = jacobian_Y(params)
     for t in (0.25, 1.1, 2.9):
-        reference = expm(dy * t)
+        with mpmath.workdps(30):
+            reference = np.array(mpmath.expm(mpmath.matrix(dy * t)).tolist(), dtype=float)
         got = fundamental_Y(params, t)
         assert np.max(np.abs(got - reference)) <= 1e-12 * (1.0 + np.max(np.abs(reference)))
 

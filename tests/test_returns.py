@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import brentq
 
 from twofold import (HalfReturn, apply_involution, build_system, critical_h, eval_X,
                      eval_Y, flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
@@ -12,7 +11,7 @@ from twofold import (HalfReturn, apply_involution, build_system, critical_h, eva
 from twofold.errors import NoReturnError, TangentialGrazeError
 from twofold.flow import z_closed_form
 from twofold.returns import first_crossing
-from oracles import fit_time_series, rk4
+from oracles import bisect_root, fit_time_series, rk4
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +179,7 @@ def test_time_matching_sign_change_brackets_a_zero():
     assert v_star > 0
     lo, hi = 0.3 * v_star, 2.0 * v_star
     assert time_matching(p, lo) * time_matching(p, hi) < 0
-    v_root = brentq(lambda v: time_matching(p, v), lo, hi, xtol=1e-14)
+    v_root = bisect_root(lambda v: time_matching(p, v), lo, hi, xtol=1e-14)
     assert abs(time_matching(p, v_root)) <= 1e-10
 
 
@@ -424,6 +423,16 @@ def test_desk_half_returns_take_few_root_steps(desk_params, desk_cycle):
     # desk cycle's flights in at most four Newton steps each
     assert half_return_X(desk_params, desk_cycle.p0).iterations <= 4
     assert half_return_Y(desk_params, desk_cycle.p0).iterations <= 4
+
+
+def test_steep_flight_converges():
+    # with |C| ~ 189 the envelope-free residual gave a run of equal Newton
+    # steps of about 1/|C| that outlasted the step budget; rtsafe's
+    # step-halving rule bisects instead
+    p = build_system(377.54, -188.77, 0.586, -1.707)
+    hr = half_return_X(p, (2.306, 0.0538))
+    assert hr.iterations < 100
+    assert hr.residual <= 1e-12 * (1.0 + np.linalg.norm(hr.end))
 
 
 def test_time_matching_table_schema(params):
