@@ -23,9 +23,8 @@ from .cycles import (SymmetricCycle, closure_residual, find_cycle_newton,
                      return_map, iterate_reduced_map, ScanEntry, scan_cycles,
                      asymptotic_seed)
 from .stability import (saltation, MonodromyReport, monodromy, schur_conditions,
-                        schur_verdict, sigma_restriction, m_gamma1, tau_gamma1,
-                        asymptotic_invariants, critical_h, h_min, band_width,
-                        BandResult, stability_band)
+                        sigma_restriction, m_gamma1, tau_gamma1, asymptotic_invariants,
+                        critical_h, h_min, band_width, BandResult, stability_band)
 from . import errors
 
 __version__ = "0.1.0"

@@ -206,8 +206,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     while t0 < t_max:
         remaining = t_max - t0
         try:
-            tc, _ = returns.first_crossing(p, s, field, remaining, float(np.max(np.abs(s))),
-                                           skip_zero_start=on_sigma)
+            tc, _ = returns.first_crossing(p, s, field, remaining, skip_zero_start=on_sigma)
         except NoReturnError:
             tc = None  # orbit stays in its half-space for the rest of the run
         seg_end = t_max if tc is None else t0 + tc

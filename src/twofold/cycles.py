@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchPointError, DivergenceError, NoConvergenceError, NoCycleError,
-                     NoReturnError, NotACycleError, TangentialGrazeError, TwofoldError)
+from .errors import (BranchPointError, DivergenceError, DomainError, NoConvergenceError,
+                     NoCycleError, NoReturnError, NotACycleError, TangentialGrazeError,
+                     TwofoldError)
 from .invariants import _branch_x, branch_min_y, gamma1_branch_x, gamma1_conic
 from .returns import _bracketed_root, half_return_X, half_return_Y, series_coeffs
 from .system import SystemParams
@@ -193,7 +194,7 @@ def return_map(p: SystemParams, q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     if q[0] <= 0 or q[1] <= 0:
-        raise ValueError(f"return map orientation expects a first-quadrant point, got {q!r}")
+        raise DomainError(f"return map orientation expects a first-quadrant point, got {q!r}")
     hrx = half_return_X(p, q)
     hry = half_return_Y(p, hrx.end)
     return hry.end

@@ -3,9 +3,13 @@
 Both linear parts have spectrum {A, C + i, C - i}, so their exponentials are
 assembled from that eigenstructure rather than a generic matrix exponential:
 the (y, z) block of the upper field is a frequency-1 rotation scaled by
-exp(Ct), and the x row is a rate-A filter driven by z.  The lower field is
-the S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary
-point and fundamental matrices are the S-conjugates of the upper kernels:
+exp(Ct), and the x row is a rate-A filter driven by z.  ``_phi_rows`` writes
+the entries of exp(DX t) once, for two backends that do not round alike:
+``math`` functions for one scalar time on the solver path (``plane_flight``,
+``stability.monodromy``) and NumPy ufuncs for the public kernels, which take
+a scalar time (a 0-d stack) or an array of times.  The lower field is the
+S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary point
+and fundamental matrices are the S-conjugates of the private upper kernels:
 phi_Y(t, s) = S phi_X(t, S s) and Phi_Y = S Phi_X S.
 
 Each affine piece is integrated as phi(t, s) = s* + exp(Dt)(s - s*) around
@@ -31,98 +35,79 @@ __all__ = [
     "z_closed_form",
 ]
 
-def _phi_canonical(A: float, C: float, H: float, t):
-    """exp(D t) for the canonical arrangement (x driven by z, (y,z) rotation).
 
-    For an ndarray t the result is the C-contiguous stack of shape
-    t.shape + (3, 3); each matrix of it equals the one for its scalar time bit
-    for bit.
-    """
+def _phi_rows(p: SystemParams, t, exp=math.exp, sin=math.sin, cos=math.cos):
+    """exp(DX t) as three row tuples, for the x row driven by z and the (y, z)
+    rotation.  With the default ``math`` functions t is one scalar time and
+    the entries are floats; with np.exp, np.sin and np.cos each entry but
+    the two zeros has the shape of t."""
+    A, C, H = p.A, p.C, p.H
     b = -H * ((A - C) ** 2 + 1.0)
     beta = C - A
-    e_at = np.exp(A * t)
-    e_ct = np.exp(C * t)
-    st, ct = np.sin(t), np.cos(t)
     den = beta * beta + 1.0
+    e_at, e_ct = exp(A * t), exp(C * t)
+    st, ct = sin(t), cos(t)
     # int_0^t e^{A(t-s)} e^{Cs} sin s ds and the cosine analogue
-    int_sin = (e_ct * (beta * st - ct) + e_at) / den
-    int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
-    if isinstance(t, np.ndarray):
-        zero = np.zeros_like(e_at)
-        # stacking along the last axis keeps each 3x3 matrix contiguous, so
-        # stack @ vector runs the scalar call's matmul kernel per time
-        return np.stack([
-            e_at, b * int_sin, b * (int_cos + C * int_sin),
-            zero, e_ct * (ct - C * st), -(1.0 + C * C) * e_ct * st,
-            zero, e_ct * st, e_ct * (ct + C * st),
-        ], axis=-1).reshape(t.shape + (3, 3))
-    out = np.zeros((3, 3))
-    out[0, 0] = e_at
-    out[0, 1] = b * int_sin
-    out[0, 2] = b * (int_cos + C * int_sin)
-    out[1, 1] = e_ct * (ct - C * st)
-    out[1, 2] = -(1.0 + C * C) * e_ct * st
-    out[2, 1] = e_ct * st
-    out[2, 2] = e_ct * (ct + C * st)
-    return out
-
-
-def _stationary_canonical(A: float, C: float, H: float, L: float) -> np.ndarray:
-    zs = L / (1.0 + C * C)
-    return np.array([H * L * (A - 2.0 * C) / (1.0 + C * C), -2.0 * C * zs, zs])
-
-
-def fundamental_X(p: SystemParams, t) -> np.ndarray:
-    """exp(DX t) in closed form; an ndarray t gives the stack t.shape + (3, 3)."""
-    return _phi_canonical(p.A, p.C, p.H, t)
-
-
-def fundamental_Y(p: SystemParams, t) -> np.ndarray:
-    """exp(DY t) = S exp(DX t) S; an ndarray t gives the stack t.shape + (3, 3)."""
-    return INVOLUTION @ _phi_canonical(p.A, p.C, p.H, t) @ INVOLUTION
-
-
-def stationary_X(p: SystemParams) -> np.ndarray:
-    """Stationary point of the upper affine field."""
-    return _stationary_canonical(p.A, p.C, p.H, p.Lambda)
-
-
-def stationary_Y(p: SystemParams) -> np.ndarray:
-    """Stationary point of the lower affine field, the S-image of the upper one."""
-    return INVOLUTION @ _stationary_canonical(p.A, p.C, p.H, p.Lambda)
-
-
-def flow_X(p: SystemParams, s0, t) -> np.ndarray:
-    """Exact solution of sdot = X(s) at time t from s0; an ndarray t gives
-    the states as rows of shape t.shape + (3,)."""
-    ss = _stationary_canonical(p.A, p.C, p.H, p.Lambda)
-    return ss + _phi_canonical(p.A, p.C, p.H, t) @ (np.asarray(s0, dtype=float) - ss)
-
-
-def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
-    """Exact solution of sdot = Y(s) at time t from s0; an ndarray t gives
-    the states as rows of shape t.shape + (3,)."""
-    ss = _stationary_canonical(p.A, p.C, p.H, p.Lambda)
-    mirrored = INVOLUTION @ np.asarray(s0, dtype=float)
-    inner = ss + _phi_canonical(p.A, p.C, p.H, t) @ (mirrored - ss)
-    return inner @ INVOLUTION  # S is symmetric: S applied to each row of inner
-
-
-def _phi_rows(p: SystemParams, t: float):
-    """exp(DX t) for one scalar t as three row tuples of floats: the entries
-    of _phi_canonical written with ``math``, equal to fundamental_X up to
-    round-off, with no ndarray."""
-    A, C, H = p.A, p.C, p.H
-    beta = C - A
-    den = beta * beta + 1.0
-    b = -H * den
-    e_at, e_ct = math.exp(A * t), math.exp(C * t)
-    st, ct = math.sin(t), math.cos(t)
     int_sin = (e_ct * (beta * st - ct) + e_at) / den
     int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
     return ((e_at, b * int_sin, b * (int_cos + C * int_sin)),
             (0.0, e_ct * (ct - C * st), -(1.0 + C * C) * e_ct * st),
             (0.0, e_ct * st, e_ct * (ct + C * st)))
+
+
+def _phi_canonical(p: SystemParams, t) -> np.ndarray:
+    """exp(DX t) through NumPy as the C-contiguous stack of shape
+    np.shape(t) + (3, 3); a scalar time is a 0-d stack, one matrix.  Each
+    matrix of the stack is contiguous, so stack @ vector runs one matmul
+    kernel per time, and entry [k] equals the call at t[k] bit for bit."""
+    out = np.empty(np.shape(t) + (3, 3))
+    for i, row in enumerate(_phi_rows(p, t, np.exp, np.sin, np.cos)):
+        out[..., i, 0], out[..., i, 1], out[..., i, 2] = row
+    return out
+
+
+def _stationary_X(p: SystemParams) -> np.ndarray:
+    C, L = p.C, p.Lambda
+    zs = L / (1.0 + C * C)
+    return np.array([p.H * L * (p.A - 2.0 * C) / (1.0 + C * C), -2.0 * C * zs, zs])
+
+
+def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
+    ss = _stationary_X(p)
+    return ss + _phi_canonical(p, t) @ (np.asarray(s0, dtype=float) - ss)
+
+
+def fundamental_X(p: SystemParams, t) -> np.ndarray:
+    """exp(DX t) in closed form; an ndarray t gives the stack t.shape + (3, 3)."""
+    return _phi_canonical(p, t)
+
+
+def fundamental_Y(p: SystemParams, t) -> np.ndarray:
+    """exp(DY t) = S exp(DX t) S; an ndarray t gives the stack t.shape + (3, 3)."""
+    return INVOLUTION @ _phi_canonical(p, t) @ INVOLUTION
+
+
+def stationary_X(p: SystemParams) -> np.ndarray:
+    """Stationary point of the upper affine field."""
+    return _stationary_X(p)
+
+
+def stationary_Y(p: SystemParams) -> np.ndarray:
+    """Stationary point of the lower affine field, the S-image of the upper one."""
+    return INVOLUTION @ _stationary_X(p)
+
+
+def flow_X(p: SystemParams, s0, t) -> np.ndarray:
+    """Exact solution of sdot = X(s) at time t from s0; an ndarray t gives
+    the states as rows of shape t.shape + (3,)."""
+    return _flow_X(p, s0, t)
+
+
+def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
+    """Exact solution of sdot = Y(s) at time t from s0, S phi_X(t, S s0); an
+    ndarray t gives the states as rows of shape t.shape + (3,)."""
+    # S is symmetric: S applied to each row of the upper states
+    return _flow_X(p, INVOLUTION @ np.asarray(s0, dtype=float), t) @ INVOLUTION
 
 
 def plane_flight(p: SystemParams, q, t: float):

@@ -5,7 +5,9 @@ Solver contract: along either piece dz/dt = e^{Ct} (alpha sin t + beta cos t),
 so the critical points of z lie exactly at t0 + k pi and z is strictly
 monotone between them.  The first crossing is bracketed by evaluating the
 closed-form z at those points (then at the window end t_max) until it first
-reaches the plane; the bracket holds exactly one root.  Newton closes it on
+reaches the plane; the bracket holds exactly one root.  A critical point at
+which z is zero to within the closed form's rounding is a touch, not a
+crossing, and the walk goes on past it.  Newton closes it on
 the envelope-free residual e^{-Ct} z(t) = zs e^{-Ct} + a sin t + b cos t,
 which has the sign of z everywhere but lacks the e^{Ct} bend that makes
 Newton on z itself overshoot; it starts at the zero of the sinusoid
@@ -73,21 +75,23 @@ class HalfReturn:
     phi: tuple
 
 
-def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, *,
+def first_crossing(p: SystemParams, s0, field: str, t_max: float, *,
                    forward: bool = True, skip_zero_start: bool = True):
     """First time in (0, t_max] at which the ``field`` orbit from s0 meets z = 0.
 
     The orbit runs backward in time unless ``forward``; with
-    ``skip_zero_start`` s0 lies on the plane.  Returns (t, iterations).
+    ``skip_zero_start`` s0 lies on the plane.  Returns (t, iterations).  A
+    touch, a critical point of z where z is zero to within the closed form's
+    rounding, is not a crossing: the orbit stays in its half-space.
     Raises NoReturnError if no crossing occurs in (0, t_max],
     TangentialGrazeError if the flight does not enter the half-space or the
-    exit slope is below 1e-10 (1 + scale), and DivergenceError if the closed
+    exit slope is below 1e-10 (1 + |s0|), and DivergenceError if the closed
     form leaves the range of floating point before the crossing is resolved.
     """
     if field == "Y":  # the Y orbit from s0 is the S-image of the X orbit from S s0
         s0 = (-s0[1], -s0[0], -s0[2])
     elif field != "X":
-        raise ValueError(f"field must be 'X' or 'Y', got {field!r}")
+        raise DomainError(f"field must be 'X' or 'Y', got {field!r}")
     try:  # e^{Ct} in the closed form may overflow
         z, dz = flow.z_closed_form(p, s0)
         C = p.C
@@ -102,20 +106,29 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
             # so z is constant: no crossing, however long the window
             raise NoReturnError("z is stationary along the orbit")
         phase = (tsign * math.atan2(-beta, alpha)) % math.pi
-        lo, zlo = 0.0, None if skip_zero_start else z(0.0)
-        k = 0
-        while zlo is None or zlo > 0.0:  # walk while the left end is in the half-space
+        inside = not skip_zero_start  # the left end lies in the half-space
+        if inside and z(0.0) <= 0.0:
+            raise TangentialGrazeError("entry into the half-space is not transversal")
+        lo, k = 0.0, 0
+        while True:
             hi = min(phase + k * math.pi, t_max)
             zhi = z(tsign * hi)
-            if zhi <= 0.0:
+            # a critical point past the left end where z is zero to within
+            # rounding is a touch, passed over whichever way z rounds there.
+            # Near z = 0 the terms of zs + e^{Cu} (wy sin u + (cos u + C sin u)
+            # wz) sum in size to at most 3 (1 + |C|) e^{Cu} |(alpha, beta)|,
+            # and z carries a few ulps of that
+            if zhi <= 0.0 and (not inside or hi == t_max or -zhi > 2.0 ** -50 * 3.0
+                               * (1.0 + abs(C)) * math.exp(C * tsign * hi)
+                               * math.hypot(alpha, beta)):
                 break
             if hi == t_max:
                 raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-            lo, zlo, k = hi, zhi, k + 1
-        if zlo is None and hi == t_max and tsign * beta > 0.0:
-            # the window closes before the first critical point of a rising flight
-            raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-        if zlo is None or zlo <= 0.0:
+            lo, k, inside = hi, k + 1, True
+        if not inside:
+            if hi == t_max and tsign * beta > 0.0:
+                # the window closes before the first critical point of a rising flight
+                raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
             raise TangentialGrazeError("entry into the half-space is not transversal")
         # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
         # (C alpha + beta, C beta - alpha): start at the zero of the sinusoid
@@ -136,7 +149,7 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, scale: float, 
 
         root, iterations = _bracketed_root(envelope_free, start, lo, hi, 0.0)
         slope = abs(dz(tsign * root))
-        if slope < 1e-10 * (1.0 + scale):
+        if slope < 1e-10 * (1.0 + math.hypot(*s0)):
             raise TangentialGrazeError(
                 f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
         return root, iterations
@@ -189,7 +202,7 @@ def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
     forward = v > 0  # an ascending start opens the upper half-orbit
-    t, iterations = first_crossing(p, (u, v, 0.0), "X", _WINDOW, scale, forward=forward)
+    t, iterations = first_crossing(p, (u, v, 0.0), "X", _WINDOW, forward=forward)
     (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
     if field == "Y":  # end and Phi_Y = S Phi_X S back in the lower chart
         (x1, y1), phi0, phi1 = ((-y1, -x1), (phi1[1], phi1[0], phi1[2]),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .system import REL_TOL, SystemParams, eval_X, eval_Y
 
 __all__ = [
@@ -114,7 +115,7 @@ def fold_info(p: SystemParams, q) -> FoldInfo:
     if abs(x) < tol:  # on L_Y, where S q = (-y, -x) lies on L_X
         kind, second, third = _fold_X(p, -y, -x, tol)
         return FoldInfo("Y", kind, -second, -third)
-    raise ValueError(f"point {q!r} lies on neither tangency line")
+    raise DomainError(f"point {q!r} lies on neither tangency line")
 
 
 def _fold_X(p: SystemParams, x: float, y: float, tol: float):
@@ -139,7 +140,7 @@ def sliding_field(p: SystemParams, q) -> np.ndarray:
     """
     cls = classify_point(p, q)
     if cls.kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
-        raise ValueError(f"sliding field undefined at {cls.kind.value} point {q!r}")
+        raise DomainError(f"sliding field undefined at {cls.kind.value} point {q!r}")
     s3 = np.array([float(q[0]), float(q[1]), 0.0])
     vx, vy = eval_X(p, s3), eval_Y(p, s3)
     zs = (cls.lie_y * vx - cls.lie_x * vy) / (cls.lie_y - cls.lie_x)

@@ -34,7 +34,6 @@ __all__ = [
     "MonodromyReport",
     "monodromy",
     "schur_conditions",
-    "schur_verdict",
     "sigma_restriction",
     "m_gamma1",
     "tau_gamma1",
@@ -59,7 +58,7 @@ def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tu
     elif direction == "YtoX":
         div = -x
     else:
-        raise ValueError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
+        raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
     fx = _field(p, x, y, 0.0)
     u, v, w = _field(p, -y, -x, -0.0)  # Y(x, y, 0) = S X(-y, -x, -0)
     return (-v - fx[0]) / div, (-u - fx[1]) / div, (-w - fx[2]) / div
@@ -108,12 +107,6 @@ def schur_conditions(trace: float, det: float) -> tuple:
     return (1.0 - det > 0.0,
             2.0 - trace + det > 0.0,
             trace + det > 0.0)
-
-
-def schur_verdict(report: "MonodromyReport") -> tuple:
-    """(three booleans, stable flag) for a monodromy report."""
-    conds = schur_conditions(report.trace, report.det)
-    return conds + (all(conds),)
 
 
 def _salted(c: tuple, m: tuple) -> tuple:

@@ -53,15 +53,19 @@ class SystemParams:
     """Parameters of one member of the family, in the upper-field chart.
 
     They fix both fields: the lower field's quantities are the S-conjugates
-    of the upper ones.  ``resonant`` is True iff A + 2C == 0 exactly, the
-    regime in which the two fields share a polynomial first integral.
+    of the upper ones.
     """
 
     A: float
     C: float
     H: float
     Lambda: float
-    resonant: bool = False
+
+    @property
+    def resonant(self) -> bool:
+        """True iff A + 2C == 0 exactly, the regime in which the two fields
+        share a polynomial first integral."""
+        return self.A + 2.0 * self.C == 0.0
 
 
 def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
@@ -81,7 +85,7 @@ def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
         raise DomainError("C must be nonzero: the dynamics needs a rotation block")
     if Lambda == 0.0:
         raise DomainError("Lambda must be nonzero: folds degenerate to cusps")
-    return SystemParams(A, C, H, Lambda, resonant=(A + 2.0 * C == 0.0))
+    return SystemParams(A, C, H, Lambda)
 
 
 def resonant_system(C: float, H: float, Lambda: float) -> SystemParams:

@@ -368,6 +368,20 @@ def test_simulate_terminal_at_sliding_point(tmp_path):
     assert float(rows[-1]["t"]) == pytest.approx(0.94445, abs=1e-5)
 
 
+def test_simulate_passes_over_a_touch(tmp_path):
+    # the desk-case upper orbit through the visible fold point (-3, 0, 0),
+    # flowed back by 0.5: it touches the plane at t = 0.5, where z rounds to
+    # -2.2e-16, and stays above it, so the run has no crossing
+    out = tmp_path / "touch.csv"
+    proc = run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
+                   "--x0=-8.180631575431374", "--y0=-0.4677192697843293",
+                   "--z0=0.0884664907858187", "--t-max", "1", "--dt", "0.25", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = read_csv(out)
+    assert [float(r["t"]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all((r["event"], r["field"]) == ("", "X") for r in rows)
+
+
 def test_simulate_readme_example(tmp_path):
     # the return crossing lies 4e-4 before t-max
     out = tmp_path / "trajectory.csv"
@@ -399,8 +413,7 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
     t0, k = 0.0, 0
     while t0 < t_max:
         try:
-            tc, _ = first_crossing(p, s, field, t_max - t0, float(np.max(np.abs(s))),
-                                   skip_zero_start=on_sigma)
+            tc, _ = first_crossing(p, s, field, t_max - t0, skip_zero_start=on_sigma)
         except errors.NoReturnError:
             tc = None
         seg_end = t_max if tc is None else t0 + tc

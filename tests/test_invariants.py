@@ -75,7 +75,7 @@ def test_nonresonant_integral_is_constant():
 
 
 def test_verify_darboux_report(params):
-    report = verify_darboux(params, samples=1000, seed=0)
+    report = verify_darboux(params)
     assert report.cofactor_combination == 0.0
     for resid in (report.max_residual_f1, report.max_residual_f2,
                   report.max_residual_F1, report.max_residual_F2):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twofold import (HalfReturn, apply_involution, build_system, critical_h, eval_X,
-                     eval_Y, flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
-                     half_return_Y, resonant_system, series_coeffs,
+                     eval_Y, flow_X, flow_Y, gamma1_branch_x, gamma2_at_critical,
+                     half_return_X, half_return_Y, resonant_system, series_coeffs,
                      time_matching, time_matching_table)
 from twofold.errors import NoReturnError, TangentialGrazeError
 from twofold.flow import z_closed_form
@@ -195,13 +195,13 @@ def test_gamma2_at_critical_nonzero_everywhere():
 def test_no_return_within_window(params):
     x0, y0 = _branch_point(params, 8.0)
     with pytest.raises(NoReturnError):
-        first_crossing(params, (x0, y0, 0.0), "X", 0.5, float(np.hypot(x0, y0)))
+        first_crossing(params, (x0, y0, 0.0), "X", 0.5)
     # z constant along the orbit: no window is long enough, and e^{Ct} would
     # overflow before t reaches 1e4
     zs = params.Lambda / (1.0 + params.C ** 2)
     for forward in (True, False):
         with pytest.raises(NoReturnError):
-            first_crossing(params, (0.76, -2.0 * params.C * zs, zs), "X", 1e4, 1.0,
+            first_crossing(params, (0.76, -2.0 * params.C * zs, zs), "X", 1e4,
                            forward=forward, skip_zero_start=False)
 
 
@@ -210,7 +210,7 @@ def test_window_before_first_critical_point(desk_params):
     # first critical point of z holds no crossing, and no graze either
     s0 = (219.892, 8.431, 0.0)
     with pytest.raises(NoReturnError):
-        first_crossing(desk_params, s0, "X", 1e-300, max(map(abs, s0)))
+        first_crossing(desk_params, s0, "X", 1e-300)
 
 
 def test_entry_graze_rejected(params):
@@ -222,10 +222,10 @@ def test_entry_graze_rejected(params):
 
 def test_exit_graze_detected():
     # Lambda and the start scaled down to 1e-12 scale the whole orbit: it
-    # crosses the plane with slope ~4e-11, below the 1e-10 (1 + scale) tolerance
+    # crosses the plane with slope ~4e-11, below the 1e-10 (1 + |s0|) tolerance
     p = build_system(-2.0, 1.0, 0.5, 1e-12)
     with pytest.raises(TangentialGrazeError):
-        first_crossing(p, (0.0, 0.0, 2e-12), "X", 8.0, 2e-12, skip_zero_start=False)
+        first_crossing(p, (0.0, 0.0, 2e-12), "X", 8.0, skip_zero_start=False)
 
 
 # the desk-case upper orbit through the visible fold point (-3, 0, 0), flowed
@@ -243,13 +243,27 @@ def test_rounded_tangency_is_passed_over(desk_params):
     alpha, beta = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
     touch = math.atan2(-beta, alpha) % math.pi  # the first critical point of z
     assert abs(touch - 1.5) <= 1e-12 and 0.0 < z(touch) <= 1e-16
-    scale = max(map(abs, _TOUCH))
     for field, s0 in (("X", _TOUCH), ("Y", tuple(apply_involution(_TOUCH)))):
         with pytest.raises(NoReturnError):
-            first_crossing(p, s0, field, 2.0, scale, skip_zero_start=False)
+            first_crossing(p, s0, field, 2.0, skip_zero_start=False)
         # a longer window finds the next crossing, about pi later
-        t, _ = first_crossing(p, s0, field, 8.0 * math.pi, scale, skip_zero_start=False)
+        t, _ = first_crossing(p, s0, field, 8.0 * math.pi, skip_zero_start=False)
         assert t == pytest.approx(5.4407331356929145, rel=1e-13)
+
+
+@pytest.mark.parametrize("C, H, Lambda", [(1.0, 0.04, 1.0), (0.5, 0.1, 1.5), (-0.3, 0.2, 1.0)])
+def test_touch_is_not_a_crossing_however_z_rounds(C, H, Lambda):
+    # upper orbits through 61 visible fold points (x, 0, 0), flowed back by
+    # tau: each touches the plane at t = tau and stays above it past
+    # tau + 0.5, so that window holds no crossing, whether z rounds to a
+    # positive value, zero or a negative one at the touch
+    p = resonant_system(C, H, Lambda)
+    for x in np.linspace(-6.0, 6.0, 61):
+        for tau in (0.5, 1.0, 1.5, 2.0):
+            s0 = flow_X(p, (x, 0.0, 0.0), -tau)
+            for field, start in (("X", s0), ("Y", apply_involution(s0))):
+                with pytest.raises(NoReturnError):
+                    first_crossing(p, start, field, tau + 0.5, skip_zero_start=False)
 
 
 def _rk4_first_crossing(field, s0, side, direction, t_max, h=2e-3):
@@ -306,8 +320,7 @@ def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
         s0 = np.array([x, y, side * z])
         direction = 1.0
         try:
-            t = first_crossing(p, s0, field, t_max, float(np.max(np.abs(s0))),
-                               skip_zero_start=False)[0]
+            t = first_crossing(p, s0, field, t_max, skip_zero_start=False)[0]
         except NoReturnError:
             t = None
     rhs = (lambda s: eval_X(p, s)) if field == "X" else (lambda s: eval_Y(p, s))
@@ -407,7 +420,7 @@ def test_first_crossing_matches_mpmath_root(C, c_sign, H, Lambda, x, y, z, x_sig
     oracle, condition, margin = _mp_first_crossing(p, s0, field, t_max, direction)
     assume(condition <= 1e-14 and margin >= 1e-9)
     try:
-        t, _ = first_crossing(p, s0, field, t_max, max(map(abs, s0)), forward=forward,
+        t, _ = first_crossing(p, s0, field, t_max, forward=forward,
                               skip_zero_start=on_plane)
     except NoReturnError:
         t = None

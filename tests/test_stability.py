@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from twofold import (asymptotic_invariants, band_width, build_system, critical_h,
                      eval_X, eval_Y, find_cycle_newton, h_min, m_gamma1,
                      monodromy, resonant_system, return_map, saltation,
-                     schur_conditions, schur_verdict, sigma_restriction,
+                     schur_conditions, sigma_restriction,
                      stability_band, tau_gamma1)
 from twofold.cycles import asymptotic_seed
 from twofold.errors import GrazingCrossingError, SymmetryDefectError, TwofoldError
@@ -141,8 +141,9 @@ def test_schur_verdict_against_root_moduli(desk_monodromy):
             assert np.min(np.abs(np.abs(roots) - 1.0)) <= 1e-12
         else:
             assert stable == inside
-    verdict = schur_verdict(desk_monodromy)
-    assert verdict[3] == desk_monodromy.stable
+    report = desk_monodromy
+    assert report.schur == schur_conditions(report.trace, report.det)
+    assert report.stable == all(report.schur)
 
 
 def test_asymptotic_invariant_values():

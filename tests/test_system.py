@@ -4,7 +4,7 @@ import pytest
 import twofold as tf
 from twofold import (INVOLUTION, apply_involution, build_system, eval_X, eval_Y,
                      jacobian_X, jacobian_Y, params_from_json, params_to_json,
-                     resonant_system)
+                     resonant_system, SystemParams)
 from twofold.errors import DomainError
 from oracles import fd_jacobian
 
@@ -15,6 +15,9 @@ _ELLIPSE = resonant_system(1.0, 1.5, 1.0)
 def test_build_valid_resonant():
     p = build_system(-2.0, 1.0, 0.04, 1.0)
     assert p.resonant
+    # the flag follows A and C however the parameters are built
+    assert SystemParams(-2.0, 1.0, 0.04, 1.0).resonant
+    assert not SystemParams(-1.9, 1.0, 0.04, 1.0).resonant
 
 
 @pytest.mark.parametrize("call", [
@@ -35,6 +38,24 @@ def test_build_valid_resonant():
 def test_parameter_guards_raise_domain_error(call):
     # one contract: a parameter outside a routine's range is a DomainError,
     # which is also a ValueError for callers that catch that
+    with pytest.raises(DomainError):
+        call()
+
+
+_DESK = resonant_system(1.0, 0.04, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tf.return_map(_DESK, (-3.0, -2.0)),
+    lambda: tf.eval_P_X(build_system(-1.5, 1.0, 0.5, 1.0), (-5.0, 0.0, 0.0)),
+    lambda: tf.returns.first_crossing(_DESK, (1.0, 1.0, 0.5), "Z", 1.0),
+    lambda: tf.fold_info(_DESK, (1.0, 1.0)),
+    lambda: tf.sliding_field(_DESK, (1.0, 1.0)),
+    lambda: tf.saltation(_DESK, (1.0, 1.0), "sideways"),
+], ids=["return_map_quadrant", "first_integral_power", "first_crossing_field",
+        "fold_info_off_line", "sliding_field_crossing", "saltation_direction"])
+def test_argument_guards_raise_domain_error(call):
+    # an argument outside a routine's range is a DomainError too
     with pytest.raises(DomainError):
         call()
 
