@@ -180,7 +180,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     its samples and the crossing or terminal row that ends it.
 
     The text is byte for byte what _write_csv writes for those rows; each
-    segment's samples come from one flow call on its array of times.
+    segment's samples and crossing come from one flow call on its times.
     """
     yield "t,x,y,z,field,event,region,saltation_det\n"
     sample_ts = np.arange(int(np.floor(t_max / dt)) + 1) * dt
@@ -199,47 +199,43 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             yield _csv_line([0.0, s[0], s[1], s[2], "", "terminal", cls.kind.value, ""])
             return
         field = "X" if cls.lie_x > 0 else "Y"
+        s[2] = 0.0  # classified as on the plane, so put on it
 
     t0 = 0.0
     idx = 0
-    on_sigma = abs(s[2]) <= ztol
     while t0 < t_max:
-        remaining = t_max - t0
-        try:
-            tc, _ = returns.first_crossing(p, s, field, remaining, skip_zero_start=on_sigma)
+        try:  # first_crossing works in the upper chart: a Y segment passes S s
+            tc, _ = returns.first_crossing(p, s if field == "X" else -s[[1, 0, 2]], t_max - t0)
         except NoReturnError:
             tc = None  # orbit stays in its half-space for the rest of the run
         seg_end = t_max if tc is None else t0 + tc
         flow = flow_X if field == "X" else flow_Y
         end = int(np.searchsorted(sample_ts, seg_end + 1e-15, side="right"))
         ts = sample_ts[idx:end]
+        # the crossing state is the last row of the segment's stack
+        times = ts - t0 if tc is None else np.append(ts - t0, tc)
         with np.errstate(over="ignore", invalid="ignore"):
-            states = flow(p, s, ts - t0)
+            states = flow(p, s, times)
         if not np.isfinite(states).all():
-            raise DivergenceError(
-                f"the {field} flow overflows floating point by t={float(ts[-1])!r}")
+            raise DivergenceError(f"the {field} flow overflows floating point "
+                                  f"by t={t0 + float(times[-1])!r}")
         tail = f",{field},,,\n"
+        states = states.tolist()  # zip below leaves out the crossing row
         yield "".join([f"{t!r},{x!r},{y!r},{z!r}{tail}"
-                       for t, (x, y, z) in zip(ts.tolist(), states.tolist())])
+                       for t, (x, y, z) in zip(ts.tolist(), states)])
         idx = end
         if tc is None:
             break
-        hit = flow(p, s, tc)
-        q = hit[:2]
-        cls = classify_point(p, q)
-        if field == "X":
-            det = cls.lie_y / cls.lie_x if cls.lie_x != 0 else float("nan")
-        else:
-            det = cls.lie_x / cls.lie_y if cls.lie_y != 0 else float("nan")
-        if cls.kind is RegionKind.CROSSING:
-            yield _csv_line([t0 + tc, q[0], q[1], 0.0, field, "crossing", cls.kind.value, det])
-            field = "Y" if field == "X" else "X"
-            s = np.array([q[0], q[1], 0.0])
-            t0 = t0 + tc
-            on_sigma = True
-        else:
-            yield _csv_line([t0 + tc, q[0], q[1], 0.0, field, "terminal", cls.kind.value, ""])
+        x, y, _ = states[-1]
+        cls = classify_point(p, (x, y))
+        if cls.kind is not RegionKind.CROSSING:
+            yield _csv_line([t0 + tc, x, y, 0.0, field, "terminal", cls.kind.value, ""])
             break
+        det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
+        yield _csv_line([t0 + tc, x, y, 0.0, field, "crossing", cls.kind.value, det])
+        field = "Y" if field == "X" else "X"
+        s = np.array([x, y, 0.0])
+        t0 = t0 + tc
 
 
 def cmd_simulate(merged: dict) -> int:

@@ -20,7 +20,8 @@ from .errors import (BranchPointError, DivergenceError, DomainError, NoConvergen
                      TwofoldError)
 from .invariants import _branch_x, branch_min_y, gamma1_branch_x, gamma1_conic
 from .returns import _bracketed_root, half_return_X, half_return_Y, series_coeffs
-from .system import SystemParams
+from .stability import MonodromyReport, monodromy
+from .system import SystemParams, resonant_system
 
 __all__ = [
     "SymmetricCycle",
@@ -239,7 +240,7 @@ def asymptotic_seed(p: SystemParams) -> float | None:
 class ScanEntry:
     H: float
     cycle: SymmetricCycle | None
-    monodromy: "object | None"  # stability.MonodromyReport
+    monodromy: MonodromyReport | None
     error: str | None
 
 
@@ -250,9 +251,6 @@ def scan_cycles(p_base: SystemParams, H_grid) -> list[ScanEntry]:
     None.  A TwofoldError is recorded in its entry and the scan continues.  The
     returned order follows H_grid.
     """
-    from .stability import monodromy  # deferred: stability depends on cycle objects
-    from .system import resonant_system
-
     def entry(H: float) -> ScanEntry:
         try:
             p = resonant_system(p_base.C, H, p_base.Lambda)

@@ -47,5 +47,5 @@ class EmptyBandError(TwofoldError):
 
 
 class SymmetryDefectError(TwofoldError):
-    """The direct and involution-reduced monodromy compositions of a cycle
+    """The direct monodromy of a cycle and the invariants of its half map
     disagree: its two half flights are not symmetric to the check's bound."""

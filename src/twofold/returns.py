@@ -25,7 +25,9 @@ the orbit stays in the correct half-space during the flight.
 Both kernels work in the upper chart only.  The lower orbit from s is the
 S-image of the upper orbit from S s, with S(x, y, z) = (-y, -x, -z), so a
 lower-field solve mirrors its start, runs the upper kernel and mirrors the
-result back.
+result back; ``first_crossing`` reads the start's side from its z.  A
+half-return is finite or a typed error: a non-finite start is a DomainError,
+a flight that leaves the range of floating point a DivergenceError.
 """
 from __future__ import annotations
 
@@ -75,23 +77,21 @@ class HalfReturn:
     phi: tuple
 
 
-def first_crossing(p: SystemParams, s0, field: str, t_max: float, *,
-                   forward: bool = True, skip_zero_start: bool = True):
-    """First time in (0, t_max] at which the ``field`` orbit from s0 meets z = 0.
+def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
+    """First time in (0, t_max] at which the upper-field orbit from s0 meets z = 0.
 
-    The orbit runs backward in time unless ``forward``; with
-    ``skip_zero_start`` s0 lies on the plane.  Returns (t, iterations).  A
-    touch, a critical point of z where z is zero to within the closed form's
-    rounding, is not a crossing: the orbit stays in its half-space.
-    Raises NoReturnError if no crossing occurs in (0, t_max],
+    s0 lies on the plane (s0[2] == 0, and the flight leaves it) or above it;
+    a lower-field caller passes S s0.  The orbit runs backward in time unless
+    ``forward``.  Returns (t, iterations).  A touch, a critical point of z
+    where z is zero to within the closed form's rounding, is not a crossing:
+    the orbit stays in its half-space.  Raises DomainError if s0 lies below
+    the plane, NoReturnError if no crossing occurs in (0, t_max],
     TangentialGrazeError if the flight does not enter the half-space or the
     exit slope is below 1e-10 (1 + |s0|), and DivergenceError if the closed
     form leaves the range of floating point before the crossing is resolved.
     """
-    if field == "Y":  # the Y orbit from s0 is the S-image of the X orbit from S s0
-        s0 = (-s0[1], -s0[0], -s0[2])
-    elif field != "X":
-        raise DomainError(f"field must be 'X' or 'Y', got {field!r}")
+    if s0[2] < 0.0:  # the lower orbit from s is the S-image of the upper one from S s
+        raise DomainError(f"start z = {s0[2]!r} is below the plane; pass S s0 = (-y, -x, -z)")
     try:  # e^{Ct} in the closed form may overflow
         z, dz = flow.z_closed_form(p, s0)
         C = p.C
@@ -106,7 +106,9 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, *,
             # so z is constant: no crossing, however long the window
             raise NoReturnError("z is stationary along the orbit")
         phase = (tsign * math.atan2(-beta, alpha)) % math.pi
-        inside = not skip_zero_start  # the left end lies in the half-space
+        if not math.isfinite(phase):  # a NaN phase would keep the walk from t_max
+            raise DivergenceError("the closed form of z is not finite along the orbit")
+        inside = s0[2] > 0.0  # the left end lies in the half-space
         if inside and z(0.0) <= 0.0:
             raise TangentialGrazeError("entry into the half-space is not transversal")
         lo, k = 0.0, 0
@@ -154,7 +156,7 @@ def first_crossing(p: SystemParams, s0, field: str, t_max: float, *,
                 f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
         return root, iterations
     except OverflowError:
-        raise DivergenceError(f"the {field} orbit leaves the range of floating point "
+        raise DivergenceError("the orbit leaves the range of floating point "
                               "before it meets z = 0") from None
 
 
@@ -197,13 +199,23 @@ def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
     scale = math.hypot(x0, y0)
+    if not math.isfinite(scale):  # x0 or y0 is not finite, or |start| overflows
+        raise DomainError(f"start must be finite, got {np.array([x0, y0])!r}")
     if abs(v) < 1e-10 * (1.0 + scale):  # v is the X Lie derivative at (u, v)
         raise TangentialGrazeError(
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
     forward = v > 0  # an ascending start opens the upper half-orbit
-    t, iterations = first_crossing(p, (u, v, 0.0), "X", _WINDOW, forward=forward)
-    (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
+    t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward)
+    try:  # e^{At} in the closed form may overflow where e^{Ct} did not
+        (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
+        # each entry of phi enters the end state, so a finite end has a finite phi
+        finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(z1)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DivergenceError(f"the {field} flight from {np.array([x0, y0])!r} leaves "
+                              "the range of floating point")
     if field == "Y":  # end and Phi_Y = S Phi_X S back in the lower chart
         (x1, y1), phi0, phi1 = ((-y1, -x1), (phi1[1], phi1[0], phi1[2]),
                                 (phi0[1], phi0[0], phi0[2]))

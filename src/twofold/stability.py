@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -243,18 +244,32 @@ def _lower_margin(C: float, H: float) -> float:
 
 
 def h_min(C: float) -> float:
-    """Lower stability boundary in H at fixed C > 0, located by bisection."""
+    """Lower stability boundary in H at fixed C > 0, located by bisection.
+
+    The bracket's right end is H_crit(C); its left end halves from there
+    until the margin is negative, and the bisection runs until the midpoint
+    equals an end.  H^2 divides the margin, so a left end whose square leaves
+    the normal float range (from about C = 80) is a DomainError.
+    """
     hi = float(critical_h(C))
-    lo = 1e-9
-    if _lower_margin(C, lo) >= 0.0 or _lower_margin(C, hi) <= 0.0:
+    if _lower_margin(C, hi) <= 0.0:
         raise EmptyBandError(f"no lower boundary bracket in (0, H_crit) at C={C}")
-    while hi - lo > 1e-14:
+    lo = hi
+    while True:
+        lo *= 0.5
+        if not lo * lo >= sys.float_info.min:  # also a NaN C
+            raise DomainError(f"H_min at C={C} lies below {lo!r}, where H^2 leaves "
+                              "the normal float range")
+        if _lower_margin(C, lo) < 0.0:
+            break
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if _lower_margin(C, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def band_width(C: float) -> float:

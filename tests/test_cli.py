@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import twofold
-from twofold import (RegionKind, classify_point, critical_h, errors, flow_X, flow_Y,
-                     m_gamma1, resonant_system, stability_band, tau_gamma1)
+from twofold import (RegionKind, apply_involution, classify_point, critical_h, errors,
+                     flow_X, flow_Y, m_gamma1, resonant_system, stability_band,
+                     tau_gamma1)
 from twofold.cli import _band_csv, _fmt
 from twofold.returns import first_crossing
 
@@ -325,6 +326,14 @@ def test_readme_cli_commands_run(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library example$.*?^```python\n(.*?)^```$", readme,
+                      re.M | re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "True" in capsys.readouterr().out  # the desk cycle is stable
+
+
 def test_simulate_closes_a_cycle(tmp_path):
     cyc_path = tmp_path / "cycle.json"
     run_cli("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1",
@@ -407,13 +416,12 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
     if sample_ts[-1] < t_max - 1e-15:
         sample_ts.append(t_max)
     s = np.array([x0, y0, z0])
-    on_sigma = z0 == 0.0
-    field = ("X" if classify_point(p, s[:2]).lie_x > 0 else "Y") if on_sigma else (
+    field = ("X" if classify_point(p, s[:2]).lie_x > 0 else "Y") if z0 == 0.0 else (
         "X" if z0 > 0 else "Y")
     t0, k = 0.0, 0
     while t0 < t_max:
         try:
-            tc, _ = first_crossing(p, s, field, t_max - t0, skip_zero_start=on_sigma)
+            tc, _ = first_crossing(p, s if field == "X" else apply_involution(s), t_max - t0)
         except errors.NoReturnError:
             tc = None
         seg_end = t_max if tc is None else t0 + tc
@@ -433,7 +441,7 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
         rows.append([t0 + tc, q[0], q[1], 0.0, field, "crossing", cls.kind.value,
                      lie_out / lie_in])
         field = "Y" if field == "X" else "X"
-        s, t0, on_sigma = np.array([q[0], q[1], 0.0]), t0 + tc, True
+        s, t0 = np.array([q[0], q[1], 0.0]), t0 + tc
     return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 

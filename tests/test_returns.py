@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twofold import (HalfReturn, apply_involution, build_system, critical_h, eval_X,
                      eval_Y, flow_X, flow_Y, gamma1_branch_x, gamma2_at_critical,
-                     half_return_X, half_return_Y, resonant_system, series_coeffs,
-                     time_matching, time_matching_table)
-from twofold.errors import NoReturnError, TangentialGrazeError
+                     half_return_X, half_return_Y, resonant_system, return_map,
+                     series_coeffs, time_matching, time_matching_table)
+from twofold.errors import (DivergenceError, DomainError, NoReturnError,
+                            TangentialGrazeError, TwofoldError)
 from twofold.flow import z_closed_form
 from twofold.returns import first_crossing
 from oracles import bisect_root, fit_time_series, rk4
@@ -195,14 +196,13 @@ def test_gamma2_at_critical_nonzero_everywhere():
 def test_no_return_within_window(params):
     x0, y0 = _branch_point(params, 8.0)
     with pytest.raises(NoReturnError):
-        first_crossing(params, (x0, y0, 0.0), "X", 0.5)
+        first_crossing(params, (x0, y0, 0.0), 0.5)
     # z constant along the orbit: no window is long enough, and e^{Ct} would
     # overflow before t reaches 1e4
     zs = params.Lambda / (1.0 + params.C ** 2)
     for forward in (True, False):
         with pytest.raises(NoReturnError):
-            first_crossing(params, (0.76, -2.0 * params.C * zs, zs), "X", 1e4,
-                           forward=forward, skip_zero_start=False)
+            first_crossing(params, (0.76, -2.0 * params.C * zs, zs), 1e4, forward=forward)
 
 
 def test_window_before_first_critical_point(desk_params):
@@ -210,7 +210,7 @@ def test_window_before_first_critical_point(desk_params):
     # first critical point of z holds no crossing, and no graze either
     s0 = (219.892, 8.431, 0.0)
     with pytest.raises(NoReturnError):
-        first_crossing(desk_params, s0, "X", 1e-300)
+        first_crossing(desk_params, s0, 1e-300)
 
 
 def test_entry_graze_rejected(params):
@@ -225,7 +225,7 @@ def test_exit_graze_detected():
     # crosses the plane with slope ~4e-11, below the 1e-10 (1 + |s0|) tolerance
     p = build_system(-2.0, 1.0, 0.5, 1e-12)
     with pytest.raises(TangentialGrazeError):
-        first_crossing(p, (0.0, 0.0, 2e-12), "X", 8.0, skip_zero_start=False)
+        first_crossing(p, (0.0, 0.0, 2e-12), 8.0)
 
 
 # the desk-case upper orbit through the visible fold point (-3, 0, 0), flowed
@@ -236,19 +236,17 @@ _TOUCH = (-60.326445232667744, -0.9842163968634337, 0.3808225903776076)
 
 def test_rounded_tangency_is_passed_over(desk_params):
     # documented behaviour: a touch whose z at the critical point rounds to a
-    # tiny positive value is not a crossing; the walk goes on past it.  The
-    # S-mirrored start of the lower field has the same outcome.
+    # tiny positive value is not a crossing; the walk goes on past it
     p = desk_params
     z, dz = z_closed_form(p, _TOUCH)
     alpha, beta = math.exp(-p.C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
     touch = math.atan2(-beta, alpha) % math.pi  # the first critical point of z
     assert abs(touch - 1.5) <= 1e-12 and 0.0 < z(touch) <= 1e-16
-    for field, s0 in (("X", _TOUCH), ("Y", tuple(apply_involution(_TOUCH)))):
-        with pytest.raises(NoReturnError):
-            first_crossing(p, s0, field, 2.0, skip_zero_start=False)
-        # a longer window finds the next crossing, about pi later
-        t, _ = first_crossing(p, s0, field, 8.0 * math.pi, skip_zero_start=False)
-        assert t == pytest.approx(5.4407331356929145, rel=1e-13)
+    with pytest.raises(NoReturnError):
+        first_crossing(p, _TOUCH, 2.0)
+    # a longer window finds the next crossing, about pi later
+    t, _ = first_crossing(p, _TOUCH, 8.0 * math.pi)
+    assert t == pytest.approx(5.4407331356929145, rel=1e-13)
 
 
 @pytest.mark.parametrize("C, H, Lambda", [(1.0, 0.04, 1.0), (0.5, 0.1, 1.5), (-0.3, 0.2, 1.0)])
@@ -260,10 +258,8 @@ def test_touch_is_not_a_crossing_however_z_rounds(C, H, Lambda):
     p = resonant_system(C, H, Lambda)
     for x in np.linspace(-6.0, 6.0, 61):
         for tau in (0.5, 1.0, 1.5, 2.0):
-            s0 = flow_X(p, (x, 0.0, 0.0), -tau)
-            for field, start in (("X", s0), ("Y", apply_involution(s0))):
-                with pytest.raises(NoReturnError):
-                    first_crossing(p, start, field, tau + 0.5, skip_zero_start=False)
+            with pytest.raises(NoReturnError):
+                first_crossing(p, flow_X(p, (x, 0.0, 0.0), -tau), tau + 0.5)
 
 
 def _rk4_first_crossing(field, s0, side, direction, t_max, h=2e-3):
@@ -320,7 +316,7 @@ def test_first_crossing_matches_rk4_events(C, c_sign, H, Lambda, x, y, z, signs,
         s0 = np.array([x, y, side * z])
         direction = 1.0
         try:
-            t = first_crossing(p, s0, field, t_max, skip_zero_start=False)[0]
+            t = first_crossing(p, s0 if field == "X" else apply_involution(s0), t_max)[0]
         except NoReturnError:
             t = None
     rhs = (lambda s: eval_X(p, s)) if field == "X" else (lambda s: eval_Y(p, s))
@@ -420,8 +416,8 @@ def test_first_crossing_matches_mpmath_root(C, c_sign, H, Lambda, x, y, z, x_sig
     oracle, condition, margin = _mp_first_crossing(p, s0, field, t_max, direction)
     assume(condition <= 1e-14 and margin >= 1e-9)
     try:
-        t, _ = first_crossing(p, s0, field, t_max, forward=forward,
-                              skip_zero_start=on_plane)
+        t, _ = first_crossing(p, s0 if field == "X" else apply_involution(s0), t_max,
+                              forward=forward)
     except NoReturnError:
         t = None
     if oracle is None:
@@ -446,6 +442,56 @@ def test_steep_flight_converges():
     hr = half_return_X(p, (2.306, 0.0538))
     assert hr.iterations < 100
     assert hr.residual <= 1e-12 * (1.0 + np.linalg.norm(hr.end))
+
+
+def test_non_finite_start_is_a_domain_error(desk_params):
+    # a NaN start once made the crossing walk loop forever (its phase is NaN,
+    # so the walk never reached the window end), or gave a NaN end
+    for solve, start in ((half_return_X, (1.0, math.nan)), (half_return_Y, (math.nan, 1.0)),
+                         (half_return_X, (math.nan, 1.0)), (half_return_Y, (1.0, math.inf))):
+        with pytest.raises(DomainError):
+            solve(desk_params, start)
+    with pytest.raises(DivergenceError):
+        first_crossing(desk_params, (1.0, 1.0, math.nan), 8.0 * math.pi)
+
+
+@pytest.mark.parametrize("p, start", [
+    (build_system(226.0, 0.39, 0.12, -2.7), (6.7, 569.0)),  # inf - inf: a NaN end
+    (build_system(-400.0, -30.0, 0.3, 1.5), (1.2, -85.0)),  # e^{At} overflows
+])
+def test_flight_leaving_the_float_range_is_a_divergence(p, start):
+    # the crossing time resolves in range, but the end state of the flight does not
+    with pytest.raises(DivergenceError):
+        half_return_X(p, start)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda sm: sm[0] * sm[1])
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(C=_signed(_decades(-0.5, 2.7)), A=st.one_of(st.none(), _signed(_decades(-0.5, 2.8))),
+       H=st.floats(-0.3, 0.99), Lambda=_signed(st.floats(0.2, 3.0)),
+       q=st.tuples(_signed(_decades(-2.0, 3.0)), _signed(_decades(-2.0, 3.0))),
+       call=st.sampled_from(["X", "Y", "return_map"]))
+def test_half_return_is_finite_or_typed(C, A, H, Lambda, q, call):
+    # over stiff parameters and starts of five decades, a half-return or the
+    # return map answers with finite values or a TwofoldError, never a bare
+    # OverflowError or a NaN
+    p = build_system(-2.0 * C if A is None else A, C, H, Lambda)
+    try:
+        if call == "return_map":
+            values = list(return_map(p, np.abs(q)))
+        else:
+            hr = (half_return_X if call == "X" else half_return_Y)(p, q)
+            values = [hr.t, *hr.end, *hr.phi[0], *hr.phi[1]]
+    except TwofoldError:
+        return
+    assert all(map(math.isfinite, values))
 
 
 def test_time_matching_table_schema(params):

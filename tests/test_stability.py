@@ -8,7 +8,8 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
                      schur_conditions, sigma_restriction,
                      stability_band, tau_gamma1)
 from twofold.cycles import asymptotic_seed
-from twofold.errors import GrazingCrossingError, SymmetryDefectError, TwofoldError
+from twofold.errors import (DomainError, GrazingCrossingError, SymmetryDefectError,
+                            TwofoldError)
 from twofold.stability import _deflated_quadratic_roots
 from oracles import fd_jacobian
 
@@ -253,6 +254,25 @@ def test_band_width_behaviour():
         h = float(critical_h(c)) - delta
         m2, tau = asymptotic_invariants(resonant_system(c, h, 1.0))
         assert 2.0 + m2 - tau > 0 and tau + m2 > 0
+
+
+@pytest.mark.parametrize("c", [5.0, 8.0, 70.0])
+def test_h_min_at_large_c(c):
+    # H_min(5) = 5.9e-11 lies below the fixed bisection floor 1e-9 that once
+    # made h_min raise EmptyBandError for every C > 4.3976
+    h = h_min(c)
+    below, above = h * (1.0 - 1e-9), h * (1.0 + 1e-9)
+    assert tau_gamma1(c, below) + m_gamma1(below) ** 2 < 0.0
+    assert tau_gamma1(c, above) + m_gamma1(above) ** 2 > 0.0
+    assert band_width(c) > 0.0
+
+
+@pytest.mark.parametrize("c", [80.0, float("nan"), float("inf")])
+def test_h_min_past_the_float_range_is_a_domain_error(c):
+    # H^2 divides the margin: from about C = 80 the square of H_min leaves the
+    # normal float range; a NaN C gave a NaN H_min
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        h_min(c)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 1.6])

@@ -48,11 +48,11 @@ _DESK = resonant_system(1.0, 0.04, 1.0)
 @pytest.mark.parametrize("call", [
     lambda: tf.return_map(_DESK, (-3.0, -2.0)),
     lambda: tf.eval_P_X(build_system(-1.5, 1.0, 0.5, 1.0), (-5.0, 0.0, 0.0)),
-    lambda: tf.returns.first_crossing(_DESK, (1.0, 1.0, 0.5), "Z", 1.0),
+    lambda: tf.returns.first_crossing(_DESK, (1.0, 1.0, -0.5), 1.0),
     lambda: tf.fold_info(_DESK, (1.0, 1.0)),
     lambda: tf.sliding_field(_DESK, (1.0, 1.0)),
     lambda: tf.saltation(_DESK, (1.0, 1.0), "sideways"),
-], ids=["return_map_quadrant", "first_integral_power", "first_crossing_field",
+], ids=["return_map_quadrant", "first_integral_power", "first_crossing_below_plane",
         "fold_info_off_line", "sliding_field_crossing", "saltation_direction"])
 def test_argument_guards_raise_domain_error(call):
     # an argument outside a routine's range is a DomainError too
