@@ -166,19 +166,19 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     if abs(r) > accept:
         raise NoConvergenceError(f"closure residual {r:.3g} above {accept:.3g} at y0 = {y0!r}")
     p0, p1 = hrx.start, hrx.end
-    x0 = float(p0[0])
-    r2 = float(p1[1] + x0)
+    x0, x1, y1 = float(p0[0]), float(p1[0]), float(p1[1])
+    r2 = y1 + x0  # r = x1 + y0 and r2 are p1 minus the involution image (-y0, -x0)
     t_x, t_y = hrx.t, half_return_Y(p, p0).t
     T = t_x + t_y
-    scale = 1.0 + float(np.max(np.abs(p0)))
+    scale = 1.0 + max(abs(x0), abs(y0))
     problems = []
     if abs(r2) > 100.0 * accept:
         problems.append(f"second closure component {r2:.3g}")
-    if np.max(np.abs(p1 - np.array([-y0, -x0]))) > 1e-8 * scale:
+    if max(abs(r), abs(r2)) > 1e-8 * scale:
         problems.append("p1 is not the involution image of p0")
     if abs(t_x - t_y) > 1e-9 * T:
         problems.append(f"half times differ: |t_x - t_y| = {abs(t_x - t_y):.3g}")
-    if abs(conic.evaluate(*p1)) > 1e-8 * scale * scale:
+    if abs(conic.evaluate(x1, y1)) > 1e-8 * scale * scale:
         problems.append("p1 left the reduced conic")
     if problems:
         raise NotACycleError("; ".join(problems))

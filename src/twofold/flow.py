@@ -131,17 +131,25 @@ def plane_flight(p: SystemParams, q, t: float):
     return (x, y, z), (e_at, 0.0, 0.0), (p01, p11, p21)
 
 
+def _z_coefficients(p: SystemParams, s0):
+    """(zs, wy, wz) with z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz)
+    along the upper-field orbit from s0: zs is the stationary height and
+    (wy, wz) = (y0 - ys, z0 - zs) the offset of s0 from the stationary point."""
+    C = p.C
+    zs = p.Lambda / (1.0 + C * C)
+    return zs, float(s0[1]) + 2.0 * C * zs, float(s0[2]) - zs
+
+
 def z_closed_form(p: SystemParams, s0):
     """Closed-form z(t) and dz/dt(t) along the upper-field orbit from s0.
 
     The z component decouples into a driven 2D rotation, so it admits the
-    scalar closed form z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz).
-    Both returned callables take a scalar t.
+    scalar closed form z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz)
+    with the coefficients of ``_z_coefficients``.  Both returned callables
+    take a scalar t.
     """
     C = p.C
-    zs = p.Lambda / (1.0 + C * C)
-    wy = float(s0[1]) + 2.0 * C * zs
-    wz = float(s0[2]) - zs
+    zs, wy, wz = _z_coefficients(p, s0)
 
     def z(t):
         e = math.exp(C * t)

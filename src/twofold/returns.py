@@ -1,21 +1,28 @@
 """Half-return flight times through either half-space, their large-amplitude
 expansions, and the time-matching function whose zeros are symmetric cycles.
 
-Solver contract: along either piece dz/dt = e^{Ct} (alpha sin t + beta cos t),
-so the critical points of z lie exactly at t0 + k pi and z is strictly
-monotone between them.  The first crossing is bracketed by evaluating the
-closed-form z at those points (then at the window end t_max) until it first
-reaches the plane; the bracket holds exactly one root.  A critical point at
-which z is zero to within the closed form's rounding is a touch, not a
-crossing, and the walk goes on past it.  Newton closes it on
-the envelope-free residual e^{-Ct} z(t) = zs e^{-Ct} + a sin t + b cos t,
-which has the sign of z everywhere but lacks the e^{Ct} bend that makes
-Newton on z itself overshoot; it starts at the zero of the sinusoid
-a sin t + b cos t inside the bracket (the bracket's midpoint if there is
-none) and falls back to bisection.  A sign change of z is never skipped,
-however shallow; entry and exit transversality are enforced.  A half-return
-searches the fixed window (0, 8 pi]: on the hyperbola every flight takes
-about pi.
+Solver contract: along either piece z(t) = zs + e^{Ct} (wy sin t +
+(cos t + C sin t) wz) with the coefficients (zs, wy, wz) of
+``flow._z_coefficients``, and dz/dt = e^{Ct} (alpha sin t + beta cos t) with
+(alpha, beta) = (C wy + (C^2 - 1) wz, wy + 2 C wz), so the critical points of
+z lie exactly at t0 + k pi and z is strictly monotone between them.  The
+first crossing is bracketed by evaluating the closed-form z of
+``flow.z_closed_form`` at those points (then at the window end t_max) until
+it first reaches the plane; the bracket holds exactly one root.  A critical
+point at which z is zero to within the closed form's rounding is a touch,
+not a crossing, and the walk goes on past it.  Where the envelope e^{Ct}
+does not grow along the flight, a critical point u with e^{Cu} |S| < zs,
+|S| the amplitude of the sinusoid, ends the walk: z stays above the plane
+past it, so no window holds a crossing.  Newton closes a bracket whose left
+end is u_lo on the envelope-free residual e^{-C(t - u_lo)} z(t) =
+zs w + e^{C u_lo} (wy sin t + wz (cos t + C sin t)), w = e^{-C(t - u_lo)},
+fused to one exp, one sin and one cos per step.  It has the sign of z
+everywhere but lacks the e^{Ct} bend that makes Newton on z itself
+overshoot; it starts at the zero of the sinusoid inside the bracket (the
+bracket's midpoint if there is none) and falls back to bisection.  A sign
+change of z is never skipped, however shallow; entry and exit transversality
+are enforced.  A half-return searches the fixed window (0, 8 pi]: on the
+hyperbola every flight takes about pi.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -93,14 +100,14 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
     if s0[2] < 0.0:  # the lower orbit from s is the S-image of the upper one from S s
         raise DomainError(f"start z = {s0[2]!r} is below the plane; pass S s0 = (-y, -x, -z)")
     try:  # e^{Ct} in the closed form may overflow
+        zs, wy, wz = flow._z_coefficients(p, s0)
         z, dz = flow.z_closed_form(p, s0)
         C = p.C
         tsign = 1.0 if forward else -1.0
         # z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
-        # (alpha sin t + beta cos t) with beta = dz(0) and alpha = e^{-C pi/2}
-        # dz(pi/2), so the critical points of z are exactly phase + k pi and z
-        # is monotone between them.
-        alpha, beta = math.exp(-C * math.pi / 2.0) * dz(math.pi / 2.0), dz(0.0)
+        # (alpha sin t + beta cos t), so the critical points of z are exactly
+        # phase + k pi and z is monotone between them.
+        alpha, beta = _slope_coefficients(C, wy, wz)
         if alpha == 0.0 and beta == 0.0:
             # (alpha, beta) is an invertible image of the oscillating part of z,
             # so z is constant: no crossing, however long the window
@@ -108,6 +115,12 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
         phase = (tsign * math.atan2(-beta, alpha)) % math.pi
         if not math.isfinite(phase):  # a NaN phase would keep the walk from t_max
             raise DivergenceError("the closed form of z is not finite along the orbit")
+        # z = zs + e^{Cu} S(u) with S a sinusoid of amplitude amp; where the
+        # envelope does not grow along the flight, z >= zs - e^{Cu} amp > 0 past
+        # any node u with e^{Cu} amp < zs.  The slack covers the rounding of
+        # amp, whose first component may cancel
+        decays = C * tsign <= 0.0
+        amp = math.hypot(wy + C * wz, wz) + 2.0 ** -40 * (abs(wy) + abs(C * wz) + abs(wz))
         inside = s0[2] > 0.0  # the left end lies in the half-space
         if inside and z(0.0) <= 0.0:
             raise TangentialGrazeError("entry into the half-space is not transversal")
@@ -124,7 +137,8 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
                                * (1.0 + abs(C)) * math.exp(C * tsign * hi)
                                * math.hypot(alpha, beta)):
                 break
-            if hi == t_max:
+            if hi == t_max or decays and math.exp(C * tsign * hi) * amp < zs:
+                # the window closes, or z stays above the plane past hi
                 raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
             lo, k, inside = hi, k + 1, True
         if not inside:
@@ -138,18 +152,8 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
         start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
         if not lo < start < hi:
             start = 0.5 * (lo + hi)
-        u_lo = tsign * lo
-
-        def envelope_free(t):
-            # e^{-C(u - u_lo)} z(u) at u = tsign t and its t-derivative: the sign
-            # of z without the e^{Cu} bend; the constant e^{C u_lo} keeps the
-            # weight within e^{|C| pi} on the bracket, however long the window
-            u = tsign * t
-            w = math.exp(-C * (u - u_lo))
-            zu = z(u)
-            return w * zu, w * tsign * (dz(u) - C * zu)
-
-        root, iterations = _bracketed_root(envelope_free, start, lo, hi, 0.0)
+        fdf = _envelope_free(C, zs, wy, wz, tsign, tsign * lo)
+        root, iterations = _bracketed_root(fdf, start, lo, hi, 0.0)
         slope = abs(dz(tsign * root))
         if slope < 1e-10 * (1.0 + math.hypot(*s0)):
             raise TangentialGrazeError(
@@ -158,6 +162,35 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
     except OverflowError:
         raise DivergenceError("the orbit leaves the range of floating point "
                               "before it meets z = 0") from None
+
+
+def _slope_coefficients(C: float, wy: float, wz: float):
+    """(alpha, beta) with dz/dt = e^{Ct} (alpha sin t + beta cos t) for the z
+    coefficients (wy, wz) of ``flow._z_coefficients``."""
+    return C * wy + (C * C - 1.0) * wz, wy + 2.0 * C * wz
+
+
+def _envelope_free(C: float, zs: float, wy: float, wz: float, tsign: float, u_lo: float):
+    """fdf(t) = (f(t), f'(t)) for the envelope-free crossing residual
+    f(t) = e^{-C(u - u_lo)} z(u) at u = tsign t, which has the sign of z but
+    lacks the e^{Cu} bend that makes Newton on z overshoot.  With
+    w = e^{-C(u - u_lo)} it is fused to
+
+        f = zs w + e^{C u_lo} (wy sin u + wz (cos u + C sin u)),
+
+    one exp, one sin and one cos per call; the constant e^{C u_lo} keeps w
+    within e^{|C| pi} on a bracket whose left end is u_lo, however long the
+    window."""
+    e_lo = math.exp(C * u_lo)
+
+    def fdf(t):
+        u = tsign * t
+        w = math.exp(-C * (u - u_lo))
+        su, cu = math.sin(u), math.cos(u)
+        return (zs * w + e_lo * (wy * su + wz * (cu + C * su)),
+                tsign * (e_lo * (wy * cu + wz * (C * cu - su)) - C * zs * w))
+
+    return fdf
 
 
 def _bracketed_root(fdf, t, lo, hi, rtol):

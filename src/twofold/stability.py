@@ -248,16 +248,20 @@ def h_min(C: float) -> float:
 
     The bracket's right end is H_crit(C); its left end halves from there
     until the margin is negative, and the bisection runs until the midpoint
-    equals an end.  H^2 divides the margin, so a left end whose square leaves
-    the normal float range (from about C = 80) is a DomainError.
+    equals an end.  A C that is not positive (NaN included) is a DomainError,
+    as is one whose H_min squared leaves the normal float range (from about
+    C = 80): H^2 divides the margin.
     """
+    if not C > 0.0:
+        raise DomainError(f"C must be positive, got C={C!r}: the asymptotic band is "
+                          "established for C > 0")
     hi = float(critical_h(C))
     if _lower_margin(C, hi) <= 0.0:
         raise EmptyBandError(f"no lower boundary bracket in (0, H_crit) at C={C}")
     lo = hi
     while True:
         lo *= 0.5
-        if not lo * lo >= sys.float_info.min:  # also a NaN C
+        if not lo * lo >= sys.float_info.min:  # also an infinite C
             raise DomainError(f"H_min at C={C} lies below {lo!r}, where H^2 leaves "
                               "the normal float range")
         if _lower_margin(C, lo) < 0.0:
@@ -273,7 +277,8 @@ def h_min(C: float) -> float:
 
 
 def band_width(C: float) -> float:
-    """Width H_crit(C) - H_min(C) of the stable H-interval at fixed C."""
+    """Width H_crit(C) - H_min(C) of the stable H-interval at fixed C > 0;
+    h_min's DomainError for any other C."""
     width = float(critical_h(C)) - h_min(C)
     if width <= 0.0:
         raise EmptyBandError(f"empty stability interval at C={C}")

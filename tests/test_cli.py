@@ -22,9 +22,9 @@ _PYTHONPATH = os.pathsep.join(filter(None, [str(Path(twofold.__file__).parents[1
                                             os.environ.get("PYTHONPATH")]))
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "twofold", *args],
-                          capture_output=True, text=True, cwd=cwd,
+                          capture_output=True, text=True, cwd=cwd, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
 
 
@@ -308,6 +308,17 @@ def test_float_range_failures_are_typed(args, code, prefix):
     proc = run_cli(*args)
     assert proc.returncode == code, (args, proc.stderr)
     assert proc.stderr.startswith(prefix) and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_on_a_huge_window_ends():
+    # this X orbit never meets the plane: z = 0.8 + 0.1 e^{-u/2} (cos u - sin u / 2).
+    # --t-max / --dt is finite, but the crossing walk once stepped by pi to
+    # t = 1e300 and never ended; the run must end with a typed exit code
+    proc = run_cli("simulate", "--C", "-0.5", "--H", "0.2", "--Lambda", "1", "--x0", "0",
+                   "--y0", "0.8", "--z0", "0.9", "--t-max", "1e300", "--dt", "1e299",
+                   timeout=20)
+    assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
 
 

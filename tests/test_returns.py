@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from twofold import (HalfReturn, apply_involution, build_system, critical_h, eva
                      series_coeffs, time_matching, time_matching_table)
 from twofold.errors import (DivergenceError, DomainError, NoReturnError,
                             TangentialGrazeError, TwofoldError)
-from twofold.flow import z_closed_form
-from twofold.returns import first_crossing
+from twofold.flow import _z_coefficients, z_closed_form
+from twofold.returns import _envelope_free, _slope_coefficients, first_crossing
 from oracles import bisect_root, fit_time_series, rk4
 
 
@@ -205,6 +206,28 @@ def test_no_return_within_window(params):
             first_crossing(params, (0.76, -2.0 * params.C * zs, zs), 1e4, forward=forward)
 
 
+@pytest.mark.parametrize("C, y0, forward", [(-0.5, 0.8, True), (0.5, -0.8, False)])
+def test_walk_ends_where_the_envelope_cannot_reach_the_plane(C, y0, forward):
+    # z = zs + e^{Cu} S(u) with |S| below zs, and an envelope that does not
+    # grow along the flight: z never reaches the plane, so no window holds a
+    # crossing.  The walk once stepped on to t_max and never ended on an
+    # infinite window; a 5 s alarm turns a hang back into a failure
+    p = resonant_system(C, 0.2, 1.0)
+    s0 = (0.0, y0, 0.9)  # zs = 0.8, S(u) = 0.1 (cos u + C sin u)
+
+    def hang(signum, frame):
+        raise TimeoutError("the crossing walk did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(NoReturnError):
+            first_crossing(p, s0, math.inf, forward=forward)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_window_before_first_critical_point(desk_params):
     # the README start rises off the plane; a window that closes before the
     # first critical point of z holds no crossing, and no graze either
@@ -283,6 +306,40 @@ def _rk4_first_crossing(field, s0, side, direction, t_max, h=2e-3):
             return t + lo
         s, t = nxt, t + h
     return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(C=st.floats(0.01, 3.0), c_sign=st.sampled_from([1.0, -1.0]),
+       A=st.floats(0.1, 5.0), a_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(-0.3, 0.99), Lambda=st.floats(0.2, 3.0),
+       l_sign=st.sampled_from([1.0, -1.0]), x=st.floats(-10.0, 10.0),
+       y=st.floats(-10.0, 10.0), z=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       tsign=st.sampled_from([1.0, -1.0]), lo=st.floats(0.0, 8.0 * math.pi),
+       frac=st.floats(0.0, 1.0))
+def test_fused_crossing_kernel_matches_closed_form(C, c_sign, A, a_sign, H, Lambda, l_sign,
+                                                   x, y, z, tsign, lo, frac):
+    # the slopes and the fused residual first_crossing builds from the z
+    # coefficients against z and dz/dt of z_closed_form
+    C = c_sign * C
+    p = build_system(a_sign * A, C, H, l_sign * Lambda)
+    s0 = (x, y, z)
+    zs, wy, wz = _z_coefficients(p, s0)
+    zf, dzf = z_closed_form(p, s0)
+    # dz/dt = e^{Ct} (alpha sin t + beta cos t)
+    alpha, beta = _slope_coefficients(C, wy, wz)
+    size = abs(C * wy) + abs((C * C - 1.0) * wz) + abs(wy) + abs(2.0 * C * wz)
+    assert abs(alpha - math.exp(-C * math.pi / 2.0) * dzf(math.pi / 2.0)) <= 2.0 ** -50 * size
+    assert abs(beta - dzf(0.0)) <= 2.0 ** -50 * size
+    # e^{C(u - u_lo)} times the residual is z(u), at u = tsign t in a bracket
+    # of width pi from u_lo.  The terms of z bound its rounding; the exponent
+    # C u carries a relative rounding error 2^-53, which e^{Cu} turns into a
+    # relative error |C u| 2^-53 of the envelope, hence the factor 1 + |C u|
+    t = lo + frac * math.pi
+    u, u_lo = tsign * t, tsign * lo
+    f, _ = _envelope_free(C, zs, wy, wz, tsign, u_lo)(t)
+    su, cu = math.sin(u), math.cos(u)
+    terms = abs(zs) + math.exp(C * u) * (abs(wy * su) + abs(wz * cu) + abs(C * wz * su))
+    assert abs(f * math.exp(C * (u - u_lo)) - zf(u)) <= 2.0 ** -50 * (1.0 + abs(C * u)) * terms
 
 
 _magnitude = st.floats(0.2, 6.0)

@@ -275,6 +275,15 @@ def test_h_min_past_the_float_range_is_a_domain_error(c):
         h_min(c)
 
 
+@pytest.mark.parametrize("c", [-1.0, 0.0, float("nan")])
+def test_h_min_outside_the_band_domain_is_a_domain_error(c):
+    # the asymptotic band is established for C > 0, as stability_band says;
+    # h_min(-1) once returned 0.0127 and band_width(0) 0.375
+    for f in (h_min, band_width):
+        with pytest.raises(DomainError, match="C > 0"):
+            f(c)
+
+
 @pytest.mark.parametrize("c", [0.5, 1.0, 1.6])
 def test_large_amplitude_invariants_match_limits(c):
     p = resonant_system(c, 0.9995 * float(critical_h(c)), 1.0)
