@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     _add_common(sp)
     sp.add_argument("--seed", type=float, default=None,
-                    help="initial y0 (default: series-head prediction, else a log-grid scan)")
+                    help="initial y0 (default: series-head prediction, else the "
+                         "linearisation at H_crit)")
     sp.set_defaults(handler=cmd_find_cycle)
 
     sp = sub.add_parser("verify-series", help="flight-time expansions vs numeric times")

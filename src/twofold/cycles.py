@@ -1,12 +1,19 @@
-"""Detection of symmetric crossing cycles on the reduced branch coordinate.
+"""Symmetric crossing cycles on the closed-form branch, and the return map.
 
 A crossing orbit through a first-quadrant point p0 = (x0, y0, 0) closes into
 a symmetric cycle exactly when the upper half-orbit lands on the involution
-image (-y0, -x0, 0).  With p0 constrained to the conic branch, conservation
-of the first integral reduces the two closure equations to one scalar
-residual r(y0) = x1 + y0, whose bracketed sign change is the cycle.  The full
-return map (upper half-orbit followed by the lower one) is exposed for
-iteration and for finite-difference checks of the monodromy.
+image (-y0, -x0, 0).  The (y, z) equations of the upper field involve
+neither x, A nor H, so the flight time t of that half-orbit fixes y0, then
+x0, and the closure fixes H: the symmetric branch is the closed-form curve
+t -> (x0(t), y0(t), H(t)) on (pi, t_graze), the flight-time form of the
+closing equations for piecewise-linear systems (Freire, Ponce, Rodrigo and
+Torres, IJBC 8 (1998)).  H(pi+) = H_crit, and at t_graze y0 reaches the X
+fold.  A cycle solve is one scalar root of H(t) = H, then one kernel flight
+of the lower half-orbit that checks it.  The conic residual r(y0) = x1 + y0
+of the earlier branch-coordinate solve stays as a test oracle
+(closure_residual).  The full return map (upper half-orbit followed by the
+lower one) is exposed for iteration and for finite-difference checks of the
+monodromy.
 """
 from __future__ import annotations
 
@@ -15,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchPointError, DivergenceError, DomainError, NoConvergenceError,
-                     NoCycleError, NoReturnError, NotACycleError, TangentialGrazeError,
-                     TwofoldError)
-from .invariants import _branch_x, branch_min_y, gamma1_branch_x, gamma1_conic
+from .errors import (DivergenceError, DomainError, NoConvergenceError, NoCycleError,
+                     NotACycleError, TwofoldError)
+from .flow import _phi_rows
+from .invariants import _branch_x, _check_branch_domain, gamma1_branch_x, gamma1_conic
 from .returns import _bracketed_root, half_return_X, half_return_Y, series_coeffs
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, resonant_system
@@ -39,11 +46,13 @@ __all__ = [
 class SymmetricCycle:
     """A converged symmetric crossing cycle.
 
-    p1 is the second crossing, equal to (-y0, -x0) up to the stated residual;
-    t_x and t_y are the two half-flight times (equal for a symmetric cycle)
-    and T = t_x + t_y the period.  dg is the 2x2 derivative at p0 of the
-    half map g = S h_X on the plane, row-major (g00, g01, g10, g11), taken
-    from the accepted X half-return.  The return map is g o g, so its
+    p1 is the second crossing, where the kernel flight of the lower
+    half-orbit into p0 starts; residual is its distance from the involution
+    image (-y0, -x0).  t_x (the closed-form branch time) and t_y (that
+    flight's time) are the two half-flight times, equal for a symmetric
+    cycle, and T = t_x + t_y the period.  dg is the 2x2 derivative at p0 of
+    the half map g = S h_X on the plane, row-major (g00, g01, g10, g11), in
+    closed form at the branch point.  The return map is g o g, so its
     derivative at the cycle is Dg^2, whose eigenvalues are the transverse
     Floquet multipliers.
     """
@@ -91,100 +100,161 @@ def _closure(p, y0, conic):
     return float(hrx.end[0]) + y0, dx0 * h00 + h01 + 1.0, hrx
 
 
-def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> SymmetricCycle:
-    """Symmetric cycle at a sign change of r(y0) = x1 + y0 along the branch.
+def _branch_point(p: SystemParams, t: float):
+    """(x0, y0, h, rows) for the symmetric branch point whose X flight takes
+    time t: the start p0 = (x0, y0, 0) from which the upper orbit meets the
+    plane at time t exactly at (-y0, -x0, 0) when H = h, with
+    rows = flow._phi_rows(p, t).
 
-    The slope is exact, d(x1 + y0)/dy0 = e1^T (I - X(end) e3^T / X_z(end))
-    Phi_X(t) (dx0/dy0, 1, 0)^T + 1 with dx0/dy0 = -F_y / F_x on the conic, so
-    each evaluation costs one X half-return.  Newton steps from y0_init walk to
-    |r| <= 1e-13 (1 + y0) or a straddled root, ending on a step out of
-    (branch_min_y(p), 1e6) or a failed flight; else the first sign change on a
-    24-point log grid of that range is the bracket, which _bracketed_root
-    closes.  |r| <= 1e-10 (1 + y0) and the cycle invariants are then checked.
+    The (y, z) equations of the upper field involve neither x, A nor H, so
+    z(t) = 0 fixes y0 = zs ((cos t + C sin t - e^{-Ct}) / sin t - 2C), with
+    zs = Lambda / (1 + C^2), and y1(t) fixes x0 = -y1.  The end
+    x1 = e^{At} x0 + H K(t) is affine in x0 and linear in H, so x1 = -y0
+    gives h = H(t) = (-y0 - e^{At} x0) / K(t), which depends on neither H
+    nor Lambda.  y0 > 0 exactly for t in (pi, t_graze) (see _graze)."""
+    A, C, L = p.A, p.C, p.Lambda
+    rows = _phi_rows(p, t)
+    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
+    c2 = 1.0 + C * C
+    zs = L / c2
+    xs, ys = p.H * L * (A - 2.0 * C) / c2, -2.0 * C * zs
+    dv = zs * (p22 - 1.0) / p21  # y0 - ys, from z(t) = zs + p21 dv - p22 zs = 0
+    y0 = ys + dv
+    x0 = -(ys + p11 * dv - p12 * zs)
+    # the H part of x1 (xs, p01 and p02 are each H times an H-free factor)
+    h_part = xs * (1.0 - e_at) + p01 * dv - p02 * zs
+    return x0, y0, p.H * (-y0 - e_at * x0) / h_part, rows
+
+
+def _graze(p: SystemParams):
+    """(t_graze, H_graze): the end of the branch where y0(t) reaches the X fold.
+
+    y0(t) = 0 where q(t) = cos t - C sin t - e^{-Ct} = 0.  For C > 0,
+    q = sqrt(1 + C^2) cos(t + phi) - e^{-Ct} with phi = atan C is increasing
+    on (pi, 2 pi - phi), from q(pi) < 0 to a positive value, and positive
+    on [2 pi - phi, 2 pi), so t_graze is its one root in (pi, 2 pi) and
+    y0 > 0 exactly on (pi, t_graze)."""
+    C = p.C
+
+    def fdf(t):  # (-q, -q'), positive left of the root
+        st, ct, e = math.sin(t), math.cos(t), math.exp(-C * t)
+        return C * st - ct + e, st + C * ct - C * e
+
+    lo, hi = math.pi, 2.0 * math.pi - math.atan(C)
+    t_graze, _ = _bracketed_root(fdf, 0.5 * (lo + hi), lo, hi, 0.0)
+    return t_graze, _branch_point(p, t_graze)[2]
+
+
+def _no_cycle(p: SystemParams, h_graze: float, h_crit: float) -> NoCycleError:
+    return NoCycleError(f"no symmetric crossing cycle: H = {p.H:.6g} lies outside the "
+                        f"band (H_graze, H_crit) = ({h_graze:.6g}, {h_crit:.6g}) "
+                        "of the branch")
+
+
+def _solve_branch(p: SystemParams, t: float, h_crit: float):
+    """The branch point (t, x0, y0, rows) with H(t) = p.H, t in (pi, t_graze).
+
+    f(t) = H(t) / H - 1 falls from f(pi+) = H_crit / H - 1 > 0.  Secant steps
+    run from (pi, f(pi+)) and t; a step that leaves the bracket [lo, hi] on
+    the root is replaced by bisection.  The upper end of the bracket is
+    unknown until an iterate has f <= 0, and t_graze is computed only when a
+    step lands past it (y0 <= 0) or leaves (pi, 2 pi): there f(t_graze) >= 0
+    means H <= H_graze, no cycle."""
+    lo, hi = math.pi, None
+    a, fa = lo, h_crit / p.H - 1.0  # the secant's previous point
+    for _ in range(100):
+        y0 = math.nan
+        if lo < t < (2.0 * math.pi if hi is None else hi):
+            x0, y0, h, rows = _branch_point(p, t)
+        if not y0 > 0.0:  # outside the bracket, or past the graze end
+            if hi is None:
+                hi, h_graze = _graze(p)
+                if h_graze >= p.H:
+                    raise _no_cycle(p, h_graze, h_crit)
+            elif lo < t < hi:
+                hi = t
+            t = 0.5 * (lo + hi)
+            continue
+        f = h / p.H - 1.0
+        if f > 0.0:
+            lo = t
+        else:
+            hi = t
+        step = f * (t - a) / (f - fa) if f != fa else math.inf
+        if f == 0.0 or abs(step) <= 8.9e-16 * t or hi is not None and hi - lo <= 8.9e-16 * t:
+            if abs(f) > 1e-10:
+                raise NoConvergenceError(f"H(t) / H - 1 = {f:.3g} above 1e-10 at t = {t!r}")
+            return t, x0, y0, rows
+        a, fa, t = t, f, t - step
+    raise NoConvergenceError(f"flight time not resolved in [{lo!r}, {hi!r}]")
+
+
+def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> SymmetricCycle:
+    """Symmetric crossing cycle as the root of H(t) = H on the branch.
+
+    The symmetric branch is parametrized by the X flight time t: for t in
+    (pi, t_graze) the start (x0(t), y0(t)) flies in time t onto its
+    involution image when H = H(t), all three in closed form, with
+    H(pi+) = H_crit and H(t_graze) = H_graze, where y0 reaches the X fold.
+    The solve is a safeguarded secant in t on that bracket, each step one
+    closed-form evaluation and no flight.  It starts at
+    t = pi + tau_x_head(1 / y0_init), the series head of the X flight time,
+    or, without a positive seed or when that t leaves (pi, 2 pi), at the
+    resonant linearisation H / H_crit - 1 = -2 (t - pi).  Dg comes in closed
+    form from the same rows and the field at the end (-y0, -x0).  One kernel
+    flight, half_return_Y from p0, gives t_y and p1; the cycle checks run on
+    it.
 
     Raises
     ------
     DomainError
-        If y0_init is NaN or +inf, or p is outside the resonant 0 < H < 1 range.
+        If y0_init is NaN or +inf, p is outside the resonant 0 < H < 1 range,
+        or C is not in (0, 709 / pi].
     NoCycleError
-        If r keeps one sign on the grid: sampled evidence, not proof.
+        If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError
-        If the closed bracket leaves a residual above tolerance.
+        If the solve in t does not resolve H(t) = H to 1e-10 relative.
     NotACycleError
-        If the converged point violates a cycle invariant.
+        If the Y flight from p0 misses the cycle: its end is not (-y0, -x0),
+        its time differs from t, or it leaves the reduced conic.
     """
-    conic = gamma1_conic(p)
-    y_floor = branch_min_y(p)
-    sign, last = 1.0, None  # sign orients r for _bracketed_root; last = (y0, r, hrx)
-
-    def closure(y0):
-        nonlocal last
-        r, slope, hrx = _closure(p, y0, conic)
-        last = y0, r, hrx
-        return sign * r, sign * slope
-
-    bracket, done = None, False
-    raises = (NoReturnError, TangentialGrazeError, NoConvergenceError, DivergenceError,
-              BranchPointError)
-    if y0_init is not None:
-        y0, prev_y, prev_r = max(float(y0_init), y_floor), None, 0.0
-        for _ in range(50):
-            try:
-                r, slope = closure(y0)
-            except raises:
-                break
-            done = abs(r) <= 1e-13 * (1.0 + y0)
-            newton = y0 - r / slope if slope != 0.0 else math.nan
-            if done or prev_r * r < 0.0:
-                bracket = (prev_y, prev_r, y0, newton)
-                break
-            if not y_floor < newton < 1e6:
-                break
-            prev_y, prev_r, y0 = y0, r, newton
-    if bracket is None:
-        n, prev_y, prev_r = 0, None, 0.0
-        for y0 in np.geomspace(y_floor, 1e6, 24).tolist():
-            try:
-                r, _ = closure(y0)
-            except raises:
-                continue
-            if prev_r * r < 0.0:
-                bracket = (prev_y, prev_r, y0, 0.5 * (prev_y + y0))
-                break
-            n, prev_y, prev_r = n + 1, y0, r
-        else:
-            found = f"; x1 + y0 is {'positive' if prev_r > 0.0 else 'negative'} on each"
-            raise NoCycleError(f"no sign change on {n} points of the branch y0 in "
-                               f"[{y_floor:.6g}, 1e+06] ({24 - n} raised){found if n else ''}")
-    if not done:
-        y_a, r_a, y_b, start = bracket
-        lo, hi = min(y_a, y_b), max(y_a, y_b)
-        sign = math.copysign(1.0, r_a * (y_b - y_a))  # sign * r > 0 at lo
-        _bracketed_root(closure, start if lo < start < hi else 0.5 * (lo + hi), lo, hi, 1e-13)
-    y0, r, hrx = last  # the last point evaluated, within 1e-15 (1 + y0) of the root
-    accept = 1e-10 * (1.0 + y0)
-    if abs(r) > accept:
-        raise NoConvergenceError(f"closure residual {r:.3g} above {accept:.3g} at y0 = {y0!r}")
-    p0, p1 = hrx.start, hrx.end
-    x0, x1, y1 = float(p0[0]), float(p1[0]), float(p1[1])
-    r2 = y1 + x0  # r = x1 + y0 and r2 are p1 minus the involution image (-y0, -x0)
-    t_x, t_y = hrx.t, half_return_Y(p, p0).t
+    _check_branch_domain(p)
+    C = p.C
+    if not 0.0 < C * math.pi <= 709.0:
+        raise DomainError(f"the cycle branch is charted for 0 < C <= 709 / pi, got C={C!r}")
+    if y0_init is not None and not y0_init < math.inf:
+        raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
+    h_crit = 1.0 / (2.0 * math.cosh(math.pi * C) - 1.0)
+    if p.H >= h_crit:
+        raise _no_cycle(p, _graze(p)[1], h_crit)
+    t = math.pi + 0.5 * (1.0 - p.H / h_crit)  # the resonant linearisation
+    if y0_init is not None and y0_init > 0.0:
+        seeded = math.pi + series_coeffs(p).tau_x_head(1.0 / y0_init)
+        if math.pi < seeded < 2.0 * math.pi:
+            t = seeded
+    t_x, x0, y0, rows = _solve_branch(p, t, h_crit)
+    hry = half_return_Y(p, (x0, y0))
+    p0, p1, t_y = hry.start, hry.end, hry.t
+    x1, y1 = float(p1[0]), float(p1[1])
     T = t_x + t_y
     scale = 1.0 + max(abs(x0), abs(y0))
+    residual = math.hypot(x1 + y0, y1 + x0)  # p1 minus the involution image (-y0, -x0)
     problems = []
-    if abs(r2) > 100.0 * accept:
-        problems.append(f"second closure component {r2:.3g}")
-    if max(abs(r), abs(r2)) > 1e-8 * scale:
-        problems.append("p1 is not the involution image of p0")
+    if residual > 1e-8 * scale:
+        problems.append(f"the Y flight from p0 ends {residual:.3g} from (-y0, -x0)")
     if abs(t_x - t_y) > 1e-9 * T:
         problems.append(f"half times differ: |t_x - t_y| = {abs(t_x - t_y):.3g}")
-    if abs(conic.evaluate(x1, y1)) > 1e-8 * scale * scale:
+    if abs(gamma1_conic(p).evaluate(x1, y1)) > 1e-8 * scale * scale:
         problems.append("p1 left the reduced conic")
     if problems:
         raise NotACycleError("; ".join(problems))
-    (h00, h01), (h10, h11) = _half_map_jacobian(p, hrx)
-    return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y,
-                          residual=math.hypot(r, r2), dg=(-h10, -h11, -h00, -h01))
+    # Dh = (I - X(end) e3^T / X_z(end)) [phi0 phi1] at the end (-y0, -x0), where
+    # X = (A x1 + H Lambda, Lambda, y1); phi0 = (e^{At}, 0, 0) leaves h10 = 0
+    (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
+    fx, w = p.H * p.Lambda - p.A * y0, p21 / x0  # w = -phi1_z / X_z(end)
+    h01, h11 = p01 + fx * w, p11 + p.Lambda * w
+    return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y, residual=residual,
+                          dg=(0.0, -h11, -e_at, -h01))
 
 
 def return_map(p: SystemParams, q) -> np.ndarray:

@@ -26,7 +26,7 @@ class NoConvergenceError(TwofoldError):
 
 
 class NoCycleError(TwofoldError):
-    """The closure residual keeps one sign on the sampled branch: no cycle is bracketed."""
+    """H lies outside the band (H_graze, H_crit) of the symmetric-cycle branch."""
 
 
 class BranchPointError(TwofoldError):

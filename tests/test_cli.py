@@ -108,12 +108,13 @@ def test_config_key_that_is_not_a_flag_is_usage_error(tmp_path, key, value):
 
 
 def test_numerical_failure_exit_code():
-    # above H_crit the closure residual keeps one sign on the whole branch:
-    # no cycle is bracketed, a numerical outcome rather than a usage error
+    # above H_crit the branch has no point: no cycle exists, a numerical
+    # outcome rather than a usage error, and the message names the band
     proc = run_cli("find-cycle", "--C", "1", "--H", "0.2", "--Lambda", "1")
     assert proc.returncode == 1
     assert "error" in proc.stderr
-    assert proc.stderr.startswith("error: NoCycleError: no sign change on ")
+    assert proc.stderr.startswith("error: NoCycleError: no symmetric crossing cycle: H = 0.2 "
+                                  "lies outside the band (H_graze, H_crit) = (")
 
 
 def test_find_cycle_json(tmp_path):

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twofold import (asymptotic_seed, branch_min_y, closure_residual, critical_h,
-                     eval_P_X, find_cycle_newton, gamma1_branch_x, gamma1_conic,
-                     half_return_Y, iterate_reduced_map, monodromy, resonant_system,
-                     return_map, returns, scan_cycles, schur_conditions, series_coeffs,
-                     time_matching)
-from twofold.cycles import _closure
+from twofold import (asymptotic_seed, branch_min_y, build_system, closure_residual,
+                     critical_h, eval_P_X, find_cycle_newton, gamma1_branch_x,
+                     gamma1_conic, half_return_X, half_return_Y, iterate_reduced_map,
+                     monodromy, resonant_system, return_map, returns, scan_cycles,
+                     schur_conditions, series_coeffs, time_matching)
+from twofold.cycles import _branch_point, _closure, _graze, _half_map_jacobian
 from twofold.errors import DivergenceError, NoCycleError, TwofoldError
 from oracles import fd_jacobian, measure_contraction
 
@@ -154,7 +156,7 @@ def test_half_map_invariants_match_direct_monodromy_and_fd(C, h_frac, Lambda):
 
 
 def test_desk_newton_half_return_count(desk_params, monkeypatch):
-    # one X half-return per Newton iterate (three here) plus the closing Y one
+    # the solve in t flies nothing; the one kernel flight is the checking Y one
     calls = []
     original = returns._half_return
 
@@ -164,22 +166,23 @@ def test_desk_newton_half_return_count(desk_params, monkeypatch):
 
     monkeypatch.setattr(returns, "_half_return", counting)
     find_cycle_newton(desk_params, asymptotic_seed(desk_params))
-    assert len(calls) <= 4
-    assert calls.count("Y") == 1
+    assert calls == ["Y"]
 
 
-def test_grid_brackets_the_cycle_without_a_seed(desk_params, desk_cycle):
-    # with no seed the log grid brackets the same cycle, closed to round-off
+def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):
+    # with no seed the solve starts from the linearisation at H_crit and
+    # lands on the same cycle, closed to round-off
     cycle = find_cycle_newton(desk_params)
     assert cycle.p0 == pytest.approx(desk_cycle.p0, rel=1e-12)
     assert cycle.residual <= 1e-10 * (1.0 + cycle.p0[1])
 
 
 def test_no_sign_change_raises_no_cycle_error():
-    # far below H_crit the closure residual keeps one sign on the whole branch:
-    # the series seed walks off the floor and the grid finds no bracket
+    # far below H_crit, under H_graze: the closure residual keeps one sign on
+    # the whole branch, and the error names the band of the closed form
     p = resonant_system(0.4821269240890028, 0.014054134847196956, 1.3221941688154804)
-    with pytest.raises(NoCycleError, match=r"^no sign change on \d+ points .* is positive on each"):
+    with pytest.raises(NoCycleError, match=r"^no symmetric crossing cycle: H = 0\.0140541 lies "
+                       r"outside the band \(H_graze, H_crit\) = \(0\.0147509, 0\.265414\)"):
         find_cycle_newton(p, asymptotic_seed(p))
     assert all(closure_residual(p, float(y))[0] > 0.0 for y in np.geomspace(1e-6, 1e6, 60))
 
@@ -188,9 +191,9 @@ def test_no_sign_change_raises_no_cycle_error():
 @given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 1.3), Lambda=st.floats(0.5, 2.0),
        seeded=st.booleans())
 def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda, seeded):
-    # NoCycleError is sampled evidence: a dense oracle scan of the branch must
-    # agree that the closure residual never changes sign; unseeded solves
-    # check the grid bracket on its own
+    # NoCycleError comes from the band of the closed form: a dense oracle scan
+    # of the conic branch must agree that the closure residual of the X
+    # kernel never changes sign; unseeded solves start in t on their own
     H = float(critical_h(C)) * h_frac
     assume(0.0 < H < 1.0)
     p = resonant_system(C, H, Lambda)
@@ -207,6 +210,100 @@ def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda, seeded):
         return
     y0 = cycle.p0[1]
     assert abs(closure_residual(p, y0)[0]) <= 1e-10 * (1.0 + y0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=st.floats(0.1, 3.0), A=st.one_of(st.just(None), st.floats(-3.0, -0.5)),
+       Lambda=st.floats(0.5, 2.0), u=st.floats(0.001, 0.999))
+def test_branch_point_is_a_fixed_point_of_the_kernel_half_map(C, A, Lambda, u):
+    # the closed-form branch point at time t, with H = H(t), is flown by the
+    # crossing kernel in time t onto its involution image, for the resonant
+    # A = -2C (None) and off it; x0 and y0 do not depend on H
+    A = -2.0 * C if A is None else A
+    base = build_system(A, C, 0.5, Lambda)
+    t_graze, _ = _graze(base)  # y0(t), and so t_graze, depend on C alone
+    t = math.pi + u * (t_graze - math.pi)
+    x0, y0, h, _ = _branch_point(base, t)
+    hrx = half_return_X(build_system(A, C, h, Lambda), (x0, y0))
+    scale = 1.0 + max(abs(x0), abs(y0))
+    assert abs(hrx.t - t) <= 1e-12 * t
+    assert np.max(np.abs(hrx.end - [-y0, -x0])) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
+def test_cycle_lies_on_the_branch_at_its_flight_time(C, h_frac, Lambda):
+    # the cycles workload's distribution: H(t_x) gives back H, and p0 lies on
+    # the conic branch of the first integral, an oracle the solve never uses
+    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
+    try:
+        cycle = find_cycle_newton(p, asymptotic_seed(p))
+    except NoCycleError:
+        assume(False)
+    x0, y0, h, _ = _branch_point(p, cycle.t_x)
+    assert h == pytest.approx(p.H, rel=1e-12)
+    assert (x0, y0) == pytest.approx(tuple(cycle.p0), rel=1e-15)
+    assert gamma1_branch_x(p, y0) == pytest.approx(x0, rel=1e-9)
+
+
+@pytest.mark.parametrize("Lambda", [0.5, 1.0, 2.0])
+def test_branch_h_does_not_depend_on_lambda(Lambda):
+    # nor on the H the system carries
+    for H in (0.04, 0.3):
+        h = _branch_point(resonant_system(1.0, H, Lambda), 3.5)[2]
+        assert h == pytest.approx(0.0188133961741854, rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.05, 3.0), A=st.one_of(st.just(None), st.floats(-6.0, -0.05)))
+def test_branch_h_is_strictly_decreasing(C, A):
+    # the band (H_graze, H_crit) is exact because H(t) is monotone across the
+    # branch (for A < 0; it increases for A > 0); the first of 400 interior
+    # times lies below the resonant limit H_crit
+    A = -2.0 * C if A is None else A
+    p = build_system(A, C, 0.5, 1.0)
+    t_graze, h_graze = _graze(p)
+    ts = np.linspace(math.pi, t_graze, 402)[1:-1]
+    hs = [_branch_point(p, float(t))[2] for t in ts]
+    assert all(a > b for a, b in zip(hs, hs[1:]))
+    assert hs[-1] > h_graze
+    if A == -2.0 * C:
+        assert hs[0] < float(critical_h(C))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), s=st.floats(-0.5, 1.5), Lambda=st.floats(0.5, 2.0))
+def test_no_cycle_error_exactly_outside_the_band(C, s, Lambda):
+    # s places H across the band: a cycle inside it, NoCycleError outside.
+    # Within 1e-5 of H_graze the cycle's start lies so close to the X fold
+    # that the checking Y flight can see a touch there, so both ends keep
+    # that margin
+    h_crit = float(critical_h(C))
+    h_graze = _graze(resonant_system(C, 0.5, Lambda))[1]
+    H = h_graze + s * (h_crit - h_graze)
+    assume(0.0 < H < 1.0 and min(abs(s), abs(s - 1.0)) > 1e-5)
+    p = resonant_system(C, H, Lambda)
+    if 0.0 < s < 1.0:
+        cycle = find_cycle_newton(p, asymptotic_seed(p))
+        assert cycle.p0[1] > 0.0
+    else:
+        with pytest.raises(NoCycleError, match=r"outside the band \(H_graze, H_crit\)"):
+            find_cycle_newton(p, asymptotic_seed(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
+def test_closed_form_dg_matches_the_kernel_half_map(C, h_frac, Lambda):
+    # Dg of the solve against the projected Phi_X columns of a kernel X
+    # half-return from the same p0
+    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
+    try:
+        cycle = find_cycle_newton(p, asymptotic_seed(p))
+    except NoCycleError:
+        assume(False)
+    (h00, h01), (h10, h11) = _half_map_jacobian(p, half_return_X(p, cycle.p0))
+    kernel = np.array([-h10, -h11, -h00, -h01])
+    assert np.max(np.abs(np.array(cycle.dg) - kernel)) <= 1e-9 * max(1.0, np.max(np.abs(kernel)))
 
 
 def test_scan_catalogue():

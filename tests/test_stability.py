@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -76,14 +78,24 @@ def test_reduction_agreement(desk_monodromy):
 
 
 def test_symmetry_defect_is_typed():
-    # a converged cycle next to the X fold (y0 ~ 3.2e-5) whose half flights
-    # differ by ~3.1e-9: the reduced composition misses the 1e-9 bound, and
-    # the failure is a TwofoldError that names y0 and t_x - t_y
+    # a cycle next to the X fold (y0 ~ 3.2e-5) with its Y half time moved by
+    # 3.1e-9: the reduced composition misses the 1e-9 bound, and the failure
+    # is a TwofoldError that names y0 and t_x - t_y
     p = resonant_system(0.6408946369496937, 0.004598737459894268, 0.6130039364647102)
     cycle = find_cycle_newton(p, asymptotic_seed(p))
-    with pytest.raises(SymmetryDefectError, match=r"y0 = 3\.2e-05, t_x - t_y = 3\.1\de-09"):
+    cycle = dataclasses.replace(cycle, t_y=cycle.t_y - 3.1e-9)
+    with pytest.raises(SymmetryDefectError, match=r"y0 = 3\.2e-05, t_x - t_y = 3\.1\d*e-09"):
         monodromy(p, cycle)
     assert issubclass(SymmetryDefectError, TwofoldError)
+
+
+def test_fold_adjacent_cycle_passes_monodromy():
+    # the same input: the solve in t closes its half times to round-off, so
+    # the direct and half-map compositions agree
+    p = resonant_system(0.6408946369496937, 0.004598737459894268, 0.6130039364647102)
+    cycle = find_cycle_newton(p, asymptotic_seed(p))
+    assert abs(cycle.t_x - cycle.t_y) <= 1e-11
+    assert monodromy(p, cycle).reduction_residual <= 1e-9
 
 
 def test_monodromy_matches_return_map_jacobian(desk_params, desk_cycle, desk_monodromy):
