@@ -25,8 +25,10 @@ import numpy as np
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoCycleError,
                      NotACycleError, TwofoldError)
 from .flow import _phi_rows
-from .invariants import _branch_x, _check_branch_domain, gamma1_branch_x, gamma1_conic
-from .returns import _bracketed_root, half_return_X, half_return_Y, series_coeffs
+from .invariants import (_branch_x, _check_branch_domain, _conic_coefficients, _conic_value,
+                         gamma1_branch_x, gamma1_conic)
+from .returns import (_bracketed_root, _flight, _gamma_x, half_return_X, half_return_Y,
+                      series_coeffs)
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, resonant_system
 
@@ -49,12 +51,12 @@ class SymmetricCycle:
     p1 is the second crossing, where the kernel flight of the lower
     half-orbit into p0 starts; residual is its distance from the involution
     image (-y0, -x0).  t_x (the closed-form branch time) and t_y (that
-    flight's time) are the two half-flight times, equal for a symmetric
-    cycle, and T = t_x + t_y the period.  dg is the 2x2 derivative at p0 of
-    the half map g = S h_X on the plane, row-major (g00, g01, g10, g11), in
-    closed form at the branch point.  The return map is g o g, so its
-    derivative at the cycle is Dg^2, whose eigenvalues are the transverse
-    Floquet multipliers.
+    flight's own crossing time, its Newton only started at t_x) are the two
+    half-flight times, equal for a symmetric cycle, and T = t_x + t_y the
+    period.  dg is the 2x2 derivative at p0 of the half map g = S h_X on the
+    plane, row-major (g00, g01, g10, g11), in closed form at the branch
+    point.  The return map is g o g, so its derivative at the cycle is Dg^2,
+    whose eigenvalues are the transverse Floquet multipliers.
     """
 
     p0: np.ndarray
@@ -100,7 +102,7 @@ def _closure(p, y0, conic):
     return float(hrx.end[0]) + y0, dx0 * h00 + h01 + 1.0, hrx
 
 
-def _branch_point(p: SystemParams, t: float):
+def _branch_point(p: SystemParams, t: float, fold: bool = False):
     """(x0, y0, h, rows) for the symmetric branch point whose X flight takes
     time t: the start p0 = (x0, y0, 0) from which the upper orbit meets the
     plane at time t exactly at (-y0, -x0, 0) when H = h, with
@@ -111,7 +113,8 @@ def _branch_point(p: SystemParams, t: float):
     zs = Lambda / (1 + C^2), and y1(t) fixes x0 = -y1.  The end
     x1 = e^{At} x0 + H K(t) is affine in x0 and linear in H, so x1 = -y0
     gives h = H(t) = (-y0 - e^{At} x0) / K(t), which depends on neither H
-    nor Lambda.  y0 > 0 exactly for t in (pi, t_graze) (see _graze)."""
+    nor Lambda.  y0 > 0 exactly for t in (pi, t_graze) (see _graze); ``fold``
+    sets y0 = 0 at t_graze, where ys + dv cancels to round-off above e^{At} x0."""
     A, C, L = p.A, p.C, p.Lambda
     rows = _phi_rows(p, t)
     (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
@@ -119,7 +122,7 @@ def _branch_point(p: SystemParams, t: float):
     zs = L / c2
     xs, ys = p.H * L * (A - 2.0 * C) / c2, -2.0 * C * zs
     dv = zs * (p22 - 1.0) / p21  # y0 - ys, from z(t) = zs + p21 dv - p22 zs = 0
-    y0 = ys + dv
+    y0 = 0.0 if fold else ys + dv
     x0 = -(ys + p11 * dv - p12 * zs)
     # the H part of x1 (xs, p01 and p02 are each H times an H-free factor)
     h_part = xs * (1.0 - e_at) + p01 * dv - p02 * zs
@@ -142,7 +145,10 @@ def _graze(p: SystemParams):
 
     lo, hi = math.pi, 2.0 * math.pi - math.atan(C)
     t_graze, _ = _bracketed_root(fdf, 0.5 * (lo + hi), lo, hi, 0.0)
-    return t_graze, _branch_point(p, t_graze)[2]
+    h_graze = _branch_point(p, t_graze, fold=True)[2]
+    if not 0.0 <= h_graze < math.inf:  # e^{Ct} overflows in the closed form
+        raise DomainError(f"H_graze is not finite at C={C!r}: the branch overflows")
+    return t_graze, h_graze
 
 
 def _no_cycle(p: SystemParams, h_graze: float, h_crit: float) -> NoCycleError:
@@ -201,15 +207,15 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     t = pi + tau_x_head(1 / y0_init), the series head of the X flight time,
     or, without a positive seed or when that t leaves (pi, 2 pi), at the
     resonant linearisation H / H_crit - 1 = -2 (t - pi).  Dg comes in closed
-    form from the same rows and the field at the end (-y0, -x0).  One kernel
-    flight, half_return_Y from p0, gives t_y and p1; the cycle checks run on
-    it.
+    form from the same rows and the field at the end (-y0, -x0).  The kernel
+    flight behind half_return_Y, from p0 with its Newton started at t_x,
+    gives t_y and p1 in about one root step; the cycle checks run on it.
 
     Raises
     ------
     DomainError
         If y0_init is NaN or +inf, p is outside the resonant 0 < H < 1 range,
-        or C is not in (0, 709 / pi].
+        C is not in (0, 709 / pi], or H_graze overflows (C near 709 / pi).
     NoCycleError
         If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError
@@ -229,13 +235,12 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         raise _no_cycle(p, _graze(p)[1], h_crit)
     t = math.pi + 0.5 * (1.0 - p.H / h_crit)  # the resonant linearisation
     if y0_init is not None and y0_init > 0.0:
-        seeded = math.pi + series_coeffs(p).tau_x_head(1.0 / y0_init)
+        (g1x, g2x), v = _gamma_x(p), 1.0 / y0_init
+        seeded = math.pi + (g1x * v + g2x * v * v)  # tau_x_head(v)
         if math.pi < seeded < 2.0 * math.pi:
             t = seeded
     t_x, x0, y0, rows = _solve_branch(p, t, h_crit)
-    hry = half_return_Y(p, (x0, y0))
-    p0, p1, t_y = hry.start, hry.end, hry.t
-    x1, y1 = float(p1[0]), float(p1[1])
+    t_y, (x1, y1), *_ = _flight(p, x0, y0, "Y", t_x)
     T = t_x + t_y
     scale = 1.0 + max(abs(x0), abs(y0))
     residual = math.hypot(x1 + y0, y1 + x0)  # p1 minus the involution image (-y0, -x0)
@@ -244,7 +249,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         problems.append(f"the Y flight from p0 ends {residual:.3g} from (-y0, -x0)")
     if abs(t_x - t_y) > 1e-9 * T:
         problems.append(f"half times differ: |t_x - t_y| = {abs(t_x - t_y):.3g}")
-    if abs(gamma1_conic(p).evaluate(x1, y1)) > 1e-8 * scale * scale:
+    if abs(_conic_value(_conic_coefficients(p), x1, y1)) > 1e-8 * scale * scale:
         problems.append("p1 left the reduced conic")
     if problems:
         raise NotACycleError("; ".join(problems))
@@ -253,8 +258,8 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
     fx, w = p.H * p.Lambda - p.A * y0, p21 / x0  # w = -phi1_z / X_z(end)
     h01, h11 = p01 + fx * w, p11 + p.Lambda * w
-    return SymmetricCycle(p0=p0, p1=p1, T=T, t_x=t_x, t_y=t_y, residual=residual,
-                          dg=(0.0, -h11, -e_at, -h01))
+    return SymmetricCycle(p0=np.array([x0, y0]), p1=np.array([x1, y1]), T=T, t_x=t_x,
+                          t_y=t_y, residual=residual, dg=(0.0, -h11, -e_at, -h01))
 
 
 def return_map(p: SystemParams, q) -> np.ndarray:

@@ -197,8 +197,7 @@ class ConicGamma1:
     kind: ConicKind
 
     def evaluate(self, x, y):
-        axx, axy, ayy, bx, by, c = self.coefficients
-        return axx * x * x + axy * x * y + ayy * y * y + bx * x + by * y + c
+        return _conic_value(self.coefficients, x, y)
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,13 +218,13 @@ def _conic_kind(H: float) -> ConicKind:
     return ConicKind.ELLIPSE
 
 
-def gamma1_conic(p: SystemParams) -> ConicGamma1:
-    """Conic containing the symmetric-cycle crossings (resonant family only)."""
+def _conic_coefficients(p: SystemParams) -> tuple:
+    """ConicGamma1.coefficients of gamma1_conic(p), without the record."""
     if not p.resonant:
         raise DomainError("the reduced conic requires the resonant family A = -2C")
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
-    coeffs = (
+    return (
         H,
         -(H + 1.0),
         H,
@@ -233,7 +232,16 @@ def gamma1_conic(p: SystemParams) -> ConicGamma1:
         2.0 * C * H * L / c2,
         L * L * (H - 1.0) / c2,
     )
-    return ConicGamma1(coeffs, gamma1_discriminant(H), _conic_kind(H))
+
+
+def _conic_value(coefficients, x, y):
+    axx, axy, ayy, bx, by, c = coefficients
+    return axx * x * x + axy * x * y + ayy * y * y + bx * x + by * y + c
+
+
+def gamma1_conic(p: SystemParams) -> ConicGamma1:
+    """Conic containing the symmetric-cycle crossings (resonant family only)."""
+    return ConicGamma1(_conic_coefficients(p), gamma1_discriminant(p.H), _conic_kind(p.H))
 
 
 def _branch_radicand(p: SystemParams, y):

@@ -84,18 +84,21 @@ class HalfReturn:
     phi: tuple
 
 
-def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
+def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
+                   t_start: float = math.nan):
     """First time in (0, t_max] at which the upper-field orbit from s0 meets z = 0.
 
     s0 lies on the plane (s0[2] == 0, and the flight leaves it) or above it;
     a lower-field caller passes S s0.  The orbit runs backward in time unless
-    ``forward``.  Returns (t, iterations).  A touch, a critical point of z
-    where z is zero to within the closed form's rounding, is not a crossing:
-    the orbit stays in its half-space.  Raises DomainError if s0 lies below
-    the plane, NoReturnError if no crossing occurs in (0, t_max],
-    TangentialGrazeError if the flight does not enter the half-space or the
-    exit slope is below 1e-10 (1 + |s0|), and DivergenceError if the closed
-    form leaves the range of floating point before the crossing is resolved.
+    ``forward``.  Newton starts at ``t_start`` if it lies in the walk's
+    one-root bracket: fewer steps, the same root.  Returns (t, iterations).
+    A touch, a critical point of z where z is zero to within the closed
+    form's rounding, is not a crossing: the orbit stays in its half-space.
+    Raises DomainError if s0 lies below the plane, NoReturnError if no
+    crossing occurs in (0, t_max], TangentialGrazeError if the flight does
+    not enter the half-space or the exit slope is below 1e-10 (1 + |s0|),
+    and DivergenceError if the closed form leaves the range of floating
+    point before the crossing is resolved.
     """
     if s0[2] < 0.0:  # the lower orbit from s is the S-image of the upper one from S s
         raise DomainError(f"start z = {s0[2]!r} is below the plane; pass S s0 = (-y, -x, -z)")
@@ -147,10 +150,12 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
                 raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
             raise TangentialGrazeError("entry into the half-space is not transversal")
         # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
-        # (C alpha + beta, C beta - alpha): start at the zero of the sinusoid
-        # inside the bracket, else at its midpoint
+        # (C alpha + beta, C beta - alpha): start at t_start, else at the zero
+        # of the sinusoid, inside the bracket, else at its midpoint
         start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
-        if not lo < start < hi:
+        if lo < t_start < hi:
+            start = t_start
+        elif not lo < start < hi:
             start = 0.5 * (lo + hi)
         fdf = _envelope_free(C, zs, wy, wz, tsign, tsign * lo)
         root, iterations = _bracketed_root(fdf, start, lo, hi, 0.0)
@@ -227,8 +232,9 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
     raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")
 
 
-def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
-    x0, y0 = float(start[0]), float(start[1])
+def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = math.nan):
+    """The one half-return flight, in floats: the HalfReturn fields but start
+    and field, (t, (x1, y1), forward, iterations, residual, (phi0, phi1))."""
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
     scale = math.hypot(x0, y0)
@@ -239,7 +245,7 @@ def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
     forward = v > 0  # an ascending start opens the upper half-orbit
-    t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward)
+    t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward, t_start=t_start)
     try:  # e^{At} in the closed form may overflow where e^{Ct} did not
         (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
         # each entry of phi enters the end state, so a finite end has a finite phi
@@ -252,16 +258,13 @@ def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
     if field == "Y":  # end and Phi_Y = S Phi_X S back in the lower chart
         (x1, y1), phi0, phi1 = ((-y1, -x1), (phi1[1], phi1[0], phi1[2]),
                                 (phi0[1], phi0[0], phi0[2]))
-    return HalfReturn(
-        t=t,
-        start=np.array([x0, y0]),
-        end=np.array([x1, y1]),
-        field=field,
-        forward=forward,
-        iterations=iterations,
-        residual=abs(z1),
-        phi=(phi0, phi1),
-    )
+    return t, (x1, y1), forward, iterations, abs(z1), (phi0, phi1)
+
+
+def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
+    x0, y0 = float(start[0]), float(start[1])
+    t, end, *rest = _flight(p, x0, y0, field)
+    return HalfReturn(t, np.array([x0, y0]), np.array(end), field, *rest)
 
 
 def half_return_X(p: SystemParams, start) -> HalfReturn:
@@ -315,6 +318,12 @@ class SeriesCoeffs:
         return self.gamma1_y * v0 + self.gamma2_y * v0 * v0
 
 
+def _gamma_x(p: SystemParams):
+    """(gamma1_x, gamma2_x) of series_coeffs, without its domain checks."""
+    g1x = (1.0 + 1.0 / math.exp(math.pi * p.C)) * p.Lambda / (p.C * p.C + 1.0)
+    return g1x, -p.C * g1x * g1x
+
+
 def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     """Closed-form expansion coefficients (resonant hyperbola range, and
     |C| pi <= 709 so that e^{pi C} and its inverse stay finite)."""
@@ -329,8 +338,7 @@ def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
     E = math.exp(math.pi * C)
-    g1x = (1.0 + 1.0 / E) * L / c2
-    g2x = -C * g1x * g1x
+    g1x, g2x = _gamma_x(p)
     sd = math.sqrt(gamma1_discriminant(H) / (H * H)) * H
     g1y = 2.0 * H * L * (E + 1.0) / (c2 * (sd + H + 1.0))
     g2y = (-2.0 * C * H * H * L * L * (E + 1.0) * (sd - (3.0 * H + 1.0) * E)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twofold import (asymptotic_seed, branch_min_y, build_system, closure_residual,
-                     critical_h, eval_P_X, find_cycle_newton, gamma1_branch_x,
+                     critical_h, cycles, eval_P_X, find_cycle_newton, gamma1_branch_x,
                      gamma1_conic, half_return_X, half_return_Y, iterate_reduced_map,
                      monodromy, resonant_system, return_map, returns, scan_cycles,
                      schur_conditions, series_coeffs, time_matching)
 from twofold.cycles import _branch_point, _closure, _graze, _half_map_jacobian
-from twofold.errors import DivergenceError, NoCycleError, TwofoldError
+from twofold.errors import (DivergenceError, DomainError, NoCycleError, NotACycleError,
+                            TwofoldError)
+from twofold.flow import _phi_rows
+from twofold.returns import _flight
 from oracles import fd_jacobian, measure_contraction
 
 
@@ -155,18 +158,108 @@ def test_half_map_invariants_match_direct_monodromy_and_fd(C, h_frac, Lambda):
     assert schur_conditions(trace, det) == schur_conditions(direct_trace, direct_det)
 
 
-def test_desk_newton_half_return_count(desk_params, monkeypatch):
+def test_desk_newton_half_return_count(desk_params, desk_cycle, monkeypatch):
     # the solve in t flies nothing; the one kernel flight is the checking Y one
     calls = []
-    original = returns._half_return
+    original = returns._flight
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[3])
         return original(*args)
 
-    monkeypatch.setattr(returns, "_half_return", counting)
+    for module in (returns, cycles):  # every name the shared kernel is bound to
+        monkeypatch.setattr(module, "_flight", counting)
     find_cycle_newton(desk_params, asymptotic_seed(desk_params))
     assert calls == ["Y"]
+    half_return_X(desk_params, desk_cycle.p0)
+    half_return_Y(desk_params, desk_cycle.p0)
+    assert calls == ["Y", "X", "Y"]  # the public half-returns fly the same kernel
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
+def test_started_check_flight_is_the_lower_orbits_own_crossing(C, h_frac, Lambda):
+    # the cycles workload's distribution: Newton started at t_x reaches the
+    # root an unstarted half_return_Y finds, and so does a start elsewhere in
+    # the one-root bracket or outside it (ignored); a branch point off the
+    # cycle still fails the checks, so the started flight does not copy t_x
+    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
+    seed = asymptotic_seed(p)
+    try:
+        cycle = find_cycle_newton(p, seed)
+    except NoCycleError:
+        assume(False)
+    x0, y0 = cycle.p0
+    hry = half_return_Y(p, cycle.p0)
+    t, end, *_ = _flight(p, x0, y0, "Y", cycle.t_x)
+    assert t == pytest.approx(hry.t, rel=1e-13)
+    assert np.max(np.abs(np.array(end) - hry.end)) <= 1e-10 * (1.0 + np.abs(cycle.p0).max())
+    for start in (cycle.t_x - 0.05, cycle.t_x + 0.05, 0.0, 9.0 * math.pi):
+        assert _flight(p, x0, y0, "Y", start)[0] == pytest.approx(hry.t, rel=1e-13)
+    solve_branch = cycles._solve_branch
+
+    def off_the_cycle(*args):
+        t_x, x0, y0, rows = solve_branch(*args)
+        return t_x, x0 * (1.0 + 1e-6), y0, rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "_solve_branch", off_the_cycle)
+        with pytest.raises(NotACycleError):
+            find_cycle_newton(p, seed)
+
+
+def test_near_graze_outcomes_are_cycles_or_typed():
+    # H just above the graze end of the band, where p0 sits next to the X
+    # fold: the checking flight keeps the half-return guards, so every
+    # outcome is a cycle or a TwofoldError, never a bare exception
+    rng = np.random.default_rng(7)
+    found = 0
+    for C, Lambda, s in zip(rng.uniform(0.25, 2.0, 300), rng.uniform(0.5, 2.0, 300),
+                            10.0 ** rng.uniform(-9.0, -1.0, 300)):
+        h_graze = _graze(resonant_system(C, 0.5, Lambda))[1]
+        p = resonant_system(C, h_graze + s * (float(critical_h(C)) - h_graze), Lambda)
+        try:
+            monodromy(p, find_cycle_newton(p, asymptotic_seed(p)))
+            found += 1
+        except TwofoldError:
+            pass
+    assert found > 0
+
+
+def _graze_oracle(C):
+    # H at y0 = 0 on the branch, at the root of cos t - C sin t = e^{-Ct},
+    # in 60-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    p = resonant_system(C, 0.5, 1.0)
+    with mpmath.workdps(60):
+        c = mpmath.mpf(C)
+        t = mpmath.findroot(lambda u: mpmath.cos(u) - c * mpmath.sin(u) - mpmath.exp(-c * u),
+                            _graze(p)[0])
+        (e_at, p01, p02), (_, p11, p12), _ = _phi_rows(p, t, mpmath.exp, mpmath.sin,
+                                                       mpmath.cos)
+        H, zs = 0.5, 1 / (1 + c * c)  # Lambda = 1
+        xs, ys = H * (-4 * c) * zs, -2 * c * zs  # A = -2C
+        dv = -ys  # y0 = 0
+        x0 = -(ys + p11 * dv - p12 * zs)
+        return float(H * -e_at * x0 / (xs * (1 - e_at) + p01 * dv - p02 * zs))
+
+
+@pytest.mark.parametrize("C", [10.0, 100.0])
+def test_graze_end_of_the_band_is_resolved_at_large_c(C):
+    # y0 + e^{At} x0 cancels at the fold; with y0 = 0 taken exactly there,
+    # H_graze keeps its sign and digits where e^{At} x0 is far below y0's
+    # round-off, and the NoCycleError names a positive band
+    h_graze = _graze(resonant_system(C, 0.5, 1.0))[1]
+    assert h_graze == pytest.approx(_graze_oracle(C), rel=1e-12)
+    p = resonant_system(C, 2.0 * float(critical_h(C)), 1.0)
+    with pytest.raises(NoCycleError, match=r"band \(H_graze, H_crit\) = \(\d"):
+        find_cycle_newton(p)
+
+
+def test_graze_end_overflowing_is_a_domain_error():
+    # at C = 225 the closed form at t_graze leaves the float range
+    with pytest.raises(DomainError, match=r"C=225\.0"):
+        find_cycle_newton(resonant_system(225.0, 0.5, 1.0))
 
 
 def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):
