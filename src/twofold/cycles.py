@@ -27,10 +27,9 @@ from .errors import (DivergenceError, DomainError, NoConvergenceError, NoCycleEr
 from .flow import _phi_rows
 from .invariants import (_branch_x, _check_branch_domain, _conic_coefficients, _conic_value,
                          gamma1_branch_x, gamma1_conic)
-from .returns import (_bracketed_root, _flight, _gamma_x, half_return_X, half_return_Y,
-                      series_coeffs)
+from .returns import _bracketed_root, _flight, _gamma_x, _series, half_return_X, half_return_Y
 from .stability import MonodromyReport, monodromy
-from .system import SystemParams, resonant_system
+from .system import SystemParams, _plane_field, resonant_system
 
 __all__ = [
     "SymmetricCycle",
@@ -85,7 +84,7 @@ def _half_map_jacobian(p, hrx):
     at the end crossing."""
     x1, y1 = hrx.end.tolist()
     phi0, phi1 = hrx.phi
-    fx, fy = p.A * x1 + p.H * p.Lambda, p.Lambda
+    fx, fy, _ = _plane_field(p, x1, y1)
     return ((phi0[0] - fx * phi0[2] / y1, phi1[0] - fx * phi1[2] / y1),
             (phi0[1] - fy * phi0[2] / y1, phi1[1] - fy * phi1[2] / y1))
 
@@ -144,7 +143,7 @@ def _graze(p: SystemParams):
         return C * st - ct + e, st + C * ct - C * e
 
     lo, hi = math.pi, 2.0 * math.pi - math.atan(C)
-    t_graze, _ = _bracketed_root(fdf, 0.5 * (lo + hi), lo, hi, 0.0)
+    t_graze, _ = _bracketed_root(fdf, 0.5 * (lo + hi), lo, hi)
     h_graze = _branch_point(p, t_graze, fold=True)[2]
     if not 0.0 <= h_graze < math.inf:  # e^{Ct} overflows in the closed form
         raise DomainError(f"H_graze is not finite at C={C!r}: the branch overflows")
@@ -256,8 +255,8 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     # Dh = (I - X(end) e3^T / X_z(end)) [phi0 phi1] at the end (-y0, -x0), where
     # X = (A x1 + H Lambda, Lambda, y1); phi0 = (e^{At}, 0, 0) leaves h10 = 0
     (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
-    fx, w = p.H * p.Lambda - p.A * y0, p21 / x0  # w = -phi1_z / X_z(end)
-    h01, h11 = p01 + fx * w, p11 + p.Lambda * w
+    (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
+    h01, h11 = p01 + fx * w, p11 + fy * w
     return SymmetricCycle(p0=np.array([x0, y0]), p1=np.array([x1, y1]), T=T, t_x=t_x,
                           t_y=t_y, residual=residual, dg=(0.0, -h11, -e_at, -h01))
 
@@ -302,12 +301,15 @@ def iterate_reduced_map(p: SystemParams, y0_init: float, n: int) -> list[np.ndar
 
 
 def asymptotic_seed(p: SystemParams) -> float | None:
-    """Large-amplitude seed y0* = -gamma2/gamma1 from the series head.
+    """Large-amplitude seed y0* = -gamma2/gamma1 from the series head, with
+    gamma_i = gamma_i_x - gamma_i_y read from the floats of
+    ``returns._series`` (series_coeffs's domain checks, no record).
 
     None when the head has no positive zero (gamma1/gamma2 >= 0).
     """
-    coeffs = series_coeffs(p)
-    v0 = -coeffs.gamma1 / coeffs.gamma2 if coeffs.gamma2 != 0.0 else 0.0
+    g1x, g2x, g1y, g2y = _series(p)
+    g1, g2 = g1x - g1y, g2x - g2y
+    v0 = -g1 / g2 if g2 != 0.0 else 0.0
     return 1.0 / v0 if v0 > 0.0 else None
 
 

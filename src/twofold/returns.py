@@ -19,10 +19,11 @@ zs w + e^{C u_lo} (wy sin t + wz (cos t + C sin t)), w = e^{-C(t - u_lo)},
 fused to one exp, one sin and one cos per step.  It has the sign of z
 everywhere but lacks the e^{Ct} bend that makes Newton on z itself
 overshoot; it starts at the zero of the sinusoid inside the bracket (the
-bracket's midpoint if there is none) and falls back to bisection.  A sign
-change of z is never skipped, however shallow; entry and exit transversality
-are enforced.  A half-return searches the fixed window (0, 8 pi]: on the
-hyperbola every flight takes about pi.
+bracket's midpoint if there is none) and falls back to bisection, but not
+from an iterate where the residual is within its rounding: that is the
+root.  A sign change of z is never skipped, however shallow; entry and exit
+transversality are enforced.  A half-return searches the fixed window
+(0, 8 pi]: on the hyperbola every flight takes about pi.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -39,6 +40,7 @@ a flight that leaves the range of floating point a DivergenceError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +93,10 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
     s0 lies on the plane (s0[2] == 0, and the flight leaves it) or above it;
     a lower-field caller passes S s0.  The orbit runs backward in time unless
     ``forward``.  Newton starts at ``t_start`` if it lies in the walk's
-    one-root bracket: fewer steps, the same root.  Returns (t, iterations).
+    one-root bracket: fewer steps, the same root to round-off.  Only
+    otherwise is the zero of z's sinusoid in the bracket computed (one
+    atan2) and used as the start, or the bracket's midpoint if there is
+    none.  Returns (t, iterations).
     A touch, a critical point of z where z is zero to within the closed
     form's rounding, is not a crossing: the orbit stays in its half-space.
     Raises DomainError if s0 lies below the plane, NoReturnError if no
@@ -152,13 +157,20 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
         # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
         # (C alpha + beta, C beta - alpha): start at t_start, else at the zero
         # of the sinusoid, inside the bracket, else at its midpoint
-        start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
-        if lo < t_start < hi:
-            start = t_start
-        elif not lo < start < hi:
-            start = 0.5 * (lo + hi)
+        start = t_start
+        if not lo < start < hi:
+            start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
+            if not lo < start < hi:
+                start = 0.5 * (lo + hi)
         fdf = _envelope_free(C, zs, wy, wz, tsign, tsign * lo)
-        root, iterations = _bracketed_root(fdf, start, lo, hi, 0.0)
+
+        def floor(C=C, u_lo=tsign * lo, alpha=alpha, beta=beta):
+            # the touch test's rounding of z, times e^{-C(u - u_lo)}; the values
+            # are bound here, so the walk above keeps plain local variables
+            return (2.0 ** -50 * 3.0 * (1.0 + abs(C)) * math.exp(C * u_lo)
+                    * math.hypot(alpha, beta))
+
+        root, iterations = _bracketed_root(fdf, start, lo, hi, floor)
         slope = abs(dz(tsign * root))
         if slope < 1e-10 * (1.0 + math.hypot(*s0)):
             raise TangentialGrazeError(
@@ -198,7 +210,7 @@ def _envelope_free(C: float, zs: float, wy: float, wz: float, tsign: float, u_lo
     return fdf
 
 
-def _bracketed_root(fdf, t, lo, hi, rtol):
+def _bracketed_root(fdf, t, lo, hi, floor=None):
     """(t, iterations) for the one root of f in [lo, hi], where
     fdf(t) = (f(t), f'(t)) and f > 0 left of the root, f <= 0 right of it.
 
@@ -206,13 +218,17 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
     inside the shrinking bracket and is at most half the previous step (the
     bracket width at first), as in Numerical Recipes' rtsafe, so a run of
     equal steps, as on a steep exponential, cannot outlast the step budget.
-    Stops once |f| <= rtol (1 + |t|).
+    ``floor()``, if given, is the rounding bound of f.  A step refused at
+    |f| <= floor() returns t while the bracket spans more than floor() / |f'|,
+    the width on which f is all round-off: the steps there only repeat, and
+    a bisection of the whole bracket would walk back to t.  Stops at f = 0
+    or once the step or the bracket is below round-off in t.
     """
     prev = hi - lo
     for iterations in range(1, 101):
         ft, slope = fdf(t)
         at = abs(t)
-        if abs(ft) <= rtol * (1.0 + at):
+        if ft == 0.0:
             return t, iterations
         if ft > 0.0:
             lo = t
@@ -224,6 +240,8 @@ def _bracketed_root(fdf, t, lo, hi, rtol):
             return t - step, iterations
         if lo < t - step < hi and abs(2.0 * step) <= abs(prev):
             t, prev = t - step, step
+        elif floor is not None and abs(ft) <= floor() < (hi - lo) * abs(slope):
+            return t, iterations
         else:
             mid = 0.5 * (lo + hi)
             t, prev = mid, t - mid
@@ -327,11 +345,18 @@ def _gamma_x(p: SystemParams):
 def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     """Closed-form expansion coefficients (resonant hyperbola range, and
     |C| pi <= 709 so that e^{pi C} and its inverse stay finite)."""
+    return SeriesCoeffs(*_series(p))
+
+
+def _series(p: SystemParams):
+    """(gamma1_x, gamma2_x, gamma1_y, gamma2_y) of series_coeffs, as floats
+    behind its domain checks."""
     if not p.resonant:
         raise DomainError("series coefficients require the resonant family A = -2C")
     if not (-1.0 / 3.0 < p.H < 1.0):
         raise DomainError("series coefficients require the hyperbola range -1/3 < H < 1")
-    if p.H * p.H == 0.0:  # H^2 divides the discriminant below
+    if p.H * p.H == 0.0 or p.H < 0.0 and 4.0 * p.H ** 4 < sys.float_info.min:
+        # H^2 divides the discriminant below, and H^4 one denominator for H < 0
         raise DomainError(f"series coefficients are singular at H = 0, got H={p.H!r}")
     if abs(p.C) * math.pi > 709.0:
         raise DomainError(f"series coefficients need |C| pi <= 709, got C={p.C!r}")
@@ -340,11 +365,18 @@ def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     E = math.exp(math.pi * C)
     g1x, g2x = _gamma_x(p)
     sd = math.sqrt(gamma1_discriminant(H) / (H * H)) * H
-    g1y = 2.0 * H * L * (E + 1.0) / (c2 * (sd + H + 1.0))
+    if H > 0.0:
+        r, q = sd + H + 1.0, (H + 1.0) * sd + 1.0 + 2.0 * H - H * H
+    else:
+        # sd = -sqrt(D), D = (1 - H)(3H + 1): both sums cancel, to 2 H^2 and
+        # 2 H^4 at small |H|, so each comes from its conjugate, by
+        # (1 + H)^2 - D = 4 H^2 and (1 + 2H - H^2)^2 - (1 + H)^2 D = 4 H^4
+        r = 4.0 * H * H / (1.0 + H - sd)
+        q = 4.0 * H ** 4 / (1.0 + 2.0 * H - H * H - (H + 1.0) * sd)
+    g1y = 2.0 * H * L * (E + 1.0) / (c2 * r)
     g2y = (-2.0 * C * H * H * L * L * (E + 1.0) * (sd - (3.0 * H + 1.0) * E)
-           / (c2 * c2 * (3.0 * H + 1.0)
-              * ((H + 1.0) * sd + 1.0 + 2.0 * H - H * H)))
-    return SeriesCoeffs(g1x, g2x, g1y, g2y)
+           / (c2 * c2 * (3.0 * H + 1.0) * q))
+    return g1x, g2x, g1y, g2y
 
 
 def _branch_returns(p: SystemParams, y0: float):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, EmptyBandError, GrazingCrossingError, SymmetryDefectError
 from .flow import _phi_rows
 from .invariants import gamma1_discriminant
-from .system import SystemParams, _field, eval_X
+from .system import SystemParams, _plane_field, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cycles import SymmetricCycle
@@ -50,7 +50,9 @@ _E3 = np.array([0.0, 0.0, 1.0])
 
 
 def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tuple:
-    """Third column of saltation(p, (x, y), direction) minus e3, as floats."""
+    """Third column of saltation(p, (x, y), direction) minus e3, as floats:
+    (Y - X) / div from the plane fields X = _plane_field(x, y) and
+    Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X."""
     tol = 1e-10 * (1.0 + math.hypot(x, y))
     if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
         raise GrazingCrossingError(f"{np.array([x, y])!r} is not a transversal crossing point")
@@ -60,9 +62,9 @@ def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tu
         div = -x
     else:
         raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
-    fx = _field(p, x, y, 0.0)
-    u, v, w = _field(p, -y, -x, -0.0)  # Y(x, y, 0) = S X(-y, -x, -0)
-    return (-v - fx[0]) / div, (-u - fx[1]) / div, (-w - fx[2]) / div
+    fx, fy, fz = _plane_field(p, x, y)
+    u, v, w = _plane_field(p, -y, -x)  # Y(x, y, 0) = S X(-y, -x, 0)
+    return (-v - fx) / div, (-u - fy) / div, (-w - fz) / div
 
 
 def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
@@ -174,9 +176,10 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
             f"{reduction_residual:.3g} (bound 1e-9) at y0 = {y0:.3g}, "
             f"t_x - t_y = {cycle.t_x - cycle.t_y:.3g}"
         )
-    z = _field(p, x0, y0, 0.0)
-    trivial_residual = math.hypot(*(row[0] * z[0] + row[1] * z[1] + row[2] * z[2] - zi
-                                    for row, zi in zip(M, z))) / math.hypot(*z)
+    z0, z1, z2 = _plane_field(p, x0, y0)
+    trivial_residual = math.hypot(m00 * z0 + m01 * z1 + m02 * z2 - z0,
+                                  m10 * z0 + m11 * z1 + m12 * z2 - z1,
+                                  m20 * z0 + m21 * z1 + m22 * z2 - z2) / math.hypot(z0, z1, z2)
     mu2, mu3 = _deflated_quadratic_roots(trace, det)
     conds = schur_conditions(trace, det)
     return MonodromyReport(

@@ -100,6 +100,13 @@ def _field(p: SystemParams, x, y, z) -> tuple:
             2.0 * p.C * z + y)
 
 
+def _plane_field(p: SystemParams, x, y) -> tuple:
+    """X(x, y, 0) = (A x + H Lambda, Lambda, y), the z = 0 restriction of
+    ``_field``: the same bits for Lambda != 0, but that a y of -0.0 stays
+    -0.0 here where ``_field``'s 2 C 0 + y can give +0.0."""
+    return p.A * x + p.H * p.Lambda, p.Lambda, y
+
+
 def eval_X(p: SystemParams, s) -> np.ndarray:
     """Upper vector field at a point s = (x, y, z)."""
     x, y, z = np.asarray(s, dtype=float)

@@ -431,3 +431,45 @@ def test_seed_prediction_accuracy():
     seed = asymptotic_seed(p)
     cycle = find_cycle_newton(p, seed)
     assert abs(seed / cycle.p0[1] - 1.0) < 0.1
+
+
+def _seed_from_record(p):
+    coeffs = series_coeffs(p)
+    v0 = -coeffs.gamma1 / coeffs.gamma2 if coeffs.gamma2 != 0.0 else 0.0
+    return 1.0 / v0 if v0 > 0.0 else None
+
+
+def _outcome(call, p):
+    try:
+        seed = call(p)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return None if seed is None else seed.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(C=st.floats(0.01, 230.0), c_sign=st.sampled_from([1.0, -1.0]),
+       H=st.floats(-1.0 / 3.0, 1.0, exclude_min=True, exclude_max=True),
+       Lambda=st.floats(0.05, 20.0), l_sign=st.sampled_from([1.0, -1.0]))
+def test_asymptotic_seed_is_the_series_record_head(C, c_sign, H, Lambda, l_sign):
+    # the seed read from the series floats is the one the SeriesCoeffs
+    # record's gamma1 and gamma2 give, bit for bit, or the same DomainError
+    p = resonant_system(c_sign * C, H, l_sign * Lambda)
+    assert _outcome(asymptotic_seed, p) == _outcome(_seed_from_record, p)
+
+
+@pytest.mark.parametrize("p", [
+    build_system(-1.9, 1.0, 0.5, 1.0),  # not resonant
+    resonant_system(1.0, 1.5, 1.0),  # H past the hyperbola range
+    resonant_system(1.0, -0.5, 1.0),
+    resonant_system(1.0, 0.0, 1.0),  # H = 0 is singular
+    resonant_system(1.0, -1e-78, 1.0),  # 4 H^4 leaves the normal float range
+    resonant_system(226.0, 0.5, 1.0),  # |C| pi > 709
+    resonant_system(-226.0, 0.5, 1.0),
+])
+def test_asymptotic_seed_raises_the_series_domain_error(p):
+    with pytest.raises(DomainError) as from_record:
+        series_coeffs(p)
+    with pytest.raises(DomainError) as from_seed:
+        asymptotic_seed(p)
+    assert str(from_seed.value) == str(from_record.value)

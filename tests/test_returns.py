@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twofold import (HalfReturn, apply_involution, build_system, critical_h, eval_X,
-                     eval_Y, flow_X, flow_Y, gamma1_branch_x, gamma2_at_critical,
-                     half_return_X, half_return_Y, resonant_system, return_map,
-                     series_coeffs, time_matching, time_matching_table)
+from twofold import (HalfReturn, apply_involution, asymptotic_seed, build_system,
+                     critical_h, eval_X, eval_Y, find_cycle_newton, flow_X, flow_Y,
+                     gamma1_branch_x, gamma2_at_critical, half_return_X, half_return_Y,
+                     resonant_system, return_map, series_coeffs, time_matching,
+                     time_matching_table)
 from twofold.errors import (DivergenceError, DomainError, NoReturnError,
                             TangentialGrazeError, TwofoldError)
 from twofold.flow import _z_coefficients, z_closed_form
-from twofold.returns import _envelope_free, _slope_coefficients, first_crossing
+from twofold.returns import _envelope_free, _flight, _slope_coefficients, first_crossing
 from oracles import bisect_root, fit_time_series, rk4
 
 
@@ -141,6 +142,25 @@ def test_series_coefficient_values():
     assert np.isclose(coeffs.gamma1_x, (1.0 + math.exp(-math.pi)) / 2.0, rtol=1e-15)
     assert np.isclose(coeffs.gamma1_x, 0.5216069591, atol=1e-9)
     assert np.isclose(coeffs.gamma2_x, -p.C * coeffs.gamma1_x ** 2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("H", [-0.3, -1e-2, -1e-4, -1e-8, -1e-20, -1e-76, 1e-8, 0.5])
+def test_y_series_coefficients_keep_their_precision_near_h_zero(H):
+    # below H = 0 the two denominators sd + H + 1 and (H + 1) sd + 1 + 2H - H^2
+    # cancel to 2 H^2 and 2 H^4; summed as written they lost all digits of
+    # gamma2_y by H = -1e-6 and divided by zero from H = -1e-9
+    mpmath = pytest.importorskip("mpmath")
+    p = resonant_system(0.5, H, 1.2)
+    coeffs = series_coeffs(p)
+    with mpmath.workdps(800):  # enough digits to carry the cancellation itself
+        C, h, L = mpmath.mpf(p.C), mpmath.mpf(p.H), mpmath.mpf(p.Lambda)
+        c2, E = C * C + 1, mpmath.exp(mpmath.pi * C)
+        sd = mpmath.sqrt((1 - h) * (3 * h + 1)) * mpmath.sign(h)
+        g1y = 2 * h * L * (E + 1) / (c2 * (sd + h + 1))
+        g2y = (-2 * C * h * h * L * L * (E + 1) * (sd - (3 * h + 1) * E)
+               / (c2 * c2 * (3 * h + 1) * ((h + 1) * sd + 1 + 2 * h - h * h)))
+        assert abs(coeffs.gamma1_y / g1y - 1) <= 1e-14
+        assert abs(coeffs.gamma2_y / g2y - 1) <= 1e-14
 
 
 def test_gamma1_vanishes_at_critical_slope():
@@ -499,6 +519,20 @@ def test_steep_flight_converges():
     hr = half_return_X(p, (2.306, 0.0538))
     assert hr.iterations < 100
     assert hr.residual <= 1e-12 * (1.0 + np.linalg.norm(hr.end))
+
+
+def test_started_flight_keeps_an_iterate_at_the_round_off_floor():
+    # p0 lies next to the X fold, and the crossing residual of the checking Y
+    # flight is at its round-off floor at the branch time t_x: the Newton steps
+    # from there repeat, and the refused one was once replaced by a bisection
+    # of the whole walk bracket, which took 47 root steps to creep back
+    p = resonant_system(0.6189703936396687, 0.0054276981476177565, 0.7230520788178452)
+    cycle = find_cycle_newton(p, asymptotic_seed(p))
+    x0, y0 = cycle.p0.tolist()
+    t, _, _, iterations, *_ = _flight(p, x0, y0, "Y", cycle.t_x)
+    t_unstarted = _flight(p, x0, y0, "Y")[0]
+    assert iterations <= 4
+    assert abs(t - t_unstarted) <= 1e-13 * t_unstarted
 
 
 def test_non_finite_start_is_a_domain_error(desk_params):

@@ -51,6 +51,28 @@ def test_saltation_product_is_rank_one_correction(params):
     assert np.allclose(prod, np.eye(3), atol=1e-12)
 
 
+def _signed(lo, hi):
+    return st.tuples(st.sampled_from([1.0, -1.0]), st.floats(lo, hi)).map(lambda sm: sm[0] * sm[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(C=_signed(0.01, 50.0), A=_signed(0.0, 100.0), H=st.floats(-3.0, 3.0),
+       Lambda=_signed(0.01, 10.0), x=_signed(1e-3, 1e4), y=st.floats(1e-3, 1e4),
+       direction=st.sampled_from(["XtoY", "YtoX"]))
+def test_saltation_column_matches_the_field_oracle(C, A, H, Lambda, x, y, direction):
+    # the third column minus e3 is (f+ - f-) / f-_z from the 3D fields at
+    # (x, y, 0), f- the incoming field, to within 4 ulp of the largest term
+    p = build_system(A, C, H, Lambda)
+    q = (x, y if x > 0 else -y)  # a crossing point: x y > 0
+    q3 = np.array([q[0], q[1], 0.0])
+    fx, fy = eval_X(p, q3), eval_Y(p, q3)
+    f_in, f_out = (fx, fy) if direction == "XtoY" else (fy, fx)
+    column = saltation(p, q, direction)[:, 2] - [0.0, 0.0, 1.0]
+    oracle = (f_out - f_in) / f_in[2]
+    ulp = np.spacing(np.maximum(np.abs(fx), np.abs(fy))) / abs(f_in[2])
+    assert np.all(np.abs(column - oracle) <= 4.0 * ulp)
+
+
 def test_saltation_rejects_grazing_and_noncrossing(params):
     with pytest.raises(GrazingCrossingError):
         saltation(params, (1.0, 1e-13), "XtoY")

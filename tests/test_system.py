@@ -1,11 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twofold as tf
 from twofold import (INVOLUTION, apply_involution, build_system, eval_X, eval_Y,
                      jacobian_X, jacobian_Y, params_from_json, params_to_json,
                      resonant_system, SystemParams)
 from twofold.errors import DomainError
+from twofold.system import _field, _plane_field
 from oracles import fd_jacobian
 
 _OFF_RESONANCE = build_system(-1.0, 1.0, 0.5, 1.0)
@@ -103,6 +107,22 @@ def test_eval_x_third_component_on_plane():
     for _ in range(20):
         x, y = rng.uniform(-5, 5, 2)
         assert eval_X(p, [x, y, 0.0])[2] == y
+
+
+def _signed(lo, hi):
+    return st.tuples(st.sampled_from([1.0, -1.0]), st.floats(lo, hi)).map(lambda sm: sm[0] * sm[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(C=_signed(0.01, 50.0), A=_signed(0.0, 100.0), H=st.floats(-3.0, 3.0),
+       Lambda=_signed(0.01, 10.0), x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6))
+def test_plane_field_is_the_field_at_z_zero(C, A, H, Lambda, x, y):
+    # the z = 0 restriction gives _field's bits; only a y of -0.0, which
+    # _field's 2 C 0 + y can round to +0.0, keeps its sign here
+    p = build_system(A, C, H, Lambda)
+    got, expected = _plane_field(p, x, y), _field(p, x, y, 0.0)
+    assert struct.pack("<2d", *got[:2]) == struct.pack("<2d", *expected[:2])
+    assert struct.pack("<d", got[2]) == struct.pack("<d", y) and got[2] == expected[2]
 
 
 def test_eval_x_hand_evaluation():
