@@ -287,8 +287,8 @@ def cmd_verify_series(merged: dict) -> int:
         v0s = [float(v) for v in items]
     except (TypeError, ValueError):
         v0s = []
-    if not v0s or any(v <= 0 for v in v0s):
-        raise DomainError("--v0 needs a comma-separated list of positive values")
+    if not v0s or not all(0.0 < v < math.inf for v in v0s):  # the rule of time_matching
+        raise DomainError("--v0 needs a comma-separated list of positive finite values")
     table = returns.time_matching_table(p, v0s)
     header = ["v0", "tau_x_numeric", "tau_x_series", "tau_y_numeric", "tau_y_series", "tau"]
     rows = [[row[k] for k in header] for row in table]

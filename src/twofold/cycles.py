@@ -11,9 +11,9 @@ Torres, IJBC 8 (1998)).  H(pi+) = H_crit, and at t_graze y0 reaches the X
 fold.  A cycle solve is one scalar root of H(t) = H, then one kernel flight
 of the lower half-orbit that checks it.  The conic residual r(y0) = x1 + y0
 of the earlier branch-coordinate solve stays as a test oracle
-(closure_residual).  The full return map (upper half-orbit followed by the
-lower one) is exposed for iteration and for finite-difference checks of the
-monodromy.
+(closure_residual in tests/oracles.py).  The full return map (upper
+half-orbit followed by the lower one) is exposed for iteration and for
+finite-difference checks of the monodromy.
 """
 from __future__ import annotations
 
@@ -24,16 +24,14 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoCycleError,
                      NotACycleError, TwofoldError)
-from .flow import _phi_rows
-from .invariants import (_branch_x, _check_branch_domain, _conic_coefficients, _conic_value,
-                         gamma1_branch_x, gamma1_conic)
+from .flow import _phi_rows, _stationary
+from .invariants import _check_branch_domain, _conic_coefficients, _conic_value, gamma1_branch_x
 from .returns import _bracketed_root, _flight, _gamma_x, _series, half_return_X, half_return_Y
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, _plane_field, resonant_system
 
 __all__ = [
     "SymmetricCycle",
-    "closure_residual",
     "find_cycle_newton",
     "return_map",
     "iterate_reduced_map",
@@ -67,40 +65,6 @@ class SymmetricCycle:
     dg: tuple
 
 
-def closure_residual(p: SystemParams, y0: float) -> np.ndarray:
-    """(x1 + y0, y1 + x0) for the upper half-orbit from the branch point at y0.
-
-    Vanishes exactly at a symmetric cycle.
-    """
-    r, _, hrx = _closure(p, y0, gamma1_conic(p))
-    return np.array([r, hrx.end[1] + hrx.start[0]])
-
-
-def _half_map_jacobian(p, hrx):
-    """Dh, the 2x2 derivative of the X half-return end with respect to its
-    start, as rows ((h00, h01), (h10, h11)): rows 0 and 1 of
-    (I - X(end) e3^T / X_z(end)) [phi0 phi1], the fixed-time Phi_X columns
-    projected along the field X(x1, y1, 0) = (A x1 + H Lambda, Lambda, y1)
-    at the end crossing."""
-    x1, y1 = hrx.end.tolist()
-    phi0, phi1 = hrx.phi
-    fx, fy, _ = _plane_field(p, x1, y1)
-    return ((phi0[0] - fx * phi0[2] / y1, phi1[0] - fx * phi1[2] / y1),
-            (phi0[1] - fy * phi0[2] / y1, phi1[1] - fy * phi1[2] / y1))
-
-
-def _closure(p, y0, conic):
-    """(r, dr/dy0, hrx): r = x1 + y0 and its exact slope (see find_cycle_newton)
-    for the X half-return hrx from the branch point at y0.  ``conic`` is
-    gamma1_conic(p); the solvers build it once per solve and pass it in."""
-    x0 = _branch_x(p, y0, conic)
-    hrx = half_return_X(p, (x0, y0))
-    axx, axy, ayy, bx, by, _ = conic.coefficients
-    dx0 = -(axy * x0 + 2.0 * ayy * y0 + by) / (2.0 * axx * x0 + axy * y0 + bx)
-    (h00, h01), _ = _half_map_jacobian(p, hrx)
-    return float(hrx.end[0]) + y0, dx0 * h00 + h01 + 1.0, hrx
-
-
 def _branch_point(p: SystemParams, t: float, fold: bool = False):
     """(x0, y0, h, rows) for the symmetric branch point whose X flight takes
     time t: the start p0 = (x0, y0, 0) from which the upper orbit meets the
@@ -114,12 +78,9 @@ def _branch_point(p: SystemParams, t: float, fold: bool = False):
     gives h = H(t) = (-y0 - e^{At} x0) / K(t), which depends on neither H
     nor Lambda.  y0 > 0 exactly for t in (pi, t_graze) (see _graze); ``fold``
     sets y0 = 0 at t_graze, where ys + dv cancels to round-off above e^{At} x0."""
-    A, C, L = p.A, p.C, p.Lambda
     rows = _phi_rows(p, t)
     (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
-    c2 = 1.0 + C * C
-    zs = L / c2
-    xs, ys = p.H * L * (A - 2.0 * C) / c2, -2.0 * C * zs
+    xs, ys, zs = _stationary(p)
     dv = zs * (p22 - 1.0) / p21  # y0 - ys, from z(t) = zs + p21 dv - p22 zs = 0
     y0 = 0.0 if fold else ys + dv
     x0 = -(ys + p11 * dv - p12 * zs)

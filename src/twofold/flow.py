@@ -66,10 +66,16 @@ def _phi_canonical(p: SystemParams, t) -> np.ndarray:
     return out
 
 
-def _stationary_X(p: SystemParams) -> np.ndarray:
+def _stationary(p: SystemParams):
+    """(xs, ys, zs), the stationary point of the upper field, as floats."""
     C, L = p.C, p.Lambda
-    zs = L / (1.0 + C * C)
-    return np.array([p.H * L * (p.A - 2.0 * C) / (1.0 + C * C), -2.0 * C * zs, zs])
+    c2 = 1.0 + C * C
+    zs = L / c2
+    return p.H * L * (p.A - 2.0 * C) / c2, -2.0 * C * zs, zs
+
+
+def _stationary_X(p: SystemParams) -> np.ndarray:
+    return np.array(_stationary(p))
 
 
 def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
@@ -111,33 +117,27 @@ def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
 
 
 def plane_flight(p: SystemParams, q, t: float):
-    """State at time t of the upper-field orbit from the plane point
-    q = (x, y, 0), with the first two columns of the fundamental matrix at t.
-
-    Returns ((x, y, z), Phi[:, 0], Phi[:, 1]) as tuples of floats for one
-    scalar t: the closed form of flow_X and fundamental_X written with
-    ``math``, equal to them up to round-off, with no 3x3 temporaries.
+    """State (x, y, z) at time t of the upper-field orbit from the plane point
+    q = (x, y, 0), as floats for one scalar t: the closed form of flow_X
+    written with ``math``, equal to it up to round-off, with no 3x3
+    temporaries.
     """
-    A, C, H, L = p.A, p.C, p.H, p.Lambda
     u, v = float(q[0]), float(q[1])
     (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = _phi_rows(p, t)
-    c2 = 1.0 + C * C
-    zs = L / c2
-    xs, ys = H * L * (A - 2.0 * C) / c2, -2.0 * C * zs
+    xs, ys, zs = _stationary(p)
     du, dv = u - xs, v - ys
     x = xs + e_at * du + p01 * dv - p02 * zs
     y = ys + p11 * dv - p12 * zs
     z = zs + p21 * dv - p22 * zs
-    return (x, y, z), (e_at, 0.0, 0.0), (p01, p11, p21)
+    return x, y, z
 
 
 def _z_coefficients(p: SystemParams, s0):
     """(zs, wy, wz) with z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz)
     along the upper-field orbit from s0: zs is the stationary height and
     (wy, wz) = (y0 - ys, z0 - zs) the offset of s0 from the stationary point."""
-    C = p.C
-    zs = p.Lambda / (1.0 + C * C)
-    return zs, float(s0[1]) + 2.0 * C * zs, float(s0[2]) - zs
+    _, ys, zs = _stationary(p)
+    return zs, float(s0[1]) - ys, float(s0[2]) - zs
 
 
 def z_closed_form(p: SystemParams, s0):

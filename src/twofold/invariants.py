@@ -32,7 +32,6 @@ __all__ = [
     "gamma1_conic",
     "gamma1_discriminant",
     "gamma1_branch_x",
-    "branch_min_y",
 ]
 
 
@@ -253,16 +252,6 @@ def _branch_radicand(p: SystemParams, y):
             + L * L * (c2 - H) / (H * c2 * c2))
 
 
-def gamma1_branch_x(p: SystemParams, y: float) -> float:
-    """x(y) on the first-quadrant branch of the conic (0 < H < 1).
-
-    The mirror branch is obtained via the involution.  A non-finite y is a
-    DomainError.  The result is checked by substitution into the conic and
-    a failure raises BranchPointError.
-    """
-    return _branch_x(p, y, gamma1_conic(p))
-
-
 def _check_branch_domain(p: SystemParams):
     if not p.resonant:
         raise DomainError("branch parametrization requires the resonant family")
@@ -270,27 +259,22 @@ def _check_branch_domain(p: SystemParams):
         raise DomainError(f"branch parametrization requires 0 < H < 1, got H={p.H}")
 
 
-def _branch_x(p: SystemParams, y: float, conic: ConicGamma1) -> float:
-    """gamma1_branch_x with the caller's gamma1_conic(p), for loops over y."""
+def gamma1_branch_x(p: SystemParams, y: float) -> float:
+    """x(y) on the first-quadrant branch of the conic (0 < H < 1).
+
+    The mirror branch is obtained via the involution.  A non-finite y is a
+    DomainError.  The result is checked by substitution into the conic and
+    a failure raises BranchPointError.
+    """
     _check_branch_domain(p)
     if not math.isfinite(y):
         raise DomainError(f"the branch point needs a finite y, got {y!r}")
     C, H, L = p.C, p.H, p.Lambda
-    # the radicand is positive for 0 < H < 1 (see branch_min_y)
+    # the radicand is positive for every y: its discriminant in y is
+    # L^2 (1 - H) / (H^2 c2^2) times C^2 (1 - H) - (3H + 1)(c2 - H) / H < 0,
+    # with c2 = C^2 + 1, so the branch reaches down to y = 0
     x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + math.sqrt(_branch_radicand(p, y))
-    resid = conic.evaluate(x, y)
+    resid = _conic_value(_conic_coefficients(p), x, y)
     if not abs(resid) <= 1e-9 * (1.0 + y * y):  # a NaN residual fails too
         raise BranchPointError(f"branch point failed conic residual check: {resid!r}")
     return float(x)
-
-
-def branch_min_y(p: SystemParams) -> float:
-    """Smallest y the branch is sampled at: the positive floor 1e-9.
-
-    For 0 < H < 1 the radicand of gamma1_branch_x is positive for every y:
-    its discriminant in y is L^2 (1 - H) / (H^2 c2^2) times
-    C^2 (1 - H) - (3H + 1)(c2 - H) / H < 0, with c2 = C^2 + 1.  So the
-    branch reaches down to y = 0 and the floor only keeps y positive.
-    """
-    _check_branch_domain(p)
-    return 1e-9

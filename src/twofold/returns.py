@@ -71,9 +71,7 @@ class HalfReturn:
 
     ``t`` is the positive flight duration.  ``forward`` records the time
     direction of the solve from ``start``: when False, the half-orbit runs
-    from ``end`` to ``start`` in forward time.  ``phi`` holds the first two
-    columns of the field's fundamental matrix at the signed flight time, the
-    derivative of the 3D end state with respect to ``start`` at fixed time.
+    from ``end`` to ``start`` in forward time.
     """
 
     t: float
@@ -83,7 +81,6 @@ class HalfReturn:
     forward: bool
     iterations: int
     residual: float
-    phi: tuple
 
 
 def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
@@ -252,7 +249,7 @@ def _bracketed_root(fdf, t, lo, hi, floor=None):
 
 def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = math.nan):
     """The one half-return flight, in floats: the HalfReturn fields but start
-    and field, (t, (x1, y1), forward, iterations, residual, (phi0, phi1))."""
+    and field, (t, (x1, y1), forward, iterations, residual)."""
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
     scale = math.hypot(x0, y0)
@@ -265,18 +262,16 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
     forward = v > 0  # an ascending start opens the upper half-orbit
     t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward, t_start=t_start)
     try:  # e^{At} in the closed form may overflow where e^{Ct} did not
-        (x1, y1, z1), phi0, phi1 = flow.plane_flight(p, (u, v), t if forward else -t)
-        # each entry of phi enters the end state, so a finite end has a finite phi
+        x1, y1, z1 = flow.plane_flight(p, (u, v), t if forward else -t)
         finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(z1)
     except OverflowError:
         finite = False
     if not finite:
         raise DivergenceError(f"the {field} flight from {np.array([x0, y0])!r} leaves "
                               "the range of floating point")
-    if field == "Y":  # end and Phi_Y = S Phi_X S back in the lower chart
-        (x1, y1), phi0, phi1 = ((-y1, -x1), (phi1[1], phi1[0], phi1[2]),
-                                (phi0[1], phi0[0], phi0[2]))
-    return t, (x1, y1), forward, iterations, abs(z1), (phi0, phi1)
+    if field == "Y":  # the end back in the lower chart
+        x1, y1 = -y1, -x1
+    return t, (x1, y1), forward, iterations, abs(z1)
 
 
 def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
@@ -379,8 +374,11 @@ def _series(p: SystemParams):
     return g1x, g2x, g1y, g2y
 
 
-def _branch_returns(p: SystemParams, y0: float):
-    """(hrx, hry): both half-returns attached to the branch point at y0."""
+def _branch_returns(p: SystemParams, v0: float):
+    """(hrx, hry): both half-returns attached to the branch point at y0 = 1/v0."""
+    if not 0.0 < v0 < math.inf:  # a NaN fails too
+        raise DomainError(f"v0 must be positive and finite, got {v0!r}")
+    y0 = 1.0 / v0
     q = (gamma1_branch_x(p, y0), y0)
     return half_return_X(p, q), half_return_Y(p, q)
 
@@ -390,10 +388,9 @@ def time_matching(p: SystemParams, v0: float) -> float:
 
     tau(v0) = (t^X - pi) - (u^Y - pi) where both half-returns are taken from
     the branch point with y0 = 1/v0; its zeros are the symmetric cycles.
+    A v0 outside (0, inf), NaN included, is a DomainError.
     """
-    if v0 <= 0:
-        raise DomainError("v0 must be positive")
-    hrx, hry = _branch_returns(p, 1.0 / v0)
+    hrx, hry = _branch_returns(p, v0)
     return hrx.t - hry.t
 
 
@@ -402,7 +399,7 @@ def time_matching_table(p: SystemParams, v0_values) -> list[dict]:
     coeffs = series_coeffs(p)
     rows = []
     for v0 in v0_values:
-        hrx, hry = _branch_returns(p, 1.0 / float(v0))
+        hrx, hry = _branch_returns(p, float(v0))
         tau_x = hrx.t - math.pi
         tau_y = hry.t - math.pi
         rows.append({

@@ -1,13 +1,17 @@
 """Independent numerical oracles used by the tests.
 
-Everything here deliberately avoids the library's closed forms: trajectories
-come from fixed-step RK4 on the raw right-hand sides, Jacobians and Lie
-derivatives from central differences, and series coefficients from exact
-polynomial fits through numerically computed flight times.
+Everything here but ``closure_residual`` deliberately avoids the library's
+closed forms: trajectories come from fixed-step RK4 on the raw right-hand
+sides, Jacobians and Lie derivatives from central differences, and series
+coefficients from exact polynomial fits through numerically computed flight
+times.  ``closure_residual`` walks the conic instead of the flight-time
+branch the cycle solve uses.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from twofold import gamma1_branch_x, half_return_X
 
 
 def rk4(f, s0, t, n):
@@ -48,6 +52,14 @@ def rk4_batch(A, C, H, L, s0, ts, n):
         k4 = f(s + h * k3)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return s
+
+
+def closure_residual(p, y0):
+    """(x1 + y0, y1 + x0) for the X half-return from the conic branch point
+    (x0, y0); it vanishes exactly at a symmetric cycle."""
+    x0 = gamma1_branch_x(p, y0)
+    x1, y1 = half_return_X(p, (x0, y0)).end
+    return np.array([x1 + y0, y1 + x0])
 
 
 def bisect_root(f, lo, hi, xtol):

@@ -74,6 +74,8 @@ def test_non_finite_inputs_are_usage_errors():
     ("scan", "--C", "1", "--Lambda", "1", "--count", "0"),
     ("scan", "--C", "1", "--Lambda", "1", "--count", "-2"),
     ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1", "--seed", "nan"),
+    ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "inf"),
+    ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "1e-3,nan"),
 ])
 def test_domain_errors_exit_2(args):
     # a DomainError, from a library parameter guard or from the CLI's own

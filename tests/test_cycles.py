@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twofold import (asymptotic_seed, branch_min_y, build_system, closure_residual,
-                     critical_h, cycles, eval_P_X, find_cycle_newton, gamma1_branch_x,
-                     gamma1_conic, half_return_X, half_return_Y, iterate_reduced_map,
-                     monodromy, resonant_system, return_map, returns, scan_cycles,
-                     schur_conditions, series_coeffs, time_matching)
-from twofold.cycles import _branch_point, _closure, _graze, _half_map_jacobian
+from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X,
+                     find_cycle_newton, gamma1_branch_x, gamma1_conic, half_return_X,
+                     half_return_Y, iterate_reduced_map, monodromy, resonant_system,
+                     return_map, returns, scan_cycles, schur_conditions, series_coeffs,
+                     time_matching)
+from twofold.cycles import _branch_point, _graze
 from twofold.errors import (DivergenceError, DomainError, NoCycleError, NotACycleError,
                             TwofoldError)
 from twofold.flow import _phi_rows
 from twofold.returns import _flight
-from oracles import fd_jacobian, measure_contraction
+from oracles import closure_residual, fd_jacobian, measure_contraction
 
 
 def test_closure_residual_vanishes_at_cycle(desk_params, desk_cycle):
@@ -111,24 +111,6 @@ def test_iterate_diverges_above_upper_boundary():
 def test_return_map_orientation_guard(desk_params):
     with pytest.raises(ValueError):
         return_map(desk_params, (-3.0, -2.0))
-
-
-@settings(max_examples=40, deadline=None)
-@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0),
-       log_gap=st.floats(-6.0, 4.0))
-def test_exact_slope_matches_fd_oracle(C, h_frac, Lambda, log_gap):
-    # y0 sits 1e-6 .. 1e4 above the branch floor; near the floor x0(y0) has a
-    # square-root singularity, so the stencil width scales with that gap
-    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
-    gap = 10.0 ** log_gap
-    y0 = branch_min_y(p) + gap
-    try:
-        fd = fd_jacobian(lambda v: [closure_residual(p, float(v[0]))[0]], [y0],
-                         1e-3 * gap)[0, 0]
-    except TwofoldError:
-        assume(False)
-    slope = _closure(p, y0, gamma1_conic(p))[1]
-    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(slope))
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,7 +276,7 @@ def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda, seeded):
         cycle = find_cycle_newton(p, asymptotic_seed(p) if seeded else None)
     except NoCycleError:
         rs = []
-        for y in np.geomspace(branch_min_y(p), 1e6, 400):
+        for y in np.geomspace(1e-9, 1e6, 400):
             try:
                 rs.append(closure_residual(p, float(y))[0])
             except TwofoldError:
@@ -387,16 +369,18 @@ def test_no_cycle_error_exactly_outside_the_band(C, s, Lambda):
 @settings(max_examples=40, deadline=None)
 @given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
 def test_closed_form_dg_matches_the_kernel_half_map(C, h_frac, Lambda):
-    # Dg of the solve against the projected Phi_X columns of a kernel X
-    # half-return from the same p0
+    # Dg of the solve against a central-difference Jacobian of the kernel
+    # half map g(q) = S h_X(q) at p0
     p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
     try:
         cycle = find_cycle_newton(p, asymptotic_seed(p))
     except NoCycleError:
         assume(False)
-    (h00, h01), (h10, h11) = _half_map_jacobian(p, half_return_X(p, cycle.p0))
-    kernel = np.array([-h10, -h11, -h00, -h01])
-    assert np.max(np.abs(np.array(cycle.dg) - kernel)) <= 1e-9 * max(1.0, np.max(np.abs(kernel)))
+    # the stencil stays well inside the ascending side of the fold y = 0
+    step = min(1e-7 * (1.0 + np.abs(cycle.p0).max()), 1e-2 * cycle.p0[1])
+    fd = fd_jacobian(lambda q: -half_return_X(p, q).end[::-1], cycle.p0, step).reshape(-1)
+    dg = np.array(cycle.dg)
+    assert np.max(np.abs(dg - fd)) <= 1e-4 * max(1.0, np.max(np.abs(dg)))
 
 
 def test_scan_catalogue():

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from twofold import (ConicKind, DarbouxPair, apply_involution, branch_min_y,
-                     build_system, eval_P_X, eval_P_Y, eval_X, eval_Y, flow_X,
-                     flow_Y, gamma1_branch_x, gamma1_conic, gamma1_discriminant,
-                     m_gamma1, resonant_system, verify_darboux)
+from twofold import (ConicKind, DarbouxPair, apply_involution, build_system, eval_P_X,
+                     eval_P_Y, eval_X, eval_Y, flow_X, flow_Y, gamma1_branch_x, gamma1_conic,
+                     gamma1_discriminant, invariants, m_gamma1, resonant_system,
+                     verify_darboux)
 from twofold.errors import BranchPointError, DomainError
-from twofold.invariants import _branch_x
 from oracles import fd_lie_derivative
 
 
@@ -186,10 +185,8 @@ def test_conic_avoids_focal_lines(params):
 
 
 def test_branch_domain_floor():
-    # for 0 < H < 1 the radicand has no real roots, so the floor is nominal
-    p = resonant_system(1.0, 0.9, 1.0)
-    assert 0.0 < branch_min_y(p) <= 1e-6
-    gamma1_branch_x(p, branch_min_y(p))
+    # for 0 < H < 1 the radicand has no real roots, so the branch reaches y = 0
+    gamma1_branch_x(resonant_system(1.0, 0.9, 1.0), 1e-9)
 
 
 def test_branch_requires_resonance_and_range():
@@ -205,8 +202,9 @@ def test_branch_rejects_non_finite_y(params, y):
         gamma1_branch_x(params, y)
 
 
-def test_branch_point_of_another_conic_is_typed(params):
+def test_branch_point_of_another_conic_is_typed(params, monkeypatch):
     # x(y) is this system's branch; another system's conic misses it
-    other = gamma1_conic(resonant_system(2.0, 0.3, 1.5))
+    other = invariants._conic_coefficients(resonant_system(2.0, 0.3, 1.5))
+    monkeypatch.setattr(invariants, "_conic_coefficients", lambda p: other)
     with pytest.raises(BranchPointError):
-        _branch_x(params, 10.0, other)
+        gamma1_branch_x(params, 10.0)

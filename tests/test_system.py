@@ -1,3 +1,4 @@
+import inspect
 import struct
 
 import numpy as np
@@ -36,10 +37,9 @@ def test_build_valid_resonant():
     lambda: tf.time_matching(resonant_system(1.0, 0.5, 1.0), -1.0),
     lambda: tf.find_cycle_newton(_ELLIPSE, 5.0),
     lambda: tf.find_cycle_newton(resonant_system(-1.0, 0.04, 1.0)),
-    lambda: tf.branch_min_y(_ELLIPSE),
 ], ids=["build_system", "resonant_system", "series_off_resonance", "series_ellipse",
         "conic", "branch_x", "asymptotic_invariants", "stability_band",
-        "time_matching", "find_cycle_newton", "find_cycle_negative_C", "branch_min_y"])
+        "time_matching", "find_cycle_newton", "find_cycle_negative_C"])
 def test_parameter_guards_raise_domain_error(call):
     # one contract: a parameter outside a routine's range is a DomainError,
     # which is also a ValueError for callers that catch that
@@ -202,3 +202,16 @@ def test_json_round_trip():
     p = resonant_system(1.25, 0.07, 1.5)
     q = params_from_json(params_to_json(p))
     assert q == p
+
+
+def test_exports_are_consistent():
+    # every name a module lists in __all__ exists there, and every public
+    # name of the package comes from some module's __all__
+    modules = [m for m in vars(tf).values() if inspect.ismodule(m) and hasattr(m, "__all__")]
+    assert len(modules) >= 7
+    exported = set()
+    for module in modules:
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+        exported.update(module.__all__)
+    public = {n for n, v in vars(tf).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert sorted(public - exported) == []
