@@ -9,6 +9,7 @@ numerical failure, 2 usage error (a DomainError, raised here or by the library).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -61,7 +62,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise DomainError(f"cannot read config {cfg_path!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError(f"config {cfg_path!r} must hold a JSON object")
-        flags = merged.keys() - {"command", "handler"}
+        flags = merged.keys() - {"command"}
         for key, value in cfg.items():
             dest = key.replace("-", "_")
             if dest not in flags:
@@ -124,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z0", type=float, default=None)
     sp.add_argument("--t-max", type=float, default=None, help="simulation horizon")
     sp.add_argument("--dt", type=float, default=None, help="sampling interval (default 0.01)")
-    sp.set_defaults(handler=cmd_simulate)
 
     sp = sub.add_parser("find-cycle", help="locate a symmetric crossing cycle")
     _add_param_flags(sp)
@@ -132,19 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=float, default=None,
                     help="initial y0 (default: series-head prediction, else the "
                          "linearisation at H_crit)")
-    sp.set_defaults(handler=cmd_find_cycle)
 
     sp = sub.add_parser("verify-series", help="flight-time expansions vs numeric times")
     _add_param_flags(sp)
     _add_common(sp)
     sp.add_argument("--v0", default=None,
-                    help="comma-separated v0 values (default 1e-3,1e-4,1e-5)")
-    sp.set_defaults(handler=cmd_verify_series)
+                    help="comma-separated v0 values in (0, inf) (default "
+                         "1e-3,1e-4,1e-5); one whose y0 = 1/v0 lies at the X fold, "
+                         "e.g. 1e12, exits 1 with TangentialGrazeError")
 
     sp = sub.add_parser("classify-conic", help="reduced conic coefficients and kind")
     _add_param_flags(sp)
     _add_common(sp)
-    sp.set_defaults(handler=cmd_classify_conic)
 
     sp = sub.add_parser("stability-band", help="asymptotic stability region grid")
     _add_common(sp)
@@ -155,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=None, help="grid count per axis (default 400)")
     sp.add_argument("--boundaries", default=None,
                     help="output path for boundary polylines CSV")
-    sp.set_defaults(handler=cmd_stability_band)
 
     sp = sub.add_parser("scan", help="cycle catalogue over an H grid")
     # A = -2C, and scan sets H itself
@@ -165,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hmin", type=float, default=None)
     sp.add_argument("--hmax", type=float, default=None)
     sp.add_argument("--count", type=int, default=None, help="number of H values (default 20)")
-    sp.set_defaults(handler=cmd_scan)
 
     # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
     for sp in sub.choices.values():
@@ -303,7 +300,7 @@ def cmd_classify_conic(merged: dict) -> int:
     return 0
 
 
-_BAND_FLAG_CELLS = [",".join(str(code >> bit & 1) for bit in (3, 2, 1, 0)) + "\n"
+_BAND_FLAG_CELLS = ["".join("," + str(code >> bit & 1) for bit in (3, 2, 1, 0)) + "\n"
                     for code in range(16)]
 
 
@@ -311,19 +308,33 @@ def _band_csv(result):
     """The stability-band grid CSV: the header, then one chunk per C holding
     its rows [C, H, m2, tau_inf, ineq_det, ineq_upper, ineq_lower, inside].
 
-    The text is byte for byte what _write_csv writes for those rows, but
-    repr runs once per H for (H, m2), once per C and once per tau, and the
-    four flags pick one of 16 fixed cells by their bits.
+    The text is byte for byte what _write_csv writes for those rows.  A row
+    is four cells of one reused list, joined once per C: the C cell, the
+    (H, m2) cell set once per H, repr of tau, and one of 16 fixed cells for
+    the four flags by their bits.  Each C row goes through .tolist() on its
+    own, so no whole-grid list of floats is ever held.
     """
     yield "C,H,m2,tau_inf,ineq_det,ineq_upper,ineq_lower,inside\n"
-    h_cells = [f"{h!r},{m2!r}," for h, m2 in zip(result.hs.tolist(), result.m2.tolist())]
+    n_h = result.hs.size
     codes = (8 * result.ineq_det + 4 * result.ineq_upper
              + 2 * result.ineq_lower + result.inside)
+    out = [None] * (4 * n_h)
+    out[1::4] = [f"{h!r},{m2!r}," for h, m2 in zip(result.hs.tolist(), result.m2.tolist())]
+    flag = _BAND_FLAG_CELLS.__getitem__
     for c, taus, row_codes in zip(result.cs.tolist(), result.tau_inf, codes):
-        c_cell = f"{c!r},"
-        yield "".join([c_cell + h_cell + repr(tau) + "," + _BAND_FLAG_CELLS[code]
-                       for h_cell, tau, code in zip(h_cells, taus.tolist(),
-                                                    row_codes.tolist())])
+        out[0::4] = [f"{c!r},"] * n_h
+        out[2::4] = map(repr, taus.tolist())
+        out[3::4] = map(flag, row_codes.tolist())
+        yield "".join(out)
+
+
+def _boundaries_csv(result):
+    """The boundaries CSV: the header, then one row per polyline point of the
+    upper, lower and hcrit curves, in that order."""
+    yield "curve,C,H\n"
+    for name, xy in (("upper", result.upper), ("lower", result.lower),
+                     ("hcrit", result.hcrit)):
+        yield "".join([f"{name},{c!r},{h!r}\n" for c, h in xy.tolist()])
 
 
 def cmd_stability_band(merged: dict) -> int:
@@ -333,9 +344,7 @@ def cmd_stability_band(merged: dict) -> int:
     result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
     _write_text(merged["output"], _band_csv(result))
     if merged.get("boundaries"):
-        curves = {"upper": result.upper, "lower": result.lower, "hcrit": result.hcrit}
-        _write_csv(merged["boundaries"], ["curve", "C", "H"],
-                   [[name, c, h] for name, xy in curves.items() for c, h in xy])
+        _write_text(merged["boundaries"], _boundaries_csv(result))
     return 0
 
 
@@ -365,12 +374,19 @@ def cmd_scan(merged: dict) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         merged = _merge_config(args)
-        return args.handler(merged)
+        # the handler is looked up now, not bound into the parser, so a
+        # rebinding of cmd_* after the first call is seen
+        return globals()["cmd_" + args.command.replace("-", "_")](merged)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

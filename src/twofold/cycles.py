@@ -276,10 +276,14 @@ def asymptotic_seed(p: SystemParams) -> float | None:
 
 @dataclass(frozen=True)
 class ScanEntry:
+    """One H of a scan: the cycle and its monodromy, or the failure as its
+    text ("Kind: message") and error_kind, the exception class name."""
+
     H: float
     cycle: SymmetricCycle | None
     monodromy: MonodromyReport | None
     error: str | None
+    error_kind: str | None = None
 
 
 def scan_cycles(p_base: SystemParams, H_grid) -> list[ScanEntry]:
@@ -296,7 +300,8 @@ def scan_cycles(p_base: SystemParams, H_grid) -> list[ScanEntry]:
             report = monodromy(p, cycle)
             return ScanEntry(H=H, cycle=cycle, monodromy=report, error=None)
         except TwofoldError as exc:  # per-entry failure, scan continues
+            kind = type(exc).__name__
             return ScanEntry(H=H, cycle=None, monodromy=None,
-                             error=f"{type(exc).__name__}: {exc}")
+                             error=f"{kind}: {exc}", error_kind=kind)
 
     return [entry(float(H)) for H in H_grid]

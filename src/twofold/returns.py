@@ -379,6 +379,8 @@ def _branch_returns(p: SystemParams, v0: float):
     if not 0.0 < v0 < math.inf:  # a NaN fails too
         raise DomainError(f"v0 must be positive and finite, got {v0!r}")
     y0 = 1.0 / v0
+    if y0 == math.inf:  # a subnormal v0
+        raise DomainError(f"v0 = {v0!r} is too small: y0 = 1/v0 overflows to inf")
     q = (gamma1_branch_x(p, y0), y0)
     return half_return_X(p, q), half_return_Y(p, q)
 

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import twofold
 from twofold import (RegionKind, apply_involution, classify_point, critical_h, errors,
                      flow_X, flow_Y, m_gamma1, resonant_system, stability_band,
                      tau_gamma1)
-from twofold.cli import _band_csv, _fmt
+from twofold import cli
+from twofold.cli import _band_csv, _boundaries_csv, _fmt
 from twofold.returns import first_crossing
 
 # the package's own source root, so the CLI imports from any working directory
@@ -39,6 +43,51 @@ def test_help_lists_subcommands():
     for name in ("simulate", "find-cycle", "verify-series", "classify-conic",
                  "stability-band", "scan"):
         assert name in proc.stdout
+
+
+def _main_in_process(*args):
+    """(exit code, stdout, stderr) of one cli.main call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(args))
+        except SystemExit as exc:  # argparse usage errors exit
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
+    # one process, one parser: every call writes what a fresh process writes
+    calls = [
+        ("stability-band", "--cmin", "0.2", "--cmax", "1.2", "--hmin", "0.001",
+         "--hmax", "0.2", "--grid", "6", "-o", "band.csv", "--boundaries", "bounds.csv"),
+        ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1", "--x0", "219.892",
+         "--y0", "8.431", "--z0", "0", "--t-max", "1", "--dt", "0.1", "-o", "traj.csv"),
+        ("find-cycle", "--config", "cfg.json", "-o", "cycle.json"),
+        ("stability-band", "--grid", "3", "--threads", "2"),
+        ("stability-band", "--grid", "4", "--cmin", "0.5", "--hmax", "0.6"),
+    ]
+    fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
+    for where in (fresh, inproc):
+        where.mkdir()
+        (where / "cfg.json").write_text(json.dumps({"C": 1, "H": 0.04, "Lambda": 1}))
+    built, build_parser = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    monkeypatch.chdir(inproc)
+    try:
+        got = [_main_in_process(*args) for args in calls]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [rc for rc, _, _ in got] == [0, 0, 0, 2, 0]
+    for args, (rc, out, err) in zip(calls, got):
+        proc = run_cli(*args, cwd=fresh)
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
+    files = sorted(p.name for p in fresh.iterdir())
+    assert files == sorted(p.name for p in inproc.iterdir())
+    for name in files:
+        assert (inproc / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_usage_error_exit_code():
@@ -83,6 +132,18 @@ def test_domain_errors_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2, (args, proc.stderr)
     assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
+
+
+def test_verify_series_v0_range_ends():
+    # a subnormal v0 passes 0 < v0 < inf, but y0 = 1/v0 overflows: a usage
+    # error that names v0; a v0 of 1e12 puts y0 at the X fold, a tangential start
+    series = ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1")
+    proc = run_cli(*series, "--v0", "1e-320")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: v0 = 1e-320 is too small") and proc.stdout == ""
+    proc = run_cli(*series, "--v0", "1e12")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: TangentialGrazeError: ") and proc.stdout == ""
 
 
 def test_malformed_config_is_usage_error(tmp_path):
@@ -235,6 +296,25 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
     grid, bounds = _band_csv_oracle(c_range, h_range, 6, 6)
     assert grid_path.read_bytes() == grid.encode()
     assert bounds_path.read_bytes() == bounds.encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(c_lo=st.floats(0.01, 3.0), c_width=st.floats(0.0, 2.0),
+       h_lo=st.floats(0.001, 0.99), h_hi=st.floats(0.002, 0.999),
+       n_c=st.integers(2, 12), n_h=st.integers(2, 12))
+@example(c_lo=0.2, c_width=1.0, h_lo=0.001, h_hi=0.2, n_c=9, n_h=2)
+# wholly inside the band (every flag 1), wholly above it and wholly below
+# it (inside 0 everywhere): no upper or lower rows in any of the three
+@example(c_lo=0.2, c_width=0.1, h_lo=0.4, h_hi=0.5, n_c=3, n_h=11)
+@example(c_lo=1.0, c_width=1.0, h_lo=0.2, h_hi=0.9, n_c=12, n_h=5)
+@example(c_lo=2.0, c_width=1.0, h_lo=1e-8, h_hi=5e-7, n_c=6, n_h=4)
+def test_band_writers_match_scalar_oracle(c_lo, c_width, h_lo, h_hi, n_c, n_h):
+    assume(h_lo < h_hi)
+    c_range, h_range = (c_lo, c_lo + c_width), (h_lo, h_hi)
+    result = stability_band(c_range, h_range, (n_c, n_h))
+    grid, bounds = _band_csv_oracle(c_range, h_range, n_c, n_h)
+    assert "".join(_band_csv(result)) == grid
+    assert "".join(_boundaries_csv(result)) == bounds
 
 
 def test_stability_band_writes_no_boundaries_unasked(tmp_path):

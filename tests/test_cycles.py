@@ -409,6 +409,16 @@ def test_scan_records_failures_and_continues():
     assert entries[1].error is not None and entries[1].cycle is None
 
 
+def test_scan_entry_error_kind():
+    # error_kind is the class name of the failure, beside its text; None on success
+    base = resonant_system(1.0, 0.5, 1.0)
+    h_graze = _graze(base)[1]
+    found, below = scan_cycles(base, [0.9 * float(critical_h(1.0)), 0.5 * h_graze])
+    assert (found.error, found.error_kind) == (None, None) and found.cycle is not None
+    assert below.error_kind == "NoCycleError" and below.cycle is None
+    assert below.error.startswith("NoCycleError: no symmetric crossing cycle: ")
+
+
 def test_seed_prediction_accuracy():
     # the series-head seed lands within a few percent of the converged cycle
     p = resonant_system(1.0, 0.97 * float(critical_h(1.0)), 1.0)

@@ -596,3 +596,14 @@ def test_time_matching_rejects_v0_outside_the_positive_reals(params, matching, v
     # y0 = 1/v0 would be negative, a division by zero or the fold y0 = 0
     with pytest.raises(DomainError, match="v0 must be positive and finite"):
         matching(params, v0)
+
+
+@pytest.mark.parametrize("matching", [time_matching, lambda p, v0: time_matching_table(p, [v0])],
+                         ids=["time_matching", "time_matching_table"])
+def test_time_matching_v0_range_ends(params, matching):
+    # 1e-320 is positive and finite, but y0 = 1/v0 overflows to inf; at
+    # v0 = 1e12, y0 = 1e-12 lies at the X fold, where the start is tangential
+    with pytest.raises(DomainError, match=r"^v0 = 1e-320 is too small: y0 = 1/v0 overflows"):
+        matching(params, 1e-320)
+    with pytest.raises(TangentialGrazeError):
+        matching(params, 1e12)
