@@ -138,8 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--v0", default=None,
                     help="comma-separated v0 values in (0, inf) (default "
-                         "1e-3,1e-4,1e-5); one whose y0 = 1/v0 lies at the X fold, "
-                         "e.g. 1e12, exits 1 with TangentialGrazeError")
+                         "1e-3,1e-4,1e-5); one so small that the branch point at "
+                         "y0 = 1/v0 overflows, e.g. 1e-155, exits 2, and one whose y0 "
+                         "lies at the X fold, e.g. 1e12, exits 1 with "
+                         "TangentialGrazeError")
 
     sp = sub.add_parser("classify-conic", help="reduced conic coefficients and kind")
     _add_param_flags(sp)

@@ -266,12 +266,14 @@ def asymptotic_seed(p: SystemParams) -> float | None:
     gamma_i = gamma_i_x - gamma_i_y read from the floats of
     ``returns._series`` (series_coeffs's domain checks, no record).
 
-    None when the head has no positive zero (gamma1/gamma2 >= 0).
+    None when the head has no positive zero (gamma1/gamma2 >= 0), or when
+    -gamma1/gamma2 overflows (C near the float minimum), where the seed
+    would be y0 = 0, the X fold.
     """
     g1x, g2x, g1y, g2y = _series(p)
     g1, g2 = g1x - g1y, g2x - g2y
     v0 = -g1 / g2 if g2 != 0.0 else 0.0
-    return 1.0 / v0 if v0 > 0.0 else None
+    return 1.0 / v0 if 0.0 < v0 < math.inf else None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, DomainError
-from .system import INVOLUTION, REL_TOL, SystemParams, eval_X, eval_Y
+from .system import REL_TOL, SystemParams, eval_X, eval_Y
 
 __all__ = [
     "DarbouxPair",
@@ -75,29 +75,6 @@ class DarbouxPair:
     cofactor_F1 = cofactor_f1
     cofactor_F2 = cofactor_f2
 
-    def gradient_f1(self, s) -> np.ndarray:
-        x, y, z = np.asarray(s, dtype=float)
-        C, L = self.params.C, self.params.Lambda
-        c2 = C * C + 1.0
-        return np.array([
-            0.0,
-            2.0 * y + 2.0 * C * (z + L / c2),
-            2.0 * C * y + 2.0 * c2 * z + 2.0 * L * (C * C - 1.0) / c2,
-        ])
-
-    def gradient_f2(self, s) -> np.ndarray:
-        H, A = self.params.H, self.params.A
-        return np.array([1.0, -H, -H * A])
-
-    # S is symmetric, so the gradient of g o S at s is S grad g(S s)
-    def gradient_F1(self, s) -> np.ndarray:
-        x, y, z = np.asarray(s, dtype=float)
-        return INVOLUTION @ self.gradient_f1((-y, -x, -z))
-
-    def gradient_F2(self, s) -> np.ndarray:
-        x, y, z = np.asarray(s, dtype=float)
-        return -(INVOLUTION @ self.gradient_f2((-y, -x, -z)))
-
 
 def _power_exponent(p: SystemParams) -> float:
     return -2.0 * p.C / p.A
@@ -151,22 +128,22 @@ _DARBOUX_SAMPLES, _DARBOUX_SEED, _DARBOUX_BOX = 1000, 0, 3.0
 def verify_darboux(p: SystemParams) -> DarbouxReport:
     """Check the Darboux property of all four polynomials on a random sample.
 
-    For each polynomial g with cofactor k the residual is
-    |grad g . field - k g|, evaluated with the analytic gradients at 1000
-    seeded points of the box [-3, 3]^3.  Also reports the cofactor
-    combination 1*(2C) + (-2C/A)*A, which vanishes identically and makes the
-    Darboux product a first integral.
+    For each polynomial g with cofactor k along its field v the residual is
+    |v(g) - k g| at 1000 seeded points of [-3, 3]^3.  As g has degree at most
+    2, v(g)(s) = (g(s + v) - g(s - v)) / 2 exactly: it is read off g itself.
+    Also reports the cofactor combination 1*(2C) + (-2C/A)*A, which vanishes
+    identically and makes the Darboux product a first integral.
     """
     pair = DarbouxPair(p)
+    checks = ((pair.f1, pair.cofactor_f1, eval_X), (pair.f2, pair.cofactor_f2, eval_X),
+              (pair.F1, pair.cofactor_F1, eval_Y), (pair.F2, pair.cofactor_F2, eval_Y))
     rng = np.random.default_rng(_DARBOUX_SEED)
     worst = [0.0, 0.0, 0.0, 0.0]
     for _ in range(_DARBOUX_SAMPLES):
         s = rng.uniform(-_DARBOUX_BOX, _DARBOUX_BOX, 3)
-        vx, vy = eval_X(p, s), eval_Y(p, s)
-        worst[0] = max(worst[0], abs(pair.gradient_f1(s) @ vx - pair.cofactor_f1 * pair.f1(s)))
-        worst[1] = max(worst[1], abs(pair.gradient_f2(s) @ vx - pair.cofactor_f2 * pair.f2(s)))
-        worst[2] = max(worst[2], abs(pair.gradient_F1(s) @ vy - pair.cofactor_F1 * pair.F1(s)))
-        worst[3] = max(worst[3], abs(pair.gradient_F2(s) @ vy - pair.cofactor_F2 * pair.F2(s)))
+        for i, (g, k, field) in enumerate(checks):
+            v = field(p, s)
+            worst[i] = max(worst[i], abs(0.5 * (g(s + v) - g(s - v)) - k * g(s)))
     combo = 1.0 * (2.0 * p.C) + _power_exponent(p) * p.A
     return DarbouxReport(*worst, cofactor_combination=combo, samples=_DARBOUX_SAMPLES)
 
@@ -262,9 +239,9 @@ def _check_branch_domain(p: SystemParams):
 def gamma1_branch_x(p: SystemParams, y: float) -> float:
     """x(y) on the first-quadrant branch of the conic (0 < H < 1).
 
-    The mirror branch is obtained via the involution.  A non-finite y is a
-    DomainError.  The result is checked by substitution into the conic and
-    a failure raises BranchPointError.
+    The mirror branch is obtained via the involution.  A y that is not finite
+    or whose conic residual overflows is a DomainError; the result is checked
+    by substitution into the conic and a failure raises BranchPointError.
     """
     _check_branch_domain(p)
     if not math.isfinite(y):
@@ -275,6 +252,8 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
     # with c2 = C^2 + 1, so the branch reaches down to y = 0
     x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + math.sqrt(_branch_radicand(p, y))
     resid = _conic_value(_conic_coefficients(p), x, y)
-    if not abs(resid) <= 1e-9 * (1.0 + y * y):  # a NaN residual fails too
+    if not math.isfinite(resid):  # x^2 or y^2 overflows
+        raise DomainError(f"y = {y!r} is too large: the conic residual overflows")
+    if not abs(resid) <= 1e-9 * (1.0 + y * y):
         raise BranchPointError(f"branch point failed conic residual check: {resid!r}")
     return float(x)

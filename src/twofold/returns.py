@@ -49,6 +49,7 @@ from . import flow
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnError,
                      TangentialGrazeError)
 from .invariants import gamma1_branch_x, gamma1_discriminant
+from .sigma import _tangency_cutoff
 from .system import SystemParams
 
 __all__ = [
@@ -252,10 +253,10 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
     and field, (t, (x1, y1), forward, iterations, residual)."""
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
-    scale = math.hypot(x0, y0)
-    if not math.isfinite(scale):  # x0 or y0 is not finite, or |start| overflows
+    tol = _tangency_cutoff(x0, y0)
+    if not math.isfinite(tol):  # x0 or y0 is not finite, or |start| overflows
         raise DomainError(f"start must be finite, got {np.array([x0, y0])!r}")
-    if abs(v) < 1e-10 * (1.0 + scale):  # v is the X Lie derivative at (u, v)
+    if abs(v) < tol:  # v is the X Lie derivative at (u, v)
         raise TangentialGrazeError(
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )
@@ -339,7 +340,8 @@ def _gamma_x(p: SystemParams):
 
 def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     """Closed-form expansion coefficients (resonant hyperbola range, and
-    |C| pi <= 709 so that e^{pi C} and its inverse stay finite)."""
+    |C| pi <= 709 so that e^{pi C} and its inverse stay finite).  A
+    coefficient that is not finite even so is a DomainError naming C and H."""
     return SeriesCoeffs(*_series(p))
 
 
@@ -371,7 +373,11 @@ def _series(p: SystemParams):
     g1y = 2.0 * H * L * (E + 1.0) / (c2 * r)
     g2y = (-2.0 * C * H * H * L * L * (E + 1.0) * (sd - (3.0 * H + 1.0) * E)
            / (c2 * c2 * (3.0 * H + 1.0) * q))
-    return g1x, g2x, g1y, g2y
+    coeffs = g1x, g2x, g1y, g2y
+    if not all(map(math.isfinite, coeffs)):  # e.g. D / H^2 or g1x^2 overflows
+        raise DomainError(f"series coefficients are not finite at C={C!r}, H={H!r}: "
+                          f"{coeffs!r}")
+    return coeffs
 
 
 def _branch_returns(p: SystemParams, v0: float):
@@ -416,18 +422,30 @@ def time_matching_table(p: SystemParams, v0_values) -> list[dict]:
 
 
 def gamma2_at_critical(C: float, Lambda: float) -> float:
-    """Second matching coefficient at the critical slope H_crit(C).
+    """Second matching coefficient gamma2 of series_coeffs at the critical
+    slope H = critical_h(C), in closed form.
 
-    The first coefficient vanishes there; this one does not, for any C != 0,
-    which makes the zero of the matching function isolated.
+    For C > 0 the first coefficient vanishes there and this one does not,
+    which makes the zero of the matching function isolated; for C < 0 the
+    first does not vanish (gamma1 = 12.05 at C = -1, Lambda = 1).  No
+    intermediate overflows, so the value is right wherever it is a float,
+    and -0.0 where it underflows (C > 0 from about 1e108).  C = 0, or a
+    value past the float range (C < 0 from about -115, or a huge Lambda),
+    is a DomainError.
     """
     if C == 0.0:
         raise DomainError("C must be nonzero")
-    c2 = C * C + 1.0
+    c2, e = C * C + 1.0, math.exp(-math.pi * abs(C))
     if C > 0:
-        return (-2.0 * Lambda * Lambda * C
-                * (math.exp(-math.pi * C) + 1.0 + math.exp(-2.0 * math.pi * C)) / (c2 * c2))
-    return (-C * Lambda * Lambda
-            * (1.0 + 2.0 * math.exp(-C * math.pi) - math.exp(2.0 * C * math.pi)
-               + math.exp(-2.0 * C * math.pi) + math.exp(4.0 * C * math.pi)
-               + 2.0 * math.exp(3.0 * C * math.pi)) / (c2 * c2))
+        g = -2.0 * Lambda * Lambda * (C / c2) * (e + 1.0 + e * e) / c2
+    else:
+        # (1 + 2/e - e^2 + 1/e^2 + e^4 + 2 e^3) / c2^2 with 1/e^2 drawn into
+        # (e c2)^2 < 1; e c2 underflows to 0 only past C = -226, where gamma2
+        # overflows unless Lambda is below about 1e-160
+        ec2, e2 = e * c2, e * e
+        g = (-C * Lambda * Lambda * (1.0 + 2.0 * e + e2 - e2 * e2 + 2.0 * e2 * e2 * e
+                                     + e2 * e2 * e2) / ec2 / ec2 if ec2 > 0.0 else math.inf)
+    if not math.isfinite(g):
+        raise DomainError(f"gamma2 at the critical slope is past the float range at "
+                          f"C={C!r}, Lambda={Lambda!r}")
+    return g

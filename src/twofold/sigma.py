@@ -9,6 +9,7 @@ and the coordinate axes are the tangency lines.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +60,22 @@ class FoldInfo:
     third_lie: float
 
 
+def _tangency_cutoff(x: float, y: float) -> float:
+    """tangency_tolerance((x, y)) in floats, 1e-10 (1 + |(x, y)|): the one
+    home of the cutoff, shared by the crossing and saltation checks."""
+    return 1e-10 * (1.0 + math.hypot(x, y))
+
+
 def tangency_tolerance(q) -> float:
     """Scale-aware cutoff below which a Lie derivative counts as zero."""
-    q = np.asarray(q, dtype=float)
-    return 1e-10 * (1.0 + float(np.hypot(q[0], q[1])))
+    return _tangency_cutoff(float(q[0]), float(q[1]))
 
 
 def classify_point(p: SystemParams, q) -> SigmaClass:
     """Classify a point of the switching plane by its two Lie derivatives."""
     x, y = float(q[0]), float(q[1])
     lie_x, lie_y = y, x  # third components of X and Y at z = 0
-    tol = tangency_tolerance(q)
+    tol = _tangency_cutoff(x, y)
     x_tangent = abs(lie_x) < tol
     y_tangent = abs(lie_y) < tol
     if x_tangent and y_tangent:
@@ -109,7 +115,7 @@ def fold_info(p: SystemParams, q) -> FoldInfo:
     Lie derivatives negated and the same kind.
     """
     x, y = float(q[0]), float(q[1])
-    tol = tangency_tolerance(q)
+    tol = _tangency_cutoff(x, y)
     if abs(y) < tol:  # on L_X
         return FoldInfo("X", *_fold_X(p, x, y, tol))
     if abs(x) < tol:  # on L_Y, where S q = (-y, -x) lies on L_X

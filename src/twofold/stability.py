@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError, EmptyBandError, GrazingCrossingError, SymmetryDefectError
 from .flow import _phi_rows
 from .invariants import gamma1_discriminant
+from .sigma import _tangency_cutoff
 from .system import SystemParams, _plane_field, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +54,7 @@ def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tu
     """Third column of saltation(p, (x, y), direction) minus e3, as floats:
     (Y - X) / div from the plane fields X = _plane_field(x, y) and
     Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X."""
-    tol = 1e-10 * (1.0 + math.hypot(x, y))
+    tol = _tangency_cutoff(x, y)
     if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
         raise GrazingCrossingError(f"{np.array([x, y])!r} is not a transversal crossing point")
     if direction == "XtoY":
@@ -219,10 +220,14 @@ def m_gamma1(H):
 def tau_gamma1(C, H):
     """Large-amplitude limit of the monodromy trace on the branch (0 < H < 1)."""
     sd = np.sqrt(gamma1_discriminant(H))
-    m2 = m_gamma1(H) ** 2
+    # squares are products: x ** 2 calls pow for a scalar, which can round
+    # apart from the product an array's x ** 2 computes
+    m, h1 = m_gamma1(H), H - 1.0
+    m2 = m * m
+    q = (H + 1.0) * sd - h1 * h1 + 2.0
     psi_2 = -(H + 1.0) * (H - sd - 3.0) / 2.0
-    psi_m1 = (H * H - 1.0) * ((H + 1.0) * sd - (H - 1.0) ** 2 + 2.0) / (H * H)
-    psi_m4 = ((H + 1.0) * sd - (H - 1.0) ** 2 + 2.0) / 2.0
+    psi_m1 = (H * H - 1.0) * q / (H * H)
+    psi_m4 = q / 2.0
     pi_c = np.pi * np.asarray(C, dtype=float)
     return m2 * (psi_2 * np.exp(2.0 * pi_c) + psi_m1 * np.exp(-pi_c)
                  + psi_m4 * np.exp(-4.0 * pi_c))
@@ -234,7 +239,8 @@ def asymptotic_invariants(p: SystemParams):
         raise DomainError("asymptotic invariants require the resonant family")
     if not 0.0 < p.H < 1.0:
         raise DomainError(f"asymptotic invariants require 0 < H < 1, got H={p.H}")
-    return float(m_gamma1(p.H) ** 2), float(tau_gamma1(p.C, p.H))
+    m = m_gamma1(p.H)
+    return float(m * m), float(tau_gamma1(p.C, p.H))
 
 
 def critical_h(C):
@@ -243,7 +249,8 @@ def critical_h(C):
 
 
 def _lower_margin(C: float, H: float) -> float:
-    return float(tau_gamma1(C, H) + m_gamma1(H) ** 2)
+    m = m_gamma1(H)
+    return float(tau_gamma1(C, H) + m * m)
 
 
 def h_min(C: float) -> float:

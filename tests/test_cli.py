@@ -125,6 +125,8 @@ def test_non_finite_inputs_are_usage_errors():
     ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1", "--seed", "nan"),
     ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "inf"),
     ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "1e-3,nan"),
+    # H^2 is subnormal, and the series head's discriminant over H^2 overflows
+    ("find-cycle", "--C", "183.77", "--H", "2.07e-162", "--Lambda", "1"),
 ])
 def test_domain_errors_exit_2(args):
     # a DomainError, from a library parameter guard or from the CLI's own
@@ -136,11 +138,16 @@ def test_domain_errors_exit_2(args):
 
 def test_verify_series_v0_range_ends():
     # a subnormal v0 passes 0 < v0 < inf, but y0 = 1/v0 overflows: a usage
-    # error that names v0; a v0 of 1e12 puts y0 at the X fold, a tangential start
+    # error that names v0; at v0 = 1e-155, y0 is finite but the branch point's
+    # x^2 overflows: one that names y; a v0 of 1e12 puts y0 at the X fold, a
+    # tangential start
     series = ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1")
     proc = run_cli(*series, "--v0", "1e-320")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage error: v0 = 1e-320 is too small") and proc.stdout == ""
+    proc = run_cli(*series, "--v0", "1e-155")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: y = 1e+155 is too large") and proc.stdout == ""
     proc = run_cli(*series, "--v0", "1e12")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: TangentialGrazeError: ") and proc.stdout == ""
@@ -259,7 +266,8 @@ def _band_csv_oracle(c_range, h_range, n_c, n_h):
     for C in np.linspace(*c_range, n_c).tolist():
         margins = {"upper": [], "lower": []}
         for H in hs:
-            m2 = float(m_gamma1(H) ** 2)
+            m = m_gamma1(H)
+            m2 = float(m * m)  # m ** 2 is pow for a NumPy scalar, which can round apart
             tau = float(tau_gamma1(C, H))
             margins["upper"].append(2.0 + m2 - tau)
             margins["lower"].append(tau + m2)
@@ -308,6 +316,9 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
 @example(c_lo=0.2, c_width=0.1, h_lo=0.4, h_hi=0.5, n_c=3, n_h=11)
 @example(c_lo=1.0, c_width=1.0, h_lo=0.2, h_hi=0.9, n_c=12, n_h=5)
 @example(c_lo=2.0, c_width=1.0, h_lo=1e-8, h_hi=5e-7, n_c=6, n_h=4)
+# an H whose m ** 2 by pow is 0.5006 ulp off, the product 0.4994 ulp
+@example(c_lo=1.0, c_width=0.0, h_lo=0.07803846459741555, h_hi=0.11515159854389588,
+         n_c=2, n_h=8)
 def test_band_writers_match_scalar_oracle(c_lo, c_width, h_lo, h_hi, n_c, n_h):
     assume(h_lo < h_hi)
     c_range, h_range = (c_lo, c_lo + c_width), (h_lo, h_hi)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,31 @@ def test_verify_darboux_report(params):
     for resid in (report.max_residual_f1, report.max_residual_f2,
                   report.max_residual_F1, report.max_residual_F2):
         assert resid <= 1e-10
+
+
+@pytest.mark.parametrize("p", [
+    resonant_system(1.0, 0.04, 1.0), resonant_system(1.0, 0.5, 1.0),
+    build_system(-1.3, 0.7, 0.2, 1.5), build_system(2.0, -1.5, 0.3, -2.0),
+], ids=["desk", "series", "nonresonant", "negative-C"])
+def test_verify_darboux_residuals_at_round_off(p):
+    report = verify_darboux(p)
+    assert report.samples == 1000
+    assert max(report.max_residual_f1, report.max_residual_f2,
+               report.max_residual_F1, report.max_residual_F2) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "F1", "F2"])
+def test_verify_darboux_sees_a_cofactor_off_by_1e_3(params, monkeypatch, name):
+    # the check reads the Lie derivative off the polynomial itself, so a
+    # cofactor that is not the polynomial's shows in that polynomial's residual
+    right = getattr(DarbouxPair, "cofactor_" + name)
+    wrong = type("WrongPair", (DarbouxPair,),
+                 {"cofactor_" + name: property(lambda pair: right.fget(pair) + 1e-3)})
+    monkeypatch.setattr(invariants, "DarbouxPair", wrong)
+    report = verify_darboux(params)
+    residuals = {n: getattr(report, "max_residual_" + n) for n in ("f1", "f2", "F1", "F2")}
+    assert residuals.pop(name) > 1e-4
+    assert max(residuals.values()) <= 1e-12
 
 
 def test_darboux_against_fd_oracle(params):
@@ -187,6 +213,14 @@ def test_conic_avoids_focal_lines(params):
 def test_branch_domain_floor():
     # for 0 < H < 1 the radicand has no real roots, so the branch reaches y = 0
     gamma1_branch_x(resonant_system(1.0, 0.9, 1.0), 1e-9)
+
+
+@pytest.mark.parametrize("y", [1e154, 1e155, 1e300, -1e155])
+def test_branch_point_past_the_float_range_is_a_domain_error(params, y):
+    # x ~ 2.6 y, so the conic residual's x^2 overflows from y = 1e154 on
+    with pytest.raises(DomainError, match="^" + re.escape(f"y = {y!r} is too large")):
+        gamma1_branch_x(params, y)
+    assert math.isfinite(gamma1_branch_x(params, 1e153))
 
 
 def test_branch_requires_resonance_and_range():

@@ -3,7 +3,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twofold import (HalfReturn, apply_involution, asymptotic_seed, build_system,
                      critical_h, eval_X, eval_Y, find_cycle_newton, flow_X, flow_Y,
@@ -174,6 +174,37 @@ def test_series_coeffs_domain():
         series_coeffs(build_system(-2.0, 1.0, 0.0, 1.0))  # H = 0 singular
 
 
+@settings(max_examples=300, deadline=None)
+@given(C=st.floats(-225.0, 225.0).filter(lambda c: c != 0.0), log_h=st.floats(-330.0, 0.0),
+       negative=st.booleans(), log_lambda=st.floats(-3.0, 3.0),
+       lambda_sign=st.sampled_from([-1, 1]))
+@example(C=-135.34, log_h=math.log10(2.49e-57), negative=True, log_lambda=0.0, lambda_sign=1)
+@example(C=183.77, log_h=math.log10(2.07e-162), negative=False, log_lambda=0.0, lambda_sign=1)
+# -gamma1/gamma2 overflows: the seed would be y0 = 0, the X fold
+@example(C=5e-324, log_h=-1.0, negative=False, log_lambda=0.0, lambda_sign=1)
+def test_series_coeffs_are_finite_or_a_domain_error(C, log_h, negative, log_lambda, lambda_sign):
+    # H log-uniform over (-1/3, 1): for 0 < H below about 1e-154 the
+    # discriminant over H^2 overflows, and at C = -135 gamma1_x^2 does
+    H = (-1.0 / 3.0 if negative else 1.0) * 10.0 ** log_h
+    try:
+        p = resonant_system(C, H, lambda_sign * 10.0 ** log_lambda)
+        coeffs = series_coeffs(p)
+    except DomainError:
+        return
+    assert all(map(math.isfinite, (coeffs.gamma1_x, coeffs.gamma2_x,
+                                   coeffs.gamma1_y, coeffs.gamma2_y)))
+    seed = asymptotic_seed(p)
+    assert seed is None or 0.0 < seed < math.inf
+
+
+@pytest.mark.parametrize("C, H", [(-135.34, -2.49e-57), (183.77, 2.07e-162)])
+def test_series_coeffs_past_the_float_range_name_c_and_h(C, H):
+    p = resonant_system(C, H, 1.0)
+    for call in (series_coeffs, asymptotic_seed):
+        with pytest.raises(DomainError, match=f"not finite at C={C!r}, H={H!r}"):
+            call(p)
+
+
 def test_time_matching_first_order_vanishes_at_critical():
     p = resonant_system(1.0, float(critical_h(1.0)), 1.0)
     ratios = [abs(time_matching(p, v)) / v for v in (1e-2, 1e-3, 1e-4)]
@@ -207,6 +238,33 @@ def test_gamma2_at_critical_nonzero_everywhere():
     # positive real part implies negative coefficient, and conversely
     assert all(v < 0 for c, v in zip(cs, values) if c > 0)
     assert all(v > 0 for c, v in zip(cs, values) if c < 0)
+
+
+@pytest.mark.parametrize("Lambda", [1.0, 0.37, 2.5])
+def test_gamma2_at_critical_matches_the_series(Lambda):
+    # the closed form and series_coeffs at H = critical_h(C) share the
+    # rounding of e^{pi C} and differ by their own roundings only
+    cs = np.concatenate([np.linspace(-3.0, -0.05, 200), np.linspace(0.05, 3.0, 200)])
+    for c in cs.tolist():
+        ref = series_coeffs(resonant_system(c, float(critical_h(c)), Lambda)).gamma2
+        assert abs(gamma2_at_critical(c, Lambda) - ref) <= 8 * math.ulp(ref), c
+
+
+def test_gamma2_at_critical_extremes():
+    # right wherever gamma2 is a float, although (C^2 + 1)^2 overflows from
+    # C = 1e78 and e^{-2 pi C} below C = -113
+    assert gamma2_at_critical(1e78, 1.0) == pytest.approx(-2e-234, rel=1e-15)
+    assert gamma2_at_critical(1e77, 1.5) == pytest.approx(-4.5e-231, rel=1e-15)
+    below = gamma2_at_critical(1e200, 1.0)  # -2e-600 underflows
+    assert below == 0.0 and math.copysign(1.0, below) == -1.0
+    # 1.5479346333387975e302 to 50 digits; e^{-2 pi C} carries the rounding
+    # of pi C, about 1e-13 relative here
+    assert gamma2_at_critical(-113.0, 1.0) == pytest.approx(1.5479346333387975e302, rel=1e-13)
+    for C in (-115.5, -225.0, -1e10, -1e300):
+        with pytest.raises(DomainError, match="past the float range"):
+            gamma2_at_critical(C, 1.0)
+    with pytest.raises(DomainError):
+        gamma2_at_critical(1.0, 1e200)  # Lambda^2 overflows
 
 
 def test_no_return_within_window(params):
@@ -601,9 +659,14 @@ def test_time_matching_rejects_v0_outside_the_positive_reals(params, matching, v
 @pytest.mark.parametrize("matching", [time_matching, lambda p, v0: time_matching_table(p, [v0])],
                          ids=["time_matching", "time_matching_table"])
 def test_time_matching_v0_range_ends(params, matching):
-    # 1e-320 is positive and finite, but y0 = 1/v0 overflows to inf; at
+    # 1e-320 is positive and finite, but y0 = 1/v0 overflows to inf; from
+    # 1e-154 down y0 is finite but the branch point's x^2 overflows; at
     # v0 = 1e12, y0 = 1e-12 lies at the X fold, where the start is tangential
     with pytest.raises(DomainError, match=r"^v0 = 1e-320 is too small: y0 = 1/v0 overflows"):
         matching(params, 1e-320)
+    for v0 in (1e-154, 1e-155, 1e-200, 1e-308):
+        with pytest.raises(DomainError, match="is too large: the conic residual"):
+            matching(params, v0)
     with pytest.raises(TangentialGrazeError):
         matching(params, 1e12)
+

@@ -1,8 +1,13 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from twofold import (FoldKind, RegionKind, build_system, classify_point, eval_X,
-                     eval_Y, fold_info, sliding_field, tangency_lines)
+                     eval_Y, fold_info, half_return_X, half_return_Y, saltation,
+                     sliding_field, tangency_lines)
+from twofold.errors import GrazingCrossingError, NoReturnError, TangentialGrazeError
+from twofold.sigma import tangency_tolerance
 from oracles import fd_lie_derivative
 
 
@@ -101,3 +106,19 @@ def test_sliding_field_rejects_crossing(params):
         sliding_field(params, (1.0, 1.0))
     with pytest.raises(ValueError):
         sliding_field(params, (2.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [3.0, 250.0])
+def test_plane_checks_share_one_tangency_cutoff(params, x):
+    # classify_point, saltation and the half-return starts all call the tangency
+    # cutoff of sigma: just below it each sees a tangency, just above it none
+    tol = tangency_tolerance((x, 0.0))
+    for y, tangent in ((0.99 * tol, True), (1.01 * tol, False)):
+        assert (classify_point(params, (x, y)).kind is RegionKind.TANGENCY_X) is tangent
+        checks = [(lambda: saltation(params, (x, y), "XtoY"), GrazingCrossingError),
+                  (lambda: half_return_X(params, (x, y)), TangentialGrazeError),
+                  (lambda: half_return_Y(params, (y, x)), TangentialGrazeError)]
+        for call, error in checks:
+            # a transversal start may still find no return in the window
+            with pytest.raises(error) if tangent else contextlib.suppress(NoReturnError):
+                call()

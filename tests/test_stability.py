@@ -189,6 +189,24 @@ def test_asymptotic_invariant_values():
     assert np.isclose(tau, tau_gamma1(1.0, 0.5), rtol=1e-15)
 
 
+def test_scalar_invariants_equal_the_grid_bit_for_bit():
+    # every square is a product, on a scalar as on a grid, so one (C, H)
+    # rounds alike alone and in a band; the first box holds an H whose
+    # m ** 2 by pow rounds apart from m * m
+    boxes = [((1.0, 1.0), (0.07803846459741555, 0.11515159854389588))]
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        c_lo, h_lo = rng.uniform(0.01, 3.0), rng.uniform(0.001, 0.5)
+        boxes.append(((c_lo, c_lo + rng.uniform(0.1, 2.0)), (h_lo, rng.uniform(h_lo, 0.999))))
+    for c_range, h_range in boxes:
+        band = stability_band(c_range, h_range, (2, 1500))
+        for i, C in enumerate(band.cs.tolist()):
+            for j, H in enumerate(band.hs.tolist()):
+                m2, tau = asymptotic_invariants(resonant_system(C, H, 1.0))
+                assert (m2, tau) == (band.m2[j], band.tau_inf[i, j]), (C, H)
+                assert tau_gamma1(C, H) == tau
+
+
 def test_m_vanishes_with_h():
     assert abs(m_gamma1(1e-6)) < 1e-5
 
