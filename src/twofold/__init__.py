@@ -7,12 +7,11 @@ and saltation-corrected Floquet stability with the asymptotic (C, H)
 stability band.
 """
 from .system import (SystemParams, build_system, resonant_system, eval_X, eval_Y,
-                     apply_involution, jacobian_X, jacobian_Y, INVOLUTION,
-                     params_to_dict, params_from_dict, params_to_json, params_from_json)
+                     apply_involution, jacobian_X, jacobian_Y, INVOLUTION)
 from .flow import (flow_X, flow_Y, fundamental_X, fundamental_Y,
                    stationary_X, stationary_Y)
 from .sigma import (RegionKind, SigmaClass, FoldKind, FoldInfo, classify_point,
-                    tangency_lines, fold_info, sliding_field)
+                    fold_info, sliding_field)
 from .invariants import (DarbouxPair, DarbouxReport, eval_P_X, eval_P_Y,
                          verify_darboux, ConicKind, ConicGamma1, gamma1_conic,
                          gamma1_discriminant, gamma1_branch_x)

@@ -97,8 +97,6 @@ def _params_from(merged: dict) -> SystemParams:
 
 
 def _add_param_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--A", type=float, default=None,
-                    help="real eigenvalue (default: -2C; only simulate accepts another)")
     sp.add_argument("--C", type=float, default=None, help="real part of the complex pair")
     sp.add_argument("--H", type=float, default=None, help="focal-line slope parameter")
     sp.add_argument("--Lambda", type=float, default=None, help="fold-visibility parameter")
@@ -118,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="integrate a trajectory across the switching plane")
+    sp.add_argument("--A", type=float, default=None, help="real eigenvalue (default: -2C)")
     _add_param_flags(sp)
     _add_common(sp)
     sp.add_argument("--x0", type=float, default=None)
@@ -129,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("find-cycle", help="locate a symmetric crossing cycle")
     _add_param_flags(sp)
     _add_common(sp)
-    sp.add_argument("--seed", type=float, default=None,
-                    help="initial y0 (default: series-head prediction, else the "
-                         "linearisation at H_crit)")
 
     sp = sub.add_parser("verify-series", help="flight-time expansions vs numeric times")
     _add_param_flags(sp)
@@ -260,8 +256,7 @@ def cmd_simulate(merged: dict) -> int:
 
 def cmd_find_cycle(merged: dict) -> int:
     p = _params_from(merged)
-    seed = _number(merged, "seed")
-    cycle = cycles.find_cycle_newton(p, cycles.asymptotic_seed(p) if seed is None else seed)
+    cycle = cycles.find_cycle_newton(p, cycles.asymptotic_seed(p))
     report = stability.monodromy(p, cycle)
     _write_json(merged["output"], {
         "p0": [cycle.p0[0], cycle.p0[1]],

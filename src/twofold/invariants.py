@@ -244,6 +244,7 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
     by substitution into the conic and a failure raises BranchPointError.
     """
     _check_branch_domain(p)
+    y = float(y)  # a NumPy scalar would warn where the float overflows to inf
     if not math.isfinite(y):
         raise DomainError(f"the branch point needs a finite y, got {y!r}")
     C, H, L = p.C, p.H, p.Lambda

@@ -382,6 +382,7 @@ def _series(p: SystemParams):
 
 def _branch_returns(p: SystemParams, v0: float):
     """(hrx, hry): both half-returns attached to the branch point at y0 = 1/v0."""
+    v0 = float(v0)  # a NumPy scalar would warn where 1/v0 overflows
     if not 0.0 < v0 < math.inf:  # a NaN fails too
         raise DomainError(f"v0 must be positive and finite, got {v0!r}")
     y0 = 1.0 / v0
@@ -407,7 +408,7 @@ def time_matching_table(p: SystemParams, v0_values) -> list[dict]:
     coeffs = series_coeffs(p)
     rows = []
     for v0 in v0_values:
-        hrx, hry = _branch_returns(p, float(v0))
+        hrx, hry = _branch_returns(p, v0)
         tau_x = hrx.t - math.pi
         tau_y = hry.t - math.pi
         rows.append({

@@ -1,5 +1,5 @@
-"""Switching-plane geometry: region classification, tangency lines, fold
-visibility, and the convex-combination sliding field.
+"""Switching-plane geometry: region classification, fold visibility, and the
+convex-combination sliding field.
 
 On z = 0 the Lie derivatives of the two fields reduce to Xf(x, y) = y and
 Yf(x, y) = x, so the sign chart of (x, y) decides everything: both positive
@@ -23,10 +23,8 @@ __all__ = [
     "FoldKind",
     "FoldInfo",
     "classify_point",
-    "tangency_lines",
     "fold_info",
     "sliding_field",
-    "tangency_tolerance",
 ]
 
 
@@ -61,14 +59,10 @@ class FoldInfo:
 
 
 def _tangency_cutoff(x: float, y: float) -> float:
-    """tangency_tolerance((x, y)) in floats, 1e-10 (1 + |(x, y)|): the one
-    home of the cutoff, shared by the crossing and saltation checks."""
+    """Scale-aware cutoff 1e-10 (1 + |(x, y)|) below which a Lie derivative at
+    (x, y, 0) counts as zero: the one home of the cutoff, shared by the
+    crossing and saltation checks."""
     return 1e-10 * (1.0 + math.hypot(x, y))
-
-
-def tangency_tolerance(q) -> float:
-    """Scale-aware cutoff below which a Lie derivative counts as zero."""
-    return _tangency_cutoff(float(q[0]), float(q[1]))
 
 
 def classify_point(p: SystemParams, q) -> SigmaClass:
@@ -91,17 +85,6 @@ def classify_point(p: SystemParams, q) -> SigmaClass:
     else:
         kind = RegionKind.ESCAPING
     return SigmaClass(kind, lie_x, lie_y)
-
-
-def tangency_lines(p: SystemParams):
-    """Coefficient triples (a, b, c) of a x + b y + c = 0 for L_X and L_Y.
-
-    In canonical coordinates L_X is {y = 0} and L_Y is {x = 0}; they are
-    concurrent at the origin.
-    """
-    line_x = (0.0, 1.0, 0.0)
-    line_y = (1.0, 0.0, 0.0)
-    return line_x, line_y
 
 
 def fold_info(p: SystemParams, q) -> FoldInfo:

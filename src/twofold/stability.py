@@ -233,14 +233,30 @@ def tau_gamma1(C, H):
                  + psi_m4 * np.exp(-4.0 * pi_c))
 
 
+def _finite_tau(C, H):
+    """tau_gamma1(C, H), or a DomainError naming the first (C, H), in C-major
+    order, at which it leaves the float range: e^{2 pi C} overflows from
+    about C = 113, and 1/H^2 from about H = 1e-154 down."""
+    with np.errstate(all="ignore"):
+        tau = tau_gamma1(C, H)
+    finite = np.isfinite(tau)
+    if not finite.all():
+        c, h = (float(np.broadcast_to(v, tau.shape)[~finite][0]) for v in (C, H))
+        raise DomainError(f"tau_inf at C={c!r}, H={h!r} is not finite: e^(2 pi C) "
+                          "leaves the float range from about C = 113, 1/H^2 from "
+                          "about H = 1e-154 down")
+    return tau
+
+
 def asymptotic_invariants(p: SystemParams):
-    """(m^2, tau_inf): large-amplitude limits of det M and tr M."""
+    """(m^2, tau_inf): large-amplitude limits of det M and tr M; a tau_inf
+    past the float range is a DomainError naming C."""
     if not p.resonant:
         raise DomainError("asymptotic invariants require the resonant family")
     if not 0.0 < p.H < 1.0:
         raise DomainError(f"asymptotic invariants require 0 < H < 1, got H={p.H}")
     m = m_gamma1(p.H)
-    return float(m * m), float(tau_gamma1(p.C, p.H))
+    return float(m * m), float(_finite_tau(p.C, p.H))
 
 
 def critical_h(C):
@@ -250,7 +266,7 @@ def critical_h(C):
 
 def _lower_margin(C: float, H: float) -> float:
     m = m_gamma1(H)
-    return float(tau_gamma1(C, H) + m * m)
+    return float(_finite_tau(C, H) + m * m)
 
 
 def h_min(C: float) -> float:
@@ -260,12 +276,14 @@ def h_min(C: float) -> float:
     until the margin is negative, and the bisection runs until the midpoint
     equals an end.  A C that is not positive (NaN included) is a DomainError,
     as is one whose H_min squared leaves the normal float range (from about
-    C = 80): H^2 divides the margin.
+    C = 80): H^2 divides the margin, and from about C = 113 tau_inf at H_crit
+    leaves the float range.
     """
     if not C > 0.0:
         raise DomainError(f"C must be positive, got C={C!r}: the asymptotic band is "
                           "established for C > 0")
-    hi = float(critical_h(C))
+    with np.errstate(over="ignore"):  # cosh(pi C) overflows from C = 226, H_crit reads 0
+        hi = float(critical_h(C))
     if _lower_margin(C, hi) <= 0.0:
         raise EmptyBandError(f"no lower boundary bracket in (0, H_crit) at C={C}")
     lo = hi
@@ -289,7 +307,8 @@ def h_min(C: float) -> float:
 def band_width(C: float) -> float:
     """Width H_crit(C) - H_min(C) of the stable H-interval at fixed C > 0;
     h_min's DomainError for any other C."""
-    width = float(critical_h(C)) - h_min(C)
+    lo = h_min(C)  # first: past the float range it raises where cosh(pi C) overflows
+    width = float(critical_h(C)) - lo
     if width <= 0.0:
         raise EmptyBandError(f"empty stability interval at C={C}")
     return width
@@ -316,7 +335,9 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     Parameters
     ----------
     c_range, h_range : (float, float)
-        Inclusive axis ranges; requires finite C > 0 and 0 < H < 1.
+        Inclusive axis ranges; requires finite C > 0 and 0 < H < 1, and a
+        tau_inf inside the float range at every grid point (C below about
+        113): a DomainError names the first (C, H) past it.
     grid : int or (int, int)
         Point count per axis, or separate (n_c, n_h) counts.
 
@@ -344,7 +365,7 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     cs = np.linspace(c_lo, c_hi, n_c)
     hs = np.linspace(h_lo, h_hi, n_h)
     m2 = m_gamma1(hs) ** 2
-    taus = tau_gamma1(cs[:, None], hs[None, :])
+    taus = _finite_tau(cs[:, None], hs[None, :])
     upper_margin = 2.0 + m2 - taus
     lower_margin = taus + m2
     ineq_det = np.broadcast_to(1.0 - m2 > 0.0, taus.shape)
@@ -363,7 +384,9 @@ def stability_band(c_range, h_range, grid) -> BandResult:
 def _first_zeros(cs: np.ndarray, hs: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """(C, H) of the first sign change of margin along each C row, linearly
     interpolated in H; rows without a sign change are left out."""
-    change = margin[:, :-1] * margin[:, 1:] < 0.0
+    # comparisons, not a product: the product of two huge margins overflows
+    left, right = margin[:, :-1], margin[:, 1:]
+    change = (left < 0.0) & (right > 0.0) | (left > 0.0) & (right < 0.0)
     rows = np.flatnonzero(change.any(axis=1))
     i = change[rows].argmax(axis=1)
     m0, m1 = margin[rows, i], margin[rows, i + 1]

@@ -12,7 +12,6 @@ quantity is the S-conjugate of an X-chart kernel.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,11 +29,6 @@ __all__ = [
     "jacobian_X",
     "jacobian_Y",
     "INVOLUTION",
-    "REL_TOL",
-    "params_to_dict",
-    "params_from_dict",
-    "params_to_json",
-    "params_from_json",
 ]
 
 # Validation tolerance; every quantity in the intended regime is O(1)-O(1e2).
@@ -143,18 +137,3 @@ def jacobian_Y(p: SystemParams) -> np.ndarray:
     """Linear part DY = S DX S of the lower field."""
     return INVOLUTION @ _jacobian(p) @ INVOLUTION
 
-
-def params_to_dict(p: SystemParams) -> dict:
-    return {"A": p.A, "C": p.C, "H": p.H, "Lambda": p.Lambda}
-
-
-def params_from_dict(d: dict) -> SystemParams:
-    return build_system(d["A"], d["C"], d["H"], d["Lambda"])
-
-
-def params_to_json(p: SystemParams) -> str:
-    return json.dumps(params_to_dict(p))
-
-
-def params_from_json(text: str) -> SystemParams:
-    return params_from_dict(json.loads(text))

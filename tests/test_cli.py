@@ -27,8 +27,9 @@ _PYTHONPATH = os.pathsep.join(filter(None, [str(Path(twofold.__file__).parents[1
 
 
 def run_cli(*args, cwd=None, timeout=None):
-    return subprocess.run([sys.executable, "-m", "twofold", *args],
-                          capture_output=True, text=True, cwd=cwd, timeout=timeout,
+    # a numpy overflow or invalid-value warning fails the CLI as it fails a test
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "twofold",
+                           *args], capture_output=True, text=True, cwd=cwd, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
 
 
@@ -114,15 +115,16 @@ def test_non_finite_inputs_are_usage_errors():
     ("stability-band", "--cmin=nan", "--grid", "3", "-o", "-"),
     ("stability-band", "--hmin", "0.5", "--hmax", "0.2", "--grid", "3", "-o", "-"),
     ("stability-band", "--grid", "1", "-o", "-"),
-    ("find-cycle", "--A", "-1", "--C", "1", "--H", "0.04", "--Lambda", "1"),
+    ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "0"),
     ("find-cycle", "--C", "1", "--H", "1.5", "--Lambda", "1"),
-    ("verify-series", "--A", "-1", "--C", "1", "--H", "0.5", "--Lambda", "1"),
-    ("classify-conic", "--A", "-1", "--C", "1", "--H", "0.5", "--Lambda", "1"),
+    ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "-1e-3"),
+    ("classify-conic", "--C", "0", "--H", "0.5", "--Lambda", "1"),
     ("scan", "--C", "1", "--Lambda", "1", "--hmin=nan", "--count", "3"),
     ("scan", "--C", "1", "--Lambda", "1", "--hmin", "1.5", "--hmax", "2"),
     ("scan", "--C", "1", "--Lambda", "1", "--count", "0"),
     ("scan", "--C", "1", "--Lambda", "1", "--count", "-2"),
-    ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1", "--seed", "nan"),
+    ("simulate", "--A", "nan", "--C", "1", "--H", "0.04", "--Lambda", "1",
+     "--x0", "1", "--y0", "1", "--z0", "0"),
     ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "inf"),
     ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "1e-3,nan"),
     # H^2 is subnormal, and the series head's discriminant over H^2 overflows
@@ -134,6 +136,25 @@ def test_domain_errors_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2, (args, proc.stderr)
     assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, flag", [("find-cycle", "--A"), ("verify-series", "--A"),
+                                           ("classify-conic", "--A"), ("find-cycle", "--seed")])
+def test_removed_flags_are_unrecognized(command, flag):
+    # only simulate takes --A, and find-cycle takes no start value: the other
+    # subcommands work in A = -2C, where the cycle is the one root of H(t) = H
+    proc = run_cli(command, "--C", "1", "--H", "0.04", "--Lambda", "1", flag, "-1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.endswith(f"twofold: error: unrecognized arguments: {flag} -1\n")
+    assert proc.stdout == ""
+
+
+def test_help_lists_a_only_for_simulate():
+    for command in ("find-cycle", "verify-series", "classify-conic", "simulate"):
+        proc = run_cli(command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert ("--A" in proc.stdout) is (command == "simulate"), command
+        assert "--seed" not in proc.stdout, command
 
 
 def test_verify_series_v0_range_ends():
@@ -165,15 +186,23 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert proc.stderr.startswith("usage error: C must be a number, got 'abc'")
 
 
-@pytest.mark.parametrize("key, value", [("A", 5), ("H", 0.3), ("colour", "red")])
-def test_config_key_that_is_not_a_flag_is_usage_error(tmp_path, key, value):
-    # the config file holds flag defaults: scan has no --A or --H flag, so a
-    # config naming them would otherwise be ignored without a word
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param("scan", "A", 5, id="A-5"),
+    pytest.param("scan", "H", 0.3, id="H-0.3"),
+    pytest.param("scan", "colour", "red", id="colour-red"),
+    pytest.param("find-cycle", "A", -2, id="find-cycle-A--2"),
+    pytest.param("find-cycle", "seed", 20, id="find-cycle-seed-20"),
+])
+def test_config_key_that_is_not_a_flag_is_usage_error(tmp_path, command, key, value):
+    # the config file holds flag defaults: scan has no --A or --H flag and
+    # find-cycle no --A or --seed, so a config naming them would otherwise be
+    # ignored without a word
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"C": 1, "Lambda": 1, key: value}))
-    proc = run_cli("scan", "--config", str(cfg), "--count", "2")
+    count = ("--count", "2") if command == "scan" else ()
+    proc = run_cli(command, "--config", str(cfg), *count)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"usage error: config key {key!r} is not a flag of scan\n"
+    assert proc.stderr == f"usage error: config key {key!r} is not a flag of {command}\n"
     assert proc.stdout == ""
 
 
@@ -197,12 +226,6 @@ def test_find_cycle_json(tmp_path):
     assert payload["stable"] is True
     assert abs(payload["p1"][0] + payload["p0"][1]) <= 1e-8
     assert payload["residual"] <= 1e-9
-    # an explicit seed lands on the same cycle (up to solver tolerance)
-    proc = run_cli("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1",
-                   "--seed", "20", "-o", str(out))
-    assert proc.returncode == 0
-    seeded = json.loads(out.read_text())
-    assert seeded["p0"] == pytest.approx(payload["p0"], rel=1e-9)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -278,7 +301,7 @@ def _band_csv_oracle(c_range, h_range, n_c, n_h):
         for curve, margin in margins.items():
             for j in range(n_h - 1):
                 m0, m1 = margin[j], margin[j + 1]
-                if m0 * m1 < 0.0:
+                if m0 < 0.0 < m1 or m1 < 0.0 < m0:  # m0 * m1 can overflow
                     curves[curve].append(f"{curve},{C!r},"
                                          f"{hs[j] + m0 * (hs[j + 1] - hs[j]) / (m0 - m1)!r}")
                     break
@@ -326,6 +349,22 @@ def test_band_writers_match_scalar_oracle(c_lo, c_width, h_lo, h_hi, n_c, n_h):
     grid, bounds = _band_csv_oracle(c_range, h_range, n_c, n_h)
     assert "".join(_band_csv(result)) == grid
     assert "".join(_boundaries_csv(result)) == bounds
+
+
+def test_stability_band_at_the_float_range_edge(tmp_path):
+    # tau_inf reaches 1e158 at C = 58: finite, but the product of two margins
+    # is not; from about C = 113 tau_inf itself leaves the float range
+    grid_path, bounds_path = tmp_path / "band.csv", tmp_path / "bounds.csv"
+    proc = run_cli("stability-band", "--cmin", "56", "--cmax", "58", "--grid", "5",
+                   "-o", str(grid_path), "--boundaries", str(bounds_path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    grid, bounds = _band_csv_oracle((56.0, 58.0), (0.001, 0.999), 5, 5)
+    assert grid_path.read_bytes() == grid.encode()
+    assert bounds_path.read_bytes() == bounds.encode()
+    proc = run_cli("stability-band", "--cmin", "100", "--cmax", "200", "--grid", "3", "-o", "-")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: tau_inf at C=150.0, H=0.001 is not finite")
+    assert proc.stdout == ""
 
 
 def test_stability_band_writes_no_boundaries_unasked(tmp_path):

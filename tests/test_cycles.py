@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X,
                      find_cycle_newton, gamma1_branch_x, gamma1_conic, half_return_X,
@@ -250,6 +250,35 @@ def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):
     cycle = find_cycle_newton(desk_params)
     assert cycle.p0 == pytest.approx(desk_cycle.p0, rel=1e-12)
     assert cycle.residual <= 1e-10 * (1.0 + cycle.p0[1])
+
+
+def _p0_from_every_start(p):
+    """p0 of find_cycle_newton(p, y0) for y0 in None, the series seed, 20 and
+    1e3, or the error class name where the solve raises."""
+    out = []
+    for y0 in (None, asymptotic_seed(p), 20.0, 1e3):
+        try:
+            out.append(find_cycle_newton(p, y0).p0)
+        except TwofoldError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.25, 2.0), u=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
+@example(C=1.0, u=0.04 / float(critical_h(1.0)), Lambda=1.0)  # the desk case
+def test_every_start_lands_on_the_same_cycle(C, u, Lambda):
+    # the cycle is the one root of H(t) = H on a monotone branch, so a start
+    # value only moves where the secant begins: every start gives the same p0,
+    # or every start raises the same error
+    p = resonant_system(C, float(critical_h(C)) * u, Lambda)
+    first, *rest = _p0_from_every_start(p)
+    if isinstance(first, str):
+        assert rest == [first] * 3
+        return
+    for p0 in rest:
+        assert not isinstance(p0, str), p0
+        assert p0 == pytest.approx(first, rel=1e-9)
 
 
 def test_no_sign_change_raises_no_cycle_error():

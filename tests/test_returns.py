@@ -670,3 +670,14 @@ def test_time_matching_v0_range_ends(params, matching):
     with pytest.raises(TangentialGrazeError):
         matching(params, 1e12)
 
+
+@pytest.mark.parametrize("call, arg, message", [
+    (gamma1_branch_x, np.float64(1e155), r"^y = 1e\+155 is too large: the conic residual"),
+    (time_matching, np.float64(1e-155), r"^y = 1e\+155 is too large: the conic residual"),
+    (time_matching, np.float64(1e-320), r"^v0 = 1e-320 is too small: y0 = 1/v0 overflows"),
+], ids=["branch_x-1e155", "time_matching-1e-155", "time_matching-1e-320"])
+def test_numpy_scalar_at_the_overflow_edge_is_a_domain_error(params, call, arg, message):
+    # a NumPy scalar meets the same guard as a float: the overflow to inf is
+    # typed, not a RuntimeWarning from scalar arithmetic on the way there
+    with pytest.raises(DomainError, match=message):
+        call(params, arg)

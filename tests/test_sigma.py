@@ -5,9 +5,9 @@ import pytest
 
 from twofold import (FoldKind, RegionKind, build_system, classify_point, eval_X,
                      eval_Y, fold_info, half_return_X, half_return_Y, saltation,
-                     sliding_field, tangency_lines)
+                     sliding_field)
 from twofold.errors import GrazingCrossingError, NoReturnError, TangentialGrazeError
-from twofold.sigma import tangency_tolerance
+from twofold.sigma import _tangency_cutoff
 from oracles import fd_lie_derivative
 
 
@@ -36,16 +36,6 @@ def test_crossing_quadrant_rule(params):
 def test_lie_derivatives_reported(params):
     cls = classify_point(params, (3.0, -2.0))
     assert cls.lie_x == -2.0 and cls.lie_y == 3.0
-
-
-def test_tangency_lines(params):
-    line_x, line_y = tangency_lines(params)
-    assert line_x == (0.0, 1.0, 0.0)  # y = 0
-    assert line_y == (1.0, 0.0, 0.0)  # x = 0
-    # concurrent at the origin
-    mat = np.array([line_x[:2], line_y[:2]])
-    rhs = -np.array([line_x[2], line_y[2]])
-    assert np.allclose(np.linalg.solve(mat, rhs), [0.0, 0.0])
 
 
 def test_fold_visibility(params):
@@ -112,7 +102,7 @@ def test_sliding_field_rejects_crossing(params):
 def test_plane_checks_share_one_tangency_cutoff(params, x):
     # classify_point, saltation and the half-return starts all call the tangency
     # cutoff of sigma: just below it each sees a tangency, just above it none
-    tol = tangency_tolerance((x, 0.0))
+    tol = _tangency_cutoff(x, 0.0)
     for y, tangent in ((0.99 * tol, True), (1.01 * tol, False)):
         assert (classify_point(params, (x, y)).kind is RegionKind.TANGENCY_X) is tangent
         checks = [(lambda: saltation(params, (x, y), "XtoY"), GrazingCrossingError),

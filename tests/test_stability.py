@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,34 @@ def test_h_min_past_the_float_range_is_a_domain_error(c):
     # normal float range; a NaN C gave a NaN H_min
     with np.errstate(all="ignore"), pytest.raises(DomainError):
         h_min(c)
+
+
+@pytest.mark.parametrize("c", [113.0, 150.0, 226.0, 300.0, 1e300])
+def test_tau_past_the_float_range_is_a_domain_error(c):
+    # e^{2 pi C} overflows from about C = 113 (and cosh(pi C) in H_crit from
+    # about 226): each caller of tau_inf names C instead of warning or
+    # returning inf
+    calls = [h_min, band_width, lambda c: asymptotic_invariants(resonant_system(c, 0.5, 1.0)),
+             lambda c: stability_band((c, 2.0 * c), (0.001, 0.999), 3)]
+    for call in calls:
+        with pytest.raises(DomainError, match=rf"tau_inf at C={re.escape(repr(c))}, H="):
+            call(c)
+
+
+def test_band_near_the_float_range_matches_the_scalar_invariants():
+    # tau_inf reaches 1e158 at C = 58: the grid, its flags and boundaries
+    # stay finite and the scalar invariants give the same bits
+    result = stability_band((56.0, 58.0), (0.001, 0.999), 5)
+    assert np.isfinite(result.tau_inf).all() and result.tau_inf.max() > 1e157
+    for i, c in enumerate(result.cs.tolist()):
+        for j, h in enumerate(result.hs.tolist()):
+            m2, tau = asymptotic_invariants(resonant_system(c, h, 1.0))
+            assert (m2, tau) == (result.m2[j], result.tau_inf[i, j])
+    with pytest.raises(DomainError, match=r"^tau_inf at C=150\.0, H=0\.001 is not finite"):
+        stability_band((100.0, 200.0), (0.001, 0.999), 3)
+    # 1/H^2 overflows from about H = 1e-154 down, at any C
+    with pytest.raises(DomainError, match=r"^tau_inf at C=1\.0, H=1e-160 is not finite"):
+        stability_band((1.0, 2.0), (1e-160, 0.5), 3)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, float("nan")])

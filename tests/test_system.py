@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import twofold as tf
 from twofold import (INVOLUTION, apply_involution, build_system, eval_X, eval_Y,
-                     jacobian_X, jacobian_Y, params_from_json, params_to_json,
-                     resonant_system, SystemParams)
+                     jacobian_X, jacobian_Y, resonant_system, SystemParams)
 from twofold.errors import DomainError
 from twofold.system import _field, _plane_field
 from oracles import fd_jacobian
@@ -196,12 +195,6 @@ def test_trace_is_a_plus_2c():
     assert np.isclose(np.trace(jacobian_X(p)), p.A + 2.0 * p.C, atol=1e-14)
     q = resonant_system(0.8, 0.2, 1.0)
     assert np.trace(jacobian_X(q)) == 0.0
-
-
-def test_json_round_trip():
-    p = resonant_system(1.25, 0.07, 1.5)
-    q = params_from_json(params_to_json(p))
-    assert q == p
 
 
 def test_exports_are_consistent():
