@@ -350,6 +350,8 @@ def cmd_scan(merged: dict) -> int:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
     p_base = resonant_system(_number(merged, "C"), 0.5, _number(merged, "Lambda"))
+    if not abs(p_base.C) * math.pi <= 709.0:  # cosh(pi C) in H_crit overflows
+        raise DomainError(f"scan needs |C| pi <= 709, got C={p_base.C!r}")
     hc = float(stability.critical_h(p_base.C))
     h_lo, h_hi = _number(merged, "hmin", 0.5 * hc), _number(merged, "hmax", 0.995 * hc)
     count = _number(merged, "count", 20, int)

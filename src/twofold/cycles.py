@@ -86,6 +86,9 @@ def _branch_point(p: SystemParams, t: float, fold: bool = False):
     x0 = -(ys + p11 * dv - p12 * zs)
     # the H part of x1 (xs, p01 and p02 are each H times an H-free factor)
     h_part = xs * (1.0 - e_at) + p01 * dv - p02 * zs
+    if h_part == 0.0:  # a subnormal Lambda at a tiny C
+        raise DomainError(f"the branch's H part underflows to 0 at C={p.C!r}, H={p.H!r}, "
+                          f"Lambda={p.Lambda!r}")
     return x0, y0, p.H * (-y0 - e_at * x0) / h_part, rows
 
 

@@ -42,10 +42,6 @@ class DivergenceError(TwofoldError):
     trajectory left the range of floating point."""
 
 
-class EmptyBandError(TwofoldError):
-    """No stable H-interval exists for the requested C."""
-
-
 class SymmetryDefectError(TwofoldError):
     """The direct monodromy of a cycle and the invariants of its half map
     disagree: its two half flights are not symmetric to the check's bound."""

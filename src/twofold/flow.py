@@ -9,8 +9,8 @@ the entries of exp(DX t) once, for two backends that do not round alike:
 ``stability.monodromy``) and NumPy ufuncs for the public kernels, which take
 a scalar time (a 0-d stack) or an array of times.  The lower field is the
 S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary point
-and fundamental matrices are the S-conjugates of the private upper kernels:
-phi_Y(t, s) = S phi_X(t, S s) and Phi_Y = S Phi_X S.
+and fundamental matrices are the S-conjugates of the upper kernels:
+phi_Y(t, s) = S phi_X(t, S s), s*_Y = S s*_X and Phi_Y = S Phi_X S.
 
 Each affine piece is integrated as phi(t, s) = s* + exp(Dt)(s - s*) around
 its stationary point s*, which exists whenever A(C^2 + 1) != 0; in the
@@ -74,12 +74,8 @@ def _stationary(p: SystemParams):
     return p.H * L * (p.A - 2.0 * C) / c2, -2.0 * C * zs, zs
 
 
-def _stationary_X(p: SystemParams) -> np.ndarray:
-    return np.array(_stationary(p))
-
-
 def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
-    ss = _stationary_X(p)
+    ss = np.array(_stationary(p))
     return ss + _phi_canonical(p, t) @ (np.asarray(s0, dtype=float) - ss)
 
 
@@ -95,12 +91,12 @@ def fundamental_Y(p: SystemParams, t) -> np.ndarray:
 
 def stationary_X(p: SystemParams) -> np.ndarray:
     """Stationary point of the upper affine field."""
-    return _stationary_X(p)
+    return np.array(_stationary(p))
 
 
 def stationary_Y(p: SystemParams) -> np.ndarray:
     """Stationary point of the lower affine field, the S-image of the upper one."""
-    return INVOLUTION @ _stationary_X(p)
+    return INVOLUTION @ stationary_X(p)
 
 
 def flow_X(p: SystemParams, s0, t) -> np.ndarray:
@@ -140,24 +136,30 @@ def _z_coefficients(p: SystemParams, s0):
     return zs, float(s0[1]) - ys, float(s0[2]) - zs
 
 
+def _slope_coefficients(C: float, wy: float, wz: float):
+    """(alpha, beta) with dz/dt = e^{Ct} (alpha sin t + beta cos t) for the z
+    coefficients (wy, wz) of ``_z_coefficients``."""
+    return C * wy + (C * C - 1.0) * wz, wy + 2.0 * C * wz
+
+
 def z_closed_form(p: SystemParams, s0):
     """Closed-form z(t) and dz/dt(t) along the upper-field orbit from s0.
 
     The z component decouples into a driven 2D rotation, so it admits the
     scalar closed form z(t) = zs + e^{Ct} (wy sin t + (cos t + C sin t) wz)
-    with the coefficients of ``_z_coefficients``.  Both returned callables
-    take a scalar t.
+    with the coefficients of ``_z_coefficients``, and
+    dz/dt = e^{Ct} (alpha sin t + beta cos t) with the (alpha, beta) of
+    ``_slope_coefficients``.  Both returned callables take a scalar t.
     """
     C = p.C
     zs, wy, wz = _z_coefficients(p, s0)
+    alpha, beta = _slope_coefficients(C, wy, wz)
 
     def z(t):
         e = math.exp(C * t)
         return zs + e * (wy * math.sin(t) + (math.cos(t) + C * math.sin(t)) * wz)
 
     def dz(t):
-        e = math.exp(C * t)
-        st, ct = math.sin(t), math.cos(t)
-        return e * (wy * (C * st + ct) + wz * ((C * C - 1.0) * st + 2.0 * C * ct))
+        return math.exp(C * t) * (alpha * math.sin(t) + beta * math.cos(t))
 
     return z, dz

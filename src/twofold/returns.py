@@ -4,7 +4,7 @@ expansions, and the time-matching function whose zeros are symmetric cycles.
 Solver contract: along either piece z(t) = zs + e^{Ct} (wy sin t +
 (cos t + C sin t) wz) with the coefficients (zs, wy, wz) of
 ``flow._z_coefficients``, and dz/dt = e^{Ct} (alpha sin t + beta cos t) with
-(alpha, beta) = (C wy + (C^2 - 1) wz, wy + 2 C wz), so the critical points of
+the (alpha, beta) of ``flow._slope_coefficients``, so the critical points of
 z lie exactly at t0 + k pi and z is strictly monotone between them.  The
 first crossing is bracketed by evaluating the closed-form z of
 ``flow.z_closed_form`` at those points (then at the window end t_max) until
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
+from .flow import _slope_coefficients
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnError,
                      TangentialGrazeError)
 from .invariants import gamma1_branch_x, gamma1_discriminant
@@ -130,23 +131,24 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
         inside = s0[2] > 0.0  # the left end lies in the half-space
         if inside and z(0.0) <= 0.0:
             raise TangentialGrazeError("entry into the half-space is not transversal")
-        lo, k = 0.0, 0
+        # near z = 0 the terms of zs + e^{Cu} (wy sin u + (cos u + C sin u) wz)
+        # sum in size to at most 3 (1 + |C|) e^{Cu} |(alpha, beta)|, and z
+        # carries a few ulps of that: the touch bound rnd e^{Cu} |(alpha, beta)|
+        rnd, ab = 2.0 ** -50 * 3.0 * (1.0 + abs(C)), math.hypot(alpha, beta)
+        lo, floor, k = 0.0, rnd * ab, 0  # floor: the touch bound at lo
         while True:
             hi = min(phase + k * math.pi, t_max)
             zhi = z(tsign * hi)
+            e_hi = math.exp(C * tsign * hi)
+            touch = rnd * e_hi * ab
             # a critical point past the left end where z is zero to within
-            # rounding is a touch, passed over whichever way z rounds there.
-            # Near z = 0 the terms of zs + e^{Cu} (wy sin u + (cos u + C sin u)
-            # wz) sum in size to at most 3 (1 + |C|) e^{Cu} |(alpha, beta)|,
-            # and z carries a few ulps of that
-            if zhi <= 0.0 and (not inside or hi == t_max or -zhi > 2.0 ** -50 * 3.0
-                               * (1.0 + abs(C)) * math.exp(C * tsign * hi)
-                               * math.hypot(alpha, beta)):
+            # rounding is a touch, passed over whichever way z rounds there
+            if zhi <= 0.0 and (not inside or hi == t_max or -zhi > touch):
                 break
-            if hi == t_max or decays and math.exp(C * tsign * hi) * amp < zs:
+            if hi == t_max or decays and e_hi * amp < zs:
                 # the window closes, or z stays above the plane past hi
                 raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
-            lo, k, inside = hi, k + 1, True
+            lo, floor, k, inside = hi, touch, k + 1, True
         if not inside:
             if hi == t_max and tsign * beta > 0.0:
                 # the window closes before the first critical point of a rising flight
@@ -160,14 +162,8 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
             start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
             if not lo < start < hi:
                 start = 0.5 * (lo + hi)
+        # the residual e^{-C(u - u_lo)} z rounds to within the touch bound at lo
         fdf = _envelope_free(C, zs, wy, wz, tsign, tsign * lo)
-
-        def floor(C=C, u_lo=tsign * lo, alpha=alpha, beta=beta):
-            # the touch test's rounding of z, times e^{-C(u - u_lo)}; the values
-            # are bound here, so the walk above keeps plain local variables
-            return (2.0 ** -50 * 3.0 * (1.0 + abs(C)) * math.exp(C * u_lo)
-                    * math.hypot(alpha, beta))
-
         root, iterations = _bracketed_root(fdf, start, lo, hi, floor)
         slope = abs(dz(tsign * root))
         if slope < 1e-10 * (1.0 + math.hypot(*s0)):
@@ -177,12 +173,6 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
     except OverflowError:
         raise DivergenceError("the orbit leaves the range of floating point "
                               "before it meets z = 0") from None
-
-
-def _slope_coefficients(C: float, wy: float, wz: float):
-    """(alpha, beta) with dz/dt = e^{Ct} (alpha sin t + beta cos t) for the z
-    coefficients (wy, wz) of ``flow._z_coefficients``."""
-    return C * wy + (C * C - 1.0) * wz, wy + 2.0 * C * wz
 
 
 def _envelope_free(C: float, zs: float, wy: float, wz: float, tsign: float, u_lo: float):
@@ -208,7 +198,7 @@ def _envelope_free(C: float, zs: float, wy: float, wz: float, tsign: float, u_lo
     return fdf
 
 
-def _bracketed_root(fdf, t, lo, hi, floor=None):
+def _bracketed_root(fdf, t, lo, hi, floor=0.0):
     """(t, iterations) for the one root of f in [lo, hi], where
     fdf(t) = (f(t), f'(t)) and f > 0 left of the root, f <= 0 right of it.
 
@@ -216,10 +206,10 @@ def _bracketed_root(fdf, t, lo, hi, floor=None):
     inside the shrinking bracket and is at most half the previous step (the
     bracket width at first), as in Numerical Recipes' rtsafe, so a run of
     equal steps, as on a steep exponential, cannot outlast the step budget.
-    ``floor()``, if given, is the rounding bound of f.  A step refused at
-    |f| <= floor() returns t while the bracket spans more than floor() / |f'|,
-    the width on which f is all round-off: the steps there only repeat, and
-    a bisection of the whole bracket would walk back to t.  Stops at f = 0
+    ``floor`` is the rounding bound of f.  A step refused at |f| <= floor
+    returns t while the bracket spans more than floor / |f'|, the width on
+    which f is all round-off: the steps there only repeat, and a bisection
+    of the whole bracket would walk back to t.  Stops at f = 0
     or once the step or the bracket is below round-off in t.
     """
     prev = hi - lo
@@ -238,7 +228,7 @@ def _bracketed_root(fdf, t, lo, hi, floor=None):
             return t - step, iterations
         if lo < t - step < hi and abs(2.0 * step) <= abs(prev):
             t, prev = t - step, step
-        elif floor is not None and abs(ft) <= floor() < (hi - lo) * abs(slope):
+        elif abs(ft) <= floor < (hi - lo) * abs(slope):
             return t, iterations
         else:
             mid = 0.5 * (lo + hi)

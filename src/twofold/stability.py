@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, EmptyBandError, GrazingCrossingError, SymmetryDefectError
+from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .flow import _phi_rows
 from .invariants import gamma1_discriminant
 from .sigma import _tangency_cutoff
@@ -272,7 +272,8 @@ def _lower_margin(C: float, H: float) -> float:
 def h_min(C: float) -> float:
     """Lower stability boundary in H at fixed C > 0, located by bisection.
 
-    The bracket's right end is H_crit(C); its left end halves from there
+    The bracket's right end is H_crit(C), where tau_inf = 2 + m^2 makes the
+    margin tau_inf + m^2 = 2 + 2 m^2 positive; its left end halves from there
     until the margin is negative, and the bisection runs until the midpoint
     equals an end.  A C that is not positive (NaN included) is a DomainError,
     as is one whose H_min squared leaves the normal float range (from about
@@ -284,8 +285,7 @@ def h_min(C: float) -> float:
                           "established for C > 0")
     with np.errstate(over="ignore"):  # cosh(pi C) overflows from C = 226, H_crit reads 0
         hi = float(critical_h(C))
-    if _lower_margin(C, hi) <= 0.0:
-        raise EmptyBandError(f"no lower boundary bracket in (0, H_crit) at C={C}")
+    _lower_margin(C, hi)  # a tau_inf past the float range is a DomainError
     lo = hi
     while True:
         lo *= 0.5
@@ -308,10 +308,7 @@ def band_width(C: float) -> float:
     """Width H_crit(C) - H_min(C) of the stable H-interval at fixed C > 0;
     h_min's DomainError for any other C."""
     lo = h_min(C)  # first: past the float range it raises where cosh(pi C) overflows
-    width = float(critical_h(C)) - lo
-    if width <= 0.0:
-        raise EmptyBandError(f"empty stability interval at C={C}")
-    return width
+    return float(critical_h(C)) - lo
 
 
 @dataclass(frozen=True)

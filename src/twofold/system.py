@@ -120,7 +120,8 @@ def apply_involution(s) -> np.ndarray:
     return np.array([-y, -x, -z])
 
 
-def _jacobian(p: SystemParams) -> np.ndarray:
+def jacobian_X(p: SystemParams) -> np.ndarray:
+    """Linear part DX of the upper field."""
     return np.array([
         [p.A, 0.0, -p.H * ((p.A - p.C) ** 2 + 1.0)],
         [0.0, 0.0, -(1.0 + p.C ** 2)],
@@ -128,12 +129,7 @@ def _jacobian(p: SystemParams) -> np.ndarray:
     ])
 
 
-def jacobian_X(p: SystemParams) -> np.ndarray:
-    """Linear part DX of the upper field."""
-    return _jacobian(p)
-
-
 def jacobian_Y(p: SystemParams) -> np.ndarray:
     """Linear part DY = S DX S of the lower field."""
-    return INVOLUTION @ _jacobian(p) @ INVOLUTION
+    return INVOLUTION @ jacobian_X(p) @ INVOLUTION
 

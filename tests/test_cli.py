@@ -7,11 +7,12 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 import twofold
 from twofold import (RegionKind, apply_involution, classify_point, critical_h, errors,
@@ -442,6 +443,65 @@ def test_float_range_failures_are_typed(args, code, prefix):
     assert proc.returncode == code, (args, proc.stderr)
     assert proc.stderr.startswith(prefix) and proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("C", ["2.2e119", "300", "-300"])
+def test_scan_past_the_cosh_range_names_c(C):
+    # cosh(pi C) in the default H range overflows from |C| pi of about 710.5;
+    # it once warned and then blamed hmin and hmax
+    proc = run_cli("scan", "--C", C, "--Lambda", "-0.005", "--count", "3")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and f"C={float(C)!r}" in proc.stderr
+    assert "Warning" not in proc.stderr and proc.stdout == ""
+
+
+def test_branch_h_part_underflowing_exits_typed():
+    # a subnormal Lambda at a tiny C once ended in a ZeroDivisionError traceback
+    proc = run_cli("find-cycle", "--C", "5.619557498025321e-149",
+                   "--H", "1.7677918110819456e-08", "--Lambda", "1e-320")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and "Lambda=1e-320" in proc.stderr
+    proc = run_cli("scan", "--C", "1e-320", "--Lambda", "1e-320", "--count", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("failed: DomainError: ") == 3
+    assert proc.stdout == "H,y0,T,mu2_re,mu2_im,mu3_re,mu3_im,stable\n"
+
+
+_EXTREMES = (0.0, 5e-324, 1e-320, 1e-155, 113.0, 226.0, 300.0, 1e200, 1.7e308)
+_extreme = st.tuples(
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.sampled_from(_EXTREMES), st.floats(-324.0, 308.0).map(lambda e: 10.0 ** e)),
+).map(lambda sm: sm[0] * sm[1])
+
+
+@st.composite
+def _extreme_argv(draw):
+    command = draw(st.sampled_from(["find-cycle", "scan", "verify-series", "classify-conic"]))
+    C, Lambda = draw(_extreme), draw(_extreme)
+    if command == "scan":
+        return [command, f"--C={C!r}", f"--Lambda={Lambda!r}",
+                f"--count={draw(st.integers(1, 3))}"]
+    argv = [command, f"--C={C!r}", f"--H={draw(_extreme)!r}", f"--Lambda={Lambda!r}"]
+    if command == "verify-series":
+        argv.append(f"--v0={draw(_extreme)!r}")
+    return argv
+
+
+@seed(23)
+@settings(max_examples=800, deadline=None)
+@given(argv=_extreme_argv())
+@example(argv=["find-cycle", "--C=5.619557498025321e-149", "--H=1.7677918110819456e-08",
+               "--Lambda=1e-320"])
+@example(argv=["scan", "--C=1e-320", "--Lambda=1e-320", "--count=3"])
+@example(argv=["scan", "--C=2.2e119", "--Lambda=-0.005", "--count=3"])
+@example(argv=["scan", "--C=-300.0", "--Lambda=1.0", "--count=3"])
+def test_extreme_values_exit_typed(argv):
+    # parameters at and past the ends of the float range end in exit 0, 1 or
+    # 2: no RuntimeWarning and no exception other than argparse's SystemExit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, _, _ = _main_in_process(*argv)
+    assert rc in (0, 1, 2), argv
 
 
 def test_simulate_on_a_huge_window_ends():

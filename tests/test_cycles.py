@@ -244,6 +244,22 @@ def test_graze_end_overflowing_is_a_domain_error():
         find_cycle_newton(resonant_system(225.0, 0.5, 1.0))
 
 
+def test_branch_h_part_underflowing_is_a_domain_error():
+    # a subnormal Lambda at a tiny C: the H part of the branch end underflows
+    # to 0, once a bare ZeroDivisionError, at both the secant and the graze end
+    p = resonant_system(5.619557498025321e-149, 1.7677918110819456e-08, 1e-320)
+    with pytest.raises(DomainError, match=r"C=5\.6.*H=1\.7.*Lambda=1e-320"):
+        find_cycle_newton(p)
+    entries = scan_cycles(resonant_system(1e-320, 0.5, 1e-320), [0.25, 0.5])
+    assert [e.error_kind for e in entries] == ["DomainError"] * 2
+
+
+@pytest.mark.parametrize("y0_init", [math.nan, math.inf])
+def test_non_finite_seed_is_a_domain_error(desk_params, y0_init):
+    with pytest.raises(DomainError, match="seed"):
+        find_cycle_newton(desk_params, y0_init)
+
+
 def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):
     # with no seed the solve starts from the linearisation at H_crit and
     # lands on the same cycle, closed to round-off

@@ -74,6 +74,19 @@ def test_nonresonant_integral_is_constant():
         assert np.isclose(eval_P_X(p, flow_X(p, s0, t)), ref, rtol=1e-8)
 
 
+def test_nonresonant_integer_power_of_a_negative_base():
+    # exponent -2C/A = 2: a base f2 <= 0 takes the integer power, not a DomainError
+    p = build_system(-1.0, 1.0, 0.3, 1.0)
+    pair = DarbouxPair(p)
+    s, s_y = np.array([-5.0, 1.0, 0.2]), np.array([1.0, -5.0, 0.2])
+    assert pair.f2(s) < 0.0 and pair.F2(s_y) < 0.0
+    assert eval_P_X(p, s) == pytest.approx(pair.f1(s) * pair.f2(s) ** 2, rel=1e-14)
+    assert eval_P_Y(p, s_y) == pytest.approx(pair.F1(s_y) * pair.F2(s_y) ** 2, rel=1e-14)
+    for t in np.linspace(0.0, 1.0, 11):
+        assert eval_P_X(p, flow_X(p, s, t)) == pytest.approx(eval_P_X(p, s), rel=1e-9)
+        assert eval_P_Y(p, flow_Y(p, s_y, t)) == pytest.approx(eval_P_Y(p, s_y), rel=1e-9)
+
+
 def test_verify_darboux_report(params):
     report = verify_darboux(params)
     assert report.cofactor_combination == 0.0

@@ -267,6 +267,11 @@ def test_gamma2_at_critical_extremes():
         gamma2_at_critical(1.0, 1e200)  # Lambda^2 overflows
 
 
+def test_gamma2_at_critical_needs_a_rotation():
+    with pytest.raises(DomainError, match="nonzero"):
+        gamma2_at_critical(0.0, 1.0)
+
+
 def test_no_return_within_window(params):
     x0, y0 = _branch_point(params, 8.0)
     with pytest.raises(NoReturnError):
@@ -314,6 +319,14 @@ def test_entry_graze_rejected(params):
         half_return_X(params, (1.0, 1e-14))
     with pytest.raises(TangentialGrazeError):
         half_return_Y(params, (1e-14, 1.0))
+
+
+def test_on_plane_start_that_leaves_downward_is_no_entry(params):
+    # (1, -1, 0) lies on the plane, but z' = y < 0 there: the forward flight
+    # does not enter the upper half-space
+    with pytest.raises(TangentialGrazeError, match="entry into the half-space is not "
+                                                   "transversal"):
+        first_crossing(params, (1.0, -1.0, 0.0), 8.0 * math.pi)
 
 
 def test_exit_graze_detected():

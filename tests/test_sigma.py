@@ -53,6 +53,13 @@ def test_fold_visibility_flips_with_lambda():
     assert fold_info(p, (0.0, 2.0)).kind is FoldKind.INVISIBLE
 
 
+def test_fold_below_the_tangency_cutoff_is_a_cusp():
+    # X(Xf) = Lambda at the fold lines: a |Lambda| below the cutoff reads as zero
+    p = build_system(-2.0, 1.0, 0.5, 1e-12)
+    assert fold_info(p, (1.0, 0.0)).kind is FoldKind.CUSP
+    assert fold_info(p, (0.0, 1.0)).kind is FoldKind.CUSP
+
+
 def test_fold_info_rejects_off_line(params):
     with pytest.raises(ValueError):
         fold_info(params, (1.0, 1.0))
