@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import twofold
 from twofold import (RegionKind, apply_involution, classify_point, critical_h, errors,
                      flow_X, flow_Y, m_gamma1, resonant_system, stability_band,
                      tau_gamma1)
 from twofold import cli
-from twofold.cli import _band_csv, _boundaries_csv, _fmt
+from twofold.cli import _band_csv, _boundaries_csv, _fmt, _reprs
 from twofold.returns import first_crossing
 
 # the package's own source root, so the CLI imports from any working directory
@@ -343,6 +344,9 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
 # an H whose m ** 2 by pow is 0.5006 ulp off, the product 0.4994 ulp
 @example(c_lo=1.0, c_width=0.0, h_lo=0.07803846459741555, h_hi=0.11515159854389588,
          n_c=2, n_h=8)
+# the --cmin 0.3 --cmax 0.6 --hmin 1e-6 --hmax 1e-3 --grid 7 box: H and m2
+# print in exponent form, as 1e-06 and 9.999980000049999e-13
+@example(c_lo=0.3, c_width=0.3, h_lo=1e-6, h_hi=1e-3, n_c=7, n_h=7)
 def test_band_writers_match_scalar_oracle(c_lo, c_width, h_lo, h_hi, n_c, n_h):
     assume(h_lo < h_hi)
     c_range, h_range = (c_lo, c_lo + c_width), (h_lo, h_hi)
@@ -437,6 +441,9 @@ def test_unknown_flags_are_argparse_errors(args):
     # the sample count t-max / dt is not finite
     (("simulate", "--C", "300", "--H", "0.5", "--Lambda", "1", "--x0", "1", "--y0", "1",
       "--z0", "1", "--t-max", "1e300", "--dt", "1e-300"), 2, "usage error: "),
+    # 10^18 samples: np.arange fails to allocate 6.94 EiB before touching memory
+    (("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1", "--x0", "1", "--y0", "1",
+      "--z0", "0", "--t-max", "1e9", "--dt", "1e-9"), 1, "error: MemoryError: "),
 ])
 def test_float_range_failures_are_typed(args, code, prefix):
     proc = run_cli(*args)
@@ -659,12 +666,30 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
 def test_simulate_csv_matches_scalar_oracle(tmp_path, start):
     expected = _simulate_csv_oracle(*start)
     assert expected.count(",crossing,") >= 1 or ",terminal," in expected
+    _assert_simulate_csv(tmp_path, start, expected)
+
+
+def _assert_simulate_csv(tmp_path, start, expected):
     out = tmp_path / "traj.csv"
     flags = ("--C", "--H", "--Lambda", "--x0", "--y0", "--z0", "--t-max", "--dt")
     proc = run_cli("simulate", *[f"{flag}={v!r}" for flag, v in zip(flags, start)],
                    "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("start, values", [
+    # two trajectory-benchmark starts: an X orbit with 1435 values of 1e+16
+    # and above (C < 0, no crossing), and one with a value of -7.4e-05
+    ((-0.8773278276064809, 0.03973082761867977, 1.2162123334729966, 2.7238392779576315,
+      0.7052569303124683, 0.0, 35.40593092422011, 0.01044215465926146), r"e\+(1[6-9]|[2-9]\d)"),
+    ((0.7270512548982141, 0.024908678558272525, 1.8382140139124026, -3.7827369933409534,
+      -1.5654161701974056, 0.0, 35.961148289992124, 0.012459090060531338), r",-7\.4\d*e-05,"),
+], ids=["past-1e16", "minus-7.4e-05"])
+def test_simulate_exponent_form_matches_scalar_oracle(tmp_path, start, values):
+    expected = _simulate_csv_oracle(*start)
+    assert re.search(values, expected)
+    _assert_simulate_csv(tmp_path, start, expected)
 
 
 def test_negative_values_in_exponent_form(tmp_path):
@@ -682,6 +707,44 @@ def test_import_does_not_load_scipy():
     code = "import sys, twofold, twofold.cli; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_orjson():
+    # orjson is imported by the CSV writers when they run, not by the import
+    code = "import sys, twofold, twofold.cli; assert 'orjson' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
+    assert proc.returncode == 0, proc.stderr
+
+
+_EDGES = ([np.nextafter(1e-4, 0), 1e-4, 1e-5, 9.999999999999999e-05],
+          [np.nextafter(1e16, 0), 1e16, 5e-324, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+@example(np.array(_EDGES[0] + [-v for v in _EDGES[0]]))
+@example(np.array(_EDGES[1] + [-v for v in _EDGES[1]]))
+@example(np.zeros(0))
+@example((np.arange(12.0).reshape(4, 3) * 1e-5)[:, 1])  # a non-contiguous column
+def test_reprs_is_repr(a):
+    assert _reprs(a) == list(map(repr, a.ravel().tolist()))
+
+
+def test_reprs_is_repr_on_random_bit_patterns():
+    # 10^6 seeded doubles: whole random bit patterns, and random bits with the
+    # exponent set in or next to [1e-4, 1e16), the range written by orjson as is
+    rng = np.random.default_rng(2018)
+    exponent = np.uint64(0x7FF << 52)
+    for k in range(10):
+        bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64)
+        if k % 2:
+            biased = rng.integers(1023 - 16, 1023 + 56, bits.size, dtype=np.uint64)
+            bits = (bits & ~exponent) | (biased << np.uint64(52))
+        a = bits.view(np.float64)
+        assert _reprs(a) == list(map(repr, a.tolist()))
 
 
 def test_simulate_stationary_z(tmp_path):
