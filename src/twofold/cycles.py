@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoCycleError,
                      NotACycleError, TwofoldError)
-from .flow import _phi_rows, _stationary
+from .flow import _phi_rows
 from .invariants import _check_branch_domain, _conic_coefficients, _conic_value, gamma1_branch_x
 from .returns import _bracketed_root, _flight, _gamma_x, _series, half_return_X, half_return_Y
 from .stability import MonodromyReport, monodromy
@@ -65,31 +65,31 @@ class SymmetricCycle:
     dg: tuple
 
 
-def _branch_point(p: SystemParams, t: float, fold: bool = False):
-    """(x0, y0, h, rows) for the symmetric branch point whose X flight takes
-    time t: the start p0 = (x0, y0, 0) from which the upper orbit meets the
-    plane at time t exactly at (-y0, -x0, 0) when H = h, with
-    rows = flow._phi_rows(p, t).
+def _branch_point(p: SystemParams, t: float):
+    """(x0, y0, h) for the symmetric branch point whose X flight takes time
+    t: the start p0 = (x0, y0, 0) from which the upper orbit meets the plane
+    at time t exactly at (-y0, -x0, 0) when H = h.
 
     The (y, z) equations of the upper field involve neither x, A nor H, so
-    z(t) = 0 fixes y0 = zs ((cos t + C sin t - e^{-Ct}) / sin t - 2C), with
-    zs = Lambda / (1 + C^2), and y1(t) fixes x0 = -y1.  The end
-    x1 = e^{At} x0 + H K(t) is affine in x0 and linear in H, so x1 = -y0
-    gives h = H(t) = (-y0 - e^{At} x0) / K(t), which depends on neither H
-    nor Lambda.  y0 > 0 exactly for t in (pi, t_graze) (see _graze); ``fold``
-    sets y0 = 0 at t_graze, where ys + dv cancels to round-off above e^{At} x0."""
-    rows = _phi_rows(p, t)
-    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
-    xs, ys, zs = _stationary(p)
-    dv = zs * (p22 - 1.0) / p21  # y0 - ys, from z(t) = zs + p21 dv - p22 zs = 0
-    y0 = 0.0 if fold else ys + dv
-    x0 = -(ys + p11 * dv - p12 * zs)
-    # the H part of x1 (xs, p01 and p02 are each H times an H-free factor)
-    h_part = xs * (1.0 - e_at) + p01 * dv - p02 * zs
-    if h_part == 0.0:  # a subnormal Lambda at a tiny C
-        raise DomainError(f"the branch's H part underflows to 0 at C={p.C!r}, H={p.H!r}, "
-                          f"Lambda={p.Lambda!r}")
-    return x0, y0, p.H * (-y0 - e_at * x0) / h_part, rows
+    z(t) = 0 and y(t) = -x0 fix the start, and x(t) = -y0, affine in x0 and
+    linear in H, fixes H.  Solved, these closing equations read
+
+        y0 = zs q / sin t,  x0 = -zs r / sin t,  H(t) = (e^{At} r - q) / (r - e^{At} q),
+
+    with zs = Lambda / (1 + C^2), q = cos t - C sin t - e^{-Ct} and
+    r = e^{Ct} - cos t - C sin t: H(t) has neither H nor Lambda in it.
+    y0 > 0 exactly for t in (pi, t_graze) (see _graze), where q < 0 < r, so
+    both sums in H(t) add terms of one sign.  For A <= 0 the denominator
+    d = r - e^{At} q is positive on all of (pi, 2 pi); h is NaN where it
+    is not (a tiny C rounds both r and q to 0 next to 2 pi)."""
+    A, C = p.A, p.C
+    st, ct = math.sin(t), math.cos(t)
+    e_at = math.exp(A * t)
+    q = ct - C * st - math.exp(-C * t)
+    r = math.exp(C * t) - ct - C * st
+    d = r - e_at * q
+    zs = p.Lambda / (1.0 + C * C)
+    return -zs * r / st, zs * q / st, (e_at * r - q) / d if d > 0.0 else math.nan
 
 
 def _graze(p: SystemParams):
@@ -99,7 +99,8 @@ def _graze(p: SystemParams):
     q = sqrt(1 + C^2) cos(t + phi) - e^{-Ct} with phi = atan C is increasing
     on (pi, 2 pi - phi), from q(pi) < 0 to a positive value, and positive
     on [2 pi - phi, 2 pi), so t_graze is its one root in (pi, 2 pi) and
-    y0 > 0 exactly on (pi, t_graze)."""
+    y0 > 0 exactly on (pi, t_graze).  There H(t) = e^{At} r / r, so
+    H_graze = e^{A t_graze}."""
     C = p.C
 
     def fdf(t):  # (-q, -q'), positive left of the root
@@ -108,10 +109,7 @@ def _graze(p: SystemParams):
 
     lo, hi = math.pi, 2.0 * math.pi - math.atan(C)
     t_graze, _ = _bracketed_root(fdf, 0.5 * (lo + hi), lo, hi)
-    h_graze = _branch_point(p, t_graze, fold=True)[2]
-    if not 0.0 <= h_graze < math.inf:  # e^{Ct} overflows in the closed form
-        raise DomainError(f"H_graze is not finite at C={C!r}: the branch overflows")
-    return t_graze, h_graze
+    return t_graze, math.exp(p.A * t_graze)
 
 
 def _no_cycle(p: SystemParams, h_graze: float, h_crit: float) -> NoCycleError:
@@ -121,20 +119,22 @@ def _no_cycle(p: SystemParams, h_graze: float, h_crit: float) -> NoCycleError:
 
 
 def _solve_branch(p: SystemParams, t: float, h_crit: float):
-    """The branch point (t, x0, y0, rows) with H(t) = p.H, t in (pi, t_graze).
+    """The branch point (t, x0, y0) with H(t) = p.H, t in (pi, t_graze).
 
     f(t) = H(t) / H - 1 falls from f(pi+) = H_crit / H - 1 > 0.  Secant steps
     run from (pi, f(pi+)) and t; a step that leaves the bracket [lo, hi] on
     the root is replaced by bisection.  The upper end of the bracket is
     unknown until an iterate has f <= 0, and t_graze is computed only when a
-    step lands past it (y0 <= 0) or leaves (pi, 2 pi): there f(t_graze) >= 0
-    means H <= H_graze, no cycle."""
-    lo, hi = math.pi, None
+    step lands past it (y0 <= 0) or leaves (pi, 2 pi - atan C), which holds
+    t_graze (see _graze): there f(t_graze) >= 0 means H <= H_graze, no cycle.
+    e^{Ct} stays finite below 2 pi - atan C for C up to 150, and H < H_crit
+    needs C below 118.5, as H^2 > 0 needs H above 2.2e-162."""
+    lo, hi, top = math.pi, None, 2.0 * math.pi - math.atan(p.C)
     a, fa = lo, h_crit / p.H - 1.0  # the secant's previous point
     for _ in range(100):
         y0 = math.nan
-        if lo < t < (2.0 * math.pi if hi is None else hi):
-            x0, y0, h, rows = _branch_point(p, t)
+        if lo < t < (top if hi is None else hi):
+            x0, y0, h = _branch_point(p, t)
         if not y0 > 0.0:  # outside the bracket, or past the graze end
             if hi is None:
                 hi, h_graze = _graze(p)
@@ -153,7 +153,7 @@ def _solve_branch(p: SystemParams, t: float, h_crit: float):
         if f == 0.0 or abs(step) <= 8.9e-16 * t or hi is not None and hi - lo <= 8.9e-16 * t:
             if abs(f) > 1e-10:
                 raise NoConvergenceError(f"H(t) / H - 1 = {f:.3g} above 1e-10 at t = {t!r}")
-            return t, x0, y0, rows
+            return t, x0, y0
         a, fa, t = t, f, t - step
     raise NoConvergenceError(f"flight time not resolved in [{lo!r}, {hi!r}]")
 
@@ -170,7 +170,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     t = pi + tau_x_head(1 / y0_init), the series head of the X flight time,
     or, without a positive seed or when that t leaves (pi, 2 pi), at the
     resonant linearisation H / H_crit - 1 = -2 (t - pi).  Dg comes in closed
-    form from the same rows and the field at the end (-y0, -x0).  The kernel
+    form from exp(DX t_x) and the field at the end (-y0, -x0).  The kernel
     flight behind half_return_Y, from p0 with its Newton started at t_x,
     gives t_y and p1 in about one root step; the cycle checks run on it.
 
@@ -178,7 +178,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     ------
     DomainError
         If y0_init is NaN or +inf, p is outside the resonant 0 < H < 1 range,
-        C is not in (0, 709 / pi], or H_graze overflows (C near 709 / pi).
+        or C is not in (0, 709 / pi].
     NoCycleError
         If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError
@@ -202,7 +202,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         seeded = math.pi + (g1x * v + g2x * v * v)  # tau_x_head(v)
         if math.pi < seeded < 2.0 * math.pi:
             t = seeded
-    t_x, x0, y0, rows = _solve_branch(p, t, h_crit)
+    t_x, x0, y0 = _solve_branch(p, t, h_crit)
     t_y, (x1, y1), *_ = _flight(p, x0, y0, "Y", t_x)
     T = t_x + t_y
     scale = 1.0 + max(abs(x0), abs(y0))
@@ -218,7 +218,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         raise NotACycleError("; ".join(problems))
     # Dh = (I - X(end) e3^T / X_z(end)) [phi0 phi1] at the end (-y0, -x0), where
     # X = (A x1 + H Lambda, Lambda, y1); phi0 = (e^{At}, 0, 0) leaves h10 = 0
-    (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
+    (e_at, p01, _), (_, p11, _), (_, p21, _) = _phi_rows(p, t_x)
     (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
     h01, h11 = p01 + fx * w, p11 + fy * w
     return SymmetricCycle(p0=np.array([x0, y0]), p1=np.array([x1, y1]), T=T, t_x=t_x,

@@ -43,25 +43,25 @@ class DarbouxPair:
 
     # upper field: X(f1) = 2C f1, X(f2) = A f2
     def f1(self, s) -> float:
-        x, y, z = np.asarray(s, dtype=float)
+        x, y, z = map(float, s)
         C, L = self.params.C, self.params.Lambda
         c2 = C * C + 1.0
         return (y * y + 2.0 * C * (z + L / c2) * y + c2 * z * z
                 + 2.0 * L * (C * C - 1.0) * z / c2 + L * L / c2)
 
     def f2(self, s) -> float:
-        x, y, z = np.asarray(s, dtype=float)
+        x, y, z = map(float, s)
         return x - self.params.H * (self.params.A * z + y)
 
     # lower field, Y(s) = S X(S s): F1 = f1 o S and F2 = -f2 o S, with
     # Y(F1) = 2C F1 and Y(F2) = A F2
     def F1(self, s) -> float:
-        x, y, z = np.asarray(s, dtype=float)
+        x, y, z = map(float, s)
         return self.f1((-y, -x, -z))
 
     def F2(self, s) -> float:
         # z = 0 trace is the focal line y = H x
-        x, y, z = np.asarray(s, dtype=float)
+        x, y, z = map(float, s)
         return -self.f2((-y, -x, -z))
 
     @property
@@ -77,7 +77,12 @@ class DarbouxPair:
 
 
 def _power_exponent(p: SystemParams) -> float:
-    return -2.0 * p.C / p.A
+    """-2C / A; at A = 0, or where it leaves the float range, a DomainError."""
+    exponent = -2.0 * p.C / p.A if p.A != 0.0 else math.inf
+    if not math.isfinite(exponent):
+        raise DomainError(f"the first integral's exponent -2C/A is not finite at A={p.A!r}, "
+                          f"C={p.C!r}")
+    return exponent
 
 
 def _guarded_power(base: float, exponent: float) -> float:
@@ -91,25 +96,40 @@ def _guarded_power(base: float, exponent: float) -> float:
     )
 
 
+def _darboux_product(p: SystemParams, quadratic, affine, s) -> float:
+    """quadratic(s) * affine(s)^(-2C/A), with the point s taken as floats.  A
+    point or a value that is not finite is a DomainError."""
+    s = tuple(map(float, s))
+    if not all(map(math.isfinite, s)):
+        raise DomainError(f"the first integral needs a finite point, got {s!r}")
+    base = affine(s)
+    try:
+        value = quadratic(s) * (base if p.resonant else _guarded_power(base, _power_exponent(p)))
+    except (OverflowError, ZeroDivisionError):  # a power past the float range, or 0 ** -k
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the first integral at {s!r} leaves the float range at A={p.A!r}, "
+                          f"C={p.C!r}")
+    return value
+
+
 def eval_P_X(p: SystemParams, s) -> float:
     """First integral of the upper field, f1 * f2^(-2C/A).
 
     In the resonant family the exponent is exactly 1 and the product is a
     polynomial; otherwise the power is guarded and raises on a nonpositive
-    base with non-integer exponent.
+    base with non-integer exponent.  A = 0, a point that is not finite and a
+    value past the float range are DomainErrors.
     """
     pair = DarbouxPair(p)
-    if p.resonant:
-        return pair.f1(s) * pair.f2(s)
-    return pair.f1(s) * _guarded_power(pair.f2(s), _power_exponent(p))
+    return _darboux_product(p, pair.f1, pair.f2, s)
 
 
 def eval_P_Y(p: SystemParams, s) -> float:
-    """First integral of the lower field, F1 * F2^(-2C/A)."""
+    """First integral of the lower field, F1 * F2^(-2C/A), with the
+    DomainErrors of eval_P_X."""
     pair = DarbouxPair(p)
-    if p.resonant:
-        return pair.F1(s) * pair.F2(s)
-    return pair.F1(s) * _guarded_power(pair.F2(s), _power_exponent(p))
+    return _darboux_product(p, pair.F1, pair.F2, s)
 
 
 @dataclass(frozen=True)
@@ -132,8 +152,10 @@ def verify_darboux(p: SystemParams) -> DarbouxReport:
     |v(g) - k g| at 1000 seeded points of [-3, 3]^3.  As g has degree at most
     2, v(g)(s) = (g(s + v) - g(s - v)) / 2 exactly: it is read off g itself.
     Also reports the cofactor combination 1*(2C) + (-2C/A)*A, which vanishes
-    identically and makes the Darboux product a first integral.
+    identically and makes the Darboux product a first integral; A = 0 is a
+    DomainError, as in eval_P_X.
     """
+    exponent = _power_exponent(p)
     pair = DarbouxPair(p)
     checks = ((pair.f1, pair.cofactor_f1, eval_X), (pair.f2, pair.cofactor_f2, eval_X),
               (pair.F1, pair.cofactor_F1, eval_Y), (pair.F2, pair.cofactor_F2, eval_Y))
@@ -144,7 +166,7 @@ def verify_darboux(p: SystemParams) -> DarbouxReport:
         for i, (g, k, field) in enumerate(checks):
             v = field(p, s)
             worst[i] = max(worst[i], abs(0.5 * (g(s + v) - g(s - v)) - k * g(s)))
-    combo = 1.0 * (2.0 * p.C) + _power_exponent(p) * p.A
+    combo = 1.0 * (2.0 * p.C) + exponent * p.A
     return DarbouxReport(*worst, cofactor_combination=combo, samples=_DARBOUX_SAMPLES)
 
 

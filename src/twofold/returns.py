@@ -243,10 +243,7 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
     and field, (t, (x1, y1), forward, iterations, residual)."""
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
-    tol = _tangency_cutoff(x0, y0)
-    if not math.isfinite(tol):  # x0 or y0 is not finite, or |start| overflows
-        raise DomainError(f"start must be finite, got {np.array([x0, y0])!r}")
-    if abs(v) < tol:  # v is the X Lie derivative at (u, v)
+    if abs(v) < _tangency_cutoff(x0, y0):  # v is the X Lie derivative at (u, v)
         raise TangentialGrazeError(
             f"start {np.array([x0, y0])!r} is tangential for the {field} field"
         )

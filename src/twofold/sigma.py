@@ -61,8 +61,12 @@ class FoldInfo:
 def _tangency_cutoff(x: float, y: float) -> float:
     """Scale-aware cutoff 1e-10 (1 + |(x, y)|) below which a Lie derivative at
     (x, y, 0) counts as zero: the one home of the cutoff, shared by the
-    crossing and saltation checks."""
-    return 1e-10 * (1.0 + math.hypot(x, y))
+    crossing and saltation checks.  A point whose cutoff is not finite (x or
+    y is not, or |(x, y)| overflows) is a DomainError."""
+    tol = 1e-10 * (1.0 + math.hypot(x, y))
+    if not tol < math.inf:  # a NaN fails too
+        raise DomainError(f"the plane point must be finite, got ({x!r}, {y!r})")
+    return tol
 
 
 def classify_point(p: SystemParams, q) -> SigmaClass:

@@ -68,13 +68,17 @@ def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
     Raises
     ------
     DomainError
-        If a parameter is NaN or infinite, C == 0 (no rotation) or
-        Lambda == 0 (degenerate tangency).
+        If a parameter is NaN or infinite, (A - C)^2 + 1 or C^2 + 1 (the
+        field's z coefficients) leaves the float range, C == 0 (no rotation)
+        or Lambda == 0 (degenerate tangency).
     """
     A, C, H, Lambda = float(A), float(C), float(H), float(Lambda)
     if not all(map(math.isfinite, (A, C, H, Lambda))):
         raise DomainError(f"parameters must be finite, got A={A!r}, C={C!r}, H={H!r}, "
                          f"Lambda={Lambda!r}")
+    if not ((A - C) * (A - C) + 1.0 < math.inf and C * C + 1.0 < math.inf):
+        raise DomainError(f"(A - C)^2 + 1 and C^2 + 1 must stay in the float range, got "
+                          f"A={A!r}, C={C!r}")
     if C == 0.0:
         raise DomainError("C must be nonzero: the dynamics needs a rotation block")
     if Lambda == 0.0:

@@ -140,6 +140,15 @@ def test_domain_errors_exit_2(args):
     assert proc.stderr.startswith("usage error: ") and proc.stdout == ""
 
 
+def test_overflowing_squares_are_a_usage_error():
+    # (A - C) ** 2 once overflowed in the field: a traceback, not a usage error
+    proc = run_cli("simulate", "--A", "1e160", "--C", "1", "--H", "0.5", "--Lambda", "1",
+                   "--x0", "1", "--y0", "1", "--z0", "0", "--t-max", "1", "--dt", "0.5")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+    assert "A=1e+160, C=1.0" in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("command, flag", [("find-cycle", "--A"), ("verify-series", "--A"),
                                            ("classify-conic", "--A"), ("find-cycle", "--seed")])
 def test_removed_flags_are_unrecognized(command, flag):
@@ -462,15 +471,16 @@ def test_scan_past_the_cosh_range_names_c(C):
     assert "Warning" not in proc.stderr and proc.stdout == ""
 
 
-def test_branch_h_part_underflowing_exits_typed():
-    # a subnormal Lambda at a tiny C once ended in a ZeroDivisionError traceback
+def test_tiny_c_exits_with_an_empty_band():
+    # a subnormal Lambda at a tiny C once ended in a ZeroDivisionError
+    # traceback: the band (H_graze, H_crit) rounds to (1, 1)
     proc = run_cli("find-cycle", "--C", "5.619557498025321e-149",
                    "--H", "1.7677918110819456e-08", "--Lambda", "1e-320")
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("usage error: ") and "Lambda=1e-320" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: NoCycleError: ") and "= (1, 1)" in proc.stderr
     proc = run_cli("scan", "--C", "1e-320", "--Lambda", "1e-320", "--count", "3")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.count("failed: DomainError: ") == 3
+    assert proc.stderr.count("failed: NoCycleError: ") == 3
     assert proc.stdout == "H,y0,T,mu2_re,mu2_im,mu3_re,mu3_im,stable\n"
 
 

@@ -181,8 +181,8 @@ def test_started_check_flight_is_the_lower_orbits_own_crossing(C, h_frac, Lambda
     solve_branch = cycles._solve_branch
 
     def off_the_cycle(*args):
-        t_x, x0, y0, rows = solve_branch(*args)
-        return t_x, x0 * (1.0 + 1e-6), y0, rows
+        t_x, x0, y0 = solve_branch(*args)
+        return t_x, x0 * (1.0 + 1e-6), y0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "_solve_branch", off_the_cycle)
@@ -208,50 +208,61 @@ def test_near_graze_outcomes_are_cycles_or_typed():
     assert found > 0
 
 
-def _graze_oracle(C):
-    # H at y0 = 0 on the branch, at the root of cos t - C sin t = e^{-Ct},
-    # in 60-digit arithmetic
+def _branch_oracle(p, t, fold=False):
+    """(x0, y0, H(t)) of the branch point at time t in 60-digit arithmetic,
+    built the long way: the entries of exp(DX t), the stationary point, the
+    offset dv = y0 - ys from z(t) = 0 and the H part of x(t).  ``fold``
+    moves t to the root of cos t - C sin t = e^{-Ct} near it and sets y0 = 0."""
     mpmath = pytest.importorskip("mpmath")
-    p = resonant_system(C, 0.5, 1.0)
     with mpmath.workdps(60):
-        c = mpmath.mpf(C)
-        t = mpmath.findroot(lambda u: mpmath.cos(u) - c * mpmath.sin(u) - mpmath.exp(-c * u),
-                            _graze(p)[0])
-        (e_at, p01, p02), (_, p11, p12), _ = _phi_rows(p, t, mpmath.exp, mpmath.sin,
-                                                       mpmath.cos)
-        H, zs = 0.5, 1 / (1 + c * c)  # Lambda = 1
-        xs, ys = H * (-4 * c) * zs, -2 * c * zs  # A = -2C
-        dv = -ys  # y0 = 0
+        A, C, H, L = (mpmath.mpf(v) for v in (p.A, p.C, p.H, p.Lambda))
+        t = mpmath.mpf(t)
+        if fold:
+            t = mpmath.findroot(lambda u: mpmath.cos(u) - C * mpmath.sin(u) - mpmath.exp(-C * u),
+                                t)
+        (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = _phi_rows(p, t, mpmath.exp,
+                                                                   mpmath.sin, mpmath.cos)
+        zs = L / (1 + C * C)
+        xs, ys = H * (A - 2 * C) * zs, -2 * C * zs
+        dv = -ys if fold else zs * (p22 - 1) / p21
         x0 = -(ys + p11 * dv - p12 * zs)
-        return float(H * -e_at * x0 / (xs * (1 - e_at) + p01 * dv - p02 * zs))
+        h_part = xs * (1 - e_at) + p01 * dv - p02 * zs
+        return float(x0), float(ys + dv), float(H * (-ys - dv - e_at * x0) / h_part)
 
 
 @pytest.mark.parametrize("C", [10.0, 100.0])
 def test_graze_end_of_the_band_is_resolved_at_large_c(C):
-    # y0 + e^{At} x0 cancels at the fold; with y0 = 0 taken exactly there,
-    # H_graze keeps its sign and digits where e^{At} x0 is far below y0's
-    # round-off, and the NoCycleError names a positive band
-    h_graze = _graze(resonant_system(C, 0.5, 1.0))[1]
-    assert h_graze == pytest.approx(_graze_oracle(C), rel=1e-12)
+    # y0 + e^{At} x0 cancels at the fold in the long construction; the closed
+    # form H_graze = e^{A t_graze} keeps its sign and digits, and the
+    # NoCycleError names a positive band
+    t_graze, h_graze = _graze(resonant_system(C, 0.5, 1.0))
+    oracle = _branch_oracle(resonant_system(C, 0.5, 1.0), t_graze, fold=True)[2]
+    assert h_graze == pytest.approx(oracle, rel=1e-12)
     p = resonant_system(C, 2.0 * float(critical_h(C)), 1.0)
     with pytest.raises(NoCycleError, match=r"band \(H_graze, H_crit\) = \(\d"):
         find_cycle_newton(p)
 
 
-def test_graze_end_overflowing_is_a_domain_error():
-    # at C = 225 the closed form at t_graze leaves the float range
-    with pytest.raises(DomainError, match=r"C=225\.0"):
-        find_cycle_newton(resonant_system(225.0, 0.5, 1.0))
+def test_graze_end_at_the_edge_of_the_chart_names_the_band():
+    # from C = 225.65 e^{Ct} of the long construction overflowed at t_graze,
+    # about pi + 1 / C, though C pi is inside the chart: a bare OverflowError
+    # there and a DomainError at C = 225.  H_graze = e^{A t_graze} underflows
+    # to 0 instead, and H = 0.5 lies above the band
+    for C, h_crit in ((225.0, "1.03591e-307"), (225.65, "1.34424e-308"),
+                      (225.68, "1.22333e-308")):
+        with pytest.raises(NoCycleError, match=rf"band \(H_graze, H_crit\) = \(0, {h_crit}\) "):
+            find_cycle_newton(resonant_system(C, 0.5, 1.0))
 
 
-def test_branch_h_part_underflowing_is_a_domain_error():
-    # a subnormal Lambda at a tiny C: the H part of the branch end underflows
-    # to 0, once a bare ZeroDivisionError, at both the secant and the graze end
+def test_branch_at_a_tiny_c_has_an_empty_band():
+    # at a tiny C, H_graze = e^{A t_graze} and H_crit both round to 1.  With a
+    # subnormal Lambda the H part of the long construction underflowed to 0:
+    # once a bare ZeroDivisionError, then a DomainError
     p = resonant_system(5.619557498025321e-149, 1.7677918110819456e-08, 1e-320)
-    with pytest.raises(DomainError, match=r"C=5\.6.*H=1\.7.*Lambda=1e-320"):
+    with pytest.raises(NoCycleError, match=r"band \(H_graze, H_crit\) = \(1, 1\) "):
         find_cycle_newton(p)
     entries = scan_cycles(resonant_system(1e-320, 0.5, 1e-320), [0.25, 0.5])
-    assert [e.error_kind for e in entries] == ["DomainError"] * 2
+    assert [e.error_kind for e in entries] == ["NoCycleError"] * 2
 
 
 @pytest.mark.parametrize("y0_init", [math.nan, math.inf])
@@ -343,7 +354,7 @@ def test_branch_point_is_a_fixed_point_of_the_kernel_half_map(C, A, Lambda, u):
     base = build_system(A, C, 0.5, Lambda)
     t_graze, _ = _graze(base)  # y0(t), and so t_graze, depend on C alone
     t = math.pi + u * (t_graze - math.pi)
-    x0, y0, h, _ = _branch_point(base, t)
+    x0, y0, h = _branch_point(base, t)
     hrx = half_return_X(build_system(A, C, h, Lambda), (x0, y0))
     scale = 1.0 + max(abs(x0), abs(y0))
     assert abs(hrx.t - t) <= 1e-12 * t
@@ -360,7 +371,7 @@ def test_cycle_lies_on_the_branch_at_its_flight_time(C, h_frac, Lambda):
         cycle = find_cycle_newton(p, asymptotic_seed(p))
     except NoCycleError:
         assume(False)
-    x0, y0, h, _ = _branch_point(p, cycle.t_x)
+    x0, y0, h = _branch_point(p, cycle.t_x)
     assert h == pytest.approx(p.H, rel=1e-12)
     assert (x0, y0) == pytest.approx(tuple(cycle.p0), rel=1e-15)
     assert gamma1_branch_x(p, y0) == pytest.approx(x0, rel=1e-9)
@@ -372,6 +383,29 @@ def test_branch_h_does_not_depend_on_lambda(Lambda):
     for H in (0.04, 0.3):
         h = _branch_point(resonant_system(1.0, H, Lambda), 3.5)[2]
         assert h == pytest.approx(0.0188133961741854, rel=1e-14)
+
+
+@pytest.mark.parametrize("C", np.geomspace(0.01, 3.0, 9))
+def test_branch_h_starts_at_the_critical_slope(C):
+    # at A = -2C, H(pi+) = (1 + e^{-pi C})^2 / d(pi) = 1 / (2 cosh(pi C) - 1)
+    h = _branch_point(resonant_system(C, 0.5, 1.0), math.pi + 1e-12)[2]
+    assert h == pytest.approx(float(critical_h(C)), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=st.floats(0.25, 2.0), Lambda=st.floats(0.5, 2.0), e=st.floats(-6.0, 0.0))
+def test_closed_form_branch_matches_the_long_construction(C, Lambda, e):
+    # the three closed forms against exp(DX t), dv and the H part evaluated
+    # in 60 digits, at times dense towards t_graze, where y0 -> 0 and only
+    # its error relative to the size of p0 stays at round-off
+    p = resonant_system(C, 0.5, Lambda)
+    t_graze, _ = _graze(p)
+    t = math.pi + (1.0 - 10.0 ** e) * (t_graze - math.pi)
+    assume(math.pi < t < t_graze)
+    (x0, y0, h), (ox0, oy0, oh) = _branch_point(p, t), _branch_oracle(p, t)
+    assert x0 == pytest.approx(ox0, rel=1e-12)
+    assert abs(y0 - oy0) <= 1e-12 * math.hypot(ox0, oy0)
+    assert h == pytest.approx(oh, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -87,6 +87,29 @@ def test_nonresonant_integer_power_of_a_negative_base():
         assert eval_P_Y(p, flow_Y(p, s_y, t)) == pytest.approx(eval_P_Y(p, s_y), rel=1e-9)
 
 
+@pytest.mark.parametrize("A", [0.0, 5e-324, -1e-320])
+def test_exponent_past_the_float_range_is_a_domain_error(A):
+    # -2C/A is infinite: A = 0 once raised a bare ZeroDivisionError
+    p = build_system(A, 1.0, 0.5, 1.0)
+    for call in (lambda: eval_P_X(p, (1.0, 0.5, 0.2)), lambda: eval_P_Y(p, (1.0, 0.5, 0.2)),
+                 lambda: verify_darboux(p)):
+        with pytest.raises(DomainError, match=rf"A={A!r}, C=1\.0"):
+            call()
+
+
+def test_first_integral_past_the_float_range_is_a_domain_error(params):
+    # at A = 1e-300 the exponent -2e300 is finite but its power is not: once
+    # a NumPy overflow warning; a base of 0 with exponent -1 once divided by 0
+    for p, s in ((build_system(1e-300, 1.0, 0.5, 1.0), (1.0, 0.5, 0.2)),
+                 (build_system(2.0, 1.0, 0.5, 1.0), (0.5, 1.0, 0.0))):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            eval_P_X(p, s)
+    for s in ((math.nan, 1.0, 0.0), (1.0, math.inf, 0.0)):
+        for call in (eval_P_X, eval_P_Y):
+            with pytest.raises(DomainError, match="finite point"):
+                call(params, s)
+
+
 def test_verify_darboux_report(params):
     report = verify_darboux(params)
     assert report.cofactor_combination == 0.0

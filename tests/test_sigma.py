@@ -1,4 +1,5 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from twofold import (FoldKind, RegionKind, build_system, classify_point, eval_X,
                      eval_Y, fold_info, half_return_X, half_return_Y, saltation,
                      sliding_field)
-from twofold.errors import GrazingCrossingError, NoReturnError, TangentialGrazeError
+from twofold.errors import DomainError, GrazingCrossingError, NoReturnError, TangentialGrazeError
 from twofold.sigma import _tangency_cutoff
 from oracles import fd_lie_derivative
 
@@ -119,3 +120,26 @@ def test_plane_checks_share_one_tangency_cutoff(params, x):
             # a transversal start may still find no return in the window
             with pytest.raises(error) if tangent else contextlib.suppress(NoReturnError):
                 call()
+
+
+@pytest.mark.parametrize("q", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
+                               (1.5e308, 1.5e308)])
+def test_classify_point_rejects_a_non_finite_point(desk_params, q):
+    # (nan, 1) once classified as escaping and (inf, 1) as a tangency; at
+    # (1.5e308, 1.5e308) |q| overflows, so the tangency cutoff is not finite
+    with pytest.raises(DomainError, match="must be finite"):
+        classify_point(desk_params, q)
+
+
+@pytest.mark.parametrize("q", [(math.nan, 0.0), (math.nan, 1.0), (1.0, math.inf)])
+def test_saltation_rejects_a_non_finite_point(desk_params, q):
+    # (nan, 0) once raised a bare ZeroDivisionError and (nan, 1) gave a NaN matrix
+    with pytest.raises(DomainError, match="must be finite"):
+        saltation(desk_params, q, "XtoY")
+
+
+@pytest.mark.parametrize("q", [(math.nan, -1.0), (1.0, math.nan)])
+def test_sliding_field_rejects_a_non_finite_point(desk_params, q):
+    # both once ended in a bare AssertionError
+    with pytest.raises(DomainError, match="must be finite"):
+        sliding_field(desk_params, q)

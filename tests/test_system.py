@@ -1,4 +1,5 @@
 import inspect
+import re
 import struct
 
 import numpy as np
@@ -208,3 +209,12 @@ def test_exports_are_consistent():
         exported.update(module.__all__)
     public = {n for n, v in vars(tf).items() if not n.startswith("_") and not inspect.ismodule(v)}
     assert sorted(public - exported) == []
+
+
+@pytest.mark.parametrize("A, C", [(1e160, 1.0), (0.0, 1.4e154), (1e308, -1e308)])
+def test_build_rejects_squares_past_the_float_range(A, C):
+    # (A - C) ** 2 once raised a bare OverflowError in eval_X, jacobian_X,
+    # fold_info and sliding_field; (A - C)^2 and C^2 just inside the range build
+    with pytest.raises(DomainError, match=re.escape(f"A={A!r}, C={C!r}") + "$"):
+        build_system(A, C, 0.5, 1.0)
+    assert np.isfinite(jacobian_X(build_system(0.0, 1.3e154, 0.5, 1.0))).all()
