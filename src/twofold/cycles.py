@@ -8,12 +8,14 @@ x0, and the closure fixes H: the symmetric branch is the closed-form curve
 t -> (x0(t), y0(t), H(t)) on (pi, t_graze), the flight-time form of the
 closing equations for piecewise-linear systems (Freire, Ponce, Rodrigo and
 Torres, IJBC 8 (1998)).  H(pi+) = H_crit, and at t_graze y0 reaches the X
-fold.  A cycle solve is one scalar root of H(t) = H, then one kernel flight
-of the lower half-orbit that checks it.  The conic residual r(y0) = x1 + y0
-of the earlier branch-coordinate solve stays as a test oracle
-(closure_residual in tests/oracles.py).  The full return map (upper
-half-orbit followed by the lower one) is exposed for iteration and for
-finite-difference checks of the monodromy.
+fold.  A cycle solve is one scalar root of d(t) (H(t) - H), found on its
+exact derivative by the safeguarded Newton kernel that also closes every
+flight's crossing, then one kernel flight of the lower half-orbit that
+checks it.  The conic residual r(y0) = x1 + y0 of the earlier
+branch-coordinate solve stays as a test oracle (closure_residual in
+tests/oracles.py).  The full return map (upper half-orbit followed by the
+lower one) is exposed for iteration and for finite-difference checks of the
+monodromy.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergenceError, DomainError, NoConvergenceError, NoCycleError,
-                     NotACycleError, TwofoldError)
+from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, TwofoldError
 from .flow import _phi_rows
 from .invariants import _check_branch_domain, _conic_coefficients, _conic_value, gamma1_branch_x
 from .returns import _bracketed_root, _flight, _gamma_x, _series, half_return_X, half_return_Y
@@ -65,6 +66,18 @@ class SymmetricCycle:
     dg: tuple
 
 
+def _closing(C: float, t: float):
+    """(sin t, q, r, q', r') at the flight time t: the two terms of the
+    closing equations, q = cos t - C sin t - e^{-Ct} and
+    r = e^{Ct} - cos t - C sin t, and their derivatives in t.  e^{Ct} reads
+    inf where it leaves the float range (C t >= 709), which only _graze
+    meets, from C of about 150; r and r' are inf there and unused."""
+    st, ct, em = math.sin(t), math.cos(t), math.exp(-C * t)
+    ep = math.exp(C * t) if C * t < 709.0 else math.inf
+    cs, cc = C * st, C * ct
+    return st, ct - cs - em, ep - ct - cs, -st - cc + C * em, C * ep + st - cc
+
+
 def _branch_point(p: SystemParams, t: float):
     """(x0, y0, h) for the symmetric branch point whose X flight takes time
     t: the start p0 = (x0, y0, 0) from which the upper orbit meets the plane
@@ -76,19 +89,16 @@ def _branch_point(p: SystemParams, t: float):
 
         y0 = zs q / sin t,  x0 = -zs r / sin t,  H(t) = (e^{At} r - q) / (r - e^{At} q),
 
-    with zs = Lambda / (1 + C^2), q = cos t - C sin t - e^{-Ct} and
-    r = e^{Ct} - cos t - C sin t: H(t) has neither H nor Lambda in it.
-    y0 > 0 exactly for t in (pi, t_graze) (see _graze), where q < 0 < r, so
-    both sums in H(t) add terms of one sign.  For A <= 0 the denominator
-    d = r - e^{At} q is positive on all of (pi, 2 pi); h is NaN where it
-    is not (a tiny C rounds both r and q to 0 next to 2 pi)."""
-    A, C = p.A, p.C
-    st, ct = math.sin(t), math.cos(t)
-    e_at = math.exp(A * t)
-    q = ct - C * st - math.exp(-C * t)
-    r = math.exp(C * t) - ct - C * st
+    with zs = Lambda / (1 + C^2) and the q and r of _closing: H(t) has
+    neither H nor Lambda in it.  y0 > 0 exactly for t in (pi, t_graze) (see
+    _graze), where q < 0 < r, so both sums in H(t) add terms of one sign.
+    For A <= 0 the denominator d = r - e^{At} q is positive on all of
+    (pi, 2 pi); h is NaN where it is not (a tiny C rounds both r and q to 0
+    next to 2 pi)."""
+    st, q, r, _, _ = _closing(p.C, t)
+    e_at = math.exp(p.A * t)
     d = r - e_at * q
-    zs = p.Lambda / (1.0 + C * C)
+    zs = p.Lambda / (1.0 + p.C * p.C)
     return -zs * r / st, zs * q / st, (e_at * r - q) / d if d > 0.0 else math.nan
 
 
@@ -104,58 +114,66 @@ def _graze(p: SystemParams):
     C = p.C
 
     def fdf(t):  # (-q, -q'), positive left of the root
-        st, ct, e = math.sin(t), math.cos(t), math.exp(-C * t)
-        return C * st - ct + e, st + C * ct - C * e
+        _, q, _, dq, _ = _closing(C, t)
+        return -q, -dq
 
     lo, hi = math.pi, 2.0 * math.pi - math.atan(C)
     t_graze, _ = _bracketed_root(fdf, 0.5 * (lo + hi), lo, hi)
     return t_graze, math.exp(p.A * t_graze)
 
 
-def _no_cycle(p: SystemParams, h_graze: float, h_crit: float) -> NoCycleError:
+def _no_cycle(p: SystemParams) -> NoCycleError:
+    h_graze, h_crit = _graze(p)[1], _branch_point(p, math.pi)[2]
     return NoCycleError(f"no symmetric crossing cycle: H = {p.H:.6g} lies outside the "
                         f"band (H_graze, H_crit) = ({h_graze:.6g}, {h_crit:.6g}) "
                         "of the branch")
 
 
-def _solve_branch(p: SystemParams, t: float, h_crit: float):
+def _branch_residual(p: SystemParams):
+    """fdf(t) = (f(t), f'(t)) for the closing residual f = n - H d =
+    d (H(t) - H) of the branch, n = e^{At} r - q and d = r - e^{At} q the
+    numerator and denominator of H(t) (see _branch_point), with the exact
+    derivative f' = e^{At} (A (r + H q) + r' + H q') - q' - H r'."""
+    A, C, H = p.A, p.C, p.H
+
+    def fdf(t):
+        _, q, r, dq, dr = _closing(C, t)
+        e_at = math.exp(A * t)
+        return (e_at * r - q - H * (r - e_at * q),
+                e_at * (A * (r + H * q) + dr + H * dq) - dq - H * dr)
+
+    return fdf
+
+
+def _solve_branch(p: SystemParams, y0_init: float | None):
     """The branch point (t, x0, y0) with H(t) = p.H, t in (pi, t_graze).
 
-    f(t) = H(t) / H - 1 falls from f(pi+) = H_crit / H - 1 > 0.  Secant steps
-    run from (pi, f(pi+)) and t; a step that leaves the bracket [lo, hi] on
-    the root is replaced by bisection.  The upper end of the bracket is
-    unknown until an iterate has f <= 0, and t_graze is computed only when a
-    step lands past it (y0 <= 0) or leaves (pi, 2 pi - atan C), which holds
-    t_graze (see _graze): there f(t_graze) >= 0 means H <= H_graze, no cycle.
-    e^{Ct} stays finite below 2 pi - atan C for C up to 150, and H < H_crit
+    One call of the shared root kernel on the residual f = d (H(t) - H) of
+    _branch_residual, on its exact derivative, over the bracket
+    (pi, 2 pi - atan C), which holds t_graze (see _graze); d > 0 there, as
+    A < 0.  f(pi) > 0 exactly when H < H(pi) = H_crit, and from the root to
+    the bracket's end f stays <= 0 whenever H > H_graze, as H(t) <= H_graze
+    past t_graze (tests/test_cycles.py).  A root with y0 <= 0 lies past
+    t_graze, so H <= H_graze: _graze runs only to word that NoCycleError.
+    Newton starts at t = pi + tau_x_head(1 / y0_init), the series head of
+    the X flight time, or, without a positive seed or when that t leaves
+    the bracket, at the resonant linearisation H / H_crit - 1 = -2 (t - pi).
+    e^{Ct} stays finite on the bracket for C up to 150, and H < H_crit
     needs C below 118.5, as H^2 > 0 needs H above 2.2e-162."""
-    lo, hi, top = math.pi, None, 2.0 * math.pi - math.atan(p.C)
-    a, fa = lo, h_crit / p.H - 1.0  # the secant's previous point
-    for _ in range(100):
-        y0 = math.nan
-        if lo < t < (top if hi is None else hi):
-            x0, y0, h = _branch_point(p, t)
-        if not y0 > 0.0:  # outside the bracket, or past the graze end
-            if hi is None:
-                hi, h_graze = _graze(p)
-                if h_graze >= p.H:
-                    raise _no_cycle(p, h_graze, h_crit)
-            elif lo < t < hi:
-                hi = t
-            t = 0.5 * (lo + hi)
-            continue
-        f = h / p.H - 1.0
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        step = f * (t - a) / (f - fa) if f != fa else math.inf
-        if f == 0.0 or abs(step) <= 8.9e-16 * t or hi is not None and hi - lo <= 8.9e-16 * t:
-            if abs(f) > 1e-10:
-                raise NoConvergenceError(f"H(t) / H - 1 = {f:.3g} above 1e-10 at t = {t!r}")
-            return t, x0, y0
-        a, fa, t = t, f, t - step
-    raise NoConvergenceError(f"flight time not resolved in [{lo!r}, {hi!r}]")
+    fdf = _branch_residual(p)
+    if not fdf(math.pi)[0] > 0.0:
+        raise _no_cycle(p)
+    top, t = 2.0 * math.pi - math.atan(p.C), math.nan
+    if y0_init is not None and y0_init > 0.0:
+        (g1x, g2x), v = _gamma_x(p), 1.0 / y0_init
+        t = math.pi + (g1x * v + g2x * v * v)  # tau_x_head(v)
+    if not math.pi < t < top:  # the resonant linearisation at H_crit = H(pi)
+        t = math.pi + 0.5 * (1.0 - p.H / _branch_point(p, math.pi)[2])
+    t, _ = _bracketed_root(fdf, t, math.pi, top)
+    x0, y0, _ = _branch_point(p, t)
+    if not y0 > 0.0:  # past the graze end
+        raise _no_cycle(p)
+    return t, x0, y0
 
 
 def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> SymmetricCycle:
@@ -165,11 +183,10 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     (pi, t_graze) the start (x0(t), y0(t)) flies in time t onto its
     involution image when H = H(t), all three in closed form, with
     H(pi+) = H_crit and H(t_graze) = H_graze, where y0 reaches the X fold.
-    The solve is a safeguarded secant in t on that bracket, each step one
-    closed-form evaluation and no flight.  It starts at
-    t = pi + tau_x_head(1 / y0_init), the series head of the X flight time,
-    or, without a positive seed or when that t leaves (pi, 2 pi), at the
-    resonant linearisation H / H_crit - 1 = -2 (t - pi).  Dg comes in closed
+    The solve is the library's safeguarded Newton kernel on
+    d(t) (H(t) - H) with its exact derivative, each step one closed-form
+    evaluation and no flight (see _solve_branch); its start comes from the
+    series head of the X flight time at y0_init.  Dg comes in closed
     form from exp(DX t_x) and the field at the end (-y0, -x0).  The kernel
     flight behind half_return_Y, from p0 with its Newton started at t_x,
     gives t_y and p1 in about one root step; the cycle checks run on it.
@@ -182,27 +199,17 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     NoCycleError
         If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError
-        If the solve in t does not resolve H(t) = H to 1e-10 relative.
+        If the root kernel does not resolve the flight time in its 100 steps.
     NotACycleError
         If the Y flight from p0 misses the cycle: its end is not (-y0, -x0),
         its time differs from t, or it leaves the reduced conic.
     """
     _check_branch_domain(p)
-    C = p.C
-    if not 0.0 < C * math.pi <= 709.0:
-        raise DomainError(f"the cycle branch is charted for 0 < C <= 709 / pi, got C={C!r}")
+    if not 0.0 < p.C * math.pi <= 709.0:
+        raise DomainError(f"the cycle branch is charted for 0 < C <= 709 / pi, got C={p.C!r}")
     if y0_init is not None and not y0_init < math.inf:
         raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
-    h_crit = 1.0 / (2.0 * math.cosh(math.pi * C) - 1.0)
-    if p.H >= h_crit:
-        raise _no_cycle(p, _graze(p)[1], h_crit)
-    t = math.pi + 0.5 * (1.0 - p.H / h_crit)  # the resonant linearisation
-    if y0_init is not None and y0_init > 0.0:
-        (g1x, g2x), v = _gamma_x(p), 1.0 / y0_init
-        seeded = math.pi + (g1x * v + g2x * v * v)  # tau_x_head(v)
-        if math.pi < seeded < 2.0 * math.pi:
-            t = seeded
-    t_x, x0, y0 = _solve_branch(p, t, h_crit)
+    t_x, x0, y0 = _solve_branch(p, y0_init)
     t_y, (x1, y1), *_ = _flight(p, x0, y0, "Y", t_x)
     T = t_x + t_y
     scale = 1.0 + max(abs(x0), abs(y0))

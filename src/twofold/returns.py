@@ -245,7 +245,7 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
     if abs(v) < _tangency_cutoff(x0, y0):  # v is the X Lie derivative at (u, v)
         raise TangentialGrazeError(
-            f"start {np.array([x0, y0])!r} is tangential for the {field} field"
+            f"start {(x0, y0)!r} is tangential for the {field} field"
         )
     forward = v > 0  # an ascending start opens the upper half-orbit
     t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward, t_start=t_start)
@@ -255,7 +255,7 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
     except OverflowError:
         finite = False
     if not finite:
-        raise DivergenceError(f"the {field} flight from {np.array([x0, y0])!r} leaves "
+        raise DivergenceError(f"the {field} flight from {(x0, y0)!r} leaves "
                               "the range of floating point")
     if field == "Y":  # the end back in the lower chart
         x1, y1 = -y1, -x1

@@ -56,7 +56,7 @@ def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tu
     Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X."""
     tol = _tangency_cutoff(x, y)
     if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
-        raise GrazingCrossingError(f"{np.array([x, y])!r} is not a transversal crossing point")
+        raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
     if direction == "XtoY":
         div = y
     elif direction == "YtoX":

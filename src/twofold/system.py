@@ -105,15 +105,26 @@ def _plane_field(p: SystemParams, x, y) -> tuple:
     return p.A * x + p.H * p.Lambda, p.Lambda, y
 
 
+def _finite_point(s) -> tuple:
+    """s = (x, y, z) as Python floats; a coordinate that is not finite is a
+    DomainError, where the field would read NaN or, in NumPy scalars, warn
+    on inf * 0."""
+    x, y, z = map(float, s)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DomainError(f"the field needs a finite point, got {(x, y, z)!r}")
+    return x, y, z
+
+
 def eval_X(p: SystemParams, s) -> np.ndarray:
-    """Upper vector field at a point s = (x, y, z)."""
-    x, y, z = np.asarray(s, dtype=float)
-    return np.array(_field(p, x, y, z))
+    """Upper vector field at a point s = (x, y, z); a point that is not
+    finite is a DomainError."""
+    return np.array(_field(p, *_finite_point(s)))
 
 
 def eval_Y(p: SystemParams, s) -> np.ndarray:
-    """Lower vector field at a point s = (x, y, z): Y(s) = S X(S s)."""
-    x, y, z = np.asarray(s, dtype=float)
+    """Lower vector field at a point s = (x, y, z): Y(s) = S X(S s); a point
+    that is not finite is a DomainError."""
+    x, y, z = _finite_point(s)
     u, v, w = _field(p, -y, -x, -z)
     return np.array([-v, -u, -w])
 

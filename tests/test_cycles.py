@@ -11,7 +11,7 @@ from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X
                      time_matching)
 from twofold.cycles import _branch_point, _graze
 from twofold.errors import (DivergenceError, DomainError, NoCycleError, NotACycleError,
-                            TwofoldError)
+                            SymmetryDefectError, TangentialGrazeError, TwofoldError)
 from twofold.flow import _phi_rows
 from twofold.returns import _flight
 from oracles import closure_residual, fd_jacobian, measure_contraction
@@ -296,7 +296,7 @@ def _p0_from_every_start(p):
 @example(C=1.0, u=0.04 / float(critical_h(1.0)), Lambda=1.0)  # the desk case
 def test_every_start_lands_on_the_same_cycle(C, u, Lambda):
     # the cycle is the one root of H(t) = H on a monotone branch, so a start
-    # value only moves where the secant begins: every start gives the same p0,
+    # value only moves where Newton begins: every start gives the same p0,
     # or every start raises the same error
     p = resonant_system(C, float(critical_h(C)) * u, Lambda)
     first, *rest = _p0_from_every_start(p)
@@ -423,6 +423,75 @@ def test_branch_h_is_strictly_decreasing(C, A):
     assert hs[-1] > h_graze
     if A == -2.0 * C:
         assert hs[0] < float(critical_h(C))
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=st.floats(0.05, 20.0), e=st.floats(-6.0, 0.0))
+def test_branch_residual_keeps_its_bracket_and_its_slope(C, e):
+    # the root kernel solves f = d (H(t) - H) on (pi, 2 pi - atan C): past
+    # t_graze H(t) stays at or below H_graze, so f <= 0 from the root to the
+    # bracket's end whenever H > H_graze.  t_graze itself is left out: q
+    # rounds about 1e-16 off 0 there, and at large C that alone lifts
+    # H(t_graze) above e^{A t_graze}.  The exact f' of the residual matches
+    # a central difference of f at dense t over the whole bracket
+    p = resonant_system(C, float(critical_h(C)) * 10.0 ** e, 1.0)
+    t_graze, h_graze = _graze(p)
+    top = 2.0 * math.pi - math.atan(C)
+    for t in np.linspace(t_graze, top, 402)[1:-1]:
+        assert _branch_point(p, float(t))[2] <= h_graze
+    fdf = cycles._branch_residual(p)
+    for t in np.linspace(math.pi, top, 202)[1:-1]:
+        t, dt = float(t), 1e-6 * float(t)
+        central = (fdf(t + dt)[0] - fdf(t - dt)[0]) / (2.0 * dt)
+        assert central == pytest.approx(fdf(t)[1], rel=1e-7)
+
+
+def test_branch_root_below_the_rounding_of_h_ends_in_the_check_flight():
+    # at C = 7.439, H = 1.15e-16 both terms of n = e^{At} r - q are tiny
+    # near the root, and H(t) carries a rounding of about 3e-10 relative: a
+    # stop test on |H(t) / H - 1| <= 1e-10 once raised NoConvergenceError
+    # here.  The kernel stops on its step in t, at the root to that
+    # rounding, and the check flight from p0 finds its exit tangential
+    p = resonant_system(7.439, 1.15e-16, 1.0)
+    for seed in (asymptotic_seed(p), None):
+        t, x0, y0 = cycles._solve_branch(p, seed)
+        assert y0 > 0.0
+        assert _branch_point(p, t)[2] == pytest.approx(p.H, rel=1e-9)
+        with pytest.raises(TangentialGrazeError, match="exit transversality"):
+            find_cycle_newton(p, seed)
+
+
+def _solves_past_c_4():
+    """(p, cycle or error class name) of the series-seeded solve on 600
+    seeded draws with C log-uniform on [4, 20], H / H_crit = 10^U(-6, 0)
+    and Lambda = 1."""
+    rng = np.random.default_rng(2026)
+    Cs = 10.0 ** rng.uniform(math.log10(4.0), math.log10(20.0), 600)
+    out = []
+    for C, e in zip(Cs, rng.uniform(-6.0, 0.0, 600)):
+        p = resonant_system(float(C), float(critical_h(C)) * 10.0 ** e, 1.0)
+        try:
+            out.append((p, find_cycle_newton(p, asymptotic_seed(p))))
+        except TwofoldError as exc:
+            out.append((p, type(exc).__name__))
+    return out
+
+
+def test_branch_solve_converges_past_c_4():
+    # the flight time is the kernel's root on every draw: a 1e-10 stop test
+    # on H(t) / H - 1 raised NoConvergenceError on 44 of these draws.  What
+    # remains are typed outcomes of the check flight
+    kinds = [c if isinstance(c, str) else "cycle" for _, c in _solves_past_c_4()]
+    assert "NoConvergenceError" not in kinds
+    assert kinds.count("cycle") > 0
+
+
+@pytest.mark.xfail(strict=True, raises=SymmetryDefectError,
+                   reason="monodromy's 1e-9 reduction bound fails on cycles at C 4-5.5")
+def test_every_cycle_past_c_4_passes_monodromy():
+    for p, cycle in _solves_past_c_4():
+        if not isinstance(cycle, str):
+            monodromy(p, cycle)
 
 
 @settings(max_examples=40, deadline=None)

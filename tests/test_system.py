@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 import struct
 
@@ -153,6 +154,15 @@ def test_eval_y_hand_evaluation():
     # (-1 - 2*(-3), -2*1 - 0.5*(10*(-3) + 1), -6 + 2)
     p = build_system(-2.0, 1.0, 0.5, 1.0)
     assert np.allclose(eval_Y(p, [2.0, 1.0, -3.0]), [5.0, 12.5, -4.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("field", [eval_X, eval_Y])
+@pytest.mark.parametrize("s", [(0.0, 0.0, math.inf), (math.nan, 1.0, 0.0), (1.0, -math.inf, 0.5)])
+def test_field_at_a_non_finite_point_is_a_domain_error(field, s):
+    # at (0, 0, inf) with C = Lambda = 5e-324 the NumPy scalars warned on
+    # inf * 0, and a NaN coordinate read NaN without an error
+    with pytest.raises(DomainError, match="finite point"):
+        field(build_system(0.0, 5e-324, 0.0, 5e-324), s)
 
 
 def test_involution_examples():
