@@ -30,25 +30,61 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _reprs(a) -> list[str]:
-    """repr(float(v)) of each value of the float64 array a, in C order.
+def _orjson_differs(a):
+    """Where orjson's text of the float64 array a is not repr's: NaN, +-inf
+    and v != 0 outside 1e-4 <= |v| < 1e16.  There orjson writes 'null',
+    '1e16' for '1e+16' or '0.00001' for '1e-05'; elsewhere it writes the
+    same shortest round-trip digits as repr (Ryu) in the same form."""
+    mag = np.abs(a)
+    return (a != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))
 
-    orjson writes the same shortest round-trip digits as repr (Ryu), and the
-    same text wherever v is 0 or 1e-4 <= |v| < 1e16.  Elsewhere its exponent
-    form differs ('1e16' for '1e+16', '0.00001' for '1e-05') and NaN and inf
-    are 'null', so those few values get their own repr.
-    """
+
+def _reprs(a) -> list[str]:
+    """repr(float(v)) of each value of the float64 array a, in C order: one
+    orjson text, split on ',', with the cells of ``_orjson_differs`` given
+    their own repr."""
     import orjson  # an 11 ms import, left to the commands that write floats
 
     a = np.ascontiguousarray(a, dtype=np.float64).ravel()
     if not a.size:
         return []
     cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    mag = np.abs(a)
-    idx = np.flatnonzero((a != 0.0) & ~((mag >= 1e-4) & (mag < 1e16)))
+    idx = np.flatnonzero(_orjson_differs(a))
     for i, v in zip(idx.tolist(), a[idx].tolist()):
         cells[i] = repr(v)
     return cells
+
+
+_ROW_BLOCK = 512  # rows per text, so no segment-long text is held
+
+
+def _row_texts(samples, tail: str):
+    """The CSV text of the (n, 4) float64 rows of samples, each row its four
+    reprs joined by ',' and followed by tail: one str per block of up to
+    512 rows.
+
+    A block is one orjson text of an (m, 5) buffer [t, x, y, z, NaN],
+    flattened, so each row ends in the 'null' of its NaN, and one replace
+    turns every ',null,' into tail.  Only a block that holds a cell of
+    ``_orjson_differs`` is split into cells, and only those cells get their
+    own repr ('nan' and 'inf' among them, never 'null').
+    """
+    import orjson
+
+    buf = np.empty((min(len(samples), _ROW_BLOCK), 5))
+    buf[:, 4] = np.nan
+    for k in range(0, len(samples), _ROW_BLOCK):
+        block = samples[k:k + _ROW_BLOCK]
+        filled = buf[:len(block)]
+        filled[:, :4] = block
+        text = orjson.dumps(filled.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        rows, cols = np.nonzero(_orjson_differs(block))
+        if rows.size:
+            cells = text.split(",")
+            for i, v in zip((5 * rows + cols).tolist(), block[rows, cols].tolist()):
+                cells[i] = repr(v)
+            text = ",".join(cells)
+        yield (text + ",").replace(",null,", tail)
 
 
 def _write_text(path: str, chunks):
@@ -193,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
-    """The simulate CSV: the header, then per flight segment its samples, in
-    chunks of up to 512 rows, and the crossing or terminal row that ends it.
+    """The simulate CSV: the header, then per flight segment the texts of
+    ``_row_texts`` for its samples, one per block of up to 512 rows, and the
+    crossing or terminal row that ends it.
 
     The text is byte for byte what _write_csv writes for those rows; each
     segment's samples and crossing come from one flow call on its times.
@@ -237,11 +274,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             raise DivergenceError(f"the {field} flow overflows floating point "
                                   f"by t={t0 + float(times[-1])!r}")
         tail = f",{field},,,\n"
-        samples = np.column_stack((ts, states[:ts.size]))
-        for k in range(0, ts.size, 512):  # no segment-long list of cells is held
-            cells = iter(_reprs(samples[k:k + 512]))
-            yield "".join([f"{t},{x},{y},{z}{tail}"
-                           for t, x, y, z in zip(cells, cells, cells, cells)])
+        yield from _row_texts(np.column_stack((ts, states[:ts.size])), tail)
         idx = end
         if tc is None:
             break

@@ -57,9 +57,8 @@ def _phi_rows(p: SystemParams, t, exp=math.exp, sin=math.sin, cos=math.cos):
 
 def _phi_canonical(p: SystemParams, t) -> np.ndarray:
     """exp(DX t) through NumPy as the C-contiguous stack of shape
-    np.shape(t) + (3, 3); a scalar time is a 0-d stack, one matrix.  Each
-    matrix of the stack is contiguous, so stack @ vector runs one matmul
-    kernel per time, and entry [k] equals the call at t[k] bit for bit."""
+    np.shape(t) + (3, 3); a scalar time is a 0-d stack, one matrix.  Entry
+    [k] equals the call at t[k] bit for bit."""
     out = np.empty(np.shape(t) + (3, 3))
     for i, row in enumerate(_phi_rows(p, t, np.exp, np.sin, np.cos)):
         out[..., i, 0], out[..., i, 1], out[..., i, 2] = row
@@ -76,7 +75,9 @@ def _stationary(p: SystemParams):
 
 def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
     ss = np.array(_stationary(p))
-    return ss + _phi_canonical(p, t) @ (np.asarray(s0, dtype=float) - ss)
+    # the stack's rows as one (3n, 3) matrix: one gemv, not n 3x3 products
+    d = np.asarray(s0, dtype=float) - ss
+    return ss + (_phi_canonical(p, t).reshape(-1, 3) @ d).reshape(np.shape(t) + (3,))
 
 
 def fundamental_X(p: SystemParams, t) -> np.ndarray:

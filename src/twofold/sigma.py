@@ -128,14 +128,25 @@ def _fold_X(p: SystemParams, x: float, y: float, tol: float):
 def sliding_field(p: SystemParams, q) -> np.ndarray:
     """Convex-combination vector field on the sliding/escaping set.
 
-    Returns the (x, y) components of (Yf X - Xf Y) / (Yf - Xf) at (x, y, 0);
-    the z component vanishes identically and is asserted.
+    Returns the (x, y) components of (Yf X - Xf Y) / (Yf - Xf) at (x, y, 0),
+    formed as w X + (1 - w) Y with the float weights w = Yf / (Yf - Xf) and
+    1 - w = -Xf / (Yf - Xf), both in (0, 1) since Xf and Yf have opposite
+    signs there: no product of two field-sized numbers is formed.  Fields
+    that leave the float range at q are a DomainError, and so is a z
+    component that does not vanish to round-off.
     """
     cls = classify_point(p, q)
     if cls.kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
         raise DomainError(f"sliding field undefined at {cls.kind.value} point {q!r}")
-    s3 = np.array([float(q[0]), float(q[1]), 0.0])
-    vx, vy = eval_X(p, s3), eval_Y(p, s3)
-    zs = (cls.lie_y * vx - cls.lie_x * vy) / (cls.lie_y - cls.lie_x)
-    assert abs(zs[2]) <= REL_TOL * (1.0 + np.max(np.abs(zs)))
-    return zs[:2]
+    s3 = (float(q[0]), float(q[1]), 0.0)
+    # halves, so Yf - Xf stays finite; |Xf|, |Yf| >= the tangency cutoff, so
+    # halving is exact and the weights are those of the whole numbers
+    half = 0.5 * cls.lie_y - 0.5 * cls.lie_x
+    w_x, w_y = 0.5 * cls.lie_y / half, -0.5 * cls.lie_x / half
+    vx, vy = eval_X(p, s3).tolist(), eval_Y(p, s3).tolist()
+    zs = [w_x * u + w_y * v for u, v in zip(vx, vy)]
+    if not all(map(math.isfinite, zs)):
+        raise DomainError(f"the fields at {q!r} leave the float range")
+    if not abs(zs[2]) <= REL_TOL * (1.0 + abs(w_x * vx[2]) + abs(w_y * vy[2])):
+        raise DomainError(f"the sliding field at {q!r} leaves the plane: z = {zs[2]!r}")
+    return np.array(zs[:2])

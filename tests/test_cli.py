@@ -20,7 +20,7 @@ from twofold import (RegionKind, apply_involution, classify_point, critical_h, e
                      flow_X, flow_Y, m_gamma1, resonant_system, stability_band,
                      tau_gamma1)
 from twofold import cli
-from twofold.cli import _band_csv, _boundaries_csv, _fmt, _reprs
+from twofold.cli import _band_csv, _boundaries_csv, _fmt, _reprs, _row_texts
 from twofold.returns import first_crossing
 
 # the package's own source root, so the CLI imports from any working directory
@@ -688,6 +688,24 @@ def _assert_simulate_csv(tmp_path, start, expected):
     assert out.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("start, block_edge", [
+    # the README orbit scaled by 1e-6: nearly every value lies below 1e-4,
+    # where orjson's text is not repr's
+    ((1.0, 0.04, 1e-6, 219.892e-6, 8.431e-6, 0.0, 6.4, 0.01), False),
+    ((1.0, 0.04, 1e-6, 219.892e-6, 8.431e-6, 0.0, 6.4, 0.005), True),  # 640-row segments
+], ids=["scaled-desk", "scaled-desk-block-edge"])
+def test_simulate_repr_cells_match_scalar_oracle(tmp_path, start, block_edge):
+    expected = _simulate_csv_oracle(*start)
+    rows = [line.split(",") for line in expected.splitlines()[1:]]
+    # repr writes a value in exponent form where orjson's text differs
+    patched = ["e" in "".join(row[:4]) for row in rows]
+    assert sum(patched) >= 0.9 * len(rows)
+    if block_edge:  # the first segment's rows 512 and 513 lie in two 512-row blocks
+        assert next(k for k, row in enumerate(rows) if row[5]) > 512
+        assert patched[511] and patched[512]
+    _assert_simulate_csv(tmp_path, start, expected)
+
+
 @pytest.mark.parametrize("start, values", [
     # two trajectory-benchmark starts: an X orbit with 1435 values of 1e+16
     # and above (C < 0, no crossing), and one with a value of -7.4e-05
@@ -755,6 +773,40 @@ def test_reprs_is_repr_on_random_bit_patterns():
             bits = (bits & ~exponent) | (biased << np.uint64(52))
         a = bits.view(np.float64)
         assert _reprs(a) == list(map(repr, a.tolist()))
+
+
+def _row_texts_oracle(a, tail):
+    return "".join(",".join(map(repr, row)) + tail for row in a.tolist())
+
+
+def test_row_texts_is_repr_on_random_bit_patterns():
+    # seeded (n, 4) rows in blocks of 1, 511, 512 and 513 rows and beyond,
+    # with both field tails: whole random bit patterns, random bits with the
+    # exponent set in or next to [1e-4, 1e16), values inside that range
+    # alone, and each of those with +-0.0, subnormals and values on both
+    # sides of 1e-4 and 1e16 put in at random cells
+    rng = np.random.default_rng(2027)
+    exponent = np.uint64(0x7FF << 52)
+    edges = np.array([0.0, 5e-324, 2.2250738585072e-308, np.nextafter(1e-4, 0), 1e-4,
+                      np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16, 1e17])
+    edges = np.concatenate([edges, -edges])
+    for n in (1, 511, 512, 513, 1500):
+        for kind in ("bits", "biased", "in range", "in range with edges"):
+            if kind.startswith("in range"):
+                a = 10.0 ** rng.uniform(-4.0, 15.9, (n, 4)) * rng.choice([-1.0, 1.0], (n, 4))
+            else:
+                bits = rng.integers(0, 2**64, (n, 4), dtype=np.uint64)
+                if kind == "biased":
+                    biased = rng.integers(1023 - 16, 1023 + 56, bits.shape, dtype=np.uint64)
+                    bits = (bits & ~exponent) | (biased << np.uint64(52))
+                a = bits.view(np.float64)
+            if kind != "in range":
+                cells = rng.choice(a.size, min(a.size, 8), replace=False)
+                a.flat[cells] = rng.choice(edges, cells.size)
+            for tail in (",X,,,\n", ",Y,,,\n"):
+                texts = list(_row_texts(a, tail))
+                assert len(texts) == -(-n // 512)
+                assert "".join(texts) == _row_texts_oracle(a, tail)
 
 
 def test_simulate_stationary_z(tmp_path):

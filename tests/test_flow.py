@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from twofold import (apply_involution, build_system, eval_X, eval_Y, flow_X,
                      flow_Y, fundamental_X, fundamental_Y, jacobian_Y,
@@ -158,10 +159,13 @@ def test_z_closed_form_consistency(params):
        H=st.floats(-1.0, 1.0), Lambda=st.floats(0.2, 2.0),
        s0=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
        ts=st.one_of(st.lists(st.floats(-20.0, 20.0), max_size=40).map(np.array),
-                    st.floats(-20.0, 20.0).map(np.array)))
+                    st.floats(-20.0, 20.0).map(np.array),
+                    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                            max_side=7),
+                               elements=st.floats(-20.0, 20.0))))
 def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0, ts):
-    # an ndarray of times (0-d and empty included) gives C-contiguous stacks
-    # whose entries are the scalar calls' results bit for bit
+    # an ndarray of times (0-d, 2-d and empty included) gives C-contiguous
+    # stacks whose entries are the scalar calls' results bit for bit
     p = build_system(A, c_sign * C, H, Lambda)
     for fn, args, tail in ((flow_X, (p, s0), (3,)), (flow_Y, (p, s0), (3,)),
                            (fundamental_X, (p,), (3, 3)), (fundamental_Y, (p,), (3, 3))):

@@ -1,10 +1,8 @@
 """Seeded fuzz of the public library functions at the ends of the float range.
 
-Parameters and points are drawn from +-{0, 5e-324, 1e-320, 1e-300, 1e-155},
-from magnitudes up to 300, and from +-inf and NaN.  Every call must return or
-raise a TwofoldError: no bare exception and no RuntimeWarning.  Points near
-1e300, where NumPy's own arithmetic in sliding_field overflows with a
-warning, are left out of the draws.
+Parameters and points are drawn from +-{0, 5e-324, 1e-320, 1e-300, 1e-155,
+1e300}, from magnitudes up to 300, and from +-inf and NaN.  Every call must
+return or raise a TwofoldError: no bare exception and no RuntimeWarning.
 """
 import math
 import warnings
@@ -14,7 +12,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 import twofold as tf
 from twofold.errors import TwofoldError
 
-_EDGES = (0.0, 5e-324, 1e-320, 1e-300, 1e-155)
+_EDGES = (0.0, 5e-324, 1e-320, 1e-300, 1e-155, 1e300)
 _value = st.one_of(
     st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from(_EDGES)).map(lambda sm: sm[0] * sm[1]),
     st.floats(-300.0, 300.0),
@@ -88,6 +86,7 @@ def _cycle_at(C):
 @example(**_off("jacobian_X", 1e160))
 @example(**_off("fold_info", 1e160, 1.0, 0.0))
 @example(**_off("sliding_field", 1e160, 1.0, -1.0))
+@example(**_off("sliding_field", -2.0, 1e300, -1e300))  # field-sized products overflowed
 @example(**_off("eval_P_X", 0.0))  # -2C/A is infinite
 @example(**_off("eval_P_Y", 0.0))
 @example(**_off("verify_darboux", 0.0))
