@@ -31,24 +31,47 @@ def _fmt(value) -> str:
 
 
 def _orjson_differs(a):
-    """Where orjson's text of the float64 array a is not repr's: NaN, +-inf
-    and v != 0 outside 1e-4 <= |v| < 1e16.  There orjson writes 'null',
-    '1e16' for '1e+16' or '0.00001' for '1e-05'; elsewhere it writes the
-    same shortest round-trip digits as repr (Ryu) in the same form."""
+    """Where orjson's text of the float64 array a, after ``_plus_exponents``,
+    is not repr's.
+
+    Each value is of one of three kinds:
+    (a) orjson writes repr's text: 0, 0 < |v| < 1e-9 (both write '1e-10'
+        and '5e-324') and 1e-4 <= |v| < 1e16;
+    (b) finite |v| >= 1e16: repr's digits with no '+' in the exponent
+        ('1.5e16' for '1.5e+16'), which ``_plus_exponents`` puts back;
+    (c) NaN, +-inf and 1e-9 <= |v| < 1e-4, where orjson writes 'null',
+        '0.00001' for '1e-05' or '1e-7' for '1e-07': the mask returned,
+        of the cells that need their own repr.
+    """
     mag = np.abs(a)
-    return (a != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))
+    return ~((mag < 1e-9) | (mag >= 1e-4) & (mag < np.inf))
+
+
+def _plus_exponents(text: str) -> str:
+    """orjson's text with repr's '+' in each positive exponent: the text of
+    kinds (a) and (b) of ``_orjson_differs`` is then repr's.
+
+    The second replace undoes the first on the negative exponents, which
+    orjson writes as repr does below 1e-9; 'null' has no 'e', and no ','
+    moves.  A text with no 'e' is returned as it is, after one scan.
+    """
+    if "e" not in text:
+        return text
+    return text.replace("e", "e+").replace("e+-", "e-")
 
 
 def _reprs(a) -> list[str]:
     """repr(float(v)) of each value of the float64 array a, in C order: one
-    orjson text, split on ',', with the cells of ``_orjson_differs`` given
-    their own repr."""
+    orjson text split on ',', with its positive exponents given their '+'
+    by ``_plus_exponents`` and only the kind-(c) cells of
+    ``_orjson_differs`` given their own repr."""
     import orjson  # an 11 ms import, left to the commands that write floats
 
     a = np.ascontiguousarray(a, dtype=np.float64).ravel()
     if not a.size:
         return []
-    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    cells = _plus_exponents(
+        orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()).split(",")
     idx = np.flatnonzero(_orjson_differs(a))
     for i, v in zip(idx.tolist(), a[idx].tolist()):
         cells[i] = repr(v)
@@ -65,12 +88,15 @@ def _row_texts(samples, tail: str):
 
     A block is one orjson text of an (m, 5) buffer [t, x, y, z, NaN],
     flattened, so each row ends in the 'null' of its NaN, and one replace
-    turns every ',null,' into tail.  Only a block that holds a cell of
-    ``_orjson_differs`` is split into cells, and only those cells get their
-    own repr ('nan' and 'inf' among them, never 'null').
+    turns every ',null,' into tail.  Each block's positive exponents get
+    their '+' back by ``_plus_exponents``.  The kind-(c) cells of
+    ``_orjson_differs`` are found once per call, and only a block that holds
+    one is split into cells, where only those cells get their own repr
+    ('nan' and 'inf' among them, never 'null').
     """
     import orjson
 
+    own = _orjson_differs(samples)
     buf = np.empty((min(len(samples), _ROW_BLOCK), 5))
     buf[:, 4] = np.nan
     for k in range(0, len(samples), _ROW_BLOCK):
@@ -78,7 +104,8 @@ def _row_texts(samples, tail: str):
         filled = buf[:len(block)]
         filled[:, :4] = block
         text = orjson.dumps(filled.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        rows, cols = np.nonzero(_orjson_differs(block))
+        text = _plus_exponents(text)
+        rows, cols = np.nonzero(own[k:k + _ROW_BLOCK])
         if rows.size:
             cells = text.split(",")
             for i, v in zip((5 * rows + cols).tolist(), block[rows, cols].tolist()):
@@ -132,15 +159,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _number(merged: dict, key: str, default=None, kind=float):
     """merged[key] (a flag or config value) as a kind, or default when unset.
 
-    A value that is not a number is a usage error.
+    A value that is not a number is a usage error, and so is a bool or a
+    number with a fractional part where kind is int: a config's 3.7 or true
+    is not truncated to 3 or 1.
     """
     value = merged.get(key)
     if value is None:
         return default
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{key} must be a number, got {value!r}") from None
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and number != value):
+        raise DomainError(f"{key} must be an integer, got {value!r}")
+    return number
 
 
 def _params_from(merged: dict) -> SystemParams:

@@ -197,6 +197,37 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert proc.stderr.startswith("usage error: C must be a number, got 'abc'")
 
 
+@pytest.mark.parametrize("command, cfg, key, value", [
+    pytest.param("stability-band", {}, "grid", 3.7, id="grid-3.7"),
+    pytest.param("stability-band", {}, "grid", True, id="grid-true"),
+    pytest.param("scan", {"C": 1, "Lambda": 1}, "count", 2.9, id="count-2.9"),
+    pytest.param("scan", {"C": 1, "Lambda": 1}, "count", True, id="count-true"),
+])
+def test_config_integer_flag_is_not_truncated(tmp_path, command, cfg, key, value):
+    # on the command line --grid 3.7 is an argparse error; from a config it
+    # was a 3 x 3 band, and a count of 2.9 or true gave 2 or 1 scan rows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, key: value}))
+    proc = run_cli(command, "--config", str(path), "-o", str(tmp_path / "out.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"usage error: {key} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_integral_float_is_an_integer(tmp_path):
+    # a JSON 3.0 (or 400.0) is the integer it names
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({"grid": 3.0}))
+    proc = run_cli("stability-band", "--config", str(path), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_csv(out)) == 9
+    path.write_text(json.dumps({"C": 1, "Lambda": 1, "count": 2.0}))
+    proc = run_cli("scan", "--config", str(path), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert [float(row["H"]) for row in read_csv(out)] == pytest.approx(
+        [0.5 * critical_h(1.0), 0.995 * critical_h(1.0)])
+
+
 @pytest.mark.parametrize("command, key, value", [
     pytest.param("scan", "A", 5, id="A-5"),
     pytest.param("scan", "H", 0.3, id="H-0.3"),
@@ -336,6 +367,17 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
                    "-o", str(grid_path), "--boundaries", str(bounds_path))
     assert proc.returncode == 0, proc.stderr
     grid, bounds = _band_csv_oracle(c_range, h_range, 6, 6)
+    assert grid_path.read_bytes() == grid.encode()
+    assert bounds_path.read_bytes() == bounds.encode()
+    # C in [6, 9]: most tau_inf values lie past 1e16, written with a '+' put
+    # back, and the hcrit curve falls through 1e-9, below which orjson's text
+    # is repr's again
+    grid, bounds = _band_csv_oracle((6.0, 9.0), (0.001, 0.999), 40, 40)
+    assert sum("e+" in row.split(",")[3] for row in grid.splitlines()[1:]) >= 0.9 * 40 * 40
+    assert {"e-09", "e-10"} <= {row[-4:] for row in bounds.splitlines()[1:]}
+    proc = run_cli("stability-band", "--cmin", "6", "--cmax", "9", "--grid", "40",
+                   "-o", str(grid_path), "--boundaries", str(bounds_path))
+    assert proc.returncode == 0, proc.stderr
     assert grid_path.read_bytes() == grid.encode()
     assert bounds_path.read_bytes() == bounds.encode()
 
@@ -706,11 +748,17 @@ def test_simulate_repr_cells_match_scalar_oracle(tmp_path, start, block_edge):
     _assert_simulate_csv(tmp_path, start, expected)
 
 
+# a trajectory-benchmark start: an X orbit with 1435 values of 1e+16 and
+# above (C < 0, no crossing), and no nonzero value below 1e-4
+_PAST_1E16 = (-0.8773278276064809, 0.03973082761867977, 1.2162123334729966,
+              2.7238392779576315, 0.7052569303124683, 0.0, 35.40593092422011,
+              0.01044215465926146)
+
+
 @pytest.mark.parametrize("start, values", [
-    # two trajectory-benchmark starts: an X orbit with 1435 values of 1e+16
-    # and above (C < 0, no crossing), and one with a value of -7.4e-05
-    ((-0.8773278276064809, 0.03973082761867977, 1.2162123334729966, 2.7238392779576315,
-      0.7052569303124683, 0.0, 35.40593092422011, 0.01044215465926146), r"e\+(1[6-9]|[2-9]\d)"),
+    # two trajectory-benchmark starts: the one past 1e16, and one with a
+    # value of -7.4e-05
+    (_PAST_1E16, r"e\+(1[6-9]|[2-9]\d)"),
     ((0.7270512548982141, 0.024908678558272525, 1.8382140139124026, -3.7827369933409534,
       -1.5654161701974056, 0.0, 35.961148289992124, 0.012459090060531338), r",-7\.4\d*e-05,"),
 ], ids=["past-1e16", "minus-7.4e-05"])
@@ -757,6 +805,8 @@ _EDGES = ([np.nextafter(1e-4, 0), 1e-4, 1e-5, 9.999999999999999e-05],
 @example(np.array(_EDGES[1] + [-v for v in _EDGES[1]]))
 @example(np.zeros(0))
 @example((np.arange(12.0).reshape(4, 3) * 1e-5)[:, 1])  # a non-contiguous column
+# exponents given their '+' next to negative ones that orjson writes as repr does
+@example(np.array([1e16, -1e16, -1e22, 1.7976931348623157e308, 1e-10, -2.5e-17, 5e-324]))
 def test_reprs_is_repr(a):
     assert _reprs(a) == list(map(repr, a.ravel().tolist()))
 
@@ -807,6 +857,35 @@ def test_row_texts_is_repr_on_random_bit_patterns():
                 texts = list(_row_texts(a, tail))
                 assert len(texts) == -(-n // 512)
                 assert "".join(texts) == _row_texts_oracle(a, tail)
+
+
+def test_repr_runs_only_on_cells_orjson_cannot_write(monkeypatch):
+    # the samples of the past-1e16 start: both writers format them with no
+    # repr call at all
+    C, H, L, x0, y0, z0, t_max, dt = _PAST_1E16
+    ts = np.arange(int(t_max / dt) + 1) * dt
+    a = np.column_stack((ts, flow_X(resonant_system(C, H, L), (x0, y0, z0), ts)))
+    assert (np.abs(a) >= 1e16).sum() >= 1000
+    assert ((a == 0.0) | (np.abs(a) >= 1e-4)).all() and np.isfinite(a).all()
+    calls = []
+
+    def counted_repr(v):
+        calls.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
+    assert "".join(_row_texts(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
+    assert _reprs(a) == list(map(repr, a.ravel().tolist()))
+    assert calls == []
+    # one call for each cell that orjson writes as 'null', '0.00001' or
+    # '1e-9', none for a cell of 1e-10, whose text is repr's
+    own = [np.nan, np.inf, -np.inf, 1e-5, -3e-7, 1e-9]
+    cells = np.random.default_rng(28).choice(a.size, len(own) + 1, replace=False)
+    a.flat[cells] = own + [1e-10]
+    assert "".join(_row_texts(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
+    assert len(calls) == len(own)
+    assert _reprs(a) == list(map(repr, a.ravel().tolist()))
+    assert len(calls) == 2 * len(own)
 
 
 def test_simulate_stationary_z(tmp_path):
