@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import warnings
@@ -226,6 +228,23 @@ def test_config_integral_float_is_an_integer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert [float(row["H"]) for row in read_csv(out)] == pytest.approx(
         [0.5 * critical_h(1.0), 0.995 * critical_h(1.0)])
+
+
+@pytest.mark.parametrize("command, cfg, key, value, kind", [
+    pytest.param("classify-conic", {"H": 0.04, "Lambda": 1}, "C", True, "a number", id="C-true"),
+    pytest.param("simulate", {"C": 1, "H": 0.04, "Lambda": 1, "x0": 1, "y0": 1, "z0": 1},
+                 "t_max", True, "a number", id="t_max-true"),
+    pytest.param("stability-band", {}, "grid", False, "an integer", id="grid-false"),
+])
+def test_config_bool_is_not_a_number(tmp_path, command, cfg, key, value, kind):
+    # a JSON true is a Python bool, an int: float(True) ran classify-conic at
+    # C = 1.0 and simulate to t = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, key: value}))
+    proc = run_cli(command, "--config", str(path), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"usage error: {key} must be {kind}, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -460,6 +479,71 @@ def test_stdout_output():
     assert json.loads(proc.stdout)["kind"] == "hyperbola"
 
 
+_DESK_CONIC = ("classify-conic", "--C", "1", "--H", "0.5", "--Lambda", "1")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_output_to_dev_null():
+    # /dev/null is written but cannot be cut to a length
+    for argv in (_DESK_CONIC, ("stability-band", "--grid", "3", "--boundaries", "/dev/null")):
+        proc = run_cli(*argv, "-o", "/dev/null")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+
+
+def test_rewrite_keeps_inode_and_mode(tmp_path):
+    fresh, out = tmp_path / "fresh.json", tmp_path / "out.json"
+    assert run_cli(*_DESK_CONIC, "-o", str(fresh)).returncode == 0
+    out.write_bytes(b"z" * 2**20)
+    out.chmod(0o640)
+    before = out.stat()
+    assert run_cli(*_DESK_CONIC, "-o", str(out)).returncode == 0
+    after = out.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_rewrite_through_a_symlink_writes_its_target(tmp_path):
+    fresh, target, link = tmp_path / "fresh.json", tmp_path / "target.json", tmp_path / "link"
+    assert run_cli(*_DESK_CONIC, "-o", str(fresh)).returncode == 0
+    target.write_bytes(b"z" * 2**20)
+    link.symlink_to(target)
+    assert run_cli(*_DESK_CONIC, "-o", str(link)).returncode == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+# cli.main under a 64 KiB file-size limit; CPython ignores SIGXFSZ, so a
+# write past the limit raises EFBIG
+_FSIZE_LIMITED_MAIN = (
+    "import resource, sys\n"
+    "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, hard))\n"
+    "from twofold.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_failed_write_leaves_a_prefix_of_the_new_text(tmp_path):
+    pytest.importorskip("resource")
+    args = ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
+            "--x0", "219.892", "--y0", "8.431", "--z0", "0", "--t-max", "20")
+    full, out = tmp_path / "full.csv", tmp_path / "out.csv"
+    assert run_cli(*args, "-o", str(full)).returncode == 0
+    text = full.read_bytes()
+    assert len(text) > 1 << 16
+    out.write_bytes(b"z" * 2**20)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           _FSIZE_LIMITED_MAIN, *args, "-o", str(out)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_PYTHONPATH,
+                                   PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: OSError: [Errno {errno.EFBIG}]"), proc.stderr
+    partial = out.read_bytes()
+    assert b"zzzz" not in partial
+    assert len(partial) <= 1 << 16 and text.startswith(partial)
+
+
 def test_scan_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ("scan", "--C", "1", "--Lambda", "1", "--count", "4")
@@ -584,9 +668,22 @@ def _readme_cli_commands():
 def test_readme_cli_commands_run(tmp_path):
     commands = _readme_cli_commands()
     assert len(commands) == 6
+    fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+    fresh.mkdir()
+    rewritten.mkdir()
     for argv in commands:
-        proc = run_cli(*argv, cwd=tmp_path)
+        proc = run_cli(*argv, cwd=fresh)
         assert proc.returncode == 0, (argv, proc.stderr)
+        # again over files 1 MB longer than the outputs: the new text, and
+        # none of the old bytes after it
+        names = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("-o", "--boundaries")]
+        assert names, argv
+        for name in names:
+            (rewritten / name).write_bytes(b"z" * ((fresh / name).stat().st_size + 2**20))
+        proc = run_cli(*argv, cwd=rewritten)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        for name in names:
+            assert (rewritten / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_readme_library_example_runs(capsys):
