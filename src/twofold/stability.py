@@ -380,10 +380,20 @@ def stability_band(c_range, h_range, grid) -> BandResult:
 
 def _first_zeros(cs: np.ndarray, hs: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """(C, H) of the first sign change of margin along each C row, linearly
-    interpolated in H; rows without a sign change are left out."""
-    # comparisons, not a product: the product of two huge margins overflows
-    left, right = margin[:, :-1], margin[:, 1:]
-    change = (left < 0.0) & (right > 0.0) | (left > 0.0) & (right < 0.0)
+    interpolated in H; rows without a sign change are left out.
+
+    A margin of exactly 0.0 at hs[j] between neighbours of opposite sign is
+    the change (C, hs[j]): the interpolation from j gives hs[j] + 0.0.  A
+    touch, a 0.0 between neighbours of one sign, is none.
+    """
+    def opposite(a, b):
+        # comparisons, not a product: the product of two huge margins overflows
+        return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
+
+    change = opposite(margin[:, :-1], margin[:, 1:])
+    # exact zeros are few, so only their neighbours are compared
+    rows, cols = np.divmod(np.flatnonzero(margin[:, 1:-1] == 0.0), margin.shape[1] - 2)
+    change[rows, cols + 1] |= opposite(margin[rows, cols], margin[rows, cols + 2])
     rows = np.flatnonzero(change.any(axis=1))
     i = change[rows].argmax(axis=1)
     m0, m1 = margin[rows, i], margin[rows, i + 1]

@@ -362,7 +362,11 @@ def _band_csv_oracle(c_range, h_range, n_c, n_h):
         for curve, margin in margins.items():
             for j in range(n_h - 1):
                 m0, m1 = margin[j], margin[j + 1]
-                if m0 < 0.0 < m1 or m1 < 0.0 < m0:  # m0 * m1 can overflow
+                # m0 * m1 can overflow; a 0.0 between neighbours of opposite
+                # sign is a change at hs[j], a 0.0 between two of one sign none
+                prev = margin[j - 1] if j else 0.0
+                if (m0 < 0.0 < m1 or m1 < 0.0 < m0
+                        or m0 == 0.0 and (prev < 0.0 < m1 or m1 < 0.0 < prev)):
                     curves[curve].append(f"{curve},{C!r},"
                                          f"{hs[j] + m0 * (hs[j + 1] - hs[j]) / (m0 - m1)!r}")
                     break
@@ -417,6 +421,23 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
 # the --cmin 0.3 --cmax 0.6 --hmin 1e-6 --hmax 1e-3 --grid 7 box: H and m2
 # print in exponent form, as 1e-06 and 9.999980000049999e-13
 @example(c_lo=0.3, c_width=0.3, h_lo=1e-6, h_hi=1e-3, n_c=7, n_h=7)
+# 9 C rows of 1000 cells: tau blocks of 4, 4 and 1 rows, with both
+# boundaries; the first H column lies below the band in the first block,
+# inside and above it in the second and above it in the third
+@example(c_lo=0.2, c_width=1.0, h_lo=0.05, h_hi=0.5, n_c=9, n_h=1000)
+# C = 1 with H_min(1) in the first H step and H_crit(1) in the last: the
+# flag codes 12, 15, 15, 15, 15, 10, runs of one at both ends
+@example(c_lo=1.0, c_width=0.0, h_lo=0.005412721233137776, h_hi=0.04868363251876334,
+         n_c=2, n_h=6)
+# C = 0.5, H within 4 ulps of H_crit(0.5): the codes 15, 15, 15, 15, 10,
+# 15, 10, 10, 10, four runs, one of them a single cell; the upper margin
+# there is 0.0 between two positive neighbours, a touch and no boundary point
+@example(c_lo=0.5, c_width=0.0, h_lo=0.24885793139390633, h_hi=0.24885793139390655,
+         n_c=2, n_h=9)
+# the upper margin along the first C row is (0.00385, 0.0, -0.00385): the
+# middle H is H_crit(C), and the upper boundary point is that grid point
+@example(c_lo=2.2020148549027954, c_width=1.0, h_lo=0.0009899985744201425,
+         h_hi=0.000991905923052955, n_c=3, n_h=3)
 def test_band_writers_match_scalar_oracle(c_lo, c_width, h_lo, h_hi, n_c, n_h):
     assume(h_lo < h_hi)
     c_range, h_range = (c_lo, c_lo + c_width), (h_lo, h_hi)

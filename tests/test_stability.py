@@ -13,7 +13,7 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
 from twofold.cycles import asymptotic_seed
 from twofold.errors import (DomainError, GrazingCrossingError, SymmetryDefectError,
                             TwofoldError)
-from twofold.stability import _deflated_quadratic_roots
+from twofold.stability import _deflated_quadratic_roots, _first_zeros
 from oracles import fd_jacobian
 
 
@@ -252,6 +252,27 @@ def test_band_grid_and_boundaries():
     assert inside_cells.size
     for i, j in inside_cells[:50]:
         assert h_min(result.cs[i]) < result.hs[j] < float(critical_h(result.cs[i]))
+
+
+def test_band_boundary_at_an_exact_zero_margin():
+    # the middle H is H_crit(C) itself, where the upper margin is exactly 0.0
+    # between neighbours of opposite sign: the boundary point is that grid point
+    c = 2.2020148549027954
+    result = stability_band((c, c + 1.0), (0.0009899985744201425, 0.000991905923052955), 3)
+    margin = 2.0 + result.m2 - result.tau_inf[0]
+    assert margin[1] == 0.0 and margin[0] > 0.0 > margin[2]
+    assert result.hs[1] == float(critical_h(c))
+    assert result.upper.tolist() == [[c, result.hs[1]]]
+
+
+def test_first_zeros_of_exact_zero_margins():
+    cs, hs = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.2, 0.3, 0.4])
+    margin = np.array([[1.0, 0.0, -1.0, -1.0],   # a crossing at a grid point
+                       [-1.0, 0.0, 1.0, 1.0],
+                       [1.0, 0.0, 1.0, -1.0],    # a touch, then a change
+                       [0.0, -1.0, -1.0, -1.0],  # a zero at an end
+                       [-1.0, -1.0, -1.0, 0.0]])
+    assert _first_zeros(cs, hs, margin).tolist() == [[1.0, 0.2], [2.0, 0.2], [3.0, 0.35]]
 
 
 @settings(max_examples=60, deadline=None)
