@@ -373,7 +373,7 @@ def cmd_simulate(merged: dict) -> int:
 
 def cmd_find_cycle(merged: dict) -> int:
     p = _params_from(merged)
-    cycle = cycles.find_cycle_newton(p, cycles.asymptotic_seed(p))
+    cycle = cycles.find_cycle_newton(p)
     report = stability.monodromy(p, cycle)
     _write_json(merged["output"], {
         "p0": [cycle.p0[0], cycle.p0[1]],

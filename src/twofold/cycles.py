@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, TwofoldError
 from .flow import _phi_rows
 from .invariants import _check_branch_domain, _conic_coefficients, _conic_value, gamma1_branch_x
-from .returns import _bracketed_root, _flight, _gamma_x, _series, half_return_X, half_return_Y
+from .returns import _bracketed_root, _flight, _series, half_return_X, half_return_Y
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, _plane_field, resonant_system
 
@@ -145,7 +145,7 @@ def _branch_residual(p: SystemParams):
     return fdf
 
 
-def _solve_branch(p: SystemParams, y0_init: float | None):
+def _solve_branch(p: SystemParams):
     """The branch point (t, x0, y0) with H(t) = p.H, t in (pi, t_graze).
 
     One call of the shared root kernel on the residual f = d (H(t) - H) of
@@ -155,20 +155,19 @@ def _solve_branch(p: SystemParams, y0_init: float | None):
     the bracket's end f stays <= 0 whenever H > H_graze, as H(t) <= H_graze
     past t_graze (tests/test_cycles.py).  A root with y0 <= 0 lies past
     t_graze, so H <= H_graze: _graze runs only to word that NoCycleError.
-    Newton starts at t = pi + tau_x_head(1 / y0_init), the series head of
-    the X flight time, or, without a positive seed or when that t leaves
-    the bracket, at the resonant linearisation H / H_crit - 1 = -2 (t - pi).
-    e^{Ct} stays finite on the bracket for C up to 150, and H < H_crit
-    needs C below 118.5, as H^2 > 0 needs H above 2.2e-162."""
+    Newton starts one step from the H_crit end, t = pi - f(pi) / f'(pi), on
+    the values of the f(pi) test, or at the bracket's midpoint when f'(pi)
+    is not negative or that step leaves the bracket.  e^{Ct} stays finite
+    on the bracket for C up to 150, and H < H_crit needs C below 118.5, as
+    H^2 > 0 needs H above 1.57e-162."""
     fdf = _branch_residual(p)
-    if not fdf(math.pi)[0] > 0.0:
+    f, slope = fdf(math.pi)
+    if not f > 0.0:
         raise _no_cycle(p)
-    top, t = 2.0 * math.pi - math.atan(p.C), math.nan
-    if y0_init is not None and y0_init > 0.0:
-        (g1x, g2x), v = _gamma_x(p), 1.0 / y0_init
-        t = math.pi + (g1x * v + g2x * v * v)  # tau_x_head(v)
-    if not math.pi < t < top:  # the resonant linearisation at H_crit = H(pi)
-        t = math.pi + 0.5 * (1.0 - p.H / _branch_point(p, math.pi)[2])
+    top = 2.0 * math.pi - math.atan(p.C)
+    t = math.pi - f / slope if slope < 0.0 else math.nan
+    if not math.pi < t < top:
+        t = 0.5 * (math.pi + top)
     t, _ = _bracketed_root(fdf, t, math.pi, top)
     x0, y0, _ = _branch_point(p, t)
     if not y0 > 0.0:  # past the graze end
@@ -185,17 +184,18 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     H(pi+) = H_crit and H(t_graze) = H_graze, where y0 reaches the X fold.
     The solve is the library's safeguarded Newton kernel on
     d(t) (H(t) - H) with its exact derivative, each step one closed-form
-    evaluation and no flight (see _solve_branch); its start comes from the
-    series head of the X flight time at y0_init.  Dg comes in closed
-    form from exp(DX t_x) and the field at the end (-y0, -x0).  The kernel
-    flight behind half_return_Y, from p0 with its Newton started at t_x,
-    gives t_y and p1 in about one root step; the cycle checks run on it.
+    evaluation and no flight (see _solve_branch).  y0_init is checked and
+    unused: the solve always starts one Newton step from the H_crit end.
+    Dg comes in closed form from exp(DX t_x) and the field at the end
+    (-y0, -x0).  The kernel flight behind half_return_Y, from p0 with its
+    Newton started at t_x, gives t_y and p1 in about one root step; the
+    cycle checks run on it.
 
     Raises
     ------
     DomainError
         If y0_init is NaN or +inf, p is outside the resonant 0 < H < 1 range,
-        or C is not in (0, 709 / pi].
+        C is not in (0, 709 / pi], or Lambda is not positive.
     NoCycleError
         If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError
@@ -207,9 +207,12 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     _check_branch_domain(p)
     if not 0.0 < p.C * math.pi <= 709.0:
         raise DomainError(f"the cycle branch is charted for 0 < C <= 709 / pi, got C={p.C!r}")
+    if not p.Lambda > 0.0:  # Lambda < 0 puts zs, and the branch, in the third quadrant
+        raise DomainError("the cycle branch is charted for visible folds, Lambda > 0, "
+                          f"got Lambda={p.Lambda!r}")
     if y0_init is not None and not y0_init < math.inf:
         raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
-    t_x, x0, y0 = _solve_branch(p, y0_init)
+    t_x, x0, y0 = _solve_branch(p)
     t_y, (x1, y1), *_ = _flight(p, x0, y0, "Y", t_x)
     T = t_x + t_y
     scale = 1.0 + max(abs(x0), abs(y0))
@@ -272,8 +275,8 @@ def iterate_reduced_map(p: SystemParams, y0_init: float, n: int) -> list[np.ndar
 
 
 def asymptotic_seed(p: SystemParams) -> float | None:
-    """Large-amplitude seed y0* = -gamma2/gamma1 from the series head, with
-    gamma_i = gamma_i_x - gamma_i_y read from the floats of
+    """The paper's large-amplitude estimate y0* = -gamma2/gamma1 of the
+    cycle's y0, with gamma_i = gamma_i_x - gamma_i_y read from the floats of
     ``returns._series`` (series_coeffs's domain checks, no record).
 
     None when the head has no positive zero (gamma1/gamma2 >= 0), or when
@@ -301,14 +304,13 @@ class ScanEntry:
 def scan_cycles(p_base: SystemParams, H_grid) -> list[ScanEntry]:
     """Cycle catalogue over an H grid at fixed (C, Lambda).
 
-    Each H is attempted independently from the series-head seed, which may be
-    None.  A TwofoldError is recorded in its entry and the scan continues.  The
-    returned order follows H_grid.
+    Each H is solved independently; a TwofoldError is recorded in its entry
+    and the scan continues.  The returned order follows H_grid.
     """
     def entry(H: float) -> ScanEntry:
         try:
             p = resonant_system(p_base.C, H, p_base.Lambda)
-            cycle = find_cycle_newton(p, asymptotic_seed(p))
+            cycle = find_cycle_newton(p)
             report = monodromy(p, cycle)
             return ScanEntry(H=H, cycle=cycle, monodromy=report, error=None)
         except TwofoldError as exc:  # per-entry failure, scan continues

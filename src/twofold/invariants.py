@@ -254,8 +254,10 @@ def _branch_radicand(p: SystemParams, y):
 def _check_branch_domain(p: SystemParams):
     if not p.resonant:
         raise DomainError("branch parametrization requires the resonant family")
-    if not (0.0 < p.H < 1.0 and p.H * p.H > 0.0):  # H^2 divides the radicand
+    if not 0.0 < p.H < 1.0:
         raise DomainError(f"branch parametrization requires 0 < H < 1, got H={p.H}")
+    if p.H * p.H == 0.0:  # H^2 divides the radicand
+        raise DomainError(f"H^2 underflows to 0 for H below about 1.57e-162, got H={p.H!r}")
 
 
 def gamma1_branch_x(p: SystemParams, y: float) -> float:

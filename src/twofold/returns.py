@@ -319,12 +319,6 @@ class SeriesCoeffs:
         return self.gamma1_y * v0 + self.gamma2_y * v0 * v0
 
 
-def _gamma_x(p: SystemParams):
-    """(gamma1_x, gamma2_x) of series_coeffs, without its domain checks."""
-    g1x = (1.0 + 1.0 / math.exp(math.pi * p.C)) * p.Lambda / (p.C * p.C + 1.0)
-    return g1x, -p.C * g1x * g1x
-
-
 def series_coeffs(p: SystemParams) -> SeriesCoeffs:
     """Closed-form expansion coefficients (resonant hyperbola range, and
     |C| pi <= 709 so that e^{pi C} and its inverse stay finite).  A
@@ -347,7 +341,8 @@ def _series(p: SystemParams):
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
     E = math.exp(math.pi * C)
-    g1x, g2x = _gamma_x(p)
+    g1x = (1.0 + 1.0 / E) * L / c2
+    g2x = -C * g1x * g1x
     sd = math.sqrt(gamma1_discriminant(H) / (H * H)) * H
     if H > 0.0:
         r, q = sd + H + 1.0, (H + 1.0) * sd + 1.0 + 2.0 * H - H * H

@@ -132,7 +132,11 @@ def test_non_finite_inputs_are_usage_errors():
     ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "inf"),
     ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", "--v0", "1e-3,nan"),
     # H^2 is subnormal, and the series head's discriminant over H^2 overflows
-    ("find-cycle", "--C", "183.77", "--H", "2.07e-162", "--Lambda", "1"),
+    ("verify-series", "--C", "183.77", "--H", "2.07e-162", "--Lambda", "1"),
+    # the branch is charted for visible folds only
+    ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "-1"),
+    # H^2 underflows to 0
+    ("find-cycle", "--C", "1", "--H", "1e-163", "--Lambda", "1"),
 ])
 def test_domain_errors_exit_2(args):
     # a DomainError, from a library parameter guard or from the CLI's own
@@ -405,10 +409,12 @@ def test_stability_band_csv_matches_scalar_oracle(tmp_path):
     assert bounds_path.read_bytes() == bounds.encode()
 
 
+# rows of 400 to 1500 cells put 2 to 10 C rows in a tau block of
+# cli._BAND_BLOCK cells, so most such draws reach a second block
 @settings(max_examples=60, deadline=None)
 @given(c_lo=st.floats(0.01, 3.0), c_width=st.floats(0.0, 2.0),
        h_lo=st.floats(0.001, 0.99), h_hi=st.floats(0.002, 0.999),
-       n_c=st.integers(2, 12), n_h=st.integers(2, 12))
+       n_c=st.integers(2, 12), n_h=st.one_of(st.integers(2, 12), st.integers(400, 1500)))
 @example(c_lo=0.2, c_width=1.0, h_lo=0.001, h_hi=0.2, n_c=9, n_h=2)
 # wholly inside the band (every flag 1), wholly above it and wholly below
 # it (inside 0 everywhere): no upper or lower rows in any of the three
@@ -588,7 +594,7 @@ def test_unknown_flags_are_argparse_errors(args):
 
 
 @pytest.mark.parametrize("args, code, prefix", [
-    # e^{pi C} in the series head leaves the float range
+    # C pi past 709, where e^{Ct} on the branch leaves the float range
     (("find-cycle", "--C", "300", "--H", "0.5", "--Lambda", "1"), 2, "usage error: "),
     (("find-cycle", "--C", "-300", "--H", "0.5", "--Lambda", "1"), 2, "usage error: "),
     # e^{Ct} in the crossing walk leaves the float range
@@ -616,6 +622,16 @@ def test_scan_past_the_cosh_range_names_c(C):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage error: ") and f"C={float(C)!r}" in proc.stderr
     assert "Warning" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("C, H", [("1", "1e-160"), ("183.77", "2.07e-162")])
+def test_h_below_the_band_exits_1(C, H):
+    # the solve runs no series, so an H whose series coefficients are not
+    # finite but whose square is positive gets the band's answer
+    proc = run_cli("find-cycle", "--C", C, "--H", H, "--Lambda", "1")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: NoCycleError: no symmetric crossing cycle: H = {H} ")
+    assert proc.stdout == ""
 
 
 def test_tiny_c_exits_with_an_empty_band():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ def test_branch_at_a_tiny_c_has_an_empty_band():
     assert [e.error_kind for e in entries] == ["NoCycleError"] * 2
 
 
+def test_negative_lambda_is_a_domain_error_that_names_it():
+    # Lambda < 0 puts the branch in the third quadrant, which the solve once
+    # read as past the graze end: a NoCycleError naming a band that holds H
+    p = resonant_system(1.0, 0.04, -1.0)
+    message = "the cycle branch is charted for visible folds, Lambda > 0, got Lambda=-1.0"
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+        find_cycle_newton(p)
+    entries = scan_cycles(p, [0.02, 0.04])
+    assert [e.error for e in entries] == [f"DomainError: {message}"] * 2
+
+
 @pytest.mark.parametrize("y0_init", [math.nan, math.inf])
 def test_non_finite_seed_is_a_domain_error(desk_params, y0_init):
     with pytest.raises(DomainError, match="seed"):
@@ -272,40 +284,35 @@ def test_non_finite_seed_is_a_domain_error(desk_params, y0_init):
 
 
 def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):
-    # with no seed the solve starts from the linearisation at H_crit and
-    # lands on the same cycle, closed to round-off
+    # the seed is checked and unused: the solve always starts one Newton step
+    # from the H_crit end, so with no seed it lands on the same cycle
     cycle = find_cycle_newton(desk_params)
-    assert cycle.p0 == pytest.approx(desk_cycle.p0, rel=1e-12)
+    assert np.array_equal(cycle.p0, desk_cycle.p0)
     assert cycle.residual <= 1e-10 * (1.0 + cycle.p0[1])
 
 
-def _p0_from_every_start(p):
-    """p0 of find_cycle_newton(p, y0) for y0 in None, the series seed, 20 and
-    1e3, or the error class name where the solve raises."""
-    out = []
-    for y0 in (None, asymptotic_seed(p), 20.0, 1e3):
-        try:
-            out.append(find_cycle_newton(p, y0).p0)
-        except TwofoldError as exc:
-            out.append(type(exc).__name__)
-    return out
+def _solve_from(p, y0):
+    """The fields of find_cycle_newton(p, y0) as bits, or the error's class
+    and text where the solve raises."""
+    try:
+        c = find_cycle_newton(p, y0)
+    except TwofoldError as exc:
+        return type(exc).__name__, str(exc)
+    floats = (*c.p0, *c.p1, c.T, c.t_x, c.t_y, c.residual, *c.dg)
+    return [float(v).hex() for v in floats]
 
 
 @settings(max_examples=40, deadline=None)
 @given(C=st.floats(0.25, 2.0), u=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
 @example(C=1.0, u=0.04 / float(critical_h(1.0)), Lambda=1.0)  # the desk case
 def test_every_start_lands_on_the_same_cycle(C, u, Lambda):
-    # the cycle is the one root of H(t) = H on a monotone branch, so a start
-    # value only moves where Newton begins: every start gives the same p0,
-    # or every start raises the same error
+    # the cycle is the one root of H(t) = H on a monotone branch, and the
+    # solve starts one Newton step from the H_crit end whatever y0_init is:
+    # every seed gives the unseeded cycle bit for bit, or the same error
     p = resonant_system(C, float(critical_h(C)) * u, Lambda)
-    first, *rest = _p0_from_every_start(p)
-    if isinstance(first, str):
-        assert rest == [first] * 3
-        return
-    for p0 in rest:
-        assert not isinstance(p0, str), p0
-        assert p0 == pytest.approx(first, rel=1e-9)
+    unseeded = _solve_from(p, None)
+    for y0 in (asymptotic_seed(p), 20.0, 1e3, -math.inf):
+        assert _solve_from(p, y0) == unseeded, y0
 
 
 def test_no_sign_change_raises_no_cycle_error():
@@ -319,17 +326,16 @@ def test_no_sign_change_raises_no_cycle_error():
 
 
 @settings(max_examples=40, deadline=None)
-@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 1.3), Lambda=st.floats(0.5, 2.0),
-       seeded=st.booleans())
-def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda, seeded):
+@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 1.3), Lambda=st.floats(0.5, 2.0))
+def test_no_cycle_error_only_without_sign_change(C, h_frac, Lambda):
     # NoCycleError comes from the band of the closed form: a dense oracle scan
     # of the conic branch must agree that the closure residual of the X
-    # kernel never changes sign; unseeded solves start in t on their own
+    # kernel never changes sign
     H = float(critical_h(C)) * h_frac
     assume(0.0 < H < 1.0)
     p = resonant_system(C, H, Lambda)
     try:
-        cycle = find_cycle_newton(p, asymptotic_seed(p) if seeded else None)
+        cycle = find_cycle_newton(p)
     except NoCycleError:
         rs = []
         for y in np.geomspace(1e-9, 1e6, 400):
@@ -453,25 +459,23 @@ def test_branch_root_below_the_rounding_of_h_ends_in_the_check_flight():
     # here.  The kernel stops on its step in t, at the root to that
     # rounding, and the check flight from p0 finds its exit tangential
     p = resonant_system(7.439, 1.15e-16, 1.0)
-    for seed in (asymptotic_seed(p), None):
-        t, x0, y0 = cycles._solve_branch(p, seed)
-        assert y0 > 0.0
-        assert _branch_point(p, t)[2] == pytest.approx(p.H, rel=1e-9)
-        with pytest.raises(TangentialGrazeError, match="exit transversality"):
-            find_cycle_newton(p, seed)
+    t, x0, y0 = cycles._solve_branch(p)
+    assert y0 > 0.0
+    assert _branch_point(p, t)[2] == pytest.approx(p.H, rel=1e-9)
+    with pytest.raises(TangentialGrazeError, match="exit transversality"):
+        find_cycle_newton(p)
 
 
 def _solves_past_c_4():
-    """(p, cycle or error class name) of the series-seeded solve on 600
-    seeded draws with C log-uniform on [4, 20], H / H_crit = 10^U(-6, 0)
-    and Lambda = 1."""
+    """(p, cycle or error class name) of the solve on 600 seeded draws
+    with C log-uniform on [4, 20], H / H_crit = 10^U(-6, 0) and Lambda = 1."""
     rng = np.random.default_rng(2026)
     Cs = 10.0 ** rng.uniform(math.log10(4.0), math.log10(20.0), 600)
     out = []
     for C, e in zip(Cs, rng.uniform(-6.0, 0.0, 600)):
         p = resonant_system(float(C), float(critical_h(C)) * 10.0 ** e, 1.0)
         try:
-            out.append((p, find_cycle_newton(p, asymptotic_seed(p))))
+            out.append((p, find_cycle_newton(p)))
         except TwofoldError as exc:
             out.append((p, type(exc).__name__))
     return out

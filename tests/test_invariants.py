@@ -272,6 +272,18 @@ def test_branch_rejects_non_finite_y(params, y):
         gamma1_branch_x(params, y)
 
 
+@pytest.mark.parametrize("H", [9.279561594807334e-252, 1e-163, 1.5717e-162])
+def test_branch_domain_names_the_h_square_underflow(H):
+    # an H inside (0, 1) whose square underflows to 0 was told it must lie in
+    # (0, 1); sqrt of half the least subnormal, about 1.5717e-162, is the edge
+    with pytest.raises(DomainError, match=r"H\^2 underflows to 0 for H below about "
+                       rf"1\.57e-162, got H={re.escape(repr(H))}$"):
+        invariants._check_branch_domain(resonant_system(1.0, H, 1.0))
+    invariants._check_branch_domain(resonant_system(1.0, 1.5718e-162, 1.0))
+    with pytest.raises(DomainError, match=r"requires 0 < H < 1, got H=0\.0$"):
+        invariants._check_branch_domain(resonant_system(1.0, 0.0, 1.0))
+
+
 def test_branch_point_of_another_conic_is_typed(params, monkeypatch):
     # x(y) is this system's branch; another system's conic misses it
     other = invariants._conic_coefficients(resonant_system(2.0, 0.3, 1.5))
