@@ -18,8 +18,8 @@ from .invariants import (DarbouxPair, DarbouxReport, eval_P_X, eval_P_Y,
 from .returns import (HalfReturn, half_return_X, half_return_Y, SeriesCoeffs,
                       series_coeffs, time_matching, time_matching_table,
                       gamma2_at_critical)
-from .cycles import (SymmetricCycle, find_cycle_newton, return_map,
-                     iterate_reduced_map, ScanEntry, scan_cycles, asymptotic_seed)
+from .cycles import (SymmetricCycle, find_cycle_newton, return_map, ScanEntry,
+                     scan_cycles, asymptotic_seed)
 from .stability import (saltation, MonodromyReport, monodromy, schur_conditions,
                         sigma_restriction, m_gamma1, tau_gamma1, asymptotic_invariants,
                         critical_h, h_min, band_width, BandResult, stability_band)

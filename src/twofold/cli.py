@@ -392,11 +392,16 @@ def cmd_find_cycle(merged: dict) -> int:
 
 def cmd_verify_series(merged: dict) -> int:
     p = _params_from(merged)
-    raw = merged.get("v0") or "1e-3,1e-4,1e-5"
+    raw = merged.get("v0")
+    if isinstance(raw, (int, float)):
+        raw = [raw]  # a config's bare number is a one-value list
+    raw = raw or "1e-3,1e-4,1e-5"
     items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
     try:
+        if any(isinstance(v, bool) for v in items):
+            raise TypeError  # a config's true is no v0 = 1.0
         v0s = [float(v) for v in items]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         v0s = []
     if not v0s or not all(0.0 < v < math.inf for v in v0s):  # the rule of time_matching
         raise DomainError("--v0 needs a comma-separated list of positive finite values")
@@ -488,8 +493,9 @@ def cmd_scan(merged: dict) -> int:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
     p_base = resonant_system(_number(merged, "C"), 0.5, _number(merged, "Lambda"))
-    if not abs(p_base.C) * math.pi <= 709.0:  # cosh(pi C) in H_crit overflows
-        raise DomainError(f"scan needs |C| pi <= 709, got C={p_base.C!r}")
+    # a C or Lambda off the cycle branch fails at every H; it also keeps
+    # cosh(pi C) in H_crit finite
+    cycles._check_chart(p_base)
     hc = float(stability.critical_h(p_base.C))
     h_lo, h_hi = _number(merged, "hmin", 0.5 * hc), _number(merged, "hmax", 0.995 * hc)
     count = _number(merged, "count", 20, int)

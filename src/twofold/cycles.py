@@ -14,20 +14,18 @@ flight's crossing, then one kernel flight of the lower half-orbit that
 checks it.  The conic residual r(y0) = x1 + y0 of the earlier
 branch-coordinate solve stays as a test oracle (closure_residual in
 tests/oracles.py).  The full return map (upper half-orbit followed by the
-lower one) is exposed for iteration and for finite-difference checks of the
-monodromy.
+lower one) is exposed for finite-difference checks of the monodromy.  Points
+of the plane, p0, p1 and the return map's image, are (x, y) pairs of floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, TwofoldError
+from .errors import DomainError, NoCycleError, NotACycleError, TwofoldError
 from .flow import _phi_rows
-from .invariants import _check_branch_domain, _conic_coefficients, _conic_value, gamma1_branch_x
-from .returns import _bracketed_root, _flight, _series, half_return_X, half_return_Y
+from .invariants import _check_branch_domain, _conic_coefficients, _conic_value
+from .returns import _bracketed_root, _flight, _series
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, _plane_field, resonant_system
 
@@ -35,7 +33,6 @@ __all__ = [
     "SymmetricCycle",
     "find_cycle_newton",
     "return_map",
-    "iterate_reduced_map",
     "ScanEntry",
     "scan_cycles",
     "asymptotic_seed",
@@ -46,19 +43,20 @@ __all__ = [
 class SymmetricCycle:
     """A converged symmetric crossing cycle.
 
-    p1 is the second crossing, where the kernel flight of the lower
-    half-orbit into p0 starts; residual is its distance from the involution
-    image (-y0, -x0).  t_x (the closed-form branch time) and t_y (that
-    flight's own crossing time, its Newton only started at t_x) are the two
-    half-flight times, equal for a symmetric cycle, and T = t_x + t_y the
-    period.  dg is the 2x2 derivative at p0 of the half map g = S h_X on the
-    plane, row-major (g00, g01, g10, g11), in closed form at the branch
-    point.  The return map is g o g, so its derivative at the cycle is Dg^2,
-    whose eigenvalues are the transverse Floquet multipliers.
+    p0 = (x0, y0) and p1 are the two crossings, pairs of floats.  p1 is the
+    second, where the kernel flight of the lower half-orbit into p0 starts;
+    residual is its distance from the involution image (-y0, -x0).  t_x (the
+    closed-form branch time) and t_y (that flight's own crossing time, its
+    Newton only started at t_x) are the two half-flight times, equal for a
+    symmetric cycle, and T = t_x + t_y the period.  dg is the 2x2 derivative
+    at p0 of the half map g = S h_X on the plane, row-major
+    (g00, g01, g10, g11), in closed form at the branch point.  The return map
+    is g o g, so its derivative at the cycle is Dg^2, whose eigenvalues are
+    the transverse Floquet multipliers.
     """
 
-    p0: np.ndarray
-    p1: np.ndarray
+    p0: tuple
+    p1: tuple
     T: float
     t_x: float
     t_y: float
@@ -175,6 +173,17 @@ def _solve_branch(p: SystemParams):
     return t, x0, y0
 
 
+def _check_chart(p: SystemParams):
+    """A DomainError unless 0 < C pi <= 709 and Lambda > 0, where the cycle
+    branch is charted: the (C, Lambda) checks of find_cycle_newton, which no
+    H passes otherwise."""
+    if not 0.0 < p.C * math.pi <= 709.0:
+        raise DomainError(f"the cycle branch is charted for 0 < C <= 709 / pi, got C={p.C!r}")
+    if not p.Lambda > 0.0:  # Lambda < 0 puts zs, and the branch, in the third quadrant
+        raise DomainError("the cycle branch is charted for visible folds, Lambda > 0, "
+                          f"got Lambda={p.Lambda!r}")
+
+
 def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> SymmetricCycle:
     """Symmetric crossing cycle as the root of H(t) = H on the branch.
 
@@ -205,11 +214,7 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         its time differs from t, or it leaves the reduced conic.
     """
     _check_branch_domain(p)
-    if not 0.0 < p.C * math.pi <= 709.0:
-        raise DomainError(f"the cycle branch is charted for 0 < C <= 709 / pi, got C={p.C!r}")
-    if not p.Lambda > 0.0:  # Lambda < 0 puts zs, and the branch, in the third quadrant
-        raise DomainError("the cycle branch is charted for visible folds, Lambda > 0, "
-                          f"got Lambda={p.Lambda!r}")
+    _check_chart(p)
     if y0_init is not None and not y0_init < math.inf:
         raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
     t_x, x0, y0 = _solve_branch(p)
@@ -231,47 +236,23 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     (e_at, p01, _), (_, p11, _), (_, p21, _) = _phi_rows(p, t_x)
     (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
     h01, h11 = p01 + fx * w, p11 + fy * w
-    return SymmetricCycle(p0=np.array([x0, y0]), p1=np.array([x1, y1]), T=T, t_x=t_x,
-                          t_y=t_y, residual=residual, dg=(0.0, -h11, -e_at, -h01))
+    return SymmetricCycle(p0=(x0, y0), p1=(x1, y1), T=T, t_x=t_x, t_y=t_y,
+                          residual=residual, dg=(0.0, -h11, -e_at, -h01))
 
 
-def return_map(p: SystemParams, q) -> np.ndarray:
+def return_map(p: SystemParams, q) -> tuple:
     """Full crossing return map from a first-quadrant point of the plane.
 
-    Composes the forward upper half-orbit with the forward lower half-orbit;
-    both endpoint crossings must be transversal.
+    Composes the forward upper half-orbit with the forward lower half-orbit,
+    the flights of half_return_X and half_return_Y; both endpoint crossings
+    must be transversal.  Returns the image as an (x, y) pair of floats.
     """
-    q = np.asarray(q, dtype=float)
-    if q[0] <= 0 or q[1] <= 0:
-        raise DomainError(f"return map orientation expects a first-quadrant point, got {q!r}")
-    hrx = half_return_X(p, q)
-    hry = half_return_Y(p, hrx.end)
-    return hry.end
-
-
-def iterate_reduced_map(p: SystemParams, y0_init: float, n: int) -> list[np.ndarray]:
-    """Orbit of the return map seeded on the conic branch.
-
-    Returns the n+1 successive crossing points starting from the branch point
-    at y0_init.  Inside the stability region the sequence converges to the
-    cycle's fixed point.
-
-    Raises
-    ------
-    DivergenceError
-        If an iterate leaves the crossing quadrant or blows past 1e12.
-    """
-    y0 = float(y0_init)
-    q = np.array([gamma1_branch_x(p, y0), y0])
-    orbit = [q.copy()]
-    for k in range(n):
-        q = return_map(p, q)
-        if not np.all(np.isfinite(q)) or q[0] <= 0 or q[1] <= 0 or np.max(np.abs(q)) > 1e12:
-            raise DivergenceError(
-                f"iterate {k + 1} left the branch domain at {q!r}"
-            )
-        orbit.append(q.copy())
-    return orbit
+    x, y = float(q[0]), float(q[1])
+    if x <= 0 or y <= 0:
+        raise DomainError(f"return map orientation expects a first-quadrant point, "
+                          f"got {(x, y)!r}")
+    _, (x1, y1), *_ = _flight(p, x, y, "X")
+    return _flight(p, x1, y1, "Y")[1]
 
 
 def asymptotic_seed(p: SystemParams) -> float | None:

@@ -38,8 +38,8 @@ class NotACycleError(TwofoldError):
 
 
 class DivergenceError(TwofoldError):
-    """Return-map iteration left the admissible branch domain, or a
-    trajectory left the range of floating point."""
+    """An orbit left the range of floating point: a simulated trajectory, or
+    the closed form of a crossing solve or of a half-return flight."""
 
 
 class SymmetryDefectError(TwofoldError):

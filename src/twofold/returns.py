@@ -43,8 +43,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import flow
 from .flow import _slope_coefficients
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnError,
@@ -71,14 +69,15 @@ _WINDOW = 8 * math.pi  # the half-return search window (0, _WINDOW]
 class HalfReturn:
     """One half-orbit between two switching-plane crossings.
 
-    ``t`` is the positive flight duration.  ``forward`` records the time
+    ``t`` is the positive flight duration, and ``start`` and ``end`` are the
+    two crossings as (x, y) pairs of floats.  ``forward`` records the time
     direction of the solve from ``start``: when False, the half-orbit runs
     from ``end`` to ``start`` in forward time.
     """
 
     t: float
-    start: np.ndarray
-    end: np.ndarray
+    start: tuple
+    end: tuple
     field: str
     forward: bool
     iterations: int
@@ -265,7 +264,7 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
 def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
     x0, y0 = float(start[0]), float(start[1])
     t, end, *rest = _flight(p, x0, y0, field)
-    return HalfReturn(t, np.array([x0, y0]), np.array(end), field, *rest)
+    return HalfReturn(t, (x0, y0), end, field, *rest)
 
 
 def half_return_X(p: SystemParams, start) -> HalfReturn:

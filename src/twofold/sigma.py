@@ -12,10 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .system import REL_TOL, SystemParams, eval_X, eval_Y
+from .system import REL_TOL, SystemParams, _plane_field
 
 __all__ = [
     "RegionKind",
@@ -113,8 +111,8 @@ def fold_info(p: SystemParams, q) -> FoldInfo:
 
 def _fold_X(p: SystemParams, x: float, y: float, tol: float):
     """(kind, X(Xf), X(X(Xf))) at the point (x, y, 0) of L_X."""
-    vx = eval_X(p, np.array([x, y, 0.0]))
-    second = 2.0 * p.C * vx[2] + vx[1]
+    _, fy, fz = _plane_field(p, x, y)
+    second = 2.0 * p.C * fz + fy
     third = (3.0 * p.C ** 2 - 1.0) * y + 2.0 * p.C * p.Lambda
     if abs(second) < tol:
         kind = FoldKind.CUSP
@@ -125,28 +123,30 @@ def _fold_X(p: SystemParams, x: float, y: float, tol: float):
     return kind, second, third
 
 
-def sliding_field(p: SystemParams, q) -> np.ndarray:
+def sliding_field(p: SystemParams, q) -> tuple:
     """Convex-combination vector field on the sliding/escaping set.
 
-    Returns the (x, y) components of (Yf X - Xf Y) / (Yf - Xf) at (x, y, 0),
-    formed as w X + (1 - w) Y with the float weights w = Yf / (Yf - Xf) and
-    1 - w = -Xf / (Yf - Xf), both in (0, 1) since Xf and Yf have opposite
-    signs there: no product of two field-sized numbers is formed.  Fields
-    that leave the float range at q are a DomainError, and so is a z
-    component that does not vanish to round-off.
+    Returns the (x, y) components of (Yf X - Xf Y) / (Yf - Xf) at (x, y, 0)
+    as a pair of floats, formed as w X + (1 - w) Y with the float weights
+    w = Yf / (Yf - Xf) and 1 - w = -Xf / (Yf - Xf), both in (0, 1) since Xf
+    and Yf have opposite signs there: no product of two field-sized numbers
+    is formed.  Fields that leave the float range at q are a DomainError, and
+    so is a z component that does not vanish to round-off.
     """
     cls = classify_point(p, q)
     if cls.kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
         raise DomainError(f"sliding field undefined at {cls.kind.value} point {q!r}")
-    s3 = (float(q[0]), float(q[1]), 0.0)
+    x, y = float(q[0]), float(q[1])
     # halves, so Yf - Xf stays finite; |Xf|, |Yf| >= the tangency cutoff, so
     # halving is exact and the weights are those of the whole numbers
     half = 0.5 * cls.lie_y - 0.5 * cls.lie_x
     w_x, w_y = 0.5 * cls.lie_y / half, -0.5 * cls.lie_x / half
-    vx, vy = eval_X(p, s3).tolist(), eval_Y(p, s3).tolist()
-    zs = [w_x * u + w_y * v for u, v in zip(vx, vy)]
+    vx = _plane_field(p, x, y)
+    u, v, w = _plane_field(p, -y, -x)
+    vy = (-v, -u, -w)  # Y(x, y, 0) = S X(-y, -x, 0)
+    zs = [w_x * a + w_y * b for a, b in zip(vx, vy)]
     if not all(map(math.isfinite, zs)):
         raise DomainError(f"the fields at {q!r} leave the float range")
     if not abs(zs[2]) <= REL_TOL * (1.0 + abs(w_x * vx[2]) + abs(w_y * vy[2])):
         raise DomainError(f"the sliding field at {q!r} leaves the plane: z = {zs[2]!r}")
-    return np.array(zs[:2])
+    return zs[0], zs[1]

@@ -158,7 +158,7 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     tr_g, det_g = g00 + g11, g00 * g11 - g01 * g10
     trace = 1.0 + tr_g * tr_g - 2.0 * det_g
     det = det_g * det_g
-    (x0, y0), (x1, y1) = cycle.p0.tolist(), cycle.p1.tolist()
+    (x0, y0), (x1, y1) = cycle.p0, cycle.p1
     # Phi_Y = S Phi_X S swaps rows and columns 0 and 1 of Phi_X
     (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = _phi_rows(p, cycle.t_y)
     phi_y = ((f11, f10, f12), (f01, f00, f02), (f21, f20, f22))

@@ -116,6 +116,9 @@ def test_non_finite_inputs_are_usage_errors():
 @pytest.mark.parametrize("args", [
     ("scan", "--C", "nan", "--Lambda", "1"),
     ("scan", "--C", "0", "--Lambda", "1"),
+    # off the chart of the cycle branch, which no H can mend: find-cycle's checks
+    ("scan", "--C", "-1", "--Lambda", "1", "--count", "3"),
+    ("scan", "--C", "1", "--Lambda", "-1", "--count", "3"),
     ("stability-band", "--cmin=nan", "--grid", "3", "-o", "-"),
     ("stability-band", "--hmin", "0.5", "--hmax", "0.2", "--grid", "3", "-o", "-"),
     ("stability-band", "--grid", "1", "-o", "-"),
@@ -304,6 +307,34 @@ def test_config_file_with_flag_override(tmp_path):
     proc = run_cli("classify-conic", "--config", str(cfg), "--H", "2.0", "-o", str(out))
     assert proc.returncode == 0
     assert json.loads(out.read_text())["kind"] == "ellipse"
+
+
+def test_config_bare_v0_is_a_one_value_list(tmp_path):
+    # a JSON number is read as the one v0 it names, as --v0 0.001 reads it
+    path, out = tmp_path / "cfg.json", tmp_path / "series.csv"
+    path.write_text(json.dumps({"v0": 0.001}))
+    series = ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1")
+    proc = run_cli(*series, "--config", str(path), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    flag = run_cli(*series, "--v0", "0.001", "-o", "-")
+    assert flag.returncode == 0, flag.stderr
+    assert out.read_text() == flag.stdout
+    assert [r["v0"] for r in read_csv(out)] == ["0.001"]
+
+
+@pytest.mark.parametrize("value", [True, False, [True], 0, [10 ** 400]])
+def test_config_v0_that_is_no_positive_float_is_a_usage_error(tmp_path, value):
+    # a JSON true is a bool, an int: it is no v0 = 1.0, and false and 0 are
+    # no request for the default list; an integer past the float range once
+    # raised a bare OverflowError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"v0": value}))
+    proc = run_cli("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1",
+                   "--config", str(path), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("usage error: --v0 needs a comma-separated list of positive "
+                           "finite values\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_series_csv(tmp_path):

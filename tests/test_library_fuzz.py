@@ -41,7 +41,6 @@ _CALLS = {
     "asymptotic_seed": lambda system, x, y, z: tf.asymptotic_seed(system()),
     "find_cycle_newton": lambda system, x, y, z: _cycle(system(), None),
     "find_cycle_newton_seeded": lambda system, x, y, z: _cycle(system(), y),
-    "iterate_reduced_map": lambda system, x, y, z: tf.iterate_reduced_map(system(), y, 3),
     "gamma2_at_critical": lambda system, x, y, z: tf.gamma2_at_critical(x, y),
     "h_min": lambda system, x, y, z: tf.h_min(x),
 }

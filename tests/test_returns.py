@@ -594,7 +594,7 @@ def test_started_flight_keeps_an_iterate_at_the_round_off_floor():
     # of the whole walk bracket, which took 47 root steps to creep back
     p = resonant_system(0.6189703936396687, 0.0054276981476177565, 0.7230520788178452)
     cycle = find_cycle_newton(p, asymptotic_seed(p))
-    x0, y0 = cycle.p0.tolist()
+    x0, y0 = cycle.p0
     t, _, _, iterations, *_ = _flight(p, x0, y0, "Y", cycle.t_x)
     t_unstarted = _flight(p, x0, y0, "Y")[0]
     assert iterations <= 4

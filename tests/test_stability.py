@@ -10,7 +10,7 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
                      monodromy, resonant_system, return_map, saltation,
                      schur_conditions, sigma_restriction,
                      stability_band, tau_gamma1)
-from twofold.cycles import asymptotic_seed
+from twofold.cycles import _graze, asymptotic_seed
 from twofold.errors import (DomainError, GrazingCrossingError, SymmetryDefectError,
                             TwofoldError)
 from twofold.stability import _deflated_quadratic_roots, _first_zeros
@@ -400,3 +400,16 @@ def test_large_amplitude_invariants_match_limits(c):
     m2, tau = asymptotic_invariants(p)
     assert abs(report.det / m2 - 1.0) <= 0.01
     assert abs(report.trace / tau - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize("C", [0.3, 0.5, 1.0, 2.0])
+def test_exact_cycles_below_h_min_are_stable(C):
+    # the band's lower boundary is the y0 -> inf limit along the branch: the
+    # exact cycles between H_graze and H_min(C), small in amplitude, are all
+    # Schur-stable, with the tr M and det M ranges the README gives
+    h_graze = _graze(resonant_system(C, 0.5, 1.0))[1]  # H_graze depends on C alone
+    for H in np.geomspace(h_graze, h_min(C), 6)[1:-1]:
+        p = resonant_system(C, float(H), 1.0)
+        report = monodromy(p, find_cycle_newton(p))
+        assert report.stable, (C, H)
+        assert 0.78 <= report.trace <= 1.005 and report.det <= 0.018, (C, H)
