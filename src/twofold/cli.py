@@ -9,6 +9,7 @@ numerical failure, 2 usage error (a DomainError, raised here or by the library).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -161,129 +162,136 @@ def _write_json(path: str, obj):
     _write_text(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(vars(args))
-    cfg_path = merged.pop("config", None)
-    if cfg_path:
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read config {cfg_path!r}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise DomainError(f"config {cfg_path!r} must hold a JSON object")
-        flags = merged.keys() - {"command"}
-        for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if dest not in flags:
-                raise DomainError(f"config key {key!r} is not a flag of {merged['command']}")
-            if merged.get(dest) is None:
-                merged[dest] = value
-    return merged
+def _read(name: str, kind: str, value):
+    """The value of flag name as its kind ('float', 'int', 'list' or 'path'),
+    whether it is command-line text, a config's JSON value or the declared
+    default: one set of usage errors for every source.  None (unset) stays None.
 
-
-def _number(merged: dict, key: str, default=None, kind=float):
-    """merged[key] (a flag or config value) as a kind, or default when unset.
-
-    A value that is not a number is a usage error, and so is a bool or a
-    number with a fractional part where kind is int: a config's 3.7 or true
-    is not truncated to 3 or 1.  A bool is no float either: a config's true
-    is not C = 1.0.
+    A bool is no number: a config's true is not C = 1.0 or a grid of 1.  An
+    int is exact for integer text and JSON integers, and an integral float
+    is accepted from either source (--grid 3.0), but 3.7 is not cut to 3.  A
+    list is comma-separated text, whose empty tokens are skipped, a JSON
+    list or a bare JSON number, of at least one positive finite float.
     """
-    value = merged.get(key)
-    if value is None:
-        return default
+    if value is None or kind == "path" and isinstance(value, str):
+        return value
+    if kind == "path":
+        raise DomainError(f"{name} must be a path, got {value!r}")
+    if kind == "list":
+        items = ([tok for tok in value.split(",") if tok.strip()] if isinstance(value, str)
+                 else value if isinstance(value, list) else [value])
+        try:
+            values = [_read(name, "float", v) for v in items]
+        except DomainError:
+            values = []
+        if not values or not all(isinstance(v, float) and 0.0 < v < math.inf for v in values):
+            raise DomainError(f"--{name} needs a comma-separated list of positive finite values")
+        return values
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, "
+                          f"got {value!r}")
+    if kind == "int" and isinstance(value, (int, str)):
+        with contextlib.suppress(ValueError):
+            return int(value)
     try:
-        if kind is float and isinstance(value, bool):
-            raise TypeError
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{key} must be a number, got {value!r}") from None
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and number != value):
-        raise DomainError(f"{key} must be an integer, got {value!r}")
-    return number
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if kind == "float":
+        return number
+    if not number.is_integer():
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
-def _params_from(merged: dict) -> SystemParams:
-    missing = [k for k in ("C", "H", "Lambda") if merged.get(k) is None]
+def _params_from(values: dict) -> SystemParams:
+    missing = [k for k in ("C", "H", "Lambda") if values[k] is None]
     if missing:
         raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
-    C, H, L = (_number(merged, k) for k in ("C", "H", "Lambda"))
-    if merged.get("A") is None:
+    C, H, L = values["C"], values["H"], values["Lambda"]
+    if values.get("A") is None:
         return resonant_system(C, H, L)
-    return build_system(_number(merged, "A"), C, H, L)
+    return build_system(values["A"], C, H, L)
 
 
-def _add_param_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--C", type=float, default=None, help="real part of the complex pair")
-    sp.add_argument("--H", type=float, default=None, help="focal-line slope parameter")
-    sp.add_argument("--Lambda", type=float, default=None, help="fold-visibility parameter")
-
-
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--config", default=None, help="JSON file with flag defaults")
-    sp.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+# Each subcommand's help and flags, each flag as name -> (kind, default,
+# help).  A default is command-line text, read as a flag's text is, and None
+# is unset.  Shared by every main call of a process, and never mutated.
+_PARAMS = {"C": ("float", None, "real part of the complex pair"),
+           "H": ("float", None, "focal-line slope parameter"),
+           "Lambda": ("float", None, "fold-visibility parameter")}
+_COMMON = {"config": ("path", None, "JSON file of flag values; explicit flags win"),
+           "output": ("path", "-", "output path, '-' for stdout")}
+_COMMANDS = {
+    "simulate": ("integrate a trajectory across the switching plane", {
+        "A": ("float", None, "real eigenvalue (default -2C)"), **_PARAMS,
+        **{f"{axis}0": ("float", None, f"initial {axis}") for axis in "xyz"},
+        "t_max": ("float", "20", "simulation horizon"),
+        "dt": ("float", "0.01", "sampling interval"), **_COMMON}),
+    "find-cycle": ("locate a symmetric crossing cycle", {**_PARAMS, **_COMMON}),
+    "verify-series": ("flight-time expansions vs numeric times", {
+        **_PARAMS,
+        "v0": ("list", "1e-3,1e-4,1e-5",
+               "comma-separated v0 values in (0, inf); one so small that the branch "
+               "point at y0 = 1/v0 overflows, e.g. 1e-155, exits 2, and one whose y0 "
+               "lies at the X fold, e.g. 1e12, exits 1 with TangentialGrazeError"),
+        **_COMMON}),
+    "classify-conic": ("reduced conic coefficients and kind", {**_PARAMS, **_COMMON}),
+    "stability-band": ("asymptotic stability region grid", {
+        "cmin": ("float", "0.01", "lowest C"), "cmax": ("float", "3", "highest C"),
+        "hmin": ("float", "0.001", "lowest H"), "hmax": ("float", "0.999", "highest H"),
+        "grid": ("int", "400", "grid count per axis"),
+        "boundaries": ("path", None, "output path for boundary polylines CSV"), **_COMMON}),
+    # A = -2C, and scan sets H itself
+    "scan": ("cycle catalogue over an H grid", {
+        "C": _PARAMS["C"], "Lambda": _PARAMS["Lambda"],
+        "hmin": ("float", None, "lowest H (default 0.5 H_crit(C))"),
+        "hmax": ("float", None, "highest H (default 0.995 H_crit(C))"),
+        "count": ("int", "20", "number of H values"), **_COMMON}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of _COMMANDS.  It only splits the command line: an unset
+    flag is absent from the namespace, and a given one is its text."""
     parser = argparse.ArgumentParser(
         prog="twofold",
         description=("Symmetric crossing limit cycles of a 3D piecewise-linear "
                      "family: simulation, cycle detection, and stability maps."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="integrate a trajectory across the switching plane")
-    sp.add_argument("--A", type=float, default=None, help="real eigenvalue (default: -2C)")
-    _add_param_flags(sp)
-    _add_common(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--y0", type=float, default=None)
-    sp.add_argument("--z0", type=float, default=None)
-    sp.add_argument("--t-max", type=float, default=None, help="simulation horizon")
-    sp.add_argument("--dt", type=float, default=None, help="sampling interval (default 0.01)")
-
-    sp = sub.add_parser("find-cycle", help="locate a symmetric crossing cycle")
-    _add_param_flags(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify-series", help="flight-time expansions vs numeric times")
-    _add_param_flags(sp)
-    _add_common(sp)
-    sp.add_argument("--v0", default=None,
-                    help="comma-separated v0 values in (0, inf) (default "
-                         "1e-3,1e-4,1e-5); one so small that the branch point at "
-                         "y0 = 1/v0 overflows, e.g. 1e-155, exits 2, and one whose y0 "
-                         "lies at the X fold, e.g. 1e12, exits 1 with "
-                         "TangentialGrazeError")
-
-    sp = sub.add_parser("classify-conic", help="reduced conic coefficients and kind")
-    _add_param_flags(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("stability-band", help="asymptotic stability region grid")
-    _add_common(sp)
-    sp.add_argument("--cmin", type=float, default=None)
-    sp.add_argument("--cmax", type=float, default=None)
-    sp.add_argument("--hmin", type=float, default=None)
-    sp.add_argument("--hmax", type=float, default=None)
-    sp.add_argument("--grid", type=int, default=None, help="grid count per axis (default 400)")
-    sp.add_argument("--boundaries", default=None,
-                    help="output path for boundary polylines CSV")
-
-    sp = sub.add_parser("scan", help="cycle catalogue over an H grid")
-    # A = -2C, and scan sets H itself
-    sp.add_argument("--C", type=float, default=None, help="real part of the complex pair")
-    sp.add_argument("--Lambda", type=float, default=None, help="fold-visibility parameter")
-    _add_common(sp)
-    sp.add_argument("--hmin", type=float, default=None)
-    sp.add_argument("--hmax", type=float, default=None)
-    sp.add_argument("--count", type=int, default=None, help="number of H values (default 20)")
-
-    # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
-    for sp in sub.choices.values():
+    for command, (summary, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for name, (_, default, text) in flags.items():
+            names = ["--" + name.replace("_", "-")] + (["-o"] if name == "output" else [])
+            sp.add_argument(*names,
+                            help=text if default is None else f"{text} (default {default})")
+        # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
         sp._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
+
+
+def _values(command: str, given: dict) -> dict:
+    """Every flag of command as its kind: the given flag's text, else the
+    config's value, else the declared default."""
+    flags, config = _COMMANDS[command][1], {}
+    if "config" in given:
+        try:
+            with open(given["config"], "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DomainError(f"cannot read config {given['config']!r}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise DomainError(f"config {given['config']!r} must hold a JSON object")
+        for key in config:
+            if key.replace("-", "_") not in flags or key == "config":
+                raise DomainError(f"config key {key!r} is not a flag of {command}")
+        config = {key.replace("-", "_"): value for key, value in config.items()}
+    values = {}
+    for name, (kind, default, _) in flags.items():
+        value = given.get(name, config.get(name))
+        values[name] = _read(name, kind, default if value is None else value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +359,30 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
         t0 = t0 + tc
 
 
-def cmd_simulate(merged: dict) -> int:
-    p = _params_from(merged)
+def cmd_simulate(values: dict) -> int:
+    p = _params_from(values)
     for key in ("x0", "y0", "z0"):
-        if merged.get(key) is None:
+        if values[key] is None:
             raise DomainError(f"missing required initial condition --{key}")
-    s0 = [_number(merged, key) for key in ("x0", "y0", "z0")]
+    s0 = [values[key] for key in ("x0", "y0", "z0")]
     if not all(map(math.isfinite, s0)):
         raise DomainError(f"the initial condition must be finite, got {s0!r}")
-    t_max = _number(merged, "t_max", 20.0)
-    dt = _number(merged, "dt", 0.01)
+    t_max, dt = values["t_max"], values["dt"]
     if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
         raise DomainError("t-max and dt must be positive and finite")
     if not math.isfinite(t_max / dt):
         raise DomainError(f"t-max / dt must be finite, got {t_max!r} / {dt!r}")
     # the whole text is built before the output opens, so a run that fails
     # part way leaves no partial file
-    _write_text(merged["output"], list(_simulate_rows(p, s0, t_max, dt)))
+    _write_text(values["output"], list(_simulate_rows(p, s0, t_max, dt)))
     return 0
 
 
-def cmd_find_cycle(merged: dict) -> int:
-    p = _params_from(merged)
+def cmd_find_cycle(values: dict) -> int:
+    p = _params_from(values)
     cycle = cycles.find_cycle_newton(p)
     report = stability.monodromy(p, cycle)
-    _write_json(merged["output"], {
+    _write_json(values["output"], {
         "p0": [cycle.p0[0], cycle.p0[1]],
         "p1": [cycle.p1[0], cycle.p1[1]],
         "T": cycle.T,
@@ -390,32 +397,19 @@ def cmd_find_cycle(merged: dict) -> int:
     return 0
 
 
-def cmd_verify_series(merged: dict) -> int:
-    p = _params_from(merged)
-    raw = merged.get("v0")
-    if isinstance(raw, (int, float)):
-        raw = [raw]  # a config's bare number is a one-value list
-    raw = raw or "1e-3,1e-4,1e-5"
-    items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
-    try:
-        if any(isinstance(v, bool) for v in items):
-            raise TypeError  # a config's true is no v0 = 1.0
-        v0s = [float(v) for v in items]
-    except (TypeError, ValueError, OverflowError):
-        v0s = []
-    if not v0s or not all(0.0 < v < math.inf for v in v0s):  # the rule of time_matching
-        raise DomainError("--v0 needs a comma-separated list of positive finite values")
-    table = returns.time_matching_table(p, v0s)
+def cmd_verify_series(values: dict) -> int:
+    p = _params_from(values)
+    table = returns.time_matching_table(p, values["v0"])
     header = ["v0", "tau_x_numeric", "tau_x_series", "tau_y_numeric", "tau_y_series", "tau"]
     rows = [[row[k] for k in header] for row in table]
-    _write_csv(merged["output"], header, rows)
+    _write_csv(values["output"], header, rows)
     return 0
 
 
-def cmd_classify_conic(merged: dict) -> int:
-    p = _params_from(merged)
+def cmd_classify_conic(values: dict) -> int:
+    p = _params_from(values)
     conic = invariants.gamma1_conic(p)
-    _write_json(merged["output"], conic.to_json_dict())
+    _write_json(values["output"], conic.to_json_dict())
     return 0
 
 
@@ -477,28 +471,27 @@ def _boundaries_csv(result):
         yield "".join([f"{name},{c},{h}\n" for c, h in zip(cells, cells)])
 
 
-def cmd_stability_band(merged: dict) -> int:
-    c_lo, c_hi = _number(merged, "cmin", 0.01), _number(merged, "cmax", 3.0)
-    h_lo, h_hi = _number(merged, "hmin", 0.001), _number(merged, "hmax", 0.999)
-    grid = _number(merged, "grid", 400, int)
-    result = stability.stability_band((c_lo, c_hi), (h_lo, h_hi), grid)
-    _write_text(merged["output"], _band_csv(result))
-    if merged.get("boundaries"):
-        _write_text(merged["boundaries"], _boundaries_csv(result))
+def cmd_stability_band(values: dict) -> int:
+    result = stability.stability_band((values["cmin"], values["cmax"]),
+                                      (values["hmin"], values["hmax"]), values["grid"])
+    _write_text(values["output"], _band_csv(result))
+    if values["boundaries"]:
+        _write_text(values["boundaries"], _boundaries_csv(result))
     return 0
 
 
-def cmd_scan(merged: dict) -> int:
-    if merged.get("C") is None or merged.get("Lambda") is None:
+def cmd_scan(values: dict) -> int:
+    if values["C"] is None or values["Lambda"] is None:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
-    p_base = resonant_system(_number(merged, "C"), 0.5, _number(merged, "Lambda"))
+    p_base = resonant_system(values["C"], 0.5, values["Lambda"])
     # a C or Lambda off the cycle branch fails at every H; it also keeps
     # cosh(pi C) in H_crit finite
     cycles._check_chart(p_base)
     hc = float(stability.critical_h(p_base.C))
-    h_lo, h_hi = _number(merged, "hmin", 0.5 * hc), _number(merged, "hmax", 0.995 * hc)
-    count = _number(merged, "count", 20, int)
+    h_lo = 0.5 * hc if values["hmin"] is None else values["hmin"]
+    h_hi = 0.995 * hc if values["hmax"] is None else values["hmax"]
+    count = values["count"]
     if not (0.0 < h_lo < 1.0 and 0.0 < h_hi < 1.0 and count >= 1):
         raise DomainError(f"scan needs hmin and hmax in (0, 1) and count >= 1, got "
                          f"{h_lo!r}, {h_hi!r} and {count}")
@@ -513,7 +506,7 @@ def cmd_scan(merged: dict) -> int:
         mu2, mu3 = e.monodromy.multipliers[1], e.monodromy.multipliers[2]
         rows.append([e.H, e.cycle.p0[1], e.cycle.T,
                      mu2.real, mu2.imag, mu3.real, mu3.imag, int(e.monodromy.stable)])
-    _write_csv(merged["output"], header, rows)
+    _write_csv(values["output"], header, rows)
     return 0
 
 
@@ -524,12 +517,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    given = vars(_parser().parse_args(argv))
+    command = given.pop("command")
     try:
-        merged = _merge_config(args)
+        values = _values(command, given)
         # the handler is looked up now, not bound into the parser, so a
         # rebinding of cmd_* after the first call is seen
-        return globals()["cmd_" + args.command.replace("-", "_")](merged)
+        return globals()["cmd_" + command.replace("-", "_")](values)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import errno
 import io
@@ -80,11 +81,13 @@ def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
     cli._parser.cache_clear()
     monkeypatch.chdir(inproc)
+    declared = copy.deepcopy(cli._COMMANDS)
     try:
         got = [_main_in_process(*args) for args in calls]
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+    assert cli._COMMANDS == declared  # the flag declaration every call reads
     assert [rc for rc, _, _ in got] == [0, 0, 0, 2, 0]
     for args, (rc, out, err) in zip(calls, got):
         proc = run_cli(*args, cwd=fresh)
@@ -213,8 +216,8 @@ def test_malformed_config_is_usage_error(tmp_path):
     pytest.param("scan", {"C": 1, "Lambda": 1}, "count", True, id="count-true"),
 ])
 def test_config_integer_flag_is_not_truncated(tmp_path, command, cfg, key, value):
-    # on the command line --grid 3.7 is an argparse error; from a config it
-    # was a 3 x 3 band, and a count of 2.9 or true gave 2 or 1 scan rows
+    # from a config, a grid of 3.7 was once a 3 x 3 band, and a count of 2.9
+    # or true gave 2 or 1 scan rows
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**cfg, key: value}))
     proc = run_cli(command, "--config", str(path), "-o", str(tmp_path / "out.csv"))
@@ -322,19 +325,101 @@ def test_config_bare_v0_is_a_one_value_list(tmp_path):
     assert [r["v0"] for r in read_csv(out)] == ["0.001"]
 
 
-@pytest.mark.parametrize("value", [True, False, [True], 0, [10 ** 400]])
+_V0_ERROR = "usage error: --v0 needs a comma-separated list of positive finite values\n"
+
+
+@pytest.mark.parametrize("value", [True, False, [True], 0, [10 ** 400], [], "",
+                                   [1e-3, "abc"], {"v0": 1e-3}])
 def test_config_v0_that_is_no_positive_float_is_a_usage_error(tmp_path, value):
-    # a JSON true is a bool, an int: it is no v0 = 1.0, and false and 0 are
-    # no request for the default list; an integer past the float range once
-    # raised a bare OverflowError
+    # a JSON true is a bool, an int: it is no v0 = 1.0, and false, 0 and []
+    # are no request for the default list; an integer past the float range
+    # once raised a bare OverflowError
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"v0": value}))
     proc = run_cli("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1",
                    "--config", str(path), "-o", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == ("usage error: --v0 needs a comma-separated list of positive "
-                           "finite values\n")
+    assert proc.stderr == _V0_ERROR
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["", ",", " , ", "abc", "inf,abc", "1e-3,0"])
+def test_v0_text_that_names_no_positive_float_is_a_usage_error(tmp_path, text):
+    # an empty --v0= once ran the default list, while --v0=, exited 2
+    proc = run_cli("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1", f"--v0={text}",
+                   "-o", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _V0_ERROR)
+    assert not (tmp_path / "out").exists()
+
+
+def test_v0_skips_empty_tokens_between_values():
+    series = ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1")
+    proc = run_cli(*series, "--v0=1e-3,,1e-4,")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*series, "--v0", "1e-3,1e-4").stdout
+    assert [row["v0"] for row in csv.DictReader(io.StringIO(proc.stdout))] == ["0.001", "0.0001"]
+
+
+def test_config_sets_the_output_and_an_explicit_flag_wins(tmp_path):
+    cfg, out, flag_out = tmp_path / "cfg.json", tmp_path / "x.json", tmp_path / "flag.json"
+    cfg.write_text(json.dumps({"C": 1, "H": 0.5, "Lambda": 1, "output": str(out)}))
+    proc = run_cli("classify-conic", "--config", str(cfg))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert out.read_text() == run_cli(*_DESK_CONIC).stdout
+    out.unlink()
+    proc = run_cli("classify-conic", "--config", str(cfg), "-o", str(flag_out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert flag_out.read_bytes() == run_cli(*_DESK_CONIC).stdout.encode()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("boundaries", True), ("output", 5),
+                                        ("boundaries", ["b.csv"]), ("output", None)])
+def test_config_path_that_is_no_string_is_a_usage_error(tmp_path, key, value):
+    # {"boundaries": true} once ended in a TypeError traceback; a JSON null
+    # is an unset key, so output falls back to its default '-'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 3, key: value}))
+    proc = run_cli("stability-band", "--config", str(cfg), cwd=tmp_path)
+    if value is None:
+        assert proc.returncode == 0 and proc.stdout.startswith("C,H,m2,"), proc.stderr
+        return
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"usage error: {key} must be a path, got {value!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key, value", [("C", "abc"), ("H", "0.04x"), ("C", "")])
+def test_a_bad_number_reads_alike_from_flag_and_config(tmp_path, key, value):
+    params = {"C": "1", "H": "0.04", "Lambda": "1", key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(params))
+    by_flag = run_cli("find-cycle", *[f"--{k}={v}" for k, v in params.items()])
+    by_config = run_cli("find-cycle", "--config", str(cfg))
+    for proc in (by_flag, by_config):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"usage error: {key} must be a number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (("stability-band", "--grid", "3.0"), ("stability-band", "--grid", "3")),
+    (("scan", "--C", "1", "--Lambda", "1", "--count", "2.0"),
+     ("scan", "--C", "1", "--Lambda", "1", "--count", "2")),
+    (("scan", "--C", "1", "--Lambda", "1", "--count", "2e0"),
+     ("scan", "--C", "1", "--Lambda", "1", "--count", "2")),
+])
+def test_int_flag_accepts_an_integral_float_on_the_command_line(argv, exact):
+    # as a config's 3.0 is: --grid 3.0 was an argparse error
+    proc, want = run_cli(*argv), run_cli(*exact)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == want.stdout
+
+
+@pytest.mark.parametrize("text", ["3.7", "inf", "nan", "1e400"])
+def test_int_flag_that_is_no_integer_is_a_usage_error(text):
+    proc = run_cli("stability-band", "--grid", text, "-o", "-")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"usage error: grid must be an integer, got {text!r}\n"
 
 
 def test_verify_series_csv(tmp_path):
@@ -752,6 +837,58 @@ def test_readme_cli_commands_run(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
         for name in names:
             assert (rewritten / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def _as_json(text):
+    """A flag's text as the JSON number it names, else as the string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def test_readme_cli_commands_read_alike_from_a_config(tmp_path):
+    # every flag, -o and --boundaries included, moved into a --config file:
+    # numbers as JSON numbers, the rest as strings
+    flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+    flagged.mkdir()
+    configured.mkdir()
+    for argv in _readme_cli_commands():
+        command, pairs = argv[0], argv[1:]
+        cfg = {("output" if flag == "-o" else flag.lstrip("-")): _as_json(value)
+               for flag, value in zip(pairs[::2], pairs[1::2])}
+        (configured / "cfg.json").write_text(json.dumps(cfg))
+        for where, args in ((flagged, argv), (configured, (command, "--config", "cfg.json"))):
+            proc = run_cli(*args, cwd=where)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), (args, proc.stderr)
+    (configured / "cfg.json").unlink()
+    names = sorted(p.name for p in flagged.iterdir())
+    assert len(names) == 7 and names == sorted(p.name for p in configured.iterdir())
+    for name in names:
+        assert (configured / name).read_bytes() == (flagged / name).read_bytes(), name
+
+
+_START = ("--C", "1", "--H", "0.04", "--Lambda", "1", "--x0", "219.892", "--y0", "8.431",
+          "--z0", "0")
+
+
+@pytest.mark.parametrize("command, base, defaults", [
+    ("stability-band", (), ("--cmin", "0.01", "--cmax", "3", "--hmin", "0.001",
+                            "--hmax", "0.999", "--grid", "400")),
+    ("simulate", _START, ("--t-max", "20", "--dt", "0.01")),
+    ("verify-series", ("--C", "1", "--H", "0.5", "--Lambda", "1"), ("--v0", "1e-3,1e-4,1e-5")),
+    ("scan", ("--C", "1", "--Lambda", "1"), ("--count", "20")),
+])
+def test_stated_defaults_are_the_defaults(command, base, defaults):
+    # each default named in --help writes what passing it explicitly writes
+    left_out, explicit = run_cli(command, *base), run_cli(command, *base, *defaults)
+    assert (left_out.returncode, left_out.stderr) == (0, "")
+    assert left_out.stdout == explicit.stdout
+    proc = run_cli(command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    help_text = " ".join(proc.stdout.split())  # wrapped as the terminal width allows
+    for flag, value in zip(defaults[::2], defaults[1::2]):
+        assert f"{flag} " in help_text and f"(default {value})" in help_text, flag
 
 
 def test_readme_library_example_runs(capsys):
