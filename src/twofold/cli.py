@@ -171,9 +171,10 @@ def _read(name: str, kind: str, value):
     int is exact for integer text and JSON integers, and an integral float
     is accepted from either source (--grid 3.0), but 3.7 is not cut to 3.  A
     list is comma-separated text, whose empty tokens are skipped, a JSON
-    list or a bare JSON number, of at least one positive finite float.
+    list or a bare JSON number, of at least one positive finite float.  A
+    path is a non-empty string.
     """
-    if value is None or kind == "path" and isinstance(value, str):
+    if value is None or kind == "path" and isinstance(value, str) and value:
         return value
     if kind == "path":
         raise DomainError(f"{name} must be a path, got {value!r}")
@@ -275,14 +276,15 @@ def _values(command: str, given: dict) -> dict:
     """Every flag of command as its kind: the given flag's text, else the
     config's value, else the declared default."""
     flags, config = _COMMANDS[command][1], {}
-    if "config" in given:
+    path = _read("config", "path", given.get("config"))
+    if path is not None:
         try:
-            with open(given["config"], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read config {given['config']!r}: {exc}") from exc
+            raise DomainError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(config, dict):
-            raise DomainError(f"config {given['config']!r} must hold a JSON object")
+            raise DomainError(f"config {path!r} must hold a JSON object")
         for key in config:
             if key.replace("-", "_") not in flags or key == "config":
                 raise DomainError(f"config key {key!r} is not a flag of {command}")
@@ -475,7 +477,7 @@ def cmd_stability_band(values: dict) -> int:
     result = stability.stability_band((values["cmin"], values["cmax"]),
                                       (values["hmin"], values["hmax"]), values["grid"])
     _write_text(values["output"], _band_csv(result))
-    if values["boundaries"]:
+    if values["boundaries"] is not None:
         _write_text(values["boundaries"], _boundaries_csv(result))
     return 0
 

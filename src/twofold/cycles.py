@@ -27,7 +27,7 @@ from .flow import _phi_rows
 from .invariants import _check_branch_domain, _conic_coefficients, _conic_value
 from .returns import _bracketed_root, _flight, _series
 from .stability import MonodromyReport, monodromy
-from .system import SystemParams, _plane_field, resonant_system
+from .system import SystemParams, _plane_field, build_system
 
 __all__ = [
     "SymmetricCycle",
@@ -283,14 +283,14 @@ class ScanEntry:
 
 
 def scan_cycles(p_base: SystemParams, H_grid) -> list[ScanEntry]:
-    """Cycle catalogue over an H grid at fixed (C, Lambda).
+    """Cycle catalogue over an H grid at the base system's A, C and Lambda.
 
     Each H is solved independently; a TwofoldError is recorded in its entry
     and the scan continues.  The returned order follows H_grid.
     """
     def entry(H: float) -> ScanEntry:
         try:
-            p = resonant_system(p_base.C, H, p_base.Lambda)
+            p = build_system(p_base.A, p_base.C, H, p_base.Lambda)
             cycle = find_cycle_newton(p)
             report = monodromy(p, cycle)
             return ScanEntry(H=H, cycle=cycle, monodromy=report, error=None)

@@ -16,8 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BranchPointError, DomainError
 from .system import REL_TOL, SystemParams, eval_X, eval_Y
 
@@ -142,32 +140,36 @@ class DarbouxReport:
     samples: int
 
 
-_DARBOUX_SAMPLES, _DARBOUX_SEED, _DARBOUX_BOX = 1000, 0, 3.0
+# {0, e_i, 2 e_i, e_i + e_j}: the degree-2 principal lattice, unisolvent for quadratics
+_P2_LATTICE = [(i, j, k) for i in range(3) for j in range(3) for k in range(3) if i + j + k <= 2]
 
 
 def verify_darboux(p: SystemParams) -> DarbouxReport:
-    """Check the Darboux property of all four polynomials on a random sample.
+    """Decide the Darboux property of all four polynomials on ten points.
 
     For each polynomial g with cofactor k along its field v the residual is
-    |v(g) - k g| at 1000 seeded points of [-3, 3]^3.  As g has degree at most
-    2, v(g)(s) = (g(s + v) - g(s - v)) / 2 exactly: it is read off g itself.
+    |v(g) - k g| on the lattice {0, e_i, 2 e_i, e_i + e_j}.  As g has degree
+    at most 2, v(g)(s) = (g(s + v) - g(s - v)) / 2 exactly: it is read off g
+    itself, and the residual is a quadratic, zero everywhere iff on the ten.
     Also reports the cofactor combination 1*(2C) + (-2C/A)*A, which vanishes
-    identically and makes the Darboux product a first integral; A = 0 is a
-    DomainError, as in eval_P_X.
+    identically and makes the Darboux product a first integral; A = 0, as in
+    eval_P_X, and a residual that is not finite are DomainErrors.
     """
     exponent = _power_exponent(p)
     pair = DarbouxPair(p)
     checks = ((pair.f1, pair.cofactor_f1, eval_X), (pair.f2, pair.cofactor_f2, eval_X),
               (pair.F1, pair.cofactor_F1, eval_Y), (pair.F2, pair.cofactor_F2, eval_Y))
-    rng = np.random.default_rng(_DARBOUX_SEED)
     worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(_DARBOUX_SAMPLES):
-        s = rng.uniform(-_DARBOUX_BOX, _DARBOUX_BOX, 3)
+    for s in _P2_LATTICE:
         for i, (g, k, field) in enumerate(checks):
             v = field(p, s)
-            worst[i] = max(worst[i], abs(0.5 * (g(s + v) - g(s - v)) - k * g(s)))
+            resid = abs(0.5 * (g(s + v) - g(s - v)) - k * g(s))
+            if not math.isfinite(resid):  # max(0.0, nan) would keep 0.0
+                raise DomainError(f"the Darboux residuals leave the float range at A={p.A!r}, "
+                                  f"C={p.C!r}, H={p.H!r}, Lambda={p.Lambda!r}")
+            worst[i] = max(worst[i], resid)
     combo = 1.0 * (2.0 * p.C) + exponent * p.A
-    return DarbouxReport(*worst, cofactor_combination=combo, samples=_DARBOUX_SAMPLES)
+    return DarbouxReport(*worst, cofactor_combination=combo, samples=len(_P2_LATTICE))
 
 
 class ConicKind(enum.Enum):

@@ -97,6 +97,8 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
     none.  Returns (t, iterations).
     A touch, a critical point of z where z is zero to within the closed
     form's rounding, is not a crossing: the orbit stays in its half-space.
+    A start above the plane whose closed-form z(0) rounds to zero or below
+    is the plane start it is within round-off of.
     Raises DomainError if s0 lies below the plane, NoReturnError if no
     crossing occurs in (0, t_max], TangentialGrazeError if the flight does
     not enter the half-space or the exit slope is below 1e-10 (1 + |s0|),
@@ -127,9 +129,7 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
         # amp, whose first component may cancel
         decays = C * tsign <= 0.0
         amp = math.hypot(wy + C * wz, wz) + 2.0 ** -40 * (abs(wy) + abs(C * wz) + abs(wz))
-        inside = s0[2] > 0.0  # the left end lies in the half-space
-        if inside and z(0.0) <= 0.0:
-            raise TangentialGrazeError("entry into the half-space is not transversal")
+        inside = s0[2] > 0.0 and z(0.0) > 0.0  # the left end lies in the half-space
         # near z = 0 the terms of zs + e^{Cu} (wy sin u + (cos u + C sin u) wz)
         # sum in size to at most 3 (1 + |C|) e^{Cu} |(alpha, beta)|, and z
         # carries a few ulps of that: the touch bound rnd e^{Cu} |(alpha, beta)|

@@ -389,6 +389,30 @@ def test_config_path_that_is_no_string_is_a_usage_error(tmp_path, key, value):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("stability-band", "--grid", "3", "-o", "g.csv", "--boundaries", ""), "boundaries"),
+    (("stability-band", "--grid", "3", "-o", ""), "output"),
+    (("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1", "-o", ""), "output"),
+    (("find-cycle", "--config", ""), "config"),
+])
+def test_empty_path_is_a_usage_error(tmp_path, args, flag):
+    # --boundaries "" once exited 0 with no boundaries file, and -o "" exited 1
+    # with a FileNotFoundError after the compute
+    proc = run_cli(*args, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"usage error: {flag} must be a path, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_empty_output_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"C": 1, "H": 0.04, "Lambda": 1, "output": ""}))
+    proc = run_cli("find-cycle", "--config", str(cfg), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage error: output must be a path, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("key, value", [("C", "abc"), ("H", "0.04x"), ("C", "")])
 def test_a_bad_number_reads_alike_from_flag_and_config(tmp_path, key, value):
     params = {"C": "1", "H": "0.04", "Lambda": "1", key: value}
@@ -954,6 +978,19 @@ def test_simulate_passes_over_a_touch(tmp_path):
     rows = read_csv(out)
     assert [float(r["t"]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert all((r["event"], r["field"]) == ("", "X") for r in rows)
+
+
+def test_simulate_start_within_round_off_above_the_plane(tmp_path):
+    # z0 = 1e-11 lies above simulate's plane cutoff, but the closed form's
+    # z(0) rounds to zero or below: the run is the plane start's, where it
+    # once exited 1 with TangentialGrazeError
+    argv = ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1e6", "--x0", "1", "--y0",
+            "1", "--t-max", "5", "--dt", "1")
+    near, plane = run_cli(*argv, "--z0", "1e-11"), run_cli(*argv, "--z0", "0")
+    assert (near.returncode, near.stderr) == (0, "")
+    assert near.stdout == plane.stdout
+    crossing = [r for r in csv.DictReader(io.StringIO(near.stdout)) if r["event"]]
+    assert [r["t"] for r in crossing] == ["3.940732135693901"]
 
 
 def test_simulate_readme_example(tmp_path):

@@ -586,6 +586,20 @@ def test_scan_entry_error_kind():
     assert below.error.startswith("NoCycleError: no symmetric crossing cycle: ")
 
 
+def test_scan_builds_each_entry_at_the_base_systems_a():
+    hc = 0.9 * float(critical_h(1.0))
+    # a non-resonant base has no cycle branch: each entry is that DomainError,
+    # where the scan once solved the resonant system at the same C and Lambda
+    entry, = scan_cycles(build_system(-1.9, 1.0, 0.5, 1.0), [hc])
+    assert (entry.cycle, entry.monodromy, entry.error_kind) == (None, None, "DomainError")
+    assert "resonant family" in entry.error
+    # a resonant base gives the resonant system's cycle at each H, bit for bit
+    p = resonant_system(1.0, hc, 1.0)
+    entry, = scan_cycles(resonant_system(1.0, 0.5, 1.0), [hc])
+    assert entry.cycle == find_cycle_newton(p)
+    assert entry.monodromy.multipliers == monodromy(p, entry.cycle).multipliers
+
+
 def test_seed_prediction_accuracy():
     # the series-head seed lands within a few percent of the converged cycle
     p = resonant_system(1.0, 0.97 * float(critical_h(1.0)), 1.0)

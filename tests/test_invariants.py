@@ -124,9 +124,27 @@ def test_verify_darboux_report(params):
 ], ids=["desk", "series", "nonresonant", "negative-C"])
 def test_verify_darboux_residuals_at_round_off(p):
     report = verify_darboux(p)
-    assert report.samples == 1000
+    assert report.samples == 10
     assert max(report.max_residual_f1, report.max_residual_f2,
                report.max_residual_F1, report.max_residual_F2) <= 1e-12
+
+
+def test_darboux_lattice_decides_every_quadratic():
+    # the ten quadratic monomials on the lattice form a matrix of rank 10, so a
+    # quadratic residual that vanishes on the lattice vanishes on R^3
+    rows = [[1, x, y, z, x * x, y * y, z * z, x * y, x * z, y * z]
+            for x, y, z in invariants._P2_LATTICE]
+    assert len(rows) == 10 and np.linalg.matrix_rank(np.array(rows, dtype=float)) == 10
+
+
+@pytest.mark.parametrize("C, H, Lambda", [(1.0, 0.5, 1e200), (1e100, 0.5, 1.0)])
+def test_verify_darboux_residual_that_is_not_finite_is_a_domain_error(C, H, Lambda):
+    # every value of f1 is inf, so g(s + v) - g(s - v) is NaN, which
+    # max(0.0, nan) once reported as a residual of 0.0
+    p = resonant_system(C, H, Lambda)
+    with pytest.raises(DomainError, match=re.escape(f"A={p.A!r}, C={C!r}, H={H!r}, "
+                                                    f"Lambda={Lambda!r}")):
+        verify_darboux(p)
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "F1", "F2"])

@@ -65,10 +65,9 @@ def _cycle_at(C):
                 x=0.0, y=0.0, z=0.0)
 
 
-# verify_darboux evaluates 1000 samples a call: it runs on the pinned examples only
 @seed(25)
 @settings(max_examples=1000, deadline=None)
-@given(call=st.sampled_from(sorted(set(_CALLS) - {"verify_darboux"})),
+@given(call=st.sampled_from(sorted(_CALLS)),
        resonant=st.booleans(),
        A=_value, C=_value, H=_value, Lambda=_value, x=_value, y=_value, z=_value)
 @example(**_cycle_at(225.65))  # e^{C t_graze} overflowed

@@ -1,6 +1,6 @@
 """Points of the switching plane are pairs of Python floats: the solver
-modules that produce them import no NumPy, and each public point is a tuple
-(x, y) of floats, never an array."""
+modules that produce them, and the invariants they read, import no NumPy, and
+each public point is a tuple (x, y) of floats, never an array."""
 import ast
 from pathlib import Path
 
@@ -10,7 +10,7 @@ import twofold
 from twofold import (find_cycle_newton, half_return_Y, resonant_system, return_map,
                      sliding_field)
 
-_FLOAT_MODULES = ("returns.py", "cycles.py", "sigma.py")
+_FLOAT_MODULES = ("returns.py", "cycles.py", "sigma.py", "invariants.py")
 
 
 @pytest.mark.parametrize("name", _FLOAT_MODULES)

@@ -329,6 +329,18 @@ def test_on_plane_start_that_leaves_downward_is_no_entry(params):
         first_crossing(params, (1.0, -1.0, 0.0), 8.0 * math.pi)
 
 
+@pytest.mark.parametrize("z0", [1e-17, 2e-17])
+def test_start_within_round_off_above_the_plane_is_the_plane_start(desk_params, z0):
+    # z0 - zs rounds to -zs, so the closed form reads z(0) <= 0: the start is the
+    # plane start it is within round-off of, where it once raised
+    # TangentialGrazeError, while z0 = 1e-16 and 0 both crossed at this t
+    s0 = (1.0, 1.0, z0)
+    assert z_closed_form(desk_params, s0)[0](0.0) <= 0.0
+    plane = first_crossing(desk_params, (1.0, 1.0, 0.0), 8.0 * math.pi)
+    assert plane[0] == 3.4731524627793853
+    assert first_crossing(desk_params, s0, 8.0 * math.pi) == plane
+
+
 def test_exit_graze_detected():
     # Lambda and the start scaled down to 1e-12 scale the whole orbit: it
     # crosses the plane with slope ~4e-11, below the 1e-10 (1 + |s0|) tolerance

@@ -143,3 +143,11 @@ def test_sliding_field_rejects_a_non_finite_point(desk_params, q):
     # both once ended in a bare AssertionError
     with pytest.raises(DomainError, match="must be finite"):
         sliding_field(desk_params, q)
+
+
+@pytest.mark.parametrize("q", [(1e308, -1e308), (-1e308, 1e308)])
+def test_sliding_field_past_the_float_range_is_a_domain_error(desk_params, q):
+    # a sliding and an escaping point with a finite tangency cutoff, at which
+    # A x of both fields overflows
+    with pytest.raises(DomainError, match="leave the float range"):
+        sliding_field(desk_params, q)
