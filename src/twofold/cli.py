@@ -344,6 +344,8 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
         if not np.isfinite(states).all():
             raise DivergenceError(f"the {field} flow overflows floating point "
                                   f"by t={t0 + float(times[-1])!r}")
+        if idx == 0:  # the t = 0 row is the start itself, not the closed form at 0
+            states[0] = s
         tail = f",{field},,,\n"
         yield from _row_texts(np.column_stack((ts, states[:ts.size])), tail)
         idx = end

@@ -10,12 +10,12 @@ closing equations for piecewise-linear systems (Freire, Ponce, Rodrigo and
 Torres, IJBC 8 (1998)).  H(pi+) = H_crit, and at t_graze y0 reaches the X
 fold.  A cycle solve is one scalar root of d(t) (H(t) - H), found on its
 exact derivative by the safeguarded Newton kernel that also closes every
-flight's crossing, then one kernel flight of the lower half-orbit that
-checks it.  The conic residual r(y0) = x1 + y0 of the earlier
-branch-coordinate solve stays as a test oracle (closure_residual in
-tests/oracles.py).  The full return map (upper half-orbit followed by the
-lower one) is exposed for finite-difference checks of the monodromy.  Points
-of the plane, p0, p1 and the return map's image, are (x, y) pairs of floats.
+flight's crossing, then checked on the closed form of the upper
+half-orbit; the lower one is its S-image.  The conic residual
+r(y0) = x1 + y0 of the earlier branch-coordinate solve stays as a test
+oracle (closure_residual in tests/oracles.py).  The full return map is
+exposed for finite-difference checks of the monodromy.  Points of the
+plane, p0, p1 and the return map's image, are (x, y) pairs of floats.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoCycleError, NotACycleError, TwofoldError
-from .flow import _phi_rows
-from .invariants import _check_branch_domain, _conic_coefficients, _conic_value
-from .returns import _bracketed_root, _flight, _series
+from .flow import _phi_rows, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
+from .invariants import _check_branch_domain
+from .returns import _bracketed_root, _flight, _series, _touch_bound
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, _plane_field, build_system
 
@@ -43,13 +43,11 @@ __all__ = [
 class SymmetricCycle:
     """A converged symmetric crossing cycle.
 
-    p0 = (x0, y0) and p1 are the two crossings, pairs of floats.  p1 is the
-    second, where the kernel flight of the lower half-orbit into p0 starts;
-    residual is its distance from the involution image (-y0, -x0).  t_x (the
-    closed-form branch time) and t_y (that flight's own crossing time, its
-    Newton only started at t_x) are the two half-flight times, equal for a
-    symmetric cycle, and T = t_x + t_y the period.  dg is the 2x2 derivative
-    at p0 of the half map g = S h_X on the plane, row-major
+    p0 = (x0, y0) and p1, the closed-form end of the upper half-orbit, are
+    the two crossings, pairs of floats; residual is the distance of that
+    end (x1, y1, z1) from (-y0, -x0, 0).  The lower half-orbit is the S-image
+    of the upper one, so the half times are t_y = t_x and T = 2 t_x.  dg is
+    the 2x2 derivative at p0 of the half map g = S h_X on the plane, row-major
     (g00, g01, g10, g11), in closed form at the branch point.  The return map
     is g o g, so its derivative at the cycle is Dg^2, whose eigenvalues are
     the transverse Floquet multipliers.
@@ -195,10 +193,9 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     d(t) (H(t) - H) with its exact derivative, each step one closed-form
     evaluation and no flight (see _solve_branch).  y0_init is checked and
     unused: the solve always starts one Newton step from the H_crit end.
-    Dg comes in closed form from exp(DX t_x) and the field at the end
-    (-y0, -x0).  The kernel flight behind half_return_Y, from p0 with its
-    Newton started at t_x, gives t_y and p1 in about one root step; the
-    cycle checks run on it.
+    One exp(DX t_x) gives the closed-form end p1 and, with the field there,
+    Dg.  No flight is flown: z is read at its critical points in (0, t_x),
+    and dz/dt is y0 > 0 at the start and -x0 < 0 at the end.
 
     Raises
     ------
@@ -210,34 +207,41 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     NoConvergenceError
         If the root kernel does not resolve the flight time in its 100 steps.
     NotACycleError
-        If the Y flight from p0 misses the cycle: its end is not (-y0, -x0),
-        its time differs from t, or it leaves the reduced conic.
+        If p1 misses (-y0, -x0, 0) by more than 1e-8 (1 + |p0|), or z comes
+        within the touch bound of the plane before t_x.
     """
     _check_branch_domain(p)
     _check_chart(p)
     if y0_init is not None and not y0_init < math.inf:
         raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
     t_x, x0, y0 = _solve_branch(p)
-    t_y, (x1, y1), *_ = _flight(p, x0, y0, "Y", t_x)
-    T = t_x + t_y
-    scale = 1.0 + max(abs(x0), abs(y0))
-    residual = math.hypot(x1 + y0, y1 + x0)  # p1 minus the involution image (-y0, -x0)
-    problems = []
-    if residual > 1e-8 * scale:
-        problems.append(f"the Y flight from p0 ends {residual:.3g} from (-y0, -x0)")
-    if abs(t_x - t_y) > 1e-9 * T:
-        problems.append(f"half times differ: |t_x - t_y| = {abs(t_x - t_y):.3g}")
-    if abs(_conic_value(_conic_coefficients(p), x1, y1)) > 1e-8 * scale * scale:
-        problems.append("p1 left the reduced conic")
-    if problems:
-        raise NotACycleError("; ".join(problems))
+    rows = _phi_rows(p, t_x)
+    x1, y1, z1 = _plane_state(p, rows, x0, y0)
+    residual = math.hypot(x1 + y0, y1 + x0, z1)  # the end minus (-y0, -x0, 0)
+    if residual > 1e-8 * (1.0 + max(abs(x0), abs(y0))):
+        raise NotACycleError(f"the X flight from p0 ends {residual:.3g} from (-y0, -x0, 0)")
+    _check_first_return(p, x0, y0, t_x)
     # Dh = (I - X(end) e3^T / X_z(end)) [phi0 phi1] at the end (-y0, -x0), where
     # X = (A x1 + H Lambda, Lambda, y1); phi0 = (e^{At}, 0, 0) leaves h10 = 0
-    (e_at, p01, _), (_, p11, _), (_, p21, _) = _phi_rows(p, t_x)
+    (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
     (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
     h01, h11 = p01 + fx * w, p11 + fy * w
-    return SymmetricCycle(p0=(x0, y0), p1=(x1, y1), T=T, t_x=t_x, t_y=t_y,
+    return SymmetricCycle(p0=(x0, y0), p1=(x1, y1), T=2.0 * t_x, t_x=t_x, t_y=t_x,
                           residual=residual, dg=(0.0, -h11, -e_at, -h01))
+
+
+def _check_first_return(p: SystemParams, x0: float, y0: float, t_x: float):
+    """A NotACycleError unless z along the upper orbit from (x0, y0, 0),
+    monotone between its critical points, exceeds the touch bound at each
+    of them in (0, t_x)."""
+    C, s0 = p.C, (x0, y0, 0.0)
+    alpha, beta = _slope_coefficients(C, *_z_coefficients(p, s0)[1:])
+    z, _ = z_closed_form(p, s0)
+    u, ab = math.atan2(-beta, alpha) % math.pi, math.hypot(alpha, beta)
+    while u < t_x:
+        if not z(u) > _touch_bound(C, math.exp(C * u), ab):
+            raise NotACycleError(f"the X flight from p0 meets the plane at t = {u:.6g} < t_x")
+        u += math.pi
 
 
 def return_map(p: SystemParams, q) -> tuple:

@@ -119,8 +119,12 @@ def plane_flight(p: SystemParams, q, t: float):
     written with ``math``, equal to it up to round-off, with no 3x3
     temporaries.
     """
-    u, v = float(q[0]), float(q[1])
-    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = _phi_rows(p, t)
+    return _plane_state(p, _phi_rows(p, t), float(q[0]), float(q[1]))
+
+
+def _plane_state(p: SystemParams, rows, u: float, v: float):
+    """plane_flight from (u, v, 0) at the time of the _phi_rows ``rows``."""
+    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
     xs, ys, zs = _stationary(p)
     du, dv = u - xs, v - ys
     x = xs + e_at * du + p01 * dv - p02 * zs

@@ -84,17 +84,13 @@ class HalfReturn:
     residual: float
 
 
-def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
-                   t_start: float = math.nan):
+def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
     """First time in (0, t_max] at which the upper-field orbit from s0 meets z = 0.
 
     s0 lies on the plane (s0[2] == 0, and the flight leaves it) or above it;
     a lower-field caller passes S s0.  The orbit runs backward in time unless
-    ``forward``.  Newton starts at ``t_start`` if it lies in the walk's
-    one-root bracket: fewer steps, the same root to round-off.  Only
-    otherwise is the zero of z's sinusoid in the bracket computed (one
-    atan2) and used as the start, or the bracket's midpoint if there is
-    none.  Returns (t, iterations).
+    ``forward``.  Newton starts at the zero of z's sinusoid in the walk's
+    one-root bracket, else at its midpoint.  Returns (t, iterations).
     A touch, a critical point of z where z is zero to within the closed
     form's rounding, is not a crossing: the orbit stays in its half-space.
     A start above the plane whose closed-form z(0) rounds to zero or below
@@ -130,16 +126,13 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
         decays = C * tsign <= 0.0
         amp = math.hypot(wy + C * wz, wz) + 2.0 ** -40 * (abs(wy) + abs(C * wz) + abs(wz))
         inside = s0[2] > 0.0 and z(0.0) > 0.0  # the left end lies in the half-space
-        # near z = 0 the terms of zs + e^{Cu} (wy sin u + (cos u + C sin u) wz)
-        # sum in size to at most 3 (1 + |C|) e^{Cu} |(alpha, beta)|, and z
-        # carries a few ulps of that: the touch bound rnd e^{Cu} |(alpha, beta)|
-        rnd, ab = 2.0 ** -50 * 3.0 * (1.0 + abs(C)), math.hypot(alpha, beta)
-        lo, floor, k = 0.0, rnd * ab, 0  # floor: the touch bound at lo
+        ab = math.hypot(alpha, beta)
+        lo, floor, k = 0.0, _touch_bound(C, 1.0, ab), 0  # floor: the touch bound at lo
         while True:
             hi = min(phase + k * math.pi, t_max)
             zhi = z(tsign * hi)
             e_hi = math.exp(C * tsign * hi)
-            touch = rnd * e_hi * ab
+            touch = _touch_bound(C, e_hi, ab)
             # a critical point past the left end where z is zero to within
             # rounding is a touch, passed over whichever way z rounds there
             if zhi <= 0.0 and (not inside or hi == t_max or -zhi > touch):
@@ -154,13 +147,11 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
                 raise NoReturnError(f"no crossing of z = 0 within (0, {t_max:.6g}]")
             raise TangentialGrazeError("entry into the half-space is not transversal")
         # z = zs + e^{Cu} (a sin u + b cos u) with (a, b) proportional to
-        # (C alpha + beta, C beta - alpha): start at t_start, else at the zero
-        # of the sinusoid, inside the bracket, else at its midpoint
-        start = t_start
+        # (C alpha + beta, C beta - alpha): start at the zero of the
+        # sinusoid inside the bracket, else at its midpoint
+        start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
         if not lo < start < hi:
-            start = lo + (tsign * math.atan2(alpha - C * beta, C * alpha + beta) - lo) % math.pi
-            if not lo < start < hi:
-                start = 0.5 * (lo + hi)
+            start = 0.5 * (lo + hi)
         # the residual e^{-C(u - u_lo)} z rounds to within the touch bound at lo
         fdf = _envelope_free(C, zs, wy, wz, tsign, tsign * lo)
         root, iterations = _bracketed_root(fdf, start, lo, hi, floor)
@@ -172,6 +163,12 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True,
     except OverflowError:
         raise DivergenceError("the orbit leaves the range of floating point "
                               "before it meets z = 0") from None
+
+
+def _touch_bound(C: float, e_cu: float, ab: float) -> float:
+    """The touch bound at u, e_cu = e^{Cu}, ab = |(alpha, beta)|: near z = 0 the
+    terms of z sum in size to at most 3 (1 + |C|) e^{Cu} ab; z carries a few ulps."""
+    return 2.0 ** -50 * 3.0 * (1.0 + abs(C)) * e_cu * ab
 
 
 def _envelope_free(C: float, zs: float, wy: float, wz: float, tsign: float, u_lo: float):
@@ -237,7 +234,7 @@ def _bracketed_root(fdf, t, lo, hi, floor=0.0):
     raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")
 
 
-def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = math.nan):
+def _flight(p: SystemParams, x0: float, y0: float, field: str):
     """The one half-return flight, in floats: the HalfReturn fields but start
     and field, (t, (x1, y1), forward, iterations, residual)."""
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
@@ -247,7 +244,7 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str, t_start: float = 
             f"start {(x0, y0)!r} is tangential for the {field} field"
         )
     forward = v > 0  # an ascending start opens the upper half-orbit
-    t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward, t_start=t_start)
+    t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward)
     try:  # e^{At} in the closed form may overflow where e^{Ct} did not
         x1, y1, z1 = flow.plane_flight(p, (u, v), t if forward else -t)
         finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(z1)

@@ -47,13 +47,16 @@ __all__ = [
     "stability_band",
 ]
 
-_E3 = np.array([0.0, 0.0, 1.0])
 
+def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
+    """Jump correction of the linearized flow at a transversal crossing.
 
-def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tuple:
-    """Third column of saltation(p, (x, y), direction) minus e3, as floats:
-    (Y - X) / div from the plane fields X = _plane_field(x, y) and
-    Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X."""
+    direction "XtoY" uses the incoming upper field's Lie derivative as the
+    divisor, "YtoX" the lower one's.  Both are identity plus a rank-one
+    update of the third column, (Y - X) / div from the plane fields X and
+    Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X.
+    """
+    x, y = float(q[0]), float(q[1])
     tol = _tangency_cutoff(x, y)
     if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
         raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
@@ -65,24 +68,14 @@ def _saltation_column(p: SystemParams, x: float, y: float, direction: str) -> tu
         raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
     fx, fy, fz = _plane_field(p, x, y)
     u, v, w = _plane_field(p, -y, -x)  # Y(x, y, 0) = S X(-y, -x, 0)
-    return (-v - fx) / div, (-u - fy) / div, (-w - fz) / div
-
-
-def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
-    """Jump correction of the linearized flow at a transversal crossing.
-
-    direction "XtoY" uses the incoming upper field's Lie derivative as the
-    divisor, "YtoX" the lower one's.  Both are identity plus a rank-one
-    update of the third column.
-    """
     out = np.eye(3)
-    out[:, 2] += _saltation_column(p, float(q[0]), float(q[1]), direction)
+    out[:, 2] += ((-v - fx) / div, (-u - fy) / div, (-w - fz) / div)
     return out
 
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    matrix: np.ndarray
+    rows: tuple  # the monodromy matrix as three row tuples
     trace: float
     det: float
     multipliers: tuple  # (1, mu2, mu3); mu1 = 1 is exact by deflation
@@ -90,6 +83,10 @@ class MonodromyReport:
     reduction_residual: float
     schur: tuple  # three booleans
     stable: bool
+
+    @property
+    def matrix(self) -> np.ndarray:  # built on access
+        return np.array(self.rows)
 
 
 def _deflated_quadratic_roots(trace: float, det: float):
@@ -113,15 +110,6 @@ def schur_conditions(trace: float, det: float) -> tuple:
             trace + det > 0.0)
 
 
-def _salted(c: tuple, m: tuple) -> tuple:
-    """(I + c e3^T) m for a 3x3 m given as row tuples: row i gains c_i times row 2."""
-    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = m
-    c0, c1, c2 = c
-    return ((a0 + c0 * d0, a1 + c0 * d1, a2 + c0 * d2),
-            (b0 + c1 * d0, b1 + c1 * d1, b2 + c1 * d2),
-            (d0 + c2 * d0, d1 + c2 * d1, d2 + c2 * d2))
-
-
 def _mul3(a: tuple, b: tuple) -> tuple:
     """Product of two 3x3 matrices given as row tuples."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
@@ -139,8 +127,9 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
 
     ``trace``, ``det``, ``multipliers``, ``schur`` and ``stable`` come from
     the half-map derivative Dg = cycle.dg: the plane return map is g o g, so
-    tr M = 1 + tr(Dg)^2 - 2 det Dg and det M = (det Dg)^2.  ``matrix`` is the
-    direct composition S_{Y->X}(p0) Phi_Y(t_y) S_{X->Y}(p1) Phi_X(t_x), and
+    tr M = 1 + tr(Dg)^2 - 2 det Dg and det M = (det Dg)^2.  ``rows`` (and
+    ``matrix``) is the direct composition (S N)^2, N = S_{X->Y}(S p0) Phi_X(t_x),
+    as Phi_Y = S Phi_X S and S_{Y->X}(p0) = S S_{X->Y}(S p0) S; and
     ``reduction_residual`` the larger of its trace and det disagreements
     with the half-map invariants, relative to the largest of |tr M|, |det M|
     and 1; ``trivial_residual`` is |M X(p0) - X(p0)| / |X(p0)|.
@@ -148,23 +137,28 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     Raises
     ------
     SymmetryDefectError
-        If reduction_residual exceeds 1e-9: Dg^2 assumes t_x = t_y, and near
-        the X fold (small y0) the flight time is ill-conditioned and the
-        converged halves differ.
+        If reduction_residual exceeds 1e-9: at large C the rounding of
+        Phi_X entries, which grow like e^{Ct}, cancels down to tr M.
     GrazingCrossingError
-        If a crossing of the cycle is not transversal.
+        If x0 or y0 is not positive: a crossing is not transversal.
     """
     g00, g01, g10, g11 = cycle.dg
     tr_g, det_g = g00 + g11, g00 * g11 - g01 * g10
     trace = 1.0 + tr_g * tr_g - 2.0 * det_g
     det = det_g * det_g
-    (x0, y0), (x1, y1) = cycle.p0, cycle.p1
-    # Phi_Y = S Phi_X S swaps rows and columns 0 and 1 of Phi_X
-    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = _phi_rows(p, cycle.t_y)
-    phi_y = ((f11, f10, f12), (f01, f00, f02), (f21, f20, f22))
-    M = _salted(_saltation_column(p, x0, y0, "YtoX"),
-                _mul3(phi_y, _salted(_saltation_column(p, x1, y1, "XtoY"),
-                                     _phi_rows(p, cycle.t_x))))
+    x0, y0 = cycle.p0
+    if not (x0 > 0.0 and y0 > 0.0):  # the Y and X Lie derivatives at p0
+        raise GrazingCrossingError(f"{(x0, y0)!r} is not a transversal crossing point")
+    # N = (I + c e3^T) Phi_X with saltation(p, S p0, "XtoY")'s column c - e3, but
+    # no cutoff: (Y - X) / X_z at S p0, where Y = S X(p0), X = (u, v, w), X_z = -x0
+    z0, z1, z2 = _plane_field(p, x0, y0)
+    u, v, w = _plane_field(p, -y0, -x0)
+    c0, c1, c2 = (z1 + u) / x0, (z0 + v) / x0, (z2 + w) / x0
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = _phi_rows(p, cycle.t_x)
+    # S N is N with rows 0 and 1 swapped, all negated: the signs cancel in the square
+    sn = ((b0 + c1 * d0, b1 + c1 * d1, b2 + c1 * d2), (a0 + c0 * d0, a1 + c0 * d1, a2 + c0 * d2),
+          (d0 + c2 * d0, d1 + c2 * d1, d2 + c2 * d2))
+    M = _mul3(sn, sn)
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
     trace_m = m00 + m11 + m22
     det_m = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
@@ -172,19 +166,16 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     reduction_residual = (max(abs(trace_m - trace), abs(det_m - det))
                           / max(abs(trace), abs(det), 1.0))
     if reduction_residual > 1e-9:
-        raise SymmetryDefectError(
-            f"direct monodromy and half-map invariants disagree: "
-            f"{reduction_residual:.3g} (bound 1e-9) at y0 = {y0:.3g}, "
-            f"t_x - t_y = {cycle.t_x - cycle.t_y:.3g}"
-        )
-    z0, z1, z2 = _plane_field(p, x0, y0)
+        raise SymmetryDefectError(f"direct monodromy and half-map invariants disagree: "
+                                  f"{reduction_residual:.3g} (bound 1e-9) at y0 = {y0:.3g}, "
+                                  f"C = {p.C:.6g}")
     trivial_residual = math.hypot(m00 * z0 + m01 * z1 + m02 * z2 - z0,
                                   m10 * z0 + m11 * z1 + m12 * z2 - z1,
                                   m20 * z0 + m21 * z1 + m22 * z2 - z2) / math.hypot(z0, z1, z2)
     mu2, mu3 = _deflated_quadratic_roots(trace, det)
     conds = schur_conditions(trace, det)
     return MonodromyReport(
-        matrix=np.array(M),
+        rows=M,
         trace=trace,
         det=det,
         multipliers=(complex(1.0), mu2, mu3),
@@ -204,7 +195,8 @@ def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:
     """
     p0 = np.asarray(p0, dtype=float)
     z0 = eval_X(p, np.array([p0[0], p0[1], 0.0]))
-    proj = np.eye(3) - np.outer(z0, _E3) / z0[2]
+    proj = np.eye(3)
+    proj[:, 2] -= z0 / z0[2]  # I - X(p0) e3^T / X_z(p0)
     return (proj @ np.asarray(M))[:2, :2]
 
 

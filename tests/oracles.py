@@ -5,7 +5,8 @@ closed forms: trajectories come from fixed-step RK4 on the raw right-hand
 sides, Jacobians and Lie derivatives from central differences, and series
 coefficients from exact polynomial fits through numerically computed flight
 times.  ``closure_residual`` walks the conic instead of the flight-time
-branch the cycle solve uses.
+branch the cycle solve uses, and ``certify_first_return`` works in 60-digit
+arithmetic on the (y, z) rows of the raw upper field.
 """
 from __future__ import annotations
 
@@ -139,3 +140,38 @@ def measure_contraction(retmap, fixed_point, seed, *, max_iter=150, drop=4,
     logs = np.log(np.asarray(usable[drop:]))
     slope = np.polyfit(ks, logs, 1)[0]
     return float(np.exp(slope))
+
+
+def certify_first_return(p, y0, t_x, digits=60):
+    """True when z stays above the plane along the upper orbit from
+    (x, y0, 0) at every critical point of z in (0, t_x) and at
+    t_x (1 - 1e-12), evaluated at ``digits`` digits: the orbit stays above
+    the plane on (0, t_x), so a crossing at t_x is its first return.
+
+    z follows the (y, z) rows of the upper field alone, y' = Lambda -
+    (1 + C^2) z and z' = 2 C z + y, so about their stationary point
+    (ys, zs) = (-2 C zs, Lambda / (1 + C^2)) the offset of z is
+    e^{Ct} (a cos t + b sin t) with a = -zs and b = y0 - ys + C a, from
+    z(0) = 0 and z'(0) = y0; its derivative
+    e^{Ct} ((C a + b) cos t + (C b - a) sin t) fixes the critical points.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        C = mpmath.mpf(p.C)
+        zs = mpmath.mpf(p.Lambda) / (1 + C * C)
+        a = -zs
+        b = mpmath.mpf(y0) + 2 * C * zs + C * a
+        t_x = mpmath.mpf(t_x)
+
+        def z(t):
+            return zs + mpmath.exp(C * t) * (a * mpmath.cos(t) + b * mpmath.sin(t))
+
+        # (C a + b) cos t + (C b - a) sin t = R cos(t - delta) vanishes at delta + pi/2
+        t = (mpmath.atan2(C * b - a, C * a + b) + mpmath.pi / 2) % mpmath.pi
+        points = []
+        while t < t_x:
+            points.append(t)
+            t += mpmath.pi
+        points.append(t_x * (1 - mpmath.mpf("1e-12")))
+        return all(z(t) > 0 for t in points)

@@ -983,12 +983,16 @@ def test_simulate_passes_over_a_touch(tmp_path):
 def test_simulate_start_within_round_off_above_the_plane(tmp_path):
     # z0 = 1e-11 lies above simulate's plane cutoff, but the closed form's
     # z(0) rounds to zero or below: the run is the plane start's, where it
-    # once exited 1 with TangentialGrazeError
+    # once exited 1 with TangentialGrazeError.  Its t = 0 row is the start
+    # itself, where the closed form at t = 0 once printed z = 0.0
     argv = ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1e6", "--x0", "1", "--y0",
             "1", "--t-max", "5", "--dt", "1")
     near, plane = run_cli(*argv, "--z0", "1e-11"), run_cli(*argv, "--z0", "0")
     assert (near.returncode, near.stderr) == (0, "")
-    assert near.stdout == plane.stdout
+    near_rows, plane_rows = near.stdout.splitlines(), plane.stdout.splitlines()
+    assert near_rows[1] == "0.0,1.0,1.0,1e-11,X,,,"
+    assert plane_rows[1] == "0.0,1.0,1.0,0.0,X,,,"
+    assert near_rows[2:] == plane_rows[2:]
     crossing = [r for r in csv.DictReader(io.StringIO(near.stdout)) if r["event"]]
     assert [r["t"] for r in crossing] == ["3.940732135693901"]
 
@@ -1011,7 +1015,8 @@ def test_simulate_readme_example(tmp_path):
 
 def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
     """The simulate CSV built one sample at a time from scalar flow calls,
-    for a start that is off the plane or on its crossing region."""
+    for a start that is off the plane or on its crossing region; the t = 0
+    row is the start itself."""
     p = resonant_system(C, H, Lambda)
     rows = [["t", "x", "y", "z", "field", "event", "region", "saltation_det"]]
     sample_ts = [k * dt for k in range(int(np.floor(t_max / dt)) + 1)]
@@ -1029,7 +1034,7 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
         seg_end = t_max if tc is None else t0 + tc
         flow = flow_X if field == "X" else flow_Y
         while k < len(sample_ts) and sample_ts[k] <= seg_end + 1e-15:
-            st = flow(p, s, sample_ts[k] - t0)
+            st = s if k == 0 else flow(p, s, sample_ts[k] - t0)
             rows.append([sample_ts[k], st[0], st[1], st[2], field, "", "", ""])
             k += 1
         if tc is None:

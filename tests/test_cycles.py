@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,10 +12,10 @@ from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X
                      scan_cycles, schur_conditions, series_coeffs, time_matching)
 from twofold.cycles import _branch_point, _graze
 from twofold.errors import (DomainError, NoCycleError, NotACycleError,
-                            SymmetryDefectError, TangentialGrazeError, TwofoldError)
-from twofold.flow import _phi_rows
-from twofold.returns import _flight
-from oracles import closure_residual, fd_jacobian, measure_contraction
+                            SymmetryDefectError, TwofoldError)
+from twofold.flow import _phi_rows, fundamental_X, fundamental_Y
+from twofold.stability import saltation
+from oracles import certify_first_return, closure_residual, fd_jacobian, measure_contraction
 
 
 def test_closure_residual_vanishes_at_cycle(desk_params, desk_cycle):
@@ -156,7 +157,8 @@ def test_half_map_invariants_match_direct_monodromy_and_fd(C, h_frac, Lambda):
 
 
 def test_desk_newton_half_return_count(desk_params, desk_cycle, monkeypatch):
-    # the solve in t flies nothing; the one kernel flight is the checking Y one
+    # the solve in t flies nothing, and neither do its checks: the closure
+    # and the first return are read off the closed form at t_x
     calls = []
     original = returns._flight
 
@@ -167,48 +169,91 @@ def test_desk_newton_half_return_count(desk_params, desk_cycle, monkeypatch):
     for module in (returns, cycles):  # every name the shared kernel is bound to
         monkeypatch.setattr(module, "_flight", counting)
     find_cycle_newton(desk_params, asymptotic_seed(desk_params))
-    assert calls == ["Y"]
+    assert calls == []
     half_return_X(desk_params, desk_cycle.p0)
     half_return_Y(desk_params, desk_cycle.p0)
-    assert calls == ["Y", "X", "Y"]  # the public half-returns fly the same kernel
+    assert calls == ["X", "Y"]  # the public half-returns fly the shared kernel
 
 
-@settings(max_examples=40, deadline=None)
-@given(C=st.floats(0.25, 2.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
-def test_started_check_flight_is_the_lower_orbits_own_crossing(C, h_frac, Lambda):
-    # the cycles workload's distribution: Newton started at t_x reaches the
-    # root an unstarted half_return_Y finds, and so does a start elsewhere in
-    # the one-root bracket or outside it (ignored); a branch point off the
-    # cycle still fails the checks, so the started flight does not copy t_x
-    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
-    seed = asymptotic_seed(p)
+def _check_flight_rejects(p, x0, y0, t_x):
+    """The cycle check of the earlier solve, as an oracle: the lower
+    half-orbit flown into (x0, y0) must start within 1e-8 (1 + |p0|) of
+    (-y0, -x0), take t_x to 1e-9 of the period, and start on the reduced
+    conic."""
+    scale = 1.0 + max(abs(x0), abs(y0))
     try:
-        cycle = find_cycle_newton(p, seed)
-    except NoCycleError:
-        assume(False)
-    x0, y0 = cycle.p0
+        hry = half_return_Y(p, (x0, y0))
+    except TwofoldError:
+        return True
+    x1, y1 = hry.end
+    return (math.hypot(x1 + y0, y1 + x0) > 1e-8 * scale
+            or abs(t_x - hry.t) > 1e-9 * (t_x + hry.t)
+            or abs(gamma1_conic(p).evaluate(x1, y1)) > 1e-8 * scale * scale)
+
+
+def _flown_reduction_residual(p, cycle, dg):
+    """monodromy's reduction residual of the half-map invariants of dg
+    against the composition S_{Y->X}(p0) Phi_Y(t_y) S_{X->Y}(p1) Phi_X(t_x)
+    built in NumPy on the flown lower half-orbit, as the earlier monodromy
+    built it."""
     hry = half_return_Y(p, cycle.p0)
-    t, end, *_ = _flight(p, x0, y0, "Y", cycle.t_x)
-    assert t == pytest.approx(hry.t, rel=1e-13)
-    assert np.max(np.abs(np.array(end) - hry.end)) <= 1e-10 * (1.0 + np.abs(cycle.p0).max())
-    for start in (cycle.t_x - 0.05, cycle.t_x + 0.05, 0.0, 9.0 * math.pi):
-        assert _flight(p, x0, y0, "Y", start)[0] == pytest.approx(hry.t, rel=1e-13)
-    solve_branch = cycles._solve_branch
+    m = (saltation(p, cycle.p0, "YtoX") @ fundamental_Y(p, hry.t)
+         @ saltation(p, hry.end, "XtoY") @ fundamental_X(p, cycle.t_x))
+    g = np.reshape(dg, (2, 2))
+    tr_g, det_g = np.trace(g), g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    trace, det = 1.0 + tr_g * tr_g - 2.0 * det_g, det_g * det_g
+    return (max(abs(np.trace(m) - trace), abs(np.linalg.det(m) - det))
+            / max(abs(trace), abs(det), 1.0))
 
-    def off_the_cycle(*args):
-        t_x, x0, y0 = solve_branch(*args)
-        return t_x, x0 * (1.0 + 1e-6), y0
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_solve_branch", off_the_cycle)
-        with pytest.raises(NotACycleError):
-            find_cycle_newton(p, seed)
+def test_closed_form_checks_reject_what_the_flown_checks_rejected():
+    # the cycles workload's distribution.  p0 moved by 1e-6 relative: every
+    # mutant the check flight rejected is rejected by the closed-form
+    # closure, unless its shift is below the 1e-8 (1 + |p0|) tolerance.  An
+    # entry of Dg moved by 1e-6 relative: monodromy rejects it exactly when
+    # the flown composition misses it by more than 1e-9, away from the bound
+    rng = np.random.default_rng(36)
+    n = 300
+    caught = {"x0": 0, "y0": 0, "dg": 0}
+    for C, u, Lambda in zip(rng.uniform(0.25, 2.0, n), rng.uniform(0.02, 0.995, n),
+                            rng.uniform(0.5, 2.0, n)):
+        p = resonant_system(C, float(critical_h(C)) * u, Lambda)
+        try:
+            cycle = find_cycle_newton(p)
+        except NoCycleError:
+            continue
+        (x0, y0), t_x = cycle.p0, cycle.t_x
+        tolerance = 1e-8 * (1.0 + max(x0, y0))
+        for name, mutant in (("x0", (x0 * (1.0 + 1e-6), y0)), ("y0", (x0, y0 * (1.0 + 1e-6)))):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cycles, "_solve_branch", lambda _, m=mutant: (t_x, *m))
+                try:
+                    find_cycle_newton(p)
+                    rejected = False
+                except NotACycleError:
+                    rejected = True
+            caught[name] += rejected
+            if _check_flight_rejects(p, *mutant, t_x):
+                shift = 1e-6 * (x0 if name == "x0" else y0)
+                assert rejected or shift < tolerance, (p, name)
+        for i in range(1, 4):  # dg[0] is 0.0, which no relative shift moves
+            dg = tuple(g * (1.0 + 1e-6) if j == i else g for j, g in enumerate(cycle.dg))
+            try:
+                monodromy(p, dataclasses.replace(cycle, dg=dg))
+                rejected = False
+            except SymmetryDefectError:
+                rejected = True
+            caught["dg"] += rejected
+            flown = _flown_reduction_residual(p, cycle, dg)
+            if not 0.99e-9 <= flown <= 1.01e-9:
+                assert rejected == (flown > 1e-9), (p, i, flown)
+    assert min(caught.values()) > 200
 
 
 def test_near_graze_outcomes_are_cycles_or_typed():
     # H just above the graze end of the band, where p0 sits next to the X
-    # fold: the checking flight keeps the half-return guards, so every
-    # outcome is a cycle or a TwofoldError, never a bare exception
+    # fold: every outcome is a cycle or a TwofoldError, never a bare
+    # exception
     rng = np.random.default_rng(7)
     found = 0
     for C, Lambda, s in zip(rng.uniform(0.25, 2.0, 300), rng.uniform(0.5, 2.0, 300),
@@ -466,18 +511,21 @@ def test_branch_residual_keeps_its_bracket_and_its_slope(C, e):
         assert central == pytest.approx(fdf(t)[1], rel=1e-7)
 
 
-def test_branch_root_below_the_rounding_of_h_ends_in_the_check_flight():
+def test_branch_root_below_the_rounding_of_h_is_a_certified_cycle():
     # at C = 7.439, H = 1.15e-16 both terms of n = e^{At} r - q are tiny
     # near the root, and H(t) carries a rounding of about 3e-10 relative: a
     # stop test on |H(t) / H - 1| <= 1e-10 once raised NoConvergenceError
     # here.  The kernel stops on its step in t, at the root to that
-    # rounding, and the check flight from p0 finds its exit tangential
+    # rounding.  A check flight from p0 once found its exit tangential
+    # (y0 / x0 ~ 1e-13, below the relative slope cutoff); the closed form
+    # closes the cycle, and 60-digit z certifies its first return
     p = resonant_system(7.439, 1.15e-16, 1.0)
     t, x0, y0 = cycles._solve_branch(p)
     assert y0 > 0.0
     assert _branch_point(p, t)[2] == pytest.approx(p.H, rel=1e-9)
-    with pytest.raises(TangentialGrazeError, match="exit transversality"):
-        find_cycle_newton(p)
+    cycle = find_cycle_newton(p)
+    assert (cycle.t_x, cycle.p0) == (t, (x0, y0))
+    assert certify_first_return(p, y0, t)
 
 
 def _solves_past_c_4():
@@ -497,15 +545,19 @@ def _solves_past_c_4():
 
 def test_branch_solve_converges_past_c_4():
     # the flight time is the kernel's root on every draw: a 1e-10 stop test
-    # on H(t) / H - 1 raised NoConvergenceError on 44 of these draws.  What
-    # remains are typed outcomes of the check flight
-    kinds = [c if isinstance(c, str) else "cycle" for _, c in _solves_past_c_4()]
-    assert "NoConvergenceError" not in kinds
-    assert kinds.count("cycle") > 0
+    # on H(t) / H - 1 raised NoConvergenceError on 44 of these draws, and a
+    # check flight from p0 then rejected 544 of them (TangentialGrazeError,
+    # NotACycleError, NoReturnError).  Every draw is a cycle, and 60-digit z
+    # certifies each first return
+    for p, cycle in _solves_past_c_4():
+        assert not isinstance(cycle, str), (p, cycle)
+        assert certify_first_return(p, cycle.p0[1], cycle.t_x), p
 
 
 @pytest.mark.xfail(strict=True, raises=SymmetryDefectError,
-                   reason="monodromy's 1e-9 reduction bound fails on cycles at C 4-5.5")
+                   reason="the float composition (S N)^2 misses the half-map invariants "
+                          "by more than 1e-9 on most cycles past C = 4: Phi_X entries "
+                          "grow like e^{Ct}")
 def test_every_cycle_past_c_4_passes_monodromy():
     for p, cycle in _solves_past_c_4():
         if not isinstance(cycle, str):
@@ -514,15 +566,19 @@ def test_every_cycle_past_c_4_passes_monodromy():
 
 @settings(max_examples=40, deadline=None)
 @given(C=st.floats(0.25, 2.0), s=st.floats(-0.5, 1.5), Lambda=st.floats(0.5, 2.0))
+@example(C=1.7, s=2e-9, Lambda=1.2)  # next to the X fold
+@example(C=1.7, s=-2e-9, Lambda=1.2)
+@example(C=0.4, s=1.0 - 2e-9, Lambda=0.7)  # next to H_crit
+@example(C=0.4, s=1.0 + 2e-9, Lambda=0.7)
 def test_no_cycle_error_exactly_outside_the_band(C, s, Lambda):
     # s places H across the band: a cycle inside it, NoCycleError outside.
-    # Within 1e-5 of H_graze the cycle's start lies so close to the X fold
-    # that the checking Y flight can see a touch there, so both ends keep
-    # that margin
+    # Both ends keep a margin of 1e-9 of the band, above the rounding of H
+    # there; a check flight once saw a touch at the X fold within 1e-5 of
+    # H_graze, which the closed-form first return does not
     h_crit = float(critical_h(C))
     h_graze = _graze(resonant_system(C, 0.5, Lambda))[1]
     H = h_graze + s * (h_crit - h_graze)
-    assume(0.0 < H < 1.0 and min(abs(s), abs(s - 1.0)) > 1e-5)
+    assume(0.0 < H < 1.0 and min(abs(s), abs(s - 1.0)) > 1e-9)
     p = resonant_system(C, H, Lambda)
     if 0.0 < s < 1.0:
         cycle = find_cycle_newton(p, asymptotic_seed(p))

@@ -13,7 +13,7 @@ from twofold import (HalfReturn, apply_involution, asymptotic_seed, build_system
 from twofold.errors import (DivergenceError, DomainError, NoReturnError,
                             TangentialGrazeError, TwofoldError)
 from twofold.flow import _z_coefficients, z_closed_form
-from twofold.returns import _envelope_free, _flight, _slope_coefficients, first_crossing
+from twofold.returns import _envelope_free, _slope_coefficients, first_crossing
 from oracles import bisect_root, fit_time_series, rk4
 
 
@@ -599,18 +599,17 @@ def test_steep_flight_converges():
     assert hr.residual <= 1e-12 * (1.0 + np.linalg.norm(hr.end))
 
 
-def test_started_flight_keeps_an_iterate_at_the_round_off_floor():
-    # p0 lies next to the X fold, and the crossing residual of the checking Y
-    # flight is at its round-off floor at the branch time t_x: the Newton steps
-    # from there repeat, and the refused one was once replaced by a bisection
-    # of the whole walk bracket, which took 47 root steps to creep back
-    p = resonant_system(0.6189703936396687, 0.0054276981476177565, 0.7230520788178452)
-    cycle = find_cycle_newton(p, asymptotic_seed(p))
-    x0, y0 = cycle.p0
-    t, _, _, iterations, *_ = _flight(p, x0, y0, "Y", cycle.t_x)
-    t_unstarted = _flight(p, x0, y0, "Y")[0]
-    assert iterations <= 4
-    assert abs(t - t_unstarted) <= 1e-13 * t_unstarted
+def test_fold_adjacent_flight_stops_at_the_round_off_floor():
+    # p0 lies next to the X fold, and the crossing residual of the lower
+    # flight into it reaches its round-off floor inside the walk's bracket:
+    # the Newton steps from there repeat, and the refused one is not
+    # replaced by a bisection of the whole bracket, which took 52 root steps
+    # to creep back to the same root
+    p = resonant_system(1.2633455052511948, 0.0008296823578684316, 0.7756086774217441)
+    cycle = find_cycle_newton(p)
+    hry = half_return_Y(p, cycle.p0)
+    assert hry.iterations <= 12
+    assert abs(hry.t - cycle.t_x) <= 1e-13 * cycle.t_x
 
 
 def test_non_finite_start_is_a_domain_error(desk_params):

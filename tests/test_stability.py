@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
 from twofold.cycles import _graze, asymptotic_seed
 from twofold.errors import (DomainError, GrazingCrossingError, SymmetryDefectError,
                             TwofoldError)
+from twofold.flow import fundamental_X, fundamental_Y
 from twofold.stability import _deflated_quadratic_roots, _first_zeros
 from oracles import fd_jacobian
 
@@ -101,24 +103,47 @@ def test_reduction_agreement(desk_monodromy):
 
 
 def test_symmetry_defect_is_typed():
-    # a cycle next to the X fold (y0 ~ 3.2e-5) with its Y half time moved by
-    # 3.1e-9: the reduced composition misses the 1e-9 bound, and the failure
-    # is a TwofoldError that names y0 and t_x - t_y
-    p = resonant_system(0.6408946369496937, 0.004598737459894268, 0.6130039364647102)
-    cycle = find_cycle_newton(p, asymptotic_seed(p))
-    cycle = dataclasses.replace(cycle, t_y=cycle.t_y - 3.1e-9)
-    with pytest.raises(SymmetryDefectError, match=r"y0 = 3\.2e-05, t_x - t_y = 3\.1\d*e-09"):
+    # a cycle past C = 4 whose float composition (S N)^2 carries Phi_X
+    # entries of size up to 1e7: it misses the half-map invariants by more
+    # than the 1e-9 bound, and the failure is a TwofoldError that names y0
+    # and C
+    p = resonant_system(5.334946380050389, 8.136992053833141e-11, 1.0)
+    cycle = find_cycle_newton(p)
+    with pytest.raises(SymmetryDefectError, match=r"^direct monodromy and half-map invariants "
+                       r"disagree: 1\.43e-09 \(bound 1e-9\) at y0 = 0\.000766, C = 5\.33495$"):
         monodromy(p, cycle)
     assert issubclass(SymmetryDefectError, TwofoldError)
 
 
 def test_fold_adjacent_cycle_passes_monodromy():
-    # the same input: the solve in t closes its half times to round-off, so
-    # the direct and half-map compositions agree
+    # a cycle next to the X fold (y0 ~ 3.2e-5): the closed-form half times
+    # are equal, and the direct and half-map compositions agree
     p = resonant_system(0.6408946369496937, 0.004598737459894268, 0.6130039364647102)
     cycle = find_cycle_newton(p, asymptotic_seed(p))
-    assert abs(cycle.t_x - cycle.t_y) <= 1e-11
+    assert cycle.t_x == cycle.t_y and cycle.T == 2.0 * cycle.t_x
     assert monodromy(p, cycle).reduction_residual <= 1e-9
+
+
+def test_half_monodromy_squared_is_the_direct_composition(desk_params, desk_cycle,
+                                                          desk_monodromy):
+    # (S N)^2 against S_{Y->X}(p0) Phi_Y(t_x) S_{X->Y}(S p0) Phi_X(t_x) of the
+    # public saltations and fundamental matrices
+    x0, y0 = desk_cycle.p0
+    t = desk_cycle.t_x
+    direct = (saltation(desk_params, (x0, y0), "YtoX") @ fundamental_Y(desk_params, t)
+              @ saltation(desk_params, (-y0, -x0), "XtoY") @ fundamental_X(desk_params, t))
+    m = desk_monodromy.matrix
+    assert isinstance(m, np.ndarray) and m.shape == (3, 3)
+    assert np.array_equal(m, np.array(desk_monodromy.rows))
+    assert np.max(np.abs(m - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("p0", [(1.0, 0.0), (0.0, 1.0), (1.0, -1e-300), (math.nan, 1.0)])
+def test_monodromy_at_a_start_off_the_open_quadrant_is_grazing(desk_params, desk_cycle, p0):
+    # transversality at the cycle is exact: x0 > 0 and y0 > 0, with no
+    # relative cutoff
+    with pytest.raises(GrazingCrossingError):
+        monodromy(desk_params, dataclasses.replace(desk_cycle, p0=p0))
 
 
 def test_monodromy_matches_return_map_jacobian(desk_params, desk_cycle, desk_monodromy):
