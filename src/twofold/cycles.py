@@ -20,7 +20,7 @@ plane, p0, p1 and the return map's image, are (x, y) pairs of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NoCycleError, NotACycleError, TwofoldError
 from .flow import _phi_rows, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
@@ -50,7 +50,12 @@ class SymmetricCycle:
     the 2x2 derivative at p0 of the half map g = S h_X on the plane, row-major
     (g00, g01, g10, g11), in closed form at the branch point.  The return map
     is g o g, so its derivative at the cycle is Dg^2, whose eigenvalues are
-    the transverse Floquet multipliers.
+    the transverse Floquet multipliers.  phi is exp(DX t_x), the upper
+    fundamental matrix at the flight time, as the three row tuples of
+    flow._phi_rows(p, t_x) that gave p1 and Dg; monodromy reads it, so
+    exp(DX t_x) is evaluated once per cycle.  It belongs to t_x: a
+    dataclasses.replace that moves t_x must pass the matching phi too.  It
+    is left out of repr and ==, which compare the cycle by its other fields.
     """
 
     p0: tuple
@@ -60,6 +65,7 @@ class SymmetricCycle:
     t_y: float
     residual: float
     dg: tuple
+    phi: tuple = field(repr=False, compare=False)
 
 
 def _closing(C: float, t: float):
@@ -194,8 +200,9 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     evaluation and no flight (see _solve_branch).  y0_init is checked and
     unused: the solve always starts one Newton step from the H_crit end.
     One exp(DX t_x) gives the closed-form end p1 and, with the field there,
-    Dg.  No flight is flown: z is read at its critical points in (0, t_x),
-    and dz/dt is y0 > 0 at the start and -x0 < 0 at the end.
+    Dg, and is kept as the cycle's phi for monodromy.  No flight is flown:
+    z is read at its critical points in (0, t_x), and dz/dt is y0 > 0 at
+    the start and -x0 < 0 at the end.
 
     Raises
     ------
@@ -226,8 +233,9 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
     (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
     h01, h11 = p01 + fx * w, p11 + fy * w
-    return SymmetricCycle(p0=(x0, y0), p1=(x1, y1), T=2.0 * t_x, t_x=t_x, t_y=t_x,
-                          residual=residual, dg=(0.0, -h11, -e_at, -h01))
+    # by position, in field order: p0, p1, T, t_x, t_y, residual, dg, phi
+    return SymmetricCycle((x0, y0), (x1, y1), 2.0 * t_x, t_x, t_x, residual,
+                          (0.0, -h11, -e_at, -h01), rows)
 
 
 def _check_first_return(p: SystemParams, x0: float, y0: float, t_x: float):

@@ -6,8 +6,8 @@ the (y, z) block of the upper field is a frequency-1 rotation scaled by
 exp(Ct), and the x row is a rate-A filter driven by z.  ``_phi_rows`` writes
 the entries of exp(DX t) once, for two backends that do not round alike:
 ``math`` functions for one scalar time on the solver path (``plane_flight``,
-``stability.monodromy``) and NumPy ufuncs for the public kernels, which take
-a scalar time (a 0-d stack) or an array of times.  The lower field is the
+``cycles.find_cycle_newton``) and NumPy ufuncs for the public kernels, which
+take a scalar time (a 0-d stack) or an array of times.  The lower field is the
 S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary point
 and fundamental matrices are the S-conjugates of the upper kernels:
 phi_Y(t, s) = S phi_X(t, S s), s*_Y = S s*_X and Phi_Y = S Phi_X S.

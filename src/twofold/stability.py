@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
-from .flow import _phi_rows
 from .invariants import gamma1_discriminant
 from .sigma import _tangency_cutoff
 from .system import SystemParams, _plane_field, eval_X
@@ -56,16 +55,13 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     update of the third column, (Y - X) / div from the plane fields X and
     Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X.
     """
+    if direction not in ("XtoY", "YtoX"):
+        raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
     x, y = float(q[0]), float(q[1])
     tol = _tangency_cutoff(x, y)
     if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
         raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
-    if direction == "XtoY":
-        div = y
-    elif direction == "YtoX":
-        div = -x
-    else:
-        raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
+    div = y if direction == "XtoY" else -x
     fx, fy, fz = _plane_field(p, x, y)
     u, v, w = _plane_field(p, -y, -x)  # Y(x, y, 0) = S X(-y, -x, 0)
     out = np.eye(3)
@@ -129,7 +125,9 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     the half-map derivative Dg = cycle.dg: the plane return map is g o g, so
     tr M = 1 + tr(Dg)^2 - 2 det Dg and det M = (det Dg)^2.  ``rows`` (and
     ``matrix``) is the direct composition (S N)^2, N = S_{X->Y}(S p0) Phi_X(t_x),
-    as Phi_Y = S Phi_X S and S_{Y->X}(p0) = S S_{X->Y}(S p0) S; and
+    as Phi_Y = S Phi_X S and S_{Y->X}(p0) = S S_{X->Y}(S p0) S, with Phi_X(t_x)
+    the solve's cycle.phi, so no exp(DX t) is evaluated here: a cycle whose
+    t_x was moved by dataclasses.replace needs the matching phi; and
     ``reduction_residual`` the larger of its trace and det disagreements
     with the half-map invariants, relative to the largest of |tr M|, |det M|
     and 1; ``trivial_residual`` is |M X(p0) - X(p0)| / |X(p0)|.
@@ -154,7 +152,7 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     z0, z1, z2 = _plane_field(p, x0, y0)
     u, v, w = _plane_field(p, -y0, -x0)
     c0, c1, c2 = (z1 + u) / x0, (z0 + v) / x0, (z2 + w) / x0
-    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = _phi_rows(p, cycle.t_x)
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = cycle.phi  # Phi_X(t_x), from the solve
     # S N is N with rows 0 and 1 swapped, all negated: the signs cancel in the square
     sn = ((b0 + c1 * d0, b1 + c1 * d1, b2 + c1 * d2), (a0 + c0 * d0, a1 + c0 * d1, a2 + c0 * d2),
           (d0 + c2 * d0, d1 + c2 * d1, d2 + c2 * d2))
@@ -174,16 +172,10 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
                                   m20 * z0 + m21 * z1 + m22 * z2 - z2) / math.hypot(z0, z1, z2)
     mu2, mu3 = _deflated_quadratic_roots(trace, det)
     conds = schur_conditions(trace, det)
-    return MonodromyReport(
-        rows=M,
-        trace=trace,
-        det=det,
-        multipliers=(complex(1.0), mu2, mu3),
-        trivial_residual=trivial_residual,
-        reduction_residual=reduction_residual,
-        schur=conds,
-        stable=all(conds),
-    )
+    # by position, in field order: rows, trace, det, multipliers,
+    # trivial_residual, reduction_residual, schur, stable
+    return MonodromyReport(M, trace, det, (complex(1.0), mu2, mu3), trivial_residual,
+                           reduction_residual, conds, all(conds))
 
 
 def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -60,6 +61,26 @@ def _main_in_process(*args):
         except SystemExit as exc:  # argparse usage errors exit
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, args, sha", [
+    ("find_cycle_desk.json", ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1"),
+     "319ef2e480d4ba0d1693c1799871ca2b0f398b85fb35a7a37aaf04279eb1a7e2"),
+    ("scan_c1.csv", ("scan", "--C", "1", "--Lambda", "1", "--count", "20"),
+     "723079092b2dd27ab27956e19efa04f894ae603eb0ad8773eeb4eff753bee8a6"),
+])
+def test_readme_cycle_outputs_match_their_golden_bytes(tmp_path, name, args, sha):
+    # the README's find-cycle and scan examples, byte for byte: the cycle and
+    # monodromy fields behind them must not move by one ulp
+    golden = (_GOLDEN / name).read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == sha
+    out = tmp_path / name
+    rc, _, err = _main_in_process(*args, "-o", str(out))
+    assert (rc, err) == (0, "")
+    assert out.read_bytes() == golden
 
 
 def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):

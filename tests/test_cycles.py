@@ -350,6 +350,31 @@ def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):
     assert cycle.residual <= 1e-10 * (1.0 + cycle.p0[1])
 
 
+def test_cycle_phi_is_the_closed_form_at_its_flight_time():
+    # monodromy composes from cycle.phi, so it must be the exp(DX t_x) that
+    # _phi_rows gives at the cycle's t_x, bit for bit; draws as the
+    # benchmark's cycles op
+    rng = np.random.default_rng(37)
+    solved = 0
+    for C, u, Lambda in zip(rng.uniform(0.25, 2.0, 300), rng.uniform(0.02, 0.995, 300),
+                            rng.uniform(0.5, 2.0, 300)):
+        p = resonant_system(float(C), float(critical_h(C)) * float(u), float(Lambda))
+        try:
+            cycle = find_cycle_newton(p)
+        except NoCycleError:  # H at or below H_graze
+            continue
+        assert cycle.phi == _phi_rows(p, cycle.t_x)
+        solved += 1
+    assert solved >= 290
+
+
+def test_cycle_repr_and_equality_ignore_phi(desk_cycle):
+    other = dataclasses.replace(desk_cycle, phi=((0.0,) * 3,) * 3)
+    assert other == desk_cycle
+    assert repr(other) == repr(desk_cycle)
+    assert "phi" not in repr(desk_cycle)
+
+
 def _solve_from(p, y0):
     """The fields of find_cycle_newton(p, y0) as bits, or the error's class
     and text where the solve raises."""

@@ -12,8 +12,8 @@ from twofold import (asymptotic_invariants, band_width, build_system, critical_h
                      schur_conditions, sigma_restriction,
                      stability_band, tau_gamma1)
 from twofold.cycles import _graze, asymptotic_seed
-from twofold.errors import (DomainError, GrazingCrossingError, SymmetryDefectError,
-                            TwofoldError)
+from twofold.errors import (DomainError, GrazingCrossingError, NoCycleError,
+                            SymmetryDefectError, TwofoldError)
 from twofold.flow import fundamental_X, fundamental_Y
 from twofold.stability import _deflated_quadratic_roots, _first_zeros
 from oracles import fd_jacobian
@@ -85,6 +85,14 @@ def test_saltation_rejects_grazing_and_noncrossing(params):
         saltation(params, (1.0, 1.0), "sideways")
 
 
+@pytest.mark.parametrize("q", [(0.0, 0.0), (1.0, -1.0), (1.0, 1e-13)])
+def test_saltation_names_a_bad_direction_before_the_point(params, q):
+    # the direction is checked first: a grazing or non-crossing point with a
+    # bad direction is the DomainError for the direction
+    with pytest.raises(DomainError, match=r"^direction must be 'XtoY' or 'YtoX', got 'bogus'$"):
+        saltation(params, q, "bogus")
+
+
 def test_trivial_multiplier(desk_params, desk_monodromy):
     assert desk_monodromy.trivial_residual <= 1e-7
 
@@ -136,6 +144,30 @@ def test_half_monodromy_squared_is_the_direct_composition(desk_params, desk_cycl
     assert isinstance(m, np.ndarray) and m.shape == (3, 3)
     assert np.array_equal(m, np.array(desk_monodromy.rows))
     assert np.max(np.abs(m - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+@settings(max_examples=150, deadline=None)
+@given(C=st.floats(0.25, 3.0), h_frac=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0))
+def test_branch_identities_of_the_half_map(C, h_frac, Lambda):
+    # on the resonant branch det Dg = y0/x0, and with tr M = 1 + tr_g^2 - 2 det_g
+    # and det M = det_g^2 the Schur margins are sums of squares:
+    # tr M + det M = (1 - det_g)^2 + tr_g^2, 2 - tr M + det M = (1 + det_g)^2 - tr_g^2.
+    # The draw is the benchmark's cycles draw, with C taken up to 3
+    p = resonant_system(C, float(critical_h(C)) * h_frac, Lambda)
+    try:
+        cycle = find_cycle_newton(p)
+    except NoCycleError:  # H at or below H_graze
+        assume(False)
+    report = monodromy(p, cycle)
+    g00, g01, g10, g11 = cycle.dg
+    tr_g, det_g = g00 + g11, g00 * g11 - g01 * g10
+    x0, y0 = cycle.p0
+    assert abs(det_g - y0 / x0) <= 1e-12 * (y0 / x0)
+    squares = (1.0 - det_g) ** 2 + tr_g ** 2
+    assert abs(report.trace + report.det - squares) <= 1e-14 * squares
+    upper = (1.0 + det_g) ** 2 - tr_g ** 2
+    scale = (1.0 + det_g) ** 2 + tr_g ** 2
+    assert abs(2.0 - report.trace + report.det - upper) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("p0", [(1.0, 0.0), (0.0, 1.0), (1.0, -1e-300), (math.nan, 1.0)])
