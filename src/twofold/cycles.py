@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, NoCycleError, NotACycleError, TwofoldError
 from .flow import _phi_rows, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
 from .invariants import _check_branch_domain
-from .returns import _bracketed_root, _flight, _series, _touch_bound
+from .returns import _bracketed_root, _series, _touch_bound, half_return_X, half_return_Y
 from .stability import MonodromyReport, monodromy
 from .system import SystemParams, _plane_field, build_system
 
@@ -256,15 +256,15 @@ def return_map(p: SystemParams, q) -> tuple:
     """Full crossing return map from a first-quadrant point of the plane.
 
     Composes the forward upper half-orbit with the forward lower half-orbit,
-    the flights of half_return_X and half_return_Y; both endpoint crossings
-    must be transversal.  Returns the image as an (x, y) pair of floats.
+    half_return_X and half_return_Y: each start is checked by sigma's plane
+    cutoff, and each end is the crossing walk's resolved sign change.
+    Returns the image as an (x, y) pair of floats.
     """
     x, y = float(q[0]), float(q[1])
     if x <= 0 or y <= 0:
         raise DomainError(f"return map orientation expects a first-quadrant point, "
                           f"got {(x, y)!r}")
-    _, (x1, y1), *_ = _flight(p, x, y, "X")
-    return _flight(p, x1, y1, "Y")[1]
+    return half_return_Y(p, half_return_X(p, (x, y)).end).end
 
 
 def asymptotic_seed(p: SystemParams) -> float | None:

@@ -267,7 +267,8 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
 
     The mirror branch is obtained via the involution.  A y that is not finite
     or whose conic residual overflows is a DomainError; the result is checked
-    by substitution into the conic and a failure raises BranchPointError.
+    by substitution into the conic, and a residual past its rounding bound
+    raises BranchPointError.
     """
     _check_branch_domain(p)
     y = float(y)  # a NumPy scalar would warn where the float overflows to inf
@@ -277,10 +278,15 @@ def gamma1_branch_x(p: SystemParams, y: float) -> float:
     # the radicand is positive for every y: its discriminant in y is
     # L^2 (1 - H) / (H^2 c2^2) times C^2 (1 - H) - (3H + 1)(c2 - H) / H < 0,
     # with c2 = C^2 + 1, so the branch reaches down to y = 0
-    x = (H + 1.0) * y / (2.0 * H) + C * L / (C * C + 1.0) + math.sqrt(_branch_radicand(p, y))
-    resid = _conic_value(_conic_coefficients(p), x, y)
+    a, b, r = (H + 1.0) * y / (2.0 * H), C * L / (C * C + 1.0), math.sqrt(_branch_radicand(p, y))
+    x = a + b + r
+    coefficients = _conic_coefficients(p)
+    resid = _conic_value(coefficients, x, y)
     if not math.isfinite(resid):  # x^2 or y^2 overflows
         raise DomainError(f"y = {y!r} is too large: the conic residual overflows")
-    if not abs(resid) <= 1e-9 * (1.0 + y * y):
+    # the residual's rounding: a few ulps of the sizes of the conic's terms,
+    # and of x's own terms times the conic's slope dF/dx = 2 H r
+    size = _conic_value(tuple(map(abs, coefficients)), abs(x), abs(y))
+    if not abs(resid) <= 2.0 ** -47 * (size + 2.0 * H * r * (abs(a) + abs(b) + r)):
         raise BranchPointError(f"branch point failed conic residual check: {resid!r}")
     return float(x)

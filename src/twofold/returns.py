@@ -21,9 +21,14 @@ everywhere but lacks the e^{Ct} bend that makes Newton on z itself
 overshoot; it starts at the zero of the sinusoid inside the bracket (the
 bracket's midpoint if there is none) and falls back to bisection, but not
 from an iterate where the residual is within its rounding: that is the
-root.  A sign change of z is never skipped, however shallow; entry and exit
-transversality are enforced.  A half-return searches the fixed window
-(0, 8 pi]: on the hyperbola every flight takes about pi.
+root.  A sign change of z is never skipped, however shallow.  A flight's
+exit is the walk's resolved sign change: the bracket ends at a critical
+point where z lies below minus the touch bound, or at the window end, and
+no cutoff on the exit slope second-guesses it.  A flight that does not
+enter its half-space is a TangentialGrazeError, and sigma's one plane
+cutoff decides whether a half-return's start is tangential.  A half-return
+searches the fixed window (0, 8 pi]: on the hyperbola every flight takes
+about pi.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -95,17 +100,17 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
     form's rounding, is not a crossing: the orbit stays in its half-space.
     A start above the plane whose closed-form z(0) rounds to zero or below
     is the plane start it is within round-off of.
+    The exit is the walk's resolved sign change, however shallow.
     Raises DomainError if s0 lies below the plane, NoReturnError if no
     crossing occurs in (0, t_max], TangentialGrazeError if the flight does
-    not enter the half-space or the exit slope is below 1e-10 (1 + |s0|),
-    and DivergenceError if the closed form leaves the range of floating
-    point before the crossing is resolved.
+    not enter the half-space, and DivergenceError if the closed form leaves
+    the range of floating point before the crossing is resolved.
     """
     if s0[2] < 0.0:  # the lower orbit from s is the S-image of the upper one from S s
         raise DomainError(f"start z = {s0[2]!r} is below the plane; pass S s0 = (-y, -x, -z)")
     try:  # e^{Ct} in the closed form may overflow
         zs, wy, wz = flow._z_coefficients(p, s0)
-        z, dz = flow.z_closed_form(p, s0)
+        z, _ = flow.z_closed_form(p, s0)
         C = p.C
         tsign = 1.0 if forward else -1.0
         # z(tsign t) is positive during the flight.  dz/dt = e^{Ct}
@@ -154,12 +159,7 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
             start = 0.5 * (lo + hi)
         # the residual e^{-C(u - u_lo)} z rounds to within the touch bound at lo
         fdf = _envelope_free(C, zs, wy, wz, tsign, tsign * lo)
-        root, iterations = _bracketed_root(fdf, start, lo, hi, floor)
-        slope = abs(dz(tsign * root))
-        if slope < 1e-10 * (1.0 + math.hypot(*s0)):
-            raise TangentialGrazeError(
-                f"exit transversality |dz/dt| = {slope:.3g} below tolerance")
-        return root, iterations
+        return _bracketed_root(fdf, start, lo, hi, floor)
     except OverflowError:
         raise DivergenceError("the orbit leaves the range of floating point "
                               "before it meets z = 0") from None
@@ -234,9 +234,8 @@ def _bracketed_root(fdf, t, lo, hi, floor=0.0):
     raise NoConvergenceError(f"root not resolved in [{lo!r}, {hi!r}]")
 
 
-def _flight(p: SystemParams, x0: float, y0: float, field: str):
-    """The one half-return flight, in floats: the HalfReturn fields but start
-    and field, (t, (x1, y1), forward, iterations, residual)."""
+def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
+    x0, y0 = float(start[0]), float(start[1])
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
     if abs(v) < _tangency_cutoff(x0, y0):  # v is the X Lie derivative at (u, v)
@@ -255,13 +254,7 @@ def _flight(p: SystemParams, x0: float, y0: float, field: str):
                               "the range of floating point")
     if field == "Y":  # the end back in the lower chart
         x1, y1 = -y1, -x1
-    return t, (x1, y1), forward, iterations, abs(z1)
-
-
-def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
-    x0, y0 = float(start[0]), float(start[1])
-    t, end, *rest = _flight(p, x0, y0, field)
-    return HalfReturn(t, (x0, y0), end, field, *rest)
+    return HalfReturn(t, (x0, y0), (x1, y1), field, forward, iterations, abs(z1))
 
 
 def half_return_X(p: SystemParams, start) -> HalfReturn:

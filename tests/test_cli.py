@@ -373,6 +373,21 @@ def test_v0_text_that_names_no_positive_float_is_a_usage_error(tmp_path, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_series_past_c_3_75():
+    # at C = 5 the branch points once failed their conic check with
+    # BranchPointError (exit 1); each numeric tau column now meets its
+    # series head to 1e-6 relative at v0 = 1e-5 (about 7e-10 measured)
+    proc = run_cli("verify-series", "--C", "5", "--H", repr(0.5 * float(critical_h(5.0))),
+                   "--Lambda", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [r["v0"] for r in rows] == ["0.001", "0.0001", "1e-05"]
+    last = rows[-1]
+    for axis in "xy":
+        numeric, series = float(last[f"tau_{axis}_numeric"]), float(last[f"tau_{axis}_series"])
+        assert abs(numeric - series) <= 1e-6 * abs(series), axis
+
+
 def test_v0_skips_empty_tokens_between_values():
     series = ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1")
     proc = run_cli(*series, "--v0=1e-3,,1e-4,")
@@ -1016,6 +1031,19 @@ def test_simulate_start_within_round_off_above_the_plane(tmp_path):
     assert near_rows[2:] == plane_rows[2:]
     crossing = [r for r in csv.DictReader(io.StringIO(near.stdout)) if r["event"]]
     assert [r["t"] for r in crossing] == ["3.940732135693901"]
+
+
+def test_simulate_shallow_exit_crosses_where_the_unscaled_orbit_does():
+    # Lambda and the start at 1e-12 scale the Lambda = 1 orbit, which
+    # crosses at t = 2.613737508100637; the scaled run once exited 1 on an
+    # exit-slope cutoff of 1e-10 (1 + |s0|)
+    proc = run_cli("simulate", "--C", "1", "--H", "0.5", "--Lambda", "1e-12", "--x0", "0",
+                   "--y0", "0", "--z0", "2e-12", "--t-max", "4", "--dt", "0.5")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    events = [(r["t"], r["z"]) for r in rows if r["event"]]
+    assert events[0] == ("2.613737508100637", "0.0")
+    assert [r["t"] for r in rows[:6]] == ["0.0", "0.5", "1.0", "1.5", "2.0", "2.5"]
 
 
 def test_simulate_readme_example(tmp_path):

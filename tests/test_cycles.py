@@ -160,19 +160,20 @@ def test_desk_newton_half_return_count(desk_params, desk_cycle, monkeypatch):
     # the solve in t flies nothing, and neither do its checks: the closure
     # and the first return are read off the closed form at t_x
     calls = []
-    original = returns._flight
+    original = returns.first_crossing
 
-    def counting(*args):
-        calls.append(args[3])
-        return original(*args)
+    def counting(p, s0, t_max, **kwargs):
+        calls.append(s0)
+        return original(p, s0, t_max, **kwargs)
 
-    for module in (returns, cycles):  # every name the shared kernel is bound to
-        monkeypatch.setattr(module, "_flight", counting)
+    monkeypatch.setattr(returns, "first_crossing", counting)
     find_cycle_newton(desk_params, asymptotic_seed(desk_params))
     assert calls == []
     half_return_X(desk_params, desk_cycle.p0)
     half_return_Y(desk_params, desk_cycle.p0)
-    assert calls == ["X", "Y"]  # the public half-returns fly the shared kernel
+    # the public half-returns fly the upper crossing kernel, Y from S p0
+    x0, y0 = desk_cycle.p0
+    assert calls == [(x0, y0, 0.0), (-y0, -x0, 0.0)]
 
 
 def _check_flight_rejects(p, x0, y0, t_x):

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from twofold import (ConicKind, DarbouxPair, apply_involution, build_system, eval_P_X,
-                     eval_P_Y, eval_X, eval_Y, flow_X, flow_Y, gamma1_branch_x, gamma1_conic,
-                     gamma1_discriminant, invariants, m_gamma1, resonant_system,
+from twofold import (ConicKind, DarbouxPair, apply_involution, build_system, critical_h,
+                     eval_P_X, eval_P_Y, eval_X, eval_Y, flow_X, flow_Y, gamma1_branch_x,
+                     gamma1_conic, gamma1_discriminant, invariants, m_gamma1, resonant_system,
                      verify_darboux)
 from twofold.errors import BranchPointError, DomainError
 from oracles import fd_lie_derivative
@@ -308,3 +308,48 @@ def test_branch_point_of_another_conic_is_typed(params, monkeypatch):
     monkeypatch.setattr(invariants, "_conic_coefficients", lambda p: other)
     with pytest.raises(BranchPointError):
         gamma1_branch_x(params, 10.0)
+
+
+def test_branch_check_rejects_what_the_absolute_cutoff_rejected(monkeypatch):
+    # the residual's rounding bound was at most 0.21 of the former cutoff
+    # 1e-9 (1 + y^2) on these draws, so a conic whose constant is off by just
+    # past that cutoff, for either sign, is still rejected
+    rng = np.random.default_rng(38)
+    original, mutant = invariants._conic_coefficients, {}
+    monkeypatch.setattr(invariants, "_conic_coefficients", lambda p: mutant["k"])
+    for _ in range(2000):
+        C, L = rng.uniform(-2.0, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+        H, y = 10.0 ** rng.uniform(-4.0, -0.0005), 10.0 ** rng.uniform(-3.0, 8.0)
+        p = resonant_system(C, H, L)
+        *quadratic, c = original(p)
+        for sign in (1.0, -1.0):
+            mutant["k"] = (*quadratic, c + sign * 1.000001e-9 * (1.0 + y * y))
+            with pytest.raises(BranchPointError):
+                gamma1_branch_x(p, sign * y)
+
+
+@pytest.mark.parametrize("C", [4.0, 5.0, 8.0])
+def test_branch_point_matches_a_50_digit_root(C):
+    # past C = 3.75 the x^2 and xy terms of the conic dominate the residual,
+    # and the former cutoff 1e-9 (1 + y^2) rejected correct branch points
+    mp = pytest.importorskip("mpmath")
+    for fraction in (0.02, 0.5, 0.995):
+        p = resonant_system(C, fraction * critical_h(C), 1.0)
+        for y in (1.0, 1e3, 1e4, 1e5, 1e8):
+            x = gamma1_branch_x(p, y)
+            with mp.workdps(50):
+                axx, axy, ayy, bx, by, c = map(mp.mpf, invariants._conic_coefficients(p))
+                b = axy * y + bx
+                root = (-b + mp.sqrt(b * b - 4 * axx * (ayy * y * y + by * y + c))) / (2 * axx)
+                assert abs(x - root) <= 4e-16 * root, (C, fraction, y)
+
+
+def test_branch_points_past_c_3_75_pass_the_conic_check():
+    # the verify-series grid C in [3, 7.5], H / H_crit in {0.02, 0.5, 0.995},
+    # v0 in {1e-3, 1e-4, 1e-5}: 104 of its 171 branch points once raised
+    # BranchPointError
+    for C in np.linspace(3.0, 7.5, 19):
+        for fraction in (0.02, 0.5, 0.995):
+            p = resonant_system(float(C), fraction * critical_h(float(C)), 1.0)
+            for v0 in (1e-3, 1e-4, 1e-5):
+                assert math.isfinite(gamma1_branch_x(p, 1.0 / v0))

@@ -341,12 +341,14 @@ def test_start_within_round_off_above_the_plane_is_the_plane_start(desk_params, 
     assert first_crossing(desk_params, s0, 8.0 * math.pi) == plane
 
 
-def test_exit_graze_detected():
+def test_shallow_exit_is_the_scaled_crossing():
     # Lambda and the start scaled down to 1e-12 scale the whole orbit: it
-    # crosses the plane with slope ~4e-11, below the 1e-10 (1 + |s0|) tolerance
-    p = build_system(-2.0, 1.0, 0.5, 1e-12)
-    with pytest.raises(TangentialGrazeError):
-        first_crossing(p, (0.0, 0.0, 2e-12), 8.0)
+    # crosses the plane with slope ~4e-11 at the Lambda = 1 root, where a
+    # cutoff on the exit slope of 1e-10 (1 + |s0|) once raised
+    # TangentialGrazeError
+    small = first_crossing(build_system(-2.0, 1.0, 0.5, 1e-12), (0.0, 0.0, 2e-12), 8.0)
+    assert small == (2.613737508100637, 4)
+    assert small == first_crossing(build_system(-2.0, 1.0, 0.5, 1.0), (0.0, 0.0, 2.0), 8.0)
 
 
 # the desk-case upper orbit through the visible fold point (-3, 0, 0), flowed
@@ -639,6 +641,32 @@ def _signed(magnitude):
 
 def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _crossing_or_error(p, s0, forward):
+    try:
+        return first_crossing(p, s0, 8.0 * math.pi, forward=forward)
+    except TwofoldError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(C=_signed(st.floats(0.05, 3.0)), H=st.floats(0.01, 0.99),
+       Lambda=_signed(st.floats(0.2, 3.0)), x=st.floats(-50.0, 50.0),
+       y=st.floats(-50.0, 50.0), z=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+       forward=st.booleans(), k=st.integers(-40, 40))
+@example(C=1.0, H=0.5, Lambda=1.0, x=0.0, y=0.0, z=2.0, forward=True, k=-40)
+def test_first_crossing_is_equivariant_under_power_of_two_scaling(C, H, Lambda, x, y, z,
+                                                                  forward, k):
+    # Lambda -> 2^k Lambda, s -> 2^k s maps orbits onto orbits with the same
+    # times, and every quantity of the crossing walk scales exactly: the
+    # scaled start crosses at the same t in as many steps, bit for bit, or
+    # raises the same error
+    scale = 2.0 ** k
+    base = _crossing_or_error(resonant_system(C, H, Lambda), (x, y, z), forward)
+    scaled = _crossing_or_error(resonant_system(C, H, scale * Lambda),
+                                (scale * x, scale * y, scale * z), forward)
+    assert scaled == base
 
 
 @settings(max_examples=1000, deadline=None)
