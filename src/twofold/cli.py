@@ -159,7 +159,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
 
 
 def _write_json(path: str, obj):
-    _write_text(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+    # strict JSON: a NaN or infinity is a ValueError (exit 1), not a token
+    # that JSON parsers reject
+    _write_text(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"])
 
 
 def _read(name: str, kind: str, value):

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NoCycleError, NotACycleError, TwofoldError
-from .flow import _phi_rows, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
+from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, TwofoldError
+from .flow import _phi_from, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
 from .invariants import _check_branch_domain
 from .returns import _bracketed_root, _series, _touch_bound, half_return_X, half_return_Y
 from .stability import MonodromyReport, monodromy
-from .system import SystemParams, _plane_field, build_system
+from .system import SystemParams, _plane_field, _record, build_system
 
 __all__ = [
     "SymmetricCycle",
@@ -51,9 +51,9 @@ class SymmetricCycle:
     (g00, g01, g10, g11), in closed form at the branch point.  The return map
     is g o g, so its derivative at the cycle is Dg^2, whose eigenvalues are
     the transverse Floquet multipliers.  phi is exp(DX t_x), the upper
-    fundamental matrix at the flight time, as the three row tuples of
-    flow._phi_rows(p, t_x) that gave p1 and Dg; monodromy reads it, so
-    exp(DX t_x) is evaluated once per cycle.  It belongs to t_x: a
+    fundamental matrix at the flight time, as the three row tuples that gave
+    p1 and Dg, equal to flow._phi_rows(p, t_x) bit for bit; monodromy reads
+    it, so exp(DX t_x) is evaluated once per cycle.  It belongs to t_x: a
     dataclasses.replace that moves t_x must pass the matching phi too.  It
     is left out of repr and ==, which compare the cycle by its other fields.
     """
@@ -69,21 +69,29 @@ class SymmetricCycle:
 
 
 def _closing(C: float, t: float):
-    """(sin t, q, r, q', r') at the flight time t: the two terms of the
-    closing equations, q = cos t - C sin t - e^{-Ct} and
-    r = e^{Ct} - cos t - C sin t, and their derivatives in t.  e^{Ct} reads
-    inf where it leaves the float range (C t >= 709), which only _graze
-    meets, from C of about 150; r and r' are inf there and unused."""
+    """(sin t, cos t, e^{Ct}, q, r, q', r') at the flight time t: the two
+    terms of the closing equations, q = cos t - C sin t - e^{-Ct} and
+    r = e^{Ct} - cos t - C sin t, and their derivatives in t, with the sin t,
+    cos t and e^{Ct} they were formed from.  e^{Ct} reads inf where it
+    leaves the float range (C t >= 709), which only _graze meets, from C of
+    about 150; r and r' are inf there and unused."""
     st, ct, em = math.sin(t), math.cos(t), math.exp(-C * t)
     ep = math.exp(C * t) if C * t < 709.0 else math.inf
     cs, cc = C * st, C * ct
-    return st, ct - cs - em, ep - ct - cs, -st - cc + C * em, C * ep + st - cc
+    return st, ct, ep, ct - cs - em, ep - ct - cs, -st - cc + C * em, C * ep + st - cc
 
 
 def _branch_point(p: SystemParams, t: float):
-    """(x0, y0, h) for the symmetric branch point whose X flight takes time
-    t: the start p0 = (x0, y0, 0) from which the upper orbit meets the plane
-    at time t exactly at (-y0, -x0, 0) when H = h.
+    """(x0, y0, h), the first three of _branch."""
+    return _branch(p, t)[:3]
+
+
+def _branch(p: SystemParams, t: float):
+    """(x0, y0, h, rows) for the symmetric branch point whose X flight takes
+    time t: the start p0 = (x0, y0, 0) from which the upper orbit meets the
+    plane at time t exactly at (-y0, -x0, 0) when H = h, and exp(DX t) as
+    the rows of flow._phi_rows(p, t), bit for bit.  Both are read from one
+    evaluation of sin t, cos t, e^{-Ct}, e^{Ct} and e^{At}.
 
     The (y, z) equations of the upper field involve neither x, A nor H, so
     z(t) = 0 and y(t) = -x0 fix the start, and x(t) = -y0, affine in x0 and
@@ -97,11 +105,12 @@ def _branch_point(p: SystemParams, t: float):
     For A <= 0 the denominator d = r - e^{At} q is positive on all of
     (pi, 2 pi); h is NaN where it is not (a tiny C rounds both r and q to 0
     next to 2 pi)."""
-    st, q, r, _, _ = _closing(p.C, t)
+    st, ct, ep, q, r, _, _ = _closing(p.C, t)
     e_at = math.exp(p.A * t)
     d = r - e_at * q
     zs = p.Lambda / (1.0 + p.C * p.C)
-    return -zs * r / st, zs * q / st, (e_at * r - q) / d if d > 0.0 else math.nan
+    return (-zs * r / st, zs * q / st, (e_at * r - q) / d if d > 0.0 else math.nan,
+            _phi_from(p, e_at, ep, st, ct))
 
 
 def _graze(p: SystemParams):
@@ -116,7 +125,7 @@ def _graze(p: SystemParams):
     C = p.C
 
     def fdf(t):  # (-q, -q'), positive left of the root
-        _, q, _, dq, _ = _closing(C, t)
+        _, _, _, q, _, dq, _ = _closing(C, t)
         return -q, -dq
 
     lo, hi = math.pi, 2.0 * math.pi - math.atan(C)
@@ -134,12 +143,12 @@ def _no_cycle(p: SystemParams) -> NoCycleError:
 def _branch_residual(p: SystemParams):
     """fdf(t) = (f(t), f'(t)) for the closing residual f = n - H d =
     d (H(t) - H) of the branch, n = e^{At} r - q and d = r - e^{At} q the
-    numerator and denominator of H(t) (see _branch_point), with the exact
+    numerator and denominator of H(t) (see _branch), with the exact
     derivative f' = e^{At} (A (r + H q) + r' + H q') - q' - H r'."""
     A, C, H = p.A, p.C, p.H
 
     def fdf(t):
-        _, q, r, dq, dr = _closing(C, t)
+        _, _, _, q, r, dq, dr = _closing(C, t)
         e_at = math.exp(A * t)
         return (e_at * r - q - H * (r - e_at * q),
                 e_at * (A * (r + H * q) + dr + H * dq) - dq - H * dr)
@@ -148,7 +157,9 @@ def _branch_residual(p: SystemParams):
 
 
 def _solve_branch(p: SystemParams):
-    """The branch point (t, x0, y0) with H(t) = p.H, t in (pi, t_graze).
+    """The branch point (t, x0, y0, rows) with H(t) = p.H, t in
+    (pi, t_graze), and rows = exp(DX t) from the same evaluation at t
+    (see _branch).
 
     One call of the shared root kernel on the residual f = d (H(t) - H) of
     _branch_residual, on its exact derivative, over the bracket
@@ -161,7 +172,10 @@ def _solve_branch(p: SystemParams):
     the values of the f(pi) test, or at the bracket's midpoint when f'(pi)
     is not negative or that step leaves the bracket.  e^{Ct} stays finite
     on the bracket for C up to 150, and H < H_crit needs C below 118.5, as
-    H^2 > 0 needs H above 1.57e-162."""
+    H^2 > 0 needs H above 1.57e-162.  A point that leaves the float range
+    is a DivergenceError: x0 or y0 overflows to inf for Lambda near the
+    float maximum, and y0 = zs q / sin t underflows to 0 for a subnormal
+    Lambda, where q < 0 marks t as inside (pi, t_graze)."""
     fdf = _branch_residual(p)
     f, slope = fdf(math.pi)
     if not f > 0.0:
@@ -171,10 +185,18 @@ def _solve_branch(p: SystemParams):
     if not math.pi < t < top:
         t = 0.5 * (math.pi + top)
     t, _ = _bracketed_root(fdf, t, math.pi, top)
-    x0, y0, _ = _branch_point(p, t)
-    if not y0 > 0.0:  # past the graze end
+    x0, y0, _, rows = _branch(p, t)
+    if not y0 > 0.0:
+        # zs > 0 and sin t < 0 give y0 the sign of -q through an underflow
+        # too: +0.0 is q < 0, inside (pi, t_graze); -0.0 is past the graze end
+        if y0 == 0.0 and math.copysign(1.0, y0) > 0.0:
+            raise DivergenceError(f"y0 underflows to 0 at t = {t:.6g} inside (pi, t_graze), "
+                                  f"Lambda = {p.Lambda!r}")
         raise _no_cycle(p)
-    return t, x0, y0
+    if not (x0 < math.inf and y0 < math.inf):
+        raise DivergenceError(f"the branch point ({x0!r}, {y0!r}) at t = {t:.6g} leaves the "
+                              f"float range, Lambda = {p.Lambda!r}")
+    return t, x0, y0, rows
 
 
 def _check_chart(p: SystemParams):
@@ -199,8 +221,9 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     d(t) (H(t) - H) with its exact derivative, each step one closed-form
     evaluation and no flight (see _solve_branch).  y0_init is checked and
     unused: the solve always starts one Newton step from the H_crit end.
-    One exp(DX t_x) gives the closed-form end p1 and, with the field there,
-    Dg, and is kept as the cycle's phi for monodromy.  No flight is flown:
+    One evaluation of sin, cos and the exponentials at t_x gives p0 and
+    exp(DX t_x); that gives the closed-form end p1 and, with the field
+    there, Dg, and is kept as the cycle's phi for monodromy.  No flight is flown:
     z is read at its critical points in (0, t_x), and dz/dt is y0 > 0 at
     the start and -x0 < 0 at the end.
 
@@ -209,6 +232,10 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     DomainError
         If y0_init is NaN or +inf, p is outside the resonant 0 < H < 1 range,
         C is not in (0, 709 / pi], or Lambda is not positive.
+    DivergenceError
+        If x0, y0, p1, the residual or Dg leaves the float range, or y0
+        underflows to 0 inside (pi, t_graze): Lambda near the float maximum
+        or subnormal.
     NoCycleError
         If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError
@@ -221,10 +248,12 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     _check_chart(p)
     if y0_init is not None and not y0_init < math.inf:
         raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
-    t_x, x0, y0 = _solve_branch(p)
-    rows = _phi_rows(p, t_x)
+    t_x, x0, y0, rows = _solve_branch(p)
     x1, y1, z1 = _plane_state(p, rows, x0, y0)
     residual = math.hypot(x1 + y0, y1 + x0, z1)  # the end minus (-y0, -x0, 0)
+    if not residual < math.inf:  # also a NaN; finite only with x1, y1 and z1 finite
+        raise DivergenceError(f"the X flight from p0 = ({x0!r}, {y0!r}) leaves the float "
+                              f"range: p1 = {(x1, y1, z1)!r}")
     if residual > 1e-8 * (1.0 + max(abs(x0), abs(y0))):
         raise NotACycleError(f"the X flight from p0 ends {residual:.3g} from (-y0, -x0, 0)")
     _check_first_return(p, x0, y0, t_x)
@@ -233,9 +262,12 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
     (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
     h01, h11 = p01 + fx * w, p11 + fy * w
-    # by position, in field order: p0, p1, T, t_x, t_y, residual, dg, phi
-    return SymmetricCycle((x0, y0), (x1, y1), 2.0 * t_x, t_x, t_x, residual,
-                          (0.0, -h11, -e_at, -h01), rows)
+    if not (math.isfinite(h01) and math.isfinite(h11)):
+        raise DivergenceError(f"Dg at p0 = ({x0!r}, {y0!r}) leaves the float range: "
+                              f"(h01, h11) = {(h01, h11)!r}")
+    return _record(SymmetricCycle, {"p0": (x0, y0), "p1": (x1, y1), "T": 2.0 * t_x, "t_x": t_x,
+                                    "t_y": t_x, "residual": residual,
+                                    "dg": (0.0, -h11, -e_at, -h01), "phi": rows})
 
 
 def _check_first_return(p: SystemParams, x0: float, y0: float, t_x: float):

@@ -3,11 +3,13 @@
 Both linear parts have spectrum {A, C + i, C - i}, so their exponentials are
 assembled from that eigenstructure rather than a generic matrix exponential:
 the (y, z) block of the upper field is a frequency-1 rotation scaled by
-exp(Ct), and the x row is a rate-A filter driven by z.  ``_phi_rows`` writes
-the entries of exp(DX t) once, for two backends that do not round alike:
-``math`` functions for one scalar time on the solver path (``plane_flight``,
-``cycles.find_cycle_newton``) and NumPy ufuncs for the public kernels, which
-take a scalar time (a 0-d stack) or an array of times.  The lower field is the
+exp(Ct), and the x row is a rate-A filter driven by z.  ``_phi_from`` writes
+the entries of exp(DX t) once, from e^{At}, e^{Ct}, sin t and cos t, and
+``_phi_rows`` evaluates those with one of two backends that do not round
+alike: ``math`` functions for one scalar time on the solver path
+(``plane_flight``; ``cycles`` hands ``_phi_from`` the values its branch
+point was read from) and NumPy ufuncs for the public kernels, which take a
+scalar time (a 0-d stack) or an array of times.  The lower field is the
 S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary point
 and fundamental matrices are the S-conjugates of the upper kernels:
 phi_Y(t, s) = S phi_X(t, S s), s*_Y = S s*_X and Phi_Y = S Phi_X S.
@@ -41,12 +43,16 @@ def _phi_rows(p: SystemParams, t, exp=math.exp, sin=math.sin, cos=math.cos):
     rotation.  With the default ``math`` functions t is one scalar time and
     the entries are floats; with np.exp, np.sin and np.cos each entry but
     the two zeros has the shape of t."""
+    return _phi_from(p, exp(p.A * t), exp(p.C * t), sin(t), cos(t))
+
+
+def _phi_from(p: SystemParams, e_at, e_ct, st, ct):
+    """The rows of _phi_rows from e^{At}, e^{Ct}, sin t and cos t at one time
+    t, so that a caller holding those values evaluates none of them again."""
     A, C, H = p.A, p.C, p.H
     b = -H * ((A - C) ** 2 + 1.0)
     beta = C - A
     den = beta * beta + 1.0
-    e_at, e_ct = exp(A * t), exp(C * t)
-    st, ct = sin(t), cos(t)
     # int_0^t e^{A(t-s)} e^{Cs} sin s ds and the cosine analogue
     int_sin = (e_ct * (beta * st - ct) + e_at) / den
     int_cos = (e_ct * (beta * ct + st) - beta * e_at) / den
@@ -161,8 +167,8 @@ def z_closed_form(p: SystemParams, s0):
     alpha, beta = _slope_coefficients(C, wy, wz)
 
     def z(t):
-        e = math.exp(C * t)
-        return zs + e * (wy * math.sin(t) + (math.cos(t) + C * math.sin(t)) * wz)
+        s = math.sin(t)
+        return zs + math.exp(C * t) * (wy * s + (math.cos(t) + C * s) * wz)
 
     def dz(t):
         return math.exp(C * t) * (alpha * math.sin(t) + beta * math.cos(t))

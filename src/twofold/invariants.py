@@ -240,8 +240,18 @@ def _conic_value(coefficients, x, y):
 
 
 def gamma1_conic(p: SystemParams) -> ConicGamma1:
-    """Conic containing the symmetric-cycle crossings (resonant family only)."""
-    return ConicGamma1(_conic_coefficients(p), gamma1_discriminant(p.H), _conic_kind(p.H))
+    """Conic containing the symmetric-cycle crossings (resonant family only).
+
+    A coefficient or discriminant past the float range is a DomainError: the
+    constant term Lambda^2 (H - 1) / (C^2 + 1) overflows from about
+    Lambda = 1.3e154.
+    """
+    coefficients, discriminant = _conic_coefficients(p), gamma1_discriminant(p.H)
+    if not all(map(math.isfinite, (*coefficients, discriminant))):
+        raise DomainError(f"the conic leaves the float range at C={p.C!r}, H={p.H!r}, "
+                          f"Lambda={p.Lambda!r}: coefficients {coefficients!r}, "
+                          f"discriminant {discriminant!r}")
+    return ConicGamma1(coefficients, discriminant, _conic_kind(p.H))
 
 
 def _branch_radicand(p: SystemParams, y):

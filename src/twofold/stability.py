@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .invariants import gamma1_discriminant
 from .sigma import _tangency_cutoff
-from .system import SystemParams, _plane_field, eval_X
+from .system import SystemParams, _plane_field, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cycles import SymmetricCycle
@@ -172,10 +172,11 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
                                   m20 * z0 + m21 * z1 + m22 * z2 - z2) / math.hypot(z0, z1, z2)
     mu2, mu3 = _deflated_quadratic_roots(trace, det)
     conds = schur_conditions(trace, det)
-    # by position, in field order: rows, trace, det, multipliers,
-    # trivial_residual, reduction_residual, schur, stable
-    return MonodromyReport(M, trace, det, (complex(1.0), mu2, mu3), trivial_residual,
-                           reduction_residual, conds, all(conds))
+    return _record(MonodromyReport, {"rows": M, "trace": trace, "det": det,
+                                     "multipliers": (complex(1.0), mu2, mu3),
+                                     "trivial_residual": trivial_residual,
+                                     "reduction_residual": reduction_residual,
+                                     "schur": conds, "stable": all(conds)})
 
 
 def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:

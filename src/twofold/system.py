@@ -62,6 +62,19 @@ class SystemParams:
         return self.A + 2.0 * self.C == 0.0
 
 
+def _record(cls, fields: dict):
+    """An instance of the frozen dataclass cls whose __dict__ is fields, a
+    new dict from every field name, in field order, to its value: set in one
+    step instead of one object.__setattr__ per field in the generated
+    __init__.  The class declaration is untouched, so ==, hash, repr,
+    FrozenInstanceError and dataclasses.replace behave as for a constructed
+    record.  fields is a dict display, not keywords, whose collection into
+    a dict costs more than the display."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
     """Validate and build parameters for the canonical family.
 
@@ -83,7 +96,7 @@ def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
         raise DomainError("C must be nonzero: the dynamics needs a rotation block")
     if Lambda == 0.0:
         raise DomainError("Lambda must be nonzero: folds degenerate to cusps")
-    return SystemParams(A, C, H, Lambda)
+    return _record(SystemParams, {"A": A, "C": C, "H": H, "Lambda": Lambda})
 
 
 def resonant_system(C: float, H: float, Lambda: float) -> SystemParams:

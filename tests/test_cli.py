@@ -1,10 +1,12 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -897,6 +899,45 @@ def test_readme_cli_commands_run(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
         for name in names:
             assert (rewritten / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_readme_json_outputs_are_strict_json(tmp_path):
+    for argv in _readme_cli_commands():
+        if argv[0] in ("find-cycle", "classify-conic"):
+            rc, _, err = _main_in_process(*argv[:-1], str(tmp_path / argv[-1]))
+            assert (rc, err) == (0, "")
+            json.loads((tmp_path / argv[-1]).read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # x0 overflows to inf: DivergenceError, where the residual check once read
+    # inf > inf and wrote "residual": Infinity with a wrong trace
+    (("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1e306"), 1),
+    # the conic's constant term overflows to -inf: DomainError
+    (("classify-conic", "--C", "1", "--H", "0.04", "--Lambda", "1e200"), 2),
+])
+def test_json_outputs_past_the_float_range_exit_nonzero(tmp_path, argv, code):
+    out = tmp_path / "out.json"
+    rc, _, err = _main_in_process(*argv, "-o", str(out))
+    assert rc == code, err
+    assert not out.exists()
+
+
+def test_a_non_finite_json_value_exits_1(tmp_path, monkeypatch):
+    # a NaN or infinity that reaches the JSON writer is an error, not a token
+    report = twofold.monodromy(resonant_system(1.0, 0.04, 1.0),
+                               twofold.find_cycle_newton(resonant_system(1.0, 0.04, 1.0)))
+    monkeypatch.setattr(twofold.stability, "monodromy",
+                        lambda p, cycle: dataclasses.replace(report, trace=math.nan))
+    out = tmp_path / "cycle.json"
+    rc, _, err = _main_in_process("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1",
+                                  "-o", str(out))
+    assert rc == 1 and "ValueError" in err
+    assert not out.exists()
 
 
 def _as_json(text):

@@ -11,7 +11,7 @@ from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X
                      half_return_Y, monodromy, resonant_system, return_map, returns,
                      scan_cycles, schur_conditions, series_coeffs, time_matching)
 from twofold.cycles import _branch_point, _graze
-from twofold.errors import (DomainError, NoCycleError, NotACycleError,
+from twofold.errors import (DivergenceError, DomainError, NoCycleError, NotACycleError,
                             SymmetryDefectError, TwofoldError)
 from twofold.flow import _phi_rows, fundamental_X, fundamental_Y
 from twofold.stability import saltation
@@ -227,7 +227,8 @@ def test_closed_form_checks_reject_what_the_flown_checks_rejected():
         tolerance = 1e-8 * (1.0 + max(x0, y0))
         for name, mutant in (("x0", (x0 * (1.0 + 1e-6), y0)), ("y0", (x0, y0 * (1.0 + 1e-6)))):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cycles, "_solve_branch", lambda _, m=mutant: (t_x, *m))
+                mp.setattr(cycles, "_solve_branch",
+                           lambda _, m=mutant: (t_x, *m, _phi_rows(p, t_x)))
                 try:
                     find_cycle_newton(p)
                     rejected = False
@@ -367,6 +368,84 @@ def test_cycle_phi_is_the_closed_form_at_its_flight_time():
         assert cycle.phi == _phi_rows(p, cycle.t_x)
         solved += 1
     assert solved >= 290
+
+
+def test_cycle_p0_is_the_branch_point_at_its_flight_time():
+    # p0 is read from the evaluation at t_x that gives phi: the bits
+    # _branch_point gives at the cycle's t_x; the draws of the phi test
+    rng = np.random.default_rng(37)
+    solved = 0
+    for C, u, Lambda in zip(rng.uniform(0.25, 2.0, 300), rng.uniform(0.02, 0.995, 300),
+                            rng.uniform(0.5, 2.0, 300)):
+        p = resonant_system(float(C), float(critical_h(C)) * float(u), float(Lambda))
+        try:
+            cycle = find_cycle_newton(p)
+        except NoCycleError:  # H at or below H_graze
+            continue
+        assert cycle.p0 == _branch_point(p, cycle.t_x)[:2]
+        solved += 1
+    assert solved >= 290
+
+
+def _cycle_outcome(p):
+    """(cycle, report) of the solve and its monodromy, the error class in
+    place of either that raised."""
+    try:
+        cycle = find_cycle_newton(p)
+    except TwofoldError as exc:
+        return type(exc), None
+    try:
+        return cycle, monodromy(p, cycle)
+    except TwofoldError as exc:
+        return cycle, type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=st.floats(0.25, 3.0), u=st.floats(0.02, 0.995), Lambda=st.floats(0.5, 2.0),
+       k=st.integers(-40, 40))
+def test_cycle_scales_exactly_with_a_power_of_two_lambda(C, u, Lambda, k):
+    # Lambda -> 2^k Lambda maps orbits to orbits by s -> 2^k s, and a power
+    # of two scales every float exactly: the points and residual move by
+    # 2^k, the times, Dg, phi and the monodromy report not at all
+    H = float(critical_h(C)) * u
+    (cycle, report), (moved, moved_report) = (
+        _cycle_outcome(resonant_system(C, H, L)) for L in (Lambda, math.ldexp(Lambda, k)))
+    if isinstance(cycle, type):
+        assert moved is cycle
+        return
+    assert moved.p0 == tuple(math.ldexp(v, k) for v in cycle.p0)
+    assert moved.p1 == tuple(math.ldexp(v, k) for v in cycle.p1)
+    assert moved.residual == math.ldexp(cycle.residual, k)
+    assert (moved.t_x, moved.t_y, moved.T, moved.dg) == (cycle.t_x, cycle.t_y, cycle.T, cycle.dg)
+    assert moved.phi == cycle.phi
+    assert moved_report == report
+
+
+@pytest.mark.parametrize("seed, exponents", [(5, (290.0, 308.25)), (6, (-323.5, -300.0))])
+def test_extreme_lambda_gives_the_unit_lambda_cycle_or_a_divergence_error(seed, exponents):
+    # Lambda near the float maximum overflows x0, y0 or p1, and a subnormal
+    # Lambda overflows Dg or underflows y0 to 0: each such solve raises
+    # DivergenceError, and every other one is the Lambda = 1 cycle
+    rng = np.random.default_rng(seed)
+    n, diverged = 3000, 0
+    for C, u, e in zip(rng.uniform(0.25, 2.0, n), rng.uniform(0.02, 0.995, n),
+                       rng.uniform(*exponents, n)):
+        H = float(critical_h(C)) * float(u)
+        try:
+            unit = monodromy(resonant_system(C, H, 1.0),
+                             find_cycle_newton(resonant_system(C, H, 1.0)))
+        except NoCycleError:  # H at or below H_graze
+            continue
+        p = resonant_system(C, H, 10.0 ** float(e))
+        try:
+            report = monodromy(p, find_cycle_newton(p))
+        except DivergenceError:
+            diverged += 1
+            continue
+        assert report.trace == pytest.approx(unit.trace, rel=1e-9), (C, H, e)
+        assert report.det == pytest.approx(unit.det, rel=1e-9), (C, H, e)
+        assert report.stable == unit.stable
+    assert diverged > 300
 
 
 def test_cycle_repr_and_equality_ignore_phi(desk_cycle):
@@ -546,7 +625,7 @@ def test_branch_root_below_the_rounding_of_h_is_a_certified_cycle():
     # (y0 / x0 ~ 1e-13, below the relative slope cutoff); the closed form
     # closes the cycle, and 60-digit z certifies its first return
     p = resonant_system(7.439, 1.15e-16, 1.0)
-    t, x0, y0 = cycles._solve_branch(p)
+    t, x0, y0, _ = cycles._solve_branch(p)
     assert y0 > 0.0
     assert _branch_point(p, t)[2] == pytest.approx(p.H, rel=1e-9)
     cycle = find_cycle_newton(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -228,3 +229,24 @@ def test_build_rejects_squares_past_the_float_range(A, C):
     with pytest.raises(DomainError, match=re.escape(f"A={A!r}, C={C!r}") + "$"):
         build_system(A, C, 0.5, 1.0)
     assert np.isfinite(jacobian_X(build_system(0.0, 1.3e154, 0.5, 1.0))).all()
+
+
+def test_records_built_in_one_step_are_the_constructed_records(desk_params, desk_cycle,
+                                                               desk_monodromy):
+    # build_system, find_cycle_newton and monodromy set each record's
+    # __dict__ at once; the frozen dataclass behaves as if constructed
+    for record in (desk_params, desk_cycle, desk_monodromy):
+        cls = type(record)
+        names = [f.name for f in dataclasses.fields(cls)]
+        built = cls(*(getattr(record, name) for name in names))
+        assert list(vars(record)) == names == list(vars(built))
+        assert record == built and built == record
+        assert hash(record) == hash(built)
+        assert repr(record) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], getattr(record, names[0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, "extra", 1.0)
+        assert dataclasses.replace(record) == built
+        moved = dataclasses.replace(record, **{names[1]: -1.0})
+        assert getattr(moved, names[1]) == -1.0 and moved != record
