@@ -75,8 +75,9 @@ def _closing(C: float, t: float):
     cos t and e^{Ct} they were formed from.  e^{Ct} reads inf where it
     leaves the float range (C t >= 709), which only _graze meets, from C of
     about 150; r and r' are inf there and unused."""
-    st, ct, em = math.sin(t), math.cos(t), math.exp(-C * t)
-    ep = math.exp(C * t) if C * t < 709.0 else math.inf
+    u = C * t
+    st, ct, em = math.sin(t), math.cos(t), math.exp(-u)
+    ep = math.exp(u) if u < 709.0 else math.inf
     cs, cc = C * st, C * ct
     return st, ct, ep, ct - cs - em, ep - ct - cs, -st - cc + C * em, C * ep + st - cc
 
@@ -275,7 +276,8 @@ def _check_first_return(p: SystemParams, x0: float, y0: float, t_x: float):
     monotone between its critical points, exceeds the touch bound at each
     of them in (0, t_x)."""
     C, s0 = p.C, (x0, y0, 0.0)
-    alpha, beta = _slope_coefficients(C, *_z_coefficients(p, s0)[1:])
+    _, wy, wz = _z_coefficients(p, s0)
+    alpha, beta = _slope_coefficients(C, wy, wz)
     z, _ = z_closed_form(p, s0)
     u, ab = math.atan2(-beta, alpha) % math.pi, math.hypot(alpha, beta)
     while u < t_x:

@@ -164,13 +164,14 @@ def z_closed_form(p: SystemParams, s0):
     """
     C = p.C
     zs, wy, wz = _z_coefficients(p, s0)
-    alpha, beta = _slope_coefficients(C, wy, wz)
 
     def z(t):
         s = math.sin(t)
         return zs + math.exp(C * t) * (wy * s + (math.cos(t) + C * s) * wz)
 
     def dz(t):
+        # (alpha, beta) per call: the library's callers read z only
+        alpha, beta = _slope_coefficients(C, wy, wz)
         return math.exp(C * t) * (alpha * math.sin(t) + beta * math.cos(t))
 
     return z, dz

@@ -345,7 +345,9 @@ def _series(p: SystemParams):
     g2y = (-2.0 * C * H * H * L * L * (E + 1.0) * (sd - (3.0 * H + 1.0) * E)
            / (c2 * c2 * (3.0 * H + 1.0) * q))
     coeffs = g1x, g2x, g1y, g2y
-    if not all(map(math.isfinite, coeffs)):  # e.g. D / H^2 or g1x^2 overflows
+    # e.g. D / H^2 or g1x^2 overflows
+    if not (math.isfinite(g1x) and math.isfinite(g2x) and math.isfinite(g1y)
+            and math.isfinite(g2y)):
         raise DomainError(f"series coefficients are not finite at C={C!r}, H={H!r}: "
                           f"{coeffs!r}")
     return coeffs

@@ -86,7 +86,7 @@ def build_system(A: float, C: float, H: float, Lambda: float) -> SystemParams:
         or Lambda == 0 (degenerate tangency).
     """
     A, C, H, Lambda = float(A), float(C), float(H), float(Lambda)
-    if not all(map(math.isfinite, (A, C, H, Lambda))):
+    if not (math.isfinite(A) and math.isfinite(C) and math.isfinite(H) and math.isfinite(Lambda)):
         raise DomainError(f"parameters must be finite, got A={A!r}, C={C!r}, H={H!r}, "
                          f"Lambda={Lambda!r}")
     if not ((A - C) * (A - C) + 1.0 < math.inf and C * C + 1.0 < math.inf):
