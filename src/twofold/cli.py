@@ -5,6 +5,11 @@ stability-band, scan.  Single-object results are emitted as JSON, grids and
 series as CSV (UTF-8, LF, '.' decimal separator).  A JSON config file can
 supply any flag value; explicit flags win.  Exit codes: 0 success, 1
 numerical failure, 2 usage error (a DomainError, raised here or by the library).
+
+Each subcommand imports the library modules it runs when it runs, and NumPy
+is imported only by the functions that build arrays: find-cycle,
+verify-series, classify-conic and a scan given both --hmin and --hmax never
+load it.
 """
 from __future__ import annotations
 
@@ -17,14 +22,12 @@ import os
 import re
 import stat
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cycles, invariants, returns, stability
 from .errors import DivergenceError, DomainError, NoReturnError, TwofoldError
-from .sigma import RegionKind, classify_point
-from .system import SystemParams, build_system, resonant_system
-from .flow import flow_X, flow_Y
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .system import SystemParams
 
 
 def _fmt(value) -> str:
@@ -46,6 +49,8 @@ def _orjson_differs(a):
         '0.00001' for '1e-05' or '1e-7' for '1e-07': the mask returned,
         of the cells that need their own repr.
     """
+    import numpy as np
+
     mag = np.abs(a)
     return ~((mag < 1e-9) | (mag >= 1e-4) & (mag < np.inf))
 
@@ -68,6 +73,7 @@ def _reprs(a) -> list[str]:
     orjson text split on ',', with its positive exponents given their '+'
     by ``_plus_exponents`` and only the kind-(c) cells of
     ``_orjson_differs`` given their own repr."""
+    import numpy as np
     import orjson  # an 11 ms import, left to the commands that write floats
 
     a = np.ascontiguousarray(a, dtype=np.float64).ravel()
@@ -97,6 +103,7 @@ def _row_texts(samples, tail: str):
     one is split into cells, where only those cells get their own repr
     ('nan' and 'inf' among them, never 'null').
     """
+    import numpy as np
     import orjson
 
     own = _orjson_differs(samples)
@@ -208,6 +215,8 @@ def _read(name: str, kind: str, value):
 
 
 def _params_from(values: dict) -> SystemParams:
+    from .system import build_system, resonant_system
+
     missing = [k for k in ("C", "H", "Lambda") if values[k] is None]
     if missing:
         raise DomainError(f"missing required parameter(s): {', '.join(missing)}")
@@ -309,6 +318,12 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     The text is byte for byte what _write_csv writes for those rows; each
     segment's samples and crossing come from one flow call on its times.
     """
+    import numpy as np
+
+    from .flow import flow_X, flow_Y
+    from .returns import first_crossing
+    from .sigma import RegionKind, classify_point
+
     yield "t,x,y,z,field,event,region,saltation_det\n"
     sample_ts = np.arange(int(np.floor(t_max / dt)) + 1) * dt
     if sample_ts[-1] < t_max - 1e-15:
@@ -332,7 +347,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     idx = 0
     while t0 < t_max:
         try:  # first_crossing works in the upper chart: a Y segment passes S s
-            tc, _ = returns.first_crossing(p, s if field == "X" else -s[[1, 0, 2]], t_max - t0)
+            tc, _ = first_crossing(p, s if field == "X" else -s[[1, 0, 2]], t_max - t0)
         except NoReturnError:
             tc = None  # orbit stays in its half-space for the rest of the run
         seg_end = t_max if tc is None else t0 + tc
@@ -385,9 +400,12 @@ def cmd_simulate(values: dict) -> int:
 
 
 def cmd_find_cycle(values: dict) -> int:
+    from .cycles import find_cycle_newton
+    from .stability import monodromy
+
     p = _params_from(values)
-    cycle = cycles.find_cycle_newton(p)
-    report = stability.monodromy(p, cycle)
+    cycle = find_cycle_newton(p)
+    report = monodromy(p, cycle)
     _write_json(values["output"], {
         "p0": [cycle.p0[0], cycle.p0[1]],
         "p1": [cycle.p1[0], cycle.p1[1]],
@@ -404,8 +422,10 @@ def cmd_find_cycle(values: dict) -> int:
 
 
 def cmd_verify_series(values: dict) -> int:
+    from .returns import time_matching_table
+
     p = _params_from(values)
-    table = returns.time_matching_table(p, values["v0"])
+    table = time_matching_table(p, values["v0"])
     header = ["v0", "tau_x_numeric", "tau_x_series", "tau_y_numeric", "tau_y_series", "tau"]
     rows = [[row[k] for k in header] for row in table]
     _write_csv(values["output"], header, rows)
@@ -413,8 +433,10 @@ def cmd_verify_series(values: dict) -> int:
 
 
 def cmd_classify_conic(values: dict) -> int:
+    from .invariants import gamma1_conic
+
     p = _params_from(values)
-    conic = invariants.gamma1_conic(p)
+    conic = gamma1_conic(p)
     _write_json(values["output"], conic.to_json_dict())
     return 0
 
@@ -437,6 +459,8 @@ def _band_csv(result):
     of equal flag codes, each run by one list multiplication.  The tau cells
     come from one ``_reprs`` text per block of C rows of at most 4096 cells.
     """
+    import numpy as np
+
     yield "C,H,m2,tau_inf,ineq_det,ineq_upper,ineq_lower,inside\n"
     n_h = result.hs.size
     u8 = np.uint8
@@ -478,31 +502,50 @@ def _boundaries_csv(result):
 
 
 def cmd_stability_band(values: dict) -> int:
-    result = stability.stability_band((values["cmin"], values["cmax"]),
-                                      (values["hmin"], values["hmax"]), values["grid"])
+    from .stability import stability_band
+
+    result = stability_band((values["cmin"], values["cmax"]),
+                            (values["hmin"], values["hmax"]), values["grid"])
     _write_text(values["output"], _band_csv(result))
     if values["boundaries"] is not None:
         _write_text(values["boundaries"], _boundaries_csv(result))
     return 0
 
 
+def _linspace(lo: float, hi: float, n: int):
+    """np.linspace(lo, hi, n)'s values for n >= 1, bit for bit and one at a
+    time, with no NumPy: i * step + lo, and the last of n > 1 is hi.  A step
+    that underflows to 0 gives i / (n - 1) * (hi - lo) + lo, as NumPy does."""
+    div = max(n - 1, 1)
+    step = (hi - lo) / div
+    for i in range(n - 1):
+        yield (i * step if step else i / div * (hi - lo)) + lo
+    yield hi if n > 1 else lo
+
+
 def cmd_scan(values: dict) -> int:
+    from .cycles import _check_chart, scan_cycles
+    from .system import resonant_system
+
     if values["C"] is None or values["Lambda"] is None:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
     p_base = resonant_system(values["C"], 0.5, values["Lambda"])
     # a C or Lambda off the cycle branch fails at every H; it also keeps
     # cosh(pi C) in H_crit finite
-    cycles._check_chart(p_base)
-    hc = float(stability.critical_h(p_base.C))
-    h_lo = 0.5 * hc if values["hmin"] is None else values["hmin"]
-    h_hi = 0.995 * hc if values["hmax"] is None else values["hmax"]
+    _check_chart(p_base)
+    h_lo, h_hi = values["hmin"], values["hmax"]
+    if h_lo is None or h_hi is None:  # only the default bounds need H_crit
+        from .stability import critical_h
+
+        hc = float(critical_h(p_base.C))
+        h_lo = 0.5 * hc if h_lo is None else h_lo
+        h_hi = 0.995 * hc if h_hi is None else h_hi
     count = values["count"]
     if not (0.0 < h_lo < 1.0 and 0.0 < h_hi < 1.0 and count >= 1):
         raise DomainError(f"scan needs hmin and hmax in (0, 1) and count >= 1, got "
                          f"{h_lo!r}, {h_hi!r} and {count}")
-    grid = np.linspace(h_lo, h_hi, count)
-    entries = cycles.scan_cycles(p_base, grid)
+    entries = scan_cycles(p_base, _linspace(h_lo, h_hi, count))
     header = ["H", "y0", "T", "mu2_re", "mu2_im", "mu3_re", "mu3_im", "stable"]
     rows = []
     for e in entries:

@@ -21,10 +21,12 @@ resonant family A = -2C != 0 this always holds.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .system import SystemParams, _involution
 
-from .system import INVOLUTION, SystemParams
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "flow_X",
@@ -65,6 +67,8 @@ def _phi_canonical(p: SystemParams, t) -> np.ndarray:
     """exp(DX t) through NumPy as the C-contiguous stack of shape
     np.shape(t) + (3, 3); a scalar time is a 0-d stack, one matrix.  Entry
     [k] equals the call at t[k] bit for bit."""
+    import numpy as np
+
     out = np.empty(np.shape(t) + (3, 3))
     for i, row in enumerate(_phi_rows(p, t, np.exp, np.sin, np.cos)):
         out[..., i, 0], out[..., i, 1], out[..., i, 2] = row
@@ -80,6 +84,8 @@ def _stationary(p: SystemParams):
 
 
 def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
+    import numpy as np
+
     ss = np.array(_stationary(p))
     # the stack's rows as one (3n, 3) matrix: one gemv, not n 3x3 products
     d = np.asarray(s0, dtype=float) - ss
@@ -93,17 +99,20 @@ def fundamental_X(p: SystemParams, t) -> np.ndarray:
 
 def fundamental_Y(p: SystemParams, t) -> np.ndarray:
     """exp(DY t) = S exp(DX t) S; an ndarray t gives the stack t.shape + (3, 3)."""
-    return INVOLUTION @ _phi_canonical(p, t) @ INVOLUTION
+    S = _involution()
+    return S @ _phi_canonical(p, t) @ S
 
 
 def stationary_X(p: SystemParams) -> np.ndarray:
     """Stationary point of the upper affine field."""
+    import numpy as np
+
     return np.array(_stationary(p))
 
 
 def stationary_Y(p: SystemParams) -> np.ndarray:
     """Stationary point of the lower affine field, the S-image of the upper one."""
-    return INVOLUTION @ stationary_X(p)
+    return _involution() @ stationary_X(p)
 
 
 def flow_X(p: SystemParams, s0, t) -> np.ndarray:
@@ -115,8 +124,11 @@ def flow_X(p: SystemParams, s0, t) -> np.ndarray:
 def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     """Exact solution of sdot = Y(s) at time t from s0, S phi_X(t, S s0); an
     ndarray t gives the states as rows of shape t.shape + (3,)."""
+    import numpy as np
+
+    S = _involution()
     # S is symmetric: S applied to each row of the upper states
-    return _flow_X(p, INVOLUTION @ np.asarray(s0, dtype=float), t) @ INVOLUTION
+    return _flow_X(p, S @ np.asarray(s0, dtype=float), t) @ S
 
 
 def plane_flight(p: SystemParams, q, t: float):

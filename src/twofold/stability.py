@@ -20,14 +20,14 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .invariants import gamma1_discriminant
 from .sigma import _tangency_cutoff
 from .system import SystemParams, _plane_field, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .cycles import SymmetricCycle
 
 __all__ = [
@@ -55,6 +55,8 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     update of the third column, (Y - X) / div from the plane fields X and
     Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X.
     """
+    import numpy as np
+
     if direction not in ("XtoY", "YtoX"):
         raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
     x, y = float(q[0]), float(q[1])
@@ -82,6 +84,8 @@ class MonodromyReport:
 
     @property
     def matrix(self) -> np.ndarray:  # built on access
+        import numpy as np
+
         return np.array(self.rows)
 
 
@@ -185,9 +189,16 @@ def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:
     M is the period variational matrix on R^3 and does not fix the switching
     plane; projecting along the flow direction at p0 restores the return
     map's tangent action, whose eigenvalues are the transverse multipliers.
+    A p0 on the X fold, y0 = 0 where X_z(p0) = y0 divides, is a
+    GrazingCrossingError.
     """
+    import numpy as np
+
     p0 = np.asarray(p0, dtype=float)
     z0 = eval_X(p, np.array([p0[0], p0[1], 0.0]))
+    if z0[2] == 0.0:
+        raise GrazingCrossingError(f"{(float(p0[0]), float(p0[1]))!r} is not a transversal "
+                                   "crossing point")
     proj = np.eye(3)
     proj[:, 2] -= z0 / z0[2]  # I - X(p0) e3^T / X_z(p0)
     return (proj @ np.asarray(M))[:2, :2]
@@ -199,11 +210,15 @@ def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:
 
 def m_gamma1(H):
     """Asymptotic slope y0/x0 of the conic branch; |m| < 1 on the hyperbola range."""
+    import numpy as np
+
     return 2.0 * H / (H + np.sqrt(gamma1_discriminant(H)) + 1.0)
 
 
 def tau_gamma1(C, H):
     """Large-amplitude limit of the monodromy trace on the branch (0 < H < 1)."""
+    import numpy as np
+
     sd = np.sqrt(gamma1_discriminant(H))
     # squares are products: x ** 2 calls pow for a scalar, which can round
     # apart from the product an array's x ** 2 computes
@@ -222,6 +237,8 @@ def _finite_tau(C, H):
     """tau_gamma1(C, H), or a DomainError naming the first (C, H), in C-major
     order, at which it leaves the float range: e^{2 pi C} overflows from
     about C = 113, and 1/H^2 from about H = 1e-154 down."""
+    import numpy as np
+
     with np.errstate(all="ignore"):
         tau = tau_gamma1(C, H)
     finite = np.isfinite(tau)
@@ -246,6 +263,8 @@ def asymptotic_invariants(p: SystemParams):
 
 def critical_h(C):
     """Upper stability boundary H_crit(C) = 1 / (2 cosh(pi C) - 1)."""
+    import numpy as np
+
     return 1.0 / (2.0 * np.cosh(np.pi * np.asarray(C, dtype=float)) - 1.0)
 
 
@@ -265,6 +284,8 @@ def h_min(C: float) -> float:
     C = 80): H^2 divides the margin, and from about C = 113 tau_inf at H_crit
     leaves the float range.
     """
+    import numpy as np
+
     if not C > 0.0:
         raise DomainError(f"C must be positive, got C={C!r}: the asymptotic band is "
                           "established for C > 0")
@@ -331,6 +352,8 @@ def stability_band(c_range, h_range, grid) -> BandResult:
         of the margins along each fixed-C row) and the closed-form critical
         curve.
     """
+    import numpy as np
+
     if np.isscalar(grid):
         n_c = n_h = int(grid)
     else:
@@ -371,6 +394,8 @@ def _first_zeros(cs: np.ndarray, hs: np.ndarray, margin: np.ndarray) -> np.ndarr
     the change (C, hs[j]): the interpolation from j gives hs[j] + 0.0.  A
     touch, a 0.0 between neighbours of one sign, is none.
     """
+    import numpy as np
+
     def opposite(a, b):
         # comparisons, not a product: the product of two huge margins overflows
         return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)

@@ -12,12 +12,15 @@ quantity is the S-conjugate of an X-chart kernel.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "SystemParams",
@@ -34,12 +37,26 @@ __all__ = [
 # Validation tolerance; every quantity in the intended regime is O(1)-O(1e2).
 REL_TOL = 1e-12
 
-# Matrix of S(x, y, z) = (-y, -x, -z).
-INVOLUTION = np.array([
-    [0.0, -1.0, 0.0],
-    [-1.0, 0.0, 0.0],
-    [0.0, 0.0, -1.0],
-])
+
+@functools.cache
+def _involution():
+    """The matrix of S(x, y, z) = (-y, -x, -z), built with NumPy on the first call."""
+    import numpy as np
+
+    return np.array([
+        [0.0, -1.0, 0.0],
+        [-1.0, 0.0, 0.0],
+        [0.0, 0.0, -1.0],
+    ])
+
+
+def __getattr__(name: str):
+    """INVOLUTION, _involution()'s matrix, kept as a module global on first
+    access, so that importing this module loads no NumPy."""
+    if name != "INVOLUTION":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _involution()
+    return value
 
 
 @dataclass(frozen=True)
@@ -131,12 +148,16 @@ def _finite_point(s) -> tuple:
 def eval_X(p: SystemParams, s) -> np.ndarray:
     """Upper vector field at a point s = (x, y, z); a point that is not
     finite is a DomainError."""
+    import numpy as np
+
     return np.array(_field(p, *_finite_point(s)))
 
 
 def eval_Y(p: SystemParams, s) -> np.ndarray:
     """Lower vector field at a point s = (x, y, z): Y(s) = S X(S s); a point
     that is not finite is a DomainError."""
+    import numpy as np
+
     x, y, z = _finite_point(s)
     u, v, w = _field(p, -y, -x, -z)
     return np.array([-v, -u, -w])
@@ -144,12 +165,16 @@ def eval_Y(p: SystemParams, s) -> np.ndarray:
 
 def apply_involution(s) -> np.ndarray:
     """Apply S(x, y, z) = (-y, -x, -z)."""
+    import numpy as np
+
     x, y, z = np.asarray(s, dtype=float)
     return np.array([-y, -x, -z])
 
 
 def jacobian_X(p: SystemParams) -> np.ndarray:
     """Linear part DX of the upper field."""
+    import numpy as np
+
     return np.array([
         [p.A, 0.0, -p.H * ((p.A - p.C) ** 2 + 1.0)],
         [0.0, 0.0, -(1.0 + p.C ** 2)],
@@ -159,5 +184,6 @@ def jacobian_X(p: SystemParams) -> np.ndarray:
 
 def jacobian_Y(p: SystemParams) -> np.ndarray:
     """Linear part DY = S DX S of the lower field."""
-    return INVOLUTION @ jacobian_X(p) @ INVOLUTION
+    S = _involution()
+    return S @ jacobian_X(p) @ S
 

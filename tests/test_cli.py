@@ -11,6 +11,7 @@ import os
 import re
 import shlex
 import stat
+import struct
 import subprocess
 import sys
 import warnings
@@ -1225,6 +1226,71 @@ def test_import_does_not_load_orjson():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_only_errors_and_no_numpy():
+    # public names resolve on first access: the import loads errors alone,
+    # the CLI module adds itself, and a first access imports its module and
+    # keeps the name
+    code = ("import sys, twofold\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('twofold.'))\n"
+            "print(loaded(), 'numpy' in sys.modules, 'find_cycle_newton' in vars(twofold))\n"
+            "import twofold.cli\n"
+            "print(loaded(), 'numpy' in sys.modules)\n"
+            "twofold.find_cycle_newton\n"
+            "print('twofold.cycles' in sys.modules, 'find_cycle_newton' in vars(twofold),"
+            " twofold.sigma.__name__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['twofold.errors'] False False",
+                                        "['twofold.cli', 'twofold.errors'] False",
+                                        "True True twofold.sigma"]
+
+
+# the commands whose compute is scalar, each with its parent's bytes
+_SCALAR_COMMANDS = [
+    ("find_cycle_desk.json", ("find-cycle", "--C", "1", "--H", "0.04", "--Lambda", "1"),
+     "319ef2e480d4ba0d1693c1799871ca2b0f398b85fb35a7a37aaf04279eb1a7e2"),
+    ("verify_series_readme.csv", ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1",
+                                  "--v0", "1e-3,1e-4,1e-5"),
+     "62edf834ea34d35670f18c9af97c859d21289927c57699414c321ed28631dd17"),
+    ("classify_conic_readme.json", ("classify-conic", "--C", "1", "--H", "0.5",
+                                    "--Lambda", "1"),
+     "664a624f7aaac6b9c5c376d3c2da13892e2fb47e23fdc9e42bd28de00753782c"),
+    ("scan_c1_bounds.csv", ("scan", "--C", "1", "--Lambda", "1", "--hmin", "0.02",
+                            "--hmax", "0.045", "--count", "12"),
+     "36e3ab385e28aac8bc3b35cb591c3bfc4067d8ec08fc98618deb69e97bde4c45"),
+]
+
+
+@pytest.mark.parametrize("name, args, sha", _SCALAR_COMMANDS)
+def test_scalar_commands_run_without_numpy(tmp_path, name, args, sha):
+    # each in a fresh interpreter: the same bytes, and NumPy never loaded
+    golden = (_GOLDEN / name).read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == sha
+    out = tmp_path / name
+    code = ("import sys\nfrom twofold.cli import main\nrc = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules)\nsys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args, "-o", str(out)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+    assert out.read_bytes() == golden
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
+       hi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
+       n=st.integers(1, 60))
+@example(lo=5e-324, hi=1e-323, n=5)  # the step underflows to 0
+@example(lo=0.3, hi=0.3, n=4)
+@example(lo=0.9, hi=0.1, n=7)
+def test_scan_grid_is_numpy_linspace(lo, hi, n):
+    grid = list(cli._linspace(lo, hi, n))
+    assert all(type(h) is float for h in grid)
+    assert [struct.pack("<d", h) for h in grid] == [
+        struct.pack("<d", h) for h in np.linspace(lo, hi, n).tolist()]
 
 
 _EDGES = ([np.nextafter(1e-4, 0), 1e-4, 1e-5, 9.999999999999999e-05],

@@ -11,18 +11,50 @@ from twofold import (find_cycle_newton, half_return_Y, resonant_system, return_m
                      sliding_field)
 
 _FLOAT_MODULES = ("returns.py", "cycles.py", "sigma.py", "invariants.py")
+# modules that build arrays import NumPy inside those functions only, so that
+# importing them, and the scalar commands of the CLI, load no NumPy
+_LAZY_NUMPY_MODULES = ("system.py", "flow.py", "stability.py", "cli.py")
 
 
-@pytest.mark.parametrize("name", _FLOAT_MODULES)
-def test_float_modules_import_no_numpy(name):
-    tree = ast.parse((Path(twofold.__file__).parent / name).read_text())
+def _tree(name):
+    return ast.parse((Path(twofold.__file__).parent / name).read_text())
+
+
+def _numpy_imports(nodes):
     imported = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             imported.append(node.module)
-    assert not [m for m in imported if m.split(".")[0] == "numpy"], imported
+    return [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("name", _FLOAT_MODULES)
+def test_float_modules_import_no_numpy(name):
+    assert _numpy_imports(ast.walk(_tree(name))) == []
+
+
+def _run_at_import(body):
+    """The statements of body that run when the module is imported: not
+    those inside a function body, nor under ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _run_at_import(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _run_at_import(getattr(node, field, []))
+
+
+@pytest.mark.parametrize("name", _LAZY_NUMPY_MODULES)
+def test_array_modules_import_numpy_inside_functions_only(name):
+    tree = _tree(name)
+    assert _numpy_imports(_run_at_import(tree.body)) == []
+    # the guard sees imports: each of these modules does import NumPy somewhere
+    assert _numpy_imports(ast.walk(tree)) != []
 
 
 def _is_float_pair(q):

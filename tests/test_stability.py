@@ -188,6 +188,15 @@ def test_monodromy_matches_return_map_jacobian(desk_params, desk_cycle, desk_mon
     assert np.max(np.abs(fd_eigs - mu)) <= 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p0", [(1.0, 0.0), (1.0, -0.0)])
+def test_sigma_restriction_on_the_x_fold_is_grazing(desk_params, desk_monodromy, p0):
+    # X_z(p0) = y0 = 0 divides the projection: a typed error naming the
+    # point, not a NaN matrix and RuntimeWarnings
+    with pytest.raises(GrazingCrossingError, match=re.escape(repr(p0))):
+        sigma_restriction(desk_params, desk_monodromy.matrix, p0)
+
+
 def test_characteristic_polynomial_factorization(desk_monodromy):
     char = np.poly(desk_monodromy.matrix)
     quad = np.convolve([1.0, -1.0],

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 import math
 import re
@@ -210,16 +211,26 @@ def test_trace_is_a_plus_2c():
 
 
 def test_exports_are_consistent():
-    # every name a module lists in __all__ exists there, and every public
-    # name of the package comes from some module's __all__
-    modules = [m for m in vars(tf).values() if inspect.ismodule(m) and hasattr(m, "__all__")]
-    assert len(modules) >= 7
+    # the package's lazy name table and the modules' __all__ lists agree: every
+    # package name is its module's object, and every module name is exported
+    modules = [importlib.import_module(f"twofold.{name}") for name in
+               ("system", "flow", "sigma", "invariants", "returns", "cycles", "stability")]
     exported = set()
     for module in modules:
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
         exported.update(module.__all__)
+        for name in module.__all__:
+            assert getattr(tf, name) is getattr(module, name), name
+            # resolved once, then a plain entry of the package's namespace
+            assert vars(tf)[name] is getattr(module, name), name
+    assert sorted(set(tf.__all__) - exported) == ["errors"]
+    assert sorted(exported - set(tf.__all__)) == []
+    assert sorted(set(tf.__all__) - set(dir(tf))) == []
+    # and the package holds no other public name
     public = {n for n, v in vars(tf).items() if not n.startswith("_") and not inspect.ismodule(v)}
-    assert sorted(public - exported) == []
+    assert sorted(public - set(tf.__all__)) == []
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tf.no_such_name
 
 
 @pytest.mark.parametrize("A, C", [(1e160, 1.0), (0.0, 1.4e154), (1e308, -1e308)])
