@@ -24,7 +24,8 @@ import stat
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import DivergenceError, DomainError, NoReturnError, TwofoldError
+from .errors import (DivergenceError, DomainError, GrazingCrossingError, NoReturnError,
+                     TwofoldError)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import SystemParams
@@ -246,7 +247,7 @@ _COMMANDS = {
         "v0": ("list", "1e-3,1e-4,1e-5",
                "comma-separated v0 values in (0, inf); one so small that the branch "
                "point at y0 = 1/v0 overflows, e.g. 1e-155, exits 2, and one whose y0 "
-               "lies at the X fold, e.g. 1e12, exits 1 with TangentialGrazeError"),
+               "lies next to the X fold, e.g. 1e12, exits 1 with NoReturnError"),
         **_COMMON}),
     "classify-conic": ("reduced conic coefficients and kind", {**_PARAMS, **_COMMON}),
     "stability-band": ("asymptotic stability region grid", {
@@ -374,6 +375,9 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             yield _csv_line([t0 + tc, x, y, 0.0, field, "terminal", cls.kind.value, ""])
             break
         det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
+        if not math.isfinite(det):  # the incoming Lie derivative is near zero
+            raise GrazingCrossingError(f"the saltation determinant at {(x, y)!r} "
+                                       "leaves the float range")
         yield _csv_line([t0 + tc, x, y, 0.0, field, "crossing", cls.kind.value, det])
         field = "Y" if field == "X" else "X"
         s = np.array([x, y, 0.0])

@@ -290,8 +290,9 @@ def return_map(p: SystemParams, q) -> tuple:
     """Full crossing return map from a first-quadrant point of the plane.
 
     Composes the forward upper half-orbit with the forward lower half-orbit,
-    half_return_X and half_return_Y: each start is checked by sigma's plane
-    cutoff, and each end is the crossing walk's resolved sign change.
+    half_return_X and half_return_Y: each start is tangential only where its
+    Lie derivative is exactly zero, and each end is the crossing walk's
+    resolved sign change.
     Returns the image as an (x, y) pair of floats.
     """
     x, y = float(q[0]), float(q[1])

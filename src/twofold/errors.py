@@ -14,11 +14,13 @@ class NoReturnError(TwofoldError):
 
 
 class TangentialGrazeError(TwofoldError):
-    """A crossing is tangential: the transversality margin is below tolerance."""
+    """A flight is tangential: its start's Lie derivative is zero, or it does
+    not enter its half-space by more than rounding."""
 
 
 class GrazingCrossingError(TwofoldError):
-    """Saltation divisor (Lie derivative) is below tolerance at a crossing."""
+    """A saltation divisor (Lie derivative) is zero at a crossing, or so small
+    that the jump leaves the float range."""
 
 
 class NoConvergenceError(TwofoldError):

@@ -24,11 +24,12 @@ from an iterate where the residual is within its rounding: that is the
 root.  A sign change of z is never skipped, however shallow.  A flight's
 exit is the walk's resolved sign change: the bracket ends at a critical
 point where z lies below minus the touch bound, or at the window end, and
-no cutoff on the exit slope second-guesses it.  A flight that does not
-enter its half-space is a TangentialGrazeError, and sigma's one plane
-cutoff decides whether a half-return's start is tangential.  A half-return
-searches the fixed window (0, 8 pi]: on the hyperbola every flight takes
-about pi.
+no cutoff on the exit slope second-guesses it.  A half-return's start is
+tangential where its Lie derivative is exactly zero; from any other start
+the walk's touch bound alone decides whether the flight enters its
+half-space, and a flight that does not is a TangentialGrazeError.
+A half-return searches the fixed window (0, 8 pi]: on the hyperbola every
+flight takes about pi.
 
 Time direction is inferred from the queried point: a start the field pushes
 into its own half-space is solved forward; a start the field's half-orbit
@@ -53,7 +54,7 @@ from .flow import _slope_coefficients
 from .errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnError,
                      TangentialGrazeError)
 from .invariants import gamma1_branch_x, gamma1_discriminant
-from .sigma import _tangency_cutoff
+from .sigma import _finite_plane_point
 from .system import SystemParams
 
 __all__ = [
@@ -235,10 +236,10 @@ def _bracketed_root(fdf, t, lo, hi, floor=0.0):
 
 
 def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
-    x0, y0 = float(start[0]), float(start[1])
+    x0, y0 = _finite_plane_point(start)
     # the Y half-orbit from q is the S-image of the X half-orbit from S q
     u, v = (x0, y0) if field == "X" else (-y0, -x0)
-    if abs(v) < _tangency_cutoff(x0, y0):  # v is the X Lie derivative at (u, v)
+    if v == 0.0:  # v is the X Lie derivative at (u, v)
         raise TangentialGrazeError(
             f"start {(x0, y0)!r} is tangential for the {field} field"
         )

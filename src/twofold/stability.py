@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .invariants import gamma1_discriminant
-from .sigma import _tangency_cutoff
+from .sigma import RegionKind, classify_point
 from .system import SystemParams, _plane_field, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,23 +52,33 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
 
     direction "XtoY" uses the incoming upper field's Lie derivative as the
     divisor, "YtoX" the lower one's.  Both are identity plus a rank-one
-    update of the third column, (Y - X) / div from the plane fields X and
-    Y = S X(-y, -x) at (x, y, 0), with div = X_z = y into Y, -Y_z = -x into X.
+    update of the third column, ``_saltation_column``'s (Y - X) / div with
+    div = X_z = y into Y, -Y_z = -x into X.  A point that classify_point
+    does not call a crossing is a GrazingCrossingError, as is one where the
+    column leaves the float range (a subnormal x or y, say).
     """
     import numpy as np
 
     if direction not in ("XtoY", "YtoX"):
         raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
-    x, y = float(q[0]), float(q[1])
-    tol = _tangency_cutoff(x, y)
-    if abs(y) < tol or abs(x) < tol or x * y < 0:  # y and x are the X and Y Lie derivatives
+    cls = classify_point(p, q)
+    x, y = cls.lie_y, cls.lie_x  # Yf = x, Xf = y
+    if cls.kind is not RegionKind.CROSSING:
         raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
-    div = y if direction == "XtoY" else -x
-    fx, fy, fz = _plane_field(p, x, y)
-    u, v, w = _plane_field(p, -y, -x)  # Y(x, y, 0) = S X(-y, -x, 0)
+    c = _saltation_column(p, x, y, y if direction == "XtoY" else -x)
+    if not (math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2])):
+        raise GrazingCrossingError(f"the saltation column at {(x, y)!r} leaves the "
+                                   "float range")
     out = np.eye(3)
-    out[:, 2] += ((-v - fx) / div, (-u - fy) / div, (-w - fz) / div)
+    out[:, 2] += c
     return out
+
+
+def _saltation_column(p: SystemParams, x: float, y: float, div: float) -> tuple:
+    """(Y - X) / div from the plane fields X and Y = S X(-y, -x) at (x, y, 0)."""
+    fx, fy, fz = _plane_field(p, x, y)
+    u, v, w = _plane_field(p, -y, -x)
+    return (-v - fx) / div, (-u - fy) / div, (-w - fz) / div
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,10 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     x0, y0 = cycle.p0
     if not (x0 > 0.0 and y0 > 0.0):  # the Y and X Lie derivatives at p0
         raise GrazingCrossingError(f"{(x0, y0)!r} is not a transversal crossing point")
-    # N = (I + c e3^T) Phi_X with saltation(p, S p0, "XtoY")'s column c - e3, but
-    # no cutoff: (Y - X) / X_z at S p0, where Y = S X(p0), X = (u, v, w), X_z = -x0
-    z0, z1, z2 = _plane_field(p, x0, y0)
-    u, v, w = _plane_field(p, -y0, -x0)
-    c0, c1, c2 = (z1 + u) / x0, (z0 + v) / x0, (z2 + w) / x0
+    # N = (I + c e3^T) Phi_X with saltation(p, S p0, "XtoY")'s column c - e3,
+    # at S p0 = (-y0, -x0), where X_z = -x0
+    c0, c1, c2 = _saltation_column(p, -y0, -x0, -x0)
+    z0, z1, z2 = _plane_field(p, x0, y0)  # X(p0)
     (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = cycle.phi  # Phi_X(t_x), from the solve
     # S N is N with rows 0 and 1 swapped, all negated: the signs cancel in the square
     sn = ((b0 + c1 * d0, b1 + c1 * d1, b2 + c1 * d2), (a0 + c0 * d0, a1 + c0 * d1, a2 + c0 * d2),

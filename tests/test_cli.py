@@ -207,8 +207,8 @@ def test_help_lists_a_only_for_simulate():
 def test_verify_series_v0_range_ends():
     # a subnormal v0 passes 0 < v0 < inf, but y0 = 1/v0 overflows: a usage
     # error that names v0; at v0 = 1e-155, y0 is finite but the branch point's
-    # x^2 overflows: one that names y; a v0 of 1e12 puts y0 at the X fold, a
-    # tangential start
+    # x^2 overflows: one that names y; a v0 of 1e12 puts y0 = 1e-12 next to
+    # the X fold, where the lower flight finds no return (once a tangential start)
     series = ("verify-series", "--C", "1", "--H", "0.5", "--Lambda", "1")
     proc = run_cli(*series, "--v0", "1e-320")
     assert proc.returncode == 2, proc.stderr
@@ -218,7 +218,7 @@ def test_verify_series_v0_range_ends():
     assert proc.stderr.startswith("usage error: y = 1e+155 is too large") and proc.stdout == ""
     proc = run_cli(*series, "--v0", "1e12")
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: TangentialGrazeError: ") and proc.stdout == ""
+    assert proc.stderr.startswith("error: NoReturnError: ") and proc.stdout == ""
 
 
 def test_malformed_config_is_usage_error(tmp_path):
@@ -1086,6 +1086,29 @@ def test_simulate_shallow_exit_crosses_where_the_unscaled_orbit_does():
     events = [(r["t"], r["z"]) for r in rows if r["event"]]
     assert events[0] == ("2.613737508100637", "0.0")
     assert [r["t"] for r in rows[:6]] == ["0.0", "0.5", "1.0", "1.5", "2.0", "2.5"]
+
+
+def test_simulate_start_a_subnormal_off_the_fold_does_not_enter():
+    # (1, 1e-310, 0) is a crossing point, where the plane cutoff 1e-10 (1 + |q|)
+    # once wrote a terminal tangency_x row; its X flight rises by less than
+    # rounding, and the crossing walk's touch bound rejects the entry
+    proc = run_cli("simulate", "--C", "1", "--H", "0.5", "--Lambda", "1", "--x0", "1",
+                   "--y0", "1e-310", "--z0", "0", "--t-max", "1", "--dt", "0.5")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: TangentialGrazeError: entry into the half-space is not "
+                           "transversal\n") and proc.stdout == ""
+
+
+def test_simulate_saltation_determinant_past_the_float_range_is_a_graze():
+    # A = 144 drives x to -8.7e304 by the exit, whose Lie derivative y is
+    # -8.3e-5: the crossing's Yf / Xf leaves the float range.  The plane cutoff
+    # 1e-10 (1 + |q|) once called the exit a tangency and wrote a terminal row
+    proc = run_cli("simulate", "--A", "144", "--C", "-0.2", "--H", "0.04", "--Lambda", "1",
+                   "--x0", "0.01", "--y0", "2.6174250841140747", "--z0", "0", "--t-max", "6",
+                   "--dt", "2")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: GrazingCrossingError: the saltation determinant")
+    assert proc.stdout == ""
 
 
 def test_simulate_readme_example(tmp_path):

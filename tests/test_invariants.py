@@ -7,7 +7,7 @@ import pytest
 from twofold import (ConicKind, DarbouxPair, apply_involution, build_system, critical_h,
                      eval_P_X, eval_P_Y, eval_X, eval_Y, flow_X, flow_Y, gamma1_branch_x,
                      gamma1_conic, gamma1_discriminant, invariants, m_gamma1, resonant_system,
-                     verify_darboux)
+                     time_matching_table, verify_darboux)
 from twofold.errors import BranchPointError, DomainError
 from oracles import fd_lie_derivative
 
@@ -347,9 +347,14 @@ def test_branch_point_matches_a_50_digit_root(C):
 def test_branch_points_past_c_3_75_pass_the_conic_check():
     # the verify-series grid C in [3, 7.5], H / H_crit in {0.02, 0.5, 0.995},
     # v0 in {1e-3, 1e-4, 1e-5}: 104 of its 171 branch points once raised
-    # BranchPointError
+    # BranchPointError, and the time matching from 27 of them once raised
+    # TangentialGrazeError: the plane cutoff 1e-10 (1 + |(x, y)|) called a
+    # start tangential where x0 / y0 passes 1e10 (from C = 6.25)
+    v0s = (1e-3, 1e-4, 1e-5)
     for C in np.linspace(3.0, 7.5, 19):
         for fraction in (0.02, 0.5, 0.995):
             p = resonant_system(float(C), fraction * critical_h(float(C)), 1.0)
-            for v0 in (1e-3, 1e-4, 1e-5):
+            for v0 in v0s:
                 assert math.isfinite(gamma1_branch_x(p, 1.0 / v0))
+            rows = time_matching_table(p, v0s)
+            assert all(math.isfinite(value) for row in rows for value in row.values())

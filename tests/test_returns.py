@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from twofold import (HalfReturn, apply_involution, asymptotic_seed, build_system,
-                     critical_h, eval_X, eval_Y, find_cycle_newton, flow_X, flow_Y,
-                     gamma1_branch_x, gamma2_at_critical, half_return_X, half_return_Y,
-                     resonant_system, return_map, series_coeffs, time_matching,
-                     time_matching_table)
+                     classify_point, critical_h, eval_X, eval_Y, find_cycle_newton, flow_X,
+                     flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
+                     half_return_Y, resonant_system, return_map, saltation, series_coeffs,
+                     time_matching, time_matching_table)
 from twofold.errors import (DivergenceError, DomainError, NoReturnError,
                             TangentialGrazeError, TwofoldError)
 from twofold.flow import _z_coefficients, z_closed_form
@@ -315,10 +315,19 @@ def test_window_before_first_critical_point(desk_params):
 
 
 def test_entry_graze_rejected(params):
-    with pytest.raises(TangentialGrazeError):
-        half_return_X(params, (1.0, 1e-14))
-    with pytest.raises(TangentialGrazeError):
-        half_return_Y(params, (1e-14, 1.0))
+    # a start on a fold line is tangential; one the least subnormal off it
+    # is not, but its flight rises by less than rounding, and the crossing
+    # walk's touch bound rejects the entry.  From (1, 1e-14) the X flight
+    # enters, where the plane cutoff 1e-10 (1 + |(x, y)|) once rejected it
+    with pytest.raises(TangentialGrazeError, match="is tangential for the X field"):
+        half_return_X(params, (1.0, 0.0))
+    with pytest.raises(TangentialGrazeError, match="is tangential for the Y field"):
+        half_return_Y(params, (0.0, 1.0))
+    with pytest.raises(TangentialGrazeError, match="entry into the half-space is not"):
+        half_return_X(params, (1.0, 5e-324))
+    with pytest.raises(TangentialGrazeError, match="entry into the half-space is not"):
+        half_return_Y(params, (5e-324, 1.0))
+    assert half_return_X(params, (1.0, 1e-14)).t == 3.9407331356929047
 
 
 def test_on_plane_start_that_leaves_downward_is_no_entry(params):
@@ -643,11 +652,31 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
-def _crossing_or_error(p, s0, forward):
+def _or_error(call):
     try:
-        return first_crossing(p, s0, 8.0 * math.pi, forward=forward)
+        return call()
     except TwofoldError as exc:
         return type(exc)
+
+
+def _plane_solves(p, x, y, z, forward, scale):
+    """The plane solves at p from (x, y) and (x, y, z), each length divided by
+    scale, or the error class each raises."""
+    q = (x, y)
+
+    def flight(solve):
+        hr = solve(p, q)
+        return hr.t, hr.end[0] / scale, hr.end[1] / scale, hr.forward, hr.iterations
+
+    return [
+        _or_error(lambda: first_crossing(p, (x, y, z), 8.0 * math.pi, forward=forward)),
+        _or_error(lambda: classify_point(p, q).kind),
+        _or_error(lambda: flight(half_return_X)),
+        _or_error(lambda: flight(half_return_Y)),
+        _or_error(lambda: tuple(v / scale for v in return_map(p, (abs(x), abs(y))))),
+        _or_error(lambda: time_matching(p, 1.0 / (scale + abs(y)))),  # y0 = scale + |y|
+        _or_error(lambda: saltation(p, q, "XtoY" if forward else "YtoX").tolist()),
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -656,17 +685,26 @@ def _crossing_or_error(p, s0, forward):
        y=st.floats(-50.0, 50.0), z=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
        forward=st.booleans(), k=st.integers(-40, 40))
 @example(C=1.0, H=0.5, Lambda=1.0, x=0.0, y=0.0, z=2.0, forward=True, k=-40)
+@example(C=1.0, H=0.5, Lambda=1.0, x=1.0, y=1e-9, z=0.0, forward=True, k=-40)
 def test_first_crossing_is_equivariant_under_power_of_two_scaling(C, H, Lambda, x, y, z,
                                                                   forward, k):
     # Lambda -> 2^k Lambda, s -> 2^k s maps orbits onto orbits with the same
     # times, and every quantity of the crossing walk scales exactly: the
     # scaled start crosses at the same t in as many steps, bit for bit, or
-    # raises the same error
+    # raises the same error.  So do the plane's classification, both
+    # half-returns, the return map, the time matching at the branch point
+    # y0 -> 2^k y0 and the saltation matrix, now that zero is the only
+    # tangency: the plane cutoff 1e-10 (1 + |(x, y)|) once called (1, 1e-9)
+    # a crossing point and its 2^-40 image a tangency
     scale = 2.0 ** k
-    base = _crossing_or_error(resonant_system(C, H, Lambda), (x, y, z), forward)
-    scaled = _crossing_or_error(resonant_system(C, H, scale * Lambda),
-                                (scale * x, scale * y, scale * z), forward)
-    assert scaled == base
+    base = _plane_solves(resonant_system(C, H, Lambda), x, y, z, forward, 1.0)
+    scaled = _plane_solves(resonant_system(C, H, scale * Lambda), scale * x, scale * y,
+                           scale * z, forward, scale)
+    assert scaled[0] == base[0]
+    # a subnormal coordinate loses bits when scaled down, and its sign may
+    # round away: the plane solves keep the symmetry where no coordinate is one
+    if all(v == 0.0 or abs(v) >= 2.0 ** -960 for v in (x, y)):
+        assert scaled == base
 
 
 @settings(max_examples=1000, deadline=None)
@@ -713,13 +751,15 @@ def test_time_matching_rejects_v0_outside_the_positive_reals(params, matching, v
 def test_time_matching_v0_range_ends(params, matching):
     # 1e-320 is positive and finite, but y0 = 1/v0 overflows to inf; from
     # 1e-154 down y0 is finite but the branch point's x^2 overflows; at
-    # v0 = 1e12, y0 = 1e-12 lies at the X fold, where the start is tangential
+    # v0 = 1e12, y0 = 1e-12 lies next to the X fold: the start is transversal,
+    # where the plane cutoff once called it tangential, and the backward Y
+    # flight from it finds no crossing in the window
     with pytest.raises(DomainError, match=r"^v0 = 1e-320 is too small: y0 = 1/v0 overflows"):
         matching(params, 1e-320)
     for v0 in (1e-154, 1e-155, 1e-200, 1e-308):
         with pytest.raises(DomainError, match="is too large: the conic residual"):
             matching(params, v0)
-    with pytest.raises(TangentialGrazeError):
+    with pytest.raises(NoReturnError, match="no crossing of z = 0 within"):
         matching(params, 1e12)
 
 

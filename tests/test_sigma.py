@@ -1,14 +1,12 @@
-import contextlib
 import math
 
 import numpy as np
 import pytest
 
-from twofold import (FoldKind, RegionKind, build_system, classify_point, eval_X,
-                     eval_Y, fold_info, half_return_X, half_return_Y, saltation,
-                     sliding_field)
-from twofold.errors import DomainError, GrazingCrossingError, NoReturnError, TangentialGrazeError
-from twofold.sigma import _tangency_cutoff
+from twofold import (FoldInfo, FoldKind, RegionKind, SigmaClass, build_system,
+                     classify_point, eval_X, eval_Y, fold_info, half_return_X, half_return_Y,
+                     resonant_system, saltation, sliding_field)
+from twofold.errors import DomainError, GrazingCrossingError, TangentialGrazeError
 from oracles import fd_lie_derivative
 
 
@@ -24,6 +22,15 @@ def test_classification_examples(params):
     assert classify_point(params, (3.0, 0.0)).kind is RegionKind.TANGENCY_X
     assert classify_point(params, (0.0, 3.0)).kind is RegionKind.TANGENCY_Y
     assert classify_point(params, (0.0, 0.0)).kind is RegionKind.DOUBLE_TANGENCY
+    # the signs decide, not the product lie_x lie_y, which underflows to 0.0
+    # at subnormals; a huge point is classified though |q| overflows, where
+    # the plane cutoff 1e-10 (1 + |q|) once made it a DomainError
+    assert classify_point(params, (5e-324, 5e-324)).kind is RegionKind.CROSSING
+    assert classify_point(params, (-5e-324, -5e-324)).kind is RegionKind.CROSSING
+    assert classify_point(params, (5e-324, -5e-324)).kind is RegionKind.SLIDING
+    assert classify_point(params, (-5e-324, 5e-324)).kind is RegionKind.ESCAPING
+    assert classify_point(params, (1.5e308, 1.5e308)) == SigmaClass(RegionKind.CROSSING,
+                                                                  1.5e308, 1.5e308)
 
 
 def test_crossing_quadrant_rule(params):
@@ -54,11 +61,13 @@ def test_fold_visibility_flips_with_lambda():
     assert fold_info(p, (0.0, 2.0)).kind is FoldKind.INVISIBLE
 
 
-def test_fold_below_the_tangency_cutoff_is_a_cusp():
-    # X(Xf) = Lambda at the fold lines: a |Lambda| below the cutoff reads as zero
-    p = build_system(-2.0, 1.0, 0.5, 1e-12)
-    assert fold_info(p, (1.0, 0.0)).kind is FoldKind.CUSP
-    assert fold_info(p, (0.0, 1.0)).kind is FoldKind.CUSP
+def test_fold_at_a_tiny_lambda_keeps_its_visibility():
+    # X(Xf) = Lambda on the fold lines, nonzero however small: a Lambda of
+    # 1e-12 once read as zero against the plane cutoff, a cusp
+    for Lambda, kind in ((1e-12, FoldKind.VISIBLE), (-1e-12, FoldKind.INVISIBLE)):
+        p = build_system(-2.0, 1.0, 0.5, Lambda)
+        assert fold_info(p, (1.0, 0.0)) == FoldInfo("X", kind, Lambda, 2.0 * Lambda)
+        assert fold_info(p, (0.0, 1.0)) == FoldInfo("Y", kind, -Lambda, -2.0 * Lambda)
 
 
 def test_fold_info_rejects_off_line(params):
@@ -107,26 +116,34 @@ def test_sliding_field_rejects_crossing(params):
 
 
 @pytest.mark.parametrize("x", [3.0, 250.0])
-def test_plane_checks_share_one_tangency_cutoff(params, x):
-    # classify_point, saltation and the half-return starts all call the tangency
-    # cutoff of sigma: just below it each sees a tangency, just above it none
-    tol = _tangency_cutoff(x, 0.0)
-    for y, tangent in ((0.99 * tol, True), (1.01 * tol, False)):
-        assert (classify_point(params, (x, y)).kind is RegionKind.TANGENCY_X) is tangent
-        checks = [(lambda: saltation(params, (x, y), "XtoY"), GrazingCrossingError),
-                  (lambda: half_return_X(params, (x, y)), TangentialGrazeError),
-                  (lambda: half_return_Y(params, (y, x)), TangentialGrazeError)]
-        for call, error in checks:
-            # a transversal start may still find no return in the window
-            with pytest.raises(error) if tangent else contextlib.suppress(NoReturnError):
+def test_plane_checks_see_a_tangency_at_zero_only(params, x):
+    # classify_point, saltation and the half-return starts all decide by the
+    # exact sign of the Lie derivative: y = +-0.0 is a tangency and the least
+    # subnormal is not, where the cutoff 1e-10 (1 + |(x, y)|) once drew the line
+    for y in (0.0, -0.0):
+        assert classify_point(params, (x, y)).kind is RegionKind.TANGENCY_X
+        with pytest.raises(GrazingCrossingError, match="not a transversal crossing point"):
+            saltation(params, (x, y), "XtoY")
+        for field, call in (("X", lambda: half_return_X(params, (x, y))),
+                            ("Y", lambda: half_return_Y(params, (y, x)))):
+            with pytest.raises(TangentialGrazeError, match=f"is tangential for the {field}"):
                 call()
+    y = 5e-324
+    assert classify_point(params, (x, y)).kind is RegionKind.CROSSING
+    # the crossing is transversal, but (Y - X) / y leaves the float range
+    with pytest.raises(GrazingCrossingError, match="leaves the float range"):
+        saltation(params, (x, y), "XtoY")
+    # the start is not tangential, and the crossing walk's touch bound finds
+    # that the flight rises by less than rounding: it does not enter
+    for call in (lambda: half_return_X(params, (x, y)), lambda: half_return_Y(params, (y, x))):
+        with pytest.raises(TangentialGrazeError, match="entry into the half-space is not"):
+            call()
 
 
 @pytest.mark.parametrize("q", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
-                               (1.5e308, 1.5e308)])
+                               (0.0, math.nan)])
 def test_classify_point_rejects_a_non_finite_point(desk_params, q):
-    # (nan, 1) once classified as escaping and (inf, 1) as a tangency; at
-    # (1.5e308, 1.5e308) |q| overflows, so the tangency cutoff is not finite
+    # (nan, 1) once classified as escaping and (inf, 1) as a tangency
     with pytest.raises(DomainError, match="must be finite"):
         classify_point(desk_params, q)
 
@@ -147,7 +164,27 @@ def test_sliding_field_rejects_a_non_finite_point(desk_params, q):
 
 @pytest.mark.parametrize("q", [(1e308, -1e308), (-1e308, 1e308)])
 def test_sliding_field_past_the_float_range_is_a_domain_error(desk_params, q):
-    # a sliding and an escaping point with a finite tangency cutoff, at which
-    # A x of both fields overflows
+    # a sliding and an escaping point at which A x of both fields overflows
     with pytest.raises(DomainError, match="leave the float range"):
         sliding_field(desk_params, q)
+
+
+@pytest.mark.parametrize("q", [(5e-324, -5e-324), (-5e-324, 5e-324), (1.0, -1e-310),
+                               (1e300, -5e-324)])
+def test_sliding_field_at_subnormal_lie_derivatives(desk_params, q):
+    # sliding and escaping points the plane cutoff once called tangencies;
+    # weights formed from halves of Xf and Yf would divide by zero there,
+    # since half of 5e-324 rounds to 0.0
+    x, y = q
+    w = x / (x - y)  # Yf / (Yf - Xf)
+    expected = w * eval_X(desk_params, (x, y, 0.0)) + (1.0 - w) * eval_Y(desk_params, (x, y, 0.0))
+    assert np.allclose(sliding_field(desk_params, q), expected[:2], rtol=1e-15, atol=0.0)
+
+
+def test_sliding_field_where_yf_minus_xf_overflows():
+    # Yf - Xf = 3.4e308 leaves the float range while both fields stay in it
+    # (A = -0.5): the weights come from the halves, 1/2 each at Xf = -Yf
+    p = resonant_system(0.25, 0.5, 1.0)
+    q = (1.7e308, -1.7e308)
+    expected = 0.5 * eval_X(p, (*q, 0.0)) + 0.5 * eval_Y(p, (*q, 0.0))
+    assert np.allclose(sliding_field(p, q), expected[:2], rtol=1e-15, atol=0.0)

@@ -77,12 +77,25 @@ def test_saltation_column_matches_the_field_oracle(C, A, H, Lambda, x, y, direct
 
 
 def test_saltation_rejects_grazing_and_noncrossing(params):
+    # zero, not a cutoff, is the graze: (1.0, 1e-13) is a transversal crossing
+    assert np.isfinite(saltation(params, (1.0, 1e-13), "XtoY")).all()
     with pytest.raises(GrazingCrossingError):
-        saltation(params, (1.0, 1e-13), "XtoY")
+        saltation(params, (1.0, 0.0), "XtoY")
     with pytest.raises(GrazingCrossingError):
         saltation(params, (1.0, -1.0), "XtoY")
     with pytest.raises(ValueError):
         saltation(params, (1.0, 1.0), "sideways")
+
+
+@pytest.mark.parametrize("q, direction", [((5e-324, 5e-324), "XtoY"),
+                                          ((5e-324, 5e-324), "YtoX"),
+                                          ((1.0, 1e-310), "XtoY"),
+                                          ((-1e-310, -1.0), "YtoX")])
+def test_saltation_column_past_the_float_range_is_a_graze(params, q, direction):
+    # a crossing point whose divisor is so small that (Y - X) / div leaves the
+    # float range: once a column of +-inf
+    with pytest.raises(GrazingCrossingError, match="leaves the float range"):
+        saltation(params, q, direction)
 
 
 @pytest.mark.parametrize("q", [(0.0, 0.0), (1.0, -1.0), (1.0, 1e-13)])
