@@ -321,7 +321,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     """
     import numpy as np
 
-    from .flow import flow_X, flow_Y
+    from .flow import _z_coefficients, flow_X, flow_Y
     from .returns import first_crossing
     from .sigma import RegionKind, classify_point
 
@@ -330,12 +330,14 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     if sample_ts[-1] < t_max - 1e-15:
         sample_ts = np.append(sample_ts, t_max)
 
-    s = np.asarray(s0, dtype=float).copy()
-    ztol = 1e-12 * (1.0 + float(np.max(np.abs(s))))
-    if s[2] > ztol:
-        field = "X"
-    elif s[2] < -ztol:
-        field = "Y"
+    s0 = np.asarray(s0, dtype=float)
+    s = s0.copy()
+    # the side is the sign of the closed-form z(0) = zs + (|z0| - zs) in the
+    # start's own chart, as first_crossing decides it: a z0 that rounds away
+    # there is the plane start it is within round-off of
+    zs, _, wz = _z_coefficients(p, (0.0, 0.0, abs(float(s[2]))))
+    if s[2] != 0.0 and zs + wz > 0.0:
+        field = "X" if s[2] > 0.0 else "Y"
     else:
         cls = classify_point(p, s[:2])
         if cls.kind is not RegionKind.CROSSING:
@@ -363,7 +365,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             raise DivergenceError(f"the {field} flow overflows floating point "
                                   f"by t={t0 + float(times[-1])!r}")
         if idx == 0:  # the t = 0 row is the start itself, not the closed form at 0
-            states[0] = s
+            states[0] = s0
         tail = f",{field},,,\n"
         yield from _row_texts(np.column_stack((ts, states[:ts.size])), tail)
         idx = end

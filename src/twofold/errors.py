@@ -45,5 +45,6 @@ class DivergenceError(TwofoldError):
 
 
 class SymmetryDefectError(TwofoldError):
-    """The direct monodromy of a cycle and the invariants of its half map
-    disagree: its two half flights are not symmetric to the check's bound."""
+    """The half-period map S N of a cycle and its half-map derivative Dg
+    disagree past the rounding of their terms: the cycle's p0, phi and dg
+    do not describe one symmetric orbit."""

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .invariants import gamma1_discriminant
 from .sigma import RegionKind, classify_point
-from .system import SystemParams, _plane_field, _record, eval_X
+from .system import SystemParams, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -55,7 +55,7 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     update of the third column, ``_saltation_column``'s (Y - X) / div with
     div = X_z = y into Y, -Y_z = -x into X.  A point that classify_point
     does not call a crossing is a GrazingCrossingError, as is one where the
-    column leaves the float range (a subnormal x or y, say).
+    column leaves the float range.
     """
     import numpy as np
 
@@ -65,25 +65,32 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     x, y = cls.lie_y, cls.lie_x  # Yf = x, Xf = y
     if cls.kind is not RegionKind.CROSSING:
         raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
-    c = _saltation_column(p, x, y, y if direction == "XtoY" else -x)
-    if not (math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2])):
-        raise GrazingCrossingError(f"the saltation column at {(x, y)!r} leaves the "
-                                   "float range")
     out = np.eye(3)
-    out[:, 2] += c
+    out[:, 2] += _saltation_column(p, x, y, y if direction == "XtoY" else -x)[0]
     return out
 
 
 def _saltation_column(p: SystemParams, x: float, y: float, div: float) -> tuple:
-    """(Y - X) / div from the plane fields X and Y = S X(-y, -x) at (x, y, 0)."""
-    fx, fy, fz = _plane_field(p, x, y)
-    u, v, w = _plane_field(p, -y, -x)
-    return (-v - fx) / div, (-u - fy) / div, (-w - fz) / div
+    """(Y - X) / div from the plane fields X and Y = S X(-y, -x) at (x, y, 0),
+    and X(-y, -x, 0) / 2^k: past 2^500, x, y, Lambda and div are divided by
+    2^k, the binade of the largest, so no bit moves and no field overflows
+    (else k = 0).  A column past the float range is a GrazingCrossingError."""
+    xs, ys, lam = x, y, p.Lambda
+    if x * x + y * y + lam * lam > 2.0 ** 1000:
+        k = math.frexp(max(abs(x), abs(y), abs(lam)))[1]
+        xs, ys, lam, div = (math.ldexp(x, -k), math.ldexp(y, -k), math.ldexp(lam, -k),
+                            math.ldexp(div, -k))
+    fx, u = p.A * xs + p.H * lam, p.A * -ys + p.H * lam  # X_x at (x, y) and (-y, -x)
+    if div != 0.0:  # 0.0 only where a subnormal div is scaled down
+        c = (-lam - fx) / div, (-u - lam) / div, (xs - ys) / div
+        if math.isfinite(c[0]) and math.isfinite(c[1]) and math.isfinite(c[2]):
+            return c, (u, lam, -xs)
+    raise GrazingCrossingError(f"the saltation column at {(x, y)!r} leaves the float range")
 
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    rows: tuple  # the monodromy matrix as three row tuples
+    sn: tuple  # the half-period map S N as three row tuples
     trace: float
     det: float
     multipliers: tuple  # (1, mu2, mu3); mu1 = 1 is exact by deflation
@@ -93,10 +100,10 @@ class MonodromyReport:
     stable: bool
 
     @property
-    def matrix(self) -> np.ndarray:  # built on access
+    def matrix(self) -> np.ndarray:  # (S N)^2, built on access
         import numpy as np
 
-        return np.array(self.rows)
+        return (sn := np.array(self.sn)) @ sn
 
 
 def _deflated_quadratic_roots(trace: float, det: float):
@@ -120,76 +127,68 @@ def schur_conditions(trace: float, det: float) -> tuple:
             trace + det > 0.0)
 
 
-def _mul3(a: tuple, b: tuple) -> tuple:
-    """Product of two 3x3 matrices given as row tuples."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return ((a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
-             a00 * b02 + a01 * b12 + a02 * b22),
-            (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
-             a10 * b02 + a11 * b12 + a12 * b22),
-            (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
-             a20 * b02 + a21 * b12 + a22 * b22))
-
-
 def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     """Saltation-corrected monodromy of a converged symmetric cycle.
 
     ``trace``, ``det``, ``multipliers``, ``schur`` and ``stable`` come from
-    the half-map derivative Dg = cycle.dg: the plane return map is g o g, so
-    tr M = 1 + tr(Dg)^2 - 2 det Dg and det M = (det Dg)^2.  ``rows`` (and
-    ``matrix``) is the direct composition (S N)^2, N = S_{X->Y}(S p0) Phi_X(t_x),
-    as Phi_Y = S Phi_X S and S_{Y->X}(p0) = S S_{X->Y}(S p0) S, with Phi_X(t_x)
-    the solve's cycle.phi, so no exp(DX t) is evaluated here: a cycle whose
-    t_x was moved by dataclasses.replace needs the matching phi; and
-    ``reduction_residual`` the larger of its trace and det disagreements
-    with the half-map invariants, relative to the largest of |tr M|, |det M|
-    and 1; ``trivial_residual`` is |M X(p0) - X(p0)| / |X(p0)|.
-
-    Raises
-    ------
-    SymmetryDefectError
-        If reduction_residual exceeds 1e-9: at large C the rounding of
-        Phi_X entries, which grow like e^{Ct}, cancels down to tr M.
-    GrazingCrossingError
-        If x0 or y0 is not positive: a crossing is not transversal.
+    Dg = cycle.dg: the plane return map is g o g, so tr M = 1 + tr(Dg)^2 -
+    2 det Dg and det M = (det Dg)^2.  ``sn`` is S N, N = S_{X->Y}(S p0) Phi_X,
+    with the solve's cycle.phi as Phi_X(t_x) (a t_x moved by dataclasses.replace
+    needs the matching phi); M = (S N)^2 as Phi_Y = S Phi_X S and S_{Y->X}(p0)
+    = S S_{X->Y}(S p0) S, and ``matrix`` squares ``sn`` on access.  S N keeps
+    X(p0) and acts on the plane as Dg: S N X(p0) = X(p0), tr(S N) = 1 + tr Dg
+    and det(S N) = det Dg.  ``trivial_residual`` is |S N X(p0) - X(p0)| /
+    |X(p0)|, ``reduction_residual`` the larger trace or det miss over
+    max(|1 + tr Dg|, |det Dg|, 1).  A miss past 2^-47 of the sizes of its
+    terms (more where zs = Lambda / (1 + C^2), which scales p0, is subnormal)
+    is a SymmetryDefectError: Phi_X grows like e^{Ct}, to 1e29 at C = 20, so
+    the bound sees less of Dg as C grows.  An x0 or y0 that is not positive, or
+    a saltation column at S p0 past the float range, is a GrazingCrossingError.
     """
     g00, g01, g10, g11 = cycle.dg
     tr_g, det_g = g00 + g11, g00 * g11 - g01 * g10
-    trace = 1.0 + tr_g * tr_g - 2.0 * det_g
-    det = det_g * det_g
+    trace, det = 1.0 + tr_g * tr_g - 2.0 * det_g, det_g * det_g
     x0, y0 = cycle.p0
     if not (x0 > 0.0 and y0 > 0.0):  # the Y and X Lie derivatives at p0
         raise GrazingCrossingError(f"{(x0, y0)!r} is not a transversal crossing point")
-    # N = (I + c e3^T) Phi_X with saltation(p, S p0, "XtoY")'s column c - e3,
-    # at S p0 = (-y0, -x0), where X_z = -x0
-    c0, c1, c2 = _saltation_column(p, -y0, -x0, -x0)
-    z0, z1, z2 = _plane_field(p, x0, y0)  # X(p0)
-    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = cycle.phi  # Phi_X(t_x), from the solve
-    # S N is N with rows 0 and 1 swapped, all negated: the signs cancel in the square
-    sn = ((b0 + c1 * d0, b1 + c1 * d1, b2 + c1 * d2), (a0 + c0 * d0, a1 + c0 * d1, a2 + c0 * d2),
-          (d0 + c2 * d0, d1 + c2 * d1, d2 + c2 * d2))
-    M = _mul3(sn, sn)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
-    trace_m = m00 + m11 + m22
-    det_m = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-             + m02 * (m10 * m21 - m11 * m20))
-    reduction_residual = (max(abs(trace_m - trace), abs(det_m - det))
-                          / max(abs(trace), abs(det), 1.0))
-    if reduction_residual > 1e-9:
-        raise SymmetryDefectError(f"direct monodromy and half-map invariants disagree: "
-                                  f"{reduction_residual:.3g} (bound 1e-9) at y0 = {y0:.3g}, "
-                                  f"C = {p.C:.6g}")
-    trivial_residual = math.hypot(m00 * z0 + m01 * z1 + m02 * z2 - z0,
-                                  m10 * z0 + m11 * z1 + m12 * z2 - z1,
-                                  m20 * z0 + m21 * z1 + m22 * z2 - z2) / math.hypot(z0, z1, z2)
+    # N = (I + c e3^T) Phi_X, c - e3 the column of saltation(p, S p0, "XtoY")
+    (c0, c1, c2), (z0, z1, z2) = _saltation_column(p, -y0, -x0, -x0)
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = cycle.phi
+    # S N is N with rows 0 and 1 swapped, all negated; t_ij = |n_ij| + |c_i d_j| sizes
+    # the terms of s_ij, but for Phi_X's x column (e^{At}, 0, 0) and g00 = 0, whose
+    # other values are left out of the sizes, so they can only fail the check
+    s00, s01, s02 = -b0 - c1 * d0, -b1 - c1 * d1, -b2 - c1 * d2
+    s10, s11, s12 = -a0 - c0 * d0, -a1 - c0 * d1, -a2 - c0 * d2
+    s20, s21, s22 = -d0 - c2 * d0, -d1 - c2 * d1, -d2 - c2 * d2
+    e0, e1, e2, f1, f2 = abs(c1), abs(c0), 1.0 + abs(c2), abs(d1), abs(d2)
+    t01, t02, t10 = abs(b1) + e0 * f1, abs(b2) + e0 * f2, abs(a0)
+    t11, t12, t21, t22 = abs(a1) + e1 * f1, abs(a2) + e1 * f2, e2 * f1, e2 * f2
+    r0, r1, r2 = (s00 * z0 + s01 * z1 + s02 * z2 - z0, s10 * z0 + s11 * z1 + s12 * z2 - z1,
+                  s20 * z0 + s21 * z1 + s22 * z2 - z2)
+    miss_tr = abs(s00 + s11 + s22 - (1.0 + tr_g))
+    miss_det = abs(s00 * (s11 * s22 - s12 * s21) - s01 * (s10 * s22 - s12 * s20)
+                   + s02 * (s10 * s21 - s11 * s20) - det_g)
+    # z1 = Lambda / 2^k, and a cycle's C is below 709 / pi: zs is normal past 2^-1000
+    unit = (2.0 ** -47 if not -2.0 ** -1000 < z1 < 2.0 ** -1000 else
+            max(2.0 ** -47, 2.0 ** -1069 * (1.0 + p.C * p.C) / abs(p.Lambda)))
+    miss_x = abs(r0) + abs(r1) + abs(r2)
+    size_x = (t01 + t02 + t10 + t11 + t12 + t21 + t22 + 1.0) * (abs(z0) + abs(z1) + abs(z2))
+    size_tr, size_det = t11 + t22 + 1.0 + abs(g11), t10 * (t01 * t22 + t02 * t21) + abs(g01 * g10)
+    if not (miss_x <= unit * size_x and miss_tr <= unit * size_tr
+            and miss_det <= unit * size_det):  # a NaN fails too
+        name, miss, size = next(c for c in (
+            ("S N X(p0) = X(p0)", miss_x, size_x), ("tr(S N) = 1 + tr Dg", miss_tr, size_tr),
+            ("det(S N) = det Dg", miss_det, size_det)) if not c[1] <= unit * c[2])
+        raise SymmetryDefectError(f"S N and the half map disagree: {name} misses by {miss:.3g} "
+                                  f"(bound {unit * size:.3g}) at y0 = {y0:.3g}, C = {p.C:.6g}")
     mu2, mu3 = _deflated_quadratic_roots(trace, det)
     conds = schur_conditions(trace, det)
-    return _record(MonodromyReport, {"rows": M, "trace": trace, "det": det,
-                                     "multipliers": (complex(1.0), mu2, mu3),
-                                     "trivial_residual": trivial_residual,
-                                     "reduction_residual": reduction_residual,
-                                     "schur": conds, "stable": all(conds)})
+    return _record(MonodromyReport, {
+        "sn": ((s00, s01, s02), (s10, s11, s12), (s20, s21, s22)), "trace": trace, "det": det,
+        "multipliers": (complex(1.0), mu2, mu3),
+        "trivial_residual": math.hypot(r0, r1, r2) / math.hypot(z0, z1, z2),
+        "reduction_residual": max(miss_tr, miss_det) / max(abs(1.0 + tr_g), abs(det_g), 1.0),
+        "schur": conds, "stable": all(conds)})
 
 
 def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:

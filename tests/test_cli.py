@@ -1059,8 +1059,8 @@ def test_simulate_passes_over_a_touch(tmp_path):
 
 
 def test_simulate_start_within_round_off_above_the_plane(tmp_path):
-    # z0 = 1e-11 lies above simulate's plane cutoff, but the closed form's
-    # z(0) rounds to zero or below: the run is the plane start's, where it
+    # z0 = 1e-11 lies above the plane, but the closed form's z(0) rounds to
+    # zero or below: the run is the plane start's, where it
     # once exited 1 with TangentialGrazeError.  Its t = 0 row is the start
     # itself, where the closed form at t = 0 once printed z = 0.0
     argv = ("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1e6", "--x0", "1", "--y0",
@@ -1073,6 +1073,21 @@ def test_simulate_start_within_round_off_above_the_plane(tmp_path):
     assert near_rows[2:] == plane_rows[2:]
     crossing = [r for r in csv.DictReader(io.StringIO(near.stdout)) if r["event"]]
     assert [r["t"] for r in crossing] == ["3.940732135693901"]
+
+
+def test_simulate_start_far_along_x_keeps_its_side():
+    # a point of the X orbit through (-1e305, -1e-4, 0), 2 before it: z0 is
+    # far above the plane in its chart, however large x0.  A start cutoff
+    # 1e-12 (1 + max|s0|) once put it on the plane and flew the Y field
+    proc = run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
+                   "--x0", "-5.4598150033144235e306", "--y0", "-1.0563260240596093",
+                   "--z0", "0.46664196859565615", "--t-max", "1", "--dt", "0.5")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert proc.stdout.splitlines()[1] == ("0.0,-5.4598150033144235e+306,-1.0563260240596093,"
+                                           "0.46664196859565615,X,,,")
+    assert [r["t"] for r in rows] == ["0.0", "0.5", "1.0"]
+    assert all(r["field"] == "X" and float(r["z"]) > 0.0 for r in rows)
 
 
 def test_simulate_shallow_exit_crosses_where_the_unscaled_orbit_does():

@@ -193,10 +193,10 @@ def _check_flight_rejects(p, x0, y0, t_x):
 
 
 def _flown_reduction_residual(p, cycle, dg):
-    """monodromy's reduction residual of the half-map invariants of dg
-    against the composition S_{Y->X}(p0) Phi_Y(t_y) S_{X->Y}(p1) Phi_X(t_x)
-    built in NumPy on the flown lower half-orbit, as the earlier monodromy
-    built it."""
+    """The relative disagreement of the half-map invariants of dg with the
+    trace and det of the composition S_{Y->X}(p0) Phi_Y(t_y) S_{X->Y}(p1)
+    Phi_X(t_x) built in NumPy on the flown lower half-orbit: the check of
+    an earlier monodromy, which rejected above 1e-9."""
     hry = half_return_Y(p, cycle.p0)
     m = (saltation(p, cycle.p0, "YtoX") @ fundamental_Y(p, hry.t)
          @ saltation(p, hry.end, "XtoY") @ fundamental_X(p, cycle.t_x))
@@ -211,8 +211,8 @@ def test_closed_form_checks_reject_what_the_flown_checks_rejected():
     # the cycles workload's distribution.  p0 moved by 1e-6 relative: every
     # mutant the check flight rejected is rejected by the closed-form
     # closure, unless its shift is below the 1e-8 (1 + |p0|) tolerance.  An
-    # entry of Dg moved by 1e-6 relative: monodromy rejects it exactly when
-    # the flown composition misses it by more than 1e-9, away from the bound
+    # entry of Dg moved by 1e-6 relative: monodromy rejects it whenever the
+    # flown composition misses it by more than 1e-9
     rng = np.random.default_rng(36)
     n = 300
     caught = {"x0": 0, "y0": 0, "dg": 0}
@@ -247,8 +247,7 @@ def test_closed_form_checks_reject_what_the_flown_checks_rejected():
                 rejected = True
             caught["dg"] += rejected
             flown = _flown_reduction_residual(p, cycle, dg)
-            if not 0.99e-9 <= flown <= 1.01e-9:
-                assert rejected == (flown > 1e-9), (p, i, flown)
+            assert rejected or not flown > 1e-9, (p, i, flown)
     assert min(caught.values()) > 200
 
 
@@ -419,6 +418,10 @@ def test_cycle_scales_exactly_with_a_power_of_two_lambda(C, u, Lambda, k):
     assert (moved.t_x, moved.t_y, moved.T, moved.dg) == (cycle.t_x, cycle.t_y, cycle.T, cycle.dg)
     assert moved.phi == cycle.phi
     assert moved_report == report
+    if not isinstance(report, type):
+        assert moved_report.sn == report.sn
+        assert (moved_report.reduction_residual, moved_report.trivial_residual) == (
+            report.reduction_residual, report.trivial_residual)
 
 
 @pytest.mark.parametrize("seed, exponents", [(5, (290.0, 308.25)), (6, (-323.5, -300.0))])
@@ -659,11 +662,9 @@ def test_branch_solve_converges_past_c_4():
         assert certify_first_return(p, cycle.p0[1], cycle.t_x), p
 
 
-@pytest.mark.xfail(strict=True, raises=SymmetryDefectError,
-                   reason="the float composition (S N)^2 misses the half-map invariants "
-                          "by more than 1e-9 on most cycles past C = 4: Phi_X entries "
-                          "grow like e^{Ct}")
 def test_every_cycle_past_c_4_passes_monodromy():
+    # S N holds entries up to 4.9e29 here; its identities with Dg hold to the
+    # rounding of their terms
     for p, cycle in _solves_past_c_4():
         if not isinstance(cycle, str):
             monodromy(p, cycle)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twofold import (asymptotic_invariants, band_width, build_system, critical_h,
+from twofold import (INVOLUTION, asymptotic_invariants, band_width, build_system, critical_h,
                      eval_X, eval_Y, find_cycle_newton, h_min, m_gamma1,
                      monodromy, resonant_system, return_map, saltation,
                      schur_conditions, sigma_restriction,
@@ -123,22 +123,54 @@ def test_reduction_agreement(desk_monodromy):
     assert desk_monodromy.reduction_residual <= 1e-9
 
 
-def test_symmetry_defect_is_typed():
-    # a cycle past C = 4 whose float composition (S N)^2 carries Phi_X
-    # entries of size up to 1e7: it misses the half-map invariants by more
-    # than the 1e-9 bound, and the failure is a TwofoldError that names y0
-    # and C
-    p = resonant_system(5.334946380050389, 8.136992053833141e-11, 1.0)
-    cycle = find_cycle_newton(p)
-    with pytest.raises(SymmetryDefectError, match=r"^direct monodromy and half-map invariants "
-                       r"disagree: 1\.43e-09 \(bound 1e-9\) at y0 = 0\.000766, C = 5\.33495$"):
-        monodromy(p, cycle)
+def test_symmetry_defect_is_typed(desk_params, desk_cycle):
+    # a real defect of Dg: g01 = -h11 of the solve off by 1e-11 relative.
+    # tr Dg = g11 does not see it; det(S N) = det Dg does, and the failure is a
+    # TwofoldError that names the identity, its bound, y0 and C
+    g00, g01, g10, g11 = desk_cycle.dg
+    cycle = dataclasses.replace(desk_cycle, dg=(g00, g01 * (1.0 + 1e-11), g10, g11))
+    with pytest.raises(SymmetryDefectError, match=r"^S N and the half map disagree: "
+                       r"det\(S N\) = det Dg misses by 3\.83e-13 \(bound 1\.76e-14\) at "
+                       r"y0 = 8\.43, C = 1$"):
+        monodromy(desk_params, cycle)
     assert issubclass(SymmetryDefectError, TwofoldError)
+
+
+@pytest.mark.parametrize("i, identity", [(1, "det"), (2, "det"), (3, "tr")])
+def test_dg_mutants_are_rejected_at_small_c(i, identity):
+    # the cycles workload's draw, C <= 2: an entry of Dg moved by 1e-9
+    # relative.  g01 and g10 leave tr Dg = g11 unchanged, and only the
+    # eigenvalue product det(S N) = det Dg sees them; g11 moves the trace
+    rng = np.random.default_rng(42)
+    seen = 0
+    for C, u, Lambda in zip(rng.uniform(0.25, 2.0, 100), rng.uniform(0.02, 0.995, 100),
+                            rng.uniform(0.5, 2.0, 100)):
+        p = resonant_system(C, float(critical_h(C)) * u, Lambda)
+        try:
+            cycle = find_cycle_newton(p)
+        except NoCycleError:
+            continue
+        if identity == "tr" and abs(cycle.dg[3]) < 0.05:  # 1e-9 of a tiny g11
+            continue
+        dg = tuple(g * (1.0 + 1e-9) if j == i else g for j, g in enumerate(cycle.dg))
+        with pytest.raises(SymmetryDefectError, match=rf": {identity}\(S N\) = "):
+            monodromy(p, dataclasses.replace(cycle, dg=dg))
+        seen += 1
+    assert seen >= 80
+
+
+def test_monodromy_with_a_subnormal_x0_is_grazing(desk_params, desk_cycle):
+    # the saltation column at S p0 divides by x0: past the float range it is
+    # the GrazingCrossingError saltation raises, once NaN residuals and a
+    # stable verdict
+    cycle = dataclasses.replace(desk_cycle, p0=(5e-324, desk_cycle.p0[1]))
+    with pytest.raises(GrazingCrossingError, match="leaves the float range"):
+        monodromy(desk_params, cycle)
 
 
 def test_fold_adjacent_cycle_passes_monodromy():
     # a cycle next to the X fold (y0 ~ 3.2e-5): the closed-form half times
-    # are equal, and the direct and half-map compositions agree
+    # are equal, and S N agrees with the half map
     p = resonant_system(0.6408946369496937, 0.004598737459894268, 0.6130039364647102)
     cycle = find_cycle_newton(p, asymptotic_seed(p))
     assert cycle.t_x == cycle.t_y and cycle.T == 2.0 * cycle.t_x
@@ -155,8 +187,10 @@ def test_half_monodromy_squared_is_the_direct_composition(desk_params, desk_cycl
               @ saltation(desk_params, (-y0, -x0), "XtoY") @ fundamental_X(desk_params, t))
     m = desk_monodromy.matrix
     assert isinstance(m, np.ndarray) and m.shape == (3, 3)
-    assert np.array_equal(m, np.array(desk_monodromy.rows))
     assert np.max(np.abs(m - direct)) <= 1e-14 * np.max(np.abs(direct))
+    # sn is S N itself, from the public saltation and fundamental matrix
+    sn = INVOLUTION @ saltation(desk_params, (-y0, -x0), "XtoY") @ fundamental_X(desk_params, t)
+    assert np.max(np.abs(np.array(desk_monodromy.sn) - sn)) <= 1e-14 * np.max(np.abs(sn))
 
 
 @settings(max_examples=150, deadline=None)
