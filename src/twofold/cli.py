@@ -14,6 +14,7 @@ load it.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import functools
 import json
@@ -91,35 +92,30 @@ def _reprs(a) -> list[str]:
 _ROW_BLOCK = 512  # rows per text, so no segment-long text is held
 
 
-def _row_texts(samples, tail: str):
-    """The CSV text of the (n, 4) float64 rows of samples, each row its four
-    reprs joined by ',' and followed by tail: one str per block of up to
-    512 rows.
+def _row_texts(rows, own, tail: str):
+    """The CSV text of the C-contiguous (n, 5) float64 rows [t, x, y, z, NaN],
+    each row its first four reprs joined by ',' and followed by tail: one str
+    per block of up to 512 rows.  own is the ``_orjson_differs`` mask of
+    rows with its NaN column set False.
 
-    A block is one orjson text of an (m, 5) buffer [t, x, y, z, NaN],
-    flattened, so each row ends in the 'null' of its NaN, and one replace
-    turns every ',null,' into tail.  Each block's positive exponents get
-    their '+' back by ``_plus_exponents``.  The kind-(c) cells of
-    ``_orjson_differs`` are found once per call, and only a block that holds
-    one is split into cells, where only those cells get their own repr
-    ('nan' and 'inf' among them, never 'null').
+    A block is one orjson text of its rows, flattened, so each row ends in
+    the 'null' of its NaN, and one replace turns every ',null,' into tail.
+    Each block's positive exponents get their '+' back by
+    ``_plus_exponents``.  Only a block whose part of own holds a cell is
+    split into cells, where only those cells get their own repr ('nan' and
+    'inf' among them, never 'null').
     """
     import numpy as np
     import orjson
 
-    own = _orjson_differs(samples)
-    buf = np.empty((min(len(samples), _ROW_BLOCK), 5))
-    buf[:, 4] = np.nan
-    for k in range(0, len(samples), _ROW_BLOCK):
-        block = samples[k:k + _ROW_BLOCK]
-        filled = buf[:len(block)]
-        filled[:, :4] = block
-        text = orjson.dumps(filled.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    for k in range(0, len(rows), _ROW_BLOCK):
+        block, mask = rows[k:k + _ROW_BLOCK], own[k:k + _ROW_BLOCK]
+        text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
         text = _plus_exponents(text)
-        rows, cols = np.nonzero(own[k:k + _ROW_BLOCK])
-        if rows.size:
+        if mask.any():
+            r, c = np.nonzero(mask)
             cells = text.split(",")
-            for i, v in zip((5 * rows + cols).tolist(), block[rows, cols].tolist()):
+            for i, v in zip((5 * r + c).tolist(), block[r, c].tolist()):
                 cells[i] = repr(v)
             text = ",".join(cells)
         yield (text + ",").replace(",null,", tail)
@@ -311,18 +307,82 @@ def _values(command: str, given: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
-    """The simulate CSV: the header, then per flight segment the texts of
-    ``_row_texts`` for its samples, one per block of up to 512 rows, and the
-    crossing or terminal row that ends it.
+_SAMPLE_BLOCK = 4096  # samples per exp(DX tau) stack, so no run-long stack is held
 
-    The text is byte for byte what _write_csv writes for those rows; each
-    segment's samples and crossing come from one flow call on its times.
+
+def _segments(p: SystemParams, s, field: str, t_max: float):
+    """Pass 1 of simulate: the flight segments from the start s on field,
+    and the TwofoldError that ended the walk, else None.
+
+    A segment is [t0, field, s, tc, event]: its flight starts from s at
+    time t0 and meets the plane at t0 + tc, or runs to t_max where tc is
+    None; event is its crossing or terminal row, else "".  The crossing
+    state is one flow call at tc, which equals the last row of a stack over
+    the segment's sample times and tc bit for bit.  The error is returned,
+    not raised, so that pass 2 can raise an overflow in an earlier
+    segment's samples first; a segment whose crossing raised is kept, as
+    its samples come before the crossing.
     """
     import numpy as np
 
-    from .flow import _z_coefficients, flow_X, flow_Y
+    from .flow import flow_X, flow_Y
     from .returns import first_crossing
+    from .sigma import RegionKind, classify_point
+
+    segments = []
+    t0 = 0.0
+    try:
+        while t0 < t_max:
+            try:  # first_crossing works in the upper chart: a Y segment passes S s
+                tc, _ = first_crossing(p, s if field == "X" else -s[[1, 0, 2]], t_max - t0)
+            except NoReturnError:
+                tc = None  # orbit stays in its half-space for the rest of the run
+            segment = [t0, field, s, tc, ""]
+            segments.append(segment)
+            if tc is None:
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, y, z = (flow_X if field == "X" else flow_Y)(p, s, tc).tolist()
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise _overflow(field, t0, tc)
+            cls = classify_point(p, (x, y))
+            # the event row as _csv_line writes it, all its numbers floats
+            row = f"{float(t0 + tc)!r},{x!r},{y!r},0.0,{field},"
+            if cls.kind is not RegionKind.CROSSING:
+                segment[4] = f"{row}terminal,{cls.kind.value},\n"
+                break
+            det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
+            if not math.isfinite(det):  # the incoming Lie derivative is near zero
+                raise GrazingCrossingError(f"the saltation determinant at {(x, y)!r} "
+                                           "leaves the float range")
+            segment[4] = f"{row}crossing,{cls.kind.value},{det!r}\n"
+            field = "Y" if field == "X" else "X"
+            s = np.array([x, y, 0.0])
+            t0 = t0 + tc
+    except TwofoldError as exc:
+        return segments, exc
+    return segments, None
+
+
+def _overflow(field: str, t0: float, last: float) -> DivergenceError:
+    """The error of a segment from t0 whose states overflow by its last
+    flown time t0 + last."""
+    return DivergenceError(f"the {field} flow overflows floating point by t={t0 + last!r}")
+
+
+def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
+    """The simulate CSV: the header, then per flight segment the texts of
+    ``_row_texts`` for its samples and the crossing or terminal row that
+    ends it.
+
+    The text is byte for byte what _write_csv writes for those rows.  Pass 1
+    (``_segments``) finds every crossing, and pass 2 (``_sample_texts``)
+    flows and writes the samples.  An overflow in a segment's samples is
+    raised before any error that pass 1 met later.
+    """
+    import numpy as np
+
+    from .flow import _z_coefficients
     from .sigma import RegionKind, classify_point
 
     yield "t,x,y,z,field,event,region,saltation_det\n"
@@ -346,44 +406,74 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
         field = "X" if cls.lie_x > 0 else "Y"
         s[2] = 0.0  # classified as on the plane, so put on it
 
-    t0 = 0.0
-    idx = 0
-    while t0 < t_max:
-        try:  # first_crossing works in the upper chart: a Y segment passes S s
-            tc, _ = first_crossing(p, s if field == "X" else -s[[1, 0, 2]], t_max - t0)
-        except NoReturnError:
-            tc = None  # orbit stays in its half-space for the rest of the run
-        seg_end = t_max if tc is None else t0 + tc
-        flow = flow_X if field == "X" else flow_Y
-        end = int(np.searchsorted(sample_ts, seg_end + 1e-15, side="right"))
-        ts = sample_ts[idx:end]
-        # the crossing state is the last row of the segment's stack
-        times = ts - t0 if tc is None else np.append(ts - t0, tc)
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = flow(p, s, times)
-        if not np.isfinite(states).all():
-            raise DivergenceError(f"the {field} flow overflows floating point "
-                                  f"by t={t0 + float(times[-1])!r}")
-        if idx == 0:  # the t = 0 row is the start itself, not the closed form at 0
-            states[0] = s0
+    segments, error = _segments(p, s, field, t_max)
+    if segments:  # else the first first_crossing raised
+        yield from _sample_texts(p, s0, sample_ts, t_max, segments)
+    if error is not None:
+        raise error
+
+
+def _sample_texts(p: SystemParams, s0, sample_ts, t_max: float, segments):
+    """Pass 2 of simulate: the texts of the samples of the ``_segments``
+    segments from the start s0, each segment's followed by its event row.
+
+    The samples are flown from one exp(DX tau) stack per block of up to
+    4096, tau the time since each sample's own segment began, with one gemv
+    per segment's slice of the block; phi_Y(t, s) = S phi_X(t, S s) as in
+    flow_Y.  A block is written from one [t, x, y, z, NaN] buffer and one
+    ``_orjson_differs`` mask.  A sample that overflows is the
+    DivergenceError of its segment, at the segment's last flown time.
+    """
+    import numpy as np
+
+    from .flow import _phi_canonical, _stationary
+    from .system import _involution
+
+    # the samples of segment j are sample_ts[starts[j]:ends[j]]
+    ends = np.searchsorted(sample_ts, [(t_max if tc is None else t0 + tc) + 1e-15
+                                       for t0, _, _, tc, _ in segments], side="right").tolist()
+    starts = [0, *ends[:-1]]
+    S, ss = _involution(), np.array(_stationary(p))
+    # each segment's offset from the stationary point, as flow_X and flow_Y form it
+    ds = [(s if field == "X" else S @ s) - ss for _, field, s, _, _ in segments]
+    buf = np.empty((min(ends[-1], _SAMPLE_BLOCK), 5))
+    buf[:, 4] = np.nan
+    k = hi = 0
+    for i, (_, field, _, _, event) in enumerate(segments):
         tail = f",{field},,,\n"
-        yield from _row_texts(np.column_stack((ts, states[:ts.size])), tail)
-        idx = end
-        if tc is None:
-            break
-        x, y, _ = states[-1].tolist()
-        cls = classify_point(p, (x, y))
-        if cls.kind is not RegionKind.CROSSING:
-            yield _csv_line([t0 + tc, x, y, 0.0, field, "terminal", cls.kind.value, ""])
-            break
-        det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
-        if not math.isfinite(det):  # the incoming Lie derivative is near zero
-            raise GrazingCrossingError(f"the saltation determinant at {(x, y)!r} "
-                                       "leaves the float range")
-        yield _csv_line([t0 + tc, x, y, 0.0, field, "crossing", cls.kind.value, det])
-        field = "Y" if field == "X" else "X"
-        s = np.array([x, y, 0.0])
-        t0 = t0 + tc
+        lo = starts[i]
+        while lo < ends[i]:
+            if lo == hi:  # the next block: this segment's samples from lo, and later ones
+                k, hi = lo, min(lo + _SAMPLE_BLOCK, ends[-1])
+                js = range(i, bisect.bisect_left(starts, hi))
+                cuts = [max(starts[j] - k, 0) for j in js] + [hi - k]
+                rows, ts = buf[:hi - k], sample_ts[k:hi]
+                rows[:, 0] = ts
+                taus = ts - np.repeat([segments[j][0] for j in js], np.diff(cuts))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phi = _phi_canonical(p, taus).reshape(-1, 3)
+                    for j, a, b in zip(js, cuts, cuts[1:]):
+                        states = (phi[3 * a:3 * b] @ ds[j]).reshape(-1, 3)
+                        if segments[j][1] == "X":
+                            np.add(ss, states, out=rows[a:b, 1:4])
+                        else:
+                            rows[a:b, 1:4] = (ss + states) @ S
+                # t is finite and the last column NaN: 4 finite cells a row
+                if np.count_nonzero(np.isfinite(rows)) != 4 * len(rows):
+                    bad = k + int(np.flatnonzero(~np.isfinite(rows[:, 1:4]).all(axis=1))[0])
+                    j = bisect.bisect_right(ends, bad)
+                    t0, field, _, tc, _ = segments[j]
+                    raise _overflow(field, t0, tc if tc is not None
+                                    else float(sample_ts[ends[j] - 1] - t0))
+                if k == 0:  # the t = 0 row is the start itself, not the closed form at 0
+                    rows[0, 1:4] = s0
+                own = _orjson_differs(rows)
+                own[:, 4] = False
+            top = min(ends[i], hi)
+            yield from _row_texts(buf[lo - k:top - k], own[lo - k:top - k], tail)
+            lo = top
+        if event:
+            yield event
 
 
 def cmd_simulate(values: dict) -> int:

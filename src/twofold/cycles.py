@@ -20,6 +20,7 @@ plane, p0, p1 and the return map's image, are (x, y) pairs of floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, TwofoldError
@@ -176,7 +177,11 @@ def _solve_branch(p: SystemParams):
     H^2 > 0 needs H above 1.57e-162.  A point that leaves the float range
     is a DivergenceError: x0 or y0 overflows to inf for Lambda near the
     float maximum, and y0 = zs q / sin t underflows to 0 for a subnormal
-    Lambda, where q < 0 marks t as inside (pi, t_graze)."""
+    Lambda, where q < 0 marks t as inside (pi, t_graze).  So is a root
+    inside the band where zs = Lambda / (1 + C^2) is subnormal: p0 is zs
+    times O(1) factors, so it carries Lambda to only about 2^-1074 / zs
+    relative, which the 1e-8 (1 + |p0|) residual test of
+    find_cycle_newton cannot see."""
     fdf = _branch_residual(p)
     f, slope = fdf(math.pi)
     if not f > 0.0:
@@ -197,6 +202,10 @@ def _solve_branch(p: SystemParams):
     if not (x0 < math.inf and y0 < math.inf):
         raise DivergenceError(f"the branch point ({x0!r}, {y0!r}) at t = {t:.6g} leaves the "
                               f"float range, Lambda = {p.Lambda!r}")
+    zs = p.Lambda / (1.0 + p.C * p.C)
+    if zs < sys.float_info.min:  # p0 = zs (-r, q) / sin t keeps only zs's few bits
+        raise DivergenceError(f"zs = Lambda / (1 + C^2) = {zs!r} is subnormal: p0 carries "
+                              f"Lambda = {p.Lambda!r} only to about {5e-324 / zs:.1g} relative")
     return t, x0, y0, rows
 
 
@@ -234,9 +243,10 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
         If y0_init is NaN or +inf, p is outside the resonant 0 < H < 1 range,
         C is not in (0, 709 / pi], or Lambda is not positive.
     DivergenceError
-        If x0, y0, p1, the residual or Dg leaves the float range, or y0
-        underflows to 0 inside (pi, t_graze): Lambda near the float maximum
-        or subnormal.
+        If x0, y0, p1, the residual or Dg leaves the float range, y0
+        underflows to 0 inside (pi, t_graze), or zs = Lambda / (1 + C^2) is
+        subnormal at a root inside the band: Lambda near the float maximum
+        or below about 2.2e-308 (1 + C^2).
     NoCycleError
         If H is outside the band (H_graze, H_crit) of the branch.
     NoConvergenceError

@@ -140,10 +140,9 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     and det(S N) = det Dg.  ``trivial_residual`` is |S N X(p0) - X(p0)| /
     |X(p0)|, ``reduction_residual`` the larger trace or det miss over
     max(|1 + tr Dg|, |det Dg|, 1).  A miss past 2^-47 of the sizes of its
-    terms (more where zs = Lambda / (1 + C^2), which scales p0, is subnormal)
-    is a SymmetryDefectError: Phi_X grows like e^{Ct}, to 1e29 at C = 20, so
-    the bound sees less of Dg as C grows.  An x0 or y0 that is not positive, or
-    a saltation column at S p0 past the float range, is a GrazingCrossingError.
+    terms, those the solve formed Dg from among them, is a
+    SymmetryDefectError.  An x0 or y0 that is not positive, or a saltation
+    column at S p0 past the float range, is a GrazingCrossingError.
     """
     g00, g01, g10, g11 = cycle.dg
     tr_g, det_g = g00 + g11, g00 * g11 - g01 * g10
@@ -152,15 +151,18 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     if not (x0 > 0.0 and y0 > 0.0):  # the Y and X Lie derivatives at p0
         raise GrazingCrossingError(f"{(x0, y0)!r} is not a transversal crossing point")
     # N = (I + c e3^T) Phi_X, c - e3 the column of saltation(p, S p0, "XtoY")
-    (c0, c1, c2), (z0, z1, z2) = _saltation_column(p, -y0, -x0, -x0)
+    (c0, c1, _), (z0, z1, z2) = _saltation_column(p, -y0, -x0, -x0)
     (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = cycle.phi
     # S N is N with rows 0 and 1 swapped, all negated; t_ij = |n_ij| + |c_i d_j| sizes
     # the terms of s_ij, but for Phi_X's x column (e^{At}, 0, 0) and g00 = 0, whose
-    # other values are left out of the sizes, so they can only fail the check
+    # other values are left out of the sizes, so they can only fail the check.  N's
+    # third row is (1 + c2) Phi_X's, and 1 + c2 = y0 / x0 is formed in one rounding:
+    # 1 + c2 would carry an ulp of c2 ~ -1, all of y0 / x0 next to the X fold
+    w = y0 / x0
     s00, s01, s02 = -b0 - c1 * d0, -b1 - c1 * d1, -b2 - c1 * d2
     s10, s11, s12 = -a0 - c0 * d0, -a1 - c0 * d1, -a2 - c0 * d2
-    s20, s21, s22 = -d0 - c2 * d0, -d1 - c2 * d1, -d2 - c2 * d2
-    e0, e1, e2, f1, f2 = abs(c1), abs(c0), 1.0 + abs(c2), abs(d1), abs(d2)
+    s20, s21, s22 = -w * d0, -w * d1, -w * d2
+    e0, e1, e2, f1, f2 = abs(c1), abs(c0), w, abs(d1), abs(d2)
     t01, t02, t10 = abs(b1) + e0 * f1, abs(b2) + e0 * f2, abs(a0)
     t11, t12, t21, t22 = abs(a1) + e1 * f1, abs(a2) + e1 * f2, e2 * f1, e2 * f2
     r0, r1, r2 = (s00 * z0 + s01 * z1 + s02 * z2 - z0, s10 * z0 + s11 * z1 + s12 * z2 - z1,
@@ -168,12 +170,14 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     miss_tr = abs(s00 + s11 + s22 - (1.0 + tr_g))
     miss_det = abs(s00 * (s11 * s22 - s12 * s21) - s01 * (s10 * s22 - s12 * s20)
                    + s02 * (s10 * s21 - s11 * s20) - det_g)
-    # z1 = Lambda / 2^k, and a cycle's C is below 709 / pi: zs is normal past 2^-1000
-    unit = (2.0 ** -47 if not -2.0 ** -1000 < z1 < 2.0 ** -1000 else
-            max(2.0 ** -47, 2.0 ** -1069 * (1.0 + p.C * p.C) / abs(p.Lambda)))
+    unit = 2.0 ** -47
     miss_x = abs(r0) + abs(r1) + abs(r2)
     size_x = (t01 + t02 + t10 + t11 + t12 + t21 + t22 + 1.0) * (abs(z0) + abs(z1) + abs(z2))
-    size_tr, size_det = t11 + t22 + 1.0 + abs(g11), t10 * (t01 * t22 + t02 * t21) + abs(g01 * g10)
+    # the solve formed g01 = -(p11 + Lambda p21 / x0) and g11 = -(p01 + fx p21 / x0),
+    # fx = -A y0 + H Lambda: they cancel next to the X fold, where det Dg = y0 / x0
+    lx = p.Lambda / x0
+    u01, u11 = abs(b1) + lx * f1, abs(a1) + abs(p.H * lx - p.A * w) * f1
+    size_tr, size_det = t11 + t22 + 1.0 + u11, t10 * (t01 * t22 + t02 * t21) + abs(g10) * u01
     if not (miss_x <= unit * size_x and miss_tr <= unit * size_tr
             and miss_det <= unit * size_det):  # a NaN fails too
         name, miss, size = next(c for c in (

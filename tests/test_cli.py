@@ -27,7 +27,8 @@ from twofold import (RegionKind, apply_involution, classify_point, critical_h, e
                      flow_X, flow_Y, m_gamma1, resonant_system, stability_band,
                      tau_gamma1)
 from twofold import cli
-from twofold.cli import _band_csv, _boundaries_csv, _fmt, _reprs, _row_texts
+from twofold.cli import (_band_csv, _boundaries_csv, _fmt, _orjson_differs, _reprs,
+                         _row_texts)
 from twofold.returns import first_crossing
 
 # the package's own source root, so the CLI imports from any working directory
@@ -82,6 +83,22 @@ def test_readme_cycle_outputs_match_their_golden_bytes(tmp_path, name, args, sha
     assert hashlib.sha256(golden).hexdigest() == sha
     out = tmp_path / name
     rc, _, err = _main_in_process(*args, "-o", str(out))
+    assert (rc, err) == (0, "")
+    assert out.read_bytes() == golden
+
+
+def test_readme_simulate_matches_its_golden_bytes(tmp_path):
+    # the README's simulate example, byte for byte: no sample, crossing or
+    # cell text may move.  The states come from a BLAS gemv: these are the
+    # bytes of its FMA kernels (x86-64 from Haswell on), and a kernel
+    # without FMA rounds some of them apart
+    argv = next(argv for argv in _readme_cli_commands() if argv[0] == "simulate")
+    assert argv[-2:] == ["-o", "trajectory.csv"]
+    golden = (_GOLDEN / "simulate_readme.csv").read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == (
+        "1d1785191b157622002758347ec5c13be5350462a2005bcdbc63f312d9bf4d47")
+    out = tmp_path / "trajectory.csv"
+    rc, _, err = _main_in_process(*argv[:-1], str(out))
     assert (rc, err) == (0, "")
     assert out.read_bytes() == golden
 
@@ -1241,6 +1258,91 @@ def test_simulate_exponent_form_matches_scalar_oracle(tmp_path, start, values):
     _assert_simulate_csv(tmp_path, start, expected)
 
 
+def _simulate_in_process(start):
+    """(exit code, stdout, stderr) of simulate from start, as
+    (C, H, Lambda, x0, y0, z0, t-max, dt), in this process, where a NumPy
+    RuntimeWarning is an error as in run_cli."""
+    flags = ("--C", "--H", "--Lambda", "--x0", "--y0", "--z0", "--t-max", "--dt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return _main_in_process("simulate", *[f"{flag}={v!r}" for flag, v in zip(flags, start)])
+
+
+# a desk start over 5001 samples: the first 4096-sample block spans 13
+# segments, and the segment flown from t = 38.4 runs across its edge
+_BLOCK_EDGE = (1.0, 0.04, 1.0, 219.892, 8.431, 0.0, 50.0, 0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.floats(0.15, 1.5), negative=st.booleans(), u=st.floats(0.05, 0.95),
+       Lambda=st.floats(0.5, 2.0), log_r=st.floats(-0.5, 1.5), on_plane=st.booleans(),
+       theta=st.floats(0.05, math.pi / 2 - 0.05), flip=st.booleans(),
+       off=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       z_off=st.floats(0.05, 1.0), t_max=st.floats(30.0, 40.0), dt=st.floats(0.006, 0.013))
+# next to the desk cycle over 5001 samples: 4096-sample blocks across segments
+@example(C=1.0, negative=False, u=0.04 / float(critical_h(1.0)), Lambda=1.0, log_r=2.3425,
+         on_plane=True, theta=0.0383, flip=False, off=(0.0, 0.0), z_off=0.05, t_max=50.0,
+         dt=0.01)
+def test_simulate_matches_scalar_oracle_on_trajectory_draws(C, negative, u, Lambda, log_r,
+                                                            on_plane, theta, flip, off, z_off,
+                                                            t_max, dt):
+    # the trajectory benchmark's draw, with dt down to 0.006 so that runs
+    # pass 4096 samples: C of either sign, starts in the crossing region
+    # x y > 0 of the plane and off it on either side
+    r, sign = 10.0 ** log_r, -1.0 if flip else 1.0
+    x0, y0, z0 = ((sign * math.cos(theta) * r, sign * math.sin(theta) * r, 0.0) if on_plane
+                  else (off[0] * r, off[1] * r, sign * z_off * r))
+    start = (-C if negative else C, float(critical_h(C)) * u, Lambda, x0, y0, z0, t_max, dt)
+    rc, out, err = _simulate_in_process(start)
+    try:
+        expected = _simulate_csv_oracle(*start)
+    except errors.TwofoldError as exc:
+        assert (rc, out) == (1, "") and err.startswith(f"error: {type(exc).__name__}: "), err
+        return
+    assert (rc, err) == (0, "")
+    assert out == expected
+
+
+def test_simulate_block_edge_inside_a_segment():
+    # pass 2 flows 4096 samples per exp(DX tau) stack: the first block holds
+    # 12 whole segments, and the 13th has samples on both sides of its edge
+    expected = _simulate_csv_oracle(*_BLOCK_EDGE)
+    rows = [line.split(",") for line in expected.splitlines()[1:]]
+    samples = [k for k, row in enumerate(rows) if not row[5]]
+    assert len(samples) == 5001
+    before = [row[5] for row in rows[:samples[4095]]]
+    assert before.count("crossing") == 12
+    assert samples[4096] == samples[4095] + 1  # no crossing between the two
+    assert rows[samples[4096]][4] == rows[samples[4095]][4]
+    assert _simulate_in_process(_BLOCK_EDGE) == (0, expected, "")
+
+
+@pytest.mark.parametrize("start, message", [
+    # the samples of the Y segment from t = 100.5 overflow; the walk of
+    # crossings goes on to the next segment's crossing state, which
+    # overflows at t = 163.4, but the first overflow in time is the error
+    ((1.1048692016485047, 0.8875724325691856, 1.0, -1.440251037342838e+260,
+      -1.9010803178995184e+259, 0.0, 164.43123718475292, 1.581069588314932),
+     "the Y flow overflows floating point by t=103.67255756846325"),
+    # the first segment's samples overflow, though its crossing state and
+    # every later one are finite
+    ((0.9824682996738777, 0.7423375036882195, 1.0, -4.496100369310528e+305,
+      -4.810029248731897e+305, -1.874168864402456e+305, 107.4642866817738,
+      0.5455039933084964), "the X flow overflows floating point by t=5.995649654769595"),
+])
+def test_simulate_overflow_in_a_segment_comes_before_later_errors(start, message):
+    # the error names the segment, by its last flown time t0 + tc, whose
+    # samples first overflow, as when every segment was flown before the
+    # next crossing was sought
+    p = resonant_system(*start[:3])
+    s = np.array(start[3:6])
+    field = "X" if start[5] > 0.0 or start[5] == 0.0 and classify_point(
+        p, s[:2]).lie_x > 0.0 else "Y"
+    _, later = cli._segments(p, s, field, start[6])
+    assert later is None or str(later) != message
+    assert _simulate_in_process(start) == (1, "", f"error: DivergenceError: {message}\n")
+
+
 def test_negative_values_in_exponent_form(tmp_path):
     out = tmp_path / "neg.csv"
     proc = run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
@@ -1367,6 +1469,15 @@ def _row_texts_oracle(a, tail):
     return "".join(",".join(map(repr, row)) + tail for row in a.tolist())
 
 
+def _texts_of(a, tail):
+    """_row_texts of the (n, 4) rows a, from the [t, x, y, z, NaN] buffer
+    and the mask that simulate hands it."""
+    buf = np.column_stack((a, np.full(len(a), np.nan)))
+    own = _orjson_differs(buf)
+    own[:, 4] = False
+    return list(_row_texts(buf, own, tail))
+
+
 def test_row_texts_is_repr_on_random_bit_patterns():
     # seeded (n, 4) rows in blocks of 1, 511, 512 and 513 rows and beyond,
     # with both field tails: whole random bit patterns, random bits with the
@@ -1392,7 +1503,7 @@ def test_row_texts_is_repr_on_random_bit_patterns():
                 cells = rng.choice(a.size, min(a.size, 8), replace=False)
                 a.flat[cells] = rng.choice(edges, cells.size)
             for tail in (",X,,,\n", ",Y,,,\n"):
-                texts = list(_row_texts(a, tail))
+                texts = _texts_of(a, tail)
                 assert len(texts) == -(-n // 512)
                 assert "".join(texts) == _row_texts_oracle(a, tail)
 
@@ -1412,7 +1523,7 @@ def test_repr_runs_only_on_cells_orjson_cannot_write(monkeypatch):
         return repr(v)
 
     monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
-    assert "".join(_row_texts(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
+    assert "".join(_texts_of(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
     assert _reprs(a) == list(map(repr, a.ravel().tolist()))
     assert calls == []
     # one call for each cell that orjson writes as 'null', '0.00001' or
@@ -1420,7 +1531,7 @@ def test_repr_runs_only_on_cells_orjson_cannot_write(monkeypatch):
     own = [np.nan, np.inf, -np.inf, 1e-5, -3e-7, 1e-9]
     cells = np.random.default_rng(28).choice(a.size, len(own) + 1, replace=False)
     a.flat[cells] = own + [1e-10]
-    assert "".join(_row_texts(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
+    assert "".join(_texts_of(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
     assert len(calls) == len(own)
     assert _reprs(a) == list(map(repr, a.ravel().tolist()))
     assert len(calls) == 2 * len(own)

@@ -451,6 +451,21 @@ def test_extreme_lambda_gives_the_unit_lambda_cycle_or_a_divergence_error(seed, 
     assert diverged > 300
 
 
+@pytest.mark.parametrize("Lambda", [9.7e-313, 2.0 ** -1023])
+def test_subnormal_zs_is_a_divergence_error(Lambda):
+    # zs = Lambda / (1 + C^2) is subnormal at both: p0 carried Lambda to only
+    # 4e-12 relative at 9.7e-313, which the residual test 1e-8 (1 + |p0|)
+    # cannot see, and the solve once returned that cycle.  zs is normal at
+    # 2^-1021, whose cycle is the unit-Lambda one scaled by Lambda exactly
+    C, H = 0.748, 0.104
+    with pytest.raises(DivergenceError, match=r"^zs = Lambda / \(1 \+ C\^2\) = .* is subnormal"):
+        find_cycle_newton(resonant_system(C, H, Lambda))
+    entries = scan_cycles(resonant_system(C, 0.5, Lambda), [H])
+    assert [e.error_kind for e in entries] == ["DivergenceError"]
+    unit, normal = (find_cycle_newton(resonant_system(C, H, L)) for L in (1.0, 2.0 ** -1021))
+    assert normal.p0 == tuple(math.ldexp(v, -1021) for v in unit.p0)
+
+
 def test_cycle_repr_and_equality_ignore_phi(desk_cycle):
     other = dataclasses.replace(desk_cycle, phi=((0.0,) * 3,) * 3)
     assert other == desk_cycle

@@ -130,7 +130,7 @@ def test_symmetry_defect_is_typed(desk_params, desk_cycle):
     g00, g01, g10, g11 = desk_cycle.dg
     cycle = dataclasses.replace(desk_cycle, dg=(g00, g01 * (1.0 + 1e-11), g10, g11))
     with pytest.raises(SymmetryDefectError, match=r"^S N and the half map disagree: "
-                       r"det\(S N\) = det Dg misses by 3\.83e-13 \(bound 1\.76e-14\) at "
+                       r"det\(S N\) = det Dg misses by 3\.83e-13 \(bound 6\.12e-16\) at "
                        r"y0 = 8\.43, C = 1$"):
         monodromy(desk_params, cycle)
     assert issubclass(SymmetryDefectError, TwofoldError)
