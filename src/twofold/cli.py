@@ -346,16 +346,15 @@ def _segments(p: SystemParams, s, field: str, t_max: float):
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise _overflow(field, t0, tc)
             cls = classify_point(p, (x, y))
-            # the event row as _csv_line writes it, all its numbers floats
-            row = f"{float(t0 + tc)!r},{x!r},{y!r},0.0,{field},"
             if cls.kind is not RegionKind.CROSSING:
-                segment[4] = f"{row}terminal,{cls.kind.value},\n"
+                segment[4] = _csv_line([t0 + tc, x, y, 0.0, field, "terminal",
+                                        cls.kind.value, ""])
                 break
             det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
             if not math.isfinite(det):  # the incoming Lie derivative is near zero
                 raise GrazingCrossingError(f"the saltation determinant at {(x, y)!r} "
                                            "leaves the float range")
-            segment[4] = f"{row}crossing,{cls.kind.value},{det!r}\n"
+            segment[4] = _csv_line([t0 + tc, x, y, 0.0, field, "crossing", cls.kind.value, det])
             field = "Y" if field == "X" else "X"
             s = np.array([x, y, 0.0])
             t0 = t0 + tc

@@ -27,8 +27,8 @@ from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, 
 from .flow import _phi_from, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
 from .invariants import _check_branch_domain
 from .returns import _bracketed_root, _series, _touch_bound, half_return_X, half_return_Y
-from .stability import MonodromyReport, monodromy
-from .system import SystemParams, _plane_field, _record, build_system
+from .stability import MonodromyReport, _dh_terms, monodromy
+from .system import SystemParams, _record, build_system
 
 __all__ = [
     "SymmetricCycle",
@@ -268,11 +268,8 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     if residual > 1e-8 * (1.0 + max(abs(x0), abs(y0))):
         raise NotACycleError(f"the X flight from p0 ends {residual:.3g} from (-y0, -x0, 0)")
     _check_first_return(p, x0, y0, t_x)
-    # Dh = (I - X(end) e3^T / X_z(end)) [phi0 phi1] at the end (-y0, -x0), where
-    # X = (A x1 + H Lambda, Lambda, y1); phi0 = (e^{At}, 0, 0) leaves h10 = 0
-    (e_at, p01, _), (_, p11, _), (_, p21, _) = rows
-    (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
-    h01, h11 = p01 + fx * w, p11 + fy * w
+    a01, b01, a11, b11 = _dh_terms(p, x0, y0, rows)
+    h01, h11, e_at = a01 + b01, a11 + b11, rows[0][0]
     if not (math.isfinite(h01) and math.isfinite(h11)):
         raise DivergenceError(f"Dg at p0 = ({x0!r}, {y0!r}) leaves the float range: "
                               f"(h01, h11) = {(h01, h11)!r}")

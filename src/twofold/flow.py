@@ -69,12 +69,8 @@ def _phi_canonical(p: SystemParams, t) -> np.ndarray:
     [k] equals the call at t[k] bit for bit."""
     import numpy as np
 
-    rows = _phi_rows(p, t, np.exp, np.sin, np.cos)
-    shape = getattr(t, "shape", ())  # a float time has none
-    if not shape:
-        return np.array(rows)
-    out = np.empty(shape + (3, 3))
-    for i, row in enumerate(rows):
+    out = np.empty(np.shape(t) + (3, 3))
+    for i, row in enumerate(_phi_rows(p, t, np.exp, np.sin, np.cos)):
         out[..., i, 0], out[..., i, 1], out[..., i, 2] = row
     return out
 
@@ -93,8 +89,7 @@ def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
     ss = np.array(_stationary(p))
     # the stack's rows as one (3n, 3) matrix: one gemv, not n 3x3 products
     d = np.asarray(s0, dtype=float) - ss
-    phi = _phi_canonical(p, t)
-    return ss + (phi.reshape(-1, 3) @ d).reshape(phi.shape[:-1])
+    return ss + (_phi_canonical(p, t).reshape(-1, 3) @ d).reshape(np.shape(t) + (3,))
 
 
 def fundamental_X(p: SystemParams, t) -> np.ndarray:

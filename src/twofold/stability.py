@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .invariants import gamma1_discriminant
 from .sigma import RegionKind, classify_point
-from .system import SystemParams, _record, eval_X
+from .system import SystemParams, _plane_field, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -127,6 +127,20 @@ def schur_conditions(trace: float, det: float) -> tuple:
             trace + det > 0.0)
 
 
+def _dh_terms(p: SystemParams, x0: float, y0: float, rows) -> tuple:
+    """The two terms of each of h01 and h11, h01 = a01 + b01 and h11 = a11 +
+    b11, that find_cycle_newton sums into Dg = (0, -h11, -e^{At}, -h01) from
+    the rows of Phi_X(t_x), as (a01, b01, a11, b11).
+
+    Dh = (I - X(end) e3^T / X_z(end)) [phi0 phi1] at the end (-y0, -x0),
+    where X = (A x1 + H Lambda, Lambda, y1); phi0 = (e^{At}, 0, 0) leaves
+    h10 = 0.  The terms cancel next to the X fold, so monodromy sizes Dg by
+    them."""
+    (_, p01, _), (_, p11, _), (_, p21, _) = rows
+    (fx, fy, _), w = _plane_field(p, -y0, -x0), p21 / x0  # w = -phi1_z / X_z(end)
+    return p01, fx * w, p11, fy * w
+
+
 def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     """Saltation-corrected monodromy of a converged symmetric cycle.
 
@@ -173,10 +187,10 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     unit = 2.0 ** -47
     miss_x = abs(r0) + abs(r1) + abs(r2)
     size_x = (t01 + t02 + t10 + t11 + t12 + t21 + t22 + 1.0) * (abs(z0) + abs(z1) + abs(z2))
-    # the solve formed g01 = -(p11 + Lambda p21 / x0) and g11 = -(p01 + fx p21 / x0),
-    # fx = -A y0 + H Lambda: they cancel next to the X fold, where det Dg = y0 / x0
-    lx = p.Lambda / x0
-    u01, u11 = abs(b1) + lx * f1, abs(a1) + abs(p.H * lx - p.A * w) * f1
+    # g11 = -h01 and g01 = -h11, sized by the terms the solve summed them from:
+    # they cancel next to the X fold, where det Dg = y0 / x0
+    a01, b01, a11, b11 = _dh_terms(p, x0, y0, cycle.phi)
+    u01, u11 = abs(a11) + abs(b11), abs(a01) + abs(b01)
     size_tr, size_det = t11 + t22 + 1.0 + u11, t10 * (t01 * t22 + t02 * t21) + abs(g10) * u01
     if not (miss_x <= unit * size_x and miss_tr <= unit * size_tr
             and miss_det <= unit * size_det):  # a NaN fails too
