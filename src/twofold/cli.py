@@ -307,7 +307,7 @@ def _values(command: str, given: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_SAMPLE_BLOCK = 4096  # samples per exp(DX tau) stack, so no run-long stack is held
+_SAMPLE_BLOCK = 4096  # samples flown per block, so no run-long arrays are held
 
 
 def _segments(p: SystemParams, s, field: str, t_max: float):
@@ -317,11 +317,10 @@ def _segments(p: SystemParams, s, field: str, t_max: float):
     A segment is [t0, field, s, tc, event]: its flight starts from s at
     time t0 and meets the plane at t0 + tc, or runs to t_max where tc is
     None; event is its crossing or terminal row, else "".  The crossing
-    state is one flow call at tc, which equals the last row of a stack over
-    the segment's sample times and tc bit for bit.  The error is returned,
-    not raised, so that pass 2 can raise an overflow in an earlier
-    segment's samples first; a segment whose crossing raised is kept, as
-    its samples come before the crossing.
+    state is the flow call at tc, as pass 2 forms each sample.  The error
+    is returned, not raised, so that pass 2 can raise an overflow in an
+    earlier segment's samples first; a segment whose crossing raised is
+    kept, as its samples come before the crossing.
     """
     import numpy as np
 
@@ -416,47 +415,42 @@ def _sample_texts(p: SystemParams, s0, sample_ts, t_max: float, segments):
     """Pass 2 of simulate: the texts of the samples of the ``_segments``
     segments from the start s0, each segment's followed by its event row.
 
-    The samples are flown from one exp(DX tau) stack per block of up to
-    4096, tau the time since each sample's own segment began, with one gemv
-    per segment's slice of the block; phi_Y(t, s) = S phi_X(t, S s) as in
-    flow_Y.  A block is written from one [t, x, y, z, NaN] buffer and one
-    ``_orjson_differs`` mask.  A sample that overflows is the
-    DivergenceError of its segment, at the segment's last flown time.
+    Each block of up to 4096 samples is one ``flow._state`` call over each
+    sample's tau since its segment began and its segment's offset from s*
+    in the upper chart; a Y sample is then swapped and negated, as flow_Y
+    does, so every sample is its scalar flow call bit for bit.  A block is
+    written from one [t, x, y, z, NaN] buffer and one ``_orjson_differs``
+    mask.  A sample that overflows is the DivergenceError of its segment,
+    at the segment's last flown time.
     """
     import numpy as np
 
-    from .flow import _phi_canonical, _stationary
-    from .system import _involution
+    from .flow import _phi_rows, _state, _stationary
 
-    # the samples of segment j are sample_ts[starts[j]:ends[j]]
+    # the samples of segment j are sample_ts[ends[j - 1]:ends[j]]
     ends = np.searchsorted(sample_ts, [(t_max if tc is None else t0 + tc) + 1e-15
                                        for t0, _, _, tc, _ in segments], side="right").tolist()
-    starts = [0, *ends[:-1]]
-    S, ss = _involution(), np.array(_stationary(p))
-    # each segment's offset from the stationary point, as flow_X and flow_Y form it
-    ds = [(s if field == "X" else S @ s) - ss for _, field, s, _, _ in segments]
-    buf = np.empty((min(ends[-1], _SAMPLE_BLOCK), 5))
+    n, ss = ends[-1], _stationary(p)
+    t0s = np.array([t0 for t0, _, _, _, _ in segments])
+    ds = np.array([(s if field == "X" else -s[[1, 0, 2]]) - ss  # a column per segment
+                   for _, field, s, _, _ in segments]).T
+    lower = np.array([field == "Y" for _, field, _, _, _ in segments])
+    buf = np.empty((min(n, _SAMPLE_BLOCK), 5))
     buf[:, 4] = np.nan
-    k = hi = 0
+    k = lo = hi = 0
     for i, (_, field, _, _, event) in enumerate(segments):
         tail = f",{field},,,\n"
-        lo = starts[i]
         while lo < ends[i]:
             if lo == hi:  # the next block: this segment's samples from lo, and later ones
-                k, hi = lo, min(lo + _SAMPLE_BLOCK, ends[-1])
-                js = range(i, bisect.bisect_left(starts, hi))
-                cuts = [max(starts[j] - k, 0) for j in js] + [hi - k]
+                k, hi = lo, min(lo + _SAMPLE_BLOCK, n)
+                counts = np.diff(np.clip(ends, k, hi), prepend=k)  # each segment's samples in it
                 rows, ts = buf[:hi - k], sample_ts[k:hi]
                 rows[:, 0] = ts
-                taus = ts - np.repeat([segments[j][0] for j in js], np.diff(cuts))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    phi = _phi_canonical(p, taus).reshape(-1, 3)
-                    for j, a, b in zip(js, cuts, cuts[1:]):
-                        states = (phi[3 * a:3 * b] @ ds[j]).reshape(-1, 3)
-                        if segments[j][1] == "X":
-                            np.add(ss, states, out=rows[a:b, 1:4])
-                        else:
-                            rows[a:b, 1:4] = (ss + states) @ S
+                    x, y, z = _state(_phi_rows(p, ts - np.repeat(t0s, counts), np.exp, np.sin,
+                                               np.cos), ss, np.repeat(ds, counts, axis=1))
+                mirror = np.repeat(lower, counts)
+                rows[:, 1], rows[:, 2], rows[:, 3] = np.where(mirror, (-y, -x, -z), (x, y, z))
                 # t is finite and the last column NaN: 4 finite cells a row
                 if np.count_nonzero(np.isfinite(rows)) != 4 * len(rows):
                     bad = k + int(np.flatnonzero(~np.isfinite(rows[:, 1:4]).all(axis=1))[0])

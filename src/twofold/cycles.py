@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, TwofoldError
-from .flow import _phi_from, _plane_state, _slope_coefficients, _z_coefficients, z_closed_form
+from .flow import _phi_from, _slope_coefficients, _state, _stationary, z_closed_form
 from .invariants import _check_branch_domain
 from .returns import _bracketed_root, _series, _touch_bound, half_return_X, half_return_Y
 from .stability import MonodromyReport, _dh_terms, monodromy
@@ -260,14 +260,16 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
     if y0_init is not None and not y0_init < math.inf:
         raise DomainError(f"the seed must be finite or -inf, got {y0_init!r}")
     t_x, x0, y0, rows = _solve_branch(p)
-    x1, y1, z1 = _plane_state(p, rows, x0, y0)
+    xs, ys, zs = ss = _stationary(p)
+    d = (x0 - xs, y0 - ys, -zs)  # p0 = (x0, y0, 0) from the stationary point
+    x1, y1, z1 = _state(rows, ss, d)
     residual = math.hypot(x1 + y0, y1 + x0, z1)  # the end minus (-y0, -x0, 0)
     if not residual < math.inf:  # also a NaN; finite only with x1, y1 and z1 finite
         raise DivergenceError(f"the X flight from p0 = ({x0!r}, {y0!r}) leaves the float "
                               f"range: p1 = {(x1, y1, z1)!r}")
     if residual > 1e-8 * (1.0 + max(abs(x0), abs(y0))):
         raise NotACycleError(f"the X flight from p0 ends {residual:.3g} from (-y0, -x0, 0)")
-    _check_first_return(p, x0, y0, t_x)
+    _check_first_return(p, x0, y0, t_x, d)
     a01, b01, a11, b11 = _dh_terms(p, x0, y0, rows)
     h01, h11, e_at = a01 + b01, a11 + b11, rows[0][0]
     if not (math.isfinite(h01) and math.isfinite(h11)):
@@ -278,13 +280,12 @@ def find_cycle_newton(p: SystemParams, y0_init: float | None = None) -> Symmetri
                                     "dg": (0.0, -h11, -e_at, -h01), "phi": rows})
 
 
-def _check_first_return(p: SystemParams, x0: float, y0: float, t_x: float):
+def _check_first_return(p: SystemParams, x0: float, y0: float, t_x: float, d):
     """A NotACycleError unless z along the upper orbit from (x0, y0, 0),
     monotone between its critical points, exceeds the touch bound at each
-    of them in (0, t_x)."""
+    of them in (0, t_x); d = p0 - s* holds the z coefficients (wy, wz) last."""
     C, s0 = p.C, (x0, y0, 0.0)
-    _, wy, wz = _z_coefficients(p, s0)
-    alpha, beta = _slope_coefficients(C, wy, wz)
+    alpha, beta = _slope_coefficients(C, d[1], d[2])
     z, _ = z_closed_form(p, s0)
     u, ab = math.atan2(-beta, alpha) % math.pi, math.hypot(alpha, beta)
     while u < t_x:

@@ -9,10 +9,11 @@ the entries of exp(DX t) once, from e^{At}, e^{Ct}, sin t and cos t, and
 alike: ``math`` functions for one scalar time on the solver path
 (``plane_flight``; ``cycles`` hands ``_phi_from`` the values its branch
 point was read from) and NumPy ufuncs for the public kernels, which take a
-scalar time (a 0-d stack) or an array of times.  The lower field is the
-S-conjugate of the upper one, Y(s) = S X(S s), so its flow, stationary point
-and fundamental matrices are the S-conjugates of the upper kernels:
-phi_Y(t, s) = S phi_X(t, S s), s*_Y = S s*_X and Phi_Y = S Phi_X S.
+scalar time (a 0-d stack) or an array of times.  ``_state`` forms every
+flown state from them by one order of products and sums.  The lower field
+is the S-conjugate of the upper one, Y(s) = S X(S s), so its flow,
+stationary point and fundamental matrices are the S-conjugates of the upper
+kernels: phi_Y(t, s) = S phi_X(t, S s), s*_Y = S s*_X and Phi_Y = S Phi_X S.
 
 Each affine piece is integrated as phi(t, s) = s* + exp(Dt)(s - s*) around
 its stationary point s*, which exists whenever A(C^2 + 1) != 0; in the
@@ -83,13 +84,26 @@ def _stationary(p: SystemParams):
     return p.H * L * (p.A - 2.0 * C) / c2, -2.0 * C * zs, zs
 
 
+def _state(rows, ss, d):
+    """s* + exp(DX t) d as three coordinates, from the _phi_rows entries at t,
+    ss = s* and d = s - s*: each summed left to right from s*, skipping the
+    two exact zeros, for floats or arrays, with no matmul for BLAS to round."""
+    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
+    xs, ys, zs = ss
+    du, dv, dw = d
+    return (xs + e_at * du + p01 * dv + p02 * dw,
+            ys + p11 * dv + p12 * dw,
+            zs + p21 * dv + p22 * dw)
+
+
 def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
     import numpy as np
 
-    ss = np.array(_stationary(p))
-    # the stack's rows as one (3n, 3) matrix: one gemv, not n 3x3 products
-    d = np.asarray(s0, dtype=float) - ss
-    return ss + (_phi_canonical(p, t).reshape(-1, 3) @ d).reshape(np.shape(t) + (3,))
+    ss = _stationary(p)
+    out = np.empty(np.shape(t) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = _state(
+        _phi_rows(p, t, np.exp, np.sin, np.cos), ss, np.asarray(s0, dtype=float) - ss)
+    return out
 
 
 def fundamental_X(p: SystemParams, t) -> np.ndarray:
@@ -126,29 +140,17 @@ def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     ndarray t gives the states as rows of shape t.shape + (3,)."""
     import numpy as np
 
-    S = _involution()
-    # S is symmetric: S applied to each row of the upper states
-    return _flow_X(p, S @ np.asarray(s0, dtype=float), t) @ S
+    # S(x, y, z) = (-y, -x, -z) as a swap and a negation, in and out
+    out = _flow_X(p, -np.asarray(s0, dtype=float)[[1, 0, 2]], t)
+    out[..., :2] = out[..., 1::-1]
+    return np.negative(out, out=out)
 
 
 def plane_flight(p: SystemParams, q, t: float):
     """State (x, y, z) at time t of the upper-field orbit from the plane point
-    q = (x, y, 0), as floats for one scalar t: the closed form of flow_X
-    written with ``math``, equal to it up to round-off, with no 3x3
-    temporaries.
-    """
-    return _plane_state(p, _phi_rows(p, t), float(q[0]), float(q[1]))
-
-
-def _plane_state(p: SystemParams, rows, u: float, v: float):
-    """plane_flight from (u, v, 0) at the time of the _phi_rows ``rows``."""
-    (e_at, p01, p02), (_, p11, p12), (_, p21, p22) = rows
-    xs, ys, zs = _stationary(p)
-    du, dv = u - xs, v - ys
-    x = xs + e_at * du + p01 * dv - p02 * zs
-    y = ys + p11 * dv - p12 * zs
-    z = zs + p21 * dv - p22 * zs
-    return x, y, z
+    q = (x, y, 0): flow_X's closed form in ``math`` floats, for one scalar t."""
+    xs, ys, zs = ss = _stationary(p)
+    return _state(_phi_rows(p, t), ss, (float(q[0]) - xs, float(q[1]) - ys, -zs))
 
 
 def _z_coefficients(p: SystemParams, s0):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchPointError, DomainError
-from .system import REL_TOL, SystemParams, eval_X, eval_Y
+from .system import SystemParams, eval_X, eval_Y
 
 __all__ = [
     "DarbouxPair",
@@ -83,11 +83,16 @@ def _power_exponent(p: SystemParams) -> float:
     return exponent
 
 
+# -2C/A of decimal inputs lands ulps off the integer it is meant to be
+# (2.9999999999999996 at C = 0.3, A = -0.2); a negative base takes its power
+_INTEGER_EXPONENT_TOL = 1e-12
+
+
 def _guarded_power(base: float, exponent: float) -> float:
     if base > 0.0:
         return base ** exponent
     rounded = round(exponent)
-    if abs(exponent - rounded) <= REL_TOL:
+    if abs(exponent - rounded) <= _INTEGER_EXPONENT_TOL:
         return base ** int(rounded)
     raise DomainError(
         f"first integral undefined: base {base!r} <= 0 with non-integer exponent {exponent!r}"

@@ -34,9 +34,6 @@ __all__ = [
     "INVOLUTION",
 ]
 
-# Validation tolerance; every quantity in the intended regime is O(1)-O(1e2).
-REL_TOL = 1e-12
-
 
 @functools.cache
 def _involution():

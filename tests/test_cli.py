@@ -87,34 +87,26 @@ def test_readme_cycle_outputs_match_their_golden_bytes(tmp_path, name, args, sha
     assert out.read_bytes() == golden
 
 
-def _gemv_rounds_as_golden() -> bool:
-    """Whether NumPy's BLAS gemv rounds a seeded (192, 3) @ (3,) product
-    bit for bit as the kernel that wrote tests/golden/simulate_readme.csv:
-    OpenBLAS's FMA kernels (Haswell, SkylakeX, Cooperlake and Zen) do, its
-    Sandybridge, Nehalem and Prescott ones do not."""
-    rng = np.random.default_rng(43)
-    m = rng.standard_normal((192, 3)) * np.exp(rng.uniform(-5.0, 5.0, (192, 1)))
-    d = rng.standard_normal(3) * 100.0
-    return hashlib.sha256((m @ d).tobytes()).hexdigest().startswith("cd3a13e09038c544")
-
-
 def test_readme_simulate_matches_its_golden_bytes(tmp_path):
     # the README's simulate example, byte for byte: no sample, crossing or
-    # cell text may move.  The states come from a BLAS gemv, so the bytes
-    # hold only where it rounds as the kernel that wrote them; elsewhere the
-    # oracle tests, on the same BLAS, still check simulate
-    if not _gemv_rounds_as_golden():
-        pytest.skip("platform limit: this BLAS's gemv rounds 3-term dot products "
-                    "apart from the FMA kernels that wrote the golden bytes")
+    # cell text may move.  Every state is a fixed-order sum of products with
+    # no BLAS call, so OpenBLAS's non-FMA (Prescott) and FMA (Haswell)
+    # kernels write the same bytes as the default one
     argv = next(argv for argv in _readme_cli_commands() if argv[0] == "simulate")
     assert argv[-2:] == ["-o", "trajectory.csv"]
     golden = (_GOLDEN / "simulate_readme.csv").read_bytes()
     assert hashlib.sha256(golden).hexdigest() == (
-        "1d1785191b157622002758347ec5c13be5350462a2005bcdbc63f312d9bf4d47")
+        "f36d2011d8a54d679390b0cc77048551fae6606389080609e14241ec9cfdd88f")
     out = tmp_path / "trajectory.csv"
     rc, _, err = _main_in_process(*argv[:-1], str(out))
     assert (rc, err) == (0, "")
     assert out.read_bytes() == golden
+    for core in ("Prescott", "Haswell"):
+        proc = subprocess.run([sys.executable, "-m", "twofold", *argv[:-1], "-"],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=_PYTHONPATH,
+                                                            OPENBLAS_CORETYPE=core))
+        assert (proc.returncode, proc.stderr) == (0, b""), core
+        assert proc.stdout == golden, core
 
 
 def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):

@@ -165,7 +165,8 @@ def test_z_closed_form_consistency(params):
                                elements=st.floats(-20.0, 20.0))))
 def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0, ts):
     # an ndarray of times (0-d, 2-d and empty included) gives C-contiguous
-    # stacks whose entries are the scalar calls' results bit for bit
+    # stacks whose entries are the scalar calls' results bit for bit, and
+    # the Y states are the S-images of the X states from S s0
     p = build_system(A, c_sign * C, H, Lambda)
     for fn, args, tail in ((flow_X, (p, s0), (3,)), (flow_Y, (p, s0), (3,)),
                            (fundamental_X, (p,), (3, 3)), (fundamental_Y, (p,), (3, 3))):
@@ -174,6 +175,9 @@ def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0,
         assert stack.flags.c_contiguous
         scalars = [fn(*args, float(t)) for t in ts.reshape(-1)]
         assert stack.reshape((-1,) + tail).tobytes() == b"".join(m.tobytes() for m in scalars)
+    # phi_Y(t, s) = S phi_X(t, S s), with S = (-y, -x, -z) a swap and a negation
+    mirror = -flow_X(p, apply_involution(s0), ts)[..., [1, 0, 2]]
+    assert flow_Y(p, s0, ts).tobytes() == mirror.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
