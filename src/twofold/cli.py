@@ -95,8 +95,8 @@ _ROW_BLOCK = 512  # rows per text, so no segment-long text is held
 def _row_texts(rows, own, tail: str):
     """The CSV text of the C-contiguous (n, 5) float64 rows [t, x, y, z, NaN],
     each row its first four reprs joined by ',' and followed by tail: one str
-    per block of up to 512 rows.  own is the ``_orjson_differs`` mask of
-    rows with its NaN column set False.
+    per block of up to 512 rows.  own is the ``_orjson_differs`` mask of the
+    rows' first four columns, or None where it holds no cell.
 
     A block is one orjson text of its rows, flattened, so each row ends in
     the 'null' of its NaN, and one replace turns every ',null,' into tail.
@@ -109,10 +109,10 @@ def _row_texts(rows, own, tail: str):
     import orjson
 
     for k in range(0, len(rows), _ROW_BLOCK):
-        block, mask = rows[k:k + _ROW_BLOCK], own[k:k + _ROW_BLOCK]
+        block = rows[k:k + _ROW_BLOCK]
         text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
         text = _plus_exponents(text)
-        if mask.any():
+        if own is not None and (mask := own[k:k + _ROW_BLOCK]).any():
             r, c = np.nonzero(mask)
             cells = text.split(",")
             for i, v in zip((5 * r + c).tolist(), block[r, c].tolist()):
@@ -277,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help=text if default is None else f"{text} (default {default})")
         # read -1.5e-05, -2E+3 and -.5 as numbers, not options (the Python 3.13 rule)
         sp._negative_number_matcher = re.compile(r"-\.?\d")
+    parser.commands = sub.choices  # each subcommand's parser by name, for main
     return parser
 
 
@@ -314,34 +315,47 @@ def _segments(p: SystemParams, s, field: str, t_max: float):
     """Pass 1 of simulate: the flight segments from the start s on field,
     and the TwofoldError that ended the walk, else None.
 
-    A segment is [t0, field, s, tc, event]: its flight starts from s at
-    time t0 and meets the plane at t0 + tc, or runs to t_max where tc is
-    None; event is its crossing or terminal row, else "".  The crossing
-    state is the flow call at tc, as pass 2 forms each sample.  The error
-    is returned, not raised, so that pass 2 can raise an overflow in an
-    earlier segment's samples first; a segment whose crossing raised is
-    kept, as its samples come before the crossing.
+    A segment is [t0, field, s, tc, event]: its flight starts from s, a
+    tuple of three floats, at time t0 and meets the plane at t0 + tc, or
+    runs to t_max where tc is None; event is its crossing or terminal row,
+    else "".  The crossing state is formed in Python floats from NumPy's
+    exp, sin and cos of tc by ``_phi_from`` and ``_state``: the IEEE
+    operations of the flow_X or flow_Y call at tc in the same order, so it
+    is that call's state bit for bit.  The error is returned, not raised, so
+    that pass 2 can raise an overflow in an earlier segment's samples first;
+    a segment whose crossing raised is kept, as its samples come before the
+    crossing.
     """
     import numpy as np
 
-    from .flow import flow_X, flow_Y
+    from .flow import _phi_from, _state, _stationary
     from .returns import first_crossing
     from .sigma import RegionKind, classify_point
 
+    xs, ys, zs = ss = _stationary(p)
+    s = tuple(map(float, s))  # also from an array, so that every sum is of floats
     segments = []
     t0 = 0.0
     try:
         while t0 < t_max:
-            try:  # first_crossing works in the upper chart: a Y segment passes S s
-                tc, _ = first_crossing(p, s if field == "X" else -s[[1, 0, 2]], t_max - t0)
+            # first_crossing and the flow work in the upper chart: a Y segment passes S s
+            up = s if field == "X" else (-s[1], -s[0], -s[2])
+            try:
+                tc, _ = first_crossing(p, up, t_max - t0)
             except NoReturnError:
                 tc = None  # orbit stays in its half-space for the rest of the run
             segment = [t0, field, s, tc, ""]
             segments.append(segment)
             if tc is None:
                 break
-            with np.errstate(over="ignore", invalid="ignore"):
-                x, y, z = (flow_X if field == "X" else flow_Y)(p, s, tc).tolist()
+            # NumPy's exp, sin and cos, as flow_X calls them (math.exp rounds
+            # some inputs otherwise), as floats, whose sums raise no warning
+            with np.errstate(over="ignore"):
+                e_at, e_ct = float(np.exp(p.A * tc)), float(np.exp(p.C * tc))
+            x, y, z = _state(_phi_from(p, e_at, e_ct, float(np.sin(tc)), float(np.cos(tc))),
+                             ss, (up[0] - xs, up[1] - ys, up[2] - zs))
+            if field == "Y":
+                x, y, z = -y, -x, -z
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise _overflow(field, t0, tc)
             cls = classify_point(p, (x, y))
@@ -355,7 +369,7 @@ def _segments(p: SystemParams, s, field: str, t_max: float):
                                            "leaves the float range")
             segment[4] = _csv_line([t0 + tc, x, y, 0.0, field, "crossing", cls.kind.value, det])
             field = "Y" if field == "X" else "X"
-            s = np.array([x, y, 0.0])
+            s = (x, y, 0.0)
             t0 = t0 + tc
     except TwofoldError as exc:
         return segments, exc
@@ -389,22 +403,22 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
         sample_ts = np.append(sample_ts, t_max)
 
     s0 = np.asarray(s0, dtype=float)
-    s = s0.copy()
+    x0, y0, z0 = s0.tolist()
     # the side is the sign of the closed-form z(0) = zs + (|z0| - zs) in the
     # start's own chart, as first_crossing decides it: a z0 that rounds away
     # there is the plane start it is within round-off of
-    zs, _, wz = _z_coefficients(p, (0.0, 0.0, abs(float(s[2]))))
-    if s[2] != 0.0 and zs + wz > 0.0:
-        field = "X" if s[2] > 0.0 else "Y"
+    zs, _, wz = _z_coefficients(p, (0.0, 0.0, abs(z0)))
+    if z0 != 0.0 and zs + wz > 0.0:
+        field = "X" if z0 > 0.0 else "Y"
     else:
-        cls = classify_point(p, s[:2])
+        cls = classify_point(p, (x0, y0))
         if cls.kind is not RegionKind.CROSSING:
-            yield _csv_line([0.0, s[0], s[1], s[2], "", "terminal", cls.kind.value, ""])
+            yield _csv_line([0.0, x0, y0, z0, "", "terminal", cls.kind.value, ""])
             return
         field = "X" if cls.lie_x > 0 else "Y"
-        s[2] = 0.0  # classified as on the plane, so put on it
+        z0 = 0.0  # classified as on the plane, so put on it
 
-    segments, error = _segments(p, s, field, t_max)
+    segments, error = _segments(p, (x0, y0, z0), field, t_max)
     if segments:  # else the first first_crossing raised
         yield from _sample_texts(p, s0, sample_ts, t_max, segments)
     if error is not None:
@@ -418,10 +432,12 @@ def _sample_texts(p: SystemParams, s0, sample_ts, t_max: float, segments):
     Each block of up to 4096 samples is one ``flow._state`` call over each
     sample's tau since its segment began and its segment's offset from s*
     in the upper chart; a Y sample is then swapped and negated, as flow_Y
-    does, so every sample is its scalar flow call bit for bit.  A block is
+    does, so every sample is its flow call at tau bit for bit.  A block is
     written from one [t, x, y, z, NaN] buffer and one ``_orjson_differs``
-    mask.  A sample that overflows is the DivergenceError of its segment,
-    at the segment's last flown time.
+    mask of its first four columns; only a block whose mask holds a cell
+    can hold a non-finite one, and only such a block is checked and handed
+    to ``_row_texts`` with its mask.  A sample that overflows is the
+    DivergenceError of its segment, at the segment's last flown time.
     """
     import numpy as np
 
@@ -430,11 +446,12 @@ def _sample_texts(p: SystemParams, s0, sample_ts, t_max: float, segments):
     # the samples of segment j are sample_ts[ends[j - 1]:ends[j]]
     ends = np.searchsorted(sample_ts, [(t_max if tc is None else t0 + tc) + 1e-15
                                        for t0, _, _, tc, _ in segments], side="right").tolist()
-    n, ss = ends[-1], _stationary(p)
-    t0s = np.array([t0 for t0, _, _, _, _ in segments])
-    ds = np.array([(s if field == "X" else -s[[1, 0, 2]]) - ss  # a column per segment
-                   for _, field, s, _, _ in segments]).T
-    lower = np.array([field == "Y" for _, field, _, _, _ in segments])
+    n = ends[-1]
+    xs, ys, zs = ss = _stationary(p)
+    # a column per segment: t0, its offset from s* in the upper chart, and 1.0 for Y
+    table = np.array([(t0, s[0] - xs, s[1] - ys, s[2] - zs, 0.0) if field == "X"
+                      else (t0, -s[1] - xs, -s[0] - ys, -s[2] - zs, 1.0)
+                      for t0, field, s, _, _ in segments]).T
     buf = np.empty((min(n, _SAMPLE_BLOCK), 5))
     buf[:, 4] = np.nan
     k = lo = hi = 0
@@ -446,24 +463,26 @@ def _sample_texts(p: SystemParams, s0, sample_ts, t_max: float, segments):
                 counts = np.diff(np.clip(ends, k, hi), prepend=k)  # each segment's samples in it
                 rows, ts = buf[:hi - k], sample_ts[k:hi]
                 rows[:, 0] = ts
+                col = np.repeat(table, counts, axis=1)  # each sample's segment column
                 with np.errstate(over="ignore", invalid="ignore"):
-                    x, y, z = _state(_phi_rows(p, ts - np.repeat(t0s, counts), np.exp, np.sin,
-                                               np.cos), ss, np.repeat(ds, counts, axis=1))
-                mirror = np.repeat(lower, counts)
+                    x, y, z = _state(_phi_rows(p, ts - col[0], np.exp, np.sin, np.cos), ss,
+                                     col[1:4])
+                mirror = col[4] != 0.0
                 rows[:, 1], rows[:, 2], rows[:, 3] = np.where(mirror, (-y, -x, -z), (x, y, z))
-                # t is finite and the last column NaN: 4 finite cells a row
-                if np.count_nonzero(np.isfinite(rows)) != 4 * len(rows):
+                if k == 0:  # the t = 0 row is the start itself, not the closed form at 0
+                    rows[0, 1:4] = s0
+                own = _orjson_differs(rows[:, :4])
+                if not own.any():
+                    own = None  # every cell finite, and orjson's text repr's
+                elif not np.isfinite(rows[:, 1:4]).all():
                     bad = k + int(np.flatnonzero(~np.isfinite(rows[:, 1:4]).all(axis=1))[0])
                     j = bisect.bisect_right(ends, bad)
                     t0, field, _, tc, _ = segments[j]
                     raise _overflow(field, t0, tc if tc is not None
                                     else float(sample_ts[ends[j] - 1] - t0))
-                if k == 0:  # the t = 0 row is the start itself, not the closed form at 0
-                    rows[0, 1:4] = s0
-                own = _orjson_differs(rows)
-                own[:, 4] = False
             top = min(ends[i], hi)
-            yield from _row_texts(buf[lo - k:top - k], own[lo - k:top - k], tail)
+            yield from _row_texts(buf[lo - k:top - k], own if own is None else own[lo - k:top - k],
+                                  tail)
             lo = top
         if event:
             yield event
@@ -655,8 +674,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    given = vars(_parser().parse_args(argv))
-    command = given.pop("command")
+    """Run the command line argv (default sys.argv[1:]); return its exit code.
+
+    A command line that starts with a subcommand's name is parsed by that
+    subcommand's parser alone, and the top-level parser reports what it
+    leaves, as one full parse does; any other, such as --help, takes the
+    full parse.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parser.commands:
+        command = argv[0]
+        namespace, extra = parser.commands[command].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        given = vars(namespace)
+    else:
+        given = vars(parser.parse_args(argv))
+        command = given.pop("command")
     try:
         values = _values(command, given)
         # the handler is looked up now, not bound into the parser, so a

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from .errors import DomainError
 from .system import SystemParams, _involution
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,13 +97,25 @@ def _state(rows, ss, d):
             zs + p21 * dv + p22 * dw)
 
 
-def _flow_X(p: SystemParams, s0, t) -> np.ndarray:
+def _start(s0) -> np.ndarray:
+    """The start s0 as a float64 array of shape (3,); any other shape, such
+    as one coordinate that NumPy would broadcast to three, is a DomainError."""
+    import numpy as np
+
+    s0 = np.asarray(s0, dtype=float)
+    if s0.shape != (3,):
+        raise DomainError(f"a start needs 3 coordinates, got shape {s0.shape}")
+    return s0
+
+
+def _flow_X(p: SystemParams, s0: np.ndarray, t) -> np.ndarray:
+    """flow_X from the ``_start`` array s0."""
     import numpy as np
 
     ss = _stationary(p)
     out = np.empty(np.shape(t) + (3,))
     out[..., 0], out[..., 1], out[..., 2] = _state(
-        _phi_rows(p, t, np.exp, np.sin, np.cos), ss, np.asarray(s0, dtype=float) - ss)
+        _phi_rows(p, t, np.exp, np.sin, np.cos), ss, s0 - ss)
     return out
 
 
@@ -132,7 +145,7 @@ def stationary_Y(p: SystemParams) -> np.ndarray:
 def flow_X(p: SystemParams, s0, t) -> np.ndarray:
     """Exact solution of sdot = X(s) at time t from s0; an ndarray t gives
     the states as rows of shape t.shape + (3,)."""
-    return _flow_X(p, s0, t)
+    return _flow_X(p, _start(s0), t)
 
 
 def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
@@ -141,7 +154,7 @@ def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     import numpy as np
 
     # S(x, y, z) = (-y, -x, -z) as a swap and a negation, in and out
-    out = _flow_X(p, -np.asarray(s0, dtype=float)[[1, 0, 2]], t)
+    out = _flow_X(p, -_start(s0)[[1, 0, 2]], t)
     out[..., :2] = out[..., 1::-1]
     return np.negative(out, out=out)
 

@@ -145,6 +145,63 @@ def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
         assert (inproc / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+def _full_parse(*args):
+    """(exit code, stdout, stderr) of one parse of args by a new parser with
+    every subcommand, the reference for main's usage bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(list(args))
+            rc = None
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("args, rc, piece", [
+    ((), 2, "\ntwofold: error: the following arguments are required: command\n"),
+    (("no-such-command",), 2, "\ntwofold: error: argument command: invalid choice: "
+                              "'no-such-command' (choose from "),
+    (("simulate", "--bogus", "1"), 2, "\ntwofold: error: unrecognized arguments: --bogus 1\n"),
+    (("find-cycle", "--C=1", "extra", "--H", "2", "-z"), 2,
+     "\ntwofold: error: unrecognized arguments: extra -z\n"),
+    (("simulate", "--x0"), 2,
+     "\ntwofold simulate: error: argument --x0: expected one argument\n"),
+    (("simulate", "-h"), 0, "usage: twofold simulate [-h] "),
+    (("--help",), 0, "usage: twofold [-h]"),
+], ids=["none", "unknown", "simulate-bogus", "find-cycle-extra", "simulate-no-value",
+        "simulate-help", "help"])
+def test_usage_bytes_match_one_full_parse(monkeypatch, args, rc, piece):
+    # a command line that starts with a subcommand's name is parsed by that
+    # subcommand's parser alone, with no top-level parse: its usage errors
+    # and help write, byte for byte, what one parse by the whole parser
+    # writes on this Python, from one parser per process
+    built, full, build_parser = [], [], cli.build_parser
+
+    def counted():
+        parser = build_parser()
+        parse_args = parser.parse_args
+        parser.parse_args = lambda argv: full.append(1) or parse_args(argv)
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        got = [_main_in_process(*args) for _ in range(2)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert len(full) == (0 if args and args[0] in cli._COMMANDS else 2)
+    monkeypatch.undo()
+    want = _full_parse(*args)
+    assert got == [want, want]
+    code, out, err = want
+    text, other = (err, out) if rc else (out, err)
+    assert code == rc and other == ""
+    assert text.startswith("usage: twofold") and piece in text
+
+
 def test_usage_error_exit_code():
     assert run_cli("find-cycle").returncode == 2          # missing parameters
     assert run_cli("no-such-command").returncode == 2     # argparse rejection
@@ -1349,6 +1406,70 @@ def test_simulate_overflow_in_a_segment_comes_before_later_errors(start, message
     assert _simulate_in_process(start) == (1, "", f"error: DivergenceError: {message}\n")
 
 
+def _crossing_rows(p, s, field, t_max):
+    """Each crossing or terminal row of cli._segments from s on field, as
+    (flight start, field, tc, row x, row y), and the walk's error."""
+    segments, error = cli._segments(p, s, field, t_max)
+    assert all(type(start) is tuple for _, _, start, _, _ in segments)
+    rows = [(start, fld, tc, *map(float, event.split(",")[1:3]))
+            for _, fld, start, tc, event in segments if event]
+    return segments, rows, error
+
+
+@settings(max_examples=80, deadline=None)
+@given(C=st.floats(0.15, 1.5), negative=st.booleans(), u=st.floats(0.05, 0.95),
+       Lambda=st.floats(0.5, 2.0), log_r=st.floats(-0.5, 1.5), on_plane=st.booleans(),
+       theta=st.floats(0.05, math.pi / 2 - 0.05), flip=st.booleans(),
+       off=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       z_off=st.floats(0.05, 1.0), t_max=st.floats(1.0, 40.0))
+def test_crossing_states_are_the_flow_calls_bit_for_bit(C, negative, u, Lambda, log_r,
+                                                        on_plane, theta, flip, off, z_off,
+                                                        t_max):
+    # pass 1 forms each crossing state in Python floats; every crossing row's
+    # x and y are the flow_X or flow_Y call's at tc, bit for bit, for C of
+    # either sign, starts on the plane and on either side of it, and the
+    # Y segments after each crossing.  The next flight starts from (x, y, 0)
+    r, sign = 10.0 ** log_r, -1.0 if flip else 1.0
+    x0, y0, z0 = ((sign * math.cos(theta) * r, sign * math.sin(theta) * r, 0.0) if on_plane
+                  else (off[0] * r, off[1] * r, sign * z_off * r))
+    p = resonant_system(-C if negative else C, float(critical_h(C)) * u, Lambda)
+    field = ("X" if z0 > 0.0 else "Y") if z0 != 0.0 else (
+        "X" if classify_point(p, (x0, y0)).lie_x > 0.0 else "Y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        segments, rows, _ = _crossing_rows(p, (x0, y0, z0), field, t_max)
+    for s, fld, tc, x, y in rows:
+        flow = flow_X if fld == "X" else flow_Y
+        want = flow(p, np.array(s), tc).tolist()
+        assert (repr(x), repr(y)) == (repr(want[0]), repr(want[1]))
+    for (_, _, _, _, event), (_, fld, s, _, _) in zip(segments, segments[1:]):
+        assert s == (float(event.split(",")[1]), float(event.split(",")[2]), 0.0)
+
+
+def test_an_overflowing_crossing_exponential_is_the_segments_divergence():
+    # C = -120, so A = 240: the second flight, a Y flight from t = 0.0084,
+    # meets the plane at tc = 3.1416, where e^{A tc} leaves the float range.
+    # Pass 1 returns that segment's DivergenceError, with no RuntimeWarning,
+    # and so does the CLI
+    p = resonant_system(-120.0, 0.5, 1.0)
+    message = "the Y flow overflows floating point by t=3.14999581713744"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        segments, rows, error = _crossing_rows(p, (1.0, 1e250, 1e250), "X", 10.0)
+    assert [field for _, field, _, _, _ in segments] == ["X", "Y"]
+    t0, _, s, tc, event = segments[-1]
+    assert event == "" and p.A * tc > math.log(np.finfo(float).max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(flow_Y(p, np.array(s), tc)).all()
+    assert isinstance(error, errors.DivergenceError) and str(error) == message
+    start = (-120.0, 0.5, 1.0, 1.0, 1e250, 1e250, 10.0, 0.01)
+    assert _simulate_in_process(start) == (1, "", f"error: DivergenceError: {message}\n")
+    flags = ("--C", "--H", "--Lambda", "--x0", "--y0", "--z0", "--t-max", "--dt")
+    proc = run_cli("simulate", *[f"{flag}={v!r}" for flag, v in zip(flags, start)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: DivergenceError: {message}\n"
+
+
 def test_negative_values_in_exponent_form(tmp_path):
     out = tmp_path / "neg.csv"
     proc = run_cli("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1",
@@ -1477,11 +1598,10 @@ def _row_texts_oracle(a, tail):
 
 def _texts_of(a, tail):
     """_row_texts of the (n, 4) rows a, from the [t, x, y, z, NaN] buffer
-    and the mask that simulate hands it."""
+    and the mask that simulate hands it: None where no cell needs a repr."""
     buf = np.column_stack((a, np.full(len(a), np.nan)))
-    own = _orjson_differs(buf)
-    own[:, 4] = False
-    return list(_row_texts(buf, own, tail))
+    own = _orjson_differs(a)
+    return list(_row_texts(buf, own if own.any() else None, tail))
 
 
 def test_row_texts_is_repr_on_random_bit_patterns():

@@ -1,10 +1,12 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from twofold import (apply_involution, build_system, eval_X, eval_Y, flow_X,
+from twofold import (apply_involution, build_system, errors, eval_X, eval_Y, flow_X,
                      flow_Y, fundamental_X, fundamental_Y, jacobian_Y,
                      resonant_system, stationary_X, stationary_Y)
 from twofold.flow import _phi_rows, plane_flight, z_closed_form
@@ -178,6 +180,26 @@ def test_array_times_match_scalar_calls_bit_for_bit(A, C, c_sign, H, Lambda, s0,
     # phi_Y(t, s) = S phi_X(t, S s), with S = (-y, -x, -z) a swap and a negation
     mirror = -flow_X(p, apply_involution(s0), ts)[..., [1, 0, 2]]
     assert flow_Y(p, s0, ts).tobytes() == mirror.tobytes()
+
+
+@pytest.mark.parametrize("s0, shape", [([1.0], "(1,)"), ([1.0, 1.0, 1.0, 1.0], "(4,)"),
+                                        (np.ones((1, 3)), "(1, 3)")])
+def test_a_start_of_other_than_three_coordinates_is_a_domain_error(params, s0, shape):
+    # one coordinate is not broadcast to three, and four are not cut to three
+    for flow in (flow_X, flow_Y):
+        for t in (0.5, np.array([0.0, 0.5])):
+            with pytest.raises(errors.DomainError,
+                               match=rf"3 coordinates, got shape {re.escape(shape)}$"):
+                flow(params, s0, t)
+
+
+def test_a_start_is_read_alike_from_a_list_a_tuple_and_an_array(params):
+    s0, ts = [0.3, -1.7, 2.5], np.linspace(-2.0, 2.0, 7)
+    for flow in (flow_X, flow_Y):
+        for t in (0.5, ts):
+            ref = flow(params, s0, t).tobytes()
+            assert flow(params, tuple(s0), t).tobytes() == ref
+            assert flow(params, np.array(s0), t).tobytes() == ref
 
 
 @settings(max_examples=60, deadline=None)
