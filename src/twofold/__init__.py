@@ -35,6 +35,7 @@ _NAMES = {name: module for module, names in {
     "stability": ("saltation", "MonodromyReport", "monodromy", "schur_conditions",
                   "sigma_restriction", "m_gamma1", "tau_gamma1", "asymptotic_invariants",
                   "critical_h", "h_min", "band_width", "BandResult", "stability_band"),
+    "orbit": ("Event", "simulate"),
 }.items() for name in names}
 _MODULES = frozenset(_NAMES.values())
 

@@ -14,7 +14,6 @@ load it.
 from __future__ import annotations
 
 import argparse
-import bisect
 import contextlib
 import functools
 import json
@@ -25,8 +24,7 @@ import stat
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (DivergenceError, DomainError, GrazingCrossingError, NoReturnError,
-                     TwofoldError)
+from .errors import DomainError, TwofoldError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import SystemParams
@@ -308,184 +306,34 @@ def _values(command: str, given: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_SAMPLE_BLOCK = 4096  # samples flown per block, so no run-long arrays are held
-
-
-def _segments(p: SystemParams, s, field: str, t_max: float):
-    """Pass 1 of simulate: the flight segments from the start s on field,
-    and the TwofoldError that ended the walk, else None.
-
-    A segment is [t0, field, s, tc, event]: its flight starts from s, a
-    tuple of three floats, at time t0 and meets the plane at t0 + tc, or
-    runs to t_max where tc is None; event is its crossing or terminal row,
-    else "".  The crossing state is formed in Python floats from NumPy's
-    exp, sin and cos of tc by ``_phi_from`` and ``_state``: the IEEE
-    operations of the flow_X or flow_Y call at tc in the same order, so it
-    is that call's state bit for bit.  The error is returned, not raised, so
-    that pass 2 can raise an overflow in an earlier segment's samples first;
-    a segment whose crossing raised is kept, as its samples come before the
-    crossing.
-    """
-    import numpy as np
-
-    from .flow import _phi_from, _state, _stationary
-    from .returns import first_crossing
-    from .sigma import RegionKind, classify_point
-
-    xs, ys, zs = ss = _stationary(p)
-    s = tuple(map(float, s))  # also from an array, so that every sum is of floats
-    segments = []
-    t0 = 0.0
-    try:
-        while t0 < t_max:
-            # first_crossing and the flow work in the upper chart: a Y segment passes S s
-            up = s if field == "X" else (-s[1], -s[0], -s[2])
-            try:
-                tc, _ = first_crossing(p, up, t_max - t0)
-            except NoReturnError:
-                tc = None  # orbit stays in its half-space for the rest of the run
-            segment = [t0, field, s, tc, ""]
-            segments.append(segment)
-            if tc is None:
-                break
-            # NumPy's exp, sin and cos, as flow_X calls them (math.exp rounds
-            # some inputs otherwise), as floats, whose sums raise no warning
-            with np.errstate(over="ignore"):
-                e_at, e_ct = float(np.exp(p.A * tc)), float(np.exp(p.C * tc))
-            x, y, z = _state(_phi_from(p, e_at, e_ct, float(np.sin(tc)), float(np.cos(tc))),
-                             ss, (up[0] - xs, up[1] - ys, up[2] - zs))
-            if field == "Y":
-                x, y, z = -y, -x, -z
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise _overflow(field, t0, tc)
-            cls = classify_point(p, (x, y))
-            if cls.kind is not RegionKind.CROSSING:
-                segment[4] = _csv_line([t0 + tc, x, y, 0.0, field, "terminal",
-                                        cls.kind.value, ""])
-                break
-            det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
-            if not math.isfinite(det):  # the incoming Lie derivative is near zero
-                raise GrazingCrossingError(f"the saltation determinant at {(x, y)!r} "
-                                           "leaves the float range")
-            segment[4] = _csv_line([t0 + tc, x, y, 0.0, field, "crossing", cls.kind.value, det])
-            field = "Y" if field == "X" else "X"
-            s = (x, y, 0.0)
-            t0 = t0 + tc
-    except TwofoldError as exc:
-        return segments, exc
-    return segments, None
-
-
-def _overflow(field: str, t0: float, last: float) -> DivergenceError:
-    """The error of a segment from t0 whose states overflow by its last
-    flown time t0 + last."""
-    return DivergenceError(f"the {field} flow overflows floating point by t={t0 + last!r}")
-
-
 def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
-    """The simulate CSV: the header, then per flight segment the texts of
-    ``_row_texts`` for its samples and the crossing or terminal row that
-    ends it.
-
-    The text is byte for byte what _write_csv writes for those rows.  Pass 1
-    (``_segments``) finds every crossing, and pass 2 (``_sample_texts``)
-    flows and writes the samples.  An overflow in a segment's samples is
-    raised before any error that pass 1 met later.
-    """
+    """The simulate CSV of ``orbit.simulate``, byte for byte what _write_csv
+    writes for its rows: the header, then ``_row_texts`` for each run of
+    samples, from one [t, x, y, z, NaN] buffer and one ``_orjson_differs``
+    mask per block (None where it holds no cell), and each event's row."""
     import numpy as np
 
-    from .flow import _z_coefficients
-    from .sigma import RegionKind, classify_point
+    from .orbit import Event, simulate
 
     yield "t,x,y,z,field,event,region,saltation_det\n"
-    sample_ts = np.arange(int(np.floor(t_max / dt)) + 1) * dt
-    if sample_ts[-1] < t_max - 1e-15:
-        sample_ts = np.append(sample_ts, t_max)
-
-    s0 = np.asarray(s0, dtype=float)
-    x0, y0, z0 = s0.tolist()
-    # the side is the sign of the closed-form z(0) = zs + (|z0| - zs) in the
-    # start's own chart, as first_crossing decides it: a z0 that rounds away
-    # there is the plane start it is within round-off of
-    zs, _, wz = _z_coefficients(p, (0.0, 0.0, abs(z0)))
-    if z0 != 0.0 and zs + wz > 0.0:
-        field = "X" if z0 > 0.0 else "Y"
-    else:
-        cls = classify_point(p, (x0, y0))
-        if cls.kind is not RegionKind.CROSSING:
-            yield _csv_line([0.0, x0, y0, z0, "", "terminal", cls.kind.value, ""])
-            return
-        field = "X" if cls.lie_x > 0 else "Y"
-        z0 = 0.0  # classified as on the plane, so put on it
-
-    segments, error = _segments(p, (x0, y0, z0), field, t_max)
-    if segments:  # else the first first_crossing raised
-        yield from _sample_texts(p, s0, sample_ts, t_max, segments)
-    if error is not None:
-        raise error
-
-
-def _sample_texts(p: SystemParams, s0, sample_ts, t_max: float, segments):
-    """Pass 2 of simulate: the texts of the samples of the ``_segments``
-    segments from the start s0, each segment's followed by its event row.
-
-    Each block of up to 4096 samples is one ``flow._state`` call over each
-    sample's tau since its segment began and its segment's offset from s*
-    in the upper chart; a Y sample is then swapped and negated, as flow_Y
-    does, so every sample is its flow call at tau bit for bit.  A block is
-    written from one [t, x, y, z, NaN] buffer and one ``_orjson_differs``
-    mask of its first four columns; only a block whose mask holds a cell
-    can hold a non-finite one, and only such a block is checked and handed
-    to ``_row_texts`` with its mask.  A sample that overflows is the
-    DivergenceError of its segment, at the segment's last flown time.
-    """
-    import numpy as np
-
-    from .flow import _phi_rows, _state, _stationary
-
-    # the samples of segment j are sample_ts[ends[j - 1]:ends[j]]
-    ends = np.searchsorted(sample_ts, [(t_max if tc is None else t0 + tc) + 1e-15
-                                       for t0, _, _, tc, _ in segments], side="right").tolist()
-    n = ends[-1]
-    xs, ys, zs = ss = _stationary(p)
-    # a column per segment: t0, its offset from s* in the upper chart, and 1.0 for Y
-    table = np.array([(t0, s[0] - xs, s[1] - ys, s[2] - zs, 0.0) if field == "X"
-                      else (t0, -s[1] - xs, -s[0] - ys, -s[2] - zs, 1.0)
-                      for t0, field, s, _, _ in segments]).T
-    buf = np.empty((min(n, _SAMPLE_BLOCK), 5))
-    buf[:, 4] = np.nan
-    k = lo = hi = 0
-    for i, (_, field, _, _, event) in enumerate(segments):
-        tail = f",{field},,,\n"
-        while lo < ends[i]:
-            if lo == hi:  # the next block: this segment's samples from lo, and later ones
-                k, hi = lo, min(lo + _SAMPLE_BLOCK, n)
-                counts = np.diff(np.clip(ends, k, hi), prepend=k)  # each segment's samples in it
-                rows, ts = buf[:hi - k], sample_ts[k:hi]
-                rows[:, 0] = ts
-                col = np.repeat(table, counts, axis=1)  # each sample's segment column
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x, y, z = _state(_phi_rows(p, ts - col[0], np.exp, np.sin, np.cos), ss,
-                                     col[1:4])
-                mirror = col[4] != 0.0
-                rows[:, 1], rows[:, 2], rows[:, 3] = np.where(mirror, (-y, -x, -z), (x, y, z))
-                if k == 0:  # the t = 0 row is the start itself, not the closed form at 0
-                    rows[0, 1:4] = s0
-                own = _orjson_differs(rows[:, :4])
-                if not own.any():
-                    own = None  # every cell finite, and orjson's text repr's
-                elif not np.isfinite(rows[:, 1:4]).all():
-                    bad = k + int(np.flatnonzero(~np.isfinite(rows[:, 1:4]).all(axis=1))[0])
-                    j = bisect.bisect_right(ends, bad)
-                    t0, field, _, tc, _ = segments[j]
-                    raise _overflow(field, t0, tc if tc is not None
-                                    else float(sample_ts[ends[j] - 1] - t0))
-            top = min(ends[i], hi)
-            yield from _row_texts(buf[lo - k:top - k], own if own is None else own[lo - k:top - k],
-                                  tail)
-            lo = top
-        if event:
-            yield event
+    buf = held = None
+    for item in simulate(p, s0, t_max, dt):
+        if type(item) is Event:
+            t, x, y, z, field, kind, region, det = item
+            yield _csv_line([t, x, y, z, field or "", kind, region.value,
+                             "" if det is None else det])
+            continue
+        block, lo, hi, field = item
+        if block is not held:
+            if buf is None or len(buf) < len(block):
+                buf = np.empty((len(block), 5))
+                buf[:, 4] = np.nan
+            held, rows = block, buf[:len(block)]
+            rows[:, :4] = block
+            own = _orjson_differs(block)
+            if not own.any():
+                own = None
+        yield from _row_texts(rows[lo:hi], own if own is None else own[lo:hi], f",{field},,,\n")
 
 
 def cmd_simulate(values: dict) -> int:
@@ -494,16 +342,9 @@ def cmd_simulate(values: dict) -> int:
         if values[key] is None:
             raise DomainError(f"missing required initial condition --{key}")
     s0 = [values[key] for key in ("x0", "y0", "z0")]
-    if not all(map(math.isfinite, s0)):
-        raise DomainError(f"the initial condition must be finite, got {s0!r}")
-    t_max, dt = values["t_max"], values["dt"]
-    if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
-        raise DomainError("t-max and dt must be positive and finite")
-    if not math.isfinite(t_max / dt):
-        raise DomainError(f"t-max / dt must be finite, got {t_max!r} / {dt!r}")
     # the whole text is built before the output opens, so a run that fails
     # part way leaves no partial file
-    _write_text(values["output"], list(_simulate_rows(p, s0, t_max, dt)))
+    _write_text(values["output"], list(_simulate_rows(p, s0, values["t_max"], values["dt"])))
     return 0
 
 

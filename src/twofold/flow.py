@@ -17,14 +17,17 @@ kernels: phi_Y(t, s) = S phi_X(t, S s), s*_Y = S s*_X and Phi_Y = S Phi_X S.
 
 Each affine piece is integrated as phi(t, s) = s* + exp(Dt)(s - s*) around
 its stationary point s*, which exists whenever A(C^2 + 1) != 0; in the
-resonant family A = -2C != 0 this always holds.
+resonant family A = -2C != 0 this always holds.  In the flows, fundamental
+matrices and ``plane_flight`` a time or start that is not finite is a
+DomainError, and a result past the float range a DivergenceError that names
+the first time of one.
 """
 from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DivergenceError, DomainError
 from .system import SystemParams, _involution
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,16 +68,32 @@ def _phi_from(p: SystemParams, e_at, e_ct, st, ct):
             (0.0, e_ct * st, e_ct * (ct + C * st)))
 
 
-def _phi_canonical(p: SystemParams, t) -> np.ndarray:
+def _phi_canonical(p: SystemParams, t, name: str = "exp(DX t)") -> np.ndarray:
     """exp(DX t) through NumPy as the C-contiguous stack of shape
     np.shape(t) + (3, 3); a scalar time is a 0-d stack, one matrix.  Entry
-    [k] equals the call at t[k] bit for bit."""
+    [k] equals the call at t[k] bit for bit, with the errors of ``_finite``."""
     import numpy as np
 
-    out = np.empty(np.shape(t) + (3, 3))
-    for i, row in enumerate(_phi_rows(p, t, np.exp, np.sin, np.cos)):
-        out[..., i, 0], out[..., i, 1], out[..., i, 2] = row
-    return out
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape + (3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(_phi_rows(p, t, np.exp, np.sin, np.cos)):
+            out[..., i, 0], out[..., i, 1], out[..., i, 2] = row
+    return _finite(out, t, name)
+
+
+def _finite(out: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
+    """out, the stack t.shape + (...) of name at the times t: a t that is not
+    finite, which leaves an entry that is not, is a DomainError, and an entry
+    past the float range a DivergenceError naming the first t of one."""
+    import numpy as np
+
+    if np.isfinite(out).all():
+        return out
+    if not np.isfinite(t).all():
+        raise DomainError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    ok = np.isfinite(out).all(axis=tuple(range(t.ndim, out.ndim)))
+    raise DivergenceError(f"{name} overflows floating point at t={float(t[~ok][0])!r}")
 
 
 def _stationary(p: SystemParams):
@@ -105,29 +124,33 @@ def _start(s0) -> np.ndarray:
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise DomainError(f"a start needs 3 coordinates, got shape {s0.shape}")
+    if not all(map(math.isfinite, s0.tolist())):
+        raise DomainError(f"the initial condition must be finite, got {s0.tolist()!r}")
     return s0
 
 
-def _flow_X(p: SystemParams, s0: np.ndarray, t) -> np.ndarray:
-    """flow_X from the ``_start`` array s0."""
+def _flow_X(p: SystemParams, s0: np.ndarray, t, field: str = "X") -> np.ndarray:
+    """flow_X from the ``_start`` array s0, its errors named for field."""
     import numpy as np
 
+    t = np.asarray(t, dtype=float)
     ss = _stationary(p)
-    out = np.empty(np.shape(t) + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = _state(
-        _phi_rows(p, t, np.exp, np.sin, np.cos), ss, s0 - ss)
-    return out
+    out = np.empty(t.shape + (3,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[..., 0], out[..., 1], out[..., 2] = _state(
+            _phi_rows(p, t, np.exp, np.sin, np.cos), ss, s0 - ss)
+    return _finite(out, t, f"the {field} flow")
 
 
 def fundamental_X(p: SystemParams, t) -> np.ndarray:
-    """exp(DX t) in closed form; an ndarray t gives the stack t.shape + (3, 3)."""
+    """exp(DX t) in closed form; an array t gives the stack t.shape + (3, 3)."""
     return _phi_canonical(p, t)
 
 
 def fundamental_Y(p: SystemParams, t) -> np.ndarray:
-    """exp(DY t) = S exp(DX t) S; an ndarray t gives the stack t.shape + (3, 3)."""
+    """exp(DY t) = S exp(DX t) S; an array t gives the stack t.shape + (3, 3)."""
     S = _involution()
-    return S @ _phi_canonical(p, t) @ S
+    return S @ _phi_canonical(p, t, "exp(DY t)") @ S
 
 
 def stationary_X(p: SystemParams) -> np.ndarray:
@@ -143,18 +166,18 @@ def stationary_Y(p: SystemParams) -> np.ndarray:
 
 
 def flow_X(p: SystemParams, s0, t) -> np.ndarray:
-    """Exact solution of sdot = X(s) at time t from s0; an ndarray t gives
+    """Exact solution of sdot = X(s) at time t from s0; an array t gives
     the states as rows of shape t.shape + (3,)."""
     return _flow_X(p, _start(s0), t)
 
 
 def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
     """Exact solution of sdot = Y(s) at time t from s0, S phi_X(t, S s0); an
-    ndarray t gives the states as rows of shape t.shape + (3,)."""
+    array t gives the states as rows of shape t.shape + (3,)."""
     import numpy as np
 
     # S(x, y, z) = (-y, -x, -z) as a swap and a negation, in and out
-    out = _flow_X(p, -_start(s0)[[1, 0, 2]], t)
+    out = _flow_X(p, -_start(s0)[[1, 0, 2]], t, "Y")
     out[..., :2] = out[..., 1::-1]
     return np.negative(out, out=out)
 
@@ -162,8 +185,17 @@ def flow_Y(p: SystemParams, s0, t) -> np.ndarray:
 def plane_flight(p: SystemParams, q, t: float):
     """State (x, y, z) at time t of the upper-field orbit from the plane point
     q = (x, y, 0): flow_X's closed form in ``math`` floats, for one scalar t."""
+    u, v = float(q[0]), float(q[1])
+    if not (math.isfinite(t) and math.isfinite(u) and math.isfinite(v)):
+        raise DomainError(f"t and q must be finite, got t={t!r}, q={(u, v)!r}")
     xs, ys, zs = ss = _stationary(p)
-    return _state(_phi_rows(p, t), ss, (float(q[0]) - xs, float(q[1]) - ys, -zs))
+    try:
+        state = _state(_phi_rows(p, t), ss, (u - xs, v - ys, -zs))
+        if all(map(math.isfinite, state)):
+            return state
+    except OverflowError:  # math.exp's
+        pass
+    raise DivergenceError(f"the X flow overflows floating point at t={t!r}")
 
 
 def _z_coefficients(p: SystemParams, s0):

@@ -247,12 +247,9 @@ def _half_return(p: SystemParams, start, field: str) -> HalfReturn:
     t, iterations = first_crossing(p, (u, v, 0.0), _WINDOW, forward=forward)
     try:  # e^{At} in the closed form may overflow where e^{Ct} did not
         x1, y1, z1 = flow.plane_flight(p, (u, v), t if forward else -t)
-        finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(z1)
-    except OverflowError:
-        finite = False
-    if not finite:
+    except DivergenceError:
         raise DivergenceError(f"the {field} flight from {(x0, y0)!r} leaves "
-                              "the range of floating point")
+                              "the range of floating point") from None
     if field == "Y":  # the end back in the lower chart
         x1, y1 = -y1, -x1
     return HalfReturn(t, (x0, y0), (x1, y1), field, forward, iterations, abs(z1))

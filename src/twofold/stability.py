@@ -182,8 +182,8 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     r0, r1, r2 = (s00 * z0 + s01 * z1 + s02 * z2 - z0, s10 * z0 + s11 * z1 + s12 * z2 - z1,
                   s20 * z0 + s21 * z1 + s22 * z2 - z2)
     miss_tr = abs(s00 + s11 + s22 - (1.0 + tr_g))
-    miss_det = abs(s00 * (s11 * s22 - s12 * s21) - s01 * (s10 * s22 - s12 * s20)
-                   + s02 * (s10 * s21 - s11 * s20) - det_g)
+    # det S = 1 and det(I + c e3^T) = w, so det(S N) = w det Phi_X, for any A
+    miss_det = abs(w * a0 * (b1 * d2 - b2 * d1) - det_g)
     unit = 2.0 ** -47
     miss_x = abs(r0) + abs(r1) + abs(r2)
     size_x = (t01 + t02 + t10 + t11 + t12 + t21 + t22 + 1.0) * (abs(z0) + abs(z1) + abs(z2))
@@ -191,7 +191,8 @@ def monodromy(p: SystemParams, cycle: "SymmetricCycle") -> MonodromyReport:
     # they cancel next to the X fold, where det Dg = y0 / x0
     a01, b01, a11, b11 = _dh_terms(p, x0, y0, cycle.phi)
     u01, u11 = abs(a11) + abs(b11), abs(a01) + abs(b01)
-    size_tr, size_det = t11 + t22 + 1.0 + u11, t10 * (t01 * t22 + t02 * t21) + abs(g10) * u01
+    size_tr = t11 + t22 + 1.0 + u11
+    size_det = w * t10 * (abs(b1 * d2) + abs(b2 * d1)) + abs(g10) * u01
     if not (miss_x <= unit * size_x and miss_tr <= unit * size_tr
             and miss_det <= unit * size_det):  # a NaN fails too
         name, miss, size = next(c for c in (

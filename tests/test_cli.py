@@ -26,7 +26,7 @@ import twofold
 from twofold import (RegionKind, apply_involution, classify_point, critical_h, errors,
                      flow_X, flow_Y, m_gamma1, resonant_system, stability_band,
                      tau_gamma1)
-from twofold import cli
+from twofold import cli, orbit
 from twofold.cli import (_band_csv, _boundaries_csv, _fmt, _orjson_differs, _reprs,
                          _row_texts)
 from twofold.returns import first_crossing
@@ -1401,18 +1401,18 @@ def test_simulate_overflow_in_a_segment_comes_before_later_errors(start, message
     s = np.array(start[3:6])
     field = "X" if start[5] > 0.0 or start[5] == 0.0 and classify_point(
         p, s[:2]).lie_x > 0.0 else "Y"
-    _, later = cli._segments(p, s, field, start[6])
+    _, later = orbit._segments(p, s, field, start[6])
     assert later is None or str(later) != message
     assert _simulate_in_process(start) == (1, "", f"error: DivergenceError: {message}\n")
 
 
 def _crossing_rows(p, s, field, t_max):
-    """Each crossing or terminal row of cli._segments from s on field, as
-    (flight start, field, tc, row x, row y), and the walk's error."""
-    segments, error = cli._segments(p, s, field, t_max)
+    """Each crossing or terminal event of orbit._segments from s on field, as
+    (flight start, field, tc, event x, event y), and the walk's error."""
+    segments, error = orbit._segments(p, s, field, t_max)
     assert all(type(start) is tuple for _, _, start, _, _ in segments)
-    rows = [(start, fld, tc, *map(float, event.split(",")[1:3]))
-            for _, fld, start, tc, event in segments if event]
+    rows = [(start, fld, tc, event.x, event.y)
+            for _, fld, start, tc, event in segments if event is not None]
     return segments, rows, error
 
 
@@ -1443,14 +1443,14 @@ def test_crossing_states_are_the_flow_calls_bit_for_bit(C, negative, u, Lambda, 
         want = flow(p, np.array(s), tc).tolist()
         assert (repr(x), repr(y)) == (repr(want[0]), repr(want[1]))
     for (_, _, _, _, event), (_, fld, s, _, _) in zip(segments, segments[1:]):
-        assert s == (float(event.split(",")[1]), float(event.split(",")[2]), 0.0)
+        assert s == (event.x, event.y, 0.0)
 
 
 def test_an_overflowing_crossing_exponential_is_the_segments_divergence():
     # C = -120, so A = 240: the second flight, a Y flight from t = 0.0084,
     # meets the plane at tc = 3.1416, where e^{A tc} leaves the float range.
     # Pass 1 returns that segment's DivergenceError, with no RuntimeWarning,
-    # and so does the CLI
+    # and so does the CLI; flow_Y raises the one that names tc
     p = resonant_system(-120.0, 0.5, 1.0)
     message = "the Y flow overflows floating point by t=3.14999581713744"
     with warnings.catch_warnings():
@@ -1458,9 +1458,10 @@ def test_an_overflowing_crossing_exponential_is_the_segments_divergence():
         segments, rows, error = _crossing_rows(p, (1.0, 1e250, 1e250), "X", 10.0)
     assert [field for _, field, _, _, _ in segments] == ["X", "Y"]
     t0, _, s, tc, event = segments[-1]
-    assert event == "" and p.A * tc > math.log(np.finfo(float).max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(flow_Y(p, np.array(s), tc)).all()
+    assert event is None and p.A * tc > math.log(np.finfo(float).max)
+    with pytest.raises(errors.DivergenceError, match=rf"^the Y flow overflows floating point "
+                       rf"at t={re.escape(repr(tc))}$"):
+        flow_Y(p, np.array(s), tc)
     assert isinstance(error, errors.DivergenceError) and str(error) == message
     start = (-120.0, 0.5, 1.0, 1.0, 1e250, 1e250, 10.0, 0.01)
     assert _simulate_in_process(start) == (1, "", f"error: DivergenceError: {message}\n")
@@ -1533,16 +1534,17 @@ _SCALAR_COMMANDS = [
 
 @pytest.mark.parametrize("name, args, sha", _SCALAR_COMMANDS)
 def test_scalar_commands_run_without_numpy(tmp_path, name, args, sha):
-    # each in a fresh interpreter: the same bytes, and NumPy never loaded
+    # each in a fresh interpreter: the same bytes, and neither NumPy nor the
+    # orbit engine of simulate ever loaded
     golden = (_GOLDEN / name).read_bytes()
     assert hashlib.sha256(golden).hexdigest() == sha
     out = tmp_path / name
     code = ("import sys\nfrom twofold.cli import main\nrc = main(sys.argv[1:])\n"
-            "print('numpy' in sys.modules)\nsys.exit(rc)\n")
+            "print('numpy' in sys.modules, 'twofold.orbit' in sys.modules)\nsys.exit(rc)\n")
     proc = subprocess.run([sys.executable, "-c", code, *args, "-o", str(out)],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=_PYTHONPATH))
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False False\n")
     assert out.read_bytes() == golden
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -231,3 +232,41 @@ def test_plane_flight_matches_array_kernels(A, C, c_sign, H, Lambda, q, t, forwa
     phi_x = fundamental_X(p, t)
     gap = np.max(np.abs(np.array(_phi_rows(p, t)) - phi_x))
     assert gap <= 1e-13 * (1.0 + np.max(np.abs(phi_x)))
+
+
+_KERNELS = [(flow_X, (1.0, 2.0, 3.0), "the X flow"), (flow_Y, (1.0, 2.0, 3.0), "the Y flow"),
+            (fundamental_X, None, r"exp\(DX t\)"), (fundamental_Y, None, r"exp\(DY t\)")]
+
+
+@pytest.mark.parametrize("fn, s0, name", _KERNELS)
+def test_kernel_errors_are_typed(desk_params, fn, s0, name):
+    # at C = 1, A = -2: e^{Ct} and e^{-2t} leave the float range by t = 800,
+    # which once gave inf, -inf and NaN entries with RuntimeWarnings; a NaN
+    # time gave NaN with no warning, and a list of times a TypeError
+    args = (desk_params,) if s0 is None else (desk_params, s0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, first in ((800.0, "800.0"), ([1.0, 750.0, 800.0], "750.0"),
+                         (np.array([[1.0], [-800.0]]), "-800.0")):
+            with pytest.raises(errors.DivergenceError,
+                               match=rf"^{name} overflows floating point at t={first}$"):
+                fn(*args, t)
+        for t in (np.nan, np.inf, [1.0, -np.inf]):
+            with pytest.raises(errors.DomainError, match=r"^t must be finite, got (nan|-?inf)$"):
+                fn(*args, t)
+    assert fn(*args, [0.5, 1.0]).tobytes() == fn(*args, np.array([0.5, 1.0])).tobytes()
+    if s0 is not None:
+        with pytest.raises(errors.DomainError, match=r"must be finite, got \[1\.0, nan, 3\.0\]$"):
+            fn(desk_params, (1.0, np.nan, 3.0), 0.5)
+
+
+def test_plane_flight_errors_are_typed(desk_params):
+    # math.exp's OverflowError (e^{-2t} from t = -360, e^{t} from 710), and
+    # products past the float range (at 709), name t
+    for t in (-360.0, 709.0, 800.0):
+        with pytest.raises(errors.DivergenceError, match=rf"^the X flow overflows floating "
+                           rf"point at t={t!r}$"):
+            plane_flight(desk_params, (1.0, 2.0), t)
+    for q, t in (((1.0, 2.0), np.nan), ((np.inf, 2.0), 1.0), ((1.0, np.nan), 1.0)):
+        with pytest.raises(errors.DomainError, match=r"^t and q must be finite, got t="):
+            plane_flight(desk_params, q, t)

@@ -130,7 +130,7 @@ def test_symmetry_defect_is_typed(desk_params, desk_cycle):
     g00, g01, g10, g11 = desk_cycle.dg
     cycle = dataclasses.replace(desk_cycle, dg=(g00, g01 * (1.0 + 1e-11), g10, g11))
     with pytest.raises(SymmetryDefectError, match=r"^S N and the half map disagree: "
-                       r"det\(S N\) = det Dg misses by 3\.83e-13 \(bound 6\.12e-16\) at "
+                       r"det\(S N\) = det Dg misses by 3\.83e-13 \(bound 5\.45e-16\) at "
                        r"y0 = 8\.43, C = 1$"):
         monodromy(desk_params, cycle)
     assert issubclass(SymmetryDefectError, TwofoldError)
@@ -155,6 +155,29 @@ def test_dg_mutants_are_rejected_at_small_c(i, identity):
         dg = tuple(g * (1.0 + 1e-9) if j == i else g for j, g in enumerate(cycle.dg))
         with pytest.raises(SymmetryDefectError, match=rf": {identity}\(S N\) = "):
             monodromy(p, dataclasses.replace(cycle, dg=dg))
+        seen += 1
+    assert seen >= 80
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
+def test_phi_mutants_are_rejected_at_small_c(entry):
+    # the same draws: an entry of Phi_X(t_x) moved by 1e-9 relative, so that
+    # S N and Dg no longer describe one orbit.  det(S N) reads e^{At} and the
+    # (y, z) block of Phi_X itself, not S N's cofactors; a moved (0, 2) entry
+    # escapes all three identities on about a third of these draws
+    rng = np.random.default_rng(42)
+    seen = 0
+    for C, u, Lambda in zip(rng.uniform(0.25, 2.0, 100), rng.uniform(0.02, 0.995, 100),
+                            rng.uniform(0.5, 2.0, 100)):
+        p = resonant_system(C, float(critical_h(C)) * u, Lambda)
+        try:
+            cycle = find_cycle_newton(p)
+        except NoCycleError:
+            continue
+        phi = tuple(tuple(v * (1.0 + 1e-9) if (i, j) == entry else v for j, v in enumerate(row))
+                    for i, row in enumerate(cycle.phi))
+        with pytest.raises(SymmetryDefectError):
+            monodromy(p, dataclasses.replace(cycle, phi=phi))
         seen += 1
     assert seen >= 80
 

@@ -214,7 +214,8 @@ def test_exports_are_consistent():
     # the package's lazy name table and the modules' __all__ lists agree: every
     # package name is its module's object, and every module name is exported
     modules = [importlib.import_module(f"twofold.{name}") for name in
-               ("system", "flow", "sigma", "invariants", "returns", "cycles", "stability")]
+               ("system", "flow", "sigma", "invariants", "returns", "cycles", "stability",
+                "orbit")]
     exported = set()
     for module in modules:
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
