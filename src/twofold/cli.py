@@ -8,8 +8,7 @@ numerical failure, 2 usage error (a DomainError, raised here or by the library).
 
 Each subcommand imports the library modules it runs when it runs, and NumPy
 is imported only by the functions that build arrays: find-cycle,
-verify-series, classify-conic and a scan given both --hmin and --hmax never
-load it.
+verify-series, classify-conic and scan never load it.
 """
 from __future__ import annotations
 
@@ -87,36 +86,30 @@ def _reprs(a) -> list[str]:
     return cells
 
 
-_ROW_BLOCK = 512  # rows per text, so no segment-long text is held
-
-
-def _row_texts(rows, own, tail: str):
+def _row_texts(rows, own, tail: str) -> str:
     """The CSV text of the C-contiguous (n, 5) float64 rows [t, x, y, z, NaN],
-    each row its first four reprs joined by ',' and followed by tail: one str
-    per block of up to 512 rows.  own is the ``_orjson_differs`` mask of the
-    rows' first four columns, or None where it holds no cell.
+    each row its first four reprs joined by ',' and followed by tail, as one
+    str: ``orbit.simulate``'s 4096-sample blocks bound n.  own is the
+    ``_orjson_differs`` mask of the rows' first four columns.
 
-    A block is one orjson text of its rows, flattened, so each row ends in
-    the 'null' of its NaN, and one replace turns every ',null,' into tail.
-    Each block's positive exponents get their '+' back by
-    ``_plus_exponents``.  Only a block whose part of own holds a cell is
-    split into cells, where only those cells get their own repr ('nan' and
+    The text is one orjson text of the flattened rows, so each row ends in
+    the 'null' of its NaN, which one replace turns into tail, with its '+'
+    exponents put back by ``_plus_exponents``.  Only where own holds a cell
+    is the text split, and only those cells get their own repr ('nan' and
     'inf' among them, never 'null').
     """
     import numpy as np
     import orjson
 
-    for k in range(0, len(rows), _ROW_BLOCK):
-        block = rows[k:k + _ROW_BLOCK]
-        text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        text = _plus_exponents(text)
-        if own is not None and (mask := own[k:k + _ROW_BLOCK]).any():
-            r, c = np.nonzero(mask)
-            cells = text.split(",")
-            for i, v in zip((5 * r + c).tolist(), block[r, c].tolist()):
-                cells[i] = repr(v)
-            text = ",".join(cells)
-        yield (text + ",").replace(",null,", tail)
+    text = _plus_exponents(
+        orjson.dumps(rows.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode())
+    if own.any():
+        r, c = np.nonzero(own)
+        cells = text.split(",")
+        for i, v in zip((5 * r + c).tolist(), rows[r, c].tolist()):
+            cells[i] = repr(v)
+        text = ",".join(cells)
+    return (text + ",").replace(",null,", tail)
 
 
 _WRITE_BUFFER = 1 << 18  # bytes gathered per write(2) of an output file
@@ -310,7 +303,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
     """The simulate CSV of ``orbit.simulate``, byte for byte what _write_csv
     writes for its rows: the header, then ``_row_texts`` for each run of
     samples, from one [t, x, y, z, NaN] buffer and one ``_orjson_differs``
-    mask per block (None where it holds no cell), and each event's row."""
+    mask per block, and each event's row."""
     import numpy as np
 
     from .orbit import Event, simulate
@@ -331,9 +324,7 @@ def _simulate_rows(p: SystemParams, s0, t_max: float, dt: float):
             held, rows = block, buf[:len(block)]
             rows[:, :4] = block
             own = _orjson_differs(block)
-            if not own.any():
-                own = None
-        yield from _row_texts(rows[lo:hi], own if own is None else own[lo:hi], f",{field},,,\n")
+        yield _row_texts(rows[lo:hi], own[lo:hi], f",{field},,,\n")
 
 
 def cmd_simulate(values: dict) -> int:
@@ -474,22 +465,17 @@ def _linspace(lo: float, hi: float, n: int):
 
 def cmd_scan(values: dict) -> int:
     from .cycles import _check_chart, scan_cycles
+    from .stability import critical_h
     from .system import resonant_system
 
     if values["C"] is None or values["Lambda"] is None:
         raise DomainError("scan requires --C and --Lambda")
     # scan varies H itself; the base H is only a placeholder
     p_base = resonant_system(values["C"], 0.5, values["Lambda"])
-    # a C or Lambda off the cycle branch fails at every H; it also keeps
-    # cosh(pi C) in H_crit finite
-    _check_chart(p_base)
-    h_lo, h_hi = values["hmin"], values["hmax"]
-    if h_lo is None or h_hi is None:  # only the default bounds need H_crit
-        from .stability import critical_h
-
-        hc = float(critical_h(p_base.C))
-        h_lo = 0.5 * hc if h_lo is None else h_lo
-        h_hi = 0.995 * hc if h_hi is None else h_hi
+    _check_chart(p_base)  # a C or Lambda off the cycle branch fails at every H
+    hc = critical_h(p_base.C)
+    h_lo = 0.5 * hc if values["hmin"] is None else values["hmin"]
+    h_hi = 0.995 * hc if values["hmax"] is None else values["hmax"]
     count = values["count"]
     if not (0.0 < h_lo < 1.0 and 0.0 < h_hi < 1.0 and count >= 1):
         raise DomainError(f"scan needs hmin and hmax in (0, 1) and count >= 1, got "

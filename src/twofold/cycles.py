@@ -27,7 +27,7 @@ from .errors import DivergenceError, DomainError, NoCycleError, NotACycleError, 
 from .flow import _phi_from, _slope_coefficients, _state, _stationary, z_closed_form
 from .invariants import _check_branch_domain
 from .returns import _bracketed_root, _series, _touch_bound, half_return_X, half_return_Y
-from .stability import MonodromyReport, _dh_terms, monodromy
+from .stability import MonodromyReport, _dh_terms, critical_h, monodromy
 from .system import SystemParams, _record, build_system
 
 __all__ = [
@@ -83,11 +83,6 @@ def _closing(C: float, t: float):
     return st, ct, ep, ct - cs - em, ep - ct - cs, -st - cc + C * em, C * ep + st - cc
 
 
-def _branch_point(p: SystemParams, t: float):
-    """(x0, y0, h), the first three of _branch."""
-    return _branch(p, t)[:3]
-
-
 def _branch(p: SystemParams, t: float):
     """(x0, y0, h, rows) for the symmetric branch point whose X flight takes
     time t: the start p0 = (x0, y0, 0) from which the upper orbit meets the
@@ -136,7 +131,7 @@ def _graze(p: SystemParams):
 
 
 def _no_cycle(p: SystemParams) -> NoCycleError:
-    h_graze, h_crit = _graze(p)[1], _branch_point(p, math.pi)[2]
+    h_graze, h_crit = _graze(p)[1], critical_h(p.C)
     return NoCycleError(f"no symmetric crossing cycle: H = {p.H:.6g} lies outside the "
                         f"band (H_graze, H_crit) = ({h_graze:.6g}, {h_crit:.6g}) "
                         "of the branch")

@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DivergenceError, DomainError
-from .system import SystemParams, _involution
+from .system import SystemParams, _conjugate
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -149,8 +149,7 @@ def fundamental_X(p: SystemParams, t) -> np.ndarray:
 
 def fundamental_Y(p: SystemParams, t) -> np.ndarray:
     """exp(DY t) = S exp(DX t) S; an array t gives the stack t.shape + (3, 3)."""
-    S = _involution()
-    return S @ _phi_canonical(p, t, "exp(DY t)") @ S
+    return _conjugate(_phi_canonical(p, t, "exp(DY t)"))
 
 
 def stationary_X(p: SystemParams) -> np.ndarray:
@@ -162,7 +161,7 @@ def stationary_X(p: SystemParams) -> np.ndarray:
 
 def stationary_Y(p: SystemParams) -> np.ndarray:
     """Stationary point of the lower affine field, the S-image of the upper one."""
-    return _involution() @ stationary_X(p)
+    return -stationary_X(p)[[1, 0, 2]]
 
 
 def flow_X(p: SystemParams, s0, t) -> np.ndarray:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchPointError, DomainError
-from .system import SystemParams, eval_X, eval_Y
+from .system import SystemParams, _field, _record
 
 __all__ = [
     "DarbouxPair",
@@ -33,34 +33,43 @@ __all__ = [
 ]
 
 
+def _f1(p: SystemParams, x, y, z):
+    """The upper quadratic Darboux polynomial, X(f1) = 2C f1.  This and _f2
+    have int literals: exact for Fractions, float literals' bits for floats."""
+    C, L = p.C, p.Lambda
+    c2 = C * C + 1
+    return (y * y + 2 * C * (z + L / c2) * y + c2 * z * z
+            + 2 * L * (C * C - 1) * z / c2 + L * L / c2)
+
+
+def _f2(p: SystemParams, x, y, z):
+    """The upper affine Darboux polynomial, X(f2) = A f2."""
+    return x - p.H * (p.A * z + y)
+
+
 @dataclass(frozen=True)
 class DarbouxPair:
     """Darboux polynomials of both fields with their cofactors."""
 
     params: SystemParams
 
-    # upper field: X(f1) = 2C f1, X(f2) = A f2
     def f1(self, s) -> float:
         x, y, z = map(float, s)
-        C, L = self.params.C, self.params.Lambda
-        c2 = C * C + 1.0
-        return (y * y + 2.0 * C * (z + L / c2) * y + c2 * z * z
-                + 2.0 * L * (C * C - 1.0) * z / c2 + L * L / c2)
+        return _f1(self.params, x, y, z)
 
     def f2(self, s) -> float:
         x, y, z = map(float, s)
-        return x - self.params.H * (self.params.A * z + y)
+        return _f2(self.params, x, y, z)
 
     # lower field, Y(s) = S X(S s): F1 = f1 o S and F2 = -f2 o S, with
-    # Y(F1) = 2C F1 and Y(F2) = A F2
+    # Y(F1) = 2C F1 and Y(F2) = A F2; F2's z = 0 trace is the focal line y = H x
     def F1(self, s) -> float:
         x, y, z = map(float, s)
-        return self.f1((-y, -x, -z))
+        return _f1(self.params, -y, -x, -z)
 
     def F2(self, s) -> float:
-        # z = 0 trace is the focal line y = H x
         x, y, z = map(float, s)
-        return -self.f2((-y, -x, -z))
+        return -_f2(self.params, -y, -x, -z)
 
     @property
     def cofactor_f1(self) -> float:
@@ -150,29 +159,40 @@ _P2_LATTICE = [(i, j, k) for i in range(3) for j in range(3) for k in range(3) i
 
 
 def verify_darboux(p: SystemParams) -> DarbouxReport:
-    """Decide the Darboux property of all four polynomials on ten points.
+    """Decide the Darboux property of all four polynomials on ten points, exactly.
 
     For each polynomial g with cofactor k along its field v the residual is
     |v(g) - k g| on the lattice {0, e_i, 2 e_i, e_i + e_j}.  As g has degree
     at most 2, v(g)(s) = (g(s + v) - g(s - v)) / 2 exactly: it is read off g
     itself, and the residual is a quadratic, zero everywhere iff on the ten.
-    Also reports the cofactor combination 1*(2C) + (-2C/A)*A, which vanishes
-    identically and makes the Darboux product a first integral; A = 0, as in
-    eval_P_X, and a residual that is not finite are DomainErrors.
+    The lower F = +-f o S has Y(F)(s) = +-X(f)(S s), so its residual is f's
+    with F's cofactor on the mirrored lattice.  All runs in Fractions of the
+    parameters' and cofactors' floats: a right system reads exactly 0.0, a
+    wrong cofactor its own residual, rounded once.  Also reports the
+    cofactor combination 1*(2C) + (-2C/A)*A, which vanishes identically and
+    makes the Darboux product a first integral; A = 0, as in eval_P_X, and a
+    residual past the float range are DomainErrors.
     """
+    from fractions import Fraction  # a 5 ms import, left to this check
+
     exponent = _power_exponent(p)
     pair = DarbouxPair(p)
-    checks = ((pair.f1, pair.cofactor_f1, eval_X), (pair.f2, pair.cofactor_f2, eval_X),
-              (pair.F1, pair.cofactor_F1, eval_Y), (pair.F2, pair.cofactor_F2, eval_Y))
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for s in _P2_LATTICE:
-        for i, (g, k, field) in enumerate(checks):
-            v = field(p, s)
-            resid = abs(0.5 * (g(s + v) - g(s - v)) - k * g(s))
-            if not math.isfinite(resid):  # max(0.0, nan) would keep 0.0
-                raise DomainError(f"the Darboux residuals leave the float range at A={p.A!r}, "
-                                  f"C={p.C!r}, H={p.H!r}, Lambda={p.Lambda!r}")
-            worst[i] = max(worst[i], resid)
+    q = _record(SystemParams, {k: Fraction(getattr(p, k)) for k in ("A", "C", "H", "Lambda")})
+    checks = ((_f1, pair.cofactor_f1, False), (_f2, pair.cofactor_f2, False),
+              (_f1, pair.cofactor_F1, True), (_f2, pair.cofactor_F2, True))
+    worst = [Fraction(0)] * 4
+    for x, y, z in _P2_LATTICE:
+        for i, (g, k, mirrored) in enumerate(checks):
+            s = (-y, -x, -z) if mirrored else (x, y, z)
+            v = _field(q, *s)
+            ahead, behind = [a + b for a, b in zip(s, v)], [a - b for a, b in zip(s, v)]
+            lie = (g(q, *ahead) - g(q, *behind)) / 2
+            worst[i] = max(worst[i], abs(lie - Fraction(k) * g(q, *s)))
+    try:
+        worst = [float(w) for w in worst]
+    except OverflowError:
+        raise DomainError(f"the Darboux residuals leave the float range at A={p.A!r}, "
+                          f"C={p.C!r}, H={p.H!r}, Lambda={p.Lambda!r}") from None
     combo = 1.0 * (2.0 * p.C) + exponent * p.A
     return DarbouxReport(*worst, cofactor_combination=combo, samples=len(_P2_LATTICE))
 

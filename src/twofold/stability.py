@@ -288,11 +288,13 @@ def asymptotic_invariants(p: SystemParams):
     return float(m * m), float(_finite_tau(p.C, p.H))
 
 
-def critical_h(C):
-    """Upper stability boundary H_crit(C) = 1 / (2 cosh(pi C) - 1)."""
-    import numpy as np
-
-    return 1.0 / (2.0 * np.cosh(np.pi * np.asarray(C, dtype=float)) - 1.0)
+def critical_h(C: float) -> float:
+    """Upper stability boundary H_crit(C) = 1 / (2 cosh(pi C) - 1), the
+    library's one evaluation of it; 0.0 where cosh(pi C) overflows (|C| > 226)."""
+    try:
+        return 1.0 / (2.0 * math.cosh(math.pi * C) - 1.0)
+    except OverflowError:  # math.cosh's
+        return 0.0
 
 
 def _lower_margin(C: float, H: float) -> float:
@@ -311,13 +313,10 @@ def h_min(C: float) -> float:
     C = 80): H^2 divides the margin, and from about C = 113 tau_inf at H_crit
     leaves the float range.
     """
-    import numpy as np
-
     if not C > 0.0:
         raise DomainError(f"C must be positive, got C={C!r}: the asymptotic band is "
                           "established for C > 0")
-    with np.errstate(over="ignore"):  # cosh(pi C) overflows from C = 226, H_crit reads 0
-        hi = float(critical_h(C))
+    hi = critical_h(C)  # 0.0 where cosh(pi C) overflows, from C = 226
     _lower_margin(C, hi)  # a tau_inf past the float range is a DomainError
     lo = hi
     while True:
@@ -341,7 +340,7 @@ def band_width(C: float) -> float:
     """Width H_crit(C) - H_min(C) of the stable H-interval at fixed C > 0;
     h_min's DomainError for any other C."""
     lo = h_min(C)  # first: past the float range it raises where cosh(pi C) overflows
-    return float(critical_h(C)) - lo
+    return critical_h(C) - lo
 
 
 @dataclass(frozen=True)
@@ -409,7 +408,7 @@ def stability_band(c_range, h_range, grid) -> BandResult:
         inside=ineq_det & ineq_upper & ineq_lower,
         upper=_first_zeros(cs, hs, upper_margin),
         lower=_first_zeros(cs, hs, lower_margin),
-        hcrit=np.column_stack([cs, critical_h(cs)]),
+        hcrit=np.column_stack([cs, [critical_h(c) for c in cs.tolist()]]),
     )
 
 

@@ -12,7 +12,6 @@ quantity is the S-conjugate of an X-chart kernel.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -35,24 +34,14 @@ __all__ = [
 ]
 
 
-@functools.cache
-def _involution():
-    """The matrix of S(x, y, z) = (-y, -x, -z), built with NumPy on the first call."""
-    import numpy as np
-
-    return np.array([
-        [0.0, -1.0, 0.0],
-        [-1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0],
-    ])
-
-
 def __getattr__(name: str):
-    """INVOLUTION, _involution()'s matrix, kept as a module global on first
-    access, so that importing this module loads no NumPy."""
+    """INVOLUTION, the matrix of S(x, y, z) = (-y, -x, -z), built on first
+    access and kept as a module global: importing this module loads no NumPy."""
     if name != "INVOLUTION":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = _involution()
+    import numpy as np
+
+    value = globals()[name] = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     return value
 
 
@@ -119,10 +108,11 @@ def resonant_system(C: float, H: float, Lambda: float) -> SystemParams:
 
 
 def _field(p: SystemParams, x, y, z) -> tuple:
-    """The upper field's components at (x, y, z), the kernel of eval_X and eval_Y."""
-    return (p.A * x - p.H * (((p.A - p.C) ** 2 + 1.0) * z - p.Lambda),
-            p.Lambda - (1.0 + p.C ** 2) * z,
-            2.0 * p.C * z + y)
+    """The upper field's components at (x, y, z), the kernel of eval_X and
+    eval_Y; its int literals keep it exact on Fractions (verify_darboux)."""
+    return (p.A * x - p.H * (((p.A - p.C) ** 2 + 1) * z - p.Lambda),
+            p.Lambda - (1 + p.C ** 2) * z,
+            2 * p.C * z + y)
 
 
 def _plane_field(p: SystemParams, x, y) -> tuple:
@@ -179,8 +169,15 @@ def jacobian_X(p: SystemParams) -> np.ndarray:
     ])
 
 
+def _conjugate(m: np.ndarray) -> np.ndarray:
+    """S m S for a 3x3 matrix or a stack of them, C-contiguous: m with rows and
+    columns 0 and 1 swapped (S's sign flips cancel), each entry's bits kept."""
+    import numpy as np
+
+    return np.take(np.take(m, [1, 0, 2], axis=-2), [1, 0, 2], axis=-1)
+
+
 def jacobian_Y(p: SystemParams) -> np.ndarray:
     """Linear part DY = S DX S of the lower field."""
-    S = _involution()
-    return S @ jacobian_X(p) @ S
+    return _conjugate(jacobian_X(p))
 

@@ -1529,6 +1529,9 @@ _SCALAR_COMMANDS = [
     ("scan_c1_bounds.csv", ("scan", "--C", "1", "--Lambda", "1", "--hmin", "0.02",
                             "--hmax", "0.045", "--count", "12"),
      "36e3ab385e28aac8bc3b35cb591c3bfc4067d8ec08fc98618deb69e97bde4c45"),
+    # the README form: its default bounds come from critical_h's math.cosh
+    ("scan_c1.csv", ("scan", "--C", "1", "--Lambda", "1", "--count", "20"),
+     "723079092b2dd27ab27956e19efa04f894ae603eb0ad8773eeb4eff753bee8a6"),
 ]
 
 
@@ -1598,17 +1601,16 @@ def _row_texts_oracle(a, tail):
     return "".join(",".join(map(repr, row)) + tail for row in a.tolist())
 
 
-def _texts_of(a, tail):
+def _text_of(a, tail):
     """_row_texts of the (n, 4) rows a, from the [t, x, y, z, NaN] buffer
-    and the mask that simulate hands it: None where no cell needs a repr."""
+    and the mask that simulate hands it."""
     buf = np.column_stack((a, np.full(len(a), np.nan)))
-    own = _orjson_differs(a)
-    return list(_row_texts(buf, own if own.any() else None, tail))
+    return _row_texts(buf, _orjson_differs(a), tail)
 
 
 def test_row_texts_is_repr_on_random_bit_patterns():
-    # seeded (n, 4) rows in blocks of 1, 511, 512 and 513 rows and beyond,
-    # with both field tails: whole random bit patterns, random bits with the
+    # seeded (n, 4) rows, 1 to 1500 of them in one text, with both field
+    # tails: whole random bit patterns, random bits with the
     # exponent set in or next to [1e-4, 1e16), values inside that range
     # alone, and each of those with +-0.0, subnormals and values on both
     # sides of 1e-4 and 1e16 put in at random cells
@@ -1631,9 +1633,7 @@ def test_row_texts_is_repr_on_random_bit_patterns():
                 cells = rng.choice(a.size, min(a.size, 8), replace=False)
                 a.flat[cells] = rng.choice(edges, cells.size)
             for tail in (",X,,,\n", ",Y,,,\n"):
-                texts = _texts_of(a, tail)
-                assert len(texts) == -(-n // 512)
-                assert "".join(texts) == _row_texts_oracle(a, tail)
+                assert _text_of(a, tail) == _row_texts_oracle(a, tail)
 
 
 def test_repr_runs_only_on_cells_orjson_cannot_write(monkeypatch):
@@ -1651,7 +1651,7 @@ def test_repr_runs_only_on_cells_orjson_cannot_write(monkeypatch):
         return repr(v)
 
     monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
-    assert "".join(_texts_of(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
+    assert _text_of(a, ",X,,,\n") == _row_texts_oracle(a, ",X,,,\n")
     assert _reprs(a) == list(map(repr, a.ravel().tolist()))
     assert calls == []
     # one call for each cell that orjson writes as 'null', '0.00001' or
@@ -1659,7 +1659,7 @@ def test_repr_runs_only_on_cells_orjson_cannot_write(monkeypatch):
     own = [np.nan, np.inf, -np.inf, 1e-5, -3e-7, 1e-9]
     cells = np.random.default_rng(28).choice(a.size, len(own) + 1, replace=False)
     a.flat[cells] = own + [1e-10]
-    assert "".join(_texts_of(a, ",X,,,\n")) == _row_texts_oracle(a, ",X,,,\n")
+    assert _text_of(a, ",X,,,\n") == _row_texts_oracle(a, ",X,,,\n")
     assert len(calls) == len(own)
     assert _reprs(a) == list(map(repr, a.ravel().tolist()))
     assert len(calls) == 2 * len(own)

@@ -10,7 +10,7 @@ from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X
                      find_cycle_newton, gamma1_branch_x, gamma1_conic, half_return_X,
                      half_return_Y, monodromy, resonant_system, return_map, returns,
                      scan_cycles, schur_conditions, series_coeffs, time_matching)
-from twofold.cycles import _branch_point, _graze
+from twofold.cycles import _branch, _graze
 from twofold.errors import (DivergenceError, DomainError, NoCycleError, NotACycleError,
                             SymmetryDefectError, TwofoldError)
 from twofold.flow import _phi_rows, fundamental_X, fundamental_Y
@@ -371,7 +371,7 @@ def test_cycle_phi_is_the_closed_form_at_its_flight_time():
 
 def test_cycle_p0_is_the_branch_point_at_its_flight_time():
     # p0 is read from the evaluation at t_x that gives phi: the bits
-    # _branch_point gives at the cycle's t_x; the draws of the phi test
+    # _branch gives at the cycle's t_x; the draws of the phi test
     rng = np.random.default_rng(37)
     solved = 0
     for C, u, Lambda in zip(rng.uniform(0.25, 2.0, 300), rng.uniform(0.02, 0.995, 300),
@@ -381,7 +381,7 @@ def test_cycle_p0_is_the_branch_point_at_its_flight_time():
             cycle = find_cycle_newton(p)
         except NoCycleError:  # H at or below H_graze
             continue
-        assert cycle.p0 == _branch_point(p, cycle.t_x)[:2]
+        assert cycle.p0 == _branch(p, cycle.t_x)[:2]
         solved += 1
     assert solved >= 290
 
@@ -542,7 +542,7 @@ def test_branch_point_is_a_fixed_point_of_the_kernel_half_map(C, A, Lambda, u):
     base = build_system(A, C, 0.5, Lambda)
     t_graze, _ = _graze(base)  # y0(t), and so t_graze, depend on C alone
     t = math.pi + u * (t_graze - math.pi)
-    x0, y0, h = _branch_point(base, t)
+    x0, y0, h = _branch(base, t)[:3]
     hrx = half_return_X(build_system(A, C, h, Lambda), (x0, y0))
     scale = 1.0 + max(abs(x0), abs(y0))
     assert abs(hrx.t - t) <= 1e-12 * t
@@ -559,7 +559,7 @@ def test_cycle_lies_on_the_branch_at_its_flight_time(C, h_frac, Lambda):
         cycle = find_cycle_newton(p, asymptotic_seed(p))
     except NoCycleError:
         assume(False)
-    x0, y0, h = _branch_point(p, cycle.t_x)
+    x0, y0, h = _branch(p, cycle.t_x)[:3]
     assert h == pytest.approx(p.H, rel=1e-12)
     assert (x0, y0) == pytest.approx(tuple(cycle.p0), rel=1e-15)
     assert gamma1_branch_x(p, y0) == pytest.approx(x0, rel=1e-9)
@@ -569,14 +569,14 @@ def test_cycle_lies_on_the_branch_at_its_flight_time(C, h_frac, Lambda):
 def test_branch_h_does_not_depend_on_lambda(Lambda):
     # nor on the H the system carries
     for H in (0.04, 0.3):
-        h = _branch_point(resonant_system(1.0, H, Lambda), 3.5)[2]
+        h = _branch(resonant_system(1.0, H, Lambda), 3.5)[2]
         assert h == pytest.approx(0.0188133961741854, rel=1e-14)
 
 
 @pytest.mark.parametrize("C", np.geomspace(0.01, 3.0, 9))
 def test_branch_h_starts_at_the_critical_slope(C):
     # at A = -2C, H(pi+) = (1 + e^{-pi C})^2 / d(pi) = 1 / (2 cosh(pi C) - 1)
-    h = _branch_point(resonant_system(C, 0.5, 1.0), math.pi + 1e-12)[2]
+    h = _branch(resonant_system(C, 0.5, 1.0), math.pi + 1e-12)[2]
     assert h == pytest.approx(float(critical_h(C)), rel=1e-10)
 
 
@@ -590,7 +590,7 @@ def test_closed_form_branch_matches_the_long_construction(C, Lambda, e):
     t_graze, _ = _graze(p)
     t = math.pi + (1.0 - 10.0 ** e) * (t_graze - math.pi)
     assume(math.pi < t < t_graze)
-    (x0, y0, h), (ox0, oy0, oh) = _branch_point(p, t), _branch_oracle(p, t)
+    (x0, y0, h), (ox0, oy0, oh) = _branch(p, t)[:3], _branch_oracle(p, t)
     assert x0 == pytest.approx(ox0, rel=1e-12)
     assert abs(y0 - oy0) <= 1e-12 * math.hypot(ox0, oy0)
     assert h == pytest.approx(oh, rel=1e-12)
@@ -606,7 +606,7 @@ def test_branch_h_is_strictly_decreasing(C, A):
     p = build_system(A, C, 0.5, 1.0)
     t_graze, h_graze = _graze(p)
     ts = np.linspace(math.pi, t_graze, 402)[1:-1]
-    hs = [_branch_point(p, float(t))[2] for t in ts]
+    hs = [_branch(p, float(t))[2] for t in ts]
     assert all(a > b for a, b in zip(hs, hs[1:]))
     assert hs[-1] > h_graze
     if A == -2.0 * C:
@@ -626,7 +626,7 @@ def test_branch_residual_keeps_its_bracket_and_its_slope(C, e):
     t_graze, h_graze = _graze(p)
     top = 2.0 * math.pi - math.atan(C)
     for t in np.linspace(t_graze, top, 402)[1:-1]:
-        assert _branch_point(p, float(t))[2] <= h_graze
+        assert _branch(p, float(t))[2] <= h_graze
     fdf = cycles._branch_residual(p)
     for t in np.linspace(math.pi, top, 202)[1:-1]:
         t, dt = float(t), 1e-6 * float(t)
@@ -645,7 +645,7 @@ def test_branch_root_below_the_rounding_of_h_is_a_certified_cycle():
     p = resonant_system(7.439, 1.15e-16, 1.0)
     t, x0, y0, _ = cycles._solve_branch(p)
     assert y0 > 0.0
-    assert _branch_point(p, t)[2] == pytest.approx(p.H, rel=1e-9)
+    assert _branch(p, t)[2] == pytest.approx(p.H, rel=1e-9)
     cycle = find_cycle_newton(p)
     assert (cycle.t_x, cycle.p0) == (t, (x0, y0))
     assert certify_first_return(p, y0, t)

@@ -123,10 +123,11 @@ def test_verify_darboux_report(params):
     build_system(-1.3, 0.7, 0.2, 1.5), build_system(2.0, -1.5, 0.3, -2.0),
 ], ids=["desk", "series", "nonresonant", "negative-C"])
 def test_verify_darboux_residuals_at_round_off(p):
+    # the check is exact: a right system reads no round-off at all
     report = verify_darboux(p)
     assert report.samples == 10
     assert max(report.max_residual_f1, report.max_residual_f2,
-               report.max_residual_F1, report.max_residual_F2) <= 1e-12
+               report.max_residual_F1, report.max_residual_F2) == 0.0
 
 
 def test_darboux_lattice_decides_every_quadratic():
@@ -137,26 +138,49 @@ def test_darboux_lattice_decides_every_quadratic():
     assert len(rows) == 10 and np.linalg.matrix_rank(np.array(rows, dtype=float)) == 10
 
 
+def _wrong_pair(name, shift):
+    """DarbouxPair with the cofactor of polynomial name moved by shift(k)."""
+    right = getattr(DarbouxPair, "cofactor_" + name)
+    return type("WrongPair", (DarbouxPair,),
+                {"cofactor_" + name: property(lambda pair: shift(right.fget(pair)))})
+
+
+def _residuals(report):
+    return {n: getattr(report, "max_residual_" + n) for n in ("f1", "f2", "F1", "F2")}
+
+
 @pytest.mark.parametrize("C, H, Lambda", [(1.0, 0.5, 1e200), (1e100, 0.5, 1.0)])
-def test_verify_darboux_residual_that_is_not_finite_is_a_domain_error(C, H, Lambda):
-    # every value of f1 is inf, so g(s + v) - g(s - v) is NaN, which
-    # max(0.0, nan) once reported as a residual of 0.0
-    p = resonant_system(C, H, Lambda)
-    with pytest.raises(DomainError, match=re.escape(f"A={p.A!r}, C={C!r}, H={H!r}, "
-                                                    f"Lambda={Lambda!r}")):
-        verify_darboux(p)
+def test_verify_darboux_residual_that_is_not_finite_is_a_domain_error(C, H, Lambda,
+                                                                      monkeypatch):
+    # values of f1 past the float range once made NaN residuals, and then a
+    # DomainError, on these right systems: in exact rationals they read 0.0
+    assert set(_residuals(verify_darboux(resonant_system(C, H, Lambda))).values()) == {0.0}
+    # a cofactor 2C off by 1e-3 leaves a residual 1e-3 f1 ~ 1e397 at Lambda = 1e200
+    monkeypatch.setattr(invariants, "DarbouxPair", _wrong_pair("f1", lambda k: k + 1e-3))
+    with pytest.raises(DomainError, match=re.escape("A=-2.0, C=1.0, H=0.5, Lambda=1e+200")):
+        verify_darboux(resonant_system(1.0, 0.5, 1e200))
+
+
+def test_verify_darboux_sees_a_cofactor_one_ulp_off():
+    # at Lambda = 1e12, where the float check read 1.3e8 on the right system,
+    # each cofactor one ulp off reads nonzero in its own residual alone
+    p = resonant_system(1.0, 0.04, 1e12)
+    assert set(_residuals(verify_darboux(p)).values()) == {0.0}
+    for name in ("f1", "f2", "F1", "F2"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "DarbouxPair",
+                       _wrong_pair(name, lambda k: math.nextafter(k, math.inf)))
+            residuals = _residuals(verify_darboux(p))
+        assert residuals.pop(name) > 0.0
+        assert set(residuals.values()) == {0.0}
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "F1", "F2"])
 def test_verify_darboux_sees_a_cofactor_off_by_1e_3(params, monkeypatch, name):
     # the check reads the Lie derivative off the polynomial itself, so a
     # cofactor that is not the polynomial's shows in that polynomial's residual
-    right = getattr(DarbouxPair, "cofactor_" + name)
-    wrong = type("WrongPair", (DarbouxPair,),
-                 {"cofactor_" + name: property(lambda pair: right.fget(pair) + 1e-3)})
-    monkeypatch.setattr(invariants, "DarbouxPair", wrong)
-    report = verify_darboux(params)
-    residuals = {n: getattr(report, "max_residual_" + n) for n in ("f1", "f2", "F1", "F2")}
+    monkeypatch.setattr(invariants, "DarbouxPair", _wrong_pair(name, lambda k: k + 1e-3))
+    residuals = _residuals(verify_darboux(params))
     assert residuals.pop(name) > 1e-4
     assert max(residuals.values()) <= 1e-12
 

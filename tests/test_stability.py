@@ -364,6 +364,28 @@ def test_critical_h_value():
     assert abs(float(critical_h(1.0)) - 0.04508) < 5e-6
 
 
+@pytest.mark.parametrize("C", [1.0, 0.25, 2.2020148549027954, 1e-300, -1.5, 80.0, 225.0])
+def test_critical_h_is_the_math_formula(C):
+    # one Python float, the math module's rounding bit for bit
+    h = critical_h(C)
+    assert type(h) is float
+    assert h.hex() == (1.0 / (2.0 * math.cosh(math.pi * C) - 1.0)).hex()
+
+
+@pytest.mark.parametrize("C", [300.0, -300.0])
+def test_critical_h_is_zero_where_cosh_overflows(C):
+    with pytest.raises(OverflowError):
+        math.cosh(math.pi * C)
+    h = critical_h(C)
+    assert type(h) is float and h == 0.0
+
+
+def test_band_hcrit_column_is_critical_h():
+    result = stability_band((0.01, 3.0), (0.001, 0.999), (400, 3))
+    assert result.hcrit[:, 0].tolist() == result.cs.tolist()
+    assert result.hcrit[:, 1].tolist() == [critical_h(c) for c in result.cs.tolist()]
+
+
 def test_upper_boundary_is_critical_curve():
     # on the critical curve the first margin vanishes identically
     for c in (0.25, 0.7, 1.3, 2.0):
