@@ -16,7 +16,9 @@ from . import errors
 
 __version__ = "0.1.0"
 
-# Each public name's module; every module's __all__, in its order.
+# The one declaration of the public API: each public name and its module.  A
+# layer module's public names are the functions and classes it defines without
+# a leading underscore, and system's INVOLUTION; the modules hold no __all__.
 _NAMES = {name: module for module, names in {
     "system": ("SystemParams", "build_system", "resonant_system", "eval_X", "eval_Y",
                "apply_involution", "jacobian_X", "jacobian_Y", "INVOLUTION"),
@@ -27,8 +29,8 @@ _NAMES = {name: module for module, names in {
     "invariants": ("DarbouxPair", "DarbouxReport", "eval_P_X", "eval_P_Y", "verify_darboux",
                    "ConicKind", "ConicGamma1", "gamma1_conic", "gamma1_discriminant",
                    "gamma1_branch_x"),
-    "returns": ("HalfReturn", "half_return_X", "half_return_Y", "SeriesCoeffs",
-                "series_coeffs", "time_matching", "time_matching_table",
+    "returns": ("HalfReturn", "first_crossing", "half_return_X", "half_return_Y",
+                "SeriesCoeffs", "series_coeffs", "time_matching", "time_matching_table",
                 "gamma2_at_critical"),
     "cycles": ("SymmetricCycle", "find_cycle_newton", "return_map", "ScanEntry",
                "scan_cycles", "asymptotic_seed"),

@@ -30,15 +30,6 @@ from .returns import _bracketed_root, _series, _touch_bound, half_return_X, half
 from .stability import MonodromyReport, _dh_terms, critical_h, monodromy
 from .system import SystemParams, _record, build_system
 
-__all__ = [
-    "SymmetricCycle",
-    "find_cycle_newton",
-    "return_map",
-    "ScanEntry",
-    "scan_cycles",
-    "asymptotic_seed",
-]
-
 
 @dataclass(frozen=True)
 class SymmetricCycle:

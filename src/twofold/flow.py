@@ -33,17 +33,6 @@ from .system import SystemParams, _conjugate
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-__all__ = [
-    "flow_X",
-    "flow_Y",
-    "fundamental_X",
-    "fundamental_Y",
-    "plane_flight",
-    "stationary_X",
-    "stationary_Y",
-    "z_closed_form",
-]
-
 
 def _phi_rows(p: SystemParams, t, exp=math.exp, sin=math.sin, cos=math.cos):
     """exp(DX t) as three row tuples, for the x row driven by z and the (y, z)

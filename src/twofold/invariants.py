@@ -19,19 +19,6 @@ from dataclasses import dataclass
 from .errors import BranchPointError, DomainError
 from .system import SystemParams, _field, _record
 
-__all__ = [
-    "DarbouxPair",
-    "DarbouxReport",
-    "eval_P_X",
-    "eval_P_Y",
-    "verify_darboux",
-    "ConicKind",
-    "ConicGamma1",
-    "gamma1_conic",
-    "gamma1_discriminant",
-    "gamma1_branch_x",
-]
-
 
 def _f1(p: SystemParams, x, y, z):
     """The upper quadratic Darboux polynomial, X(f1) = 2C f1.  This and _f2

@@ -13,8 +13,6 @@ from .returns import first_crossing
 from .sigma import RegionKind, classify_point
 from .system import SystemParams
 
-__all__ = ["Event", "simulate"]
-
 _BLOCK = 4096  # samples flown per block, so no run-long arrays are held
 
 
@@ -46,10 +44,11 @@ def simulate(p: SystemParams, s0, t_max: float, dt: float):
     one ``flow._state`` call over each sample's tau since its flight began
     and its flight's offset from s* in the upper chart, a Y sample swapped
     and negated as by flow_Y: each is its flow call at tau bit for bit.  A
-    start that is not 3 finite coordinates, or a t_max, dt or t_max / dt
-    that is not positive and finite, is a DomainError.  A flight whose
-    states overflow is a DivergenceError at its last flown time, raised
-    after the items before it and before any error pass 1 met later.
+    start that is not 3 finite coordinates, a t_max, dt or t_max / dt that
+    is not positive and finite, or a t_max / dt past NumPy's maximum array
+    size, is a DomainError.  A flight whose states overflow is a
+    DivergenceError at its last flown time, raised after the items before
+    it and before any error pass 1 met later.
     """
     import numpy as np
 
@@ -58,7 +57,11 @@ def simulate(p: SystemParams, s0, t_max: float, dt: float):
         raise DomainError("t-max and dt must be positive and finite")
     if not math.isfinite(t_max / dt):
         raise DomainError(f"t-max / dt must be finite, got {t_max!r} / {dt!r}")
-    sample_ts = np.arange(int(np.floor(t_max / dt)) + 1) * dt
+    try:
+        sample_ts = np.arange(int(np.floor(t_max / dt)) + 1) * dt
+    except ValueError:  # NumPy's "Maximum allowed size exceeded"
+        raise DomainError(f"t-max / dt exceeds NumPy's maximum array size, got {t_max!r} "
+                          f"/ {dt!r}") from None
     if sample_ts[-1] < t_max - 1e-15:
         sample_ts = np.append(sample_ts, t_max)
     x0, y0, z0 = s0.tolist()

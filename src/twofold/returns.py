@@ -57,17 +57,6 @@ from .invariants import gamma1_branch_x, gamma1_discriminant
 from .sigma import _finite_plane_point
 from .system import SystemParams
 
-__all__ = [
-    "HalfReturn",
-    "half_return_X",
-    "half_return_Y",
-    "SeriesCoeffs",
-    "series_coeffs",
-    "time_matching",
-    "time_matching_table",
-    "gamma2_at_critical",
-]
-
 _WINDOW = 8 * math.pi  # the half-return search window (0, _WINDOW]
 
 

@@ -15,16 +15,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .system import SystemParams, _plane_field
 
-__all__ = [
-    "RegionKind",
-    "SigmaClass",
-    "FoldKind",
-    "FoldInfo",
-    "classify_point",
-    "fold_info",
-    "sliding_field",
-]
-
 
 class RegionKind(enum.Enum):
     CROSSING = "crossing"

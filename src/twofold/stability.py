@@ -30,22 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from .cycles import SymmetricCycle
 
-__all__ = [
-    "saltation",
-    "MonodromyReport",
-    "monodromy",
-    "schur_conditions",
-    "sigma_restriction",
-    "m_gamma1",
-    "tau_gamma1",
-    "asymptotic_invariants",
-    "critical_h",
-    "h_min",
-    "band_width",
-    "BandResult",
-    "stability_band",
-]
-
 
 def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
     """Jump correction of the linearized flow at a transversal crossing.
@@ -216,19 +200,28 @@ def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:
     M is the period variational matrix on R^3 and does not fix the switching
     plane; projecting along the flow direction at p0 restores the return
     map's tangent action, whose eigenvalues are the transverse multipliers.
-    A p0 on the X fold, y0 = 0 where X_z(p0) = y0 divides, is a
-    GrazingCrossingError.
+    A p0 on the X fold, y0 = 0 where X_z(p0) = y0 divides, or so near it
+    that X(p0) / X_z(p0) leaves the float range, is a GrazingCrossingError.
+    An M that is not finite, or a product past the float range, is a
+    DomainError.
     """
     import numpy as np
 
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise DomainError("the monodromy matrix M is not finite")
     p0 = np.asarray(p0, dtype=float)
     z0 = eval_X(p, np.array([p0[0], p0[1], 0.0]))
-    if z0[2] == 0.0:
+    proj = np.eye(3)
+    with np.errstate(all="ignore"):
+        proj[:, 2] -= z0 / z0[2]  # I - X(p0) e3^T / X_z(p0)
+        out = (proj @ M)[:2, :2]
+    if not np.isfinite(proj).all():
         raise GrazingCrossingError(f"{(float(p0[0]), float(p0[1]))!r} is not a transversal "
                                    "crossing point")
-    proj = np.eye(3)
-    proj[:, 2] -= z0 / z0[2]  # I - X(p0) e3^T / X_z(p0)
-    return (proj @ np.asarray(M))[:2, :2]
+    if not np.isfinite(out).all():
+        raise DomainError("the restriction of M to the plane leaves the float range")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +229,40 @@ def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:
 
 
 def m_gamma1(H):
-    """Asymptotic slope y0/x0 of the conic branch; |m| < 1 on the hyperbola range."""
+    """Asymptotic slope y0/x0 of the conic branch; |m| < 1 on the hyperbola
+    range.  An H where (1 - H)(3H + 1) < 0, or that is not finite, is a
+    DomainError naming the first such H."""
     import numpy as np
 
-    return 2.0 * H / (H + np.sqrt(gamma1_discriminant(H)) + 1.0)
+    with np.errstate(over="ignore"):  # a huge H's discriminant is -inf
+        d = gamma1_discriminant(H)
+    bad = ~(np.asarray(d) >= 0.0)  # NaN too
+    if bad.any():
+        h = float(np.broadcast_to(H, bad.shape)[bad][0])
+        raise DomainError(f"m_gamma1 requires a finite H with (1 - H)(3H + 1) >= 0, got H={h!r}")
+    return 2.0 * H / (H + np.sqrt(d) + 1.0)
 
 
 def tau_gamma1(C, H):
-    """Large-amplitude limit of the monodromy trace on the branch (0 < H < 1)."""
+    """Large-amplitude limit of the monodromy trace on the branch (0 < H < 1).
+    m_gamma1's DomainError off its range, and one naming the first (C, H), in
+    C-major order, where tau_inf leaves the float range: e^{2 pi C} overflows
+    from about C = 113, and 1/H^2 from about H = 1e-154 down."""
     import numpy as np
 
-    sd = np.sqrt(gamma1_discriminant(H))
-    # squares are products: x ** 2 calls pow for a scalar, which can round
-    # apart from the product an array's x ** 2 computes
     m, h1 = m_gamma1(H), H - 1.0
-    m2 = m * m
-    q = (H + 1.0) * sd - h1 * h1 + 2.0
-    psi_2 = -(H + 1.0) * (H - sd - 3.0) / 2.0
-    psi_m1 = (H * H - 1.0) * q / (H * H)
-    psi_m4 = q / 2.0
-    pi_c = np.pi * np.asarray(C, dtype=float)
-    return m2 * (psi_2 * np.exp(2.0 * pi_c) + psi_m1 * np.exp(-pi_c)
-                 + psi_m4 * np.exp(-4.0 * pi_c))
-
-
-def _finite_tau(C, H):
-    """tau_gamma1(C, H), or a DomainError naming the first (C, H), in C-major
-    order, at which it leaves the float range: e^{2 pi C} overflows from
-    about C = 113, and 1/H^2 from about H = 1e-154 down."""
-    import numpy as np
-
     with np.errstate(all="ignore"):
-        tau = tau_gamma1(C, H)
+        sd = np.sqrt(gamma1_discriminant(H))
+        # squares are products: x ** 2 calls pow for a scalar, which can round
+        # apart from the product an array's x ** 2 computes
+        m2 = m * m
+        q = (H + 1.0) * sd - h1 * h1 + 2.0
+        psi_2 = -(H + 1.0) * (H - sd - 3.0) / 2.0
+        psi_m1 = (H * H - 1.0) * q / (H * H)
+        psi_m4 = q / 2.0
+        pi_c = np.pi * np.asarray(C, dtype=float)
+        tau = m2 * (psi_2 * np.exp(2.0 * pi_c) + psi_m1 * np.exp(-pi_c)
+                    + psi_m4 * np.exp(-4.0 * pi_c))
     finite = np.isfinite(tau)
     if not finite.all():
         c, h = (float(np.broadcast_to(v, tau.shape)[~finite][0]) for v in (C, H))
@@ -285,7 +280,7 @@ def asymptotic_invariants(p: SystemParams):
     if not 0.0 < p.H < 1.0:
         raise DomainError(f"asymptotic invariants require 0 < H < 1, got H={p.H}")
     m = m_gamma1(p.H)
-    return float(m * m), float(_finite_tau(p.C, p.H))
+    return float(m * m), float(tau_gamma1(p.C, p.H))
 
 
 def critical_h(C: float) -> float:
@@ -295,11 +290,6 @@ def critical_h(C: float) -> float:
         return 1.0 / (2.0 * math.cosh(math.pi * C) - 1.0)
     except OverflowError:  # math.cosh's
         return 0.0
-
-
-def _lower_margin(C: float, H: float) -> float:
-    m = m_gamma1(H)
-    return float(_finite_tau(C, H) + m * m)
 
 
 def h_min(C: float) -> float:
@@ -316,21 +306,26 @@ def h_min(C: float) -> float:
     if not C > 0.0:
         raise DomainError(f"C must be positive, got C={C!r}: the asymptotic band is "
                           "established for C > 0")
+
+    def below(H):  # the margin tau_inf + m^2 is negative at H
+        m = m_gamma1(H)
+        return tau_gamma1(C, H) + m * m < 0.0
+
     hi = critical_h(C)  # 0.0 where cosh(pi C) overflows, from C = 226
-    _lower_margin(C, hi)  # a tau_inf past the float range is a DomainError
+    tau_gamma1(C, hi)  # a tau_inf past the float range is a DomainError
     lo = hi
     while True:
         lo *= 0.5
         if not lo * lo >= sys.float_info.min:  # also an infinite C
             raise DomainError(f"H_min at C={C} lies below {lo!r}, where H^2 leaves "
                               "the normal float range")
-        if _lower_margin(C, lo) < 0.0:
+        if below(lo):
             break
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if _lower_margin(C, mid) < 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -396,7 +391,7 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     cs = np.linspace(c_lo, c_hi, n_c)
     hs = np.linspace(h_lo, h_hi, n_h)
     m2 = m_gamma1(hs) ** 2
-    taus = _finite_tau(cs[:, None], hs[None, :])
+    taus = tau_gamma1(cs[:, None], hs[None, :])
     upper_margin = 2.0 + m2 - taus
     lower_margin = taus + m2
     ineq_det = np.broadcast_to(1.0 - m2 > 0.0, taus.shape)

@@ -21,18 +21,6 @@ from .errors import DomainError
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-__all__ = [
-    "SystemParams",
-    "build_system",
-    "resonant_system",
-    "eval_X",
-    "eval_Y",
-    "apply_involution",
-    "jacobian_X",
-    "jacobian_Y",
-    "INVOLUTION",
-]
-
 
 def __getattr__(name: str):
     """INVOLUTION, the matrix of S(x, y, z) = (-y, -x, -z), built on first

@@ -865,6 +865,9 @@ def test_unknown_flags_are_argparse_errors(args):
     # 10^18 samples: np.arange fails to allocate 6.94 EiB before touching memory
     (("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1", "--x0", "1", "--y0", "1",
       "--z0", "0", "--t-max", "1e9", "--dt", "1e-9"), 1, "error: MemoryError: "),
+    # 3e302 samples: finite, but past NumPy's maximum array size
+    (("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1", "--x0", "1", "--y0", "1",
+      "--z0", "0", "--t-max", "300", "--dt", "1e-300"), 2, "usage error: "),
 ])
 def test_float_range_failures_are_typed(args, code, prefix):
     proc = run_cli(*args)

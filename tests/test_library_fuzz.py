@@ -4,9 +4,11 @@ Parameters and points are drawn from +-{0, 5e-324, 1e-320, 1e-300, 1e-155,
 1e300}, from magnitudes up to 300, and from +-inf and NaN.  Every call must
 return or raise a TwofoldError: no bare exception and no RuntimeWarning.
 """
+import inspect
 import math
 import warnings
 
+import numpy as np
 from hypothesis import example, given, seed, settings, strategies as st
 
 import twofold as tf
@@ -43,7 +45,42 @@ _CALLS = {
     "find_cycle_newton_seeded": lambda system, x, y, z: _cycle(system(), y),
     "gamma2_at_critical": lambda system, x, y, z: tf.gamma2_at_critical(x, y),
     "h_min": lambda system, x, y, z: tf.h_min(x),
+    "simulate": lambda system, x, y, z: list(tf.simulate(system(), (x, y, z), 1.0, 0.25)),
+    "flow_X": lambda system, x, y, z: tf.flow_X(system(), (x, y, z), z),
+    "flow_Y": lambda system, x, y, z: tf.flow_Y(system(), (x, y, z), z),
+    "fundamental_X": lambda system, x, y, z: tf.fundamental_X(system(), z),
+    "fundamental_Y": lambda system, x, y, z: tf.fundamental_Y(system(), z),
+    "plane_flight": lambda system, x, y, z: tf.plane_flight(system(), (x, y), z),
+    "stationary_X": lambda system, x, y, z: tf.stationary_X(system()),
+    "stationary_Y": lambda system, x, y, z: tf.stationary_Y(system()),
+    "jacobian_Y": lambda system, x, y, z: tf.jacobian_Y(system()),
+    "apply_involution": lambda system, x, y, z: tf.apply_involution((x, y, z)),
+    "z_closed_form": lambda system, x, y, z: tf.z_closed_form(system(), (x, y, z)),
+    # the half-return window: the walk takes about t_max / pi steps
+    "first_crossing": lambda system, x, y, z: tf.first_crossing(system(), (x, y, z),
+                                                                8.0 * math.pi),
+    "gamma1_conic": lambda system, x, y, z: tf.gamma1_conic(system()),
+    "gamma1_discriminant": lambda system, x, y, z: tf.gamma1_discriminant(x),
+    "time_matching_table": lambda system, x, y, z: tf.time_matching_table(system(), [x, y]),
+    "scan_cycles": lambda system, x, y, z: tf.scan_cycles(system(), [x, y]),
+    "schur_conditions": lambda system, x, y, z: tf.schur_conditions(x, y),
+    "sigma_restriction": lambda system, x, y, z: tf.sigma_restriction(
+        system(), np.full((3, 3), z), (x, y)),
+    "m_gamma1": lambda system, x, y, z: tf.m_gamma1(x),
+    "tau_gamma1": lambda system, x, y, z: tf.tau_gamma1(x, y),
+    "asymptotic_invariants": lambda system, x, y, z: tf.asymptotic_invariants(system()),
+    "critical_h": lambda system, x, y, z: tf.critical_h(x),
+    "band_width": lambda system, x, y, z: tf.band_width(x),
+    "stability_band": lambda system, x, y, z: tf.stability_band((x, y), (z, 0.5), 3),
 }
+# every public function has an entry but the builders, which every entry
+# calls, and monodromy, which the find_cycle_newton entries call
+_UNFUZZED = ("build_system", "resonant_system", "monodromy")
+
+
+def test_every_public_function_is_fuzzed():
+    functions = {n for n in tf.__all__ if inspect.isfunction(getattr(tf, n))}
+    assert sorted(functions - set(_CALLS) - set(_UNFUZZED)) == []
 
 
 def _cycle(p, y0_init):
@@ -66,7 +103,7 @@ def _cycle_at(C):
 
 
 @seed(25)
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=2150, deadline=None)  # about 48 for each call
 @given(call=st.sampled_from(sorted(_CALLS)),
        resonant=st.booleans(),
        A=_value, C=_value, H=_value, Lambda=_value, x=_value, y=_value, z=_value)

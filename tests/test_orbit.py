@@ -68,7 +68,9 @@ def test_simulate_from_a_sliding_start_is_one_terminal_event(desk_params):
                                            ((1.0, np.nan, 0.0), 1.0, 0.1),
                                            ((1.0, 2.0, 0.0), 0.0, 0.1),
                                            ((1.0, 2.0, 0.0), 1.0, np.inf),
-                                           ((1.0, 2.0, 0.0), 1e300, 1e-300)])
+                                           ((1.0, 2.0, 0.0), 1e300, 1e-300),
+                                           # past NumPy's maximum array size
+                                           ((1.0, 2.0, 0.0), 300.0, 1e-300)])
 def test_simulate_input_errors_are_domain_errors(desk_params, s0, t_max, dt):
     with pytest.raises(DomainError):
         next(simulate(desk_params, s0, t_max, dt))

@@ -259,12 +259,21 @@ def test_monodromy_matches_return_map_jacobian(desk_params, desk_cycle, desk_mon
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("p0", [(1.0, 0.0), (1.0, -0.0)])
+@pytest.mark.parametrize("p0", [(1.0, 0.0), (1.0, -0.0), (1.0, 5e-324)])
 def test_sigma_restriction_on_the_x_fold_is_grazing(desk_params, desk_monodromy, p0):
     # X_z(p0) = y0 = 0 divides the projection: a typed error naming the
-    # point, not a NaN matrix and RuntimeWarnings
+    # point, not a NaN matrix and RuntimeWarnings; at y0 = 5e-324 the
+    # projection column X(p0) / y0 overflows
     with pytest.raises(GrazingCrossingError, match=re.escape(repr(p0))):
         sigma_restriction(desk_params, desk_monodromy.matrix, p0)
+
+
+def test_sigma_restriction_past_the_float_range_is_a_domain_error(desk_params):
+    # an infinite M warned "invalid value encountered in matmul" and gave NaNs
+    with pytest.raises(DomainError, match="^the monodromy matrix M is not finite$"):
+        sigma_restriction(desk_params, np.full((3, 3), math.inf), (1.0, 2.0))
+    with pytest.raises(DomainError, match="leaves the float range$"):
+        sigma_restriction(desk_params, np.full((3, 3), 1e300), (1.0, 1e-10))
 
 
 def test_characteristic_polynomial_factorization(desk_monodromy):
@@ -346,6 +355,15 @@ def test_scalar_invariants_equal_the_grid_bit_for_bit():
 
 def test_m_vanishes_with_h():
     assert abs(m_gamma1(1e-6)) < 1e-5
+
+
+@pytest.mark.parametrize("H, bad", [(2.0, 2.0), (-1.0, -1.0), (math.inf, math.inf),
+                                    (math.nan, math.nan), (1e200, 1e200),
+                                    (np.array([0.5, 3.0, 2.0]), 3.0)])
+def test_m_gamma1_off_the_real_branch_is_a_domain_error(H, bad):
+    # (1 - H)(3H + 1) < 0 or a non-finite H once gave NaN and a sqrt warning
+    with pytest.raises(DomainError, match=rf"got H={re.escape(repr(bad))}$"):
+        m_gamma1(H)
 
 
 def test_asymptotic_invariants_domain():
@@ -513,7 +531,8 @@ def test_tau_past_the_float_range_is_a_domain_error(c):
     # about 226): each caller of tau_inf names C instead of warning or
     # returning inf.  From C of about 4.5e153 the system's (A - C)^2 leaves the
     # float range, and resonant_system names C before asymptotic_invariants runs
-    calls = [h_min, band_width, lambda c: stability_band((c, 2.0 * c), (0.001, 0.999), 3)]
+    calls = [h_min, band_width, lambda c: stability_band((c, 2.0 * c), (0.001, 0.999), 3),
+             lambda c: tau_gamma1(c, 0.5)]  # once inf with a RuntimeWarning
     if c < 4e153:
         calls.append(lambda c: asymptotic_invariants(resonant_system(c, 0.5, 1.0)))
     else:
@@ -535,9 +554,12 @@ def test_band_near_the_float_range_matches_the_scalar_invariants():
             assert (m2, tau) == (result.m2[j], result.tau_inf[i, j])
     with pytest.raises(DomainError, match=r"^tau_inf at C=150\.0, H=0\.001 is not finite"):
         stability_band((100.0, 200.0), (0.001, 0.999), 3)
-    # 1/H^2 overflows from about H = 1e-154 down, at any C
+    # 1/H^2 overflows from about H = 1e-154 down, at any C; at H = 0,
+    # tau_gamma1 once gave NaN with a RuntimeWarning
     with pytest.raises(DomainError, match=r"^tau_inf at C=1\.0, H=1e-160 is not finite"):
         stability_band((1.0, 2.0), (1e-160, 0.5), 3)
+    with pytest.raises(DomainError, match=r"^tau_inf at C=1\.0, H=0\.0 is not finite"):
+        tau_gamma1(1.0, 0.0)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, float("nan")])

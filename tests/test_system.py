@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import pkgutil
 import re
 import struct
 
@@ -211,21 +212,25 @@ def test_trace_is_a_plus_2c():
 
 
 def test_exports_are_consistent():
-    # the package's lazy name table and the modules' __all__ lists agree: every
-    # package name is its module's object, and every module name is exported
-    modules = [importlib.import_module(f"twofold.{name}") for name in
-               ("system", "flow", "sigma", "invariants", "returns", "cycles", "stability",
-                "orbit")]
-    exported = set()
-    for module in modules:
-        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
-        exported.update(module.__all__)
-        for name in module.__all__:
-            assert getattr(tf, name) is getattr(module, name), name
-            # resolved once, then a plain entry of the package's namespace
-            assert vars(tf)[name] is getattr(module, name), name
-    assert sorted(set(tf.__all__) - exported) == ["errors"]
-    assert sorted(exported - set(tf.__all__)) == []
+    # the package's name table is the one declaration of the public API: every
+    # module but cli and errors is a layer, whose public names are exactly the
+    # functions and classes it defines without a leading underscore (and
+    # system's INVOLUTION), and the table maps each to its module
+    layers = {m.name for m in pkgutil.iter_modules(tf.__path__)} - {"cli", "errors", "__main__"}
+    assert sorted(tf._MODULES) == sorted(layers)
+    for layer in layers:
+        module = importlib.import_module(f"twofold.{layer}")
+        defined = {n for n, v in vars(module).items()
+                   if not n.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
+                   and v.__module__ == module.__name__}
+        declared = {n for n, m in tf._NAMES.items() if m == layer}
+        assert sorted(declared ^ defined) == (["INVOLUTION"] if layer == "system" else []), layer
+    for name, layer in tf._NAMES.items():
+        value = getattr(importlib.import_module(f"twofold.{layer}"), name)
+        assert getattr(tf, name) is value, name
+        # resolved once, then a plain entry of the package's namespace
+        assert vars(tf)[name] is value, name
+    assert sorted(set(tf.__all__) - set(tf._NAMES)) == ["errors"]
     assert sorted(set(tf.__all__) - set(dir(tf))) == []
     # and the package holds no other public name
     public = {n for n, v in vars(tf).items() if not n.startswith("_") and not inspect.ismodule(v)}
