@@ -24,8 +24,8 @@ _NAMES = {name: module for module, names in {
                "apply_involution", "jacobian_X", "jacobian_Y", "INVOLUTION"),
     "flow": ("flow_X", "flow_Y", "fundamental_X", "fundamental_Y", "plane_flight",
              "stationary_X", "stationary_Y", "z_closed_form"),
-    "sigma": ("RegionKind", "SigmaClass", "FoldKind", "FoldInfo", "classify_point",
-              "fold_info", "sliding_field"),
+    "sigma": ("RegionKind", "FoldKind", "FoldInfo", "classify_point", "fold_info",
+              "sliding_field"),
     "invariants": ("DarbouxPair", "DarbouxReport", "eval_P_X", "eval_P_Y", "verify_darboux",
                    "ConicKind", "ConicGamma1", "gamma1_conic", "gamma1_discriminant",
                    "gamma1_branch_x"),

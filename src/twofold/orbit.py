@@ -69,11 +69,11 @@ def simulate(p: SystemParams, s0, t_max: float, dt: float):
     if z0 != 0.0 and zs + wz > 0.0:
         field = "X" if z0 > 0.0 else "Y"
     else:
-        cls = classify_point(p, (x0, y0))
-        if cls.kind is not RegionKind.CROSSING:
-            yield Event(0.0, x0, y0, z0, None, "terminal", cls.kind, None)
+        region = classify_point(p, (x0, y0))
+        if region is not RegionKind.CROSSING:
+            yield Event(0.0, x0, y0, z0, None, "terminal", region, None)
             return
-        field = "X" if cls.lie_x > 0 else "Y"
+        field = "X" if y0 > 0 else "Y"  # the sign of Xf = y
         z0 = 0.0  # classified as on the plane, so put on it
 
     segments, error = _segments(p, (x0, y0, z0), field, t_max)
@@ -156,15 +156,15 @@ def _segments(p: SystemParams, s, field: str, t_max: float):
                 x, y, z = -y, -x, -z
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise _overflow(field, t0, tc)
-            cls = classify_point(p, (x, y))
-            if cls.kind is not RegionKind.CROSSING:
-                segment[4] = Event(t0 + tc, x, y, 0.0, field, "terminal", cls.kind, None)
+            region = classify_point(p, (x, y))
+            if region is not RegionKind.CROSSING:
+                segment[4] = Event(t0 + tc, x, y, 0.0, field, "terminal", region, None)
                 break
-            det = cls.lie_y / cls.lie_x if field == "X" else cls.lie_x / cls.lie_y
+            det = x / y if field == "X" else y / x  # Yf / Xf into Y, Xf / Yf into X
             if not math.isfinite(det):  # the incoming Lie derivative is near zero
                 raise GrazingCrossingError(f"the saltation determinant at {(x, y)!r} "
                                            "leaves the float range")
-            segment[4] = Event(t0 + tc, x, y, 0.0, field, "crossing", cls.kind, det)
+            segment[4] = Event(t0 + tc, x, y, 0.0, field, "crossing", region, det)
             field = "Y" if field == "X" else "X"
             s = (x, y, 0.0)
             t0 = t0 + tc

@@ -91,11 +91,18 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
     A start above the plane whose closed-form z(0) rounds to zero or below
     is the plane start it is within round-off of.
     The exit is the walk's resolved sign change, however shallow.
-    Raises DomainError if s0 lies below the plane, NoReturnError if no
-    crossing occurs in (0, t_max], TangentialGrazeError if the flight does
-    not enter the half-space, and DivergenceError if the closed form leaves
-    the range of floating point before the crossing is resolved.
+    Where the envelope does not decay the walk visits about t_max / pi
+    critical points of z: at a tiny |C| a window of 1e9 is some 3e8 steps.
+    Raises DomainError if s0 is not finite or lies below the plane, or
+    t_max is not positive and finite; NoReturnError if no crossing occurs
+    in (0, t_max], TangentialGrazeError if the flight does not enter the
+    half-space, and DivergenceError if the closed form leaves the range of
+    floating point before the crossing is resolved.
     """
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"the window t_max must be positive and finite, got {t_max!r}")
+    if not (math.isfinite(s0[0]) and math.isfinite(s0[1]) and math.isfinite(s0[2])):
+        raise DomainError(f"the start must be finite, got {tuple(map(float, s0))!r}")
     if s0[2] < 0.0:  # the lower orbit from s is the S-image of the upper one from S s
         raise DomainError(f"start z = {s0[2]!r} is below the plane; pass S s0 = (-y, -x, -z)")
     try:  # e^{Ct} in the closed form may overflow

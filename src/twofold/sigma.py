@@ -31,13 +31,6 @@ class FoldKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SigmaClass:
-    kind: RegionKind
-    lie_x: float
-    lie_y: float
-
-
-@dataclass(frozen=True)
 class FoldInfo:
     field: str  # "X" or "Y"
     kind: FoldKind
@@ -54,22 +47,18 @@ def _finite_plane_point(q) -> tuple:
     return x, y
 
 
-def classify_point(p: SystemParams, q) -> SigmaClass:
-    """Classify a point of the switching plane by the exact signs of its two
-    Lie derivatives: zero, and only zero, is a tangency."""
+def classify_point(p: SystemParams, q) -> RegionKind:
+    """The region of a point of the switching plane, decided by the exact
+    signs of its two Lie derivatives Xf = y and Yf = x: zero, and only zero,
+    is a tangency."""
     x, y = _finite_plane_point(q)
-    lie_x, lie_y = y, x  # third components of X and Y at z = 0
-    if lie_x == 0.0:
-        kind = RegionKind.DOUBLE_TANGENCY if lie_y == 0.0 else RegionKind.TANGENCY_X
-    elif lie_y == 0.0:
-        kind = RegionKind.TANGENCY_Y
-    elif (lie_x > 0.0) is (lie_y > 0.0):  # signs, not a product, which may underflow
-        kind = RegionKind.CROSSING
-    elif lie_x < 0.0:
-        kind = RegionKind.SLIDING
-    else:
-        kind = RegionKind.ESCAPING
-    return SigmaClass(kind, lie_x, lie_y)
+    if y == 0.0:
+        return RegionKind.DOUBLE_TANGENCY if x == 0.0 else RegionKind.TANGENCY_X
+    if x == 0.0:
+        return RegionKind.TANGENCY_Y
+    if (y > 0.0) is (x > 0.0):  # signs, not a product, which may underflow
+        return RegionKind.CROSSING
+    return RegionKind.SLIDING if y < 0.0 else RegionKind.ESCAPING
 
 
 def fold_info(p: SystemParams, q) -> FoldInfo:
@@ -104,10 +93,10 @@ def sliding_field(p: SystemParams, q) -> tuple:
     is formed.  The z component, w Xf + (1 - w) Yf, is zero by algebra and
     is not formed.  Fields that leave the float range at q are a DomainError.
     """
-    cls = classify_point(p, q)
-    if cls.kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
-        raise DomainError(f"sliding field undefined at {cls.kind.value} point {q!r}")
-    x, y = cls.lie_y, cls.lie_x  # Yf = x, Xf = y
+    kind = classify_point(p, q)
+    if kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
+        raise DomainError(f"sliding field undefined at {kind.value} point {q!r}")
+    x, y = _finite_plane_point(q)  # Yf = x, Xf = y
     h = 0.5 if math.isinf(x - y) else 1.0  # then |x|, |y| > 2^969: halving is exact
     d = h * x - h * y  # nonzero, as the signs are opposite
     w_x, w_y = h * x / d, -h * y / d

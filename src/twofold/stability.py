@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
 from .invariants import gamma1_discriminant
-from .sigma import RegionKind, classify_point
+from .sigma import RegionKind, _finite_plane_point, classify_point
 from .system import SystemParams, _plane_field, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,9 +45,8 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
 
     if direction not in ("XtoY", "YtoX"):
         raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
-    cls = classify_point(p, q)
-    x, y = cls.lie_y, cls.lie_x  # Yf = x, Xf = y
-    if cls.kind is not RegionKind.CROSSING:
+    x, y = _finite_plane_point(q)  # Yf = x, Xf = y
+    if classify_point(p, (x, y)) is not RegionKind.CROSSING:
         raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
     out = np.eye(3)
     out[:, 2] += _saltation_column(p, x, y, y if direction == "XtoY" else -x)[0]
@@ -363,7 +362,8 @@ def stability_band(c_range, h_range, grid) -> BandResult:
         tau_inf inside the float range at every grid point (C below about
         113): a DomainError names the first (C, H) past it.
     grid : int or (int, int)
-        Point count per axis, or separate (n_c, n_h) counts.
+        Point count per axis, or separate (n_c, n_h) counts: integral
+        numbers of at least 2 (3.0, not 2.7 or a bool) that NumPy can hold.
 
     Returns
     -------
@@ -375,12 +375,15 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     """
     import numpy as np
 
-    if np.isscalar(grid):
-        n_c = n_h = int(grid)
-    else:
-        n_c, n_h = int(grid[0]), int(grid[1])
+    try:  # a bool, a str or a count that is not integral drops out, and the pair with it
+        n_c, n_h = [int(n) for n in ((grid, grid) if np.isscalar(grid) else grid)
+                    if not isinstance(n, (bool, str)) and n == int(n)]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"grid must be an integral count or a pair, got {grid!r}") from None
     if n_c < 2 or n_h < 2:
         raise DomainError("grid counts must be at least 2")
+    if n_c * n_h > sys.maxsize // 8:  # the bytes of the tau grid
+        raise DomainError("the grid's n_c n_h cells exceed NumPy's maximum array size")
     c_lo, c_hi = float(c_range[0]), float(c_range[1])
     h_lo, h_hi = float(h_range[0]), float(h_range[1])
     if not (0.0 < c_lo < math.inf and 0.0 < c_hi < math.inf):

@@ -868,6 +868,8 @@ def test_unknown_flags_are_argparse_errors(args):
     # 3e302 samples: finite, but past NumPy's maximum array size
     (("simulate", "--C", "1", "--H", "0.04", "--Lambda", "1", "--x0", "1", "--y0", "1",
       "--z0", "0", "--t-max", "300", "--dt", "1e-300"), 2, "usage error: "),
+    # an integral grid count past NumPy's maximum array size, as --grid 2.5 is
+    (("stability-band", "--grid", "1e300", "-o", "-"), 2, "usage error: "),
 ])
 def test_float_range_failures_are_typed(args, code, prefix):
     proc = run_cli(*args)
@@ -1235,7 +1237,7 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
     if sample_ts[-1] < t_max - 1e-15:
         sample_ts.append(t_max)
     s = np.array([x0, y0, z0])
-    field = ("X" if classify_point(p, s[:2]).lie_x > 0 else "Y") if z0 == 0.0 else (
+    field = ("X" if y0 > 0 else "Y") if z0 == 0.0 else (
         "X" if z0 > 0 else "Y")
     t0, k = 0.0, 0
     while t0 < t_max:
@@ -1252,13 +1254,13 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
         if tc is None:
             break
         q = flow(p, s, tc)[:2]
-        cls = classify_point(p, q)
-        lie_in, lie_out = (cls.lie_x, cls.lie_y) if field == "X" else (cls.lie_y, cls.lie_x)
-        if cls.kind is not RegionKind.CROSSING:
-            rows.append([t0 + tc, q[0], q[1], 0.0, field, "terminal", cls.kind.value, ""])
+        region = classify_point(p, q)
+        x, y = float(q[0]), float(q[1])  # Yf = x, Xf = y
+        if region is not RegionKind.CROSSING:
+            rows.append([t0 + tc, q[0], q[1], 0.0, field, "terminal", region.value, ""])
             break
-        rows.append([t0 + tc, q[0], q[1], 0.0, field, "crossing", cls.kind.value,
-                     lie_out / lie_in])
+        rows.append([t0 + tc, q[0], q[1], 0.0, field, "crossing", region.value,
+                     x / y if field == "X" else y / x])
         field = "Y" if field == "X" else "X"
         s, t0 = np.array([q[0], q[1], 0.0]), t0 + tc
     return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
@@ -1402,8 +1404,7 @@ def test_simulate_overflow_in_a_segment_comes_before_later_errors(start, message
     # next crossing was sought
     p = resonant_system(*start[:3])
     s = np.array(start[3:6])
-    field = "X" if start[5] > 0.0 or start[5] == 0.0 and classify_point(
-        p, s[:2]).lie_x > 0.0 else "Y"
+    field = "X" if start[5] > 0.0 or start[5] == 0.0 and start[4] > 0.0 else "Y"
     _, later = orbit._segments(p, s, field, start[6])
     assert later is None or str(later) != message
     assert _simulate_in_process(start) == (1, "", f"error: DivergenceError: {message}\n")
@@ -1437,7 +1438,7 @@ def test_crossing_states_are_the_flow_calls_bit_for_bit(C, negative, u, Lambda, 
                   else (off[0] * r, off[1] * r, sign * z_off * r))
     p = resonant_system(-C if negative else C, float(critical_h(C)) * u, Lambda)
     field = ("X" if z0 > 0.0 else "Y") if z0 != 0.0 else (
-        "X" if classify_point(p, (x0, y0)).lie_x > 0.0 else "Y")
+        "X" if y0 > 0.0 else "Y")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         segments, rows, _ = _crossing_rows(p, (x0, y0, z0), field, t_max)

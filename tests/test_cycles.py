@@ -13,7 +13,7 @@ from twofold import (asymptotic_seed, build_system, critical_h, cycles, eval_P_X
 from twofold.cycles import _branch, _graze
 from twofold.errors import (DivergenceError, DomainError, NoCycleError, NotACycleError,
                             SymmetryDefectError, TwofoldError)
-from twofold.flow import _phi_rows, fundamental_X, fundamental_Y
+from twofold.flow import _phi_rows, _stationary, fundamental_X, fundamental_Y
 from twofold.stability import saltation
 from oracles import certify_first_return, closure_residual, fd_jacobian, measure_contraction
 
@@ -341,6 +341,16 @@ def test_negative_lambda_is_a_domain_error_that_names_it():
 def test_non_finite_seed_is_a_domain_error(desk_params, y0_init):
     with pytest.raises(DomainError, match="seed"):
         find_cycle_newton(desk_params, y0_init)
+
+
+def test_first_return_check_sees_a_crossing_before_t_x(desk_params, desk_cycle):
+    # one pi past the desk cycle's flight time, the X flight from p0 has met
+    # the plane at its first critical point below it: no first return
+    x0, y0 = desk_cycle.p0
+    xs, ys, zs = _stationary(desk_params)
+    with pytest.raises(NotACycleError, match=r"meets the plane at t = 5\.55372 < t_x"):
+        cycles._check_first_return(desk_params, x0, y0, desk_cycle.t_x + math.pi,
+                                   (x0 - xs, y0 - ys, -zs))
 
 
 def test_unseeded_solve_finds_the_same_cycle(desk_params, desk_cycle):

@@ -72,6 +72,8 @@ _CALLS = {
     "critical_h": lambda system, x, y, z: tf.critical_h(x),
     "band_width": lambda system, x, y, z: tf.band_width(x),
     "stability_band": lambda system, x, y, z: tf.stability_band((x, y), (z, 0.5), 3),
+    "stability_band_grid": lambda system, x, y, z: tf.stability_band((0.5, 1.0), (0.1, 0.5),
+                                                                     x if z >= 0.0 else (x, y)),
 }
 # every public function has an entry but the builders, which every entry
 # calls, and monodromy, which the find_cycle_newton entries call
@@ -103,7 +105,7 @@ def _cycle_at(C):
 
 
 @seed(25)
-@settings(max_examples=2150, deadline=None)  # about 48 for each call
+@settings(max_examples=2195, deadline=None)  # about 48 for each call
 @given(call=st.sampled_from(sorted(_CALLS)),
        resonant=st.booleans(),
        A=_value, C=_value, H=_value, Lambda=_value, x=_value, y=_value, z=_value)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import signal
 
@@ -10,10 +11,11 @@ from twofold import (HalfReturn, apply_involution, asymptotic_seed, build_system
                      flow_Y, gamma1_branch_x, gamma2_at_critical, half_return_X,
                      half_return_Y, resonant_system, return_map, saltation, series_coeffs,
                      time_matching, time_matching_table)
-from twofold.errors import (DivergenceError, DomainError, NoReturnError,
+from twofold.errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnError,
                             TangentialGrazeError, TwofoldError)
 from twofold.flow import _z_coefficients, z_closed_form
-from twofold.returns import _envelope_free, _slope_coefficients, first_crossing
+from twofold.returns import (_bracketed_root, _envelope_free, _slope_coefficients,
+                             first_crossing)
 from oracles import bisect_root, fit_time_series, rk4
 
 
@@ -284,26 +286,53 @@ def test_no_return_within_window(params):
             first_crossing(params, (0.76, -2.0 * params.C * zs, zs), 1e4, forward=forward)
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """A TimeoutError once seconds pass: an alarm turns a hang into a failure."""
+    def hang(signum, frame):
+        raise TimeoutError("the crossing walk did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("C, y0, forward", [(-0.5, 0.8, True), (0.5, -0.8, False)])
 def test_walk_ends_where_the_envelope_cannot_reach_the_plane(C, y0, forward):
     # z = zs + e^{Cu} S(u) with |S| below zs, and an envelope that does not
     # grow along the flight: z never reaches the plane, so no window holds a
     # crossing.  The walk once stepped on to t_max and never ended on an
-    # infinite window; a 5 s alarm turns a hang back into a failure
+    # infinite window; a window of 3e11 critical points would take hours
     p = resonant_system(C, 0.2, 1.0)
     s0 = (0.0, y0, 0.9)  # zs = 0.8, S(u) = 0.1 (cos u + C sin u)
+    with _within(5), pytest.raises(NoReturnError):
+        first_crossing(p, s0, 1e12, forward=forward)
 
-    def hang(signum, frame):
-        raise TimeoutError("the crossing walk did not end")
 
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
-        with pytest.raises(NoReturnError):
-            first_crossing(p, s0, math.inf, forward=forward)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+@pytest.mark.parametrize("p, s0, t_max", [
+    (build_system(-1.0, 5e-324, 0.5, 1.0), (-0.5, 0.1, 1.0), math.inf),  # never returned
+    (resonant_system(5e-324, 0.0, -1e-300), (-23.9, -143.6, math.inf), math.inf),
+    (resonant_system(5e-324, 0.0, -1e-300), (-23.9, -143.6, math.inf), 8.0 * math.pi),
+    (resonant_system(1.0, 0.04, 1.0), (219.892, 8.431, 0.0), -1.0),
+    (resonant_system(1.0, 0.04, 1.0), (219.892, 8.431, 0.0), math.nan),
+], ids=["infinite_window", "infinite_start_and_window", "infinite_start", "negative_window",
+        "nan_window"])
+def test_first_crossing_checks_its_inputs_before_the_walk(p, s0, t_max):
+    # each once walked on without end or raised NoReturnError from inside the
+    # walk; a NaN z, once a DivergenceError, is test_non_finite_start_is_a_domain_error's
+    with _within(5), pytest.raises(DomainError, match="must be"):
+        first_crossing(p, s0, t_max)
+
+
+def test_bracketed_root_out_of_steps_is_no_convergence():
+    # with f' = 0 every step bisects, and 100 halvings of (-1e300, 1e300)
+    # leave a bracket far wider than rounding
+    with pytest.raises(NoConvergenceError, match="root not resolved"):
+        _bracketed_root(lambda t: (-t, 0.0), 1.0, -1e300, 1e300)
 
 
 def test_window_before_first_critical_point(desk_params):
@@ -630,7 +659,7 @@ def test_non_finite_start_is_a_domain_error(desk_params):
                          (half_return_X, (math.nan, 1.0)), (half_return_Y, (1.0, math.inf))):
         with pytest.raises(DomainError):
             solve(desk_params, start)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError):
         first_crossing(desk_params, (1.0, 1.0, math.nan), 8.0 * math.pi)
 
 
@@ -670,7 +699,7 @@ def _plane_solves(p, x, y, z, forward, scale):
 
     return [
         _or_error(lambda: first_crossing(p, (x, y, z), 8.0 * math.pi, forward=forward)),
-        _or_error(lambda: classify_point(p, q).kind),
+        _or_error(lambda: classify_point(p, q)),
         _or_error(lambda: flight(half_return_X)),
         _or_error(lambda: flight(half_return_Y)),
         _or_error(lambda: tuple(v / scale for v in return_map(p, (abs(x), abs(y))))),

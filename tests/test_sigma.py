@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twofold import (FoldInfo, FoldKind, RegionKind, SigmaClass, build_system,
+from twofold import (FoldInfo, FoldKind, RegionKind, build_system,
                      classify_point, eval_X, eval_Y, fold_info, half_return_X, half_return_Y,
                      resonant_system, saltation, sliding_field)
 from twofold.errors import DomainError, GrazingCrossingError, TangentialGrazeError
@@ -16,34 +16,35 @@ def params():
 
 
 def test_classification_examples(params):
-    assert classify_point(params, (1.0, 2.0)).kind is RegionKind.CROSSING
-    assert classify_point(params, (1.0, -2.0)).kind is RegionKind.SLIDING
-    assert classify_point(params, (-1.0, 2.0)).kind is RegionKind.ESCAPING
-    assert classify_point(params, (3.0, 0.0)).kind is RegionKind.TANGENCY_X
-    assert classify_point(params, (0.0, 3.0)).kind is RegionKind.TANGENCY_Y
-    assert classify_point(params, (0.0, 0.0)).kind is RegionKind.DOUBLE_TANGENCY
-    # the signs decide, not the product lie_x lie_y, which underflows to 0.0
+    assert classify_point(params, (1.0, 2.0)) is RegionKind.CROSSING
+    assert classify_point(params, (1.0, -2.0)) is RegionKind.SLIDING
+    assert classify_point(params, (-1.0, 2.0)) is RegionKind.ESCAPING
+    assert classify_point(params, (3.0, 0.0)) is RegionKind.TANGENCY_X
+    assert classify_point(params, (0.0, 3.0)) is RegionKind.TANGENCY_Y
+    assert classify_point(params, (0.0, 0.0)) is RegionKind.DOUBLE_TANGENCY
+    # the signs decide, not the product x y, which underflows to 0.0
     # at subnormals; a huge point is classified though |q| overflows, where
     # the plane cutoff 1e-10 (1 + |q|) once made it a DomainError
-    assert classify_point(params, (5e-324, 5e-324)).kind is RegionKind.CROSSING
-    assert classify_point(params, (-5e-324, -5e-324)).kind is RegionKind.CROSSING
-    assert classify_point(params, (5e-324, -5e-324)).kind is RegionKind.SLIDING
-    assert classify_point(params, (-5e-324, 5e-324)).kind is RegionKind.ESCAPING
-    assert classify_point(params, (1.5e308, 1.5e308)) == SigmaClass(RegionKind.CROSSING,
-                                                                  1.5e308, 1.5e308)
+    assert classify_point(params, (5e-324, 5e-324)) is RegionKind.CROSSING
+    assert classify_point(params, (-5e-324, -5e-324)) is RegionKind.CROSSING
+    assert classify_point(params, (5e-324, -5e-324)) is RegionKind.SLIDING
+    assert classify_point(params, (-5e-324, 5e-324)) is RegionKind.ESCAPING
+    assert classify_point(params, (1.5e308, 1.5e308)) is RegionKind.CROSSING
 
 
 def test_crossing_quadrant_rule(params):
     rng = np.random.default_rng(0)
     for _ in range(30):
         x, y = rng.uniform(0.1, 5.0, 2)
-        assert classify_point(params, (x, y)).kind is RegionKind.CROSSING
-        assert classify_point(params, (-x, -y)).kind is RegionKind.CROSSING
+        assert classify_point(params, (x, y)) is RegionKind.CROSSING
+        assert classify_point(params, (-x, -y)) is RegionKind.CROSSING
 
 
 def test_lie_derivatives_reported(params):
-    cls = classify_point(params, (3.0, -2.0))
-    assert cls.lie_x == -2.0 and cls.lie_y == 3.0
+    # the region is read off Xf = y and Yf = x, the third field components
+    q = (3.0, -2.0, 0.0)
+    assert eval_X(params, q)[2] == -2.0 and eval_Y(params, q)[2] == 3.0
+    assert classify_point(params, q[:2]) is RegionKind.SLIDING
 
 
 def test_fold_visibility(params):
@@ -121,7 +122,7 @@ def test_plane_checks_see_a_tangency_at_zero_only(params, x):
     # exact sign of the Lie derivative: y = +-0.0 is a tangency and the least
     # subnormal is not, where the cutoff 1e-10 (1 + |(x, y)|) once drew the line
     for y in (0.0, -0.0):
-        assert classify_point(params, (x, y)).kind is RegionKind.TANGENCY_X
+        assert classify_point(params, (x, y)) is RegionKind.TANGENCY_X
         with pytest.raises(GrazingCrossingError, match="not a transversal crossing point"):
             saltation(params, (x, y), "XtoY")
         for field, call in (("X", lambda: half_return_X(params, (x, y))),
@@ -129,7 +130,7 @@ def test_plane_checks_see_a_tangency_at_zero_only(params, x):
             with pytest.raises(TangentialGrazeError, match=f"is tangential for the {field}"):
                 call()
     y = 5e-324
-    assert classify_point(params, (x, y)).kind is RegionKind.CROSSING
+    assert classify_point(params, (x, y)) is RegionKind.CROSSING
     # the crossing is transversal, but (Y - X) / y leaves the float range
     with pytest.raises(GrazingCrossingError, match="leaves the float range"):
         saltation(params, (x, y), "XtoY")

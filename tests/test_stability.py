@@ -485,6 +485,32 @@ def test_band_input_validation():
         stability_band((0.5, 1.0), (0.01, 0.2), 1)
 
 
+@pytest.mark.parametrize("grid", [2.7, (3.9, 4), (4, 2.5), math.nan, math.inf, -math.inf,
+                                  True, (3, False), "3", ("3", "3")])
+def test_band_grid_counts_are_integral_numbers(grid):
+    # a float count was cut (2.7 gave a 2 x 2 grid), NaN and inf raised a bare
+    # ValueError and OverflowError; a bool or a str is no count
+    with pytest.raises(DomainError, match="grid must be an integral count or a pair"):
+        stability_band((0.5, 1.0), (0.01, 0.2), grid)
+
+
+def test_band_grid_counts_take_any_integral_number():
+    want = stability_band((0.5, 1.0), (0.01, 0.2), (3, 4))
+    for grid in ((3.0, 4.0), (np.int64(3), np.float64(4.0))):
+        assert stability_band((0.5, 1.0), (0.01, 0.2), grid).tau_inf.tobytes() == \
+            want.tau_inf.tobytes()
+    for grid in ((3,), (3, 4, 5), None):
+        with pytest.raises(DomainError, match="grid must be an integral count or a pair"):
+            stability_band((0.5, 1.0), (0.01, 0.2), grid)
+
+
+@pytest.mark.parametrize("grid", [1e300, 2 ** 62, 10 ** 400, (3, 2 ** 61), (2 ** 30, 2 ** 31)])
+def test_band_grid_past_the_array_size_is_a_domain_error(grid):
+    # checked before any array is made: 1e300 was NumPy's bare ValueError
+    with pytest.raises(DomainError, match="exceed NumPy's maximum array size"):
+        stability_band((0.5, 1.0), (0.01, 0.2), grid)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_band_rejects_non_finite_endpoints(bad):
     # a NaN C endpoint used to give a grid of nan rows flagged ineq_det = 1
