@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchPointError, DomainError
-from .system import SystemParams, _field, _record
+from .system import SystemParams, _field, _finite_point, _record
 
 
 def _f1(p: SystemParams, x, y, z):
@@ -96,11 +96,9 @@ def _guarded_power(base: float, exponent: float) -> float:
 
 
 def _darboux_product(p: SystemParams, quadratic, affine, s) -> float:
-    """quadratic(s) * affine(s)^(-2C/A), with the point s taken as floats.  A
-    point or a value that is not finite is a DomainError."""
-    s = tuple(map(float, s))
-    if not all(map(math.isfinite, s)):
-        raise DomainError(f"the first integral needs a finite point, got {s!r}")
+    """quadratic(s) * affine(s)^(-2C/A) at the ``_finite_point`` s, whose
+    DomainError it raises, as it does one for a value that is not finite."""
+    s = _finite_point(s)
     base = affine(s)
     try:
         value = quadratic(s) * (base if p.resonant else _guarded_power(base, _power_exponent(p)))
@@ -236,14 +234,8 @@ def _conic_coefficients(p: SystemParams) -> tuple:
         raise DomainError("the reduced conic requires the resonant family A = -2C")
     C, H, L = p.C, p.H, p.Lambda
     c2 = C * C + 1.0
-    return (
-        H,
-        -(H + 1.0),
-        H,
-        -2.0 * C * H * L / c2,
-        2.0 * C * H * L / c2,
-        L * L * (H - 1.0) / c2,
-    )
+    by = 2.0 * C * H * L / c2  # bx = -by, once: negation is exact
+    return H, -(H + 1.0), H, -by, by, L * L * (H - 1.0) / c2
 
 
 def _conic_value(coefficients, x, y):

@@ -69,7 +69,7 @@ def simulate(p: SystemParams, s0, t_max: float, dt: float):
     if z0 != 0.0 and zs + wz > 0.0:
         field = "X" if z0 > 0.0 else "Y"
     else:
-        region = classify_point(p, (x0, y0))
+        region = classify_point((x0, y0))
         if region is not RegionKind.CROSSING:
             yield Event(0.0, x0, y0, z0, None, "terminal", region, None)
             return
@@ -156,7 +156,7 @@ def _segments(p: SystemParams, s, field: str, t_max: float):
                 x, y, z = -y, -x, -z
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise _overflow(field, t0, tc)
-            region = classify_point(p, (x, y))
+            region = classify_point((x, y))
             if region is not RegionKind.CROSSING:
                 segment[4] = Event(t0 + tc, x, y, 0.0, field, "terminal", region, None)
                 break

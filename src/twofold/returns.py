@@ -55,7 +55,7 @@ from .errors import (DivergenceError, DomainError, NoConvergenceError, NoReturnE
                      TangentialGrazeError)
 from .invariants import gamma1_branch_x, gamma1_discriminant
 from .sigma import _finite_plane_point
-from .system import SystemParams
+from .system import SystemParams, _finite_point
 
 _WINDOW = 8 * math.pi  # the half-return search window (0, _WINDOW]
 
@@ -93,16 +93,15 @@ def first_crossing(p: SystemParams, s0, t_max: float, *, forward: bool = True):
     The exit is the walk's resolved sign change, however shallow.
     Where the envelope does not decay the walk visits about t_max / pi
     critical points of z: at a tiny |C| a window of 1e9 is some 3e8 steps.
-    Raises DomainError if s0 is not finite or lies below the plane, or
-    t_max is not positive and finite; NoReturnError if no crossing occurs
-    in (0, t_max], TangentialGrazeError if the flight does not enter the
-    half-space, and DivergenceError if the closed form leaves the range of
-    floating point before the crossing is resolved.
+    Raises DomainError if s0 is not 3 finite coordinates or lies below the
+    plane, or t_max is not positive and finite; NoReturnError if no crossing
+    occurs in (0, t_max], TangentialGrazeError if the flight does not enter
+    the half-space, and DivergenceError if the closed form leaves the range
+    of floating point before the crossing is resolved.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"the window t_max must be positive and finite, got {t_max!r}")
-    if not (math.isfinite(s0[0]) and math.isfinite(s0[1]) and math.isfinite(s0[2])):
-        raise DomainError(f"the start must be finite, got {tuple(map(float, s0))!r}")
+    s0 = _finite_point(s0)
     if s0[2] < 0.0:  # the lower orbit from s is the S-image of the upper one from S s
         raise DomainError(f"start z = {s0[2]!r} is below the plane; pass S s0 = (-y, -x, -z)")
     try:  # e^{Ct} in the closed form may overflow

@@ -47,10 +47,10 @@ def _finite_plane_point(q) -> tuple:
     return x, y
 
 
-def classify_point(p: SystemParams, q) -> RegionKind:
+def classify_point(q) -> RegionKind:
     """The region of a point of the switching plane, decided by the exact
     signs of its two Lie derivatives Xf = y and Yf = x: zero, and only zero,
-    is a tangency."""
+    is a tangency.  No field parameter enters, so none is passed."""
     x, y = _finite_plane_point(q)
     if y == 0.0:
         return RegionKind.DOUBLE_TANGENCY if x == 0.0 else RegionKind.TANGENCY_X
@@ -93,10 +93,10 @@ def sliding_field(p: SystemParams, q) -> tuple:
     is formed.  The z component, w Xf + (1 - w) Yf, is zero by algebra and
     is not formed.  Fields that leave the float range at q are a DomainError.
     """
-    kind = classify_point(p, q)
+    kind = classify_point(q)  # the point's one finite check
     if kind not in (RegionKind.SLIDING, RegionKind.ESCAPING):
         raise DomainError(f"sliding field undefined at {kind.value} point {q!r}")
-    x, y = _finite_plane_point(q)  # Yf = x, Xf = y
+    x, y = float(q[0]), float(q[1])  # Yf = x, Xf = y
     h = 0.5 if math.isinf(x - y) else 1.0  # then |x|, |y| > 2^969: halving is exact
     d = h * x - h * y  # nonzero, as the signs are opposite
     w_x, w_y = h * x / d, -h * y / d

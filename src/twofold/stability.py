@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, GrazingCrossingError, SymmetryDefectError
-from .invariants import gamma1_discriminant
-from .sigma import RegionKind, _finite_plane_point, classify_point
+from .invariants import _check_branch_domain, gamma1_discriminant
+from .sigma import RegionKind, classify_point
 from .system import SystemParams, _plane_field, _record, eval_X
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,8 +45,8 @@ def saltation(p: SystemParams, q, direction: str) -> np.ndarray:
 
     if direction not in ("XtoY", "YtoX"):
         raise DomainError(f"direction must be 'XtoY' or 'YtoX', got {direction!r}")
-    x, y = _finite_plane_point(q)  # Yf = x, Xf = y
-    if classify_point(p, (x, y)) is not RegionKind.CROSSING:
+    x, y = float(q[0]), float(q[1])  # Yf = x, Xf = y
+    if classify_point((x, y)) is not RegionKind.CROSSING:  # also the finite check
         raise GrazingCrossingError(f"{(x, y)!r} is not a transversal crossing point")
     out = np.eye(3)
     out[:, 2] += _saltation_column(p, x, y, y if direction == "XtoY" else -x)[0]
@@ -209,15 +209,14 @@ def sigma_restriction(p: SystemParams, M: np.ndarray, p0) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise DomainError("the monodromy matrix M is not finite")
-    p0 = np.asarray(p0, dtype=float)
-    z0 = eval_X(p, np.array([p0[0], p0[1], 0.0]))
+    x0, y0 = float(p0[0]), float(p0[1])
+    z0 = eval_X(p, (x0, y0, 0.0))
     proj = np.eye(3)
     with np.errstate(all="ignore"):
         proj[:, 2] -= z0 / z0[2]  # I - X(p0) e3^T / X_z(p0)
         out = (proj @ M)[:2, :2]
     if not np.isfinite(proj).all():
-        raise GrazingCrossingError(f"{(float(p0[0]), float(p0[1]))!r} is not a transversal "
-                                   "crossing point")
+        raise GrazingCrossingError(f"{(x0, y0)!r} is not a transversal crossing point")
     if not np.isfinite(out).all():
         raise DomainError("the restriction of M to the plane leaves the float range")
     return out
@@ -231,6 +230,11 @@ def m_gamma1(H):
     """Asymptotic slope y0/x0 of the conic branch; |m| < 1 on the hyperbola
     range.  An H where (1 - H)(3H + 1) < 0, or that is not finite, is a
     DomainError naming the first such H."""
+    return _slope_and_root(H)[0]
+
+
+def _slope_and_root(H):
+    """(m_gamma1(H), sqrt((1 - H)(3H + 1))), both from one discriminant."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # a huge H's discriminant is -inf
@@ -239,19 +243,24 @@ def m_gamma1(H):
     if bad.any():
         h = float(np.broadcast_to(H, bad.shape)[bad][0])
         raise DomainError(f"m_gamma1 requires a finite H with (1 - H)(3H + 1) >= 0, got H={h!r}")
-    return 2.0 * H / (H + np.sqrt(d) + 1.0)
+    sd = np.sqrt(d)
+    return 2.0 * H / (H + sd + 1.0), sd
 
 
 def tau_gamma1(C, H):
-    """Large-amplitude limit of the monodromy trace on the branch (0 < H < 1).
-    m_gamma1's DomainError off its range, and one naming the first (C, H), in
-    C-major order, where tau_inf leaves the float range: e^{2 pi C} overflows
-    from about C = 113, and 1/H^2 from about H = 1e-154 down."""
+    """Large-amplitude limit of the monodromy trace on the branch (0 < H < 1)
+    from one m_gamma1 and one discriminant root.  m_gamma1's DomainError, and
+    one naming the first (C, H), in C-major order, where tau_inf leaves the
+    float range: from about C = 113 (e^{2 pi C}) and H = 1e-154 down (1/H^2)."""
+    return _limits(C, H)[1]
+
+
+def _limits(C, H):
+    """(m^2, shaped as H, and tau_inf), tau_gamma1 with the m^2 it forms."""
     import numpy as np
 
-    m, h1 = m_gamma1(H), H - 1.0
+    (m, sd), h1 = _slope_and_root(H), H - 1.0
     with np.errstate(all="ignore"):
-        sd = np.sqrt(gamma1_discriminant(H))
         # squares are products: x ** 2 calls pow for a scalar, which can round
         # apart from the product an array's x ** 2 computes
         m2 = m * m
@@ -268,18 +277,15 @@ def tau_gamma1(C, H):
         raise DomainError(f"tau_inf at C={c!r}, H={h!r} is not finite: e^(2 pi C) "
                           "leaves the float range from about C = 113, 1/H^2 from "
                           "about H = 1e-154 down")
-    return tau
+    return m2, tau
 
 
 def asymptotic_invariants(p: SystemParams):
-    """(m^2, tau_inf): large-amplitude limits of det M and tr M; a tau_inf
-    past the float range is a DomainError naming C."""
-    if not p.resonant:
-        raise DomainError("asymptotic invariants require the resonant family")
-    if not 0.0 < p.H < 1.0:
-        raise DomainError(f"asymptotic invariants require 0 < H < 1, got H={p.H}")
-    m = m_gamma1(p.H)
-    return float(m * m), float(tau_gamma1(p.C, p.H))
+    """(m^2, tau_inf): large-amplitude limits of det M and tr M on the branch,
+    with the branch's DomainErrors and tau_gamma1's past the float range."""
+    _check_branch_domain(p)
+    m2, tau = _limits(p.C, p.H)
+    return float(m2), float(tau)
 
 
 def critical_h(C: float) -> float:
@@ -307,8 +313,8 @@ def h_min(C: float) -> float:
                           "established for C > 0")
 
     def below(H):  # the margin tau_inf + m^2 is negative at H
-        m = m_gamma1(H)
-        return tau_gamma1(C, H) + m * m < 0.0
+        m2, tau = _limits(C, H)
+        return tau + m2 < 0.0
 
     hi = critical_h(C)  # 0.0 where cosh(pi C) overflows, from C = 226
     tau_gamma1(C, hi)  # a tau_inf past the float range is a DomainError
@@ -368,10 +374,10 @@ def stability_band(c_range, h_range, grid) -> BandResult:
     Returns
     -------
     BandResult
-        The grid axes, tau_inf and the inequality flags as (n_c, n_h)
-        arrays, plus the two boundary polylines (sign-change interpolation
-        of the margins along each fixed-C row) and the closed-form critical
-        curve.
+        The grid axes, m^2 and tau_inf (one m_gamma1 and one root of the
+        discriminant per H), the inequality flags as (n_c, n_h) arrays, the
+        two boundary polylines (sign-change interpolation of the margins
+        along each fixed-C row) and the closed-form critical curve.
     """
     import numpy as np
 
@@ -393,8 +399,7 @@ def stability_band(c_range, h_range, grid) -> BandResult:
         raise DomainError("H range must satisfy 0 < hmin < hmax < 1")
     cs = np.linspace(c_lo, c_hi, n_c)
     hs = np.linspace(h_lo, h_hi, n_h)
-    m2 = m_gamma1(hs) ** 2
-    taus = tau_gamma1(cs[:, None], hs[None, :])
+    m2, taus = _limits(cs[:, None], hs)
     upper_margin = 2.0 + m2 - taus
     lower_margin = taus + m2
     ineq_det = np.broadcast_to(1.0 - m2 > 0.0, taus.shape)

@@ -111,12 +111,15 @@ def _plane_field(p: SystemParams, x, y) -> tuple:
 
 
 def _finite_point(s) -> tuple:
-    """s = (x, y, z) as Python floats; a coordinate that is not finite is a
-    DomainError, where the field would read NaN or, in NumPy scalars, warn
-    on inf * 0."""
-    x, y, z = map(float, s)
+    """s = (x, y, z) as Python floats, by scalar tests: a str, any other count
+    of coordinates, or one that is not a finite number is a DomainError, where
+    the field would read NaN or, in NumPy scalars, warn on inf * 0."""
+    try:
+        x, y, z = map(float, () if isinstance(s, (str, bytes)) else s)
+    except (TypeError, ValueError):  # not three numbers: no finite point either
+        x = y = z = math.nan
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise DomainError(f"the field needs a finite point, got {(x, y, z)!r}")
+        raise DomainError(f"the state must be a finite point of R^3, got {s!r}")
     return x, y, z
 
 

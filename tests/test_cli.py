@@ -109,6 +109,43 @@ def test_readme_simulate_matches_its_golden_bytes(tmp_path):
         assert proc.stdout == golden, core
 
 
+# the README stability-band outputs, (bytes, sha256) each, too large to keep
+# as golden files: under NumPy's default dispatch, and with its AVX-512 paths
+# (X86_V4 and up) switched off, where np.exp along C rounds some C apart
+_BAND_README = {
+    "band.csv": [
+        (13491643, "908709a87e25c95b2dd73675cb0572e0165333b32cd28685cb5fcf11144c0ff9"),
+        (13491646, "da4cbb613b0c18c842a558929417e22b0071daff3a2e9076a16eda68ae0f195c")],
+    "boundaries.csv": [
+        (48654, "782e5d247ec1fe6777c7fd82324eaa15c85bb683cb421e2b81da7af681efb569"),
+        (48654, "ee138bf72ba6e8c2b43cdd0e61b798ed37cabc39bdb17afe2436076f532ccf79")],
+}
+
+
+def test_readme_stability_band_matches_its_pinned_hashes(tmp_path):
+    # the README's stability-band example, byte for byte: no m2, tau_inf or
+    # boundary cell may move.  A machine without AVX-512 writes the second
+    # pair by default, so the default run may match either pair, and the
+    # run with those paths off must match the second
+    argv = next(argv for argv in _readme_cli_commands() if argv[0] == "stability-band")
+    assert argv[-4:] == ["-o", "band.csv", "--boundaries", "boundaries.csv"]
+    default, plain = tmp_path / "default", tmp_path / "plain"
+    default.mkdir()
+    plain.mkdir()
+    rc, _, err = _main_in_process(*argv[:-3], str(default / "band.csv"), "--boundaries",
+                                  str(default / "boundaries.csv"))
+    assert (rc, err) == (0, "")
+    proc = subprocess.run([sys.executable, "-m", "twofold", *argv], cwd=plain,
+                          capture_output=True, env=dict(
+                              os.environ, PYTHONPATH=_PYTHONPATH,
+                              NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    for name, pins in _BAND_README.items():
+        for folder, allowed in ((default, pins), (plain, pins[1:])):
+            data = (folder / name).read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) in allowed, (folder.name, name)
+
+
 def test_shared_parser_leaks_no_state(tmp_path, monkeypatch):
     # one process, one parser: every call writes what a fresh process writes
     calls = [
@@ -1254,7 +1291,7 @@ def _simulate_csv_oracle(C, H, Lambda, x0, y0, z0, t_max, dt):
         if tc is None:
             break
         q = flow(p, s, tc)[:2]
-        region = classify_point(p, q)
+        region = classify_point(q)
         x, y = float(q[0]), float(q[1])  # Yf = x, Xf = y
         if region is not RegionKind.CROSSING:
             rows.append([t0 + tc, q[0], q[1], 0.0, field, "terminal", region.value, ""])

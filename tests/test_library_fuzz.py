@@ -29,7 +29,7 @@ _CALLS = {
     "eval_X": lambda system, x, y, z: tf.eval_X(system(), (x, y, z)),
     "eval_Y": lambda system, x, y, z: tf.eval_Y(system(), (x, y, z)),
     "jacobian_X": lambda system, x, y, z: tf.jacobian_X(system()),
-    "classify_point": lambda system, x, y, z: tf.classify_point(system(), (x, y)),
+    "classify_point": lambda system, x, y, z: tf.classify_point((x, y)),
     "fold_info": lambda system, x, y, z: tf.fold_info(system(), (x, y)),
     "sliding_field": lambda system, x, y, z: tf.sliding_field(system(), (x, y)),
     "saltation": lambda system, x, y, z: tf.saltation(system(), (x, y),

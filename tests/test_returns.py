@@ -319,11 +319,17 @@ def test_walk_ends_where_the_envelope_cannot_reach_the_plane(C, y0, forward):
     (resonant_system(5e-324, 0.0, -1e-300), (-23.9, -143.6, math.inf), 8.0 * math.pi),
     (resonant_system(1.0, 0.04, 1.0), (219.892, 8.431, 0.0), -1.0),
     (resonant_system(1.0, 0.04, 1.0), (219.892, 8.431, 0.0), math.nan),
+    *[(resonant_system(1.0, 0.04, 1.0), s0, 8.0 * math.pi) for s0 in (
+        (219.892, 8.431), (219.892, 8.431, 0.0, 0.0), "abc", "123", 1.0,
+        (219.892, "a", 0.0), None)],
 ], ids=["infinite_window", "infinite_start_and_window", "infinite_start", "negative_window",
-        "nan_window"])
+        "nan_window", "pair_start", "four_start", "str_start", "digit_str_start",
+        "scalar_start", "str_coordinate_start", "none_start"])
 def test_first_crossing_checks_its_inputs_before_the_walk(p, s0, t_max):
     # each once walked on without end or raised NoReturnError from inside the
-    # walk; a NaN z, once a DivergenceError, is test_non_finite_start_is_a_domain_error's
+    # walk; a NaN z, once a DivergenceError, is test_non_finite_start_is_a_domain_error's.
+    # A pair start once raised a bare IndexError, a 4-tuple was read as its
+    # first three coordinates, and a str or a scalar raised a bare TypeError
     with _within(5), pytest.raises(DomainError, match="must be"):
         first_crossing(p, s0, t_max)
 
@@ -699,7 +705,7 @@ def _plane_solves(p, x, y, z, forward, scale):
 
     return [
         _or_error(lambda: first_crossing(p, (x, y, z), 8.0 * math.pi, forward=forward)),
-        _or_error(lambda: classify_point(p, q)),
+        _or_error(lambda: classify_point(q)),
         _or_error(lambda: flight(half_return_X)),
         _or_error(lambda: flight(half_return_Y)),
         _or_error(lambda: tuple(v / scale for v in return_map(p, (abs(x), abs(y))))),

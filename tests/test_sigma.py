@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twofold import (FoldInfo, FoldKind, RegionKind, build_system,
+from twofold import (FoldInfo, FoldKind, RegionKind, build_system, sigma, stability,
                      classify_point, eval_X, eval_Y, fold_info, half_return_X, half_return_Y,
                      resonant_system, saltation, sliding_field)
 from twofold.errors import DomainError, GrazingCrossingError, TangentialGrazeError
@@ -15,36 +15,36 @@ def params():
     return build_system(-2.0, 1.0, 0.5, 1.0)
 
 
-def test_classification_examples(params):
-    assert classify_point(params, (1.0, 2.0)) is RegionKind.CROSSING
-    assert classify_point(params, (1.0, -2.0)) is RegionKind.SLIDING
-    assert classify_point(params, (-1.0, 2.0)) is RegionKind.ESCAPING
-    assert classify_point(params, (3.0, 0.0)) is RegionKind.TANGENCY_X
-    assert classify_point(params, (0.0, 3.0)) is RegionKind.TANGENCY_Y
-    assert classify_point(params, (0.0, 0.0)) is RegionKind.DOUBLE_TANGENCY
+def test_classification_examples():
+    assert classify_point((1.0, 2.0)) is RegionKind.CROSSING
+    assert classify_point((1.0, -2.0)) is RegionKind.SLIDING
+    assert classify_point((-1.0, 2.0)) is RegionKind.ESCAPING
+    assert classify_point((3.0, 0.0)) is RegionKind.TANGENCY_X
+    assert classify_point((0.0, 3.0)) is RegionKind.TANGENCY_Y
+    assert classify_point((0.0, 0.0)) is RegionKind.DOUBLE_TANGENCY
     # the signs decide, not the product x y, which underflows to 0.0
     # at subnormals; a huge point is classified though |q| overflows, where
     # the plane cutoff 1e-10 (1 + |q|) once made it a DomainError
-    assert classify_point(params, (5e-324, 5e-324)) is RegionKind.CROSSING
-    assert classify_point(params, (-5e-324, -5e-324)) is RegionKind.CROSSING
-    assert classify_point(params, (5e-324, -5e-324)) is RegionKind.SLIDING
-    assert classify_point(params, (-5e-324, 5e-324)) is RegionKind.ESCAPING
-    assert classify_point(params, (1.5e308, 1.5e308)) is RegionKind.CROSSING
+    assert classify_point((5e-324, 5e-324)) is RegionKind.CROSSING
+    assert classify_point((-5e-324, -5e-324)) is RegionKind.CROSSING
+    assert classify_point((5e-324, -5e-324)) is RegionKind.SLIDING
+    assert classify_point((-5e-324, 5e-324)) is RegionKind.ESCAPING
+    assert classify_point((1.5e308, 1.5e308)) is RegionKind.CROSSING
 
 
-def test_crossing_quadrant_rule(params):
+def test_crossing_quadrant_rule():
     rng = np.random.default_rng(0)
     for _ in range(30):
         x, y = rng.uniform(0.1, 5.0, 2)
-        assert classify_point(params, (x, y)) is RegionKind.CROSSING
-        assert classify_point(params, (-x, -y)) is RegionKind.CROSSING
+        assert classify_point((x, y)) is RegionKind.CROSSING
+        assert classify_point((-x, -y)) is RegionKind.CROSSING
 
 
 def test_lie_derivatives_reported(params):
     # the region is read off Xf = y and Yf = x, the third field components
     q = (3.0, -2.0, 0.0)
     assert eval_X(params, q)[2] == -2.0 and eval_Y(params, q)[2] == 3.0
-    assert classify_point(params, q[:2]) is RegionKind.SLIDING
+    assert classify_point(q[:2]) is RegionKind.SLIDING
 
 
 def test_fold_visibility(params):
@@ -122,7 +122,7 @@ def test_plane_checks_see_a_tangency_at_zero_only(params, x):
     # exact sign of the Lie derivative: y = +-0.0 is a tangency and the least
     # subnormal is not, where the cutoff 1e-10 (1 + |(x, y)|) once drew the line
     for y in (0.0, -0.0):
-        assert classify_point(params, (x, y)) is RegionKind.TANGENCY_X
+        assert classify_point((x, y)) is RegionKind.TANGENCY_X
         with pytest.raises(GrazingCrossingError, match="not a transversal crossing point"):
             saltation(params, (x, y), "XtoY")
         for field, call in (("X", lambda: half_return_X(params, (x, y))),
@@ -130,7 +130,7 @@ def test_plane_checks_see_a_tangency_at_zero_only(params, x):
             with pytest.raises(TangentialGrazeError, match=f"is tangential for the {field}"):
                 call()
     y = 5e-324
-    assert classify_point(params, (x, y)) is RegionKind.CROSSING
+    assert classify_point((x, y)) is RegionKind.CROSSING
     # the crossing is transversal, but (Y - X) / y leaves the float range
     with pytest.raises(GrazingCrossingError, match="leaves the float range"):
         saltation(params, (x, y), "XtoY")
@@ -143,10 +143,10 @@ def test_plane_checks_see_a_tangency_at_zero_only(params, x):
 
 @pytest.mark.parametrize("q", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
                                (0.0, math.nan)])
-def test_classify_point_rejects_a_non_finite_point(desk_params, q):
+def test_classify_point_rejects_a_non_finite_point(q):
     # (nan, 1) once classified as escaping and (inf, 1) as a tangency
     with pytest.raises(DomainError, match="must be finite"):
-        classify_point(desk_params, q)
+        classify_point(q)
 
 
 @pytest.mark.parametrize("q", [(math.nan, 0.0), (math.nan, 1.0), (1.0, math.inf)])
@@ -161,6 +161,24 @@ def test_sliding_field_rejects_a_non_finite_point(desk_params, q):
     # both once ended in a bare AssertionError
     with pytest.raises(DomainError, match="must be finite"):
         sliding_field(desk_params, q)
+
+
+@pytest.mark.parametrize("call, q", [("saltation", (1.0, 2.0)), ("saltation", (1.0, -2.0)),
+                                     ("sliding_field", (1.0, -2.0)),
+                                     ("sliding_field", (1.0, 2.0))])
+def test_plane_point_is_checked_once_per_call(desk_params, monkeypatch, call, q):
+    # the caller's check and classify_point's once both ran on one point
+    checked = []
+    check = sigma._finite_plane_point
+    for module in (sigma, stability):  # each module's own binding of the check, if any
+        monkeypatch.setattr(module, "_finite_plane_point",
+                            lambda point: checked.append(point) or check(point),
+                            raising=False)
+    try:
+        saltation(desk_params, q, "XtoY") if call == "saltation" else sliding_field(desk_params, q)
+    except (DomainError, GrazingCrossingError):  # off the call's region
+        pass
+    assert checked == [q]
 
 
 @pytest.mark.parametrize("q", [(1e308, -1e308), (-1e308, 1e308)])

@@ -10,7 +10,7 @@ from twofold import (INVOLUTION, asymptotic_invariants, band_width, build_system
                      eval_X, eval_Y, find_cycle_newton, h_min, m_gamma1,
                      monodromy, resonant_system, return_map, saltation,
                      schur_conditions, sigma_restriction,
-                     stability_band, tau_gamma1)
+                     stability, stability_band, tau_gamma1)
 from twofold.cycles import _graze, asymptotic_seed
 from twofold.errors import (DomainError, GrazingCrossingError, NoCycleError,
                             SymmetryDefectError, TwofoldError)
@@ -351,6 +351,21 @@ def test_scalar_invariants_equal_the_grid_bit_for_bit():
                 m2, tau = asymptotic_invariants(resonant_system(C, H, 1.0))
                 assert (m2, tau) == (band.m2[j], band.tau_inf[i, j]), (C, H)
                 assert tau_gamma1(C, H) == tau
+
+
+def test_band_forms_the_slope_and_the_root_once(monkeypatch):
+    # m_gamma1 once ran twice per band, and the discriminant's square root
+    # three times: in each m_gamma1 and again in tau_gamma1
+    discriminants, roots = [], []
+    disc, sqrt = stability.gamma1_discriminant, np.sqrt
+    monkeypatch.setattr(stability, "gamma1_discriminant",
+                        lambda H: discriminants.append(H) or disc(H))
+    monkeypatch.setattr(np, "sqrt", lambda d: roots.append(d) or sqrt(d))
+    band = stability_band((0.5, 2.0), (0.01, 0.9), (4, 5))
+    assert (len(discriminants), len(roots)) == (1, 1)
+    monkeypatch.undo()
+    assert band.m2.tolist() == [m * m for m in m_gamma1(band.hs).tolist()]
+    assert band.tau_inf.tolist() == tau_gamma1(band.cs[:, None], band.hs).tolist()
 
 
 def test_m_vanishes_with_h():

@@ -160,10 +160,12 @@ def test_eval_y_hand_evaluation():
 
 
 @pytest.mark.parametrize("field", [eval_X, eval_Y])
-@pytest.mark.parametrize("s", [(0.0, 0.0, math.inf), (math.nan, 1.0, 0.0), (1.0, -math.inf, 0.5)])
+@pytest.mark.parametrize("s", [(0.0, 0.0, math.inf), (math.nan, 1.0, 0.0), (1.0, -math.inf, 0.5),
+                               (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), "123", 1.0, (1.0, None, 0.0)])
 def test_field_at_a_non_finite_point_is_a_domain_error(field, s):
     # at (0, 0, inf) with C = Lambda = 5e-324 the NumPy scalars warned on
-    # inf * 0, and a NaN coordinate read NaN without an error
+    # inf * 0, and a NaN coordinate read NaN without an error; a pair or a
+    # 4-tuple raised a bare ValueError, and "123" was read as (1, 2, 3)
     with pytest.raises(DomainError, match="finite point"):
         field(build_system(0.0, 5e-324, 0.0, 5e-324), s)
 
